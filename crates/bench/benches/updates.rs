@@ -281,7 +281,8 @@ fn main() {
         t.measure("vo_r/key", &scale.to_string(), d);
     }
 
-    // strict-vs-fast apply ablation (full consistency check per update)
+    // delete + re-insert through the whole pipeline (one full consistency
+    // check per update)
     let s = setup(8);
     let updater = ViewObjectUpdater::new(&s.schema, s.omega.clone(), s.translator.clone()).unwrap();
     let pivot =
@@ -297,14 +298,6 @@ fn main() {
         updater.insert(&s.schema, &mut db, inst.clone()).unwrap();
     });
     t.measure("pipeline/strict_roundtrip", "8", d);
-    let mut fast = updater.clone();
-    fast.strict = false;
-    let mut db = s.db.clone();
-    let d = median_time(RUNS, || {
-        fast.delete(&s.schema, &mut db, inst.clone()).unwrap();
-        fast.insert(&s.schema, &mut db, inst.clone()).unwrap();
-    });
-    t.measure("pipeline/fast_roundtrip", "8", d);
 
     t.finish();
     bench_b2();

@@ -1,21 +1,22 @@
 //! The end-to-end update pipeline: steps 1–3 produce an operation list,
-//! step 4 applies it transactionally under the structural consistency
-//! check, rolling back on any violation.
+//! step 4 checks the planned state against the structural model, and
+//! only a consistent plan is applied — transactionally, so the base ends
+//! up holding exactly the requested objects or is left untouched.
 //!
-//! Two granularities share one engine:
+//! There is one pipeline body, and it is set-at-a-time: a whole
+//! [`UpdateBatch`] is translated over *one* shared overlay (the overlay
+//! borrows the base — no snapshot), each translator sees the ops planned
+//! by earlier requests, global validation runs exactly once at the end,
+//! and the batch applies in a single transaction. On failure the error
+//! carries the offending request's index and kind, and the database is
+//! untouched. [`ViewObjectUpdater::apply_batch`] plans and applies,
+//! [`ViewObjectUpdater::apply_request`] is the one-request batch, and
+//! [`ViewObjectUpdater::prepare_batch`] plans against a pinned snapshot
+//! for [`ViewObjectUpdater::commit_prepared`] to validate and apply at
+//! the head.
 //!
-//! * **Per-request** — [`ViewObjectUpdater::apply_request`] translates a
-//!   single [`UpdateRequest`] over a fresh overlay and applies it.
-//! * **Set-at-a-time** — [`ViewObjectUpdater::apply_batch`] runs a whole
-//!   [`UpdateBatch`] over *one* shared overlay: one base snapshot is
-//!   avoided per request (the overlay borrows the base), each translator
-//!   sees the ops planned by earlier requests, global validation runs
-//!   exactly once at the end, and the whole batch applies in a single
-//!   transaction. On failure the error carries the offending request's
-//!   index and kind, and the database is untouched.
-//!
-//! Both return [`UpdateOutcome`]s describing what was translated; the
-//! legacy `Vec<DbOp>`-returning methods remain as thin wrappers.
+//! All return [`UpdateOutcome`]s describing what was translated; the
+//! `Vec<DbOp>`-returning methods are sugar over them.
 
 use crate::instance::VoInstance;
 use crate::island::{analyze, IslandAnalysis};
@@ -135,6 +136,24 @@ impl BatchOutcome {
     pub fn all_ops(&self) -> impl Iterator<Item = &DbOp> {
         self.outcomes.iter().flat_map(|o| o.ops.iter())
     }
+
+    /// The result of a one-request batch, as the result of that request:
+    /// its one outcome, or the error naming the request's kind without a
+    /// batch position.
+    pub fn single(
+        kind: &'static str,
+        result: UpdateResult<BatchOutcome>,
+    ) -> UpdateResult<UpdateOutcome> {
+        let mut batch = result.map_err(|e| UpdateError {
+            request_kind: Some(kind),
+            request_index: None,
+            ..e
+        })?;
+        Ok(batch
+            .outcomes
+            .pop()
+            .expect("one request in, one outcome out"))
+    }
 }
 
 /// A batch translated against a pinned snapshot, awaiting
@@ -147,8 +166,8 @@ impl BatchOutcome {
 /// reader, commit wherever the head writer lives.
 #[derive(Debug, Clone)]
 pub struct PreparedBatch {
-    /// Per-request outcomes, in request order (global-check step included
-    /// when strict preparation ran it against the overlay).
+    /// Per-request outcomes, in request order (the global check against
+    /// the overlay is their last step).
     pub outcomes: Vec<UpdateOutcome>,
     /// All planned ops, flattened in application order.
     pub ops: Vec<DbOp>,
@@ -222,11 +241,6 @@ impl UpdateBatch {
     pub fn requests(&self) -> &[UpdateRequest] {
         &self.requests
     }
-
-    /// Consume, yielding the requests.
-    pub fn into_requests(self) -> Vec<UpdateRequest> {
-        self.requests
-    }
 }
 
 impl From<Vec<UpdateRequest>> for UpdateBatch {
@@ -260,9 +274,6 @@ pub struct ViewObjectUpdater {
     object: ViewObject,
     analysis: IslandAnalysis,
     translator: Translator,
-    /// When true (the default), every applied update re-verifies the full
-    /// structural consistency of the database and rolls back on violation.
-    pub strict: bool,
 }
 
 impl ViewObjectUpdater {
@@ -277,7 +288,6 @@ impl ViewObjectUpdater {
             object,
             analysis,
             translator,
-            strict: true,
         })
     }
 
@@ -401,115 +411,25 @@ impl ViewObjectUpdater {
         Ok(UpdateOutcome::new(kind, rec.into_ops(), steps))
     }
 
-    /// Translate and apply one request; in strict mode the database must
-    /// end structurally consistent or nothing is applied.
-    pub fn apply_request(
-        &self,
-        schema: &StructuralSchema,
-        db: &mut Database,
-        request: UpdateRequest,
-    ) -> UpdateResult<UpdateOutcome> {
-        let kind = request.kind();
-        let mut rec = OpRecorder::over(&*db);
-        let mut steps = self.translate_request_into(schema, &mut rec, request)?;
-        if self.strict {
-            let violations = check_overlay(schema, &rec).map_err(|e| e.with_kind(kind))?;
-            if !violations.is_empty() {
-                return Err(rollback_error(&violations).with_kind(kind));
-            }
-            steps.push(UpdateStep::GlobalCheck);
-        }
-        let ops = rec.into_ops();
-        db.apply_all(&ops)
-            .map_err(|e| UpdateError::new(UpdateStep::GlobalCheck, e).with_kind(kind))?;
-        Ok(UpdateOutcome::new(kind, ops, steps))
-    }
-
-    /// Set-at-a-time translation and application (the paper's translators,
-    /// run back-to-back over one shared overlay).
+    /// The one pipeline body (steps 1–4, nothing applied): translate every
+    /// request over one shared overlay of `base`, capture the conflict
+    /// set, then run the global check against the overlay. A violation is
+    /// attributed to the request that last wrote the offending tuple when
+    /// one did.
     ///
-    /// The whole batch shares a single [`OpRecorder`] over the borrowed
-    /// base database: request *i*'s translator sees the ops planned by
-    /// requests *0..i*, global validation runs once over the final
-    /// overlay, and the ops apply in one transaction. On any failure the
-    /// database is untouched and the returned [`UpdateError`] names the
-    /// failing step plus — when attributable — the request index.
-    ///
-    /// Unlike a sequence of strict [`ViewObjectUpdater::apply_request`]
-    /// calls, intermediate states need not be consistent: only the final
-    /// overlay is checked (in strict mode), so a batch can succeed where
-    /// the same requests applied one-by-one would fail mid-stream.
-    pub fn apply_batch(
-        &self,
-        schema: &StructuralSchema,
-        db: &mut Database,
-        batch: impl Into<UpdateBatch>,
-    ) -> UpdateResult<BatchOutcome> {
-        let batch: UpdateBatch = batch.into();
-        let mut rec = OpRecorder::over(&*db);
-        let mut outcomes = Vec::with_capacity(batch.len());
-        for (i, request) in batch.into_requests().into_iter().enumerate() {
-            let kind = request.kind();
-            let mark = rec.mark();
-            let steps = self
-                .translate_request_into(schema, &mut rec, request)
-                .map_err(|e| e.at_request(i))?;
-            outcomes.push(UpdateOutcome::new(
-                kind,
-                rec.ops_since(mark).to_vec(),
-                steps,
-            ));
-        }
-        if self.strict {
-            let violations = check_overlay(schema, &rec)?;
-            if !violations.is_empty() {
-                let mut err = rollback_error(&violations);
-                if let Some(i) = attribute_violation(&rec, &violations[0], &outcomes) {
-                    err = err.at_request(i).with_kind(outcomes[i].request_kind);
-                }
-                return Err(err);
-            }
-            for outcome in &mut outcomes {
-                outcome.steps.push(UpdateStep::GlobalCheck);
-            }
-        }
-        let ops = rec.into_ops();
-        let total_ops = ops.len();
-        let stats = UpdateStats::from_ops(&ops);
-        db.apply_all(&ops)
-            .map_err(|e| UpdateError::new(UpdateStep::GlobalCheck, e))?;
-        Ok(BatchOutcome {
-            outcomes,
-            total_ops,
-            stats,
-        })
-    }
-
-    /// Steps 1–4 of [`ViewObjectUpdater::apply_batch`] against a *pinned*
-    /// base (an MVCC snapshot), without applying anything: translate the
-    /// whole batch over one overlay, run the global check against the
-    /// overlay for fail-fast feedback, and record what the translation
-    /// depended on — the base version plus the relations read or written.
-    /// The result commits later through
-    /// [`ViewObjectUpdater::commit_prepared`] under first-committer-wins
-    /// validation.
-    ///
-    /// The conflict set is captured *before* the fail-fast global check
-    /// runs, so it covers exactly the relations the translators consulted
-    /// — the check itself scans broadly and would otherwise inflate the
-    /// set to the whole database. Soundness does not depend on the
-    /// fail-fast check: `commit_prepared` re-validates structural
-    /// consistency at the head.
-    pub fn prepare_batch(
+    /// The conflict set is captured *before* the global check runs, so it
+    /// covers exactly the relations the translators consulted — the check
+    /// itself scans broadly and would otherwise inflate the set to the
+    /// whole database.
+    fn plan(
         &self,
         schema: &StructuralSchema,
         base: &Database,
-        batch: impl Into<UpdateBatch>,
+        batch: UpdateBatch,
     ) -> UpdateResult<PreparedBatch> {
-        let batch: UpdateBatch = batch.into();
         let mut rec = OpRecorder::over(base);
         let mut outcomes = Vec::with_capacity(batch.len());
-        for (i, request) in batch.into_requests().into_iter().enumerate() {
+        for (i, request) in batch.into_iter().enumerate() {
             let kind = request.kind();
             let mark = rec.mark();
             let steps = self
@@ -522,28 +442,87 @@ impl ViewObjectUpdater {
             ));
         }
         let touched = rec.db.touched_relations();
-        if self.strict {
-            let violations = check_overlay(schema, &rec)?;
-            if !violations.is_empty() {
-                let mut err = rollback_error(&violations);
-                if let Some(i) = attribute_violation(&rec, &violations[0], &outcomes) {
-                    err = err.at_request(i).with_kind(outcomes[i].request_kind);
-                }
-                return Err(err);
+        let violations = check_overlay(schema, &rec)?;
+        if let Some(first) = violations.first() {
+            let mut err = UpdateError::new(
+                UpdateStep::GlobalCheck,
+                Error::Rolledback(Box::new(violations_error(&violations))),
+            );
+            if let Some(i) = attribute_violation(&rec, first, &outcomes) {
+                err = err.at_request(i).with_kind(outcomes[i].request_kind);
             }
-            for outcome in &mut outcomes {
-                outcome.steps.push(UpdateStep::GlobalCheck);
-            }
+            return Err(err);
+        }
+        for outcome in &mut outcomes {
+            outcome.steps.push(UpdateStep::GlobalCheck);
         }
         let ops = rec.into_ops();
-        let stats = UpdateStats::from_ops(&ops);
         Ok(PreparedBatch {
             outcomes,
+            stats: UpdateStats::from_ops(&ops),
             ops,
-            stats,
             base_version: base.version(),
             touched,
         })
+    }
+
+    /// Translate and apply one request — a one-request
+    /// [`ViewObjectUpdater::apply_batch`], so the database ends
+    /// structurally consistent or nothing is applied.
+    pub fn apply_request(
+        &self,
+        schema: &StructuralSchema,
+        db: &mut Database,
+        request: UpdateRequest,
+    ) -> UpdateResult<UpdateOutcome> {
+        let kind = request.kind();
+        BatchOutcome::single(kind, self.apply_batch(schema, db, vec![request]))
+    }
+
+    /// Set-at-a-time translation and application (the paper's translators,
+    /// run back-to-back over one shared overlay).
+    ///
+    /// The whole batch shares a single [`OpRecorder`] over the borrowed
+    /// base database: request *i*'s translator sees the ops planned by
+    /// requests *0..i*, global validation runs once over the final
+    /// overlay, and the ops apply in one transaction. On any failure the
+    /// database is untouched and the returned [`UpdateError`] names the
+    /// failing step plus — when attributable — the request index.
+    ///
+    /// Unlike a sequence of [`ViewObjectUpdater::apply_request`] calls,
+    /// intermediate states need not be consistent: only the final overlay
+    /// is checked, so a batch can succeed where the same requests applied
+    /// one-by-one would fail mid-stream.
+    pub fn apply_batch(
+        &self,
+        schema: &StructuralSchema,
+        db: &mut Database,
+        batch: impl Into<UpdateBatch>,
+    ) -> UpdateResult<BatchOutcome> {
+        let planned = self.plan(schema, db, batch.into())?;
+        db.apply_all(&planned.ops)
+            .map_err(|e| UpdateError::new(UpdateStep::GlobalCheck, e))?;
+        Ok(BatchOutcome {
+            total_ops: planned.ops.len(),
+            outcomes: planned.outcomes,
+            stats: planned.stats,
+        })
+    }
+
+    /// Steps 1–4 of [`ViewObjectUpdater::apply_batch`] against a *pinned*
+    /// base (an MVCC snapshot), without applying anything: the result
+    /// records what the translation depended on — the base version plus
+    /// the relations read or written — and commits later through
+    /// [`ViewObjectUpdater::commit_prepared`] under first-committer-wins
+    /// validation. The global check here is fail-fast feedback; soundness
+    /// rests on `commit_prepared` re-validating at the head.
+    pub fn prepare_batch(
+        &self,
+        schema: &StructuralSchema,
+        base: &Database,
+        batch: impl Into<UpdateBatch>,
+    ) -> UpdateResult<PreparedBatch> {
+        self.plan(schema, base, batch.into())
     }
 
     /// Commit a [`PreparedBatch`] at the head under first-committer-wins
@@ -551,9 +530,9 @@ impl ViewObjectUpdater {
     /// [`Error::Conflict`]) when any relation the preparation touched has
     /// changed since its base version — the caller re-prepares against a
     /// fresh snapshot and retries. On a clean validation the ops apply in
-    /// one transaction; in strict mode the head must end structurally
-    /// consistent (checked authoritatively here, serially, regardless of
-    /// the fail-fast check at prepare time) or everything rolls back.
+    /// one transaction and the head must end structurally consistent
+    /// (checked authoritatively here, serially, regardless of the
+    /// fail-fast check at prepare time) or everything rolls back.
     pub fn commit_prepared(
         &self,
         schema: &StructuralSchema,
@@ -571,22 +550,15 @@ impl ViewObjectUpdater {
             stats,
             ..
         } = prepared;
-        if self.strict {
-            db.apply_all_checked(&ops, |d| {
-                let violations = check_database(schema, d)?;
-                match violations.first() {
-                    None => Ok(()),
-                    Some(first) => Err(Error::ConstraintViolation(format!(
-                        "{} structural violation(s), first: {first}",
-                        violations.len()
-                    ))),
-                }
-            })
-            .map_err(|e| UpdateError::new(UpdateStep::GlobalCheck, e))?;
-        } else {
-            db.apply_all(&ops)
-                .map_err(|e| UpdateError::new(UpdateStep::GlobalCheck, e))?;
-        }
+        db.apply_all_checked(&ops, |d| {
+            let violations = check_database(schema, d)?;
+            if violations.is_empty() {
+                Ok(())
+            } else {
+                Err(violations_error(&violations))
+            }
+        })
+        .map_err(|e| UpdateError::new(UpdateStep::GlobalCheck, e))?;
         for outcome in &mut outcomes {
             outcome.steps.push(UpdateStep::Commit);
         }
@@ -609,9 +581,8 @@ impl ViewObjectUpdater {
             .map_err(Error::from)
     }
 
-    /// Translate and apply a request transactionally; in strict mode the
-    /// whole op list rolls back unless the database ends structurally
-    /// consistent.
+    /// Translate and apply a request transactionally: the whole op list
+    /// rolls back unless the database ends structurally consistent.
     pub fn apply(
         &self,
         schema: &StructuralSchema,
@@ -662,17 +633,13 @@ fn check_overlay(schema: &StructuralSchema, rec: &OpRecorder<'_>) -> UpdateResul
     check_database(schema, &rec.db).map_err(|e| UpdateError::new(UpdateStep::GlobalCheck, e))
 }
 
-/// Wrap violations as a rollback error (the legacy applied-then-check
-/// path surfaced `Error::Rolledback`, and callers match on it).
-fn rollback_error(violations: &[Violation]) -> UpdateError {
-    UpdateError::new(
-        UpdateStep::GlobalCheck,
-        Error::Rolledback(Box::new(Error::ConstraintViolation(format!(
-            "{} structural violation(s), first: {}",
-            violations.len(),
-            violations[0]
-        )))),
-    )
+/// The error a failed global check reports (`violations` is non-empty).
+fn violations_error(violations: &[Violation]) -> Error {
+    Error::ConstraintViolation(format!(
+        "{} structural violation(s), first: {}",
+        violations.len(),
+        violations[0]
+    ))
 }
 
 /// The `(relation, key)` a violation complains about.
@@ -789,7 +756,7 @@ mod tests {
     }
 
     #[test]
-    fn strict_mode_rolls_back_inconsistent_outcomes() {
+    fn global_check_rolls_back_inconsistent_outcomes() {
         let (schema, mut db) = university_database();
         let omega = generate_omega(&schema).unwrap();
         let mut translator = Translator::permissive(&omega);

@@ -35,8 +35,9 @@ pub struct PlanCacheStats {
     pub hits: u64,
     /// Plan built because none was cached for the object.
     pub misses: u64,
-    /// Cached plans dropped: explicit invalidation, a `database_mut`
-    /// borrow, or a stale plan discovered at lookup time.
+    /// Cached plans dropped: explicit invalidation, a
+    /// [`Penguin::with_database_mut`] borrow, or a stale plan discovered at
+    /// lookup time.
     pub invalidations: u64,
 }
 
@@ -228,10 +229,6 @@ pub struct Penguin {
     /// Watch subscriptions fed by [`Penguin::refresh`].
     watches: BTreeMap<WatchId, Watch>,
     next_watch: u64,
-    /// A store flush that failed while reconciling a previous
-    /// [`Penguin::database_mut`] borrow (an infallible signature), parked
-    /// here and surfaced by the next fallible persistence call.
-    store_error: Option<Error>,
     /// Telemetry export pipeline, when attached (the `VO_TELEMETRY` env
     /// knob or [`Penguin::set_telemetry`]). Drained on
     /// [`Penguin::persist_pending`] and on drop.
@@ -285,7 +282,6 @@ impl Clone for Penguin {
             views: BTreeMap::new(),
             watches: BTreeMap::new(),
             next_watch: 0,
-            store_error: None,
             telemetry: None,
             health_policy: self.health_policy.clone(),
             last_health: Cell::new(self.last_health.get()),
@@ -296,14 +292,12 @@ impl Clone for Penguin {
 impl Drop for Penguin {
     /// Clean shutdown for persistent systems: flush the journal through
     /// the write-ahead cursor (checkpointing instead when structure
-    /// drifted — covers DDL done through a still-open
-    /// [`Penguin::database_mut`] borrow) and fsync regardless of sync
-    /// policy. Errors are ignored (recovery replays the checkpoint +
-    /// intact log tail either way). Tests simulate a crash by skipping
-    /// this with [`std::mem::forget`].
+    /// drifted) and fsync regardless of sync policy. Errors are ignored
+    /// (recovery replays the checkpoint + intact log tail either way).
+    /// Tests simulate a crash by skipping this with [`std::mem::forget`].
     fn drop(&mut self) {
         if self.store.is_some() {
-            let _ = self.flush_store_inner();
+            let _ = self.flush_store();
             if let Some(store) = &mut self.store {
                 let _ = store.sync();
             }
@@ -338,7 +332,6 @@ impl Penguin {
             views: BTreeMap::new(),
             watches: BTreeMap::new(),
             next_watch: 0,
-            store_error: None,
             telemetry: TelemetryPipeline::from_env().and_then(|r| r.ok()),
             health_policy: HealthPolicy::default(),
             last_health: Cell::new(HealthStatus::Ok),
@@ -375,8 +368,7 @@ impl Penguin {
     /// the newest checkpoint). Every successful mutating facade call —
     /// object updates, batches, SQL — appends its committed base-table
     /// operations to the log as one record per transaction before
-    /// returning. Pre-segmentation directories (`checkpoint.json` +
-    /// `wal.log`) still open and are migrated at the first checkpoint.
+    /// returning.
     pub fn persistent_with(
         dir: impl Into<PathBuf>,
         schema: StructuralSchema,
@@ -443,9 +435,8 @@ impl Penguin {
     /// Drain committed-but-unpersisted transactions into the store (a
     /// no-op on in-memory systems) and flush the telemetry pipeline, when
     /// one is attached. Mutating facade calls flush the store
-    /// automatically; call this after direct [`Penguin::database_mut`]
-    /// work to persist eagerly instead of waiting for the next facade
-    /// call or drop.
+    /// automatically; call this to retry after one of them reported a
+    /// persistence failure.
     pub fn persist_pending(&mut self) -> Result<()> {
         self.flush_store()?;
         self.drain_telemetry()
@@ -475,7 +466,7 @@ impl Penguin {
 
     /// Fold the store's base + delta-checkpoint chain into a fresh full
     /// base and delete what it supersedes (old bases, deltas, retired
-    /// WAL segments, legacy files). Runs from disk artifacts alone; see
+    /// WAL segments). Runs from disk artifacts alone; see
     /// [`vo_store::Store::compact`]. Returns a default (no-op) report on
     /// in-memory systems.
     pub fn compact(&mut self) -> Result<CompactionReport> {
@@ -495,23 +486,14 @@ impl Penguin {
     }
 
     /// Read the commit journal through the write-ahead cursor into the
-    /// durable store (no-op when in-memory), surfacing any error parked by
-    /// a previous [`Penguin::database_mut`] reconciliation first. Also
-    /// detects structural drift: the store checkpoints instead of
-    /// appending when the structure epoch moved.
+    /// durable store (no-op when in-memory); the store checkpoints instead
+    /// of appending when the structure epoch moved. Cursor-transactional:
+    /// peek the journal, write the transactions to the store, and only
+    /// then advance the cursor — a failed write leaves the cursor in
+    /// place, so the same transactions are retried by the next flush.
+    /// Other journal consumers (materialized-view cursors) are untouched
+    /// either way.
     fn flush_store(&mut self) -> Result<()> {
-        if let Some(e) = self.store_error.take() {
-            return Err(e);
-        }
-        self.flush_store_inner()
-    }
-
-    /// The flush itself, cursor-transactional: peek the journal, write the
-    /// transactions to the store, and only then advance the cursor — a
-    /// failed write leaves the cursor in place, so the same transactions
-    /// are retried by the next flush. Other journal consumers
-    /// (materialized-view cursors) are untouched either way.
-    fn flush_store_inner(&mut self) -> Result<()> {
         let (Some(store), Some(cursor)) = (self.store.as_mut(), self.wal_cursor) else {
             return Ok(());
         };
@@ -571,50 +553,21 @@ impl Penguin {
         &self.db
     }
 
-    /// The database (write access — bypasses view objects; prefer the
-    /// object-based update API). Drops every cached access plan up front:
-    /// the caller may change structure through the borrow, and plans
-    /// rebuild lazily on the next instantiation anyway.
-    ///
-    /// On a persistent system, whatever a *previous* borrow left behind —
-    /// journaled DML, or DDL that moved the structure epoch — is flushed
-    /// to the store on entry (DDL triggers a checkpoint), so at most one
-    /// borrow's worth of work is ever exposed to a crash. A flush failure
-    /// here can't be returned from this infallible signature; it is parked
-    /// and surfaced by the next [`Penguin::persist_pending`], mutating
-    /// facade call, or other fallible persistence call. DML done through
-    /// the borrow itself is journaled but only reaches the store at that
-    /// next call (or drop).
-    #[deprecated(
-        note = "use with_database_mut, which flushes the store (and checkpoints on \
-                structural drift) when the borrow ends instead of parking errors \
-                for a later call"
-    )]
-    pub fn database_mut(&mut self) -> &mut Database {
-        self.drop_plans();
-        if self.store.is_some() {
-            if let Err(e) = self.flush_store_inner() {
-                self.store_error.get_or_insert(e);
-            }
-        }
-        &mut self.db
-    }
-
     /// Run `f` with write access to the database (bypassing view objects;
     /// prefer the object-based update API), then reconcile the store
-    /// before returning: cached access plans are dropped up front, any
-    /// error parked by an old [`Penguin::database_mut`] borrow plus that
-    /// borrow's pending work are flushed on entry, and on exit the
-    /// closure's own journaled DML is flushed — with structural drift
+    /// before returning: cached access plans are dropped up front — the
+    /// caller may change structure through the borrow, and plans rebuild
+    /// lazily — whatever is still pending is flushed on entry, and on exit
+    /// the closure's own journaled DML is flushed — with structural drift
     /// (DDL through the borrow) detected and checkpointed — so nothing is
     /// left for the next facade call to clean up and at most this one
-    /// closure's work is ever exposed to a crash. Unlike the deprecated
-    /// `database_mut`, flush failures surface here, as the error.
+    /// closure's work is ever exposed to a crash. Flush failures surface
+    /// here, as the error.
     pub fn with_database_mut<T>(&mut self, f: impl FnOnce(&mut Database) -> T) -> Result<T> {
         self.drop_plans();
         self.flush_store()?;
         let out = f(&mut self.db);
-        self.flush_store_inner()?;
+        self.flush_store()?;
         Ok(out)
     }
 
@@ -850,14 +803,7 @@ impl Penguin {
         name: &str,
         instance: VoInstance,
     ) -> UpdateResult<UpdateOutcome> {
-        let updater = self.updater_checked(name)?;
-        let out = updater.apply_request(
-            &self.schema,
-            &mut self.db,
-            UpdateRequest::CompleteInsertion(instance),
-        )?;
-        self.flush_store_checked()?;
-        Ok(out)
+        self.apply_one(name, UpdateRequest::CompleteInsertion(instance))
     }
 
     /// Delete an instance through an object.
@@ -866,14 +812,7 @@ impl Penguin {
         name: &str,
         instance: VoInstance,
     ) -> UpdateResult<UpdateOutcome> {
-        let updater = self.updater_checked(name)?;
-        let out = updater.apply_request(
-            &self.schema,
-            &mut self.db,
-            UpdateRequest::CompleteDeletion(instance),
-        )?;
-        self.flush_store_checked()?;
-        Ok(out)
+        self.apply_one(name, UpdateRequest::CompleteDeletion(instance))
     }
 
     /// Replace an instance through an object.
@@ -883,14 +822,13 @@ impl Penguin {
         old: VoInstance,
         new: VoInstance,
     ) -> UpdateResult<UpdateOutcome> {
-        let updater = self.updater_checked(name)?;
-        let out = updater.apply_request(
-            &self.schema,
-            &mut self.db,
-            UpdateRequest::Replacement { old, new },
-        )?;
-        self.flush_store_checked()?;
-        Ok(out)
+        self.apply_one(name, UpdateRequest::Replacement { old, new })
+    }
+
+    /// One request as a one-request batch.
+    fn apply_one(&mut self, name: &str, request: UpdateRequest) -> UpdateResult<UpdateOutcome> {
+        let kind = request.kind();
+        BatchOutcome::single(kind, self.apply(name, UpdateBatch::new().with(request)))
     }
 
     /// Apply a partial update through an object.
@@ -910,8 +848,14 @@ impl Penguin {
         name: &str,
         batch: impl Into<UpdateBatch>,
     ) -> UpdateResult<BatchOutcome> {
+        self.apply(name, batch.into())
+    }
+
+    /// The write path every object update and VOQL statement takes: one
+    /// span, one overlay and global check, one transaction, one store
+    /// flush.
+    fn apply(&mut self, name: &str, batch: UpdateBatch) -> UpdateResult<BatchOutcome> {
         let updater = self.updater_checked(name)?;
-        let batch: UpdateBatch = batch.into();
         let mut sp = vo_obs::trace::span("penguin.apply_batch");
         if sp.is_recording() {
             sp.field("object", Json::str(name));
@@ -949,21 +893,6 @@ impl Penguin {
             self.parallelism,
             plans,
         )
-    }
-
-    /// Translate a batch against an arbitrary base database without
-    /// committing it — normally called through
-    /// [`Session::prepare_batch`], which fixes `base` to the session's
-    /// pinned snapshot. The returned [`PreparedBatch`] remembers the base
-    /// version and the relations the translators consulted.
-    pub fn prepare_batch(
-        &self,
-        name: &str,
-        base: &Database,
-        batch: impl Into<UpdateBatch>,
-    ) -> UpdateResult<PreparedBatch> {
-        let updater = self.updater_checked(name)?;
-        updater.prepare_batch(&self.schema, base, batch)
     }
 
     /// Commit a batch prepared against a pinned snapshot, validating it
@@ -1039,7 +968,7 @@ impl Penguin {
     /// (and any watches on it). Returns false when nothing was
     /// materialized under `name`. The commit journal stays enabled; on an
     /// otherwise journal-free in-memory system, disable it through
-    /// [`Penguin::database_mut`] if unwanted.
+    /// [`Penguin::with_database_mut`] if unwanted.
     pub fn dematerialize(&mut self, name: &str) -> bool {
         let Some(view) = self.views.remove(name) else {
             return false;
@@ -1685,45 +1614,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Deprecated-contract test — deliberately exercises the deprecated
-    /// [`Penguin::database_mut`] borrow (every other caller has migrated
-    /// to [`Penguin::with_database_mut`]). The contract under test: a
-    /// pending borrow's DML + DDL is parked and flushed (checkpointing if
-    /// the structure epoch moved) when the *next* borrow is handed out,
-    /// so a crash between borrows loses only the newest borrow's writes.
-    /// Keep this as the one sanctioned `#[allow(deprecated)]` use; do not
-    /// migrate it, or the reentry path loses its only coverage.
-    #[test]
-    #[allow(deprecated)]
-    fn ddl_between_borrows_is_checkpointed_on_reentry() {
-        let dir = std::env::temp_dir().join(format!("penguin_ddl_reentry_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        {
-            let mut p = Penguin::persistent(&dir, university_schema()).unwrap();
-            seed_figure4(p.database_mut()).unwrap();
-            // first borrow left DML + DDL pending; entering a second
-            // borrow flushes (and checkpoints, epoch moved) before handing
-            // out the database
-            p.database_mut()
-                .ensure_index("GRADES", &["ssn".to_string()])
-                .unwrap();
-            p.database_mut()
-                .insert("DEPARTMENT", vec!["Mathematics".into()])
-                .unwrap();
-            // crash: neither Drop nor an explicit flush for the last insert
-            std::mem::forget(p);
-        }
-        let p2 = Penguin::open(&dir).unwrap();
-        // everything up to the second borrow survived the crash
-        assert!(p2
-            .database()
-            .table("GRADES")
-            .unwrap()
-            .has_index(&["ssn".to_string()]));
-        assert_eq!(p2.database().table("COURSES").unwrap().len(), 3);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     #[test]
     fn with_database_mut_flushes_on_exit() {
         let dir =
@@ -1756,6 +1646,45 @@ mod tests {
             .unwrap()
             .get(&Key::single("Mathematics"))
             .is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_flush_keeps_its_place_and_the_next_flush_retries() {
+        let dir = std::env::temp_dir().join(format!("penguin_flush_retry_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut p = Penguin::persistent(&dir, university_schema()).unwrap();
+        p.with_database_mut(seed_figure4).unwrap().unwrap();
+        // the DDL below moves the structure epoch, so the exit flush must
+        // write base-000002.json; a directory squatting on its tmp name makes
+        // that write fail
+        let blocker = dir.join("base-000002.json.tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        let err = p
+            .with_database_mut(|db| {
+                db.ensure_index("GRADES", &["ssn".to_string()])?;
+                db.insert("DEPARTMENT", vec!["Mathematics".into()])
+            })
+            .unwrap_err();
+        assert!(matches!(err, Error::Storage(_)), "{err}");
+        // the write-ahead cursor did not move past the unwritten commit
+        assert_eq!(p.persistence_lag(), Some(1));
+        std::fs::remove_dir(&blocker).unwrap();
+        p.persist_pending().unwrap();
+        assert_eq!(p.persistence_lag(), Some(0));
+        // crash: what the retry wrote is all that survives
+        std::mem::forget(p);
+        let p2 = Penguin::open(&dir).unwrap();
+        assert!(p2
+            .database()
+            .table("GRADES")
+            .unwrap()
+            .has_index(&["ssn".to_string()]));
+        assert!(p2
+            .database()
+            .table("DEPARTMENT")
+            .unwrap()
+            .contains_key(&Key::single("Mathematics")));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -50,7 +50,7 @@ pub enum VoqlStatement {
         query: VoQuery,
     },
     /// Modify pivot attributes of matching instances through the object's
-    /// translator (each instance goes through VO-R).
+    /// translator (each instance goes through VO-R, all in one batch).
     Update {
         /// Object name.
         object: String,
@@ -499,12 +499,14 @@ pub fn run(penguin: &mut Penguin, src: &str) -> Result<VoqlOutcome> {
             Ok(VoqlOutcome::Instances(penguin.query(&object, &query)?))
         }
         VoqlStatement::Delete { object, query } => {
-            let matches = penguin.query(&object, &query)?;
-            let n = matches.len();
-            for inst in matches {
-                penguin.delete_instance(&object, inst)?;
-            }
-            Ok(VoqlOutcome::Deleted(n))
+            let batch = penguin
+                .query(&object, &query)?
+                .into_iter()
+                .map(UpdateRequest::CompleteDeletion)
+                .collect();
+            Ok(VoqlOutcome::Deleted(apply_statement(
+                penguin, &object, batch,
+            )?))
         }
         VoqlStatement::Update {
             object,
@@ -514,22 +516,21 @@ pub fn run(penguin: &mut Penguin, src: &str) -> Result<VoqlOutcome> {
             let matches = penguin.query(&object, &query)?;
             let pivot_rel = penguin.object(&object)?.object.pivot().to_owned();
             let pivot_schema = penguin.schema().catalog().relation(&pivot_rel)?.clone();
-            let n = matches.len();
-            for inst in matches {
-                let pivot_key = inst.root.tuple.key(&pivot_schema);
-                let mut new_tuple = inst.root.tuple.clone();
+            let mut batch = UpdateBatch::new();
+            for matched in matches {
+                // the match may be pruned by child conditions; VO-R needs
+                // the instance as stored
+                let old =
+                    penguin.instance_by_key(&object, &matched.root.tuple.key(&pivot_schema))?;
+                let mut new = old.clone();
                 for (attr, v) in &assignments {
-                    new_tuple = new_tuple.with_named(&pivot_schema, attr, v.clone())?;
+                    new.root.tuple = new.root.tuple.with_named(&pivot_schema, attr, v.clone())?;
                 }
-                penguin.apply_partial(
-                    &object,
-                    PartialOp::ModifyPivot {
-                        pivot_key,
-                        new: new_tuple,
-                    },
-                )?;
+                batch.push(UpdateRequest::Replacement { old, new });
             }
-            Ok(VoqlOutcome::Updated(n))
+            Ok(VoqlOutcome::Updated(apply_statement(
+                penguin, &object, batch,
+            )?))
         }
         VoqlStatement::ShowObjects => Ok(VoqlOutcome::Text(penguin.object_names().join("\n"))),
         VoqlStatement::ShowObject(name) => {
@@ -542,10 +543,30 @@ pub fn run(penguin: &mut Penguin, src: &str) -> Result<VoqlOutcome> {
     }
 }
 
+/// A statement is one batch: every matched instance translates over one
+/// overlay, passes one global check and commits as one transaction (one
+/// WAL record), or the statement leaves nothing behind. Returns the
+/// number of instances written; a statement matching nothing writes
+/// nothing.
+fn apply_statement(penguin: &mut Penguin, object: &str, batch: UpdateBatch) -> Result<usize> {
+    let n = batch.len();
+    if n > 0 {
+        penguin.apply_batch(object, batch)?;
+    }
+    Ok(n)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use vo_core::university::{seed_figure4, university_schema};
+
+    /// Every relation, byte for byte (secondary indexes included).
+    fn fingerprint(p: &Penguin) -> String {
+        vo_relational::storage::DatabaseSnapshot::capture_full(p.database())
+            .to_json()
+            .pretty()
+    }
 
     fn system() -> Penguin {
         let mut p = Penguin::new(university_schema());
@@ -609,6 +630,22 @@ mod tests {
         }
         assert!(p.check_consistency().unwrap().is_empty());
         assert_eq!(p.database().table("COURSES").unwrap().len(), 2);
+
+        // a statement matching several instances is one transaction
+        let version = p.database().version();
+        let out = run(&mut p, "DELETE omega WHERE dept_name = 'Computer Science'").unwrap();
+        match out {
+            VoqlOutcome::Deleted(n) => assert_eq!(n, 2),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(p.database().version(), version + 1);
+        assert!(p.check_consistency().unwrap().is_empty());
+        assert_eq!(p.database().table("COURSES").unwrap().len(), 0);
+
+        // a statement matching nothing writes nothing
+        let out = run(&mut p, "DELETE omega WHERE dept_name = 'Computer Science'").unwrap();
+        assert!(matches!(out, VoqlOutcome::Deleted(0)));
+        assert_eq!(p.database().version(), version + 1);
     }
 
     #[test]
@@ -633,6 +670,7 @@ mod tests {
         let mut p = system();
         let mut responder = paper_dialog_responder();
         p.choose_translator("omega", &mut responder).unwrap();
+        let version = p.database().version();
         let out = run(
             &mut p,
             "UPDATE omega SET title = 'Renamed' WHERE dept_name = 'Computer Science'",
@@ -642,6 +680,8 @@ mod tests {
             VoqlOutcome::Updated(n) => assert_eq!(n, 2),
             other => panic!("{other:?}"),
         }
+        // both matches committed as one transaction
+        assert_eq!(p.database().version(), version + 1);
         let t = p
             .database()
             .table("COURSES")
@@ -664,6 +704,19 @@ mod tests {
             .unwrap()
             .contains_key(&Key(vec!["CS999".into(), 1.into()])));
         assert!(p.check_consistency().unwrap().is_empty());
+
+        // a statement is all-or-nothing: re-keying both matches to one
+        // key fails at the second, and the first leaves nothing behind
+        let before = fingerprint(&p);
+        let version = p.database().version();
+        let err = run(
+            &mut p,
+            "UPDATE omega SET course_id = 'ZZ999' WHERE dept_name = 'Computer Science'",
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("collides"), "{err}");
+        assert_eq!(fingerprint(&p), before);
+        assert_eq!(p.database().version(), version);
 
         // malformed updates rejected
         assert!(run(&mut p, "UPDATE omega SET GRADES.grade = 'A'").is_err());

@@ -78,8 +78,8 @@ impl fmt::Display for DbOp {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalStart {
     /// From the oldest transaction still retained in the journal. The WAL
-    /// persister and the legacy [`Database::drain_committed`] path use
-    /// this: anything another consumer has not yet retired is visible.
+    /// persister uses this: anything another consumer has not yet retired
+    /// is visible.
     Oldest,
     /// From the next transaction committed after subscribing. Materialized
     /// views use this: they are built from the current database state, so
@@ -183,9 +183,6 @@ struct CommitJournal {
     base_seq: u64,
     consumers: BTreeMap<u64, Consumer>,
     next_consumer: u64,
-    /// Consumer backing the legacy [`Database::drain_committed`] API,
-    /// created lazily on first drain.
-    legacy: Option<u64>,
 }
 
 impl CommitJournal {
@@ -241,14 +238,12 @@ impl CommitJournal {
 
     fn unsubscribe(&mut self, cursor: JournalCursor) {
         self.consumers.remove(&cursor.0);
-        if self.legacy == Some(cursor.0) {
-            self.legacy = None;
-        }
         self.retire();
     }
 
     /// Drop entries that every consumer has read. With no consumers at
-    /// all, everything is retained (the enable-then-drain-later pattern).
+    /// all, everything is retained for the first
+    /// [`JournalStart::Oldest`] subscriber.
     fn retire(&mut self) {
         let Some(min_next) = self.consumers.values().map(|c| c.next_seq).min() else {
             return;
@@ -697,35 +692,6 @@ impl Database {
         self.journal_cap
     }
 
-    /// Take every committed transaction recorded since the last drain
-    /// (empty when journaling is off). Each entry is the op list of one
-    /// successful transaction, in commit order.
-    ///
-    /// Legacy single-consumer API, kept for the enable-then-drain pattern:
-    /// internally it reads through its own lazily-created cursor, so
-    /// draining no longer steals entries from other consumers (the WAL
-    /// persister, materialized views) — they each still see everything.
-    pub fn drain_committed(&mut self) -> Vec<Vec<DbOp>> {
-        let Some(j) = &mut self.journal else {
-            return Vec::new();
-        };
-        let cursor = match j.legacy {
-            Some(id) => JournalCursor(id),
-            None => {
-                let c = j.subscribe(JournalStart::Oldest);
-                j.legacy = Some(c.0);
-                c
-            }
-        };
-        let read = j.peek(cursor).expect("legacy cursor exists");
-        j.advance(cursor, read.transactions.len())
-            .expect("legacy cursor exists");
-        read.transactions
-            .into_iter()
-            .map(|tx| Arc::try_unwrap(tx).unwrap_or_else(|a| (*a).clone()))
-            .collect()
-    }
-
     /// Reject a would-be transaction while the journal is full under the
     /// [`JournalOverflow::Error`] policy. Checked *before* any op applies
     /// so a rejected transaction leaves no trace.
@@ -815,31 +781,13 @@ impl Database {
     /// already-applied op is undone (in reverse order) and the error is
     /// wrapped in [`Error::Rolledback`].
     pub fn apply_all(&mut self, ops: &[DbOp]) -> Result<()> {
-        if !ops.is_empty() {
-            self.journal_admit()?;
-        }
-        let mut undo: Vec<DbOp> = Vec::with_capacity(ops.len());
-        for op in ops {
-            match self.apply_inner(op) {
-                Ok(u) => undo.push(u),
-                Err(e) => {
-                    for u in undo.iter().rev() {
-                        self.apply_inner(u)
-                            .expect("undo of a just-applied op must succeed");
-                    }
-                    return Err(Error::Rolledback(Box::new(e)));
-                }
-            }
-        }
-        self.commit_stamp(ops);
-        self.journal_commit(ops.to_vec());
-        Ok(())
+        self.apply_all_checked(ops, |_| Ok(()))
     }
 
-    /// Apply a batch and then run `check`; if the check fails, roll the
-    /// whole batch back. This is how global-integrity validation vetoes a
-    /// translated update (paper §5: "the transaction cannot be completed
-    /// and has to be rolled back").
+    /// Apply a batch and then run `check`; if an op or the check fails,
+    /// roll the whole batch back. This is how global-integrity validation
+    /// vetoes a translated update (paper §5: "the transaction cannot be
+    /// completed and has to be rolled back").
     pub fn apply_all_checked(
         &mut self,
         ops: &[DbOp],
@@ -849,19 +797,10 @@ impl Database {
             self.journal_admit()?;
         }
         let mut undo: Vec<DbOp> = Vec::with_capacity(ops.len());
-        for op in ops {
-            match self.apply_inner(op) {
-                Ok(u) => undo.push(u),
-                Err(e) => {
-                    for u in undo.iter().rev() {
-                        self.apply_inner(u)
-                            .expect("undo of a just-applied op must succeed");
-                    }
-                    return Err(Error::Rolledback(Box::new(e)));
-                }
-            }
-        }
-        if let Err(e) = check(self) {
+        let applied = ops
+            .iter()
+            .try_for_each(|op| self.apply_inner(op).map(|u| undo.push(u)));
+        if let Err(e) = applied.and_then(|()| check(self)) {
             for u in undo.iter().rev() {
                 self.apply_inner(u)
                     .expect("undo of a just-applied op must succeed");
@@ -1062,9 +1001,9 @@ mod tests {
         let mut d = db();
         // nothing is recorded while the journal is off
         d.insert("DEPARTMENT", vec!["CS".into()]).unwrap();
-        d.enable_commit_journal();
+        let c = d.journal_subscribe(JournalStart::Oldest);
         assert!(d.commit_journal_enabled());
-        assert!(d.drain_committed().is_empty());
+        assert!(d.journal_read(c).unwrap().transactions.is_empty());
 
         // a single-op transaction
         d.insert("DEPARTMENT", vec!["EE".into()]).unwrap();
@@ -1103,16 +1042,18 @@ mod tests {
             .apply_all_checked(&ok, |_| Err(Error::ConstraintViolation("veto".into())))
             .is_err());
 
-        let txs = d.drain_committed();
+        let txs = d.journal_read(c).unwrap().transactions;
         assert_eq!(txs.len(), 2);
         assert_eq!(txs[0].len(), 1);
-        assert_eq!(txs[1], batch);
-        // drained: the journal is empty again but still enabled
-        assert!(d.drain_committed().is_empty());
+        assert_eq!(*txs[1], batch);
+        // read: the journal is empty again but still enabled
+        assert!(d.journal_read(c).unwrap().transactions.is_empty());
         assert!(d.commit_journal_enabled());
+        // disabling discards the journal and invalidates the cursor
         d.disable_commit_journal();
         d.insert("DEPARTMENT", vec!["BIO".into()]).unwrap();
-        assert!(d.drain_committed().is_empty());
+        assert!(d.journal_read(c).is_err());
+        assert_eq!(d.journal_retained(), 0);
     }
 
     fn dept_insert(d: &Database, name: &str) -> DbOp {
@@ -1160,20 +1101,20 @@ mod tests {
     }
 
     #[test]
-    fn drain_no_longer_steals_from_other_consumers() {
+    fn reading_through_one_cursor_does_not_steal_from_another() {
         let mut d = db();
         let wal = d.journal_subscribe(JournalStart::Oldest);
+        let other = d.journal_subscribe(JournalStart::Oldest);
         d.insert("DEPARTMENT", vec!["CS".into()]).unwrap();
-        // a user drain takes its own copy...
-        let drained = d.drain_committed();
-        assert_eq!(drained.len(), 1);
-        // ...but the WAL cursor still sees the transaction
+        let taken = d.journal_read(other).unwrap();
+        assert_eq!(taken.transactions.len(), 1);
+        // the WAL cursor still sees the transaction — the same shared entry
         let r = d.journal_read(wal).unwrap();
         assert_eq!(r.transactions.len(), 1);
-        assert_eq!(*r.transactions[0], drained[0]);
-        // and the legacy cursor keeps working incrementally
+        assert!(Arc::ptr_eq(&r.transactions[0], &taken.transactions[0]));
+        // and the first reader keeps working incrementally
         d.insert("DEPARTMENT", vec!["EE".into()]).unwrap();
-        assert_eq!(d.drain_committed().len(), 1);
+        assert_eq!(d.journal_read(other).unwrap().transactions.len(), 1);
     }
 
     #[test]
@@ -1211,7 +1152,7 @@ mod tests {
     #[test]
     fn error_cap_rejects_before_applying() {
         let mut d = db();
-        d.enable_commit_journal();
+        let c = d.journal_subscribe(JournalStart::Oldest);
         d.set_journal_cap(Some(JournalCap::error(1)));
         d.insert("DEPARTMENT", vec!["CS".into()]).unwrap();
         // journal holds 1 entry: the next transaction must be rejected
@@ -1220,8 +1161,8 @@ mod tests {
         assert!(matches!(err, Error::JournalOverflow { capacity: 1 }));
         assert_eq!(d.table("DEPARTMENT").unwrap().len(), 1);
         assert_eq!(d.journal_retained(), 1);
-        // draining frees capacity
-        d.drain_committed();
+        // reading frees capacity
+        d.journal_read(c).unwrap();
         d.insert("DEPARTMENT", vec!["EE".into()]).unwrap();
         assert_eq!(d.table("DEPARTMENT").unwrap().len(), 2);
         // lifting the cap also frees it

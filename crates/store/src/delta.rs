@@ -1,11 +1,8 @@
 //! Checkpoint artifacts: periodic full **bases** plus chained
 //! incremental **deltas**.
 //!
-//! PR 9 replaces the single `checkpoint.json` with a chain of artifacts:
-//!
 //! - [`BaseCheckpoint`] (`base-<id>.json`) — a full
-//!   [`DatabaseSnapshot`], exactly what the legacy checkpoint held, plus
-//!   the artifact id that chains deltas to it.
+//!   [`DatabaseSnapshot`] plus the artifact id that chains deltas to it.
 //! - [`DeltaCheckpoint`] (`delta-<id>.json`) — the *net* tuple upserts
 //!   and deletes since the previous artifact (a [`SnapshotDelta`] folded
 //!   from the committed ops), pointing at its base and parent by id.

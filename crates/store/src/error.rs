@@ -22,6 +22,10 @@ pub enum StoreError {
     /// prefix can frame; the append is rejected instead of writing a
     /// wrapped (silently truncated) length header.
     RecordTooLarge { bytes: u64, max: u64 },
+    /// The directory holds a store in a layout this version does not read
+    /// (the pre-segmentation `checkpoint.json` + `wal.log` pair); the
+    /// message names the directory and the files found.
+    UnsupportedLayout(String),
     /// The relational engine rejected a restore or replay.
     Db(vo_relational::error::Error),
 }
@@ -41,6 +45,9 @@ impl fmt::Display for StoreError {
                 f,
                 "commit record payload of {bytes} bytes exceeds the WAL frame limit of {max} bytes"
             ),
+            StoreError::UnsupportedLayout(m) => {
+                write!(f, "pre-segmentation store; not supported: {m}")
+            }
             StoreError::Db(e) => write!(f, "database error during recovery: {e}"),
         }
     }
@@ -51,7 +58,9 @@ impl std::error::Error for StoreError {
         match self {
             StoreError::Io { source, .. } => Some(source),
             StoreError::Db(e) => Some(e),
-            StoreError::Corrupt(_) | StoreError::RecordTooLarge { .. } => None,
+            StoreError::Corrupt(_)
+            | StoreError::RecordTooLarge { .. }
+            | StoreError::UnsupportedLayout(_) => None,
         }
     }
 }

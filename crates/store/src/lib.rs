@@ -29,10 +29,10 @@
 //!   the intact log tail, and truncates a torn final record
 //!   (*truncate-at-corruption*). Base encode/decode and table rebuilds
 //!   fan out per key-range partition via `vo_exec`, byte-identical at
-//!   every worker count.
-//! - [`checkpoint`] — the legacy single-file checkpoint, retained so
-//!   pre-segmentation directories (`checkpoint.json` + `wal.log`) still
-//!   open and migrate on their first checkpoint.
+//!   every worker count. This is the only on-disk layout: a
+//!   pre-segmentation directory (`checkpoint.json` + `wal.log`) is
+//!   refused with [`StoreError::UnsupportedLayout`], never opened as
+//!   an empty database.
 //!
 //! The `vo-penguin` facade builds `Penguin::persistent` / `Penguin::open`
 //! on top: every successful translated update is drained from the
@@ -47,7 +47,6 @@
 //! `store.wal.live_bytes`, `store.delta_chain.len`; histogram
 //! `store.checkpoint.bytes` — all in the `vo-obs` registry.
 
-pub mod checkpoint;
 pub mod crc32;
 pub mod delta;
 pub mod error;
@@ -55,7 +54,6 @@ pub mod segment;
 pub mod store;
 pub mod wal;
 
-pub use checkpoint::Checkpoint;
 pub use delta::{BaseCheckpoint, DeltaCheckpoint};
 pub use error::{StoreError, StoreResult};
 pub use segment::SegmentedWal;
@@ -66,7 +64,6 @@ pub use wal::{CommitRecord, SyncPolicy, Wal};
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::checkpoint::Checkpoint;
     pub use crate::delta::{BaseCheckpoint, DeltaCheckpoint};
     pub use crate::error::{StoreError, StoreResult};
     pub use crate::segment::SegmentedWal;

@@ -2,16 +2,16 @@
 //! write-ahead log, with crash recovery that loads the newest base
 //! checkpoint, applies its delta chain, and replays the live log tail.
 //!
-//! ## On-disk layout (PR 9)
+//! ## On-disk layout
 //!
 //! - `wal-<seq>.log` — length-capped log segments ([`SegmentedWal`]).
 //! - `base-<id>.json` — periodic **full** checkpoints ([`BaseCheckpoint`]).
 //! - `delta-<id>.json` — **incremental** checkpoints: the net tuple
 //!   upserts/deletes since the previous artifact ([`DeltaCheckpoint`]).
 //!
-//! A pre-PR-9 directory (`checkpoint.json` + `wal.log`) still opens:
-//! recovery reads the legacy pair, and the first [`Store::checkpoint`]
-//! writes a full base and deletes the legacy files (one-way migration).
+//! This is the only layout. A directory left by the pre-segmentation
+//! store (`checkpoint.json` + `wal.log`, no base) is refused with
+//! [`StoreError::UnsupportedLayout`] rather than opened as empty.
 //!
 //! ## Protocol
 //!
@@ -27,9 +27,9 @@
 //!   the checkpoint to a full base instead.
 //! - **Compact** — [`Store::compact`] folds the base + delta chain into
 //!   a new base from *disk artifacts alone* (no live database needed, so
-//!   it is background-eligible) and deletes superseded bases, deltas,
-//!   retired segments, and legacy files. Automatic at checkpoint time
-//!   under [`CompactionPolicy`] unless disabled.
+//!   it is background-eligible) and deletes superseded bases, deltas
+//!   and retired segments. Automatic at checkpoint time under
+//!   [`CompactionPolicy`] unless disabled.
 //! - **Recover** — [`Store::open`] restores the newest base, applies the
 //!   chained deltas (a delta failing its checksum *breaks the chain
 //!   gracefully*: recovery falls back to replaying log segments from the
@@ -44,13 +44,12 @@
 //! `vo_exec::map_chunks`, whose contiguous deterministic partitioning
 //! keeps artifacts and recovered states independent of worker count.
 
-use crate::checkpoint::Checkpoint;
 use crate::delta::{
     base_path_in, list_artifact_ids, BaseCheckpoint, DeltaCheckpoint, BASE_PREFIX, DELTA_PREFIX,
 };
 use crate::error::{StoreError, StoreResult};
-use crate::segment::{SegmentScan, SegmentedWal};
-use crate::wal::{SyncPolicy, Wal};
+use crate::segment::SegmentedWal;
+use crate::wal::SyncPolicy;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use vo_exec::Parallelism;
@@ -60,9 +59,10 @@ use vo_relational::database::{Database, DbOp};
 use vo_relational::json::Json;
 use vo_relational::storage::{DatabaseSnapshot, SnapshotDeltaBuilder};
 
-/// File name of the legacy (pre-segmentation) log inside a store
-/// directory; only read during migration.
-pub const WAL_FILE: &str = "wal.log";
+/// The files of the pre-segmentation layout (one full checkpoint, one
+/// log). Nothing reads them: [`Store::open`] refuses a directory that
+/// holds them and no base, [`Store::create`] clears them.
+const OLD_LAYOUT_FILES: [&str; 2] = ["checkpoint.json", "wal.log"];
 
 fn checkpoints_taken() -> Counter {
     static C: OnceLock<Counter> = OnceLock::new();
@@ -232,7 +232,7 @@ impl StoreOptions {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
     /// LSN covered by the loaded checkpoint artifacts (base + applied
-    /// deltas, or the legacy checkpoint; 0 = none).
+    /// deltas; 0 = none).
     pub checkpoint_lsn: u64,
     /// Log records applied on top of the checkpointed state.
     pub records_replayed: u64,
@@ -251,12 +251,8 @@ pub struct RecoveryReport {
     /// corrupt or missing link); the uncovered suffix was recovered from
     /// log segments instead.
     pub delta_chain_broken: bool,
-    /// Segment files scanned (the legacy `wal.log`, when read, is not
-    /// counted).
+    /// Segment files scanned.
     pub segments_scanned: u64,
-    /// True when the directory held a pre-segmentation store
-    /// (`checkpoint.json` / `wal.log`); the first checkpoint migrates it.
-    pub migrated_from_legacy: bool,
 }
 
 /// What a [`Store::compact`] call did.
@@ -290,8 +286,8 @@ pub struct Store {
     wal_records: u64,
     /// LSN covered by the newest checkpoint artifact.
     covered_lsn: u64,
-    /// Id of the newest base checkpoint (0 = none yet — fresh store or
-    /// unmigrated legacy directory).
+    /// Id of the newest base checkpoint (0 = none yet — an empty
+    /// directory was opened).
     base_id: u64,
     /// Id of the newest chained artifact (base or delta); the next delta
     /// names it as parent.
@@ -303,9 +299,6 @@ pub struct Store {
     chain_len: u64,
     /// Net changes since the last checkpoint, folded commit by commit.
     delta: SnapshotDeltaBuilder,
-    /// True while legacy `checkpoint.json` / `wal.log` files are still
-    /// on disk; the first full checkpoint deletes them.
-    legacy_pending: bool,
 }
 
 /// Resolve a worker count for artifact encode/decode, where the item
@@ -321,7 +314,7 @@ fn io_workers(p: Parallelism) -> usize {
 
 impl Store {
     /// Initialize a fresh store at `dir` for `db`, truncating any
-    /// previous store there (segments, artifacts, and legacy files):
+    /// previous store there (segments, artifacts, and old-layout files):
     /// writes an initial base checkpoint of `db` and an empty segment.
     pub fn create(
         dir: impl Into<PathBuf>,
@@ -338,8 +331,14 @@ impl Store {
             std::fs::remove_file(DeltaCheckpoint::path_in(&dir, id))
                 .map_err(StoreError::io("remove stale delta"))?;
         }
-        remove_if_present(&Checkpoint::path_in(&dir))?;
-        remove_if_present(&dir.join(WAL_FILE))?;
+        for name in OLD_LAYOUT_FILES {
+            match std::fs::remove_file(dir.join(name)) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(StoreError::io("remove old-layout store file")(e));
+                }
+                _ => {}
+            }
+        }
         let wal = SegmentedWal::create(&dir, options.sync, options.max_segment_bytes)?;
         let mut store = Store {
             dir,
@@ -353,7 +352,6 @@ impl Store {
             next_id: 1,
             chain_len: 0,
             delta: SnapshotDeltaBuilder::new(),
-            legacy_pending: false,
         };
         store.checkpoint(db)?;
         Ok(store)
@@ -362,9 +360,9 @@ impl Store {
     /// Open the store at `dir`, recovering the database it holds: newest
     /// base checkpoint, its delta chain, then the intact log tail, torn
     /// active tail truncated. A directory with no store yields an empty
-    /// database; a pre-segmentation directory is read via its legacy
-    /// `checkpoint.json` + `wal.log` and migrated at the first
-    /// [`Store::checkpoint`].
+    /// database; a pre-segmentation directory (`checkpoint.json` /
+    /// `wal.log` and no base) is refused with
+    /// [`StoreError::UnsupportedLayout`].
     pub fn open(
         dir: impl Into<PathBuf>,
         options: StoreOptions,
@@ -375,7 +373,7 @@ impl Store {
         let mut report = RecoveryReport::default();
         let workers = io_workers(options.parallelism);
 
-        // -- checkpointed state: newest base + delta chain, or legacy --
+        // -- checkpointed state: newest base + delta chain --
         let base_ids = list_artifact_ids(&dir, BASE_PREFIX)?;
         let delta_ids = list_artifact_ids(&dir, DELTA_PREFIX)?;
         let mut max_id = base_ids.last().copied().unwrap_or(0);
@@ -384,8 +382,6 @@ impl Store {
         let mut base_id = 0u64;
         let mut last_id = 0u64;
         let mut chain_len = 0u64;
-        let mut legacy_pending = false;
-        let mut legacy_scan: Option<SegmentScan> = None;
 
         let mut db = if let Some(&newest) = base_ids.last() {
             // A corrupt base is a hard error: unlike a delta it has no
@@ -420,40 +416,27 @@ impl Store {
             report.delta_chain_broken = unreadable > 0 || !available.is_empty();
             db
         } else {
-            // No base: either a fresh directory or a pre-PR-9 store.
-            let legacy_ckpt = Checkpoint::load(&dir)?;
-            let legacy_log = dir.join(WAL_FILE);
-            let has_log = legacy_log.exists();
-            legacy_pending = legacy_ckpt.is_some() || has_log;
-            report.migrated_from_legacy = legacy_pending;
-            let db = match &legacy_ckpt {
-                Some(c) => {
-                    covered = c.lsn;
-                    c.snapshot.restore_with(workers)?
-                }
-                None => Database::new(),
-            };
-            if has_log {
-                let replay = Wal::read_all(&legacy_log)?;
-                legacy_scan = Some(SegmentScan {
-                    seq: 0,
-                    records: replay.records,
-                    torn: replay.torn,
-                });
+            // No base: a fresh directory — or a pre-segmentation store,
+            // which must not pass for an empty database.
+            let old: Vec<&str> = OLD_LAYOUT_FILES
+                .into_iter()
+                .filter(|name| dir.join(name).exists())
+                .collect();
+            if !old.is_empty() {
+                return Err(StoreError::UnsupportedLayout(format!(
+                    "{} holds {} and no base-*.json",
+                    dir.display(),
+                    old.join(" + ")
+                )));
             }
-            db
+            Database::new()
         };
         report.checkpoint_lsn = covered;
         report.last_lsn = covered;
 
-        // -- live log tail: legacy log (if any) followed by segments --
-        let (mut wal, seg_scans) =
-            SegmentedWal::open(&dir, options.sync, options.max_segment_bytes)?;
-        report.segments_scanned = seg_scans.len() as u64;
-        let segments_present = !seg_scans.is_empty();
-        let mut scans: Vec<SegmentScan> = Vec::with_capacity(seg_scans.len() + 1);
-        scans.extend(legacy_scan);
-        scans.extend(seg_scans);
+        // -- live log tail --
+        let (mut wal, scans) = SegmentedWal::open(&dir, options.sync, options.max_segment_bytes)?;
+        report.segments_scanned = scans.len() as u64;
 
         let mut delta_builder = SnapshotDeltaBuilder::new();
         let n = scans.len();
@@ -472,16 +455,14 @@ impl Store {
             if !scan.torn {
                 continue;
             }
-            if i + 1 == n && !(scan.seq == 0 && segments_present) {
+            if i + 1 == n {
                 // Torn tail at the very end of history: the active
-                // segment's tail was truncated by `open_for_append`; a
-                // torn legacy log with no segments after it is the same
-                // situation (the file is deleted at migration).
+                // segment's tail was truncated by `open_for_append`.
                 report.torn_tail_truncated = true;
                 continue;
             }
-            // A tear in a *sealed* segment (or mid-history legacy log)
-            // hides records between its last valid record and the first
+            // A tear in a *sealed* segment hides records between its
+            // last valid record and the first
             // record of a later segment. Tolerable only when that hidden
             // range is empty or fully covered by a checkpoint; otherwise
             // committed history is gone and recovery must not pretend
@@ -495,14 +476,10 @@ impl Store {
                 None => false,
             };
             if !tolerable {
-                let what = if scan.seq == 0 {
-                    "legacy wal.log".to_owned()
-                } else {
-                    crate::segment::segment_file_name(scan.seq)
-                };
                 return Err(StoreError::Corrupt(format!(
-                    "sealed segment {what} is torn mid-history and the hidden \
-                     records are not covered by any checkpoint"
+                    "sealed segment {} is torn mid-history and the hidden \
+                     records are not covered by any checkpoint",
+                    crate::segment::segment_file_name(scan.seq)
                 )));
             }
         }
@@ -519,7 +496,6 @@ impl Store {
             sp.field("skipped", Json::Int(report.records_skipped as i64));
             sp.field("torn", Json::Bool(report.torn_tail_truncated));
             sp.field("chain_broken", Json::Bool(report.delta_chain_broken));
-            sp.field("legacy", Json::Bool(report.migrated_from_legacy));
         }
         drop(sp);
 
@@ -538,7 +514,6 @@ impl Store {
             next_id: max_id + 1,
             chain_len,
             delta: delta_builder,
-            legacy_pending,
         };
         store.update_gauges();
         Ok((store, db, report))
@@ -649,7 +624,7 @@ impl Store {
     /// since the last checkpoint — cost proportional to churn, flat in
     /// the database size — and seals the active segment so a later base
     /// can retire it wholesale. The checkpoint is promoted to a **full
-    /// base** when there is no base yet (fresh or legacy store), when the
+    /// base** when there is no base yet (fresh store), when the
     /// structure epoch moved, or when the [`CompactionPolicy`] limits are
     /// hit (auto-compaction; superseded artifacts are deleted after the
     /// base lands).
@@ -737,8 +712,8 @@ impl Store {
     }
 
     /// Fold the current base and its delta chain into a new full base,
-    /// then delete everything it supersedes: older bases, all deltas,
-    /// retired segments, and legacy files. Works from **disk artifacts
+    /// then delete everything it supersedes: older bases, all deltas and
+    /// retired segments. Works from **disk artifacts
     /// alone** — the live database is not consulted — so it can run from
     /// a maintenance window or background thread while commits continue
     /// to accumulate in the (untouched) delta accumulator and active
@@ -750,8 +725,8 @@ impl Store {
     pub fn compact(&mut self) -> StoreResult<CompactionReport> {
         let mut report = CompactionReport::default();
         if self.base_id == 0 {
-            // Fresh or unmigrated-legacy store: nothing to fold; the
-            // first checkpoint() writes the initial base.
+            // Fresh store: nothing to fold; the first checkpoint() writes
+            // the initial base.
             return Ok(report);
         }
         if self.chain_len == 0
@@ -761,7 +736,6 @@ impl Store {
                 .iter()
                 .all(|s| s.last_lsn > self.covered_lsn)
             && list_artifact_ids(&self.dir, BASE_PREFIX)?.len() <= 1
-            && !self.legacy_pending
         {
             return Ok(report); // already compact
         }
@@ -819,9 +793,8 @@ impl Store {
     }
 
     /// Delete everything the current base supersedes: older bases, all
-    /// delta files, retired segments, and (post-migration) the legacy
-    /// checkpoint/log pair. Returns `(artifact_files, segment_files,
-    /// segment_bytes)` removed.
+    /// delta files and retired segments. Returns `(artifact_files,
+    /// segment_files, segment_bytes)` removed.
     fn prune_superseded(&mut self) -> StoreResult<(u64, u64, u64)> {
         let mut artifacts = 0u64;
         for id in list_artifact_ids(&self.dir, BASE_PREFIX)? {
@@ -837,11 +810,6 @@ impl Store {
             artifacts += 1;
         }
         let (seg_files, seg_bytes) = self.wal.delete_retired(self.covered_lsn)?;
-        if self.legacy_pending {
-            remove_if_present(&Checkpoint::path_in(&self.dir))?;
-            remove_if_present(&self.dir.join(WAL_FILE))?;
-            self.legacy_pending = false;
-        }
         Ok((artifacts, seg_files, seg_bytes))
     }
 
@@ -855,14 +823,6 @@ impl Store {
         gauge_segment_count().set(self.wal.segment_count());
         gauge_live_bytes().set(self.wal.live_bytes(self.covered_lsn));
         gauge_chain_len().set(self.chain_len);
-    }
-}
-
-fn remove_if_present(path: &Path) -> StoreResult<()> {
-    match std::fs::remove_file(path) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(StoreError::io("remove legacy store file")(e)),
     }
 }
 
@@ -921,7 +881,6 @@ mod tests {
         assert_eq!(report.records_replayed, 10);
         assert_eq!(report.ops_replayed, 10);
         assert!(!report.torn_tail_truncated);
-        assert!(!report.migrated_from_legacy);
         assert_eq!(fingerprint(&recovered), fingerprint(&db));
         std::fs::remove_dir_all(&dir).ok();
     }

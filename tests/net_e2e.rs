@@ -223,6 +223,77 @@ fn concurrent_commit_conflicts_surface_as_typed_wire_errors() {
         .all(|i| !matches!(i.root.tuple.values().first(), Some(Value::Int(9 | 10)))));
 }
 
+// ------------------------------------------------------- statement = batch --
+
+/// One VOQL write statement is one batch, over the wire and down to the
+/// log. Against a *persistent* server: a multi-match UPDATE that fails at
+/// its second match gets a typed error reply and leaves nothing behind —
+/// ω re-read at a fresh pin is byte-equal and the WAL did not grow — and
+/// a DELETE matching two instances is exactly one commit and one WAL
+/// record.
+///
+/// Commits are counted by the server's own database version (it moves
+/// with `relational.commits`, which is process-wide and shared with the
+/// other tests of this binary); the `store.wal.*` counters are exact
+/// because this is the binary's only persistent system.
+#[test]
+fn voql_write_statements_are_atomic_over_the_wire() {
+    let dir = std::env::temp_dir().join(format!("vo_net_e2e_atomic_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut p = Penguin::persistent(&dir, university_schema()).unwrap();
+    p.with_database_mut(seed_figure4).unwrap().unwrap();
+    p.define_object(
+        "omega",
+        "COURSES",
+        &["DEPARTMENT", "CURRICULUM", "GRADES", "STUDENT"],
+    )
+    .unwrap();
+    // the paper's translator refuses a key replacement onto a live key
+    p.choose_translator("omega", &mut paper_dialog_responder())
+        .unwrap();
+    // registering ω built indexes; checkpoint that structural drift now so
+    // the statements below reach the log as records
+    p.persist_pending().unwrap();
+    let server = VoServer::start(p, ServerOptions::default()).unwrap();
+    let mut c = client(&server.addr().to_string());
+    let read_omega = |c: &mut VoClient| {
+        c.pin().unwrap();
+        let VoqlResult::Instances(instances) = c.voql("GET omega").unwrap() else {
+            panic!("GET returned a non-instances outcome")
+        };
+        render(&instances)
+    };
+    let version = |server: &VoServer| server.with_penguin(|p| p.database().version());
+    let counter = |name: &str| penguin_vo::obs::metrics::counter(name).get();
+
+    // -- the failing statement: CS101 and CS345 both re-keyed to ZZ999 --
+    let before = read_omega(&mut c);
+    let (v0, bytes0) = (version(&server), counter("store.wal.bytes_appended"));
+    let err = c
+        .voql("UPDATE omega SET course_id = 'ZZ999' WHERE dept_name = 'Computer Science'")
+        .unwrap_err();
+    assert!(err.is_code(ErrorCode::BadRequest), "got {err:?}");
+    assert!(err.to_string().contains("collides"), "got {err}");
+    assert_eq!(read_omega(&mut c), before);
+    assert_eq!(version(&server), v0);
+    assert_eq!(counter("store.wal.bytes_appended"), bytes0);
+
+    // -- the succeeding statement: two instances, one transaction --
+    let records0 = counter("store.wal.records_appended");
+    assert_eq!(
+        c.voql("DELETE omega WHERE dept_name = 'Computer Science'")
+            .unwrap(),
+        VoqlResult::Deleted(2)
+    );
+    assert_eq!(version(&server), v0 + 1);
+    assert_eq!(counter("store.wal.records_appended"), records0 + 1);
+    assert_eq!(read_omega(&mut c).len(), before.len() - 2);
+
+    drop(c);
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------- backpressure --
 
 /// With one in-flight permit, a slow request on one connection forces the

@@ -268,64 +268,23 @@ fn torn_tail_recovers_to_previous_commit() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Regression for the single-consumer journal hazard: an external
-/// consumer calling [`Database::drain_committed`] mid-workload — before
-/// the write-ahead persister has flushed — historically *stole* the
-/// pending transactions, so a crash afterwards lost them. With fan-out
-/// cursors the drain reads through its own cursor and persistence keeps
-/// its place.
+/// Regression for the raw-borrow DDL crash window: structural changes
+/// and DML made through [`Penguin::with_database_mut`] are reconciled
+/// with the store by the borrow's own exit flush — DDL as a checkpoint
+/// (the epoch drifted), DML as a log record — so a kill right after, with
+/// no further facade call, leaves nothing behind.
 #[test]
-fn external_drain_does_not_steal_from_persistence() {
-    let dir = tmp_dir("drain_steal");
-    let mut p = Penguin::persistent(&dir, university_schema()).unwrap();
-    p.with_database_mut(|db| {
-        seed_figure4(db).unwrap();
-        // the whole seed is still unflushed; drain it through the legacy
-        // consumer interface
-        let drained: usize = db.drain_committed().iter().map(|t| t.len()).sum();
-        assert!(drained > 0, "the seed transactions must be journaled");
-        // and keep committing after the drain
-        db.insert("DEPARTMENT", vec!["Mathematics".into()]).unwrap();
-    })
-    .unwrap();
-    p.persist_pending().unwrap();
-    let live = fingerprint(p.database());
-    std::mem::forget(p); // crash
-
-    let p2 = Penguin::open(&dir).unwrap();
-    assert_eq!(
-        fingerprint(p2.database()),
-        live,
-        "transactions drained by another consumer must still reach the log"
-    );
-    assert!(p2
-        .database()
-        .table("DEPARTMENT")
-        .unwrap()
-        .contains_key(&Key::single("Mathematics")));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Regression for the `database_mut` DDL crash window: structural changes
-/// made through the raw borrow are flushed as a checkpoint by the next
-/// persistence call (or the next borrow), so a kill right after leaves
-/// nothing behind. The deprecated raw borrow is deliberately exercised —
-/// `with_database_mut` closes this window by construction.
-#[test]
-#[allow(deprecated)]
 fn ddl_through_borrow_survives_kill_and_recover() {
     let dir = tmp_dir("ddl_borrow");
     let mut p = Penguin::persistent(&dir, university_schema()).unwrap();
-    seed_figure4(p.database_mut()).unwrap();
-    p.database_mut()
-        .create_index("GRADES", &["grade".to_string()])
+    p.with_database_mut(seed_figure4).unwrap().unwrap();
+    p.with_database_mut(|db| db.create_index("GRADES", &["grade".to_string()]))
+        .unwrap()
         .unwrap();
-    // epoch drifted → this flush checkpoints instead of appending
-    p.persist_pending().unwrap();
-    p.database_mut()
-        .insert("DEPARTMENT", vec!["Mathematics".into()])
+    p.with_database_mut(|db| db.insert("DEPARTMENT", vec!["Mathematics".into()]))
+        .unwrap()
         .unwrap();
-    p.persist_pending().unwrap();
+    assert_eq!(p.persistence_lag(), Some(0));
     let live = fingerprint(p.database());
     std::mem::forget(p); // crash
 

@@ -1,8 +1,8 @@
 //! Storage scale-out (PR 9): incremental checkpoints, segmented WALs,
 //! and partition-parallel recovery.
 //!
-//! Covers the failure windows the segmented design introduces —
-//! legacy-layout migration, a bit flip inside a delta artifact (fall
+//! Covers the failure windows the segmented design introduces — an
+//! old-layout directory (refused), a bit flip inside a delta artifact (fall
 //! back to the last good artifact and replay segments), a torn tail in
 //! a *non-final* segment (tolerated only when a checkpoint covers the
 //! hidden records), a kill between delta-checkpoint write and segment
@@ -64,55 +64,54 @@ fn list(dir: &Path, prefix: &str, suffix: &str) -> Vec<String> {
     out
 }
 
-/// A pre-PR-9 store directory — single `wal.log` + full `checkpoint.json`
-/// — opens, recovers byte-identically, and migrates to the segmented
-/// layout at the first checkpoint.
+/// A pre-segmentation store directory — `wal.log` and/or
+/// `checkpoint.json`, no `base-*.json` — is refused with a typed error
+/// naming the files, never opened as an empty database; `Store::create`
+/// still clears it.
 #[test]
-fn legacy_layout_opens_and_migrates_on_first_checkpoint() {
-    let dir = tmp_dir("legacy");
-    // Build the legacy layout by hand with the legacy components: a
-    // checkpoint covering the first 3 commits and a log holding 5 (the
-    // first 3 are stale duplicates recovery must skip).
-    let mut db = fresh_db();
-    let mut wal = Wal::create(dir.join("wal.log"), SyncPolicy::Always).unwrap();
-    let mut covered_fp = String::new();
-    for k in 0..5i64 {
-        let op = insert_op(&db, k);
-        db.apply(&op).unwrap();
-        wal.append(std::slice::from_ref(&op)).unwrap();
-        if k == 2 {
-            covered_fp = fingerprint(&db);
-            Checkpoint {
-                lsn: wal.next_lsn() - 1,
-                epoch: db.structure_epoch(),
-                snapshot: DatabaseSnapshot::capture_full(&db),
-            }
-            .write(&dir)
-            .unwrap();
+fn old_layout_directory_is_refused_not_opened_empty() {
+    for files in [
+        &["checkpoint.json", "wal.log"][..],
+        &["checkpoint.json"][..],
+        &["wal.log"][..],
+    ] {
+        let dir = tmp_dir("old_layout");
+        for name in files {
+            std::fs::write(dir.join(name), b"{\"lsn\":3}").unwrap();
         }
+        match Store::open(&dir, StoreOptions::default()) {
+            Err(e @ StoreError::UnsupportedLayout(_)) => {
+                let msg = e.to_string();
+                assert!(
+                    msg.contains("pre-segmentation store; not supported"),
+                    "{msg}"
+                );
+                for name in files {
+                    assert!(msg.contains(name), "{msg} must name {name}");
+                }
+            }
+            other => panic!("expected UnsupportedLayout, got {:?}", other.map(|r| r.2)),
+        }
+        // nothing was written or removed by the refused open
+        for name in files {
+            assert!(dir.join(name).exists());
+        }
+        assert!(list(&dir, "wal-", ".log").is_empty());
+
+        // through the facade the refusal stays an error too
+        assert!(Penguin::open(&dir).is_err());
+
+        // creating a store there clears the old files
+        let db = fresh_db();
+        let store = Store::create(&dir, &db, StoreOptions::default()).unwrap();
+        for name in files {
+            assert!(!dir.join(name).exists());
+        }
+        drop(store);
+        let (_s, recovered, _r) = Store::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(fingerprint(&recovered), fingerprint(&db));
+        std::fs::remove_dir_all(&dir).ok();
     }
-    wal.sync().unwrap();
-    drop(wal);
-    assert_ne!(covered_fp, fingerprint(&db));
-
-    let (mut store, recovered, report) = Store::open(&dir, StoreOptions::default()).unwrap();
-    assert!(report.migrated_from_legacy);
-    assert_eq!(report.records_replayed, 2);
-    assert_eq!(report.records_skipped, 3);
-    assert_eq!(fingerprint(&recovered), fingerprint(&db));
-
-    // first checkpoint writes a full base and deletes the legacy files
-    store.checkpoint(&recovered).unwrap();
-    assert!(!dir.join("wal.log").exists());
-    assert!(!dir.join("checkpoint.json").exists());
-    assert_eq!(list(&dir, "base-", ".json").len(), 1);
-    drop(store);
-
-    // and the migrated store keeps recovering the same state
-    let (_s, re2, report2) = Store::open(&dir, StoreOptions::default()).unwrap();
-    assert!(!report2.migrated_from_legacy);
-    assert_eq!(fingerprint(&re2), fingerprint(&db));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A bit flip inside a delta artifact breaks the chain gracefully:
