@@ -1,154 +1,58 @@
-//! JSON codecs for view-object definitions and translators.
-//!
-//! These are the types a saved PENGUIN system persists. Decoding a
+//! JSON codecs for view-object definitions and translators — the types a
+//! saved PENGUIN system persists — and for the instances, update requests
+//! and instance changes that cross the wire. Decoding a
 //! [`ViewObject`] requires the structural schema so the full Definition
 //! 3.1–3.2 validation re-runs — a tampered document cannot produce an
 //! object the in-memory API could not have built.
 
 use crate::instance::{VoInstance, VoInstanceNode};
-use crate::object::{NodeId, Step, ViewObject, VoEdge, VoNode};
+use crate::maintain::{ChangeKind, InstanceChange};
+use crate::object::{Step, ViewObject, VoEdge, VoNode};
 use crate::translator::{
     OutDeleteAction, OutModifyAction, PeninsulaAction, RelationPolicy, Translator,
 };
 use crate::update::UpdateRequest;
-use std::collections::BTreeMap;
 use vo_relational::prelude::*;
 use vo_structural::prelude::*;
 
-fn bad(msg: impl Into<String>) -> Error {
-    Error::Serialization(msg.into())
-}
-
-fn strings_to_json(items: &[String]) -> Json {
-    Json::Arr(items.iter().map(|s| Json::str(s.clone())).collect())
-}
-
-fn strings_from_json(json: &Json) -> Result<Vec<String>> {
-    json.elements()?
-        .iter()
-        .map(|s| s.as_str().map(str::to_owned).map_err(Error::from))
-        .collect()
-}
-
-impl Step {
-    /// Encode as JSON.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("connection", Json::str(self.connection.clone())),
-            ("parent_is_from", Json::Bool(self.parent_is_from)),
-        ])
-    }
-
-    /// Decode from JSON.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        Ok(Step {
-            connection: json.field("connection")?.as_str()?.to_owned(),
-            parent_is_from: json.field("parent_is_from")?.as_bool()?,
-        })
-    }
-}
-
-impl VoEdge {
-    /// Encode as JSON.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![(
-            "steps",
-            Json::Arr(self.steps.iter().map(|s| s.to_json()).collect()),
-        )])
-    }
-
-    /// Decode from JSON.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        Ok(VoEdge {
-            steps: json
-                .field("steps")?
-                .elements()?
-                .iter()
-                .map(Step::from_json)
-                .collect::<Result<Vec<_>>>()?,
-        })
-    }
-}
-
-impl VoNode {
-    /// Encode as JSON.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("id", Json::Int(self.id as i64)),
-            ("relation", Json::str(self.relation.clone())),
-            ("attrs", strings_to_json(&self.attrs)),
-            (
-                "parent",
-                match self.parent {
-                    Some(p) => Json::Int(p as i64),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "edge",
-                match &self.edge {
-                    Some(e) => e.to_json(),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "children",
-                Json::Arr(self.children.iter().map(|&c| Json::Int(c as i64)).collect()),
-            ),
-        ])
-    }
-
-    /// Decode from JSON.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        let parent = match json.field("parent")? {
-            Json::Null => None,
-            other => Some(other.as_usize()?),
-        };
-        let edge = match json.field("edge")? {
-            Json::Null => None,
-            other => Some(VoEdge::from_json(other)?),
-        };
-        Ok(VoNode {
-            id: json.field("id")?.as_usize()?,
-            relation: json.field("relation")?.as_str()?.to_owned(),
-            attrs: strings_from_json(json.field("attrs")?)?,
-            parent,
-            edge,
-            children: json
-                .field("children")?
-                .elements()?
-                .iter()
-                .map(|c| c.as_usize().map_err(Error::from))
-                .collect::<Result<Vec<_>>>()?,
-        })
-    }
-}
+json_struct!(
+    Step {
+        connection,
+        parent_is_from
+    },
+    Error
+);
+json_struct!(VoEdge { steps }, Error);
+json_struct!(
+    VoNode {
+        id,
+        relation,
+        attrs,
+        parent,
+        edge,
+        children
+    },
+    Error
+);
 
 impl ViewObject {
     /// Encode as JSON.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("name", Json::str(self.name())),
-            (
-                "nodes",
-                Json::Arr(self.nodes().iter().map(|n| n.to_json()).collect()),
-            ),
+            ("nodes", Json::list(self.nodes())),
         ])
     }
 
     /// Decode from JSON and re-validate against `schema` (full Definition
-    /// 3.1–3.2 checking via [`ViewObject::from_nodes`]).
+    /// 3.1–3.2 checking via [`ViewObject::from_nodes`]) — the context is
+    /// why this is not a [`JsonCodec`] impl.
     pub fn from_json(json: &Json, schema: &StructuralSchema) -> Result<Self> {
-        let name = json.field("name")?.as_str()?.to_owned();
-        let nodes = json
-            .field("nodes")?
-            .elements()?
-            .iter()
-            .map(VoNode::from_json)
-            .collect::<Result<Vec<_>>>()?;
+        let name: String = json.get("name")?;
+        let nodes: Vec<VoNode> = json.get("nodes")?;
         for (i, n) in nodes.iter().enumerate() {
             if n.id != i {
-                return Err(bad(format!(
+                return Err(Error::Serialization(format!(
                     "object {name}: node at position {i} claims id {}",
                     n.id
                 )));
@@ -158,272 +62,112 @@ impl ViewObject {
     }
 }
 
-impl RelationPolicy {
-    /// Encode as JSON.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("allow_insert", Json::Bool(self.allow_insert)),
-            ("allow_modify", Json::Bool(self.allow_modify)),
-            (
-                "allow_key_replacement",
-                Json::Bool(self.allow_key_replacement),
-            ),
-            (
-                "allow_db_key_replace",
-                Json::Bool(self.allow_db_key_replace),
-            ),
-            ("allow_delete_adopt", Json::Bool(self.allow_delete_adopt)),
-        ])
-    }
+json_struct!(
+    RelationPolicy {
+        allow_insert,
+        allow_modify,
+        allow_key_replacement,
+        allow_db_key_replace,
+        allow_delete_adopt,
+    },
+    Error
+);
 
-    /// Decode from JSON.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        Ok(RelationPolicy {
-            allow_insert: json.field("allow_insert")?.as_bool()?,
-            allow_modify: json.field("allow_modify")?.as_bool()?,
-            allow_key_replacement: json.field("allow_key_replacement")?.as_bool()?,
-            allow_db_key_replace: json.field("allow_db_key_replace")?.as_bool()?,
-            allow_delete_adopt: json.field("allow_delete_adopt")?.as_bool()?,
-        })
-    }
-}
+json_enum!(
+    PeninsulaAction {
+        NullifyForeignKey => "nullify_foreign_key",
+        DeleteReferencing => "delete_referencing",
+        Reject => "reject",
+    },
+    Error,
+    "peninsula action"
+);
 
-impl PeninsulaAction {
-    /// Encode as JSON.
-    pub fn to_json(&self) -> Json {
-        Json::str(match self {
-            PeninsulaAction::NullifyForeignKey => "nullify_foreign_key",
-            PeninsulaAction::DeleteReferencing => "delete_referencing",
-            PeninsulaAction::Reject => "reject",
-        })
-    }
+json_enum!(
+    OutDeleteAction { Restrict => "restrict", Cascade => "cascade", Nullify => "nullify" },
+    Error,
+    "out-of-object delete action"
+);
 
-    /// Decode from JSON.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        match json.as_str()? {
-            "nullify_foreign_key" => Ok(PeninsulaAction::NullifyForeignKey),
-            "delete_referencing" => Ok(PeninsulaAction::DeleteReferencing),
-            "reject" => Ok(PeninsulaAction::Reject),
-            other => Err(bad(format!("unknown peninsula action `{other}`"))),
-        }
-    }
-}
+json_enum!(
+    OutModifyAction { Propagate => "propagate", Nullify => "nullify", Cascade => "cascade" },
+    Error,
+    "out-of-object modify action"
+);
 
-impl OutDeleteAction {
-    /// Encode as JSON.
-    pub fn to_json(&self) -> Json {
-        Json::str(match self {
-            OutDeleteAction::Restrict => "restrict",
-            OutDeleteAction::Cascade => "cascade",
-            OutDeleteAction::Nullify => "nullify",
-        })
-    }
+json_struct!(
+    Translator {
+        object,
+        allow_insertion,
+        allow_deletion,
+        allow_replacement,
+        relation_policies,
+        peninsula_actions,
+        allow_out_of_object_repairs,
+        out_of_object_delete,
+        out_of_object_modify,
+    },
+    Error
+);
 
-    /// Decode from JSON.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        match json.as_str()? {
-            "restrict" => Ok(OutDeleteAction::Restrict),
-            "cascade" => Ok(OutDeleteAction::Cascade),
-            "nullify" => Ok(OutDeleteAction::Nullify),
-            other => Err(bad(format!(
-                "unknown out-of-object delete action `{other}`"
-            ))),
-        }
-    }
-}
+// Children are keyed by their object-node id (stringified, since JSON
+// object keys are strings). Tuples are structural only — validation
+// against a relation schema happens when the instance enters the update
+// pipeline, exactly as for an instance built by hand.
+json_struct!(
+    VoInstanceNode {
+        node,
+        tuple,
+        children
+    },
+    Error
+);
+json_struct!(VoInstance { object, root }, Error);
 
-impl OutModifyAction {
-    /// Encode as JSON.
-    pub fn to_json(&self) -> Json {
-        Json::str(match self {
-            OutModifyAction::Propagate => "propagate",
-            OutModifyAction::Nullify => "nullify",
-            OutModifyAction::Cascade => "cascade",
-        })
-    }
+/// Tagged by [`UpdateRequest::kind`].
+impl JsonCodec for UpdateRequest {
+    type Error = Error;
 
-    /// Decode from JSON.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        match json.as_str()? {
-            "propagate" => Ok(OutModifyAction::Propagate),
-            "nullify" => Ok(OutModifyAction::Nullify),
-            "cascade" => Ok(OutModifyAction::Cascade),
-            other => Err(bad(format!(
-                "unknown out-of-object modify action `{other}`"
-            ))),
-        }
-    }
-}
-
-impl Translator {
-    /// Encode as JSON.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("object", Json::str(self.object.clone())),
-            ("allow_insertion", Json::Bool(self.allow_insertion)),
-            ("allow_deletion", Json::Bool(self.allow_deletion)),
-            ("allow_replacement", Json::Bool(self.allow_replacement)),
-            (
-                "relation_policies",
-                Json::Obj(
-                    self.relation_policies
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.to_json()))
-                        .collect(),
-                ),
-            ),
-            (
-                "peninsula_actions",
-                Json::Obj(
-                    self.peninsula_actions
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.to_json()))
-                        .collect(),
-                ),
-            ),
-            (
-                "allow_out_of_object_repairs",
-                Json::Bool(self.allow_out_of_object_repairs),
-            ),
-            ("out_of_object_delete", self.out_of_object_delete.to_json()),
-            ("out_of_object_modify", self.out_of_object_modify.to_json()),
-        ])
-    }
-
-    /// Decode from JSON.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        let mut relation_policies = BTreeMap::new();
-        for (k, v) in json.field("relation_policies")?.entries()? {
-            relation_policies.insert(k.clone(), RelationPolicy::from_json(v)?);
-        }
-        let mut peninsula_actions = BTreeMap::new();
-        for (k, v) in json.field("peninsula_actions")?.entries()? {
-            peninsula_actions.insert(k.clone(), PeninsulaAction::from_json(v)?);
-        }
-        Ok(Translator {
-            object: json.field("object")?.as_str()?.to_owned(),
-            allow_insertion: json.field("allow_insertion")?.as_bool()?,
-            allow_deletion: json.field("allow_deletion")?.as_bool()?,
-            allow_replacement: json.field("allow_replacement")?.as_bool()?,
-            relation_policies,
-            peninsula_actions,
-            allow_out_of_object_repairs: json.field("allow_out_of_object_repairs")?.as_bool()?,
-            out_of_object_delete: OutDeleteAction::from_json(json.field("out_of_object_delete")?)?,
-            out_of_object_modify: OutModifyAction::from_json(json.field("out_of_object_modify")?)?,
-        })
-    }
-}
-
-impl VoInstanceNode {
-    /// Encode as JSON. Children are keyed by their object-node id
-    /// (stringified, since JSON object keys are strings).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("node", Json::Int(self.node as i64)),
-            ("tuple", self.tuple.to_json()),
-            (
-                "children",
-                Json::Obj(
-                    self.children
-                        .iter()
-                        .map(|(id, nodes)| {
-                            (
-                                id.to_string(),
-                                Json::Arr(nodes.iter().map(VoInstanceNode::to_json).collect()),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Decode from JSON. Tuples are structural only — validation against
-    /// a relation schema happens when the instance enters the update
-    /// pipeline, exactly as for an instance built by hand.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        let mut children = BTreeMap::new();
-        for (key, nodes) in json.field("children")?.entries()? {
-            let id: NodeId = key
-                .parse()
-                .map_err(|_| bad(format!("instance child key `{key}` is not a node id")))?;
-            let decoded = nodes
-                .elements()?
-                .iter()
-                .map(VoInstanceNode::from_json)
-                .collect::<Result<Vec<_>>>()?;
-            children.insert(id, decoded);
-        }
-        Ok(VoInstanceNode {
-            node: json.field("node")?.as_usize()?,
-            tuple: Tuple::from_json(json.field("tuple")?)?,
-            children,
-        })
-    }
-}
-
-impl VoInstance {
-    /// Encode as JSON.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("object", Json::str(self.object.clone())),
-            ("root", self.root.to_json()),
-        ])
-    }
-
-    /// Decode from JSON.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        Ok(VoInstance {
-            object: json.field("object")?.as_str()?.to_owned(),
-            root: VoInstanceNode::from_json(json.field("root")?)?,
-        })
-    }
-}
-
-impl UpdateRequest {
-    /// Encode as JSON, tagged by [`UpdateRequest::kind`].
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
+        let kind = ("kind", Json::str(self.kind()));
         match self {
-            UpdateRequest::CompleteInsertion(inst) => Json::obj(vec![
-                ("kind", Json::str(self.kind())),
-                ("instance", inst.to_json()),
-            ]),
-            UpdateRequest::CompleteDeletion(inst) => Json::obj(vec![
-                ("kind", Json::str(self.kind())),
-                ("instance", inst.to_json()),
-            ]),
-            UpdateRequest::Replacement { old, new } => Json::obj(vec![
-                ("kind", Json::str(self.kind())),
-                ("old", old.to_json()),
-                ("new", new.to_json()),
-            ]),
+            UpdateRequest::CompleteInsertion(inst) | UpdateRequest::CompleteDeletion(inst) => {
+                Json::obj(vec![kind, ("instance", inst.to_json())])
+            }
+            UpdateRequest::Replacement { old, new } => {
+                Json::obj(vec![kind, ("old", old.to_json()), ("new", new.to_json())])
+            }
         }
     }
 
-    /// Decode from JSON.
-    pub fn from_json(json: &Json) -> Result<Self> {
+    fn from_json(json: &Json) -> Result<Self> {
         match json.field("kind")?.as_str()? {
-            "complete-insertion" => Ok(UpdateRequest::CompleteInsertion(VoInstance::from_json(
-                json.field("instance")?,
-            )?)),
-            "complete-deletion" => Ok(UpdateRequest::CompleteDeletion(VoInstance::from_json(
-                json.field("instance")?,
-            )?)),
+            "complete-insertion" => Ok(UpdateRequest::CompleteInsertion(json.get("instance")?)),
+            "complete-deletion" => Ok(UpdateRequest::CompleteDeletion(json.get("instance")?)),
             "replacement" => Ok(UpdateRequest::Replacement {
-                old: VoInstance::from_json(json.field("old")?)?,
-                new: VoInstance::from_json(json.field("new")?)?,
+                old: json.get("old")?,
+                new: json.get("new")?,
             }),
-            other => Err(bad(format!("unknown update request kind `{other}`"))),
+            other => Err(Error::Serialization(format!(
+                "unknown update request kind `{other}`"
+            ))),
         }
     }
 }
+
+json_enum!(
+    ChangeKind { Inserted => "inserted", Removed => "removed", Updated => "updated" },
+    Error,
+    "change kind"
+);
+json_struct!(InstanceChange { pivot, kind }, Error);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::treegen::generate_omega;
     use crate::university::university_schema;
-    use vo_relational::json::parse;
+    use vo_relational::json::{assert_roundtrip, parse};
 
     #[test]
     fn view_object_roundtrip_revalidates() {
@@ -445,50 +189,44 @@ mod tests {
     }
 
     #[test]
-    fn translator_roundtrip() {
-        let schema = university_schema();
+    fn translator_instances_and_requests_roundtrip() {
+        let (schema, db) = crate::university::university_database();
         let omega = generate_omega(&schema).unwrap();
         let mut t = Translator::permissive(&omega);
         t.peninsula_actions
             .insert("CURRICULUM".into(), PeninsulaAction::Reject);
         t.out_of_object_modify = OutModifyAction::Cascade;
-        let back = Translator::from_json(&parse(&t.to_json().pretty()).unwrap()).unwrap();
-        assert_eq!(t, back);
-    }
+        assert_roundtrip(&t);
 
-    #[test]
-    fn instance_roundtrip_preserves_tree() {
-        let (schema, db) = crate::university::university_database();
-        let omega = generate_omega(&schema).unwrap();
         let insts = crate::instance::instantiate_all(&schema, &omega, &db).unwrap();
-        assert!(!insts.is_empty());
-        for inst in insts {
-            let text = inst.to_json().compact();
-            let back = VoInstance::from_json(&parse(&text).unwrap()).unwrap();
-            assert_eq!(inst, back);
+        assert!(insts.len() >= 2);
+        for inst in &insts {
+            assert_roundtrip(inst);
         }
-    }
-
-    #[test]
-    fn update_request_roundtrip_all_kinds() {
-        let (schema, db) = crate::university::university_database();
-        let omega = generate_omega(&schema).unwrap();
-        let insts = crate::instance::instantiate_all(&schema, &omega, &db).unwrap();
-        let a = insts[0].clone();
-        let b = insts[1].clone();
         for req in [
-            UpdateRequest::CompleteInsertion(a.clone()),
-            UpdateRequest::CompleteDeletion(a.clone()),
+            UpdateRequest::CompleteInsertion(insts[0].clone()),
+            UpdateRequest::CompleteDeletion(insts[0].clone()),
             UpdateRequest::Replacement {
-                old: a.clone(),
-                new: b,
+                old: insts[0].clone(),
+                new: insts[1].clone(),
             },
         ] {
-            let back = UpdateRequest::from_json(&parse(&req.to_json().compact()).unwrap()).unwrap();
-            assert_eq!(req.kind(), back.kind());
-            assert_eq!(req.to_json(), back.to_json());
+            assert_roundtrip(&req);
         }
+        assert_roundtrip(&InstanceChange {
+            pivot: Key::single("CS101"),
+            kind: ChangeKind::Removed,
+        });
+    }
+
+    #[test]
+    fn unknown_request_kind_and_bad_child_key_rejected() {
         let bad = parse("{\"kind\":\"partial\"}").unwrap();
         assert!(UpdateRequest::from_json(&bad).is_err());
+        let bad = parse("{\"node\":0,\"tuple\":[],\"children\":{\"x\":[]}}").unwrap();
+        assert!(matches!(
+            VoInstanceNode::from_json(&bad),
+            Err(Error::Serialization(_))
+        ));
     }
 }

@@ -144,5 +144,12 @@ impl From<JsonError> for NetError {
     }
 }
 
+/// A payload the `vo-core` codecs reject.
+impl From<vo_relational::error::Error> for NetError {
+    fn from(e: vo_relational::error::Error) -> Self {
+        NetError::Json(e.to_string())
+    }
+}
+
 /// Result alias for the network layer.
 pub type NetResult<T> = std::result::Result<T, NetError>;

@@ -15,12 +15,11 @@
 
 use crate::{NetError, NetResult};
 use vo_core::instance::VoInstance;
-use vo_core::maintain::{ChangeKind, InstanceChange};
+use vo_core::maintain::InstanceChange;
 use vo_core::update::error::UpdateError;
 use vo_core::update::UpdateRequest;
-use vo_obs::json::Json;
+use vo_obs::json::{Json, JsonCodec};
 use vo_relational::error::Error;
-use vo_relational::tuple::Key;
 
 /// Version of this wire vocabulary; sent in `HELLO` both ways.
 pub const PROTOCOL_VERSION: i64 = 1;
@@ -135,35 +134,25 @@ impl RequestBody {
 impl Request {
     /// Encode as JSON.
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("id", Json::Int(self.id as i64)),
-            ("op", Json::str(self.body.op())),
-        ];
+        let mut pairs = vec![("id", self.id.to_json()), ("op", Json::str(self.body.op()))];
         match &self.body {
             RequestBody::Hello { secret, proto } => {
-                let s = match secret {
-                    Some(s) => Json::str(s.clone()),
-                    None => Json::Null,
-                };
-                pairs.push(("secret", s));
-                pairs.push(("proto", Json::Int(*proto)));
+                pairs.push(("secret", secret.to_json()));
+                pairs.push(("proto", proto.to_json()));
             }
-            RequestBody::Voql { src } => pairs.push(("src", Json::str(src.clone()))),
+            RequestBody::Voql { src } => pairs.push(("src", src.to_json())),
             RequestBody::Prepare { object, requests } | RequestBody::Apply { object, requests } => {
-                pairs.push(("object", Json::str(object.clone())));
-                pairs.push((
-                    "requests",
-                    Json::Arr(requests.iter().map(|r| r.to_json()).collect()),
-                ));
+                pairs.push(("object", object.to_json()));
+                pairs.push(("requests", requests.to_json()));
             }
-            RequestBody::Commit { handle } => pairs.push(("handle", Json::Int(*handle as i64))),
+            RequestBody::Commit { handle } => pairs.push(("handle", handle.to_json())),
             RequestBody::Materialize { object } | RequestBody::Watch { object } => {
-                pairs.push(("object", Json::str(object.clone())))
+                pairs.push(("object", object.to_json()))
             }
             RequestBody::PollWatch { watch } | RequestBody::Unwatch { watch } => {
-                pairs.push(("watch", Json::Int(*watch as i64)))
+                pairs.push(("watch", watch.to_json()))
             }
-            RequestBody::Sleep { millis } => pairs.push(("millis", Json::Int(*millis as i64))),
+            RequestBody::Sleep { millis } => pairs.push(("millis", millis.to_json())),
             RequestBody::Pin
             | RequestBody::Health
             | RequestBody::Metrics
@@ -175,54 +164,44 @@ impl Request {
 
     /// Decode from JSON.
     pub fn from_json(json: &Json) -> NetResult<Self> {
-        let id = wire_u64(json.field("id")?)?;
-        let op = json.field("op")?.as_str()?.to_owned();
-        let body = match op.as_str() {
+        let id = json.get("id")?;
+        let body = match json.field("op")?.as_str()? {
             "HELLO" => RequestBody::Hello {
-                secret: match json.field("secret")? {
-                    Json::Null => None,
-                    other => Some(other.as_str()?.to_owned()),
-                },
-                proto: json.field("proto")?.as_i64()?,
+                secret: json.get("secret")?,
+                proto: json.get("proto")?,
             },
             "VOQL" => RequestBody::Voql {
-                src: json.field("src")?.as_str()?.to_owned(),
+                src: json.get("src")?,
             },
             "PIN" => RequestBody::Pin,
-            "PREPARE" | "APPLY" => {
-                let object = json.field("object")?.as_str()?.to_owned();
-                let requests = json
-                    .field("requests")?
-                    .elements()?
-                    .iter()
-                    .map(|r| UpdateRequest::from_json(r).map_err(|e| NetError::Json(e.to_string())))
-                    .collect::<NetResult<Vec<_>>>()?;
-                if op == "PREPARE" {
-                    RequestBody::Prepare { object, requests }
-                } else {
-                    RequestBody::Apply { object, requests }
-                }
-            }
+            "PREPARE" => RequestBody::Prepare {
+                object: json.get("object")?,
+                requests: json.get("requests")?,
+            },
+            "APPLY" => RequestBody::Apply {
+                object: json.get("object")?,
+                requests: json.get("requests")?,
+            },
             "COMMIT" => RequestBody::Commit {
-                handle: wire_u64(json.field("handle")?)?,
+                handle: json.get("handle")?,
             },
             "MATERIALIZE" => RequestBody::Materialize {
-                object: json.field("object")?.as_str()?.to_owned(),
+                object: json.get("object")?,
             },
             "WATCH" => RequestBody::Watch {
-                object: json.field("object")?.as_str()?.to_owned(),
+                object: json.get("object")?,
             },
             "POLL_WATCH" => RequestBody::PollWatch {
-                watch: wire_u64(json.field("watch")?)?,
+                watch: json.get("watch")?,
             },
             "UNWATCH" => RequestBody::Unwatch {
-                watch: wire_u64(json.field("watch")?)?,
+                watch: json.get("watch")?,
             },
             "HEALTH" => RequestBody::Health,
             "METRICS" => RequestBody::Metrics,
             "STATS" => RequestBody::Stats,
             "SLEEP" => RequestBody::Sleep {
-                millis: wire_u64(json.field("millis")?)?,
+                millis: json.get("millis")?,
             },
             "BYE" => RequestBody::Bye,
             other => return Err(NetError::Json(format!("unknown op `{other}`"))),
@@ -331,7 +310,7 @@ impl ResponseBody {
 impl Response {
     /// Encode as JSON.
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![("id", Json::Int(self.id as i64))];
+        let mut pairs = vec![("id", self.id.to_json())];
         match &self.result {
             Ok(body) => {
                 pairs.push(("ok", Json::Bool(true)));
@@ -342,52 +321,40 @@ impl Response {
                         proto,
                         version,
                     } => {
-                        pairs.push(("server", Json::str(server.clone())));
-                        pairs.push(("proto", Json::Int(*proto)));
-                        pairs.push(("version", Json::Int(*version as i64)));
+                        pairs.push(("server", server.to_json()));
+                        pairs.push(("proto", proto.to_json()));
+                        pairs.push(("version", version.to_json()));
                     }
-                    ResponseBody::Instances(instances) => pairs.push((
-                        "instances",
-                        Json::Arr(instances.iter().map(|i| i.to_json()).collect()),
-                    )),
+                    ResponseBody::Instances(instances) => {
+                        pairs.push(("instances", instances.to_json()))
+                    }
                     ResponseBody::Text(t) | ResponseBody::Metrics(t) => {
-                        pairs.push(("text", Json::str(t.clone())))
+                        pairs.push(("text", t.to_json()))
                     }
-                    ResponseBody::Deleted(n) | ResponseBody::Updated(n) => {
-                        pairs.push(("count", Json::Int(*n as i64)))
+                    ResponseBody::Deleted(n)
+                    | ResponseBody::Updated(n)
+                    | ResponseBody::Materialized { instances: n } => {
+                        pairs.push(("count", n.to_json()))
                     }
-                    ResponseBody::Pinned { version } => {
-                        pairs.push(("version", Json::Int(*version as i64)))
-                    }
+                    ResponseBody::Pinned { version } => pairs.push(("version", version.to_json())),
                     ResponseBody::Prepared {
                         handle,
                         base_version,
                         touched,
                     } => {
-                        pairs.push(("handle", Json::Int(*handle as i64)));
-                        pairs.push(("base_version", Json::Int(*base_version as i64)));
-                        pairs.push((
-                            "touched",
-                            Json::Arr(touched.iter().map(|t| Json::str(t.clone())).collect()),
-                        ));
+                        pairs.push(("handle", handle.to_json()));
+                        pairs.push(("base_version", base_version.to_json()));
+                        pairs.push(("touched", touched.to_json()));
                     }
                     ResponseBody::Committed {
                         requests,
                         total_ops,
                     } => {
-                        pairs.push(("requests", Json::Int(*requests as i64)));
-                        pairs.push(("total_ops", Json::Int(*total_ops as i64)));
+                        pairs.push(("requests", requests.to_json()));
+                        pairs.push(("total_ops", total_ops.to_json()));
                     }
-                    ResponseBody::Materialized { instances } => {
-                        pairs.push(("count", Json::Int(*instances as i64)))
-                    }
-                    ResponseBody::Watching { watch } => {
-                        pairs.push(("watch", Json::Int(*watch as i64)))
-                    }
-                    ResponseBody::Changes(changes) => pairs.push((
-                        "changes",
-                        Json::Arr(changes.iter().map(change_to_json).collect()),
-                    )),
+                    ResponseBody::Watching { watch } => pairs.push(("watch", watch.to_json())),
+                    ResponseBody::Changes(changes) => pairs.push(("changes", changes.to_json())),
                     ResponseBody::Health(j) | ResponseBody::Stats(j) => {
                         pairs.push(("report", j.clone()))
                     }
@@ -404,61 +371,43 @@ impl Response {
 
     /// Decode from JSON.
     pub fn from_json(json: &Json) -> NetResult<Self> {
-        let id = wire_u64(json.field("id")?)?;
-        if !json.field("ok")?.as_bool()? {
+        let id = json.get("id")?;
+        if !json.get::<bool>("ok")? {
             return Ok(Response {
                 id,
-                result: Err(WireError::from_json(json.field("error")?)?),
+                result: Err(json.get("error")?),
             });
         }
-        let kind = json.field("kind")?.as_str()?.to_owned();
-        let body = match kind.as_str() {
+        let body = match json.field("kind")?.as_str()? {
             "hello" => ResponseBody::Hello {
-                server: json.field("server")?.as_str()?.to_owned(),
-                proto: json.field("proto")?.as_i64()?,
-                version: wire_u64(json.field("version")?)?,
+                server: json.get("server")?,
+                proto: json.get("proto")?,
+                version: json.get("version")?,
             },
-            "instances" => ResponseBody::Instances(
-                json.field("instances")?
-                    .elements()?
-                    .iter()
-                    .map(|i| VoInstance::from_json(i).map_err(|e| NetError::Json(e.to_string())))
-                    .collect::<NetResult<Vec<_>>>()?,
-            ),
-            "text" => ResponseBody::Text(json.field("text")?.as_str()?.to_owned()),
-            "metrics" => ResponseBody::Metrics(json.field("text")?.as_str()?.to_owned()),
-            "deleted" => ResponseBody::Deleted(wire_u64(json.field("count")?)?),
-            "updated" => ResponseBody::Updated(wire_u64(json.field("count")?)?),
+            "instances" => ResponseBody::Instances(json.get("instances")?),
+            "text" => ResponseBody::Text(json.get("text")?),
+            "metrics" => ResponseBody::Metrics(json.get("text")?),
+            "deleted" => ResponseBody::Deleted(json.get("count")?),
+            "updated" => ResponseBody::Updated(json.get("count")?),
             "pinned" => ResponseBody::Pinned {
-                version: wire_u64(json.field("version")?)?,
+                version: json.get("version")?,
             },
             "prepared" => ResponseBody::Prepared {
-                handle: wire_u64(json.field("handle")?)?,
-                base_version: wire_u64(json.field("base_version")?)?,
-                touched: json
-                    .field("touched")?
-                    .elements()?
-                    .iter()
-                    .map(|t| Ok(t.as_str()?.to_owned()))
-                    .collect::<NetResult<Vec<_>>>()?,
+                handle: json.get("handle")?,
+                base_version: json.get("base_version")?,
+                touched: json.get("touched")?,
             },
             "committed" => ResponseBody::Committed {
-                requests: wire_u64(json.field("requests")?)?,
-                total_ops: wire_u64(json.field("total_ops")?)?,
+                requests: json.get("requests")?,
+                total_ops: json.get("total_ops")?,
             },
             "materialized" => ResponseBody::Materialized {
-                instances: wire_u64(json.field("count")?)?,
+                instances: json.get("count")?,
             },
             "watching" => ResponseBody::Watching {
-                watch: wire_u64(json.field("watch")?)?,
+                watch: json.get("watch")?,
             },
-            "changes" => ResponseBody::Changes(
-                json.field("changes")?
-                    .elements()?
-                    .iter()
-                    .map(change_from_json)
-                    .collect::<NetResult<Vec<_>>>()?,
-            ),
+            "changes" => ResponseBody::Changes(json.get("changes")?),
             "health" => ResponseBody::Health(json.field("report")?.clone()),
             "stats" => ResponseBody::Stats(json.field("report")?.clone()),
             "done" => ResponseBody::Done,
@@ -469,36 +418,6 @@ impl Response {
             result: Ok(body),
         })
     }
-}
-
-fn change_to_json(c: &InstanceChange) -> Json {
-    let kind = match c.kind {
-        ChangeKind::Inserted => "inserted",
-        ChangeKind::Removed => "removed",
-        ChangeKind::Updated => "updated",
-    };
-    Json::obj(vec![
-        ("pivot", c.pivot.to_json()),
-        ("kind", Json::str(kind)),
-    ])
-}
-
-fn change_from_json(json: &Json) -> NetResult<InstanceChange> {
-    let kind = match json.field("kind")?.as_str()? {
-        "inserted" => ChangeKind::Inserted,
-        "removed" => ChangeKind::Removed,
-        "updated" => ChangeKind::Updated,
-        other => return Err(NetError::Json(format!("unknown change kind `{other}`"))),
-    };
-    Ok(InstanceChange {
-        pivot: Key::from_json(json.field("pivot")?).map_err(|e| NetError::Json(e.to_string()))?,
-        kind,
-    })
-}
-
-fn wire_u64(json: &Json) -> NetResult<u64> {
-    let i = json.as_i64()?;
-    u64::try_from(i).map_err(|_| NetError::Json(format!("expected non-negative integer, got {i}")))
 }
 
 // ---------------------------------------------------------- typed errors --
@@ -594,12 +513,16 @@ impl WireError {
         self.data = Some(data);
         self
     }
+}
 
-    /// Encode as JSON.
-    pub fn to_json(&self) -> Json {
+/// `data` is omitted, not `null`, when there is none.
+impl JsonCodec for WireError {
+    type Error = NetError;
+
+    fn to_json(&self) -> Json {
         let mut pairs = vec![
             ("code", Json::str(self.code.as_str())),
-            ("message", Json::str(self.message.clone())),
+            ("message", self.message.to_json()),
         ];
         if let Some(data) = &self.data {
             pairs.push(("data", data.clone()));
@@ -607,11 +530,10 @@ impl WireError {
         Json::obj(pairs)
     }
 
-    /// Decode from JSON.
-    pub fn from_json(json: &Json) -> NetResult<Self> {
+    fn from_json(json: &Json) -> NetResult<Self> {
         Ok(WireError {
             code: ErrorCode::from_str(json.field("code")?.as_str()?)?,
-            message: json.field("message")?.as_str()?.to_owned(),
+            message: json.get("message")?,
             data: json.field("data").ok().cloned(),
         })
     }
@@ -624,15 +546,15 @@ impl From<&Error> for WireError {
                 ErrorCode::Parse,
                 format!("parse error at byte {position}: {message}"),
             )
-            .with_data(Json::obj(vec![("position", Json::Int(*position as i64))])),
+            .with_data(Json::obj(vec![("position", position.to_json())])),
             Error::Conflict {
                 relation,
                 base_version,
                 head_version,
             } => WireError::new(ErrorCode::Conflict, e.to_string()).with_data(Json::obj(vec![
-                ("relation", Json::str(relation.clone())),
-                ("base_version", Json::Int(*base_version as i64)),
-                ("head_version", Json::Int(*head_version as i64)),
+                ("relation", relation.to_json()),
+                ("base_version", base_version.to_json()),
+                ("head_version", head_version.to_json()),
             ])),
             Error::NoSuchRelation(_)
             | Error::NoSuchAttribute { .. }
@@ -666,6 +588,8 @@ impl From<&UpdateError> for WireError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vo_core::maintain::ChangeKind;
+    use vo_relational::tuple::Key;
     use vo_relational::value::Value;
 
     fn roundtrip_request(req: Request) {

@@ -1,17 +1,24 @@
-//! A minimal JSON document model, parser, and pretty-printer.
+//! A minimal JSON document model, parser, pretty-printer, and the one
+//! codec trait every persisted and wire type implements.
 //!
 //! The catalog layer persists whole PENGUIN systems (schema + data +
-//! objects + translators) as JSON, and the observability layer exports
-//! traces, metrics, and profiles through the same document model. Rather
-//! than depend on an external serialization framework, the persisted type
-//! closure is small enough to hand-code against this document model:
-//! [`Json`] is the tree, [`parse`] reads a string, [`Json::pretty`]
-//! renders one with stable, human-diffable formatting, and
-//! [`Json::compact`] renders a single line (for JSONL streams).
+//! objects + translators) as JSON, the store frames WAL records and
+//! checkpoints in it, vo-net speaks it on the wire, and the observability
+//! layer exports traces, metrics, and profiles through the same document
+//! model. Rather than depend on an external serialization framework, the
+//! persisted type closure is small enough to hand-code against this
+//! document model: [`Json`] is the tree, [`parse`] reads a string,
+//! [`Json::pretty`] renders one with stable, human-diffable formatting,
+//! [`Json::compact`] renders a single line (for JSONL streams), and
+//! [`JsonCodec`] is how a type maps onto the tree — with the impls for
+//! strings, booleans, integers, lists, options and maps living here,
+//! once, and [`json_struct!`](crate::json_struct) /
+//! [`json_enum!`](crate::json_enum) for plain structs and tag enums.
 //!
 //! Integers and floats are kept as distinct variants so `i64` values
 //! round-trip exactly; floats print with Rust's shortest-roundtrip
-//! formatting.
+//! formatting, and every finite float prints as a token [`parse`] reads
+//! back as [`Json::Float`] with the same bits.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -111,10 +118,27 @@ impl Json {
         }
     }
 
-    /// `usize` convenience over [`Json::as_i64`].
-    pub fn as_usize(&self) -> Result<usize> {
+    /// The integer payload as `u64`; negative integers are an error (the
+    /// one place a non-negative integer is enforced on decode).
+    pub fn as_u64(&self) -> Result<u64> {
         let i = self.as_i64()?;
-        usize::try_from(i).map_err(|_| bad(format!("expected non-negative integer, got {i}")))
+        u64::try_from(i).map_err(|_| bad(format!("expected non-negative integer, got {i}")))
+    }
+
+    /// `usize` convenience over [`Json::as_u64`].
+    pub fn as_usize(&self) -> Result<usize> {
+        let u = self.as_u64()?;
+        usize::try_from(u).map_err(|_| bad(format!("integer {u} does not fit a usize")))
+    }
+
+    /// Decode the field `name` of an object as a `T`.
+    pub fn get<T: JsonCodec>(&self, name: &str) -> std::result::Result<T, T::Error> {
+        T::from_json(self.field(name)?)
+    }
+
+    /// Encode a sequence as a JSON array.
+    pub fn list<'a, T: JsonCodec + 'a>(items: impl IntoIterator<Item = &'a T>) -> Json {
+        Json::Arr(items.into_iter().map(T::to_json).collect())
     }
 
     /// The numeric payload widened to `f64`; error otherwise.
@@ -212,6 +236,30 @@ impl Json {
         }
     }
 
+    /// Append [`Json::compact`] of an object to `out`, except that the
+    /// value of field `hole` is written by `fill`. This is how a large
+    /// array is rendered piecewise (or by parallel workers) into a
+    /// document whose shape is still defined by a single `to_json`.
+    pub fn write_compact_with(&self, out: &mut String, hole: &str, fill: impl FnOnce(&mut String)) {
+        let Json::Obj(pairs) = self else {
+            return self.write_compact(out);
+        };
+        let mut fill = Some(fill);
+        out.push('{');
+        for (i, (k, v)) in pairs.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_escaped(out, k);
+            out.push(':');
+            match fill.take_if(|_| k == hole) {
+                Some(fill) => fill(out),
+                None => v.write_compact(out),
+            }
+        }
+        out.push('}');
+    }
+
     pub(crate) fn write_compact(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -262,11 +310,16 @@ fn write_float(out: &mut String, x: f64) {
         out.push_str("\"NaN\"");
     } else if x.is_infinite() {
         out.push_str(if x > 0.0 { "\"inf\"" } else { "\"-inf\"" });
-    } else if x == x.trunc() && x.abs() < 1e15 {
+    } else if x != x.trunc() {
+        // `Display` never uses an exponent, so a fraction prints its `.`.
+        let _ = write!(out, "{x}");
+    } else if x.abs() < 1e15 {
         // Keep a fraction marker so the parser reads it back as Float.
         let _ = write!(out, "{x:.1}");
     } else {
-        let _ = write!(out, "{x}");
+        // `Display` would print a bare digit string here, which the parser
+        // reads as an integer — and rejects outright past `i64`.
+        let _ = write!(out, "{x:e}");
     }
 }
 
@@ -290,6 +343,172 @@ pub(crate) fn write_escaped(out: &mut String, s: &str) {
 
 fn bad(msg: impl Into<String>) -> JsonError {
     JsonError(msg.into())
+}
+
+/// How a type maps onto the [`Json`] document model — the one codec
+/// layer under every persisted file and wire frame. `Error` is the
+/// implementing crate's own error type; shape mismatches reported by this
+/// module convert into it through `From<JsonError>`.
+///
+/// Decoders stay as strict as the types they build: a `from_json` that
+/// constructs a validated type re-runs that validation.
+pub trait JsonCodec: Sized {
+    /// What decoding fails with.
+    type Error: From<JsonError>;
+
+    /// Encode as a JSON document.
+    fn to_json(&self) -> Json;
+
+    /// Decode from a JSON document (inverse of [`JsonCodec::to_json`]).
+    fn from_json(json: &Json) -> std::result::Result<Self, Self::Error>;
+}
+
+macro_rules! scalar_codec {
+    ($($ty:ty, $encode:expr, $decode:expr;)+) => {$(
+        impl JsonCodec for $ty {
+            type Error = JsonError;
+            fn to_json(&self) -> Json {
+                $encode(self)
+            }
+            fn from_json(json: &Json) -> Result<Self> {
+                $decode(json)
+            }
+        }
+    )+};
+}
+
+scalar_codec! {
+    String, |s: &String| Json::Str(s.clone()), |j: &Json| j.as_str().map(str::to_owned);
+    bool, |b: &bool| Json::Bool(*b), Json::as_bool;
+    i64, |i: &i64| Json::Int(*i), Json::as_i64;
+    u64, |u: &u64| Json::Int(*u as i64), Json::as_u64;
+    usize, |u: &usize| Json::Int(*u as i64), Json::as_usize;
+}
+
+/// A JSON array.
+impl<T: JsonCodec> JsonCodec for Vec<T> {
+    type Error = T::Error;
+    fn to_json(&self) -> Json {
+        Json::list(self)
+    }
+    fn from_json(json: &Json) -> std::result::Result<Self, T::Error> {
+        json.elements()?.iter().map(T::from_json).collect()
+    }
+}
+
+/// `null` for `None`. The field itself must still be present.
+impl<T: JsonCodec> JsonCodec for Option<T> {
+    type Error = T::Error;
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
+    }
+    fn from_json(json: &Json) -> std::result::Result<Self, T::Error> {
+        match json {
+            Json::Null => Ok(None),
+            other => T::from_json(other).map(Some),
+        }
+    }
+}
+
+/// A JSON object, entries in key order. Keys that are not strings travel
+/// as their `Display` text.
+impl<K, T> JsonCodec for BTreeMap<K, T>
+where
+    K: Ord + ToString + std::str::FromStr,
+    T: JsonCodec,
+{
+    type Error = T::Error;
+    fn to_json(&self) -> Json {
+        Json::Obj(
+            self.iter()
+                .map(|(k, v)| (k.to_string(), v.to_json()))
+                .collect(),
+        )
+    }
+    fn from_json(json: &Json) -> std::result::Result<Self, T::Error> {
+        // inserted one by one: collecting a map sorts through a scratch
+        // vector first, an allocation per decoded instance node
+        let mut map = BTreeMap::new();
+        for (k, v) in json.entries()? {
+            let key = k
+                .parse()
+                .map_err(|_| bad(format!("invalid object key `{k}`")))?;
+            map.insert(key, T::from_json(v)?);
+        }
+        Ok(map)
+    }
+}
+
+/// Implement [`JsonCodec`] for a struct whose fields all have codecs, as
+/// `json_struct!(Type { field, field as "key", … }, ErrorType)`: one JSON
+/// object, one entry per field in the order listed, keyed by the field's
+/// name unless renamed. The document shape is stated once, so encoder and
+/// decoder cannot disagree on it.
+#[macro_export]
+macro_rules! json_struct {
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    ($ty:ty { $($field:ident $(as $key:literal)?),+ $(,)? }, $err:ty) => {
+        impl $crate::json::JsonCodec for $ty {
+            type Error = $err;
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::obj(vec![$((
+                    $crate::json_struct!(@key $field $($key)?),
+                    $crate::json::JsonCodec::to_json(&self.$field),
+                )),+])
+            }
+            fn from_json(json: &$crate::json::Json) -> ::std::result::Result<Self, $err> {
+                Ok(Self {
+                    $($field: json.get($crate::json_struct!(@key $field $($key)?))?),+
+                })
+            }
+        }
+    };
+}
+
+/// Implement [`JsonCodec`] for a field-less enum, as
+/// `json_enum!(Type { Variant => "tag", … }, ErrorType, "what")`: a JSON
+/// string, one tag per variant. An unlisted tag fails to decode with
+/// ``unknown <what> `tag` ``.
+#[macro_export]
+macro_rules! json_enum {
+    ($ty:ident { $($variant:ident => $tag:literal),+ $(,)? }, $err:ty, $what:literal) => {
+        impl $crate::json::JsonCodec for $ty {
+            type Error = $err;
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::str(match self {
+                    $($ty::$variant => $tag),+
+                })
+            }
+            fn from_json(json: &$crate::json::Json) -> ::std::result::Result<Self, $err> {
+                match json.as_str()? {
+                    $($tag => Ok($ty::$variant),)+
+                    other => Err($crate::json::JsonError(format!(
+                        concat!("unknown ", $what, " `{}`"),
+                        other
+                    ))
+                    .into()),
+                }
+            }
+        }
+    };
+}
+
+pub use crate::{json_enum, json_struct};
+
+/// Assert the round-trip law for `x` (for tests; every codec impl must
+/// pass it): its compact text parses and decodes to an equal value whose
+/// re-encoding is byte-identical.
+pub fn assert_roundtrip<T>(x: &T)
+where
+    T: JsonCodec + PartialEq + std::fmt::Debug,
+    T::Error: std::fmt::Debug,
+{
+    let text = x.to_json().compact();
+    let back = T::from_json(&parse(&text).expect("own encoding parses"))
+        .unwrap_or_else(|e| panic!("own encoding decodes: {e:?}\n{text}"));
+    assert_eq!(&back, x, "{text}");
+    assert_eq!(back.to_json().compact(), text);
 }
 
 /// Parse a JSON document, rejecting trailing garbage.
@@ -630,6 +849,90 @@ mod tests {
         // Integral floats keep a fraction marker so they parse back as Float.
         assert_eq!(parse(&Json::Float(2.0).pretty()).unwrap(), Json::Float(2.0));
         assert_eq!(parse(&Json::Int(2).pretty()).unwrap(), Json::Int(2));
+    }
+
+    #[test]
+    fn every_finite_float_prints_a_token_that_parses_back_bit_identical() {
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            2.0,
+            -0.125,
+            1e-7,
+            999_999_999_999_999.0,
+            1e15,
+            -1e15,
+            1_000_000_000_000_000.5,
+            9.007_199_254_740_993e15,
+            1e19,
+            -1e19,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            5e-324,
+        ];
+        // and a spread of raw bit patterns
+        let mut bits = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..2048 {
+            bits = bits
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            cases.push(f64::from_bits(bits));
+        }
+        for x in cases.into_iter().filter(|x| x.is_finite()) {
+            for text in [Json::Float(x).compact(), Json::Float(x).pretty()] {
+                match parse(&text) {
+                    Ok(Json::Float(y)) => assert_eq!(y.to_bits(), x.to_bits(), "{text}"),
+                    other => panic!("{x:e} printed as `{text}`, read back as {other:?}"),
+                }
+            }
+        }
+        // bytes below the exponent threshold are what they always were
+        assert_eq!(Json::Float(2.0).compact(), "2.0");
+        assert_eq!(
+            Json::Float(123_456_789_012_345.0).compact(),
+            "123456789012345.0"
+        );
+        assert_eq!(Json::Float(1e-7).compact(), "0.0000001");
+        assert_eq!(Json::Float(1e19).compact(), "1e19");
+    }
+
+    #[test]
+    fn blanket_codecs_roundtrip_and_reject_shape_mismatches() {
+        assert_roundtrip(&"line\nbreak".to_owned());
+        assert_roundtrip(&true);
+        assert_roundtrip(&i64::MIN);
+        assert_roundtrip(&(i64::MAX as u64));
+        assert_roundtrip(&7usize);
+        assert_roundtrip(&vec![Some(1u64), None]);
+        assert_roundtrip(&BTreeMap::from([
+            ("a".to_owned(), vec![1i64]),
+            ("b".to_owned(), vec![]),
+        ]));
+        assert!(u64::from_json(&Json::Int(-1)).is_err());
+        assert!(usize::from_json(&Json::Int(-1)).is_err());
+        assert!(String::from_json(&Json::Int(1)).is_err());
+        assert!(Vec::<bool>::from_json(&Json::Arr(vec![Json::Int(1)])).is_err());
+        assert!(BTreeMap::<String, bool>::from_json(&Json::Arr(vec![])).is_err());
+        assert_roundtrip(&BTreeMap::from([(3usize, true), (10, false)]));
+        let keyed = Json::obj(vec![("x", Json::Bool(true))]);
+        assert!(BTreeMap::<usize, bool>::from_json(&keyed).is_err());
+        let doc = Json::obj(vec![("n", Json::Int(3))]);
+        assert_eq!(doc.get::<u64>("n").unwrap(), 3);
+        assert!(doc.get::<u64>("missing").is_err());
+        assert!(doc.get::<Option<u64>>("missing").is_err());
+    }
+
+    #[test]
+    fn write_compact_with_fills_exactly_the_named_field() {
+        let doc = Json::obj(vec![
+            ("a", Json::Int(1)),
+            ("rows", Json::Null),
+            ("z", Json::str("rows")),
+        ]);
+        let mut out = String::new();
+        doc.write_compact_with(&mut out, "rows", |out| out.push_str("[1,2]"));
+        assert_eq!(out, "{\"a\":1,\"rows\":[1,2],\"z\":\"rows\"}");
     }
 
     #[test]

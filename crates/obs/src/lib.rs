@@ -43,7 +43,7 @@ pub mod prelude {
     pub use crate::health::{
         HealthInputs, HealthPolicy, HealthReason, HealthReport, HealthStatus, StalenessInput,
     };
-    pub use crate::json::{Json, JsonError};
+    pub use crate::json::{Json, JsonCodec, JsonError};
     pub use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot};
     pub use crate::profile::ProfileNode;
     pub use crate::sink::{

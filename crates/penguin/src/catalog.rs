@@ -91,17 +91,9 @@ impl SavedSystem {
             ("data", self.data.to_json()),
             (
                 "objects",
-                Json::Arr(self.objects.iter().map(|o| o.to_json()).collect()),
+                Json::Arr(self.objects.iter().map(ViewObject::to_json).collect()),
             ),
-            (
-                "translators",
-                Json::Obj(
-                    self.translators
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.to_json()))
-                        .collect(),
-                ),
-            ),
+            ("translators", self.translators.to_json()),
         ]);
         Ok(doc.pretty())
     }
@@ -112,23 +104,18 @@ impl SavedSystem {
     /// [`SavedSystem::restore`].
     pub fn from_json(json: &str) -> Result<Self> {
         let doc = vo_relational::json::parse(json)?;
-        let schema = StructuralSchema::from_json(doc.field("schema")?)?;
-        let data = DatabaseSnapshot::from_json(doc.field("data")?)?;
+        let schema: StructuralSchema = doc.get("schema")?;
         let objects = doc
             .field("objects")?
             .elements()?
             .iter()
             .map(|o| ViewObject::from_json(o, &schema))
-            .collect::<Result<Vec<_>>>()?;
-        let mut translators = BTreeMap::new();
-        for (k, v) in doc.field("translators")?.entries()? {
-            translators.insert(k.clone(), Translator::from_json(v)?);
-        }
+            .collect::<Result<_>>()?;
         Ok(SavedSystem {
-            schema,
-            data,
+            data: doc.get("data")?,
             objects,
-            translators,
+            translators: doc.get("translators")?,
+            schema,
         })
     }
 

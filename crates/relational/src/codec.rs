@@ -1,47 +1,32 @@
-//! JSON codecs for the persistable relational types.
+//! JSON codecs for the persistable relational types: [`JsonCodec`] impls
+//! over the shared combinators in [`crate::json`].
 //!
-//! Hand-written encoders/decoders against [`crate::json::Json`]; decoding
-//! re-validates everything it can locally (schemas via
+//! Decoding re-validates everything it can locally (schemas via
 //! [`RelationSchema::new`]), while tuple-level validation happens when a
 //! snapshot is restored into a database.
 
 use crate::database::DbOp;
 use crate::error::{Error, Result};
-use crate::json::Json;
+use crate::json::{json_enum, json_struct, Json, JsonCodec};
 use crate::schema::{AttributeDef, RelationSchema};
 use crate::storage::{DatabaseSnapshot, RelationDelta, RelationSnapshot, SnapshotDelta};
 use crate::tuple::{Key, Tuple};
 use crate::value::{DataType, Value};
 
-fn bad(msg: impl Into<String>) -> Error {
-    Error::Serialization(msg.into())
-}
+json_enum!(
+    DataType { Int => "INT", Float => "FLOAT", Text => "TEXT", Bool => "BOOL" },
+    Error,
+    "data type"
+);
 
-impl DataType {
-    /// Encode as a JSON string.
-    pub fn to_json(&self) -> Json {
-        Json::str(self.to_string())
-    }
+/// NULL, booleans, integers and text map onto the corresponding JSON
+/// scalars; floats are wrapped in `{"float": …}` so that `Text("1.5")` and
+/// `Float(1.5)` stay distinguishable and non-finite floats (encoded as
+/// tagged strings) cannot collide with text values.
+impl JsonCodec for Value {
+    type Error = Error;
 
-    /// Decode from a JSON string.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        match json.as_str()? {
-            "INT" => Ok(DataType::Int),
-            "FLOAT" => Ok(DataType::Float),
-            "TEXT" => Ok(DataType::Text),
-            "BOOL" => Ok(DataType::Bool),
-            other => Err(bad(format!("unknown data type `{other}`"))),
-        }
-    }
-}
-
-impl Value {
-    /// Encode as JSON. NULL, booleans, integers and text map onto the
-    /// corresponding JSON scalars; floats are wrapped in `{"float": …}` so
-    /// that `Text("1.5")` and `Float(1.5)` stay distinguishable and
-    /// non-finite floats (encoded as tagged strings) cannot collide with
-    /// text values.
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         match self {
             Value::Null => Json::Null,
             Value::Bool(b) => Json::Bool(*b),
@@ -51,136 +36,107 @@ impl Value {
         }
     }
 
-    /// Decode from JSON (inverse of [`Value::to_json`]).
-    pub fn from_json(json: &Json) -> Result<Self> {
+    fn from_json(json: &Json) -> Result<Self> {
         match json {
             Json::Null => Ok(Value::Null),
             Json::Bool(b) => Ok(Value::Bool(*b)),
             Json::Int(i) => Ok(Value::Int(*i)),
             Json::Str(s) => Ok(Value::Text(s.clone())),
             Json::Obj(_) => {
-                let inner = json.field("float")?;
-                let x = match inner {
+                let x = match json.field("float")? {
                     Json::Str(s) => match s.as_str() {
                         "NaN" => f64::NAN,
                         "inf" => f64::INFINITY,
                         "-inf" => f64::NEG_INFINITY,
-                        other => return Err(bad(format!("invalid float literal `{other}`"))),
+                        other => {
+                            return Err(Error::Serialization(format!(
+                                "invalid float literal `{other}`"
+                            )))
+                        }
                     },
+                    // also the bare digit strings older builds wrote for
+                    // integral floats from 1e15 up
                     other => other.as_f64()?,
                 };
                 Ok(Value::Float(x))
             }
-            Json::Float(_) => Err(bad("bare float: expected {\"float\": …} wrapper")),
-            Json::Arr(_) => Err(bad("expected scalar value, got array")),
+            Json::Float(_) => Err(Error::Serialization(
+                "bare float: expected {\"float\": …} wrapper".into(),
+            )),
+            Json::Arr(_) => Err(Error::Serialization(
+                "expected scalar value, got array".into(),
+            )),
         }
     }
 }
 
-impl AttributeDef {
-    /// Encode as JSON.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::str(self.name.clone())),
-            ("ty", self.ty.to_json()),
-            ("nullable", Json::Bool(self.nullable)),
-        ])
-    }
+json_struct!(AttributeDef { name, ty, nullable }, Error);
 
-    /// Decode from JSON.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        Ok(AttributeDef {
-            name: json.field("name")?.as_str()?.to_owned(),
-            ty: DataType::from_json(json.field("ty")?)?,
-            nullable: json.field("nullable")?.as_bool()?,
-        })
-    }
-}
+/// The key is stored as attribute names; decoding re-runs full schema
+/// validation.
+impl JsonCodec for RelationSchema {
+    type Error = Error;
 
-impl RelationSchema {
-    /// Encode as JSON. The key is stored as attribute names.
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         Json::obj(vec![
             ("name", Json::str(self.name())),
-            (
-                "attributes",
-                Json::Arr(self.attributes().iter().map(|a| a.to_json()).collect()),
-            ),
+            ("attributes", Json::list(self.attributes())),
             (
                 "key",
-                Json::Arr(self.key_names().iter().map(|k| Json::str(*k)).collect()),
+                Json::Arr(self.key_names().into_iter().map(Json::str).collect()),
             ),
         ])
     }
 
-    /// Decode from JSON, re-running full schema validation.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        let name = json.field("name")?.as_str()?.to_owned();
-        let attributes = json
-            .field("attributes")?
-            .elements()?
-            .iter()
-            .map(AttributeDef::from_json)
-            .collect::<Result<Vec<_>>>()?;
-        let key_owned = json
-            .field("key")?
-            .elements()?
-            .iter()
-            .map(|k| k.as_str().map(str::to_owned).map_err(Error::from))
-            .collect::<Result<Vec<_>>>()?;
-        let key: Vec<&str> = key_owned.iter().map(String::as_str).collect();
-        RelationSchema::new(name, attributes, &key)
+    fn from_json(json: &Json) -> Result<Self> {
+        let key: Vec<String> = json.get("key")?;
+        let key: Vec<&str> = key.iter().map(String::as_str).collect();
+        RelationSchema::new(json.get::<String>("name")?, json.get("attributes")?, &key)
     }
 }
 
-impl Tuple {
-    /// Encode as a JSON array of values.
-    pub fn to_json(&self) -> Json {
-        Json::Arr(self.values().iter().map(|v| v.to_json()).collect())
+/// A JSON array of values. No schema validation here — snapshots
+/// re-validate every tuple on restore, and replaying a [`DbOp`] through
+/// [`crate::database::Database::apply`] validates against the live schema.
+impl JsonCodec for Tuple {
+    type Error = Error;
+
+    fn to_json(&self) -> Json {
+        Json::list(self.values())
     }
 
-    /// Decode from JSON. No schema validation here — snapshots re-validate
-    /// every tuple on restore.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        Ok(Tuple::raw(
-            json.elements()?
-                .iter()
-                .map(Value::from_json)
-                .collect::<Result<Vec<_>>>()?,
-        ))
+    fn from_json(json: &Json) -> Result<Self> {
+        Vec::from_json(json).map(Tuple::raw)
     }
 }
 
-impl Key {
-    /// Encode as a JSON array of key values.
-    pub fn to_json(&self) -> Json {
-        Json::Arr(self.values().iter().map(|v| v.to_json()).collect())
+impl JsonCodec for Key {
+    type Error = Error;
+
+    fn to_json(&self) -> Json {
+        Json::list(self.values())
     }
 
-    /// Decode from JSON.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        Ok(Key::new(
-            json.elements()?
-                .iter()
-                .map(Value::from_json)
-                .collect::<Result<Vec<_>>>()?,
-        ))
+    fn from_json(json: &Json) -> Result<Self> {
+        Vec::from_json(json).map(Key::new)
     }
 }
 
-impl DbOp {
-    /// Encode as JSON — the payload format of `vo-store` WAL commit
-    /// records. Tagged by an `"op"` discriminant.
-    pub fn to_json(&self) -> Json {
+/// The payload format of `vo-store` WAL commit records, tagged by an
+/// `"op"` discriminant.
+impl JsonCodec for DbOp {
+    type Error = Error;
+
+    fn to_json(&self) -> Json {
         match self {
             DbOp::Insert { relation, tuple } => Json::obj(vec![
                 ("op", Json::str("insert")),
-                ("relation", Json::str(relation.clone())),
+                ("relation", relation.to_json()),
                 ("tuple", tuple.to_json()),
             ]),
             DbOp::Delete { relation, key } => Json::obj(vec![
                 ("op", Json::str("delete")),
-                ("relation", Json::str(relation.clone())),
+                ("relation", relation.to_json()),
                 ("key", key.to_json()),
             ]),
             DbOp::Replace {
@@ -189,241 +145,135 @@ impl DbOp {
                 tuple,
             } => Json::obj(vec![
                 ("op", Json::str("replace")),
-                ("relation", Json::str(relation.clone())),
+                ("relation", relation.to_json()),
                 ("old_key", old_key.to_json()),
                 ("tuple", tuple.to_json()),
             ]),
         }
     }
 
-    /// Decode from JSON (inverse of [`DbOp::to_json`]). Tuples are not
-    /// schema-validated here; replaying an op through
-    /// [`crate::database::Database::apply`] re-validates against the live
-    /// schema.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        let relation = json.field("relation")?.as_str()?.to_owned();
+    fn from_json(json: &Json) -> Result<Self> {
+        let relation = json.get("relation")?;
         match json.field("op")?.as_str()? {
             "insert" => Ok(DbOp::Insert {
                 relation,
-                tuple: Tuple::from_json(json.field("tuple")?)?,
+                tuple: json.get("tuple")?,
             }),
             "delete" => Ok(DbOp::Delete {
                 relation,
-                key: Key::from_json(json.field("key")?)?,
+                key: json.get("key")?,
             }),
             "replace" => Ok(DbOp::Replace {
                 relation,
-                old_key: Key::from_json(json.field("old_key")?)?,
-                tuple: Tuple::from_json(json.field("tuple")?)?,
+                old_key: json.get("old_key")?,
+                tuple: json.get("tuple")?,
             }),
-            other => Err(bad(format!("unknown db op `{other}`"))),
+            other => Err(Error::Serialization(format!("unknown db op `{other}`"))),
         }
     }
 }
 
 impl RelationSnapshot {
-    /// Encode as JSON.
-    pub fn to_json(&self) -> Json {
+    /// The document shape, with the `rows` value supplied by the caller:
+    /// the encoded rows for [`JsonCodec::to_json`], a placeholder for
+    /// [`DatabaseSnapshot::encode_compact`] to fill piecewise.
+    pub(crate) fn doc(&self, rows: Json) -> Json {
         Json::obj(vec![
             ("schema", self.schema.to_json()),
-            (
-                "rows",
-                Json::Arr(self.rows.iter().map(|t| t.to_json()).collect()),
-            ),
-            (
-                "indexes",
-                Json::Arr(
-                    self.indexes
-                        .iter()
-                        .map(|idx| Json::Arr(idx.iter().map(|a| Json::str(a.clone())).collect()))
-                        .collect(),
-                ),
-            ),
+            ("rows", rows),
+            ("indexes", self.indexes.to_json()),
         ])
     }
 
-    /// Decode from JSON.
-    pub fn from_json(json: &Json) -> Result<Self> {
+    /// Decode with row decoding fanned out over `workers` threads.
+    fn decode(json: &Json, workers: usize) -> Result<Self> {
         Ok(RelationSnapshot {
-            schema: RelationSchema::from_json(json.field("schema")?)?,
-            rows: json
-                .field("rows")?
-                .elements()?
-                .iter()
-                .map(Tuple::from_json)
-                .collect::<Result<Vec<_>>>()?,
-            indexes: json
-                .field("indexes")?
-                .elements()?
-                .iter()
-                .map(|idx| {
-                    idx.elements()?
-                        .iter()
-                        .map(|a| a.as_str().map(str::to_owned).map_err(Error::from))
-                        .collect::<Result<Vec<_>>>()
-                })
-                .collect::<Result<Vec<_>>>()?,
+            schema: json.get("schema")?,
+            rows: vo_exec::map_chunks(
+                json.field("rows")?.elements()?,
+                workers.max(1),
+                |_, chunk| chunk.iter().map(Tuple::from_json).collect(),
+            )?,
+            indexes: json.get("indexes")?,
         })
     }
 }
 
+impl JsonCodec for RelationSnapshot {
+    type Error = Error;
+
+    fn to_json(&self) -> Json {
+        self.doc(Json::list(&self.rows))
+    }
+
+    fn from_json(json: &Json) -> Result<Self> {
+        Self::decode(json, 1)
+    }
+}
+
 impl DatabaseSnapshot {
-    /// Encode as JSON. The pinned version is carried alongside the
-    /// relations so MVCC stamps survive checkpoint/recovery.
-    pub fn to_json(&self) -> Json {
+    /// The document shape around a caller-supplied `relations` value (see
+    /// [`RelationSnapshot::doc`]). The pinned version is carried alongside
+    /// the relations so MVCC stamps survive checkpoint/recovery.
+    pub(crate) fn doc(&self, relations: Json) -> Json {
         Json::obj(vec![
-            (
-                "relations",
-                Json::Arr(self.relations.iter().map(|r| r.to_json()).collect()),
-            ),
-            ("version", Json::Int(self.version as i64)),
+            ("relations", relations),
+            ("version", self.version.to_json()),
         ])
     }
 
-    /// Decode from JSON. Snapshots written before versions were pinned
-    /// have no `version` field and decode as version 0.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        let version = match json.field("version") {
-            Ok(v) => {
-                let i = v.as_i64()?;
-                if i < 0 {
-                    return Err(bad(format!("negative snapshot version {i}")));
-                }
-                i as u64
-            }
-            Err(_) => 0,
-        };
+    /// The one decoder, with per-relation row decoding fanned out over
+    /// `workers` threads via [`vo_exec::map_chunks`] — the recovery decode
+    /// path for partitioned checkpoints. The decoded snapshot is identical
+    /// at every worker count.
+    pub fn from_json_with(json: &Json, workers: usize) -> Result<Self> {
         Ok(DatabaseSnapshot {
             relations: json
                 .field("relations")?
                 .elements()?
                 .iter()
-                .map(RelationSnapshot::from_json)
-                .collect::<Result<Vec<_>>>()?,
-            version,
-        })
-    }
-
-    /// [`DatabaseSnapshot::from_json`] with per-relation row decoding
-    /// fanned out over `workers` threads via [`vo_exec::map_chunks`] —
-    /// the recovery decode path for partitioned checkpoints. The decoded
-    /// snapshot is identical at every worker count.
-    pub fn from_json_with(json: &Json, workers: usize) -> Result<Self> {
-        let version = match json.field("version") {
-            Ok(v) => {
-                let i = v.as_i64()?;
-                if i < 0 {
-                    return Err(bad(format!("negative snapshot version {i}")));
-                }
-                i as u64
-            }
-            Err(_) => 0,
-        };
-        let mut relations = Vec::new();
-        for rel in json.field("relations")?.elements()? {
-            let schema = RelationSchema::from_json(rel.field("schema")?)?;
-            let rows = vo_exec::map_chunks(
-                rel.field("rows")?.elements()?,
-                workers.max(1),
-                |_, chunk| chunk.iter().map(Tuple::from_json).collect(),
-            )?;
-            let indexes = rel
-                .field("indexes")?
-                .elements()?
-                .iter()
-                .map(|idx| {
-                    idx.elements()?
-                        .iter()
-                        .map(|a| a.as_str().map(str::to_owned).map_err(Error::from))
-                        .collect::<Result<Vec<_>>>()
-                })
-                .collect::<Result<Vec<_>>>()?;
-            relations.push(RelationSnapshot {
-                schema,
-                rows,
-                indexes,
-            });
-        }
-        Ok(DatabaseSnapshot { relations, version })
-    }
-}
-
-impl RelationDelta {
-    /// Encode as JSON.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("relation", Json::str(self.relation.clone())),
-            (
-                "upserts",
-                Json::Arr(self.upserts.iter().map(|t| t.to_json()).collect()),
-            ),
-            (
-                "deletes",
-                Json::Arr(self.deletes.iter().map(|k| k.to_json()).collect()),
-            ),
-        ])
-    }
-
-    /// Decode from JSON.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        Ok(RelationDelta {
-            relation: json.field("relation")?.as_str()?.to_owned(),
-            upserts: json
-                .field("upserts")?
-                .elements()?
-                .iter()
-                .map(Tuple::from_json)
-                .collect::<Result<Vec<_>>>()?,
-            deletes: json
-                .field("deletes")?
-                .elements()?
-                .iter()
-                .map(Key::from_json)
-                .collect::<Result<Vec<_>>>()?,
+                .map(|rel| RelationSnapshot::decode(rel, workers))
+                .collect::<Result<_>>()?,
+            version: json.get("version")?,
         })
     }
 }
 
-impl SnapshotDelta {
-    /// Encode as JSON — the payload format of `vo-store` incremental
-    /// checkpoint artifacts.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "relations",
-                Json::Arr(self.relations.iter().map(|r| r.to_json()).collect()),
-            ),
-            ("version", Json::Int(self.version as i64)),
-        ])
+impl JsonCodec for DatabaseSnapshot {
+    type Error = Error;
+
+    fn to_json(&self) -> Json {
+        self.doc(self.relations.to_json())
     }
 
-    /// Decode from JSON.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        let version = json.field("version")?.as_i64()?;
-        if version < 0 {
-            return Err(bad(format!("negative delta version {version}")));
-        }
-        Ok(SnapshotDelta {
-            relations: json
-                .field("relations")?
-                .elements()?
-                .iter()
-                .map(RelationDelta::from_json)
-                .collect::<Result<Vec<_>>>()?,
-            version: version as u64,
-        })
+    fn from_json(json: &Json) -> Result<Self> {
+        Self::from_json_with(json, 1)
     }
 }
+
+json_struct!(
+    RelationDelta {
+        relation,
+        upserts,
+        deletes
+    },
+    Error
+);
+
+// The payload format of `vo-store` incremental checkpoint artifacts.
+json_struct!(SnapshotDelta { relations, version }, Error);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::database::Database;
-    use crate::json::parse;
+    use crate::json::{assert_roundtrip, parse};
 
     #[test]
     fn values_roundtrip() {
-        let vals = [
+        // byte-identical re-encoding means same discriminant too: NaN vs
+        // text "NaN", Int(2) vs Float(2.0)
+        for v in [
             Value::Null,
             Value::Bool(true),
             Value::Int(i64::MIN),
@@ -431,25 +281,27 @@ mod tests {
             Value::Float(-0.125),
             Value::Float(f64::NAN),
             Value::Float(f64::NEG_INFINITY),
-            Value::text("NaN"), // must NOT collide with Float(NaN)
+            Value::Float(1e19),
+            Value::Float(-1e19),
+            Value::Float(f64::MAX),
+            Value::Float(f64::MIN_POSITIVE),
+            Value::text("NaN"),
             Value::text("line\nbreak"),
-        ];
-        for v in &vals {
-            let encoded = v.to_json().pretty();
-            let back = Value::from_json(&parse(&encoded).unwrap()).unwrap();
-            // NaN != NaN under IEEE but our Value order treats them equal
-            assert_eq!(v, &back, "{encoded}");
-            assert_eq!(
-                std::mem::discriminant(v),
-                std::mem::discriminant(&back),
-                "{encoded}"
-            );
+        ] {
+            assert_roundtrip(&v);
         }
     }
 
     #[test]
-    fn schema_roundtrip_revalidates() {
-        let s = RelationSchema::new(
+    fn old_digit_string_floats_still_decode() {
+        // what builds before the exponent form wrote for integral floats
+        // from 1e15 up: read back as Int by the parser, widened here
+        let old = parse(r#"{"float": 1000000000000000}"#).unwrap();
+        assert_eq!(Value::from_json(&old).unwrap(), Value::Float(1e15));
+    }
+
+    fn grades_schema() -> RelationSchema {
+        RelationSchema::new(
             "GRADES",
             vec![
                 AttributeDef::required("course_id", DataType::Text),
@@ -458,24 +310,13 @@ mod tests {
             ],
             &["course_id", "ssn"],
         )
-        .unwrap();
-        let back = RelationSchema::from_json(&parse(&s.to_json().pretty()).unwrap()).unwrap();
-        assert_eq!(s, back);
+        .unwrap()
     }
 
     #[test]
-    fn tampered_schema_rejected() {
-        let json = parse(
-            r#"{"name": "X", "attributes": [{"name": "a", "ty": "INT", "nullable": true}], "key": ["a"]}"#,
-        )
-        .unwrap();
-        // nullable key attribute must be rejected by re-validation
-        assert!(RelationSchema::from_json(&json).is_err());
-    }
-
-    #[test]
-    fn db_ops_roundtrip() {
-        let ops = [
+    fn schema_and_ops_roundtrip() {
+        assert_roundtrip(&grades_schema());
+        for op in [
             DbOp::Insert {
                 relation: "T".into(),
                 tuple: Tuple::raw(vec![1.into(), Value::Null, "x".into()]),
@@ -489,13 +330,23 @@ mod tests {
                 old_key: Key::single(2),
                 tuple: Tuple::raw(vec![3.into(), 0.5.into()]),
             },
-        ];
-        for op in &ops {
-            let text = op.to_json().compact();
-            let back = DbOp::from_json(&parse(&text).unwrap()).unwrap();
-            assert_eq!(op, &back, "{text}");
+        ] {
+            assert_roundtrip(&op);
         }
-        // unknown discriminant rejected
+    }
+
+    #[test]
+    fn tampered_schema_rejected() {
+        let json = parse(
+            r#"{"name": "X", "attributes": [{"name": "a", "ty": "INT", "nullable": true}], "key": ["a"]}"#,
+        )
+        .unwrap();
+        // nullable key attribute must be rejected by re-validation
+        assert!(RelationSchema::from_json(&json).is_err());
+    }
+
+    #[test]
+    fn unknown_db_op_rejected() {
         let bad = parse(r#"{"op": "upsert", "relation": "T"}"#).unwrap();
         assert!(DbOp::from_json(&bad).is_err());
     }
@@ -517,12 +368,10 @@ mod tests {
         .unwrap();
         db.insert("T", vec![1.into(), 1.5.into()]).unwrap();
         db.insert("T", vec![2.into(), Value::Null]).unwrap();
-        let snap =
-            DatabaseSnapshot::capture_with_indexes(&db, &[("T", vec![vec!["v".into()]])]).unwrap();
-        let text = snap.to_json().pretty();
-        let back = DatabaseSnapshot::from_json(&parse(&text).unwrap()).unwrap();
-        assert_eq!(snap, back);
-        let restored = back.restore().unwrap();
+        let mut snap = DatabaseSnapshot::capture(&db);
+        snap.relations[0].indexes = vec![vec!["v".into()]];
+        assert_roundtrip(&snap);
+        let restored = snap.restore().unwrap();
         assert!(restored.table("T").unwrap().has_index(&["v".to_string()]));
     }
 }

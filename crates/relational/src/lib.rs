@@ -65,7 +65,7 @@ pub mod prelude {
         JournalStart,
     };
     pub use crate::error::{Error, Result};
-    pub use crate::json::Json;
+    pub use crate::json::{json_enum, json_struct, Json, JsonCodec};
     pub use crate::overlay::{DbRead, DeltaDb, TableView};
     pub use crate::predicate::{CmpOp, Expr, Truth};
     pub use crate::rng::SmallRng;

@@ -9,6 +9,7 @@
 
 use crate::database::{Database, DbOp};
 use crate::error::{Error, Result};
+use crate::json::{Json, JsonCodec};
 use crate::schema::RelationSchema;
 use crate::table::Table;
 use crate::tuple::{Key, Tuple};
@@ -27,6 +28,29 @@ pub struct RelationSnapshot {
     pub indexes: Vec<Vec<String>>,
 }
 
+impl RelationSnapshot {
+    /// Append the compact encoding, each key-range partition of the rows
+    /// rendered independently over `workers` threads.
+    fn write_compact(&self, out: &mut String, workers: usize) {
+        self.doc(Json::Null).write_compact_with(out, "rows", |out| {
+            let fragments = map_chunks(&self.rows, workers.max(1), |_, chunk| {
+                let mut s = String::new();
+                for (j, t) in chunk.iter().enumerate() {
+                    if j > 0 {
+                        s.push(',');
+                    }
+                    s.push_str(&t.to_json().compact());
+                }
+                Ok::<_, Error>(vec![s])
+            })
+            .expect("row encoding cannot fail");
+            out.push('[');
+            out.push_str(&fragments.join(","));
+            out.push(']');
+        });
+    }
+}
+
 /// A whole-database image.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DatabaseSnapshot {
@@ -35,8 +59,7 @@ pub struct DatabaseSnapshot {
     /// The committed-transaction version the database reported when
     /// captured. [`DatabaseSnapshot::restore`] re-pins the rebuilt
     /// database at this version, so MVCC version stamps survive a
-    /// checkpoint/recovery cycle; snapshots serialized before versioning
-    /// existed decode as 0.
+    /// checkpoint/recovery cycle.
     pub version: u64,
 }
 
@@ -44,9 +67,8 @@ impl DatabaseSnapshot {
     /// Capture a snapshot of `db` without secondary-index definitions —
     /// the restored database answers the same queries but falls back to
     /// scans until indexes are recreated. Use
-    /// [`DatabaseSnapshot::capture_full`] to carry them, or
-    /// [`DatabaseSnapshot::capture_with_indexes`] to declare an explicit
-    /// subset.
+    /// [`DatabaseSnapshot::capture_full`] to carry them, or set
+    /// [`RelationSnapshot::indexes`] to declare an explicit subset.
     pub fn capture(db: &Database) -> Self {
         let mut relations = Vec::new();
         for name in db.relation_names() {
@@ -102,24 +124,6 @@ impl DatabaseSnapshot {
         }
     }
 
-    /// Capture a snapshot declaring the given indexes per relation (the
-    /// caller knows which indexes it created).
-    pub fn capture_with_indexes(
-        db: &Database,
-        indexes: &[(&str, Vec<Vec<String>>)],
-    ) -> Result<Self> {
-        let mut snap = Self::capture(db);
-        for (rel, idxs) in indexes {
-            let entry = snap
-                .relations
-                .iter_mut()
-                .find(|r| r.schema.name() == *rel)
-                .ok_or_else(|| Error::NoSuchRelation((*rel).to_owned()))?;
-            entry.indexes = idxs.clone();
-        }
-        Ok(snap)
-    }
-
     /// Rebuild a database from the snapshot (validating every tuple and
     /// rebuilding declared indexes).
     pub fn restore(&self) -> Result<Database> {
@@ -166,50 +170,23 @@ impl DatabaseSnapshot {
     }
 
     /// Compact-JSON encoding, byte-identical to
-    /// `self.to_json().compact()`, with per-relation row serialization
-    /// fanned out over `workers` threads: each key-range partition of a
-    /// relation's rows is encoded independently and the fragments are
-    /// joined in key order.
+    /// `self.to_json().compact()` without building the whole document
+    /// tree: the shape comes from the same definition the codec uses,
+    /// and each relation's rows are rendered per key-range partition over
+    /// `workers` threads and joined in key order.
     pub fn encode_compact(&self, workers: usize) -> String {
-        let mut out = String::from("{\"relations\":[");
-        for (i, rel) in self.relations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"schema\":");
-            out.push_str(&rel.schema.to_json().compact());
-            out.push_str(",\"rows\":[");
-            let fragments: Vec<String> = map_chunks(&rel.rows, workers.max(1), |_, chunk| {
-                let mut s = String::new();
-                for (j, t) in chunk.iter().enumerate() {
-                    if j > 0 {
-                        s.push(',');
+        let mut out = String::new();
+        self.doc(Json::Null)
+            .write_compact_with(&mut out, "relations", |out| {
+                out.push('[');
+                for (i, rel) in self.relations.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
                     }
-                    s.push_str(&t.to_json().compact());
+                    rel.write_compact(out, workers);
                 }
-                Ok::<_, Error>(vec![s])
-            })
-            .expect("row encoding cannot fail");
-            out.push_str(&fragments.join(","));
-            out.push_str("],\"indexes\":");
-            let indexes = crate::json::Json::Arr(
-                rel.indexes
-                    .iter()
-                    .map(|idx| {
-                        crate::json::Json::Arr(
-                            idx.iter()
-                                .map(|a| crate::json::Json::str(a.clone()))
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            );
-            out.push_str(&indexes.compact());
-            out.push('}');
-        }
-        out.push_str("],\"version\":");
-        out.push_str(&self.version.to_string());
-        out.push('}');
+                out.push(']');
+            });
         out
     }
 
@@ -428,28 +405,19 @@ mod tests {
     #[test]
     fn declared_indexes_rebuilt() {
         let db = sample();
-        let snap =
-            DatabaseSnapshot::capture_with_indexes(&db, &[("T", vec![vec!["v".to_string()]])])
-                .unwrap();
+        let mut snap = DatabaseSnapshot::capture(&db);
+        snap.relations[0].indexes = vec![vec!["v".to_string()]];
         let restored = snap.restore().unwrap();
         assert!(restored.table("T").unwrap().has_index(&["v".to_string()]));
     }
 
     #[test]
-    fn unknown_relation_in_index_spec_rejected() {
-        let db = sample();
-        let r = DatabaseSnapshot::capture_with_indexes(&db, &[("NOPE", vec![])]);
-        assert!(matches!(r, Err(Error::NoSuchRelation(_))));
-    }
-
-    #[test]
-    fn capture_with_indexes_json_roundtrip_rebuilds_probing_indexes() {
+    fn declared_indexes_json_roundtrip_rebuilds_probing_indexes() {
         use crate::json::parse;
         let mut db = sample();
         db.create_index("T", &["v".to_string()]).unwrap();
-        let snap =
-            DatabaseSnapshot::capture_with_indexes(&db, &[("T", vec![vec!["v".to_string()]])])
-                .unwrap();
+        let mut snap = DatabaseSnapshot::capture(&db);
+        snap.relations[0].indexes = vec![vec!["v".to_string()]];
         // full JSON round trip, not just capture → restore
         let text = snap.to_json().pretty();
         let back = DatabaseSnapshot::from_json(&parse(&text).unwrap()).unwrap();
@@ -504,13 +472,17 @@ mod tests {
         let restored = snap.restore().unwrap();
         assert_eq!(restored.version(), db.version());
         assert_eq!(restored.table_version("T"), db.version());
-        // JSON round trip carries it; a legacy document without the field
-        // decodes as version 0
-        use crate::json::{parse, Json};
+        // JSON round trip carries it; a document without the field (no
+        // writer has produced one since versions were pinned) is a typed
+        // error, never a silent version 0
+        use crate::json::parse;
         let back = DatabaseSnapshot::from_json(&parse(&snap.to_json().pretty()).unwrap()).unwrap();
         assert_eq!(back.version, snap.version);
-        let legacy = Json::obj(vec![("relations", Json::Arr(vec![]))]);
-        assert_eq!(DatabaseSnapshot::from_json(&legacy).unwrap().version, 0);
+        let versionless = Json::obj(vec![("relations", Json::Arr(vec![]))]);
+        assert!(matches!(
+            DatabaseSnapshot::from_json(&versionless),
+            Err(Error::Serialization(_))
+        ));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 
 use crate::crc32::crc32;
 use crate::error::{StoreError, StoreResult};
-use vo_relational::json::{parse, Json};
+use vo_relational::json::{json_struct, parse, Json, JsonCodec};
 use vo_relational::storage::{DatabaseSnapshot, SnapshotDelta};
 
 /// File name prefix for base checkpoints (`base-000001.json`).
@@ -119,19 +119,6 @@ pub fn read_artifact(path: &Path) -> StoreResult<String> {
     Ok(body.to_owned())
 }
 
-fn get_u64(json: &Json, field: &str) -> StoreResult<u64> {
-    let v = json
-        .field(field)
-        .and_then(|v| v.as_i64())
-        .map_err(|e| StoreError::Corrupt(e.0))?;
-    if v < 0 {
-        return Err(StoreError::Corrupt(format!(
-            "negative artifact field {field} ({v})"
-        )));
-    }
-    Ok(v as u64)
-}
-
 /// A full database image pinned to a log position, heading a delta chain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BaseCheckpoint {
@@ -152,17 +139,25 @@ impl BaseCheckpoint {
         artifact_file_name(BASE_PREFIX, id)
     }
 
+    /// The document shape around a caller-supplied `snapshot` value.
+    fn doc(&self, snapshot: Json) -> Json {
+        Json::obj(vec![
+            ("id", self.id.to_json()),
+            ("lsn", self.lsn.to_json()),
+            ("epoch", self.epoch.to_json()),
+            ("snapshot", snapshot),
+        ])
+    }
+
     /// Atomically persist into `dir`, encoding the snapshot with up to
     /// `workers` parallel workers (byte-identical at any worker count).
     /// Returns bytes written.
     pub fn write(&self, dir: &Path, workers: usize) -> StoreResult<u64> {
-        let body = format!(
-            "{{\"id\":{},\"lsn\":{},\"epoch\":{},\"snapshot\":{}}}",
-            self.id,
-            self.lsn,
-            self.epoch,
-            self.snapshot.encode_compact(workers)
-        );
+        let mut body = String::new();
+        self.doc(Json::Null)
+            .write_compact_with(&mut body, "snapshot", |out| {
+                out.push_str(&self.snapshot.encode_compact(workers))
+            });
         write_artifact(dir, &Self::file_name(self.id), &body)
     }
 
@@ -171,17 +166,12 @@ impl BaseCheckpoint {
     /// [`StoreError::Corrupt`] — a base cannot be skipped, the data it
     /// held is gone.
     pub fn load(dir: &Path, id: u64, workers: usize) -> StoreResult<BaseCheckpoint> {
-        let body = read_artifact(&dir.join(Self::file_name(id)))?;
-        let json = parse(&body).map_err(|e| StoreError::Corrupt(e.0))?;
-        let snapshot = json
-            .field("snapshot")
-            .map_err(|e| StoreError::Corrupt(e.0))
-            .and_then(|s| DatabaseSnapshot::from_json_with(s, workers).map_err(StoreError::from))?;
+        let json = parse(&read_artifact(&dir.join(Self::file_name(id)))?)?;
         Ok(BaseCheckpoint {
-            id: get_u64(&json, "id")?,
-            lsn: get_u64(&json, "lsn")?,
-            epoch: get_u64(&json, "epoch")?,
-            snapshot,
+            id: json.get("id")?,
+            lsn: json.get("lsn")?,
+            epoch: json.get("epoch")?,
+            snapshot: DatabaseSnapshot::from_json_with(json.field("snapshot")?, workers)?,
         })
     }
 }
@@ -212,34 +202,6 @@ impl DeltaCheckpoint {
         artifact_file_name(DELTA_PREFIX, id)
     }
 
-    /// Encode as JSON.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("id", Json::Int(self.id as i64)),
-            ("base", Json::Int(self.base_id as i64)),
-            ("parent", Json::Int(self.parent_id as i64)),
-            ("lsn", Json::Int(self.lsn as i64)),
-            ("epoch", Json::Int(self.epoch as i64)),
-            ("delta", self.delta.to_json()),
-        ])
-    }
-
-    /// Decode from JSON.
-    pub fn from_json(json: &Json) -> StoreResult<Self> {
-        let delta = json
-            .field("delta")
-            .map_err(|e| StoreError::Corrupt(e.0))
-            .and_then(|d| SnapshotDelta::from_json(d).map_err(StoreError::from))?;
-        Ok(DeltaCheckpoint {
-            id: get_u64(json, "id")?,
-            base_id: get_u64(json, "base")?,
-            parent_id: get_u64(json, "parent")?,
-            lsn: get_u64(json, "lsn")?,
-            epoch: get_u64(json, "epoch")?,
-            delta,
-        })
-    }
-
     /// Atomically persist into `dir`. Returns bytes written.
     pub fn write(&self, dir: &Path) -> StoreResult<u64> {
         write_artifact(dir, &Self::file_name(self.id), &self.to_json().compact())
@@ -249,9 +211,7 @@ impl DeltaCheckpoint {
     /// [`StoreError::Corrupt`]; callers treat it as a broken chain, not
     /// a fatal store error.
     pub fn load(dir: &Path, id: u64) -> StoreResult<DeltaCheckpoint> {
-        let body = read_artifact(&dir.join(Self::file_name(id)))?;
-        let json = parse(&body).map_err(|e| StoreError::Corrupt(e.0))?;
-        DeltaCheckpoint::from_json(&json)
+        DeltaCheckpoint::from_json(&parse(&read_artifact(&dir.join(Self::file_name(id)))?)?)
     }
 
     /// Full path of `delta-<id>.json` inside `dir` (tests, compaction).
@@ -259,6 +219,18 @@ impl DeltaCheckpoint {
         dir.join(Self::file_name(id))
     }
 }
+
+json_struct!(
+    DeltaCheckpoint {
+        id,
+        base_id as "base",
+        parent_id as "parent",
+        lsn,
+        epoch,
+        delta,
+    },
+    StoreError
+);
 
 /// Full path of `base-<id>.json` inside `dir` (tests, compaction).
 pub fn base_path_in(dir: &Path, id: u64) -> PathBuf {

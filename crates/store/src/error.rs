@@ -65,6 +65,14 @@ impl std::error::Error for StoreError {
     }
 }
 
+/// A persisted document that does not have the shape its codec expects
+/// is corruption, whatever layer noticed.
+impl From<vo_relational::json::JsonError> for StoreError {
+    fn from(e: vo_relational::json::JsonError) -> Self {
+        StoreError::Corrupt(e.0)
+    }
+}
+
 impl From<vo_relational::error::Error> for StoreError {
     fn from(e: vo_relational::error::Error) -> Self {
         StoreError::Db(e)

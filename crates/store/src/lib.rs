@@ -71,4 +71,5 @@ pub mod prelude {
         CheckpointPolicy, CompactionPolicy, CompactionReport, RecoveryReport, Store, StoreOptions,
     };
     pub use crate::wal::{CommitRecord, SyncPolicy, Wal};
+    pub use vo_relational::json::JsonCodec;
 }

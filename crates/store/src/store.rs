@@ -830,6 +830,7 @@ impl Store {
 mod tests {
     use super::*;
     use crate::segment::list_segment_files;
+    use vo_relational::json::JsonCodec;
     use vo_relational::schema::{AttributeDef, RelationSchema};
     use vo_relational::tuple::Tuple;
     use vo_relational::value::DataType;

@@ -26,6 +26,11 @@
 //! partially replayed. Durability is exactly the synced prefix — the
 //! contract every WAL offers.
 //!
+//! A record whose length and CRC check out but whose payload does not
+//! decode is *not* torn — all of it reached the disk. That is
+//! [`StoreError::Corrupt`], naming the file and byte offset; the file is
+//! left untouched.
+//!
 //! ## Group commit
 //!
 //! Appends land in an in-memory buffer first. [`SyncPolicy`] decides when
@@ -44,7 +49,7 @@ use std::sync::OnceLock;
 use vo_obs::metrics::{self, Counter};
 use vo_obs::trace;
 use vo_relational::database::DbOp;
-use vo_relational::json::{parse, Json};
+use vo_relational::json::{json_struct, parse, Json, JsonCodec};
 
 /// Magic bytes opening every WAL file (name + format version).
 pub const MAGIC: &[u8; 8] = b"VOWAL001";
@@ -105,40 +110,8 @@ pub struct CommitRecord {
     pub ops: Vec<DbOp>,
 }
 
-impl CommitRecord {
-    /// Encode as JSON (the record payload).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("lsn", Json::Int(self.lsn as i64)),
-            (
-                "ops",
-                Json::Arr(self.ops.iter().map(|o| o.to_json()).collect()),
-            ),
-        ])
-    }
-
-    /// Decode from JSON.
-    pub fn from_json(json: &Json) -> StoreResult<Self> {
-        let lsn = json
-            .field("lsn")
-            .and_then(|v| v.as_i64())
-            .map_err(|e| StoreError::Corrupt(e.0.clone()))?;
-        if lsn < 0 {
-            return Err(StoreError::Corrupt(format!("negative lsn {lsn}")));
-        }
-        let ops = json
-            .field("ops")
-            .and_then(|v| v.elements())
-            .map_err(|e| StoreError::Corrupt(e.0.clone()))?
-            .iter()
-            .map(|o| DbOp::from_json(o).map_err(StoreError::from))
-            .collect::<StoreResult<Vec<_>>>()?;
-        Ok(CommitRecord {
-            lsn: lsn as u64,
-            ops,
-        })
-    }
-}
+// The record payload.
+json_struct!(CommitRecord { lsn, ops }, StoreError);
 
 /// Largest payload the 4-byte length prefix can frame.
 pub const MAX_RECORD_PAYLOAD: usize = u32::MAX as usize;
@@ -220,7 +193,8 @@ impl Wal {
     /// Scan the log at `path` without opening it for writing: every intact
     /// record plus where (and whether) a torn tail begins. A missing or
     /// empty file reads as an empty log; a present file with the wrong
-    /// magic is an error, not a torn tail.
+    /// magic, or a checksum-valid record that does not decode, is an
+    /// error, not a torn tail.
     pub fn read_all(path: impl AsRef<Path>) -> StoreResult<Replay> {
         let path = path.as_ref();
         let bytes = match std::fs::read(path) {
@@ -253,28 +227,36 @@ impl Wal {
         let mut off = MAGIC.len();
         let mut torn = false;
         while off < bytes.len() {
-            let intact = (|| {
+            // A short header, a short payload or a checksum mismatch means
+            // the append never completed. So does a zero length: no record
+            // is empty, and it is what a tail of unwritten (zero-filled)
+            // blocks reads as — with a checksum that happens to match.
+            let framed = (|| {
                 let header = bytes.get(off..off + 8)?;
                 let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
                 let crc = u32::from_le_bytes(header[4..].try_into().unwrap());
                 let payload = bytes.get(off + 8..off + 8 + len)?;
-                if crc32(payload) != crc {
-                    return None;
-                }
-                let text = std::str::from_utf8(payload).ok()?;
-                let rec = CommitRecord::from_json(&parse(text).ok()?).ok()?;
-                Some((rec, off + 8 + len))
+                (len > 0 && crc32(payload) == crc).then_some(payload)
             })();
-            match intact {
-                Some((rec, next)) => {
-                    records.push(rec);
-                    off = next;
-                }
-                None => {
-                    torn = true;
-                    break;
-                }
-            }
+            let Some(payload) = framed else {
+                torn = true;
+                break;
+            };
+            // The whole payload reached the disk, so a record that does not
+            // decode is not a torn write. Truncating here would silently
+            // drop it and every acknowledged commit after it.
+            let rec = std::str::from_utf8(payload)
+                .map_err(|e| e.to_string())
+                .and_then(|text| parse(text).map_err(|e| e.to_string()))
+                .and_then(|json| CommitRecord::from_json(&json).map_err(|e| e.to_string()))
+                .map_err(|why| {
+                    StoreError::Corrupt(format!(
+                        "{}: the record at byte {off} passes its checksum but does not decode ({why})",
+                        path.display()
+                    ))
+                })?;
+            records.push(rec);
+            off += 8 + payload.len();
         }
         Ok(Replay {
             records,
@@ -639,6 +621,55 @@ mod tests {
         assert_eq!(std::fs::metadata(&path).unwrap().len(), good_len);
         wal.append(&sample_ops(1)).unwrap();
         assert_eq!(Wal::read_all(&path).unwrap().records.len(), 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn checksum_valid_undecodable_record_is_corruption_not_a_torn_tail() {
+        let path = tmp("garbage.log");
+        let mut wal = Wal::create(&path, SyncPolicy::Always).unwrap();
+        wal.append(&sample_ops(0)).unwrap();
+        drop(wal);
+        let good_len = std::fs::metadata(&path).unwrap().len();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let payload = br#"{"lsn":"x"}"#;
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        std::fs::write(&path, &bytes).unwrap();
+        for result in [
+            Wal::read_all(&path).map(|_| ()),
+            Wal::open_for_append(&path, SyncPolicy::Always).map(|_| ()),
+        ] {
+            match result {
+                Err(StoreError::Corrupt(m)) => {
+                    assert!(m.contains("garbage.log"), "{m}");
+                    assert!(m.contains(&format!("byte {good_len}")), "{m}");
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+        // nothing was truncated: the evidence is still there
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn zero_filled_tail_reads_as_torn_tail() {
+        // Blocks allocated but never written read as zeros after a crash:
+        // length 0, checksum 0 — which *is* the CRC of an empty payload.
+        let path = tmp("zeros.log");
+        let mut wal = Wal::create(&path, SyncPolicy::Always).unwrap();
+        wal.append(&sample_ops(0)).unwrap();
+        drop(wal);
+        let good_len = std::fs::metadata(&path).unwrap().len();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&[0u8; 64]);
+        std::fs::write(&path, &bytes).unwrap();
+        let replay = Wal::read_all(&path).unwrap();
+        assert!(replay.torn);
+        assert_eq!(replay.records.len(), 1);
+        assert_eq!(replay.valid_len, good_len);
         std::fs::remove_file(&path).ok();
     }
 

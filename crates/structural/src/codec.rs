@@ -9,90 +9,45 @@ use crate::schema::StructuralSchema;
 use vo_relational::prelude::*;
 use vo_relational::schema::RelationSchema;
 
-fn bad(msg: impl Into<String>) -> Error {
-    Error::Serialization(msg.into())
-}
+json_enum!(
+    ConnectionKind { Ownership => "ownership", Reference => "reference", Subset => "subset" },
+    Error,
+    "connection kind"
+);
 
-impl ConnectionKind {
-    /// Encode as a JSON string.
-    pub fn to_json(&self) -> Json {
-        Json::str(self.to_string())
-    }
+// Structure only — call `Connection::validate` or add through a schema to
+// re-check a decoded connection.
+json_struct!(
+    Connection {
+        name,
+        kind,
+        from,
+        to,
+        from_attrs,
+        to_attrs
+    },
+    Error
+);
 
-    /// Decode from a JSON string.
-    pub fn from_json(json: &Json) -> Result<Self> {
-        match json.as_str()? {
-            "ownership" => Ok(ConnectionKind::Ownership),
-            "reference" => Ok(ConnectionKind::Reference),
-            "subset" => Ok(ConnectionKind::Subset),
-            other => Err(bad(format!("unknown connection kind `{other}`"))),
-        }
-    }
-}
+/// Decoding re-validates every relation schema and every connection.
+impl JsonCodec for StructuralSchema {
+    type Error = Error;
 
-fn strings_to_json(items: &[String]) -> Json {
-    Json::Arr(items.iter().map(|s| Json::str(s.clone())).collect())
-}
-
-fn strings_from_json(json: &Json) -> Result<Vec<String>> {
-    json.elements()?
-        .iter()
-        .map(|s| s.as_str().map(str::to_owned).map_err(Error::from))
-        .collect()
-}
-
-impl Connection {
-    /// Encode as JSON.
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("name", Json::str(self.name.clone())),
-            ("kind", self.kind.to_json()),
-            ("from", Json::str(self.from.clone())),
-            ("to", Json::str(self.to.clone())),
-            ("from_attrs", strings_to_json(&self.from_attrs)),
-            ("to_attrs", strings_to_json(&self.to_attrs)),
+            ("catalog", Json::list(self.catalog().iter())),
+            ("connections", Json::list(self.connections())),
         ])
     }
 
-    /// Decode from JSON (structure only — call
-    /// [`Connection::validate`] or add through a schema to re-check).
-    pub fn from_json(json: &Json) -> Result<Self> {
-        Ok(Connection {
-            name: json.field("name")?.as_str()?.to_owned(),
-            kind: ConnectionKind::from_json(json.field("kind")?)?,
-            from: json.field("from")?.as_str()?.to_owned(),
-            to: json.field("to")?.as_str()?.to_owned(),
-            from_attrs: strings_from_json(json.field("from_attrs")?)?,
-            to_attrs: strings_from_json(json.field("to_attrs")?)?,
-        })
-    }
-}
-
-impl StructuralSchema {
-    /// Encode as JSON.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "catalog",
-                Json::Arr(self.catalog().iter().map(|r| r.to_json()).collect()),
-            ),
-            (
-                "connections",
-                Json::Arr(self.connections().iter().map(|c| c.to_json()).collect()),
-            ),
-        ])
-    }
-
-    /// Decode from JSON, re-validating every relation schema and every
-    /// connection.
-    pub fn from_json(json: &Json) -> Result<Self> {
+    fn from_json(json: &Json) -> Result<Self> {
         let mut catalog = DatabaseSchema::new();
-        for r in json.field("catalog")?.elements()? {
-            catalog.add(RelationSchema::from_json(r)?)?;
+        for r in json.get::<Vec<RelationSchema>>("catalog")? {
+            catalog.add(r)?;
         }
         let mut schema = StructuralSchema::new(catalog);
-        for c in json.field("connections")?.elements()? {
-            schema.add_connection(Connection::from_json(c)?)?;
+        for c in json.get::<Vec<Connection>>("connections")? {
+            schema.add_connection(c)?;
         }
         Ok(schema)
     }
@@ -101,7 +56,7 @@ impl StructuralSchema {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vo_relational::json::parse;
+    use vo_relational::json::{assert_roundtrip, parse};
     use vo_relational::schema::AttributeDef;
 
     fn sample() -> StructuralSchema {
@@ -145,11 +100,8 @@ mod tests {
     #[test]
     fn schema_roundtrip() {
         let schema = sample();
-        let text = schema.to_json().pretty();
-        let back = StructuralSchema::from_json(&parse(&text).unwrap()).unwrap();
-        assert_eq!(back.catalog().relation_names(), vec!["COURSE", "DEPT"]);
-        assert_eq!(back.connections().len(), 1);
-        assert_eq!(back.connections()[0], schema.connections()[0]);
+        assert_roundtrip(&schema.connections()[0]);
+        assert_roundtrip(&schema);
     }
 
     #[test]

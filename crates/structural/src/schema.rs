@@ -73,7 +73,7 @@ impl<'a> Traversal<'a> {
 }
 
 /// A validated structural schema: catalog + connections.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StructuralSchema {
     catalog: DatabaseSchema,
     connections: Vec<Connection>,

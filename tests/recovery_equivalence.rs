@@ -346,3 +346,47 @@ fn bit_flip_truncates_at_corruption_instead_of_replaying() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Regression for the float writer: an integral float of 2⁶³ or more used
+/// to print as a bare digit string the parser rejects, so the fsynced
+/// record holding it was CRC-valid but undecodable, read as a torn tail,
+/// and recovery truncated it *and every acknowledged commit after it*.
+#[test]
+fn large_float_commit_survives_kill_and_does_not_truncate_its_successors() {
+    let dir = tmp_dir("float_1e19");
+    let options = StoreOptions {
+        sync: SyncPolicy::Always,
+        checkpoint: CheckpointPolicy::never(),
+        ..StoreOptions::default()
+    };
+    let mut db = Database::new();
+    db.create_relation(
+        RelationSchema::new(
+            "M",
+            vec![
+                AttributeDef::required("k", DataType::Int),
+                AttributeDef::required("x", DataType::Float),
+            ],
+            &["k"],
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    let mut store = Store::create(&dir, &db, options).unwrap();
+    for (k, x) in [(1i64, 0.5), (2, 1e19), (3, -2.0)] {
+        let ops = vec![DbOp::Insert {
+            relation: "M".into(),
+            tuple: Tuple::raw(vec![k.into(), x.into()]),
+        }];
+        db.apply_all(&ops).unwrap();
+        store.commit(&db, std::slice::from_ref(&ops)).unwrap();
+    }
+    std::mem::forget(store); // crash: every commit was fsynced
+
+    let (_store, recovered, report) = Store::open(&dir, options).unwrap();
+    assert!(!report.torn_tail_truncated, "{report:?}");
+    assert_eq!(report.records_replayed, 3, "{report:?}");
+    assert_eq!(recovered.table("M").unwrap().len(), 3);
+    assert_eq!(fingerprint(&recovered), fingerprint(&db));
+    std::fs::remove_dir_all(&dir).ok();
+}
