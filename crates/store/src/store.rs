@@ -675,6 +675,10 @@ impl Store {
             self.wal.reset_active()?;
             self.prune_superseded()?;
             checkpoints_full().inc();
+            if !need_full {
+                // promoted by the `CompactionPolicy` alone: an auto-compaction
+                compactions_run().inc();
+            }
             bytes
         } else {
             // Seal the active segment so the bytes this delta covers sit
@@ -1091,16 +1095,26 @@ mod tests {
             ..StoreOptions::default()
         };
         let mut store = Store::create(&dir, &db, options).unwrap();
+        let compactions_before = compactions_run().get();
+        let mut promoted = 0;
         for k in 0..50 {
             let op = insert_op(&db, k);
             db.apply(&op).unwrap();
+            let chain_before = store.delta_chain_len();
             store.commit(&db, &[vec![op]]).unwrap();
             // the policy provably bounds on-disk state at every step:
             // segment files never exceed max_segments + the few the
             // current burst can add before the next checkpoint fires
             assert!(store.delta_chain_len() <= 3);
             assert!(store.segment_count() <= 6 + 3);
+            if store.delta_chain_len() < chain_before {
+                promoted += 1; // a checkpoint the policy promoted to a base
+            }
         }
+        // every promotion counts as a compaction (the counter is process-
+        // wide: sibling tests can only add to it)
+        assert!(promoted > 0);
+        assert!(compactions_run().get() - compactions_before >= promoted);
         drop(store);
         let (_s, recovered, _r) = Store::open(&dir, options).unwrap();
         assert_eq!(fingerprint(&recovered), fingerprint(&db));

@@ -11,6 +11,22 @@
 
 use penguin_vo::prelude::*;
 
+/// Run one statement and print what came back: the outcome, or the
+/// server's typed error — a refused statement does not end the session.
+fn run(client: &mut VoClient, voql: &str) {
+    match client.voql(voql) {
+        Ok(VoqlResult::Instances(instances)) => {
+            for i in &instances {
+                println!("{}", i.to_json().pretty());
+            }
+        }
+        Ok(VoqlResult::Updated(n)) => println!("updated {n} instance(s) at the head"),
+        Ok(VoqlResult::Deleted(n)) => println!("deleted {n} instance(s) at the head"),
+        Ok(VoqlResult::Text(text)) => println!("{text}"),
+        Err(e) => println!("error: {e}"),
+    }
+}
+
 fn main() {
     let addr = std::env::var("VO_NET_ADDR").unwrap_or_else(|_| "127.0.0.1:7878".into());
     let opts = ClientOptions {
@@ -25,6 +41,13 @@ fn main() {
             std::process::exit(1);
         }
     };
+    if let Err(e) = session(&mut client) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn session(client: &mut VoClient) -> std::result::Result<(), NetError> {
     let hello = client.hello().expect("handshake happened").clone();
     println!(
         "connected to {} (protocol v{}, database version {})",
@@ -32,38 +55,25 @@ fn main() {
     );
 
     // Queries run lock-free against this connection's pinned snapshot.
-    match client.voql("GET omega WHERE course_id = 'CS345'").unwrap() {
-        VoqlResult::Instances(instances) => {
-            for i in &instances {
-                println!("{}", i.to_json().pretty());
-            }
-        }
-        other => println!("unexpected outcome: {other:?}"),
-    }
+    run(client, "GET omega WHERE course_id = 'CS345'");
 
     // Updates re-run at head through the server's single-writer funnel.
-    match client
-        .voql("UPDATE omega SET title = 'Distributed Databases' WHERE course_id = 'CS345'")
-        .unwrap()
-    {
-        VoqlResult::Updated(n) => println!("updated {n} instance(s) at the head"),
-        other => println!("unexpected outcome: {other:?}"),
-    }
+    run(
+        client,
+        "UPDATE omega SET title = 'Distributed Databases' WHERE course_id = 'CS345'",
+    );
 
     // Re-pin to see the committed state from this connection.
-    let version = client.pin().unwrap();
+    let version = client.pin()?;
     println!("re-pinned at version {version}");
-    match client.voql("SHOW omega").unwrap() {
-        VoqlResult::Text(text) => println!("{text}"),
-        other => println!("unexpected outcome: {other:?}"),
-    }
+    run(client, "SHOW OBJECT omega");
 
-    let health = client.health().unwrap();
+    let health = client.health()?;
     println!(
         "server health: {}",
         health.field("status").unwrap().as_str().unwrap_or("?")
     );
-    let stats = client.stats().unwrap();
+    let stats = client.stats()?;
     println!(
         "server stats : {} requests ok, {} connections live",
         stats.field("requests_ok").unwrap().as_i64().unwrap_or(0),
@@ -73,4 +83,5 @@ fn main() {
             .as_i64()
             .unwrap_or(0)
     );
+    Ok(())
 }

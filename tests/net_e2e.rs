@@ -627,4 +627,15 @@ fn ops_endpoints_answer_over_the_wire() {
         2
     );
     assert!(stats.field("bytes_written").unwrap().as_i64().unwrap() > HEADER_BYTES as i64);
+
+    // What `examples/client.rs` sends, and what it sent before: `SHOW omega`
+    // is not VOQL and comes back typed, with the offset of the bad word.
+    let shown = a.voql("SHOW OBJECT omega").unwrap();
+    assert!(matches!(shown, VoqlResult::Text(ref t) if t.contains("[pivot]")));
+    let NetError::Remote(wire) = a.voql("SHOW omega").unwrap_err() else {
+        panic!("`SHOW omega` must be refused by the server, not the transport")
+    };
+    assert_eq!(wire.code, ErrorCode::Parse);
+    let position = wire.data.unwrap().field("position").unwrap().as_i64();
+    assert_eq!(position.unwrap(), "SHOW ".len() as i64);
 }

@@ -16,22 +16,8 @@ use penguin_vo::penguin::SavedSystem;
 use penguin_vo::prelude::*;
 use std::path::PathBuf;
 
-fn check(name: &str, actual: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    match std::fs::read_to_string(&path) {
-        Ok(expected) => assert!(
-            expected == actual,
-            "{name}: encoder output drifted from the golden file\n--- golden\n{expected}\n--- now\n{actual}"
-        ),
-        Err(_) => {
-            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-            std::fs::write(&path, actual).unwrap();
-            panic!("{name}: no golden file; wrote one from the current encoders — review and commit it");
-        }
-    }
-}
+mod common;
+use common::check;
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vo_golden_{}_{name}", std::process::id()));
