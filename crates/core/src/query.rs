@@ -21,7 +21,7 @@
 //! composed dynamically with the object's structure to obtain a relational
 //! query".
 
-use crate::instance::{instantiate_many_planned, plan_object, VoInstance};
+use crate::instance::{instantiate_many_planned, plan_object, ObjectPlan, VoInstance};
 use crate::object::{NodeId, ViewObject};
 use std::collections::BTreeMap;
 use vo_relational::prelude::*;
@@ -161,12 +161,26 @@ impl VoQuery {
 
     /// Execute: find candidate pivot tuples via the composed relational
     /// plan, assemble instances (applying node predicates as child
-    /// filters), then apply count/exists conditions.
+    /// filters), then apply count/exists conditions. Plans the object
+    /// first; callers holding a prepared [`ObjectPlan`] use
+    /// [`VoQuery::execute_planned`].
     pub fn execute(
         &self,
         schema: &StructuralSchema,
         object: &ViewObject,
         db: &Database,
+    ) -> Result<Vec<VoInstance>> {
+        self.execute_planned(schema, object, db, &plan_object(schema, object, db)?)
+    }
+
+    /// [`VoQuery::execute`] over an access plan prepared earlier for
+    /// `object` at `db`'s structure.
+    pub fn execute_planned(
+        &self,
+        schema: &StructuralSchema,
+        object: &ViewObject,
+        db: &Database,
+        object_plan: &ObjectPlan,
     ) -> Result<Vec<VoInstance>> {
         let plan = self.pivot_plan(schema, object)?;
         let keys = db.execute(&plan)?;
@@ -177,9 +191,8 @@ impl VoQuery {
             .filter_map(|row| pivot.get(&Key::new(row.clone())))
             .collect();
         // assemble all candidate instances set-at-a-time
-        let object_plan = plan_object(schema, object, db)?;
         let mut out = Vec::new();
-        for inst in instantiate_many_planned(object, db, &object_plan, &candidates)? {
+        for inst in instantiate_many_planned(object, db, object_plan, &candidates)? {
             let inst = self.filter_instance(schema, object, db, inst)?;
             let Some(inst) = inst else { continue };
             out.push(inst);

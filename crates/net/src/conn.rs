@@ -275,40 +275,23 @@ fn dispatch(
                 .session
                 .parse_voql(&src)
                 .map_err(|e| WireError::from(&e))?;
-            match stmt {
-                VoqlStatement::Get { .. }
-                | VoqlStatement::ShowObjects
-                | VoqlStatement::ShowObject(_)
-                | VoqlStatement::ShowSchema => {
-                    match state
-                        .session
-                        .execute_voql(&stmt)
-                        .map_err(|e| WireError::from(&e))?
-                    {
-                        VoqlOutcome::Instances(instances) => Ok(ResponseBody::Instances(instances)),
-                        VoqlOutcome::Text(text) => Ok(ResponseBody::Text(text)),
-                        other => Err(WireError::new(
-                            ErrorCode::Internal,
-                            format!("read statement produced write outcome {other:?}"),
-                        )),
-                    }
-                }
+            let outcome = match stmt {
                 VoqlStatement::Delete { .. } | VoqlStatement::Update { .. } => {
-                    // Re-run at the head: the write must see and validate
+                    // Run at the head: the write must see and validate
                     // against current state, not the connection's pin.
-                    let mut penguin = shared.penguin();
-                    match vo_penguin::run_voql(&mut penguin, &src)
-                        .map_err(|e| WireError::from(&e))?
-                    {
-                        VoqlOutcome::Deleted(n) => Ok(ResponseBody::Deleted(n as u64)),
-                        VoqlOutcome::Updated(n) => Ok(ResponseBody::Updated(n as u64)),
-                        other => Err(WireError::new(
-                            ErrorCode::Internal,
-                            format!("write statement produced read outcome {other:?}"),
-                        )),
-                    }
+                    // (Objects are never redefined, so the statement
+                    // parsed on the pin means the same there.)
+                    vo_penguin::voql::execute(&mut shared.penguin(), stmt)
                 }
+                read => state.session.execute_voql(&read),
             }
+            .map_err(|e| WireError::from(&e))?;
+            Ok(match outcome {
+                VoqlOutcome::Instances(instances) => ResponseBody::Instances(instances),
+                VoqlOutcome::Text(text) => ResponseBody::Text(text),
+                VoqlOutcome::Deleted(n) => ResponseBody::Deleted(n as u64),
+                VoqlOutcome::Updated(n) => ResponseBody::Updated(n as u64),
+            })
         }
         RequestBody::Pin => {
             state.session = shared.penguin().session();

@@ -12,8 +12,8 @@
 //!
 //! This crate sits at the bottom of the workspace, so the inputs are
 //! plain names and numbers; the PENGUIN facade gathers them from the
-//! journal, the store, the materialized views and the plan cache and
-//! exposes the verdict as `Penguin::health()`.
+//! journal, the store and the materialized views and exposes the verdict
+//! as `Penguin::health()`.
 
 use crate::json::Json;
 use std::sync::Arc;
@@ -45,7 +45,7 @@ impl std::fmt::Display for HealthStatus {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthReason {
     /// Stable, machine-routable code: `signal[:subject]`, e.g.
-    /// `journal_lag:view/omega`, `wal_bytes`, `plan_cache_hit_ratio`.
+    /// `journal_lag:view/omega`, `wal_bytes`, `recovery_torn_tail`.
     pub code: String,
     /// Severity this reason contributes to the overall status.
     pub status: HealthStatus,
@@ -136,10 +136,6 @@ pub struct HealthInputs {
     /// Whether the last recovery truncated a torn tail (`None` when the
     /// system was not recovered).
     pub recovery_torn_tail: Option<bool>,
-    /// Plan-cache hits since start.
-    pub plan_cache_hits: u64,
-    /// Plan-cache misses since start.
-    pub plan_cache_misses: u64,
     /// Currently open network connections (`None` when no server is
     /// attached). Filled by the network layer, which evaluates the same
     /// policy the facade uses so one verdict covers both.
@@ -178,13 +174,6 @@ pub struct HealthPolicy {
     pub wal_segments_degraded: u64,
     /// On-disk WAL segment count that makes the system unhealthy.
     pub wal_segments_unhealthy: u64,
-    /// Minimum plan-cache hit ratio (hits / lookups) once at least
-    /// [`HealthPolicy::plan_cache_min_lookups`] lookups have happened;
-    /// below it the verdict degrades.
-    pub plan_cache_min_hit_ratio: f64,
-    /// Lookups before the hit-ratio rule applies (a cold cache is not a
-    /// health problem).
-    pub plan_cache_min_lookups: u64,
     /// Connection saturation (active / limit) that degrades the verdict —
     /// the server is close enough to its connection limit that admission
     /// rejections are imminent.
@@ -208,8 +197,6 @@ impl std::fmt::Debug for HealthPolicy {
             .field("wal_bytes_unhealthy", &self.wal_bytes_unhealthy)
             .field("wal_segments_degraded", &self.wal_segments_degraded)
             .field("wal_segments_unhealthy", &self.wal_segments_unhealthy)
-            .field("plan_cache_min_hit_ratio", &self.plan_cache_min_hit_ratio)
-            .field("plan_cache_min_lookups", &self.plan_cache_min_lookups)
             .field("conn_saturation_degraded", &self.conn_saturation_degraded)
             .field("conn_saturation_unhealthy", &self.conn_saturation_unhealthy)
             .field("rules", &self.rules.len())
@@ -232,8 +219,6 @@ impl Default for HealthPolicy {
             wal_bytes_unhealthy: 512 << 20,
             wal_segments_degraded: 64,
             wal_segments_unhealthy: 512,
-            plan_cache_min_hit_ratio: 0.5,
-            plan_cache_min_lookups: 128,
             conn_saturation_degraded: 0.85,
             conn_saturation_unhealthy: 1.0,
             rules: Vec::new(),
@@ -378,23 +363,6 @@ impl HealthPolicy {
             });
         }
 
-        let lookups = inputs.plan_cache_hits + inputs.plan_cache_misses;
-        if lookups >= self.plan_cache_min_lookups && self.plan_cache_min_lookups != u64::MAX {
-            let ratio = inputs.plan_cache_hits as f64 / lookups as f64;
-            if ratio < self.plan_cache_min_hit_ratio {
-                reasons.push(HealthReason {
-                    code: "plan_cache_hit_ratio".to_owned(),
-                    status: HealthStatus::Degraded,
-                    value: ratio,
-                    threshold: self.plan_cache_min_hit_ratio,
-                    detail: format!(
-                        "plan cache hit ratio {ratio:.3} below {:.3} over {lookups} lookups",
-                        self.plan_cache_min_hit_ratio
-                    ),
-                });
-            }
-        }
-
         if let (Some(active), Some(limit)) =
             (inputs.net_active_connections, inputs.net_connection_limit)
         {
@@ -493,25 +461,6 @@ mod tests {
         assert_eq!(report.status, HealthStatus::Degraded);
         let codes: Vec<&str> = report.reasons.iter().map(|r| r.code.as_str()).collect();
         assert_eq!(codes, vec!["journal_lapsed:omega", "recovery_torn_tail"]);
-    }
-
-    #[test]
-    fn plan_cache_ratio_needs_warmup() {
-        let policy = HealthPolicy::default();
-        // cold cache: all misses but under the lookup floor → no reason
-        let cold = policy.evaluate(&HealthInputs {
-            plan_cache_misses: policy.plan_cache_min_lookups - 1,
-            ..HealthInputs::default()
-        });
-        assert!(cold.is_ok());
-        // warm cache with a bad ratio → degraded
-        let warm = policy.evaluate(&HealthInputs {
-            plan_cache_hits: 10,
-            plan_cache_misses: policy.plan_cache_min_lookups * 2,
-            ..HealthInputs::default()
-        });
-        assert_eq!(warm.status, HealthStatus::Degraded);
-        assert_eq!(warm.reasons[0].code, "plan_cache_hit_ratio");
     }
 
     #[test]

@@ -29,6 +29,21 @@ pub struct SavedSystem {
 impl SavedSystem {
     /// Capture a system.
     pub fn capture(penguin: &Penguin) -> Self {
+        Self::capture_with(penguin, DatabaseSnapshot::capture(penguin.database()))
+    }
+
+    /// Capture only the *definition* of a system — schema, objects,
+    /// translators — with an empty data snapshot. Persistent systems
+    /// (`Penguin::persistent` / `Penguin::open`) store definitions this
+    /// way: base data lives in the `vo-store` checkpoint + log, not in
+    /// the system file, mirroring the paper's remark that a saved view
+    /// object is uninstantiated.
+    pub fn capture_definition(penguin: &Penguin) -> Self {
+        Self::capture_with(penguin, DatabaseSnapshot::capture(&Database::new()))
+    }
+
+    /// The system's definition around the given data image.
+    fn capture_with(penguin: &Penguin, data: DatabaseSnapshot) -> Self {
         let mut objects = Vec::new();
         let mut translators = BTreeMap::new();
         for name in penguin.object_names() {
@@ -40,22 +55,10 @@ impl SavedSystem {
         }
         SavedSystem {
             schema: penguin.schema().clone(),
-            data: DatabaseSnapshot::capture(penguin.database()),
+            data,
             objects,
             translators,
         }
-    }
-
-    /// Capture only the *definition* of a system — schema, objects,
-    /// translators — with an empty data snapshot. Persistent systems
-    /// (`Penguin::persistent` / `Penguin::open`) store definitions this
-    /// way: base data lives in the `vo-store` checkpoint + log, not in
-    /// the system file, mirroring the paper's remark that a saved view
-    /// object is uninstantiated.
-    pub fn capture_definition(penguin: &Penguin) -> Self {
-        let mut saved = SavedSystem::capture(penguin);
-        saved.data = DatabaseSnapshot::capture(&Database::new());
-        saved
     }
 
     /// Restore a working system (re-validating everything: schemas,

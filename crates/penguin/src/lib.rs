@@ -4,11 +4,16 @@
 //! prototype of our view-object model has been implemented in the PENGUIN
 //! system"):
 //!
-//! - [`system::Penguin`] owns the structural schema, the database, and a
-//!   registry of view objects with their dialog-chosen translators;
-//! - [`session::Session`] pins snapshot-isolated MVCC read sessions:
-//!   concurrent readers never block the writer, and batches prepared on
-//!   a session commit at the head under first-committer-wins;
+//! - [`registry`] holds what is decided at definition time — the
+//!   structural schema and, per view object, its definition, island
+//!   analysis, dialog-chosen translator and access plan — and the one
+//!   implementation of every read over it;
+//! - [`system::Penguin`] owns the database and the head of that registry,
+//!   and is the single writer;
+//! - [`session::Session`] pins snapshot-isolated MVCC read sessions that
+//!   share the registry: concurrent readers never block the writer, and
+//!   batches prepared on a session commit at the head under
+//!   first-committer-wins;
 //! - [`voql`] is a small declarative query/update language on view objects
 //!   (`GET omega WHERE level = 'graduate' AND COUNT(STUDENT) < 5`);
 //! - [`fixtures`] provides the paper's university database (Figure 1) and
@@ -19,6 +24,7 @@
 pub mod catalog;
 pub mod fixtures;
 pub mod generator;
+pub mod registry;
 pub mod session;
 pub mod system;
 pub mod voql;
@@ -28,8 +34,9 @@ pub use fixtures::{hospital_database, hospital_schema, seed_hospital};
 pub use generator::{
     seed_ownership_chain, seed_university_scaled, synthetic_schema, university_scaled, SchemaShape,
 };
+pub use registry::RegisteredObject;
 pub use session::Session;
-pub use system::{Penguin, PenguinOptions, PlanCacheStats, RegisteredObject, WatchId, SYSTEM_FILE};
+pub use system::{Penguin, WatchId, SYSTEM_FILE};
 pub use vo_exec::{available_parallelism, Parallelism};
 pub use vo_store::{
     CheckpointPolicy, CompactionPolicy, CompactionReport, RecoveryReport, StoreOptions, SyncPolicy,

@@ -3,7 +3,9 @@
 //!
 //! [`crate::system::Penguin::session`] pins the database at its current
 //! committed version and hands back a [`Session`] — an immutable,
-//! `Send + Sync` view of the schema, the object registry, and the data.
+//! `Send + Sync` view of the definition-time registry (schema, objects,
+//! translators, access plans — shared with the head, not copied) and the
+//! data.
 //! Readers on a session never block the writer and never see its later
 //! commits: the snapshot shares every table with the head
 //! copy-on-write, so pinning is O(relations) and a commit copies only
@@ -34,70 +36,42 @@
 //! });
 //! ```
 
-use crate::system::RegisteredObject;
+use crate::registry::{RegisteredObject, Registry};
 use crate::voql::{self, VoqlOutcome, VoqlStatement};
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::Arc;
 use vo_core::prelude::*;
 use vo_exec::Parallelism;
 
 /// An immutable, thread-shareable view of a [`crate::system::Penguin`]
 /// pinned at one committed database version.
 ///
-/// Cheap to pin (tables are shared copy-on-write, never copied) and safe
-/// to read from any number of threads concurrently — all methods take
-/// `&self` and the only interior state, the per-session plan cache, is a
-/// [`Mutex`] held just long enough to clone a plan out.
-#[derive(Debug)]
+/// Cheap to pin and to clone — the definition-time registry (schema,
+/// objects, translators, access plans) and the snapshot are each shared
+/// behind an `Arc`, never copied — and safe to read from any number of
+/// threads concurrently: all methods take `&self` and there is no
+/// interior state.
+#[derive(Debug, Clone)]
 pub struct Session {
-    schema: StructuralSchema,
+    registry: Arc<Registry>,
     snapshot: DbSnapshot,
-    objects: BTreeMap<String, RegisteredObject>,
     parallelism: Parallelism,
-    /// Prepared access plans per object. Unlike the head system's cache
-    /// this one never invalidates: the snapshot's structure cannot move.
-    plans: Mutex<BTreeMap<String, ObjectPlan>>,
 }
 
 // a Session's whole point is crossing threads; fail the build if a field
 // ever stops being shareable
 const _: fn() = vo_exec::assert_send_sync::<Session>;
 
-impl Clone for Session {
-    /// Another handle on the same pinned version (the snapshot is shared,
-    /// the plan cache's current contents are copied).
-    fn clone(&self) -> Self {
-        Session {
-            schema: self.schema.clone(),
-            snapshot: self.snapshot.clone(),
-            objects: self.objects.clone(),
-            parallelism: self.parallelism,
-            plans: Mutex::new(self.plans().clone()),
-        }
-    }
-}
-
 impl Session {
     pub(crate) fn pin(
-        schema: StructuralSchema,
+        registry: Arc<Registry>,
         snapshot: DbSnapshot,
-        objects: BTreeMap<String, RegisteredObject>,
         parallelism: Parallelism,
-        plans: BTreeMap<String, ObjectPlan>,
     ) -> Self {
         Session {
-            schema,
+            registry,
             snapshot,
-            objects,
             parallelism,
-            plans: Mutex::new(plans),
         }
-    }
-
-    fn plans(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, ObjectPlan>> {
-        // plan cloning cannot panic, so a poisoned lock still guards a
-        // coherent cache
-        self.plans.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The committed database version this session is pinned at.
@@ -117,7 +91,7 @@ impl Session {
 
     /// The structural schema the session was pinned with.
     pub fn schema(&self) -> &StructuralSchema {
-        &self.schema
+        self.registry.schema()
     }
 
     /// The instantiation-parallelism setting inherited at pin time.
@@ -127,61 +101,36 @@ impl Session {
 
     /// Names of all objects registered when the session was pinned.
     pub fn object_names(&self) -> Vec<&str> {
-        self.objects.keys().map(|s| s.as_str()).collect()
+        self.registry.object_names()
     }
 
     /// Look up a registered object.
     pub fn object(&self, name: &str) -> Result<&RegisteredObject> {
-        self.objects
-            .get(name)
-            .ok_or_else(|| Error::NoSuchRelation(format!("view object {name}")))
-    }
-
-    fn object_plan(&self, name: &str, object: &ViewObject) -> Result<ObjectPlan> {
-        if let Some(p) = self.plans().get(name) {
-            return Ok(p.clone());
-        }
-        let p = plan_object(&self.schema, object, self.database())?;
-        self.plans().insert(name.to_owned(), p.clone());
-        Ok(p)
+        self.registry.object(name)
     }
 
     /// All instances of an object at the pinned version — the session
     /// counterpart of [`crate::system::Penguin::instantiate_all`], without
     /// any lock held during instantiation.
     pub fn instantiate_all(&self, name: &str) -> Result<Vec<VoInstance>> {
-        let reg = self.object(name)?;
-        let plan = self.object_plan(name, &reg.object)?;
-        let db = self.database();
-        let pivots: Vec<&Tuple> = db.table(reg.object.pivot())?.scan().collect();
-        let workers = self.parallelism.workers_for(pivots.len());
-        instantiate_many_parallel(&reg.object, db, &plan, &pivots, workers)
+        self.registry
+            .instantiate_all(self.database(), self.parallelism, name)
     }
 
     /// Execute a query on an object at the pinned version.
     pub fn query(&self, name: &str, query: &VoQuery) -> Result<Vec<VoInstance>> {
-        let reg = self.object(name)?;
-        query.execute(&self.schema, &reg.object, self.database())
+        self.registry.query(self.database(), name, query)
     }
 
     /// The instance anchored on `pivot_key` at the pinned version.
     pub fn instance_by_key(&self, name: &str, pivot_key: &Key) -> Result<VoInstance> {
-        let reg = self.object(name)?;
-        let tuple = self
-            .database()
-            .table(reg.object.pivot())?
-            .get(pivot_key)
-            .cloned()
-            .ok_or_else(|| Error::NoSuchTuple {
-                relation: reg.object.pivot().to_owned(),
-                key: pivot_key.to_string(),
-            })?;
-        assemble(&self.schema, &reg.object, self.database(), tuple)
+        self.registry
+            .instance_by_key(self.database(), name, pivot_key)
     }
 
     /// Verify the pinned database against the structural model.
     pub fn check_consistency(&self) -> Result<Vec<Violation>> {
-        check_database(&self.schema, self.database())
+        self.registry.check_consistency(self.database())
     }
 
     /// Parse a VOQL statement against the session's pinned object
@@ -190,7 +139,7 @@ impl Session {
     /// the pinned snapshot and routes `DELETE`/`UPDATE` to the head
     /// writer instead.
     pub fn parse_voql(&self, src: &str) -> Result<VoqlStatement> {
-        voql::parse_with(&|n| self.object(n).map(|r| &r.object), src)
+        voql::parse_in(&self.registry, src)
     }
 
     /// Execute an already-parsed statement against the pinned version.
@@ -198,22 +147,7 @@ impl Session {
     /// prepare the change here ([`Session::prepare_batch`]) and commit it
     /// at the head ([`crate::system::Penguin::commit_prepared`]).
     pub fn execute_voql(&self, stmt: &VoqlStatement) -> Result<VoqlOutcome> {
-        match stmt {
-            VoqlStatement::Get { object, query } => {
-                Ok(VoqlOutcome::Instances(self.query(object, query)?))
-            }
-            VoqlStatement::ShowObjects => Ok(VoqlOutcome::Text(self.object_names().join("\n"))),
-            VoqlStatement::ShowObject(name) => Ok(VoqlOutcome::Text(
-                self.object(name)?.object.to_tree_string(&self.schema),
-            )),
-            VoqlStatement::ShowSchema => Ok(VoqlOutcome::Text(self.schema.to_graph_string())),
-            VoqlStatement::Delete { object, .. } | VoqlStatement::Update { object, .. } => {
-                Err(Error::ConstraintViolation(format!(
-                    "sessions are read-only: prepare the update on {object} with \
-                     Session::prepare_batch and commit it through Penguin::commit_prepared"
-                )))
-            }
-        }
+        voql::read(&self.registry, self.database(), stmt)
     }
 
     /// Run the read-only VOQL subset (`GET`, `SHOW ...`) against the
@@ -234,17 +168,9 @@ impl Session {
         name: &str,
         batch: impl Into<UpdateBatch>,
     ) -> UpdateResult<PreparedBatch> {
-        let updater = self
-            .object(name)
-            .and_then(|reg| {
-                reg.updater.as_ref().ok_or_else(|| {
-                    Error::ConstraintViolation(format!(
-                        "no translator chosen for view object {name}; run the dialog first"
-                    ))
-                })
-            })
-            .map_err(|e| UpdateError::new(UpdateStep::Validate, e))?;
-        updater.prepare_batch(&self.schema, self.database(), batch)
+        self.registry
+            .updater(name)?
+            .prepare_batch(self.registry.schema(), self.database(), batch)
     }
 }
 

@@ -29,6 +29,7 @@
 //! early), so remote clients get machine-usable error locations over the
 //! wire.
 
+use crate::registry::Registry;
 use crate::system::Penguin;
 use vo_core::prelude::*;
 
@@ -385,17 +386,12 @@ impl<'a> P<'a> {
 /// Parse a VOQL statement. Needs the system to resolve object structure
 /// for WHERE conditions.
 pub fn parse(penguin: &Penguin, src: &str) -> Result<VoqlStatement> {
-    parse_with(&|name| penguin.object(name).map(|r| &r.object), src)
+    parse_in(penguin.registry(), src)
 }
 
-/// Parse against any object registry — the same grammar, resolved through
-/// `lookup` instead of a live [`Penguin`], so pinned
-/// [`crate::session::Session`]s can parse against their snapshot's
-/// registry.
-pub(crate) fn parse_with<'a>(
-    lookup: &dyn Fn(&str) -> Result<&'a ViewObject>,
-    src: &str,
-) -> Result<VoqlStatement> {
+/// Parse against a registry — the head's or the one a pinned
+/// [`crate::session::Session`] shares.
+pub(crate) fn parse_in(registry: &Registry, src: &str) -> Result<VoqlStatement> {
     let (toks, spans): (Vec<Tok>, Vec<usize>) = tokenize(src)?.into_iter().unzip();
     let mut p = P {
         toks,
@@ -427,7 +423,7 @@ pub(crate) fn parse_with<'a>(
         return Err(p.err("expected GET, DELETE, UPDATE or SHOW"));
     }
     let object_name = p.word()?;
-    p.object = Some(lookup(&object_name)?);
+    p.object = Some(&registry.object(&object_name)?.object);
     let mut assignments: Vec<(String, Value)> = Vec::new();
     if is_update {
         if !p.eat_word("SET") {
@@ -494,10 +490,15 @@ pub(crate) fn parse_with<'a>(
 
 /// Parse and execute a VOQL statement.
 pub fn run(penguin: &mut Penguin, src: &str) -> Result<VoqlOutcome> {
-    match parse(penguin, src)? {
-        VoqlStatement::Get { object, query } => {
-            Ok(VoqlOutcome::Instances(penguin.query(&object, &query)?))
-        }
+    let stmt = parse(penguin, src)?;
+    execute(penguin, stmt)
+}
+
+/// Execute a parsed statement at the head: `DELETE` and `UPDATE` go
+/// through the object's translator as one batch, everything else is a
+/// read of the current state.
+pub fn execute(penguin: &mut Penguin, stmt: VoqlStatement) -> Result<VoqlOutcome> {
+    match stmt {
         VoqlStatement::Delete { object, query } => {
             let batch = penguin
                 .query(&object, &query)?
@@ -532,14 +533,36 @@ pub fn run(penguin: &mut Penguin, src: &str) -> Result<VoqlOutcome> {
                 penguin, &object, batch,
             )?))
         }
-        VoqlStatement::ShowObjects => Ok(VoqlOutcome::Text(penguin.object_names().join("\n"))),
-        VoqlStatement::ShowObject(name) => {
-            let reg = penguin.object(&name)?;
-            Ok(VoqlOutcome::Text(
-                reg.object.to_tree_string(penguin.schema()),
-            ))
+        read_only => read(penguin.registry(), penguin.database(), &read_only),
+    }
+}
+
+/// The read-only subset (`GET`, `SHOW ...`) over any registry and
+/// database state — the head's or a pinned session's. `DELETE` and
+/// `UPDATE` are refused: a read never mutates.
+pub(crate) fn read(
+    registry: &Registry,
+    db: &Database,
+    stmt: &VoqlStatement,
+) -> Result<VoqlOutcome> {
+    match stmt {
+        VoqlStatement::Get { object, query } => {
+            Ok(VoqlOutcome::Instances(registry.query(db, object, query)?))
         }
-        VoqlStatement::ShowSchema => Ok(VoqlOutcome::Text(penguin.schema().to_graph_string())),
+        VoqlStatement::ShowObjects => Ok(VoqlOutcome::Text(registry.object_names().join("\n"))),
+        VoqlStatement::ShowObject(name) => Ok(VoqlOutcome::Text(
+            registry
+                .object(name)?
+                .object
+                .to_tree_string(registry.schema()),
+        )),
+        VoqlStatement::ShowSchema => Ok(VoqlOutcome::Text(registry.schema().to_graph_string())),
+        VoqlStatement::Delete { object, .. } | VoqlStatement::Update { object, .. } => {
+            Err(Error::ConstraintViolation(format!(
+                "sessions are read-only: prepare the update on {object} with \
+                 Session::prepare_batch and commit it through Penguin::commit_prepared"
+            )))
+        }
     }
 }
 

@@ -504,16 +504,15 @@ impl Database {
     /// borrow. Copy-on-write: a table still shared with a snapshot is
     /// copied first.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
+        let table = self
+            .tables
+            .get_mut(name)
+            .ok_or_else(|| Error::NoSuchRelation(name.to_owned()))?;
+        // only a borrow that was handed out can have changed anything
         self.structure_epoch += 1;
         self.version += 1;
-        let version = self.version;
-        match self.tables.get_mut(name) {
-            Some(t) => {
-                self.table_stamps.insert(name.to_owned(), version);
-                Ok(Arc::make_mut(t))
-            }
-            None => Err(Error::NoSuchRelation(name.to_owned())),
-        }
+        self.table_stamps.insert(name.to_owned(), self.version);
+        Ok(Arc::make_mut(table))
     }
 
     /// Mutable access for the data path (insert/delete/replace): does not
@@ -1346,6 +1345,16 @@ mod tests {
         assert_eq!(d.table_version("COURSES"), d.version());
         // the dropped relation's stamp keeps conflicting
         assert!(d.check_unchanged(["COURSES"], v1).is_err());
+    }
+
+    #[test]
+    fn failed_table_mut_changes_nothing() {
+        let mut d = db();
+        let (epoch, version) = (d.structure_epoch(), d.version());
+        assert!(matches!(d.table_mut("NOPE"), Err(Error::NoSuchRelation(_))));
+        assert_eq!(d.structure_epoch(), epoch);
+        assert_eq!(d.version(), version);
+        assert_eq!(d.table_version("NOPE"), 0);
     }
 
     #[test]

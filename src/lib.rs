@@ -67,8 +67,7 @@ pub mod prelude {
     };
     pub use vo_obs::slowlog::SlowOp;
     pub use vo_penguin::{
-        hospital_database, run_voql, university_scaled, Penguin, PenguinOptions, PlanCacheStats,
-        Session, VoqlOutcome, WatchId,
+        hospital_database, run_voql, university_scaled, Penguin, Session, VoqlOutcome, WatchId,
     };
     pub use vo_store::prelude::*;
 }

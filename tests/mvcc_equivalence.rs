@@ -245,6 +245,42 @@ fn concurrent_readers_match_serial_reinstantiation_across_seeds() {
     }
 }
 
+/// The registry is shared copy-on-write: however many sessions are pinned
+/// between definition changes, a change at the head never reaches one of
+/// them.
+#[test]
+fn a_thousand_pins_between_definition_changes_never_move_an_older_session() {
+    let mut p = oracle_system();
+    let oldest = p.session();
+    let seen = oldest.instantiate_all("omega").unwrap();
+    let unchanged = |s: &Session| {
+        s.object_names() == ["omega"]
+            && s.object("omega").unwrap().updater.is_none()
+            && s.instantiate_all("omega").unwrap() == seen
+    };
+
+    // every pin still alive at the change: the head must copy, not mutate
+    let pins: Vec<Session> = (0..1000).map(|_| p.session()).collect();
+    p.define_object("students", "STUDENT", &[]).unwrap();
+    assert!(unchanged(&oldest));
+    assert!(pins.iter().all(unchanged));
+
+    // every pin but the oldest gone again at the next change
+    drop(pins);
+    for _ in 0..1000 {
+        p.session();
+    }
+    let obj = p.object("omega").unwrap().object.clone();
+    p.install_translator("omega", Translator::permissive(&obj))
+        .unwrap();
+    assert!(unchanged(&oldest));
+
+    let newest = p.session();
+    assert_eq!(newest.object_names(), ["omega", "students"]);
+    assert!(newest.object("omega").unwrap().updater.is_some());
+    assert_eq!(newest.instantiate_all("omega").unwrap(), seen);
+}
+
 // ------------------------------------------------- first-committer-wins --
 
 fn conflict_system() -> Penguin {

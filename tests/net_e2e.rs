@@ -504,6 +504,51 @@ fn voql_parse_errors_carry_byte_offsets_across_the_wire() {
     assert_eq!(position, src.find("WHRE").unwrap());
 }
 
+// ------------------------------------------------- one reader, one plan --
+
+/// A wire `GET` runs the same read the head and a session run, over the
+/// plan the object was registered with: the three answers are byte-equal
+/// and each read is counted as served by a built plan. (The counter is
+/// process-wide and other tests read too, so the delta is a lower bound
+/// here; `tests/registry.rs` asserts it exactly.)
+#[test]
+fn wire_get_head_and_session_share_one_reader_over_the_registered_plan() {
+    const N: u64 = 20;
+    let served = penguin_vo::obs::metrics::counter("penguin.plan_cache.hits");
+    let head = fixture();
+    let session = head.session();
+    let (_server, addr) = start(ServerOptions::default());
+    let mut c = client(&addr);
+    let get = "GET omega WHERE level = 'graduate' AND COUNT(STUDENT) < 5";
+    let VoqlOutcome::Instances(expected) = session.voql(get).unwrap() else {
+        panic!("GET returned a non-instances outcome")
+    };
+    assert_eq!(expected.len(), 1);
+
+    let penguin_vo::penguin::VoqlStatement::Get { object, query } =
+        session.parse_voql(get).unwrap()
+    else {
+        panic!("GET parsed as something else")
+    };
+
+    let before = served.get();
+    for _ in 0..N {
+        let VoqlResult::Instances(wire) = c.voql(get).unwrap() else {
+            panic!("GET returned a non-instances outcome")
+        };
+        assert_eq!(render(&wire), render(&expected));
+        assert_eq!(
+            render(&head.query(&object, &query).unwrap()),
+            render(&expected)
+        );
+        assert_eq!(
+            render(&session.query(&object, &query).unwrap()),
+            render(&expected)
+        );
+    }
+    assert!(served.get() >= before + 3 * N);
+}
+
 // ------------------------------------------------- pinned-session reuse --
 
 /// Satellite: a connection's session stays pinned across sequential
