@@ -24,14 +24,17 @@
 //! GET omega WHERE level = 'graduate' AND COUNT(STUDENT) < 5
 //! ```
 //!
-//! Parse errors ([`Error::SqlParse`]) carry the **byte offset** of the
-//! offending token (or the source length when the statement ends too
-//! early), so remote clients get machine-usable error locations over the
-//! wire.
+//! This module holds the grammar only: tokens, the token cursor and the
+//! clauses spelled as in SQL (`SET`, `ORDER BY`, `LIMIT`) come from
+//! [`vo_relational::lex`]. Parse errors ([`Error::SqlParse`]) carry the
+//! **byte offset** of the offending token (or the source length when the
+//! statement ends too early), so remote clients get machine-usable error
+//! locations over the wire.
 
 use crate::registry::Registry;
 use crate::system::Penguin;
 use vo_core::prelude::*;
+use vo_relational::lex::Cursor;
 
 /// A parsed VOQL statement.
 #[derive(Debug, Clone)]
@@ -81,306 +84,55 @@ pub enum VoqlOutcome {
     Text(String),
 }
 
-// ------------------------------------------------------------ tokenizer --
-
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Word(String),
-    Str(String),
-    Int(i64),
-    Float(f64),
-    Sym(&'static str),
+/// Resolve a relation name to a node id of `object`.
+fn node_of(c: &Cursor, object: &ViewObject, relation: &str) -> Result<NodeId> {
+    object
+        .nodes()
+        .iter()
+        .find(|n| n.relation.eq_ignore_ascii_case(relation))
+        .map(|n| n.id)
+        .ok_or_else(|| {
+            c.err(format!(
+                "relation {relation} is not part of object {}",
+                object.name()
+            ))
+        })
 }
 
-/// Tokenize `src`, returning each token alongside the byte offset it
-/// starts at — the offsets parser errors report.
-fn tokenize(src: &str) -> Result<Vec<(Tok, usize)>> {
-    let bytes = src.as_bytes();
-    let mut pos = 0;
-    let mut out = Vec::new();
-    while pos < bytes.len() {
-        let c = bytes[pos] as char;
-        if c.is_ascii_whitespace() {
-            pos += 1;
-        } else if c.is_ascii_alphabetic() || c == '_' {
-            let start = pos;
-            while pos < bytes.len()
-                && ((bytes[pos] as char).is_ascii_alphanumeric()
-                    || bytes[pos] == b'_'
-                    || bytes[pos] == b'.')
-            {
-                pos += 1;
-            }
-            out.push((Tok::Word(src[start..pos].to_owned()), start));
-        } else if c.is_ascii_digit()
-            || (c == '-' && pos + 1 < bytes.len() && (bytes[pos + 1] as char).is_ascii_digit())
-        {
-            let start = pos;
-            pos += 1;
-            let mut float = false;
-            while pos < bytes.len() && ((bytes[pos] as char).is_ascii_digit() || bytes[pos] == b'.')
-            {
-                if bytes[pos] == b'.' {
-                    float = true;
-                }
-                pos += 1;
-            }
-            let text = &src[start..pos];
-            if float {
-                out.push((
-                    Tok::Float(text.parse().map_err(|_| Error::SqlParse {
-                        position: start,
-                        message: "bad float".into(),
-                    })?),
-                    start,
-                ));
-            } else {
-                out.push((
-                    Tok::Int(text.parse().map_err(|_| Error::SqlParse {
-                        position: start,
-                        message: "bad integer".into(),
-                    })?),
-                    start,
-                ));
-            }
-        } else if c == '\'' {
-            let start = pos;
-            pos += 1;
-            let mut s = String::new();
-            loop {
-                if pos >= bytes.len() {
-                    return Err(Error::SqlParse {
-                        position: start,
-                        message: "unterminated string".into(),
-                    });
-                }
-                if bytes[pos] == b'\'' {
-                    if pos + 1 < bytes.len() && bytes[pos + 1] == b'\'' {
-                        s.push('\'');
-                        pos += 2;
-                        continue;
-                    }
-                    pos += 1;
-                    break;
-                }
-                s.push(bytes[pos] as char);
-                pos += 1;
-            }
-            out.push((Tok::Str(s), start));
+/// `cond (AND cond)*`
+fn conditions(c: &mut Cursor, object: &ViewObject) -> Result<VoQuery> {
+    let mut q = VoQuery::new();
+    loop {
+        if c.eat_keyword("COUNT") {
+            c.expect_symbol("(")?;
+            let rel = c.ident()?;
+            c.expect_symbol(")")?;
+            let op = c.cmp_op()?;
+            let n = c.count()?;
+            q = q.with_count(node_of(c, object, &rel)?, op, n);
+        } else if c.eat_keyword("EXISTS") {
+            c.expect_symbol("(")?;
+            let rel = c.ident()?;
+            c.expect_symbol(")")?;
+            q = q.with_exists(node_of(c, object, &rel)?);
         } else {
-            let start = pos;
-            let sym: &'static str = match c {
-                '(' => "(",
-                ')' => ")",
-                ',' => ",",
-                '=' => "=",
-                '<' => {
-                    if src[pos..].starts_with("<=") {
-                        "<="
-                    } else if src[pos..].starts_with("<>") {
-                        "<>"
-                    } else {
-                        "<"
-                    }
-                }
-                '>' => {
-                    if src[pos..].starts_with(">=") {
-                        ">="
-                    } else {
-                        ">"
-                    }
-                }
-                other => {
-                    return Err(Error::SqlParse {
-                        position: pos,
-                        message: format!("unexpected character {other:?}"),
-                    })
-                }
+            let name = c.ident()?;
+            let (node, attr) = match name.split_once('.') {
+                Some((rel, attr)) => (node_of(c, object, rel)?, attr.to_owned()),
+                None => (0, name),
             };
-            pos += sym.len();
-            out.push((Tok::Sym(sym), start));
+            let op = c.cmp_op()?;
+            let v = c.literal()?;
+            q = q.with_predicate(
+                node,
+                Expr::Cmp(op, Box::new(Expr::attr(attr)), Box::new(Expr::Lit(v))),
+            );
+        }
+        if !c.eat_keyword("AND") {
+            break;
         }
     }
-    Ok(out)
-}
-
-// --------------------------------------------------------------- parser --
-
-struct P<'a> {
-    toks: Vec<Tok>,
-    /// Byte offset each token starts at, parallel to `toks`.
-    spans: Vec<usize>,
-    /// Length of the source, reported when the statement ends too early.
-    src_len: usize,
-    pos: usize,
-    object: Option<&'a ViewObject>,
-}
-
-impl<'a> P<'a> {
-    /// Byte offset of the token at `idx` (source length past the end).
-    fn offset(&self, idx: usize) -> usize {
-        self.spans.get(idx).copied().unwrap_or(self.src_len)
-    }
-
-    /// Error anchored at the token `idx` points to.
-    fn err_at(&self, idx: usize, message: impl Into<String>) -> Error {
-        Error::SqlParse {
-            position: self.offset(idx),
-            message: message.into(),
-        }
-    }
-
-    /// Error anchored at the *next* (not yet consumed) token.
-    fn err(&self, message: impl Into<String>) -> Error {
-        self.err_at(self.pos, message)
-    }
-
-    fn next(&mut self) -> Result<Tok> {
-        let t = self
-            .toks
-            .get(self.pos)
-            .cloned()
-            .ok_or_else(|| self.err("unexpected end"))?;
-        self.pos += 1;
-        Ok(t)
-    }
-
-    fn peek_word(&self) -> Option<&str> {
-        match self.toks.get(self.pos) {
-            Some(Tok::Word(w)) => Some(w.as_str()),
-            _ => None,
-        }
-    }
-
-    fn eat_word(&mut self, w: &str) -> bool {
-        if self
-            .peek_word()
-            .map(|x| x.eq_ignore_ascii_case(w))
-            .unwrap_or(false)
-        {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn word(&mut self) -> Result<String> {
-        let at = self.pos;
-        match self.next()? {
-            Tok::Word(w) => Ok(w),
-            other => Err(self.err_at(at, format!("expected identifier, got {other:?}"))),
-        }
-    }
-
-    fn cmp_op(&mut self) -> Result<CmpOp> {
-        let at = self.pos;
-        match self.next()? {
-            Tok::Sym("=") => Ok(CmpOp::Eq),
-            Tok::Sym("<>") => Ok(CmpOp::Ne),
-            Tok::Sym("<") => Ok(CmpOp::Lt),
-            Tok::Sym("<=") => Ok(CmpOp::Le),
-            Tok::Sym(">") => Ok(CmpOp::Gt),
-            Tok::Sym(">=") => Ok(CmpOp::Ge),
-            other => Err(self.err_at(at, format!("expected comparison, got {other:?}"))),
-        }
-    }
-
-    fn literal(&mut self) -> Result<Value> {
-        let at = self.pos;
-        match self.next()? {
-            Tok::Int(i) => Ok(Value::Int(i)),
-            Tok::Float(x) => Ok(Value::Float(x)),
-            Tok::Str(s) => Ok(Value::Text(s)),
-            Tok::Word(w) if w.eq_ignore_ascii_case("null") => Ok(Value::Null),
-            Tok::Word(w) if w.eq_ignore_ascii_case("true") => Ok(Value::Bool(true)),
-            Tok::Word(w) if w.eq_ignore_ascii_case("false") => Ok(Value::Bool(false)),
-            other => Err(self.err_at(at, format!("expected literal, got {other:?}"))),
-        }
-    }
-
-    /// Resolve a relation name to a node id of the current object.
-    fn node_of(&self, relation: &str) -> Result<NodeId> {
-        let object = self.object.ok_or_else(|| self.err("no object in scope"))?;
-        object
-            .nodes()
-            .iter()
-            .find(|n| n.relation.eq_ignore_ascii_case(relation))
-            .map(|n| n.id)
-            .ok_or_else(|| {
-                self.err(format!(
-                    "relation {relation} is not part of object {}",
-                    object.name()
-                ))
-            })
-    }
-
-    fn conditions(&mut self) -> Result<VoQuery> {
-        let mut q = VoQuery::new();
-        loop {
-            if self.eat_word("COUNT") {
-                self.expect_sym("(")?;
-                let rel = self.word()?;
-                self.expect_sym(")")?;
-                let op = self.cmp_op()?;
-                let at = self.pos;
-                let n = match self.next()? {
-                    Tok::Int(i) if i >= 0 => i as usize,
-                    other => {
-                        return Err(
-                            self.err_at(at, format!("expected non-negative count, got {other:?}"))
-                        )
-                    }
-                };
-                q = q.with_count(self.node_of(&rel)?, op, n);
-            } else if self.eat_word("EXISTS") {
-                self.expect_sym("(")?;
-                let rel = self.word()?;
-                self.expect_sym(")")?;
-                q = q.with_exists(self.node_of(&rel)?);
-            } else {
-                let name = self.word()?;
-                let (node, attr) = match name.split_once('.') {
-                    Some((rel, attr)) => (self.node_of(rel)?, attr.to_owned()),
-                    None => (0, name),
-                };
-                let op = self.cmp_op()?;
-                let v = self.literal()?;
-                q = q.with_predicate(
-                    node,
-                    Expr::Cmp(op, Box::new(Expr::attr(attr)), Box::new(Expr::Lit(v))),
-                );
-            }
-            if !self.eat_word("AND") {
-                break;
-            }
-        }
-        Ok(q)
-    }
-
-    fn eat_sym(&mut self, s: &str) -> bool {
-        if matches!(self.toks.get(self.pos), Some(Tok::Sym(x)) if *x == s) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_sym(&mut self, s: &str) -> Result<()> {
-        let at = self.pos;
-        match self.next()? {
-            Tok::Sym(x) if x == s => Ok(()),
-            other => Err(self.err_at(at, format!("expected {s}, got {other:?}"))),
-        }
-    }
-
-    fn finish(&self) -> Result<()> {
-        if self.pos != self.toks.len() {
-            return Err(self.err("trailing tokens"));
-        }
-        Ok(())
-    }
+    Ok(q)
 }
 
 /// Parse a VOQL statement. Needs the system to resolve object structure
@@ -392,83 +144,51 @@ pub fn parse(penguin: &Penguin, src: &str) -> Result<VoqlStatement> {
 /// Parse against a registry — the head's or the one a pinned
 /// [`crate::session::Session`] shares.
 pub(crate) fn parse_in(registry: &Registry, src: &str) -> Result<VoqlStatement> {
-    let (toks, spans): (Vec<Tok>, Vec<usize>) = tokenize(src)?.into_iter().unzip();
-    let mut p = P {
-        toks,
-        spans,
-        src_len: src.len(),
-        pos: 0,
-        object: None,
-    };
-    if p.eat_word("SHOW") {
-        if p.eat_word("OBJECTS") {
-            p.finish()?;
+    let mut c = Cursor::new(src)?;
+    let stmt = statement(&mut c, registry)?;
+    c.finish()?;
+    Ok(stmt)
+}
+
+fn statement(c: &mut Cursor, registry: &Registry) -> Result<VoqlStatement> {
+    if c.eat_keyword("SHOW") {
+        if c.eat_keyword("OBJECTS") {
             return Ok(VoqlStatement::ShowObjects);
         }
-        if p.eat_word("OBJECT") {
-            let name = p.word()?;
-            p.finish()?;
-            return Ok(VoqlStatement::ShowObject(name));
+        if c.eat_keyword("OBJECT") {
+            return Ok(VoqlStatement::ShowObject(c.ident()?));
         }
-        if p.eat_word("SCHEMA") {
-            p.finish()?;
+        if c.eat_keyword("SCHEMA") {
             return Ok(VoqlStatement::ShowSchema);
         }
-        return Err(p.err("expected OBJECTS, OBJECT or SCHEMA"));
+        return Err(c.err("expected OBJECTS, OBJECT or SCHEMA"));
     }
-    let is_get = p.eat_word("GET");
-    let is_delete = !is_get && p.eat_word("DELETE");
-    let is_update = !is_get && !is_delete && p.eat_word("UPDATE");
+    let is_get = c.eat_keyword("GET");
+    let is_delete = !is_get && c.eat_keyword("DELETE");
+    let is_update = !is_get && !is_delete && c.eat_keyword("UPDATE");
     if !is_get && !is_delete && !is_update {
-        return Err(p.err("expected GET, DELETE, UPDATE or SHOW"));
+        return Err(c.err("expected GET, DELETE, UPDATE or SHOW"));
     }
-    let object_name = p.word()?;
-    p.object = Some(&registry.object(&object_name)?.object);
-    let mut assignments: Vec<(String, Value)> = Vec::new();
-    if is_update {
-        if !p.eat_word("SET") {
-            return Err(p.err("expected SET"));
-        }
-        loop {
-            let attr = p.word()?;
+    let object_name = c.ident()?;
+    let object = &registry.object(&object_name)?.object;
+    let assignments = if is_update {
+        c.assignments(|c| {
+            let attr = c.ident()?;
             if attr.contains('.') {
-                return Err(p.err("UPDATE assignments address pivot attributes only"));
+                return Err(c.err("UPDATE assignments address pivot attributes only"));
             }
-            p.expect_sym("=")?;
-            let v = p.literal()?;
-            assignments.push((attr, v));
-            if !p.eat_sym(",") {
-                break;
-            }
-        }
-    }
-    let mut query = if p.eat_word("WHERE") {
-        p.conditions()?
+            Ok(attr)
+        })?
+    } else {
+        Vec::new()
+    };
+    let mut query = if c.eat_keyword("WHERE") {
+        conditions(c, object)?
     } else {
         VoQuery::new()
     };
-    if p.eat_word("ORDER") {
-        if !p.eat_word("BY") {
-            return Err(p.err("expected BY after ORDER"));
-        }
-        loop {
-            let attr = p.word()?;
-            query.order_by.push(attr);
-            if !p.eat_word("AND") && !p.eat_sym(",") {
-                break;
-            }
-        }
-    }
-    if p.eat_word("LIMIT") {
-        let at = p.pos;
-        match p.next()? {
-            Tok::Int(n) if n >= 0 => query.limit = Some(n as usize),
-            other => {
-                return Err(p.err_at(at, format!("expected non-negative LIMIT, got {other:?}")))
-            }
-        }
-    }
-    p.finish()?;
+    query.order_by = c.order_by()?;
+    query.limit = c.limit()?;
     if is_get {
         Ok(VoqlStatement::Get {
             object: object_name,
@@ -811,6 +531,36 @@ mod tests {
         // appeared where the operator belonged
         let src = "GET omega WHERE level 'graduate'";
         assert_eq!(parse_position(&p, src), src.find("'graduate'").unwrap());
+    }
+
+    #[test]
+    fn order_by_list_is_comma_separated() {
+        let p = system();
+        let src = "GET omega ORDER BY course_id AND title";
+        assert_eq!(parse_position(&p, src), src.find("AND").unwrap());
+        assert!(parse(&p, "GET omega ORDER BY course_id, title").is_ok());
+    }
+
+    #[test]
+    fn lexical_errors_report_where_the_bad_token_starts() {
+        let p = system();
+        // the same tokenizer, hence the same offsets, as the SQL subset
+        let src = "GET omega WHERE title = 'x";
+        assert_eq!(parse_position(&p, src), src.find('\'').unwrap());
+        let src = "GET omega WHERE title = #";
+        assert_eq!(parse_position(&p, src), src.find('#').unwrap());
+        // SQL's `;` and `*` are tokens VOQL's grammar has no place for
+        let src = "GET omega;";
+        assert_eq!(parse_position(&p, src), src.find(';').unwrap());
+        let src = "GET omega WHERE COUNT(*) < 5";
+        assert_eq!(parse_position(&p, src), src.find('*').unwrap());
+        // text inside a string literal is kept as written
+        match parse(&p, "GET omega WHERE title = 'Caf\u{e9}'").unwrap() {
+            VoqlStatement::Get { query, .. } => {
+                assert!(format!("{query:?}").contains("Caf\u{e9}"), "{query:?}")
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Grouping and aggregation.
 //!
 //! [`aggregate_rows`] groups input rows by a list of columns and
-//! computes aggregate functions per group. SQL surface: `SELECT dept,
+//! computes aggregate functions per group; it is how the evaluator applies
+//! a [`crate::algebra::Plan::Aggregate`] node. SQL surface: `SELECT dept,
 //! COUNT(*) AS n FROM t GROUP BY dept HAVING n > 2`. With an empty
 //! `group_by`, the whole input is one group (global aggregates).
 //!
@@ -9,8 +10,7 @@
 //! counts rows, aggregates over an empty group yield NULL (except
 //! `COUNT`, which yields 0), and NULL group keys form their own group.
 
-use crate::algebra::{Plan, ResultSet};
-use crate::database::Database;
+use crate::algebra::ResultSet;
 use crate::error::{Error, Result};
 use crate::value::Value;
 use std::collections::BTreeMap;
@@ -175,22 +175,11 @@ pub fn aggregate_rows(
     Ok(ResultSet { columns, rows })
 }
 
-impl Database {
-    /// Evaluate `input`, then aggregate.
-    pub fn execute_aggregate(
-        &self,
-        input: &Plan,
-        group_by: &[String],
-        aggs: &[AggSpec],
-    ) -> Result<ResultSet> {
-        let rs = self.execute(input)?;
-        aggregate_rows(&rs, group_by, aggs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::Plan;
+    use crate::database::Database;
     use crate::predicate::Expr;
     use crate::schema::{AttributeDef, RelationSchema};
     use crate::value::DataType;
@@ -230,25 +219,35 @@ mod tests {
         d
     }
 
+    /// Evaluate `input`, then aggregate, as one plan.
+    fn execute_aggregate(
+        d: &Database,
+        input: &Plan,
+        group_by: &[String],
+        aggs: &[AggSpec],
+    ) -> Result<ResultSet> {
+        d.execute(&input.clone().aggregate(group_by.to_vec(), aggs.to_vec()))
+    }
+
     #[test]
     fn group_count_star_and_column() {
         let d = db();
-        let rs = d
-            .execute_aggregate(
-                &Plan::scan("G"),
-                &["G.course".to_string()],
-                &[
-                    AggSpec {
-                        func: AggFunc::CountStar,
-                        alias: "n".into(),
-                    },
-                    AggSpec {
-                        func: AggFunc::Count("score".into()),
-                        alias: "scored".into(),
-                    },
-                ],
-            )
-            .unwrap();
+        let rs = execute_aggregate(
+            &d,
+            &Plan::scan("G"),
+            &["G.course".to_string()],
+            &[
+                AggSpec {
+                    func: AggFunc::CountStar,
+                    alias: "n".into(),
+                },
+                AggSpec {
+                    func: AggFunc::Count("score".into()),
+                    alias: "scored".into(),
+                },
+            ],
+        )
+        .unwrap();
         assert_eq!(rs.columns, vec!["G.course", "n", "scored"]);
         assert_eq!(rs.rows.len(), 2);
         assert_eq!(
@@ -264,30 +263,30 @@ mod tests {
     #[test]
     fn sum_avg_min_max() {
         let d = db();
-        let rs = d
-            .execute_aggregate(
-                &Plan::scan("G"),
-                &["course".to_string()],
-                &[
-                    AggSpec {
-                        func: AggFunc::Sum("score".into()),
-                        alias: "s".into(),
-                    },
-                    AggSpec {
-                        func: AggFunc::Avg("score".into()),
-                        alias: "a".into(),
-                    },
-                    AggSpec {
-                        func: AggFunc::Min("score".into()),
-                        alias: "lo".into(),
-                    },
-                    AggSpec {
-                        func: AggFunc::Max("score".into()),
-                        alias: "hi".into(),
-                    },
-                ],
-            )
-            .unwrap();
+        let rs = execute_aggregate(
+            &d,
+            &Plan::scan("G"),
+            &["course".to_string()],
+            &[
+                AggSpec {
+                    func: AggFunc::Sum("score".into()),
+                    alias: "s".into(),
+                },
+                AggSpec {
+                    func: AggFunc::Avg("score".into()),
+                    alias: "a".into(),
+                },
+                AggSpec {
+                    func: AggFunc::Min("score".into()),
+                    alias: "lo".into(),
+                },
+                AggSpec {
+                    func: AggFunc::Max("score".into()),
+                    alias: "hi".into(),
+                },
+            ],
+        )
+        .unwrap();
         assert_eq!(rs.rows[0][1], Value::Float(7.0));
         assert_eq!(rs.rows[0][2], Value::Float(3.5));
         assert_eq!(rs.rows[0][3], Value::Float(3.0));
@@ -297,54 +296,54 @@ mod tests {
     #[test]
     fn global_aggregate_no_groups() {
         let d = db();
-        let rs = d
-            .execute_aggregate(
-                &Plan::scan("G"),
-                &[],
-                &[AggSpec {
-                    func: AggFunc::CountStar,
-                    alias: "n".into(),
-                }],
-            )
-            .unwrap();
+        let rs = execute_aggregate(
+            &d,
+            &Plan::scan("G"),
+            &[],
+            &[AggSpec {
+                func: AggFunc::CountStar,
+                alias: "n".into(),
+            }],
+        )
+        .unwrap();
         assert_eq!(rs.rows, vec![vec![Value::Int(5)]]);
     }
 
     #[test]
     fn global_aggregate_over_empty_input() {
         let d = db();
-        let rs = d
-            .execute_aggregate(
-                &Plan::scan("G").select(Expr::attr("course").eq(Expr::lit("Z"))),
-                &[],
-                &[
-                    AggSpec {
-                        func: AggFunc::CountStar,
-                        alias: "n".into(),
-                    },
-                    AggSpec {
-                        func: AggFunc::Sum("score".into()),
-                        alias: "s".into(),
-                    },
-                ],
-            )
-            .unwrap();
+        let rs = execute_aggregate(
+            &d,
+            &Plan::scan("G").select(Expr::attr("course").eq(Expr::lit("Z"))),
+            &[],
+            &[
+                AggSpec {
+                    func: AggFunc::CountStar,
+                    alias: "n".into(),
+                },
+                AggSpec {
+                    func: AggFunc::Sum("score".into()),
+                    alias: "s".into(),
+                },
+            ],
+        )
+        .unwrap();
         assert_eq!(rs.rows, vec![vec![Value::Int(0), Value::Null]]);
     }
 
     #[test]
     fn grouped_aggregate_over_empty_input_has_no_rows() {
         let d = db();
-        let rs = d
-            .execute_aggregate(
-                &Plan::scan("G").select(Expr::attr("course").eq(Expr::lit("Z"))),
-                &["course".to_string()],
-                &[AggSpec {
-                    func: AggFunc::CountStar,
-                    alias: "n".into(),
-                }],
-            )
-            .unwrap();
+        let rs = execute_aggregate(
+            &d,
+            &Plan::scan("G").select(Expr::attr("course").eq(Expr::lit("Z"))),
+            &["course".to_string()],
+            &[AggSpec {
+                func: AggFunc::CountStar,
+                alias: "n".into(),
+            }],
+        )
+        .unwrap();
         assert!(rs.rows.is_empty());
     }
 
@@ -365,23 +364,24 @@ mod tests {
         .unwrap();
         d.insert("T", vec![1.into(), 10.into()]).unwrap();
         d.insert("T", vec![2.into(), 32.into()]).unwrap();
-        let rs = d
-            .execute_aggregate(
-                &Plan::scan("T"),
-                &[],
-                &[AggSpec {
-                    func: AggFunc::Sum("v".into()),
-                    alias: "s".into(),
-                }],
-            )
-            .unwrap();
+        let rs = execute_aggregate(
+            &d,
+            &Plan::scan("T"),
+            &[],
+            &[AggSpec {
+                func: AggFunc::Sum("v".into()),
+                alias: "s".into(),
+            }],
+        )
+        .unwrap();
         assert_eq!(rs.rows[0][0], Value::Int(42));
     }
 
     #[test]
     fn non_numeric_sum_is_error() {
         let d = db();
-        let r = d.execute_aggregate(
+        let r = execute_aggregate(
+            &d,
             &Plan::scan("G"),
             &[],
             &[AggSpec {
@@ -395,22 +395,22 @@ mod tests {
     #[test]
     fn min_max_on_text() {
         let d = db();
-        let rs = d
-            .execute_aggregate(
-                &Plan::scan("G"),
-                &[],
-                &[
-                    AggSpec {
-                        func: AggFunc::Min("course".into()),
-                        alias: "lo".into(),
-                    },
-                    AggSpec {
-                        func: AggFunc::Max("course".into()),
-                        alias: "hi".into(),
-                    },
-                ],
-            )
-            .unwrap();
+        let rs = execute_aggregate(
+            &d,
+            &Plan::scan("G"),
+            &[],
+            &[
+                AggSpec {
+                    func: AggFunc::Min("course".into()),
+                    alias: "lo".into(),
+                },
+                AggSpec {
+                    func: AggFunc::Max("course".into()),
+                    alias: "hi".into(),
+                },
+            ],
+        )
+        .unwrap();
         assert_eq!(rs.rows[0], vec![Value::text("A"), Value::text("B")]);
     }
 }

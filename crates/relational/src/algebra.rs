@@ -6,6 +6,7 @@
 //! and [`crate::predicate::resolve_column`] lets predicates use bare names
 //! when unambiguous.
 
+use crate::aggregate::{aggregate_rows, AggSpec};
 use crate::database::Database;
 use crate::error::{Error, Result};
 use crate::predicate::{resolve_column, Expr};
@@ -51,6 +52,15 @@ pub enum Plan {
     Limit { input: Box<Plan>, n: usize },
     /// Remove duplicate rows.
     Distinct { input: Box<Plan> },
+    /// Group by the named columns and compute `aggs` per group (one global
+    /// group when `group_by` is empty); columns come out as the grouping
+    /// columns followed by the aggregate aliases. `HAVING` is a `Select`
+    /// above this node.
+    Aggregate {
+        input: Box<Plan>,
+        group_by: Vec<String>,
+        aggs: Vec<AggSpec>,
+    },
 }
 
 impl Plan {
@@ -117,6 +127,15 @@ impl Plan {
         }
     }
 
+    /// Wrap in a grouping / aggregation.
+    pub fn aggregate(self, group_by: Vec<String>, aggs: Vec<AggSpec>) -> Plan {
+        Plan::Aggregate {
+            input: Box::new(self),
+            group_by,
+            aggs,
+        }
+    }
+
     /// Base relations referenced anywhere in the plan.
     pub fn relations(&self) -> Vec<&str> {
         let mut out = Vec::new();
@@ -127,21 +146,11 @@ impl Plan {
     }
 
     fn collect_relations<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            Plan::Scan { relation } => out.push(relation),
-            Plan::Select { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Rename { input, .. }
-            | Plan::Sort { input, .. }
-            | Plan::Limit { input, .. }
-            | Plan::Distinct { input } => input.collect_relations(out),
-            Plan::Join { left, right, .. }
-            | Plan::Union { left, right }
-            | Plan::Difference { left, right }
-            | Plan::Product { left, right } => {
-                left.collect_relations(out);
-                right.collect_relations(out);
-            }
+        if let Plan::Scan { relation } = self {
+            out.push(relation);
+        }
+        for child in self.children() {
+            child.collect_relations(out);
         }
     }
 
@@ -154,7 +163,8 @@ impl Plan {
             | Plan::Rename { input, .. }
             | Plan::Sort { input, .. }
             | Plan::Limit { input, .. }
-            | Plan::Distinct { input } => vec![input],
+            | Plan::Distinct { input }
+            | Plan::Aggregate { input, .. } => vec![input],
             Plan::Join { left, right, .. }
             | Plan::Union { left, right }
             | Plan::Difference { left, right }
@@ -183,6 +193,17 @@ impl Plan {
             Plan::Sort { by, .. } => format!("Sort[{}]", by.join(",")),
             Plan::Limit { n, .. } => format!("Limit[{n}]"),
             Plan::Distinct { .. } => "Distinct".to_owned(),
+            Plan::Aggregate { group_by, aggs, .. } => {
+                let aggs: Vec<String> = aggs
+                    .iter()
+                    .map(|a| format!("{} AS {}", a.func, a.alias))
+                    .collect();
+                format!(
+                    "Aggregate[group by {}; {}]",
+                    group_by.join(","),
+                    aggs.join(", ")
+                )
+            }
         }
     }
 
@@ -199,26 +220,12 @@ impl Plan {
 
 impl fmt::Display for Plan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Plan::Scan { relation } => write!(f, "Scan({relation})"),
-            Plan::Select { input, pred } => write!(f, "Select[{pred}]({input})"),
-            Plan::Project { input, columns } => {
-                write!(f, "Project[{}]({input})", columns.join(","))
-            }
-            Plan::Join { left, right, on } => {
-                let conds: Vec<String> = on.iter().map(|(l, r)| format!("{l}={r}")).collect();
-                write!(f, "Join[{}]({left}, {right})", conds.join(" AND "))
-            }
-            Plan::Rename { input, mapping } => {
-                let ms: Vec<String> = mapping.iter().map(|(o, n)| format!("{o}->{n}")).collect();
-                write!(f, "Rename[{}]({input})", ms.join(","))
-            }
-            Plan::Union { left, right } => write!(f, "Union({left}, {right})"),
-            Plan::Difference { left, right } => write!(f, "Diff({left}, {right})"),
-            Plan::Product { left, right } => write!(f, "Product({left}, {right})"),
-            Plan::Sort { input, by } => write!(f, "Sort[{}]({input})", by.join(",")),
-            Plan::Limit { input, n } => write!(f, "Limit[{n}]({input})"),
-            Plan::Distinct { input } => write!(f, "Distinct({input})"),
+        f.write_str(&self.node_label())?;
+        let inputs: Vec<String> = self.children().iter().map(|c| c.to_string()).collect();
+        if inputs.is_empty() {
+            Ok(())
+        } else {
+            write!(f, "({})", inputs.join(", "))
         }
     }
 }
@@ -303,40 +310,46 @@ impl Database {
     /// is off the only cost over the raw evaluator is one relaxed atomic
     /// load per operator node.
     pub fn execute(&self, plan: &Plan) -> Result<ResultSet> {
-        let mut sp = trace::span("relational.execute");
-        let mut inputs = Vec::with_capacity(2);
-        for child in plan.children() {
-            inputs.push(self.execute(child)?);
-        }
-        let rs = self.apply_operator(plan, inputs)?;
-        if sp.is_recording() {
-            sp.field("op", vo_obs::json::Json::str(plan.node_label()));
-            sp.field("rows_out", vo_obs::json::Json::Int(rs.len() as i64));
-        }
-        Ok(rs)
+        self.walk(plan, None)
     }
 
     /// Evaluate a plan and return both its result and an operator-tree
     /// profile: per node, rows in/out, inclusive wall time, and the access
     /// path taken. This is the engine behind `EXPLAIN ANALYZE`.
     pub fn execute_profiled(&self, plan: &Plan) -> Result<(ResultSet, ProfileNode)> {
-        let start = Instant::now();
+        let mut root = Vec::with_capacity(1);
+        let rs = self.walk(plan, Some(&mut root))?;
+        Ok((rs, root.pop().expect("a profiled walk pushes its node")))
+    }
+
+    /// The one evaluation walk. With `profile` set, this node's profile is
+    /// pushed onto it (the parent's list of children); without, no clock
+    /// is read and nothing is allocated for it.
+    fn walk(&self, plan: &Plan, profile: Option<&mut Vec<ProfileNode>>) -> Result<ResultSet> {
+        let mut sp = trace::span("relational.execute");
+        let start = profile.is_some().then(Instant::now);
         let mut inputs = Vec::with_capacity(2);
-        let mut child_profiles = Vec::with_capacity(2);
+        let mut child_profiles = Vec::new();
         for child in plan.children() {
-            let (rs, prof) = self.execute_profiled(child)?;
-            inputs.push(rs);
-            child_profiles.push(prof);
+            let children = start.is_some().then_some(&mut child_profiles);
+            inputs.push(self.walk(child, children)?);
         }
         let rows_in: u64 = inputs.iter().map(|r| r.len() as u64).sum();
         let rs = self.apply_operator(plan, inputs)?;
-        let mut node = ProfileNode::new(plan.node_label());
-        node.access_path = plan.access_label().to_owned();
-        node.rows_in = rows_in;
-        node.rows_out = rs.len() as u64;
-        node.set_elapsed(start.elapsed());
-        node.children = child_profiles;
-        Ok((rs, node))
+        if sp.is_recording() {
+            sp.field("op", vo_obs::json::Json::str(plan.node_label()));
+            sp.field("rows_out", vo_obs::json::Json::Int(rs.len() as i64));
+        }
+        if let (Some(siblings), Some(start)) = (profile, start) {
+            let mut node = ProfileNode::new(plan.node_label());
+            node.access_path = plan.access_label().to_owned();
+            node.rows_in = rows_in;
+            node.rows_out = rs.len() as u64;
+            node.set_elapsed(start.elapsed());
+            node.children = child_profiles;
+            siblings.push(node);
+        }
+        Ok(rs)
     }
 
     /// Apply one operator to already-evaluated inputs (one [`ResultSet`]
@@ -528,6 +541,9 @@ impl Database {
                 rs.rows.sort();
                 rs.rows.dedup();
                 Ok(rs)
+            }
+            Plan::Aggregate { group_by, aggs, .. } => {
+                aggregate_rows(&inputs.pop().unwrap(), group_by, aggs)
             }
         }
     }

@@ -484,11 +484,12 @@ impl Database {
 
     /// Drop a relation and all its tuples.
     pub fn drop_relation(&mut self, name: &str) -> Result<()> {
-        self.structure_epoch += 1;
         self.tables
             .remove(name)
-            .map(|_| self.structural_stamp(name))
-            .ok_or_else(|| Error::NoSuchRelation(name.to_owned()))
+            .ok_or_else(|| Error::NoSuchRelation(name.to_owned()))?;
+        self.structure_epoch += 1;
+        self.structural_stamp(name);
+        Ok(())
     }
 
     /// Borrow a table.
@@ -529,8 +530,9 @@ impl Database {
 
     /// Create a secondary index over `attrs` of `relation`.
     pub fn create_index(&mut self, relation: &str, attrs: &[String]) -> Result<()> {
+        self.data_table_mut(relation)?.create_index(attrs)?;
         self.structure_epoch += 1;
-        self.data_table_mut(relation)?.create_index(attrs)
+        Ok(())
     }
 
     /// Create a secondary index over `attrs` of `relation` unless one
@@ -1355,6 +1357,32 @@ mod tests {
         assert_eq!(d.structure_epoch(), epoch);
         assert_eq!(d.version(), version);
         assert_eq!(d.table_version("NOPE"), 0);
+    }
+
+    #[test]
+    fn failed_ddl_changes_nothing() {
+        let mut d = db();
+        let stamps = |d: &Database| (d.structure_epoch(), d.version(), d.table_version("COURSES"));
+        let before = stamps(&d);
+        assert!(matches!(
+            d.drop_relation("NOPE"),
+            Err(Error::NoSuchRelation(_))
+        ));
+        assert_eq!(stamps(&d), before);
+        assert_eq!(d.table_version("NOPE"), 0);
+        // an index on an unknown relation, then on an unknown attribute
+        assert!(d.create_index("NOPE", &["x".to_owned()]).is_err());
+        assert_eq!(stamps(&d), before);
+        assert!(d.create_index("COURSES", &["nope".to_owned()]).is_err());
+        assert_eq!(stamps(&d), before);
+        assert!(d.ensure_index("COURSES", &["nope".to_owned()]).is_err());
+        assert_eq!(stamps(&d), before);
+        // the successful calls still move the epoch
+        d.create_index("COURSES", &["dept_name".to_owned()])
+            .unwrap();
+        assert_eq!(d.structure_epoch(), before.0 + 1);
+        d.drop_relation("COURSES").unwrap();
+        assert_eq!(d.structure_epoch(), before.0 + 2);
     }
 
     #[test]

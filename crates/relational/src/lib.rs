@@ -15,8 +15,9 @@
 //!   with transactional batch application and rollback.
 //! - **Relational algebra** ([`algebra`]) with selections, projections and
 //!   joins, used to instantiate view objects from base data.
-//! - A **SQL subset** ([`sql`]) for examples and ad-hoc inspection, and a
-//!   small **logical optimizer** ([`optimizer`]).
+//! - A **SQL subset** ([`sql`]) for examples and ad-hoc inspection, over the
+//!   tokenizer and token cursor ([`lex`]) it shares with VOQL, and a small
+//!   **logical optimizer** ([`optimizer`]).
 //!
 //! Everything is deterministic: tables iterate in key order, so repeated
 //! runs of the experiment harness produce identical output.
@@ -44,6 +45,7 @@ pub mod codec;
 pub mod database;
 pub mod error;
 pub use vo_obs::json;
+pub mod lex;
 pub mod optimizer;
 pub mod overlay;
 pub mod predicate;

@@ -1,5 +1,5 @@
 //! Logical plan rewrites: selection pushdown, select merging, constant
-//! folding, and redundant-node elimination.
+//! folding, and elimination of no-op selections and stacked distincts.
 //!
 //! The optimizer is semantics-preserving (verified by property tests in the
 //! crate's test suite): for any database, the optimized plan returns the
@@ -44,14 +44,6 @@ fn rewrite(plan: Plan) -> Plan {
                 }
             }
         },
-        // identity projection
-        Plan::Project { input, columns } => {
-            if projection_is_identity(&input, &columns) {
-                *input
-            } else {
-                Plan::Project { input, columns }
-            }
-        }
         // distinct of distinct
         Plan::Distinct { input } => match *input {
             Plan::Distinct { input: inner } => Plan::Distinct { input: inner },
@@ -64,8 +56,8 @@ fn rewrite(plan: Plan) -> Plan {
 }
 
 /// Try to push a selection below joins / products when the predicate only
-/// references one side's columns, and below renames by back-substituting
-/// column names.
+/// references one side's columns. Every other node keeps the selection
+/// above it — for an `Aggregate` that is what makes it a `HAVING`.
 fn push_select(plan: Plan, pred: Expr) -> Plan {
     match plan {
         Plan::Join { left, right, on } => {
@@ -170,16 +162,9 @@ fn static_columns(plan: &Plan) -> Option<Vec<String>> {
             Some(l)
         }
         Plan::Union { left, .. } | Plan::Difference { left, .. } => static_columns(left),
+        // grouping columns come out under their resolved input names
+        Plan::Aggregate { .. } => None,
     }
-}
-
-/// Special handling so `rel.*` markers from scans match any `rel.attr`
-/// column reference.
-fn projection_is_identity(_input: &Plan, _columns: &[String]) -> bool {
-    // A projection is only provably identity when its input's static
-    // columns equal it exactly; scans report a wildcard so we stay
-    // conservative and never fire for them.
-    false
 }
 
 fn map_children(plan: Plan, f: impl Fn(Plan) -> Plan + Copy) -> Plan {
@@ -224,6 +209,15 @@ fn map_children(plan: Plan, f: impl Fn(Plan) -> Plan + Copy) -> Plan {
         },
         Plan::Distinct { input } => Plan::Distinct {
             input: Box::new(f(*input)),
+        },
+        Plan::Aggregate {
+            input,
+            group_by,
+            aggs,
+        } => Plan::Aggregate {
+            input: Box::new(f(*input)),
+            group_by,
+            aggs,
         },
     }
 }
@@ -365,6 +359,32 @@ mod tests {
             .select(Expr::attr("R.a").eq(Expr::attr("S.b")));
         let o = optimize(p);
         assert!(matches!(o, Plan::Select { .. }));
+    }
+
+    #[test]
+    fn having_stays_above_the_aggregate() {
+        use crate::aggregate::{AggFunc, AggSpec};
+        // the alias shadows an input column: pushed below, the HAVING
+        // would still evaluate — over the wrong rows
+        let grouped = Plan::scan("R")
+            .select(Expr::attr("a").eq(Expr::lit(1)))
+            .aggregate(
+                vec!["a".into()],
+                vec![AggSpec {
+                    func: AggFunc::CountStar,
+                    alias: "b".into(),
+                }],
+            );
+        let p = grouped.clone().select(Expr::attr("b").gt(Expr::lit(2)));
+        assert_eq!(optimize(p.clone()), p, "nothing to rewrite");
+        // nor is it merged into the WHERE below, or pushed into a join side
+        let joined = grouped
+            .join(
+                Plan::scan("S").project(vec!["S.c".into()]),
+                vec![("a".into(), "S.c".into())],
+            )
+            .select(Expr::attr("b").gt(Expr::lit(2)));
+        assert_eq!(optimize(joined.clone()), joined);
     }
 
     #[test]

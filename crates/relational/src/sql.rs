@@ -1,28 +1,34 @@
-//! A SQL subset: lexer, recursive-descent parser, and executor.
+//! A SQL subset: recursive-descent grammar and executor. Tokens, the token
+//! cursor and the clauses shared with VOQL (`SET`, `ORDER BY`, `LIMIT`)
+//! come from [`crate::lex`].
 //!
 //! Supported statements:
 //!
 //! ```sql
-//! SELECT [DISTINCT] * | col [, col]* FROM t [JOIN t2 ON a = b [AND c = d]*]*
-//!     [WHERE expr] [ORDER BY col [, col]*] [LIMIT n];
+//! [EXPLAIN [ANALYZE]]
+//! SELECT [DISTINCT] * | item [, item]* FROM t [JOIN t2 ON a = b [AND c = d]*]*
+//!     [WHERE expr] [GROUP BY col [, col]*] [HAVING expr]
+//!     [ORDER BY col [, col]*] [LIMIT n];
 //! INSERT INTO t VALUES (v, ...);
 //! DELETE FROM t [WHERE expr];
 //! UPDATE t SET col = v [, col = v]* [WHERE expr];
+//!
+//! item := col | COUNT(*) | (COUNT | SUM | AVG | MIN | MAX)(col) [AS alias]
 //! ```
 //!
-//! The SELECT path compiles to a [`Plan`] (and is run through the
-//! [`crate::optimizer`]); DML paths compile to [`DbOp`] lists applied
+//! A SELECT — grouped or not — compiles to one [`Plan`] (and is run through
+//! the [`crate::optimizer`]); DML paths compile to [`DbOp`] lists applied
 //! transactionally.
 
-use crate::aggregate::{aggregate_rows, AggFunc, AggSpec};
+use crate::aggregate::{AggFunc, AggSpec};
 use crate::algebra::{Plan, ResultSet};
 use crate::database::{Database, DbOp};
-use crate::error::{Error, Result};
+use crate::error::Result;
+use crate::lex::Cursor;
 use crate::optimizer::optimize;
-use crate::predicate::{CmpOp, Expr};
+use crate::predicate::Expr;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::time::Instant;
 use vo_obs::profile::ProfileNode;
 
 /// Outcome of running one SQL statement.
@@ -39,162 +45,22 @@ pub enum SqlOutcome {
     Profile(ProfileNode),
 }
 
-// ---------------------------------------------------------------- lexer --
-
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Ident(String),
-    Int(i64),
-    Float(f64),
-    Str(String),
-    Symbol(&'static str),
-}
-
-struct Lexer<'a> {
-    src: &'a str,
-    pos: usize,
-}
-
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer { src, pos: 0 }
-    }
-
-    fn error(&self, message: impl Into<String>) -> Error {
-        Error::SqlParse {
-            position: self.pos,
-            message: message.into(),
-        }
-    }
-
-    fn tokenize(mut self) -> Result<Vec<(usize, Token)>> {
-        let bytes = self.src.as_bytes();
-        let mut out = Vec::new();
-        while self.pos < bytes.len() {
-            let c = bytes[self.pos] as char;
-            if c.is_ascii_whitespace() {
-                self.pos += 1;
-                continue;
-            }
-            let start = self.pos;
-            if c.is_ascii_alphabetic() || c == '_' {
-                let mut end = self.pos;
-                while end < bytes.len()
-                    && ((bytes[end] as char).is_ascii_alphanumeric()
-                        || bytes[end] == b'_'
-                        || bytes[end] == b'.')
-                {
-                    end += 1;
-                }
-                let word = &self.src[self.pos..end];
-                self.pos = end;
-                out.push((start, Token::Ident(word.to_owned())));
-            } else if c.is_ascii_digit() || (c == '-' && self.peek_digit_after_minus(bytes)) {
-                let mut end = self.pos + 1;
-                let mut is_float = false;
-                while end < bytes.len()
-                    && ((bytes[end] as char).is_ascii_digit() || bytes[end] == b'.')
-                {
-                    if bytes[end] == b'.' {
-                        is_float = true;
-                    }
-                    end += 1;
-                }
-                let text = &self.src[self.pos..end];
-                self.pos = end;
-                let tok = if is_float {
-                    Token::Float(text.parse().map_err(|_| self.error("bad float literal"))?)
-                } else {
-                    Token::Int(text.parse().map_err(|_| self.error("bad int literal"))?)
-                };
-                out.push((start, tok));
-            } else if c == '\'' {
-                let mut end = self.pos + 1;
-                let mut s = String::new();
-                loop {
-                    if end >= bytes.len() {
-                        return Err(self.error("unterminated string literal"));
-                    }
-                    if bytes[end] == b'\'' {
-                        // doubled quote escapes a quote
-                        if end + 1 < bytes.len() && bytes[end + 1] == b'\'' {
-                            s.push('\'');
-                            end += 2;
-                            continue;
-                        }
-                        end += 1;
-                        break;
-                    }
-                    s.push(bytes[end] as char);
-                    end += 1;
-                }
-                self.pos = end;
-                out.push((start, Token::Str(s)));
-            } else {
-                let sym: &'static str = match c {
-                    '(' => "(",
-                    ')' => ")",
-                    ',' => ",",
-                    ';' => ";",
-                    '*' => "*",
-                    '=' => "=",
-                    '<' => {
-                        if self.src[self.pos..].starts_with("<=") {
-                            "<="
-                        } else if self.src[self.pos..].starts_with("<>") {
-                            "<>"
-                        } else {
-                            "<"
-                        }
-                    }
-                    '>' => {
-                        if self.src[self.pos..].starts_with(">=") {
-                            ">="
-                        } else {
-                            ">"
-                        }
-                    }
-                    other => return Err(self.error(format!("unexpected character {other:?}"))),
-                };
-                self.pos += sym.len();
-                out.push((start, Token::Symbol(sym)));
-            }
-        }
-        Ok(out)
-    }
-
-    fn peek_digit_after_minus(&self, bytes: &[u8]) -> bool {
-        self.pos + 1 < bytes.len() && (bytes[self.pos + 1] as char).is_ascii_digit()
-    }
-}
-
-// --------------------------------------------------------------- parser --
-
-struct Parser {
-    tokens: Vec<(usize, Token)>,
-    pos: usize,
+/// What a SELECT's optimized plan is used for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SelectMode {
+    /// Run it and return the rows.
+    Run,
+    /// `EXPLAIN`: render it instead of running it.
+    Explain,
+    /// `EXPLAIN ANALYZE`: run it and return the operator-tree profile.
+    ExplainAnalyze,
 }
 
 /// A parsed statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
-    /// SELECT compiled down to a plan.
-    Select(Plan),
-    /// SELECT with GROUP BY / aggregate functions.
-    SelectAggregate {
-        /// The pre-aggregation plan (scans, joins, WHERE).
-        input: Plan,
-        /// Grouping columns.
-        group_by: Vec<String>,
-        /// Aggregate outputs.
-        aggs: Vec<AggSpec>,
-        /// HAVING predicate over the aggregate output (TRUE when absent).
-        having: Expr,
-        /// ORDER BY columns over the aggregate output.
-        order_by: Vec<String>,
-        /// LIMIT, if present.
-        limit: Option<usize>,
-    },
+    /// `[EXPLAIN [ANALYZE]] SELECT ...` compiled down to a plan.
+    Select { plan: Plan, mode: SelectMode },
     /// INSERT INTO relation VALUES (...)
     Insert {
         relation: String,
@@ -208,473 +74,226 @@ pub enum Statement {
         assignments: Vec<(String, Value)>,
         pred: Expr,
     },
-    /// EXPLAIN SELECT ... — show the optimized plan instead of running it.
-    Explain(Box<Statement>),
-    /// EXPLAIN ANALYZE SELECT ... — run the statement and return the
-    /// executed operator-tree profile.
-    ExplainAnalyze(Box<Statement>),
 }
 
-impl Parser {
-    fn new(tokens: Vec<(usize, Token)>) -> Self {
-        Parser { tokens, pos: 0 }
-    }
-
-    fn error(&self, message: impl Into<String>) -> Error {
-        let position = self
-            .tokens
-            .get(self.pos)
-            .map(|(p, _)| *p)
-            .unwrap_or(usize::MAX);
-        Error::SqlParse {
-            position,
-            message: message.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|(_, t)| t)
-    }
-
-    fn next(&mut self) -> Result<Token> {
-        let t = self
-            .tokens
-            .get(self.pos)
-            .map(|(_, t)| t.clone())
-            .ok_or_else(|| self.error("unexpected end of input"))?;
-        self.pos += 1;
-        Ok(t)
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if let Some(Token::Ident(w)) = self.peek() {
-            if w.eq_ignore_ascii_case(kw) {
-                self.pos += 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    fn expect_keyword(&mut self, kw: &str) -> Result<()> {
-        if self.eat_keyword(kw) {
-            Ok(())
-        } else {
-            Err(self.error(format!("expected keyword {kw}")))
-        }
-    }
-
-    fn eat_symbol(&mut self, s: &str) -> bool {
-        if let Some(Token::Symbol(sym)) = self.peek() {
-            if *sym == s {
-                self.pos += 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    fn expect_symbol(&mut self, s: &str) -> Result<()> {
-        if self.eat_symbol(s) {
-            Ok(())
-        } else {
-            Err(self.error(format!("expected {s}")))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String> {
-        match self.next()? {
-            Token::Ident(w) => Ok(w),
-            other => Err(self.error(format!("expected identifier, got {other:?}"))),
-        }
-    }
-
-    fn literal(&mut self) -> Result<Value> {
-        match self.next()? {
-            Token::Int(i) => Ok(Value::Int(i)),
-            Token::Float(x) => Ok(Value::Float(x)),
-            Token::Str(s) => Ok(Value::Text(s)),
-            Token::Ident(w) if w.eq_ignore_ascii_case("null") => Ok(Value::Null),
-            Token::Ident(w) if w.eq_ignore_ascii_case("true") => Ok(Value::Bool(true)),
-            Token::Ident(w) if w.eq_ignore_ascii_case("false") => Ok(Value::Bool(false)),
-            other => Err(self.error(format!("expected literal, got {other:?}"))),
-        }
-    }
-
-    fn statement(&mut self) -> Result<Statement> {
-        if self.eat_keyword("explain") {
-            if self.eat_keyword("analyze") {
-                return Ok(Statement::ExplainAnalyze(Box::new(self.statement()?)));
-            }
-            return Ok(Statement::Explain(Box::new(self.statement()?)));
-        }
-        if self.eat_keyword("select") {
-            self.select_stmt()
-        } else if self.eat_keyword("insert") {
-            self.insert_stmt()
-        } else if self.eat_keyword("delete") {
-            self.delete_stmt()
-        } else if self.eat_keyword("update") {
-            self.update_stmt()
-        } else {
-            Err(self.error("expected SELECT, INSERT, DELETE or UPDATE"))
-        }
-    }
-
-    /// Parse one select item: a bare column or an aggregate call with an
-    /// optional alias.
-    fn select_item(&mut self) -> Result<(Option<String>, Option<AggSpec>)> {
-        let word = self.ident()?;
-        let agg_kind = match word.to_ascii_lowercase().as_str() {
-            "count" | "sum" | "avg" | "min" | "max"
-                if matches!(self.peek(), Some(Token::Symbol("("))) =>
-            {
-                Some(word.to_ascii_lowercase())
-            }
-            _ => None,
-        };
-        let Some(kind) = agg_kind else {
-            return Ok((Some(word), None));
-        };
-        self.expect_symbol("(")?;
-        let func = if self.eat_symbol("*") {
-            if kind != "count" {
-                return Err(self.error("only COUNT accepts *"));
-            }
-            AggFunc::CountStar
-        } else {
-            let col = self.ident()?;
-            match kind.as_str() {
-                "count" => AggFunc::Count(col),
-                "sum" => AggFunc::Sum(col),
-                "avg" => AggFunc::Avg(col),
-                "min" => AggFunc::Min(col),
-                "max" => AggFunc::Max(col),
-                _ => unreachable!(),
-            }
-        };
-        self.expect_symbol(")")?;
-        let alias = if self.eat_keyword("as") {
-            self.ident()?
-        } else {
-            func.to_string().to_ascii_lowercase()
-        };
-        Ok((None, Some(AggSpec { func, alias })))
-    }
-
-    fn select_stmt(&mut self) -> Result<Statement> {
-        let distinct = self.eat_keyword("distinct");
-        let star = self.eat_symbol("*");
-        let mut columns = Vec::new();
-        let mut aggs: Vec<AggSpec> = Vec::new();
-        if !star {
-            loop {
-                match self.select_item()? {
-                    (Some(col), None) => columns.push(col),
-                    (None, Some(spec)) => aggs.push(spec),
-                    _ => unreachable!(),
-                }
-                if !self.eat_symbol(",") {
-                    break;
-                }
-            }
-        }
-        self.expect_keyword("from")?;
-        let base = self.ident()?;
-        let mut plan = Plan::scan(base);
-        while self.eat_keyword("join") {
-            let rel = self.ident()?;
-            self.expect_keyword("on")?;
-            let mut on = Vec::new();
-            loop {
-                let l = self.ident()?;
-                self.expect_symbol("=")?;
-                let r = self.ident()?;
-                on.push((l, r));
-                if !self.eat_keyword("and") {
-                    break;
-                }
-            }
-            plan = plan.join(Plan::scan(rel), on);
-        }
-        if self.eat_keyword("where") {
-            let pred = self.expr()?;
-            plan = plan.select(pred);
-        }
-        // aggregate path: any aggregate item or a GROUP BY clause
-        let mut group_by: Vec<String> = Vec::new();
-        let grouped = if self.eat_keyword("group") {
-            self.expect_keyword("by")?;
-            loop {
-                group_by.push(self.ident()?);
-                if !self.eat_symbol(",") {
-                    break;
-                }
-            }
-            true
-        } else {
-            false
-        };
-        if !aggs.is_empty() || grouped {
-            if star {
-                return Err(self.error("SELECT * cannot be combined with aggregation"));
-            }
-            // bare columns must all appear in GROUP BY
-            for c in &columns {
-                if !group_by.contains(c) {
-                    return Err(self.error(format!(
-                        "column {c} must appear in GROUP BY or an aggregate"
-                    )));
-                }
-            }
-            let having = if self.eat_keyword("having") {
-                self.expr()?
-            } else {
-                Expr::True
-            };
-            let order_by = if self.eat_keyword("order") {
-                self.expect_keyword("by")?;
-                let mut by = Vec::new();
-                loop {
-                    by.push(self.ident()?);
-                    if !self.eat_symbol(",") {
-                        break;
-                    }
-                }
-                by
-            } else {
-                Vec::new()
-            };
-            let limit = if self.eat_keyword("limit") {
-                match self.next()? {
-                    Token::Int(n) if n >= 0 => Some(n as usize),
-                    _ => return Err(self.error("expected non-negative LIMIT count")),
-                }
-            } else {
-                None
-            };
-            return Ok(Statement::SelectAggregate {
-                input: plan,
-                group_by,
-                aggs,
-                having,
-                order_by,
-                limit,
-            });
-        }
-        if !star {
-            plan = plan.project(columns);
-        }
-        if self.eat_keyword("order") {
-            self.expect_keyword("by")?;
-            let mut by = Vec::new();
-            loop {
-                by.push(self.ident()?);
-                if !self.eat_symbol(",") {
-                    break;
-                }
-            }
-            plan = plan.sort(by);
-        }
-        if self.eat_keyword("limit") {
-            match self.next()? {
-                Token::Int(n) if n >= 0 => plan = plan.limit(n as usize),
-                _ => return Err(self.error("expected non-negative LIMIT count")),
-            }
-        }
-        if distinct {
-            plan = plan.distinct();
-        }
-        Ok(Statement::Select(plan))
-    }
-
-    fn insert_stmt(&mut self) -> Result<Statement> {
-        self.expect_keyword("into")?;
-        let relation = self.ident()?;
-        self.expect_keyword("values")?;
-        self.expect_symbol("(")?;
-        let mut values = Vec::new();
-        loop {
-            values.push(self.literal()?);
-            if !self.eat_symbol(",") {
-                break;
-            }
-        }
-        self.expect_symbol(")")?;
-        Ok(Statement::Insert { relation, values })
-    }
-
-    fn delete_stmt(&mut self) -> Result<Statement> {
-        self.expect_keyword("from")?;
-        let relation = self.ident()?;
-        let pred = if self.eat_keyword("where") {
-            self.expr()?
-        } else {
-            Expr::True
-        };
-        Ok(Statement::Delete { relation, pred })
-    }
-
-    fn update_stmt(&mut self) -> Result<Statement> {
-        let relation = self.ident()?;
-        self.expect_keyword("set")?;
-        let mut assignments = Vec::new();
-        loop {
-            let col = self.ident()?;
-            self.expect_symbol("=")?;
-            let v = self.literal()?;
-            assignments.push((col, v));
-            if !self.eat_symbol(",") {
-                break;
-            }
-        }
-        let pred = if self.eat_keyword("where") {
-            self.expr()?
-        } else {
-            Expr::True
-        };
-        Ok(Statement::Update {
-            relation,
-            assignments,
-            pred,
-        })
-    }
-
-    // expr := or_expr
-    fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
-    }
-
-    fn or_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.and_expr()?;
-        while self.eat_keyword("or") {
-            let rhs = self.and_expr()?;
-            lhs = lhs.or(rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.not_expr()?;
-        while self.eat_keyword("and") {
-            let rhs = self.not_expr()?;
-            lhs = lhs.and(rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn not_expr(&mut self) -> Result<Expr> {
-        if self.eat_keyword("not") {
-            Ok(self.not_expr()?.not())
-        } else {
-            self.comparison()
-        }
-    }
-
-    fn comparison(&mut self) -> Result<Expr> {
-        if self.eat_symbol("(") {
-            let e = self.expr()?;
-            self.expect_symbol(")")?;
-            return Ok(e);
-        }
-        let lhs = self.operand()?;
-        // IS [NOT] NULL
-        if self.eat_keyword("is") {
-            let negated = self.eat_keyword("not");
-            self.expect_keyword("null")?;
-            let e = lhs.is_null();
-            return Ok(if negated { e.not() } else { e });
-        }
-        let op = match self.next()? {
-            Token::Symbol("=") => CmpOp::Eq,
-            Token::Symbol("<>") => CmpOp::Ne,
-            Token::Symbol("<") => CmpOp::Lt,
-            Token::Symbol("<=") => CmpOp::Le,
-            Token::Symbol(">") => CmpOp::Gt,
-            Token::Symbol(">=") => CmpOp::Ge,
-            other => return Err(self.error(format!("expected comparison, got {other:?}"))),
-        };
-        let rhs = self.operand()?;
-        Ok(Expr::Cmp(op, Box::new(lhs), Box::new(rhs)))
-    }
-
-    fn operand(&mut self) -> Result<Expr> {
-        match self.peek().cloned() {
-            Some(Token::Ident(w))
-                if !w.eq_ignore_ascii_case("null")
-                    && !w.eq_ignore_ascii_case("true")
-                    && !w.eq_ignore_ascii_case("false") =>
-            {
-                self.pos += 1;
-                Ok(Expr::attr(w))
-            }
-            _ => Ok(Expr::Lit(self.literal()?)),
-        }
-    }
-
-    fn finish(&mut self) -> Result<()> {
-        self.eat_symbol(";");
-        if self.pos != self.tokens.len() {
-            return Err(self.error("trailing tokens after statement"));
-        }
-        Ok(())
+fn statement(c: &mut Cursor) -> Result<Statement> {
+    let mode = if !c.eat_keyword("explain") {
+        SelectMode::Run
+    } else if c.eat_keyword("analyze") {
+        SelectMode::ExplainAnalyze
+    } else {
+        SelectMode::Explain
+    };
+    if c.eat_keyword("select") {
+        let plan = select_plan(c)?;
+        Ok(Statement::Select { plan, mode })
+    } else if mode != SelectMode::Run {
+        Err(c.err("EXPLAIN supports SELECT only"))
+    } else if c.eat_keyword("insert") {
+        insert_stmt(c)
+    } else if c.eat_keyword("delete") {
+        delete_stmt(c)
+    } else if c.eat_keyword("update") {
+        update_stmt(c)
+    } else {
+        Err(c.err("expected SELECT, INSERT, DELETE or UPDATE"))
     }
 }
 
-/// Apply HAVING / ORDER BY / LIMIT to an aggregate's output rows; shared
-/// by the plain and `EXPLAIN ANALYZE` aggregate paths.
-fn finish_aggregate(
-    mut out: ResultSet,
-    having: &Expr,
-    order_by: &[String],
-    limit: Option<usize>,
-) -> Result<ResultSet> {
-    if *having != Expr::True {
-        let cols = out.columns.clone();
-        let mut err = None;
-        out.rows.retain(|row| {
-            if err.is_some() {
-                return false;
-            }
-            match having.eval_truth(&cols, row) {
-                Ok(t) => t.is_true(),
-                Err(e) => {
-                    err = Some(e);
-                    false
-                }
-            }
-        });
-        if let Some(e) = err {
-            return Err(e);
+/// Parse one select item into `columns` (a bare column) or `aggs` (an
+/// aggregate call with an optional alias).
+fn select_item(c: &mut Cursor, columns: &mut Vec<String>, aggs: &mut Vec<AggSpec>) -> Result<()> {
+    let word = c.ident()?;
+    let kind = word.to_ascii_lowercase();
+    if !matches!(kind.as_str(), "count" | "sum" | "avg" | "min" | "max") || !c.eat_symbol("(") {
+        columns.push(word);
+        return Ok(());
+    }
+    let func = if c.eat_symbol("*") {
+        if kind != "count" {
+            return Err(c.err("only COUNT accepts *"));
         }
+        AggFunc::CountStar
+    } else {
+        let col = c.ident()?;
+        match kind.as_str() {
+            "count" => AggFunc::Count(col),
+            "sum" => AggFunc::Sum(col),
+            "avg" => AggFunc::Avg(col),
+            "min" => AggFunc::Min(col),
+            "max" => AggFunc::Max(col),
+            _ => unreachable!(),
+        }
+    };
+    c.expect_symbol(")")?;
+    let alias = if c.eat_keyword("as") {
+        c.ident()?
+    } else {
+        func.to_string().to_ascii_lowercase()
+    };
+    aggs.push(AggSpec { func, alias });
+    Ok(())
+}
+
+fn select_plan(c: &mut Cursor) -> Result<Plan> {
+    let distinct = c.eat_keyword("distinct");
+    let star = c.eat_symbol("*");
+    let mut columns = Vec::new();
+    let mut aggs = Vec::new();
+    if !star {
+        c.list(|c| select_item(c, &mut columns, &mut aggs))?;
     }
-    if !order_by.is_empty() {
-        let idx: Vec<usize> = order_by
-            .iter()
-            .map(|c| out.column_index(c))
-            .collect::<Result<_>>()?;
-        out.rows.sort_by(|a, b| {
-            for &i in &idx {
-                let ord = a[i].cmp(&b[i]);
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
+    c.expect_keyword("from")?;
+    let mut plan = Plan::scan(c.ident()?);
+    while c.eat_keyword("join") {
+        let rel = c.ident()?;
+        c.expect_keyword("on")?;
+        let mut on = Vec::new();
+        loop {
+            let l = c.ident()?;
+            c.expect_symbol("=")?;
+            on.push((l, c.ident()?));
+            if !c.eat_keyword("and") {
+                break;
             }
-            std::cmp::Ordering::Equal
-        });
+        }
+        plan = plan.join(Plan::scan(rel), on);
     }
-    if let Some(n) = limit {
-        out.rows.truncate(n);
+    if c.eat_keyword("where") {
+        plan = plan.select(expr(c)?);
     }
-    Ok(out)
+    let group_by = if c.eat_keyword("group") {
+        c.expect_keyword("by")?;
+        Some(c.list(Cursor::ident)?)
+    } else {
+        None
+    };
+    // aggregate path: any aggregate item or a GROUP BY clause
+    let aggregated = group_by.is_some() || !aggs.is_empty();
+    if aggregated {
+        if star {
+            return Err(c.err("SELECT * cannot be combined with aggregation"));
+        }
+        let group_by = group_by.unwrap_or_default();
+        if let Some(col) = columns.iter().find(|col| !group_by.contains(col)) {
+            return Err(c.err(format!(
+                "column {col} must appear in GROUP BY or an aggregate"
+            )));
+        }
+        plan = plan.aggregate(group_by, aggs);
+        if c.eat_keyword("having") {
+            plan = plan.select(expr(c)?);
+        }
+    } else if !star {
+        plan = plan.project(columns);
+    }
+    let by = c.order_by()?;
+    if !by.is_empty() {
+        plan = plan.sort(by);
+    }
+    if let Some(n) = c.limit()? {
+        plan = plan.limit(n);
+    }
+    // one row per group is already duplicate-free
+    if distinct && !aggregated {
+        plan = plan.distinct();
+    }
+    Ok(plan)
+}
+
+fn insert_stmt(c: &mut Cursor) -> Result<Statement> {
+    c.expect_keyword("into")?;
+    let relation = c.ident()?;
+    c.expect_keyword("values")?;
+    c.expect_symbol("(")?;
+    let values = c.list(Cursor::literal)?;
+    c.expect_symbol(")")?;
+    Ok(Statement::Insert { relation, values })
+}
+
+fn where_clause(c: &mut Cursor) -> Result<Expr> {
+    if c.eat_keyword("where") {
+        expr(c)
+    } else {
+        Ok(Expr::True)
+    }
+}
+
+fn delete_stmt(c: &mut Cursor) -> Result<Statement> {
+    c.expect_keyword("from")?;
+    let relation = c.ident()?;
+    let pred = where_clause(c)?;
+    Ok(Statement::Delete { relation, pred })
+}
+
+fn update_stmt(c: &mut Cursor) -> Result<Statement> {
+    let relation = c.ident()?;
+    let assignments = c.assignments(Cursor::ident)?;
+    let pred = where_clause(c)?;
+    Ok(Statement::Update {
+        relation,
+        assignments,
+        pred,
+    })
+}
+
+// expr := and_expr (OR and_expr)*
+fn expr(c: &mut Cursor) -> Result<Expr> {
+    let mut lhs = and_expr(c)?;
+    while c.eat_keyword("or") {
+        lhs = lhs.or(and_expr(c)?);
+    }
+    Ok(lhs)
+}
+
+fn and_expr(c: &mut Cursor) -> Result<Expr> {
+    let mut lhs = not_expr(c)?;
+    while c.eat_keyword("and") {
+        lhs = lhs.and(not_expr(c)?);
+    }
+    Ok(lhs)
+}
+
+fn not_expr(c: &mut Cursor) -> Result<Expr> {
+    if c.eat_keyword("not") {
+        Ok(not_expr(c)?.not())
+    } else {
+        comparison(c)
+    }
+}
+
+fn comparison(c: &mut Cursor) -> Result<Expr> {
+    if c.eat_symbol("(") {
+        let e = expr(c)?;
+        c.expect_symbol(")")?;
+        return Ok(e);
+    }
+    let lhs = operand(c)?;
+    // IS [NOT] NULL
+    if c.eat_keyword("is") {
+        let negated = c.eat_keyword("not");
+        c.expect_keyword("null")?;
+        let e = lhs.is_null();
+        return Ok(if negated { e.not() } else { e });
+    }
+    let op = c.cmp_op()?;
+    let rhs = operand(c)?;
+    Ok(Expr::Cmp(op, Box::new(lhs), Box::new(rhs)))
+}
+
+fn operand(c: &mut Cursor) -> Result<Expr> {
+    match c.eat_literal() {
+        Some(v) => Ok(Expr::Lit(v)),
+        None => Ok(Expr::attr(c.ident()?)),
+    }
 }
 
 /// Parse one SQL statement.
 pub fn parse(sql: &str) -> Result<Statement> {
-    let tokens = Lexer::new(sql).tokenize()?;
-    let mut p = Parser::new(tokens);
-    let stmt = p.statement()?;
-    p.finish()?;
+    let mut c = Cursor::new(sql)?;
+    let stmt = statement(&mut c)?;
+    c.eat_symbol(";");
+    c.finish()?;
     Ok(stmt)
 }
 
@@ -686,90 +305,15 @@ impl Database {
 
     fn run_statement(&mut self, statement: Statement) -> Result<SqlOutcome> {
         match statement {
-            Statement::Explain(inner) => match *inner {
-                Statement::Select(plan) => Ok(SqlOutcome::Plan(optimize(plan).to_string())),
-                Statement::SelectAggregate {
-                    input,
-                    group_by,
-                    aggs,
-                    having,
-                    ..
-                } => {
-                    let aggs_s: Vec<String> = aggs
-                        .iter()
-                        .map(|a| format!("{} AS {}", a.func, a.alias))
-                        .collect();
-                    Ok(SqlOutcome::Plan(format!(
-                        "Aggregate[group by {}; {}; having {}]({})",
-                        group_by.join(","),
-                        aggs_s.join(", "),
-                        having,
-                        optimize(input)
-                    )))
-                }
-                other => Err(Error::SqlParse {
-                    position: 0,
-                    message: format!("EXPLAIN supports SELECT only, got {other:?}"),
-                }),
-            },
-            Statement::ExplainAnalyze(inner) => match *inner {
-                Statement::Select(plan) => {
-                    let plan = optimize(plan);
-                    let (_, prof) = self.execute_profiled(&plan)?;
-                    Ok(SqlOutcome::Profile(prof))
-                }
-                Statement::SelectAggregate {
-                    input,
-                    group_by,
-                    aggs,
-                    having,
-                    order_by,
-                    limit,
-                } => {
-                    let input = optimize(input);
-                    let start = Instant::now();
-                    let (rs, input_prof) = self.execute_profiled(&input)?;
-                    let out = aggregate_rows(&rs, &group_by, &aggs)?;
-                    let out = finish_aggregate(out, &having, &order_by, limit)?;
-                    let aggs_s: Vec<String> = aggs
-                        .iter()
-                        .map(|a| format!("{} AS {}", a.func, a.alias))
-                        .collect();
-                    let mut node = ProfileNode::new(format!(
-                        "Aggregate[group by {}; {}; having {}]",
-                        group_by.join(","),
-                        aggs_s.join(", "),
-                        having
-                    ));
-                    node.rows_in = rs.len() as u64;
-                    node.rows_out = out.len() as u64;
-                    node.set_elapsed(start.elapsed());
-                    node.children = vec![input_prof];
-                    Ok(SqlOutcome::Profile(node))
-                }
-                other => Err(Error::SqlParse {
-                    position: 0,
-                    message: format!("EXPLAIN ANALYZE supports SELECT only, got {other:?}"),
-                }),
-            },
-            Statement::Select(plan) => {
+            Statement::Select { plan, mode } => {
                 let plan = optimize(plan);
-                Ok(SqlOutcome::Rows(self.execute(&plan)?))
-            }
-            Statement::SelectAggregate {
-                input,
-                group_by,
-                aggs,
-                having,
-                order_by,
-                limit,
-            } => {
-                let input = optimize(input);
-                let rs = self.execute(&input)?;
-                let out = aggregate_rows(&rs, &group_by, &aggs)?;
-                Ok(SqlOutcome::Rows(finish_aggregate(
-                    out, &having, &order_by, limit,
-                )?))
+                Ok(match mode {
+                    SelectMode::Run => SqlOutcome::Rows(self.execute(&plan)?),
+                    SelectMode::Explain => SqlOutcome::Plan(plan.to_string()),
+                    SelectMode::ExplainAnalyze => {
+                        SqlOutcome::Profile(self.execute_profiled(&plan)?.1)
+                    }
+                })
             }
             Statement::Insert { relation, values } => {
                 self.insert(&relation, values)?;
@@ -823,6 +367,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::schema::{AttributeDef, RelationSchema};
     use crate::value::DataType;
 
@@ -1017,6 +562,50 @@ mod tests {
         assert!(matches!(e, Error::SqlParse { .. }));
     }
 
+    fn position(sql: &str) -> usize {
+        match parse(sql).unwrap_err() {
+            Error::SqlParse { position, .. } => position,
+            other => panic!("expected SqlParse, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parse_errors_anchor_at_the_offending_token() {
+        // input ends too early: the source length
+        assert_eq!(position("SELECT name FROM"), 16);
+        assert_eq!(position("DELETE FROM PEOPLE WHERE ssn ="), 30);
+        // a wrong token: its own offset, not the one after it
+        assert_eq!(position("SELECT name FROM 42"), 17);
+        assert_eq!(position("SELECT * FROM T LIMIT -1"), 22);
+        assert_eq!(position("SELECT * FROM T extra junk"), 16);
+        // EXPLAIN of DML anchors at the statement it cannot explain
+        assert_eq!(position("EXPLAIN DELETE FROM COURSES"), 8);
+        assert_eq!(position("EXPLAIN ANALYZE UPDATE T SET a = 1"), 16);
+        // lexical errors: start of the unterminated string, the stray character
+        assert_eq!(position("SELECT * FROM T WHERE a = 'x"), 26);
+        assert_eq!(position("SELECT * FROM T WHERE a = #"), 26);
+    }
+
+    #[test]
+    fn grouped_select_is_one_plan() {
+        let mut d = db();
+        let sql = "SELECT dept_name, COUNT(*) AS n FROM COURSES WHERE units > 3 \
+                   GROUP BY dept_name HAVING n > 0 ORDER BY n LIMIT 5";
+        match d.run_sql(&format!("EXPLAIN {sql}")).unwrap() {
+            SqlOutcome::Plan(p) => assert_eq!(
+                p,
+                "Limit[5](Sort[n](Select[(n > 0)](Aggregate[group by dept_name; COUNT(*) AS n]\
+                 (Select[(units > 3)](Scan(COURSES))))))"
+            ),
+            other => panic!("expected plan, got {other:?}"),
+        }
+        let r = rows(d.run_sql(sql).unwrap());
+        assert_eq!(r.columns, vec!["COURSES.dept_name", "n"]);
+        assert_eq!(r.len(), 2);
+        // HAVING without aggregation stays a syntax error
+        assert_eq!(position("SELECT title FROM COURSES HAVING units > 1"), 26);
+    }
+
     #[test]
     fn explain_shows_optimized_plan() {
         let mut d = db();
@@ -1077,10 +666,13 @@ mod tests {
             SqlOutcome::Profile(p) => p,
             other => panic!("expected profile, got {other:?}"),
         };
-        assert!(prof.label.starts_with("Aggregate[group by dept_name"));
-        assert_eq!(prof.rows_in, 3); // 3 input rows
+        // HAVING is a Select above the Aggregate node
+        assert!(prof.label.starts_with("Select["));
         assert_eq!(prof.rows_out, 1); // only CS survives HAVING
-        assert_eq!(prof.children.len(), 1);
+        let agg = prof.find("Aggregate[group by dept_name").expect("node");
+        assert_eq!(agg.rows_in, 3); // 3 input rows
+        assert_eq!(agg.rows_out, 2); // one row per department
+        assert_eq!(agg.children.len(), 1);
         // EXPLAIN ANALYZE of DML is rejected
         assert!(d.run_sql("EXPLAIN ANALYZE DELETE FROM COURSES").is_err());
         // and it did not consume the rows it analyzed

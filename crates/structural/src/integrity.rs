@@ -221,22 +221,6 @@ pub fn check_database(schema: &StructuralSchema, db: &impl DbRead) -> Result<Vec
     Ok(out)
 }
 
-/// A consistency check suitable for [`Database::apply_all_checked`].
-pub fn consistency_check(schema: &StructuralSchema) -> impl Fn(&Database) -> Result<()> + '_ {
-    move |db| {
-        let violations = check_database(schema, db)?;
-        if violations.is_empty() {
-            Ok(())
-        } else {
-            Err(Error::ConstraintViolation(format!(
-                "{} violation(s), first: {}",
-                violations.len(),
-                violations[0]
-            )))
-        }
-    }
-}
-
 /// Plan the deletion of one tuple with full structural propagation.
 ///
 /// Returns the operations in a safe application order (replacements of
@@ -1063,22 +1047,5 @@ mod tests {
         .unwrap();
         let t = stub_tuple(&schema, &["k".to_string()], &[Value::text("a")]).unwrap();
         assert_eq!(t.values(), &[Value::text("a"), Value::Int(0), Value::Null]);
-    }
-
-    #[test]
-    fn consistency_check_closure() {
-        let (s, mut db) = setup();
-        let courses = db.table("COURSES").unwrap().schema().clone();
-        // inserting a dangling course through the checked path rolls back
-        let bad = Tuple::new(&courses, vec!["EE9".into(), "EE".into()]).unwrap();
-        let ops = vec![DbOp::Insert {
-            relation: "COURSES".into(),
-            tuple: bad,
-        }];
-        let err = db
-            .apply_all_checked(&ops, consistency_check(&s))
-            .unwrap_err();
-        assert!(matches!(err, Error::Rolledback(_)));
-        assert_eq!(db.table("COURSES").unwrap().len(), 2);
     }
 }

@@ -265,30 +265,76 @@ fn arb_course_pred(rng: &mut SmallRng, depth: usize) -> Expr {
     }
 }
 
-/// The optimizer never changes query results.
+/// The optimizer never changes query results — grouped or not.
 #[test]
 fn optimizer_preserves_semantics() {
     let (_, db) = university_scaled(2, 99);
     let mut rng = SmallRng::seed_from_u64(0x0B71);
     for _ in 0..64 {
         let pred = arb_course_pred(&mut rng, 3);
-        let project = rng.gen_bool(0.5);
         let mut plan = Plan::scan("COURSES")
             .join(
                 Plan::scan("GRADES"),
                 vec![("COURSES.course_id".into(), "GRADES.course_id".into())],
             )
             .select(pred.clone());
-        if project {
-            plan = plan.project(vec!["COURSES.course_id".into(), "GRADES.ssn".into()]);
+        match rng.gen_range(0..4) {
+            0 => {}
+            1 => plan = plan.project(vec!["COURSES.course_id".into(), "GRADES.ssn".into()]),
+            // GROUP BY with a HAVING over the aggregate's own output; in
+            // the last shape the alias shadows an input column (`ssn`),
+            // so a HAVING pushed below would filter enrolments, not groups
+            shape => {
+                let alias = if shape == 2 { "n" } else { "ssn" };
+                plan = plan
+                    .aggregate(
+                        vec!["COURSES.course_id".into()],
+                        vec![
+                            AggSpec {
+                                func: AggFunc::CountStar,
+                                alias: alias.into(),
+                            },
+                            AggSpec {
+                                func: AggFunc::Max("GRADES.ssn".into()),
+                                alias: "top".into(),
+                            },
+                        ],
+                    )
+                    .select(Expr::attr(alias).gt(Expr::lit(rng.gen_range_i64(0..6))));
+            }
         }
         let optimized = vo_relational::optimizer::optimize(plan.clone());
         let mut a = db.execute(&plan).unwrap();
         let mut b = db.execute(&optimized).unwrap();
         a.rows.sort();
         b.rows.sort();
-        assert_eq!(a.rows, b.rows, "optimizer changed semantics of {pred:?}");
+        assert_eq!(a.rows, b.rows, "optimizer changed semantics of {plan}");
     }
+}
+
+/// A HAVING predicate is never pushed below the aggregate it filters, even
+/// when it names a column that also exists underneath.
+#[test]
+fn having_is_not_pushed_below_the_aggregate() {
+    let (_, db) = university_scaled(2, 99);
+    let count_as_ssn = vec![AggSpec {
+        func: AggFunc::CountStar,
+        alias: "ssn".into(),
+    }];
+    let having = Expr::attr("ssn").le(Expr::lit(4));
+    let grouped = |input: Plan| input.aggregate(vec!["course_id".into()], count_as_ssn.clone());
+    let plan = grouped(Plan::scan("GRADES")).select(having.clone());
+    let optimized = vo_relational::optimizer::optimize(plan.clone());
+    assert_eq!(optimized, plan, "the HAVING select stays on top");
+    // every course has 4 enrolments: HAVING keeps them all, whereas the
+    // predicate under the grouping would count students with ssn <= 4
+    let kept = db.execute(&optimized).unwrap();
+    let pushed = db
+        .execute(&grouped(Plan::scan("GRADES").select(having)))
+        .unwrap();
+    assert_eq!(kept.len(), db.table("COURSES").unwrap().len());
+    assert!(kept.rows.iter().all(|row| row[1] == Value::Int(4)));
+    assert!(pushed.len() < kept.len());
 }
 
 // ------------------------------------------------------ structural model --
