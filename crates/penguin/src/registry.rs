@@ -240,7 +240,9 @@ impl Registry {
         assemble(&self.schema, &reg.object, db, tuple)
     }
 
-    /// Verify the whole database against the structural model.
+    /// Audit the whole database against the structural model: a full scan
+    /// ([`check_database`]), and its only caller outside tests and debug
+    /// assertions — the write path checks its own writes with `check_delta`.
     pub(crate) fn check_consistency(&self, db: &Database) -> Result<Vec<Violation>> {
         check_database(&self.schema, db)
     }

@@ -128,7 +128,8 @@ impl Session {
             .instance_by_key(self.database(), name, pivot_key)
     }
 
-    /// Verify the pinned database against the structural model.
+    /// Audit the pinned database against the structural model — a full
+    /// scan, O(database); see [`crate::system::Penguin::check_consistency`].
     pub fn check_consistency(&self) -> Result<Vec<Violation>> {
         self.registry.check_consistency(self.database())
     }

@@ -402,8 +402,9 @@ impl Penguin {
     /// preparation read or wrote has committed past the prepared base
     /// version, the batch is rejected with [`Error::Conflict`] (step
     /// `commit`) and must be re-prepared against a fresh session;
-    /// otherwise it applies as one transaction, re-checked structurally
-    /// at the head, and is flushed to the store like every other
+    /// otherwise its writes are checked against the structural model at
+    /// the head (the same delta-scoped step 4 that preparation ran) and it
+    /// applies as one transaction, flushed to the store like every other
     /// mutating facade call.
     pub fn commit_prepared(
         &mut self,
@@ -449,7 +450,11 @@ impl Penguin {
         self.db.journal_cap()
     }
 
-    /// Verify the whole database against the structural model.
+    /// Audit the whole database against the structural model — a full
+    /// scan, O(database). Updates through view objects never need it: each
+    /// is checked at the cost of its own writes and never takes a
+    /// consistent base to an inconsistent one. This is what finds damage
+    /// done out of band ([`Penguin::with_database_mut`], raw SQL DML).
     pub fn check_consistency(&self) -> Result<Vec<Violation>> {
         self.registry.check_consistency(&self.db)
     }

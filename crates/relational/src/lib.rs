@@ -68,7 +68,7 @@ pub mod prelude {
     };
     pub use crate::error::{Error, Result};
     pub use crate::json::{json_enum, json_struct, Json, JsonCodec};
-    pub use crate::overlay::{DbRead, DeltaDb, TableView};
+    pub use crate::overlay::{DbRead, DeltaDb, DeltaWrite, TableView};
     pub use crate::predicate::{CmpOp, Expr, Truth};
     pub use crate::rng::SmallRng;
     pub use crate::schema::{AttributeDef, DatabaseSchema, RelationSchema};

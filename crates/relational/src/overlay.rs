@@ -10,9 +10,10 @@
 //! - each relation carries a small [`TableDelta`] — a key-ordered map of
 //!   upserts (`Some(tuple)`) and deletions (`None`) shadowing the base;
 //! - [`TableView`] merges base table and delta on every read, preserving
-//!   primary-key iteration order and secondary-index acceleration (base
-//!   hits come from the index; delta rows are scanned linearly, and the
-//!   delta is by construction tiny relative to the base);
+//!   primary-key iteration order and the base table's access paths (base
+//!   hits come from a secondary index or the primary key where
+//!   [`Table::find_by_indices`] finds one; delta rows are scanned linearly,
+//!   and the delta is by construction tiny relative to the base);
 //! - [`DeltaDb::apply`] mirrors [`Table`]'s mutation semantics exactly —
 //!   the same `KeyConflict` / `NoSuchTuple` errors fire against the merged
 //!   view, so a plan that applies cleanly to the overlay applies cleanly
@@ -72,6 +73,20 @@ impl TableDelta {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
+}
+
+/// One key an overlay writes, with the tuple on either side of the write
+/// (see [`DeltaDb::writes`]).
+#[derive(Debug, Clone, Copy)]
+pub struct DeltaWrite<'a> {
+    /// The written relation.
+    pub relation: &'a str,
+    /// The written key.
+    pub key: &'a Key,
+    /// The tuple the base holds at `key`; `None` when the key is new.
+    pub before: Option<&'a Tuple>,
+    /// The tuple the overlay holds at `key`; `None` when it is deleted.
+    pub after: Option<&'a Tuple>,
 }
 
 fn empty_delta() -> &'static TableDelta {
@@ -174,6 +189,26 @@ impl<'base> DeltaDb<'base> {
     /// True when no op has been applied to the overlay.
     pub fn is_clean(&self) -> bool {
         self.deltas.values().all(TableDelta::is_empty)
+    }
+
+    /// Every key the overlay writes, in relation then key order, with its
+    /// base pre-image and overlay post-image — the net effect of the
+    /// applied ops, however many of them touched a key (a re-key shows as
+    /// two writes: the old key deleted, the new key upserted). Reads the
+    /// base directly, so it adds nothing to the read set.
+    pub fn writes(&self) -> impl Iterator<Item = DeltaWrite<'_>> {
+        self.deltas.iter().flat_map(|(relation, delta)| {
+            let base = self
+                .base
+                .table(relation)
+                .expect("apply() admits ops on base relations only");
+            delta.rows.iter().map(move |(key, after)| DeltaWrite {
+                relation,
+                key,
+                before: base.get(key),
+                after: after.as_ref(),
+            })
+        })
     }
 
     /// Apply one planned op to the overlay. Error semantics mirror
@@ -303,8 +338,9 @@ impl<'a> TableView<'a> {
     }
 
     /// Tuples whose named attributes equal `values`, in primary-key order.
-    /// Base hits use the table's secondary index when one exists; delta
-    /// rows are filtered linearly (the delta is small by construction).
+    /// Base hits come by the access path [`Table::find_by_indices`]
+    /// chooses (secondary index, primary key, or scan); delta rows are
+    /// filtered linearly (the delta is small by construction).
     pub fn find_by_attrs(&self, attrs: &[String], values: &[Value]) -> Result<Vec<&'a Tuple>> {
         let indices = self.base.schema().indices_of(attrs)?;
         Ok(self.find_by_indices(&indices, values))
@@ -486,6 +522,60 @@ mod tests {
         assert!(!v.contains_key(&Key::single(2)));
         assert!(v.contains_key(&Key::single(9)));
         assert_eq!(v.len(), 3);
+    }
+
+    #[test]
+    fn writes_pair_each_written_key_with_both_images() {
+        let db = base();
+        let mut overlay = DeltaDb::new(&db);
+        assert_eq!(overlay.writes().count(), 0);
+        let ops = [
+            // 2 is re-keyed to 9, 3 comes and goes, 4 is written twice
+            DbOp::Replace {
+                relation: "PEOPLE".into(),
+                old_key: Key::single(2),
+                tuple: tuple(&db, 9, "bob", "EE"),
+            },
+            DbOp::Insert {
+                relation: "PEOPLE".into(),
+                tuple: tuple(&db, 3, "cam", "ME"),
+            },
+            DbOp::Delete {
+                relation: "PEOPLE".into(),
+                key: Key::single(3),
+            },
+            DbOp::Replace {
+                relation: "PEOPLE".into(),
+                old_key: Key::single(4),
+                tuple: tuple(&db, 4, "dee", "EE"),
+            },
+            DbOp::Replace {
+                relation: "PEOPLE".into(),
+                old_key: Key::single(4),
+                tuple: tuple(&db, 4, "dee", "ME"),
+            },
+        ];
+        ops.iter().try_for_each(|op| overlay.apply(op)).unwrap();
+        let dept = |t: Option<&Tuple>| t.map(|t| t.get(2).to_string());
+        let seen: Vec<_> = overlay
+            .writes()
+            .map(|w| (w.relation, w.key.clone(), dept(w.before), dept(w.after)))
+            .collect();
+        assert_eq!(
+            seen,
+            vec![
+                ("PEOPLE", Key::single(2), Some("'EE'".into()), None),
+                ("PEOPLE", Key::single(3), None, None),
+                (
+                    "PEOPLE",
+                    Key::single(4),
+                    Some("'CS'".into()),
+                    Some("'ME'".into())
+                ),
+                ("PEOPLE", Key::single(9), None, Some("'EE'".into())),
+            ]
+        );
+        assert!(overlay.read_set().contains("PEOPLE")); // from apply(), not from writes()
     }
 
     #[test]

@@ -199,8 +199,8 @@ impl Table {
         }
     }
 
-    /// Tuples whose named attributes equal `values`, using a secondary
-    /// index when one exists, otherwise scanning.
+    /// Tuples whose named attributes equal `values`, by the access path
+    /// [`Table::find_by_indices`] chooses.
     pub fn find_by_attrs(&self, attrs: &[String], values: &[Value]) -> Result<Vec<&Tuple>> {
         let indices = self.schema.indices_of(attrs)?;
         Ok(self.find_by_indices(&indices, values))
@@ -208,7 +208,20 @@ impl Table {
 
     /// Tuples whose attributes at `indices` equal `values` — the
     /// position-resolved form of [`Table::find_by_attrs`], for callers that
-    /// resolve names once and probe many times. Both paths return tuples in
+    /// resolve names once and probe many times.
+    ///
+    /// This is the one place an equality lookup chooses its access path
+    /// ([`Table::find_by_attrs`], [`Table::keys_by_attrs`] and the overlay's
+    /// [`crate::overlay::TableView`] all come through here):
+    ///
+    /// 1. a secondary index over exactly `indices`, when one exists;
+    /// 2. else the primary index, when `indices` are the key positions in
+    ///    any order — the parent end of every structural connection is its
+    ///    relation's key (Definitions 2.2–2.4), so looking up an owner, a
+    ///    general entity or a referenced tuple needs no index of its own;
+    /// 3. else a scan of the relation, counted as a fallback.
+    ///
+    /// The first two count as index probes. Every path returns tuples in
     /// primary-key order.
     pub fn find_by_indices(&self, indices: &[usize], values: &[Value]) -> Vec<&Tuple> {
         if let Some(index) = self.indexes.get(indices) {
@@ -217,6 +230,10 @@ impl Table {
                 Some(keys) => keys.iter().filter_map(|k| self.rows.get(k)).collect(),
                 None => Vec::new(),
             };
+        }
+        if let Some(key) = self.key_spelled_by(indices, values) {
+            crate::stats::count_index_probe();
+            return self.rows.get(&key).into_iter().collect();
         }
         crate::stats::count_fallback_scan();
         self.rows
@@ -228,6 +245,26 @@ impl Table {
                     .all(|(&i, v)| t.get(i) == v)
             })
             .collect()
+    }
+
+    /// The primary key that `values` at `indices` spell out, when `indices`
+    /// are exactly the key positions (in any order); `None` otherwise.
+    fn key_spelled_by(&self, indices: &[usize], values: &[Value]) -> Option<Key> {
+        let key = self.schema.key_indices();
+        if indices.len() != key.len() || values.len() != key.len() {
+            return None;
+        }
+        // key positions are distinct, so finding each of them among equally
+        // many `indices` makes `indices` a permutation of the key
+        key.iter()
+            .map(|k| {
+                indices
+                    .iter()
+                    .position(|i| i == k)
+                    .map(|p| values[p].clone())
+            })
+            .collect::<Option<Vec<Value>>>()
+            .map(Key)
     }
 
     /// Index-only probe for the set-at-a-time engine: tuples matching
@@ -496,6 +533,53 @@ mod tests {
             .unwrap();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].key(t.schema()), Key::single(2));
+    }
+
+    #[test]
+    fn key_attributes_in_any_order_find_by_primary_key() {
+        let schema = RelationSchema::new(
+            "GRADES",
+            vec![
+                AttributeDef::required("course_id", DataType::Text),
+                AttributeDef::nullable("grade", DataType::Text),
+                AttributeDef::required("ssn", DataType::Int),
+            ],
+            &["ssn", "course_id"],
+        )
+        .unwrap();
+        let mut t = Table::new(schema);
+        for (c, g, s) in [("CS1", "A", 1), ("CS1", "B", 2), ("CS2", "A", 1)] {
+            t.insert(Tuple::raw(vec![c.into(), g.into(), s.into()]))
+                .unwrap();
+        }
+        let names = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        // declared key order, and the permutation of it
+        for (attrs, vals) in [
+            (names(&["ssn", "course_id"]), vec![2.into(), "CS1".into()]),
+            (names(&["course_id", "ssn"]), vec!["CS1".into(), 2.into()]),
+        ] {
+            let hits = t.find_by_attrs(&attrs, &vals).unwrap();
+            assert_eq!(hits.len(), 1);
+            assert_eq!(hits[0].get(1), &Value::text("B"));
+        }
+        assert!(t
+            .find_by_attrs(&names(&["course_id", "ssn"]), &["CS2".into(), 2.into()])
+            .unwrap()
+            .is_empty());
+        // the key path is taken for the key only: part of it, or an
+        // attribute repeated to the key's arity, is answered by the scan
+        assert!(t
+            .key_spelled_by(&[2, 0], &[1.into(), "CS1".into()])
+            .is_some());
+        assert!(t.key_spelled_by(&[2], &[1.into()]).is_none());
+        assert!(t.key_spelled_by(&[2, 2], &[1.into(), 1.into()]).is_none());
+        assert!(t.key_spelled_by(&[2, 1], &[1.into(), "A".into()]).is_none());
+        assert_eq!(
+            t.find_by_attrs(&names(&["ssn"]), &[1.into()])
+                .unwrap()
+                .len(),
+            2
+        );
     }
 
     #[test]

@@ -198,6 +198,27 @@ impl Connection {
         Ok(())
     }
 
+    /// The end the other end's tuples depend on — owner, general entity or
+    /// referenced relation — with its connecting attributes, which for
+    /// every kind are exactly its primary key (the table in the module
+    /// docs; [`Connection::validate`] enforces it).
+    pub fn parent_end(&self) -> (&str, &[String]) {
+        match self.kind {
+            ConnectionKind::Ownership | ConnectionKind::Subset => (&self.from, &self.from_attrs),
+            ConnectionKind::Reference => (&self.to, &self.to_attrs),
+        }
+    }
+
+    /// The end whose tuples need a connected tuple at the parent end —
+    /// owned, specializing or referencing relation — with its connecting
+    /// attributes.
+    pub fn dependent_end(&self) -> (&str, &[String]) {
+        match self.kind {
+            ConnectionKind::Ownership | ConnectionKind::Subset => (&self.to, &self.to_attrs),
+            ConnectionKind::Reference => (&self.from, &self.from_attrs),
+        }
+    }
+
     /// Values of `X1` in a tuple of `R1`.
     pub fn from_values(&self, r1: &RelationSchema, tuple: &Tuple) -> Result<Vec<Value>> {
         self.from_attrs

@@ -4,7 +4,10 @@
 //! executable engine:
 //!
 //! - [`check_database`] scans for violations (orphan owned tuples, dangling
-//!   references, subset tuples without their general entity).
+//!   references, subset tuples without their general entity) — the audit,
+//!   and the oracle the tests hold [`check_delta`] to.
+//! - [`check_delta`] finds the violations an overlay's writes cause, at
+//!   the cost of the writes: step 4 of every view-object update (paper §5).
 //! - [`plan_delete`] computes the full set of [`DbOp`]s implied by deleting
 //!   one tuple: cascades across ownership and subset connections, and
 //!   policy-driven repair (cascade / nullify / restrict) of referencing
@@ -22,9 +25,20 @@
 //! [`DbRead`], so they run identically against a committed [`Database`] or
 //! a [`vo_relational::overlay::DeltaDb`] overlay of planned-but-uncommitted
 //! ops — the substrate of batch update translation.
+//!
+//! **Access paths.** Every lookup here goes through
+//! [`TableView::find_by_attrs`] / [`TableView::keys_by_attrs`], and so by
+//! the path [`Table::find_by_indices`] chooses: a secondary index over the
+//! attributes when one exists, else the primary index when the attributes
+//! are the relation's key, else a counted scan. The parent end of every
+//! connection is its relation's key (Definitions 2.2–2.4), so looking *up*
+//! — for an owner, a general entity, a referenced tuple — never scans;
+//! looking *down* for dependents is a probe where the dependent end is
+//! indexed (object registration indexes every edge it traverses) and a
+//! scan of the dependent relation where it is not.
 
-use crate::connection::ConnectionKind;
-use crate::schema::{StructuralSchema, Traversal};
+use crate::connection::{Connection, ConnectionKind};
+use crate::schema::StructuralSchema;
 use std::collections::{BTreeMap, BTreeSet};
 use vo_obs::trace;
 use vo_relational::prelude::*;
@@ -165,7 +179,45 @@ impl IntegrityPolicy {
     }
 }
 
-/// Scan the whole database (or overlay) for structural violations.
+impl Violation {
+    /// The `(relation, key)` of the dependent tuple the violation is about.
+    pub fn target(&self) -> (&str, &Key) {
+        match self {
+            Violation::OrphanOwned { relation, key, .. }
+            | Violation::DanglingReference { relation, key, .. }
+            | Violation::SubsetWithoutParent { relation, key, .. } => (relation, key),
+        }
+    }
+
+    /// What a tuple at `key` of `conn`'s dependent end commits by having
+    /// non-NULL connecting values and no connected tuple at the parent end.
+    fn unparented(conn: &Connection, key: Key) -> Violation {
+        let connection = conn.name.clone();
+        let relation = conn.dependent_end().0.to_owned();
+        match conn.kind {
+            ConnectionKind::Ownership => Violation::OrphanOwned {
+                connection,
+                relation,
+                key,
+            },
+            ConnectionKind::Reference => Violation::DanglingReference {
+                connection,
+                relation,
+                key,
+            },
+            ConnectionKind::Subset => Violation::SubsetWithoutParent {
+                connection,
+                relation,
+                key,
+            },
+        }
+    }
+}
+
+/// Scan the whole database (or overlay) for structural violations: every
+/// tuple of every connection's dependent end, each looked up at the parent
+/// end. O(database) — the audit behind `check_consistency()` and the
+/// oracle [`check_delta`] is tested against, not a step of the write path.
 pub fn check_database(schema: &StructuralSchema, db: &impl DbRead) -> Result<Vec<Violation>> {
     let mut out = Vec::new();
     for conn in schema.connections() {
@@ -219,6 +271,77 @@ pub fn check_database(schema: &StructuralSchema, db: &impl DbRead) -> Result<Vec
         }
     }
     Ok(out)
+}
+
+/// The structural violations the overlay's writes cause: what
+/// [`check_database`] would report on the overlay — the same violations in
+/// the same order (schema connection order, then dependent key order) —
+/// **provided the base is consistent**, at a cost proportional to the
+/// writes instead of the database. A violation the base already carries,
+/// on a tuple the overlay neither writes nor orphans, is not reported:
+/// finding those is the audit's job ([`check_database`]).
+///
+/// For every key the overlay writes ([`DeltaDb::writes`]):
+///
+/// - the post-image, as a *dependent* (owned, specializing or referencing
+///   tuple), must find its parent through the overlay over every
+///   connection it depends along, unless its connecting values hold a
+///   NULL — one primary-key probe each;
+/// - the pre-image, as a *parent*, when the overlay no longer holds a tuple
+///   at its key (deleted or re-keyed away; the parent's connecting values
+///   *are* its key), must leave no dependent in the overlay over any
+///   connection it is the parent end of — one probe of the dependent end
+///   each.
+///
+/// These two cover every violation of a consistent base plus the writes: a
+/// violating dependent is either written (first rule) or was connected in
+/// the base to a parent whose key the overlay vacated (second rule). A
+/// dependent reached by both counts once.
+pub fn check_delta(schema: &StructuralSchema, db: &DeltaDb<'_>) -> Result<Vec<Violation>> {
+    let mut sp = trace::span("integrity.check_delta");
+    // (connection position, dependent key): the scan's order, without
+    // duplicates
+    let mut found: BTreeSet<(usize, Key)> = BTreeSet::new();
+    let (mut writes, mut probes) = (0i64, 0i64);
+    for w in db.writes() {
+        writes += 1;
+        let rel_schema = db.base().table(w.relation)?.schema();
+        for (i, conn) in schema.connections().iter().enumerate() {
+            let (parent, parent_attrs) = conn.parent_end();
+            let (dependent, dependent_attrs) = conn.dependent_end();
+            if dependent == w.relation {
+                if let Some(tuple) = w.after {
+                    let vals = connecting_values(dependent_attrs, rel_schema, tuple)?;
+                    // NULL never connects, and need not (reference rule 1)
+                    if !vals.iter().any(Value::is_null) {
+                        probes += 1;
+                        let parents = db.view(parent)?.find_by_attrs(parent_attrs, &vals)?;
+                        if parents.is_empty() {
+                            found.insert((i, w.key.clone()));
+                        }
+                    }
+                }
+            }
+            if parent == w.relation {
+                if let (Some(tuple), None) = (w.before, w.after) {
+                    let vals = connecting_values(parent_attrs, rel_schema, tuple)?;
+                    probes += 1;
+                    for key in db.view(dependent)?.keys_by_attrs(dependent_attrs, &vals)? {
+                        found.insert((i, key));
+                    }
+                }
+            }
+        }
+    }
+    if sp.is_recording() {
+        sp.field("writes", Json::Int(writes));
+        sp.field("probes", Json::Int(probes));
+        sp.field("violations", Json::Int(found.len() as i64));
+    }
+    Ok(found
+        .into_iter()
+        .map(|(i, key)| Violation::unparented(&schema.connections()[i], key))
+        .collect())
 }
 
 /// Plan the deletion of one tuple with full structural propagation.
@@ -526,7 +649,7 @@ pub fn missing_dependencies(
     let rel_schema = db.view(relation)?.schema().clone();
     let mut out = Vec::new();
     for dep in schema.dependencies_of(relation) {
-        let vals = values_on_side(&dep, &rel_schema, tuple, true)?;
+        let vals = connecting_values(dep.source_attrs(), &rel_schema, tuple)?;
         if vals.iter().any(Value::is_null) {
             // NULL reference is explicitly legal (reference rule 1); NULLs
             // cannot occur in key-side dependencies.
@@ -545,19 +668,13 @@ pub fn missing_dependencies(
     Ok(out)
 }
 
-/// Values of the connecting attributes on the source (`source = true`) or
-/// target side of a traversal, taken from a tuple of that side's relation.
-fn values_on_side(
-    t: &Traversal<'_>,
+/// Values of the connecting attributes `attrs` in a tuple of the relation
+/// `schema` describes.
+fn connecting_values(
+    attrs: &[String],
     schema: &RelationSchema,
     tuple: &Tuple,
-    source: bool,
 ) -> Result<Vec<Value>> {
-    let attrs = if source {
-        t.source_attrs()
-    } else {
-        t.target_attrs()
-    };
     attrs
         .iter()
         .map(|a| tuple.get_named(schema, a).cloned())
@@ -783,6 +900,96 @@ mod tests {
         db.insert("COURSES", vec!["X1".into(), Value::Null])
             .unwrap();
         assert!(check_database(&s, &db).unwrap().is_empty());
+    }
+
+    fn delete(relation: &str, key: Key) -> DbOp {
+        DbOp::Delete {
+            relation: relation.into(),
+            key,
+        }
+    }
+
+    /// `ops` laid on an overlay of `db`: the delta verdict, held to the scan's.
+    fn delta_verdict(s: &StructuralSchema, db: &Database, ops: &[DbOp]) -> Vec<Violation> {
+        let mut overlay = DeltaDb::new(db);
+        ops.iter().try_for_each(|op| overlay.apply(op)).unwrap();
+        let delta = check_delta(s, &overlay).unwrap();
+        assert_eq!(delta, check_database(s, &overlay).unwrap());
+        delta
+    }
+
+    #[test]
+    fn delta_check_finds_what_a_vacated_parent_key_strands() {
+        let (s, db) = setup();
+        // CS345 owns two grades and is referenced from the curriculum:
+        // reported in connection order, then dependent key order
+        let v = delta_verdict(&s, &db, &[delete("COURSES", Key::single("CS345"))]);
+        let said: Vec<String> = v.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            said,
+            [
+                "orphan owned tuple GRADES('CS345', 1) (connection courses_grades)",
+                "orphan owned tuple GRADES('CS345', 2) (connection courses_grades)",
+                "dangling reference CURRICULUM('MS', 'CS345') (connection curriculum_courses)",
+            ]
+        );
+        // a raw re-key strands the same dependents
+        let courses = db.table("COURSES").unwrap().schema().clone();
+        let rekey = DbOp::Replace {
+            relation: "COURSES".into(),
+            old_key: Key::single("CS345"),
+            tuple: Tuple::new(&courses, vec!["EES345".into(), "CS".into()]).unwrap(),
+        };
+        assert_eq!(delta_verdict(&s, &db, std::slice::from_ref(&rekey)), v);
+        // ... unless a new tuple takes the vacated key in the same batch
+        let reinsert = DbOp::Insert {
+            relation: "COURSES".into(),
+            tuple: Tuple::new(&courses, vec!["CS345".into(), Value::Null]).unwrap(),
+        };
+        assert!(delta_verdict(&s, &db, &[rekey, reinsert]).is_empty());
+    }
+
+    #[test]
+    fn delta_check_counts_a_dependent_reached_from_both_ends_once() {
+        let (s, db) = setup();
+        // the grade is written (re-graded) *and* its owner is deleted
+        let grades = db.table("GRADES").unwrap().schema().clone();
+        let ops = [
+            delete("COURSES", Key::single("CS101")),
+            DbOp::Replace {
+                relation: "GRADES".into(),
+                old_key: Key(vec!["CS101".into(), 1.into()]),
+                tuple: Tuple::new(&grades, vec!["CS101".into(), 1.into(), "C".into()]).unwrap(),
+            },
+        ];
+        let v = delta_verdict(&s, &db, &ops);
+        assert_eq!(v.len(), 1);
+        assert!(
+            matches!(&v[0], Violation::OrphanOwned { connection, .. } if connection == "courses_grades")
+        );
+    }
+
+    #[test]
+    fn delta_check_span_reports_writes_probes_and_violations() {
+        let (s, db) = setup();
+        let mut overlay = DeltaDb::new(&db);
+        overlay
+            .apply(&delete("DEPARTMENT", Key::single("CS")))
+            .unwrap();
+        let scope = trace::start_trace();
+        let v = check_delta(&s, &overlay).unwrap();
+        let me = trace::current_thread_id();
+        let spans: Vec<_> = trace::events()
+            .into_iter()
+            .filter(|e| e.thread == me && e.name == "integrity.check_delta")
+            .collect();
+        drop(scope);
+        assert_eq!(v.len(), 2); // both courses referenced the department
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].field("writes").unwrap(), &Json::Int(1));
+        // DEPARTMENT is the parent end of one connection: one look down
+        assert_eq!(spans[0].field("probes").unwrap(), &Json::Int(1));
+        assert_eq!(spans[0].field("violations").unwrap(), &Json::Int(2));
     }
 
     #[test]

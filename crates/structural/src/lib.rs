@@ -41,8 +41,9 @@ pub mod schema;
 pub use builder::StructuralSchemaBuilder;
 pub use connection::{Connection, ConnectionKind};
 pub use integrity::{
-    check_database, missing_dependencies, plan_completion, plan_delete, plan_key_replacement,
-    stub_tuple, IntegrityPolicy, MissingDependency, RefDeleteAction, RefModifyAction, Violation,
+    check_database, check_delta, missing_dependencies, plan_completion, plan_delete,
+    plan_key_replacement, stub_tuple, IntegrityPolicy, MissingDependency, RefDeleteAction,
+    RefModifyAction, Violation,
 };
 pub use schema::{StructuralSchema, Traversal};
 
@@ -51,9 +52,9 @@ pub mod prelude {
     pub use crate::builder::StructuralSchemaBuilder;
     pub use crate::connection::{Connection, ConnectionKind};
     pub use crate::integrity::{
-        check_database, missing_dependencies, plan_completion, plan_delete, plan_key_replacement,
-        stub_tuple, IntegrityPolicy, MissingDependency, RefDeleteAction, RefModifyAction,
-        Violation,
+        check_database, check_delta, missing_dependencies, plan_completion, plan_delete,
+        plan_key_replacement, stub_tuple, IntegrityPolicy, MissingDependency, RefDeleteAction,
+        RefModifyAction, Violation,
     };
     pub use crate::schema::{StructuralSchema, Traversal};
 }

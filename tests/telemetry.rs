@@ -374,6 +374,7 @@ fn golden_span_inventory_is_still_instrumented() {
         // spans
         "core.instantiate",
         "core.instantiate_parallel",
+        "integrity.check_delta",
         "integrity.plan_delete",
         "integrity.plan_replacement",
         "maintain.refresh",

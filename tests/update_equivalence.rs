@@ -255,45 +255,212 @@ fn global_check_failure_rolls_back_batch_and_sequential_alike() {
     let updater =
         ViewObjectUpdater::new(&schema, omega.clone(), Translator::permissive(&omega)).unwrap();
     let courses = db.table("COURSES").unwrap().schema().clone();
-
-    // corrupt the base out of band: a STUDENT row loses its PEOPLE parent,
-    // so the final global check fails no matter what the batch plans
-    let victim = db.table("STUDENT").unwrap().scan().next().unwrap().values()[0].clone();
-    db.table_mut("PEOPLE")
-        .unwrap()
-        .delete(&Key(vec![victim]))
-        .unwrap();
-    assert!(!check_database(&schema, &db).unwrap().is_empty());
-    let snapshot = db.clone();
-
-    let requests: Vec<UpdateRequest> = (0..3)
-        .map(|i| {
+    let requests = |ids: std::ops::Range<usize>, dept: &str| -> Vec<UpdateRequest> {
+        ids.map(|i| {
             UpdateRequest::CompleteInsertion(fresh_course(
                 &omega,
                 &courses,
                 &format!("Z-{i}"),
-                "dept-0",
+                dept,
             ))
         })
-        .collect();
+        .collect()
+    };
+    let violations_text = |v: &[Violation]| {
+        Error::ConstraintViolation(format!(
+            "{} structural violation(s), first: {}",
+            v.len(),
+            v[0]
+        ))
+    };
 
-    // batch: fails at the global check, applies nothing; the violation
-    // predates the batch, so no request index is attributable
+    // What the write path guarantees is that an accepted update never
+    // takes a consistent base to an inconsistent one. A base corrupted out
+    // of band — here a STUDENT row loses its PEOPLE parent — is the audit's
+    // to find, not every writer's: unrelated insertions are accepted, as a
+    // batch and one by one, and the audit goes on reporting the orphan.
+    {
+        let mut db = db.clone();
+        let victim = db.table("STUDENT").unwrap().scan().next().unwrap().values()[0].clone();
+        db.table_mut("PEOPLE")
+            .unwrap()
+            .delete(&Key(vec![victim]))
+            .unwrap();
+        let orphan = check_database(&schema, &db).unwrap();
+        assert_eq!(orphan.len(), 1);
+        assert!(matches!(
+            &orphan[0],
+            Violation::SubsetWithoutParent { relation, .. } if relation == "STUDENT"
+        ));
+        let before = db.table("COURSES").unwrap().len();
+        updater
+            .apply_batch(&schema, &mut db, requests(0..2, "dept-0"))
+            .unwrap();
+        updater
+            .apply_request(&schema, &mut db, requests(2..3, "dept-0").remove(0))
+            .unwrap();
+        assert_eq!(db.table("COURSES").unwrap().len(), before + 3);
+        assert_eq!(check_database(&schema, &db).unwrap(), orphan);
+    }
+
+    // (a) a violation the batch causes: ops that delete a DEPARTMENT still
+    // referenced. No translator emits these, so the prepared batch is built
+    // by hand. Refused at the global check with the scan's own words, and
+    // nothing applied.
+    let snapshot = db.clone();
+    let ops = vec![DbOp::Delete {
+        relation: "DEPARTMENT".into(),
+        key: Key::single("dept-0"),
+    }];
+    let expected = {
+        let mut applied = db.clone();
+        applied.apply_all(&ops).unwrap();
+        violations_text(&check_database(&schema, &applied).unwrap())
+    };
+    assert!(expected
+        .to_string()
+        .contains("structural violation(s), first: dangling reference COURSES"));
+    let stats = UpdateStats::from_ops(&ops);
+    let prepared = PreparedBatch {
+        outcomes: vec![UpdateOutcome {
+            request_kind: "complete-deletion",
+            ops: ops.clone(),
+            steps: vec![UpdateStep::Validate, UpdateStep::Translate],
+            stats,
+        }],
+        ops,
+        stats,
+        base_version: db.version(),
+        touched: ["DEPARTMENT".to_string()].into(),
+    };
     let err = updater
-        .apply_batch(&schema, &mut db, requests.clone())
+        .commit_prepared(&schema, &mut db, prepared)
         .unwrap_err();
     assert_eq!(err.step, UpdateStep::GlobalCheck);
-    assert_eq!(err.request_index, None);
-    assert!(matches!(*err.source, Error::Rolledback(_)));
-    assert_same_database(&snapshot, &db, "batch after global-check failure");
+    assert_eq!(*err.source, Error::Rolledback(Box::new(expected)));
+    assert_same_database(&snapshot, &db, "commit of a violating batch");
+    assert_eq!(db.version(), snapshot.version());
 
-    // sequential strict application fails the same way on the first
-    // request, also applying nothing — rollback parity
-    let mut db_seq = snapshot.clone();
+    // (b) the head moved under the check's probes. A course is prepared
+    // into a freshly added department; a later commit deletes that
+    // department again — it has no dependents, so the head stays
+    // consistent. With the conflict set not naming DEPARTMENT (a translator
+    // that had not consulted it), first-committer-wins lets the batch
+    // through, and only the check re-run at the head can refuse it.
+    let dept = db.table("DEPARTMENT").unwrap().schema().clone();
+    let fresh_dept = Tuple::new(&dept, vec!["dept-new".into()]).unwrap();
+    db.apply(&DbOp::Insert {
+        relation: "DEPARTMENT".into(),
+        tuple: fresh_dept.clone(),
+    })
+    .unwrap();
+    let mut prepared = updater
+        .prepare_batch(&schema, &db, requests(9..10, "dept-new"))
+        .unwrap();
+    assert_eq!(prepared.base_version, db.version());
+    assert!(prepared.touched.remove("DEPARTMENT"));
+    db.apply(&DbOp::Delete {
+        relation: "DEPARTMENT".into(),
+        key: fresh_dept.key(&dept),
+    })
+    .unwrap();
+    assert!(check_database(&schema, &db).unwrap().is_empty());
+    let snapshot = db.clone();
     let err = updater
-        .apply_request(&schema, &mut db_seq, requests[0].clone())
+        .commit_prepared(&schema, &mut db, prepared)
         .unwrap_err();
     assert_eq!(err.step, UpdateStep::GlobalCheck);
-    assert!(matches!(*err.source, Error::Rolledback(_)));
-    assert_same_database(&snapshot, &db_seq, "sequential after global-check failure");
+    assert!(
+        matches!(&*err.source, Error::Rolledback(inner) if inner.to_string().contains(
+            "1 structural violation(s), first: dangling reference COURSES('Z-9')"
+        )),
+        "{err}"
+    );
+    assert_same_database(&snapshot, &db, "commit under a moved head");
+    assert_eq!(db.version(), snapshot.version());
+}
+
+/// Index probes and fallback scans of one `PREPARE` and of one `COMMIT`.
+type CycleCost = ((u64, u64), (u64, u64));
+
+/// One VO-R, one VO-CD and one VO-CI on ω at `scale`, each as its own
+/// `Session::prepare_batch` + `Penguin::commit_prepared` cycle.
+fn omega_cycle_costs(scale: i64) -> Vec<CycleCost> {
+    let (schema, db) = university_scaled(scale, 42);
+    let mut p = Penguin::with_database(schema, db);
+    p.define_object(
+        "omega",
+        "COURSES",
+        &["DEPARTMENT", "CURRICULUM", "GRADES", "STUDENT"],
+    )
+    .unwrap();
+    let omega = p.object("omega").unwrap().object.clone();
+    p.install_translator("omega", Translator::permissive(&omega))
+        .unwrap();
+    let courses = p.database().table("COURSES").unwrap().schema().clone();
+
+    // department 0 is seeded first, so these instances are the same rows at
+    // every scale
+    let retitled = p.instance_by_key("omega", &Key::single("C0-0")).unwrap();
+    let mut revised = retitled.clone();
+    revised.root.tuple = revised
+        .root
+        .tuple
+        .with_named(&courses, "title", "revised".into())
+        .unwrap();
+    let dropped = p.instance_by_key("omega", &Key::single("C0-1")).unwrap();
+    let requests = [
+        UpdateRequest::Replacement {
+            old: retitled,
+            new: revised,
+        },
+        UpdateRequest::CompleteDeletion(dropped.clone()),
+        UpdateRequest::CompleteInsertion(dropped),
+    ];
+
+    let cost = |d: InstrumentationSnapshot| (d.index_probes, d.fallback_scans);
+    let mut costs = Vec::new();
+    for request in requests {
+        let session = p.session();
+        let before = stats::snapshot();
+        let prepared = session.prepare_batch("omega", vec![request]).unwrap();
+        let prepare = cost(before.delta(&stats::snapshot()));
+        assert!(!prepared.ops.is_empty());
+        let before = stats::snapshot();
+        p.commit_prepared("omega", prepared).unwrap();
+        costs.push((prepare, cost(before.delta(&stats::snapshot()))));
+    }
+    assert!(p.check_consistency().unwrap().is_empty());
+    costs
+}
+
+#[test]
+fn update_cycle_cost_does_not_grow_with_the_database() {
+    let _g = lock();
+    let small = omega_cycle_costs(2);
+    let large = omega_cycle_costs(8);
+    for (kind, ((prepare_s, commit_s), (prepare_l, commit_l))) in ["VO-R", "VO-CD", "VO-CI"]
+        .iter()
+        .zip(small.iter().zip(&large))
+    {
+        // a parent is found through its primary key and ω's registration
+        // indexed every dependent end these updates look down: no lookup
+        // of a cycle degrades to a scan
+        for (_, scans) in [prepare_s, commit_s, prepare_l, commit_l] {
+            assert_eq!(*scans, 0, "{kind}: S=2 {small:?}, S=8 {large:?}");
+        }
+        // and a 4× database costs not one probe more
+        assert_eq!(
+            commit_s, commit_l,
+            "{kind} commit: S=2 {small:?}, S=8 {large:?}"
+        );
+        // (debug builds cross-check every plan against the full scan, whose
+        // probes do grow — by design, and only there)
+        if !cfg!(debug_assertions) {
+            assert_eq!(
+                prepare_s, prepare_l,
+                "{kind} prepare: S=2 {small:?}, S=8 {large:?}"
+            );
+        }
+    }
 }
