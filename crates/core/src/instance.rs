@@ -276,6 +276,10 @@ pub struct StepPlan {
     pub target_attrs: Vec<String>,
     /// Positions of the connecting attributes in `target` tuples.
     pub target_indices: Vec<usize>,
+    /// True when the connecting attributes are `target`'s primary key (in
+    /// any order): the step probes the primary index and needs no
+    /// secondary one.
+    pub target_keyed: bool,
 }
 
 /// A fully resolved object edge: the prepared steps from the parent
@@ -294,10 +298,14 @@ pub struct EdgePlan {
 
 impl EdgePlan {
     /// The `(relation, attrs)` pairs a database should index so every
-    /// step of this edge probes instead of scanning.
+    /// step of this edge probes instead of scanning. A step that arrives
+    /// at its target's primary key asks for nothing: the primary index
+    /// already answers it, and a secondary copy of the key would be
+    /// maintained by every write and cloned by every copy-on-write.
     pub fn required_indexes(&self) -> impl Iterator<Item = (&str, &[String])> {
         self.steps
             .iter()
+            .filter(|s| !s.target_keyed)
             .map(|s| (s.target.as_str(), s.target_attrs.as_slice()))
     }
 }
@@ -331,15 +339,14 @@ pub fn plan_edge(
             )));
         }
         let source_indices = db.table(&at)?.schema().indices_of(t.source_attrs())?;
-        let target_indices = db
-            .table(t.target())?
-            .schema()
-            .indices_of(t.target_attrs())?;
+        let target_schema = db.table(t.target())?.schema();
+        let target_indices = target_schema.indices_of(t.target_attrs())?;
         steps.push(StepPlan {
             source: at.clone(),
             target: t.target().to_owned(),
             source_indices,
             target_attrs: t.target_attrs().to_vec(),
+            target_keyed: target_schema.is_key_at(&target_indices),
             target_indices,
         });
         at = t.target().to_owned();
@@ -358,78 +365,66 @@ pub fn plan_edge(
     })
 }
 
+/// The tuple's values at `indices`, unless one of them is NULL: NULL never
+/// connects (Definition 2.1).
+pub(crate) fn connecting_values(tuple: &Tuple, indices: &[usize]) -> Option<Vec<Value>> {
+    let vals = tuple.project(indices);
+    (!vals.iter().any(Value::is_null)).then_some(vals)
+}
+
 /// Execute one prepared step over a whole frontier: each input is a
 /// `(origin, tuple)` pair, and every match inherits its input's origin.
-/// With a secondary index on the target's connecting attributes each
-/// probe is an index lookup; otherwise ONE hash table is built over the
-/// target and probed for every input — never a per-input scan.
+/// The access path is the one [`Table::index_at`] chooses for the target's
+/// connecting attributes — a secondary index, or the primary index when
+/// they are the target's key — and each probe is one lookup; where there
+/// is none, ONE hash table is built over the target and probed for every
+/// input — never a per-input scan. Returns the matches and the access
+/// path's profile label.
 pub(crate) fn probe_step(
     step: &StepPlan,
     db: &Database,
     inputs: &[(usize, &Tuple)],
-) -> Result<Vec<(usize, Tuple)>> {
+) -> Result<(Vec<(usize, Tuple)>, &'static str)> {
     let target = db.table(&step.target)?;
     let mut out = Vec::new();
-    let indexed = target.has_index_at(&step.target_indices);
-    // Counter bumps are aggregated locally and recorded once per frontier
-    // pass: parallel workers otherwise serialize on the shared counter
-    // cache lines, one relaxed RMW per input tuple.
-    let mut probes = 0u64;
-    let mut rows = 0u64;
-    if indexed {
-        for &(origin, tuple) in inputs {
-            let vals = tuple.project(&step.source_indices);
-            if vals.iter().any(Value::is_null) {
-                continue; // NULL never connects (Definition 2.1)
-            }
-            let matches = target
-                .probe_index_at(&step.target_indices, &vals)
-                .expect("index presence checked via has_index_at");
+    let connecting = inputs.iter().filter_map(|&(origin, tuple)| {
+        Some((origin, connecting_values(tuple, &step.source_indices)?))
+    });
+    let access = if let Some(index) = target.index_at(&step.target_indices) {
+        // Counter bumps are aggregated locally and recorded once per
+        // frontier pass: parallel workers otherwise serialize on the shared
+        // counter cache lines, one relaxed RMW per input tuple.
+        let mut probes = 0u64;
+        for (origin, vals) in connecting {
             probes += 1;
-            rows += matches.len() as u64;
-            out.extend(matches.into_iter().map(|m| (origin, m.clone())));
+            out.extend(index.find(&vals).into_iter().map(|m| (origin, m.clone())));
         }
+        if probes > 0 {
+            vo_relational::stats::count_index_probes(probes);
+        }
+        "index probe"
     } else {
         let groups = target.group_by_indices(&step.target_indices);
-        for &(origin, tuple) in inputs {
-            let vals = tuple.project(&step.source_indices);
-            if vals.iter().any(Value::is_null) {
-                continue;
-            }
+        for (origin, vals) in connecting {
             if let Some(matches) = groups.get(&vals) {
-                rows += matches.len() as u64;
                 out.extend(matches.iter().map(|m| (origin, (*m).clone())));
             }
         }
-    }
-    if probes > 0 {
-        vo_relational::stats::count_index_probes(probes);
-    }
-    if rows > 0 {
-        vo_relational::stats::count_join_rows(rows);
+        "hash build (scan)"
+    };
+    if !out.is_empty() {
+        vo_relational::stats::count_join_rows(out.len() as u64);
     }
     trace::debug_event_with("core.probe_step", || {
         vec![
             ("source", Json::str(step.source.clone())),
             ("target", Json::str(step.target.clone())),
-            ("access", Json::str(step_access_label(indexed))),
+            ("access", Json::str(access)),
             ("rows_in", Json::Int(inputs.len() as i64)),
             ("rows_out", Json::Int(out.len() as i64)),
         ]
     });
-    Ok(out)
-}
-
-/// Access-path label for one edge step, keyed off the same index check
-/// [`probe_step`] makes — `index probe` when a secondary index covers the
-/// target's connecting attributes, `hash build (scan)` when the step falls
-/// back to scanning the target into a hash table.
-fn step_access_label(indexed: bool) -> &'static str {
-    if indexed {
-        "index probe"
-    } else {
-        "hash build (scan)"
-    }
+    Ok((out, access))
 }
 
 /// Follow a prepared edge for every parent tuple at once. Returns one
@@ -441,18 +436,23 @@ pub fn follow_edge_batch(
     db: &Database,
     parents: &[&Tuple],
 ) -> Result<Vec<Vec<Tuple>>> {
-    follow_edge_batch_inner(plan, db, parents, None)
+    let mut out: Vec<Vec<Tuple>> = vec![Vec::new(); parents.len()];
+    for (origin, t) in follow_edge_flat(plan, db, parents, None)? {
+        out[origin].push(t);
+    }
+    Ok(out)
 }
 
-/// [`follow_edge_batch`] with an optional per-step profile sink: when
-/// `profile` is `Some`, one [`ProfileNode`] per step (access path, rows
-/// in/out, elapsed time) is appended to it.
-fn follow_edge_batch_inner(
+/// [`follow_edge_batch`] as the engine consumes it: `(parent position,
+/// terminal)` pairs in parent-major order, without a list per parent.
+/// When `profile` is `Some`, one [`ProfileNode`] per step (access path,
+/// rows in/out, elapsed time) is appended to it.
+fn follow_edge_flat(
     plan: &EdgePlan,
     db: &Database,
     parents: &[&Tuple],
     mut profile: Option<&mut Vec<ProfileNode>>,
-) -> Result<Vec<Vec<Tuple>>> {
+) -> Result<Vec<(usize, Tuple)>> {
     if plan.steps.is_empty() {
         return Err(Error::InvalidPlan("edge plan without steps".into()));
     }
@@ -465,11 +465,11 @@ fn follow_edge_batch_inner(
         };
         let rows_in = inputs.len();
         let start = profile.as_ref().map(|_| Instant::now());
-        frontier = probe_step(step, db, &inputs)?;
+        let access;
+        (frontier, access) = probe_step(step, db, &inputs)?;
         if let Some(sink) = profile.as_deref_mut() {
-            let indexed = db.table(&step.target)?.has_index_at(&step.target_indices);
             let mut node = ProfileNode::new(format!("Step[{} -> {}]", step.source, step.target));
-            node.access_path = step_access_label(indexed).to_owned();
+            node.access_path = access.to_owned();
             node.rows_in = rows_in as u64;
             node.rows_out = frontier.len() as u64;
             if let Some(s) = start {
@@ -478,16 +478,15 @@ fn follow_edge_batch_inner(
             sink.push(node);
         }
     }
-    let term_schema = db.table(&plan.terminal)?.schema();
-    let mut out: Vec<Vec<Tuple>> = vec![Vec::new(); parents.len()];
-    let mut seen: Vec<std::collections::BTreeSet<Key>> =
-        vec![std::collections::BTreeSet::new(); parents.len()];
-    for (origin, t) in frontier {
-        if seen[origin].insert(t.key(term_schema)) {
-            out[origin].push(t);
-        }
+    // One probe of one index, or one hash group, per parent: a one-step
+    // edge cannot reach a row twice. A contracted edge can reach one
+    // terminal along several paths.
+    if plan.steps.len() > 1 {
+        let term_schema = db.table(&plan.terminal)?.schema();
+        let mut seen = std::collections::BTreeSet::new();
+        frontier.retain(|(origin, t)| seen.insert((*origin, t.key(term_schema))));
     }
-    Ok(out)
+    Ok(frontier)
 }
 
 /// Every edge of an object resolved into [`EdgePlan`]s, stamped with the
@@ -616,10 +615,10 @@ fn instantiate_planned_inner(
     for &id in order.iter().skip(1) {
         let eplan = plan.edge(id)?;
         let parent_refs: Vec<&Tuple> = rows[eplan.parent].iter().collect();
-        let per_parent = if let Some(prof) = profile.as_deref_mut() {
+        let terminals = if let Some(prof) = profile.as_deref_mut() {
             let start = Instant::now();
             let mut steps = Vec::new();
-            let per_parent = follow_edge_batch_inner(eplan, db, &parent_refs, Some(&mut steps))?;
+            let terminals = follow_edge_flat(eplan, db, &parent_refs, Some(&mut steps))?;
             let mut node = ProfileNode::new(format!(
                 "Edge[{} -> {}]",
                 object.node(eplan.parent).relation,
@@ -627,24 +626,15 @@ fn instantiate_planned_inner(
             ));
             node.access_path = edge_access_label(&steps);
             node.rows_in = parent_refs.len() as u64;
-            node.rows_out = per_parent.iter().map(Vec::len).sum::<usize>() as u64;
+            node.rows_out = terminals.len() as u64;
             node.set_elapsed(start.elapsed());
             node.children = steps;
             prof.children.push(node);
-            per_parent
+            terminals
         } else {
-            follow_edge_batch(eplan, db, &parent_refs)?
+            follow_edge_flat(eplan, db, &parent_refs, None)?
         };
-        let mut r = Vec::new();
-        let mut pr = Vec::new();
-        for (j, terminals) in per_parent.into_iter().enumerate() {
-            for t in terminals {
-                r.push(t);
-                pr.push(j);
-            }
-        }
-        rows[id] = r;
-        parent_row[id] = pr;
+        (parent_row[id], rows[id]) = terminals.into_iter().unzip();
     }
     // Stitch bottom-up: reverse preorder guarantees every child level is
     // assembled before its parent attaches it.
@@ -1022,12 +1012,23 @@ mod tests {
         let (schema, db) = university_database();
         let omega = generate_omega(&schema).unwrap();
         let plan = plan_object(&schema, &omega, &db).unwrap();
-        let req = plan.required_indexes();
-        // every edge target appears: DEPARTMENT, CURRICULUM, GRADES, STUDENT
-        let rels: Vec<&str> = req.iter().map(|(r, _)| r.as_str()).collect();
-        for rel in ["CURRICULUM", "DEPARTMENT", "GRADES", "STUDENT"] {
-            assert!(rels.contains(&rel), "{rel} missing from {rels:?}");
-        }
+        // an edge that arrives at part of a key, or off it, wants an index;
+        // DEPARTMENT(dept_name) and STUDENT(ssn) are reached by their
+        // primary keys and want none
+        let names = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            plan.required_indexes(),
+            vec![
+                ("CURRICULUM".to_string(), names(&["course_id"])),
+                ("GRADES".to_string(), names(&["course_id"])),
+            ]
+        );
+        let keyed: std::collections::BTreeSet<&str> = (1..omega.nodes().len())
+            .flat_map(|id| &plan.edge(id).unwrap().steps)
+            .filter(|s| s.target_keyed)
+            .map(|s| s.target.as_str())
+            .collect();
+        assert_eq!(keyed, ["DEPARTMENT", "STUDENT"].into());
     }
 
     #[test]
@@ -1046,9 +1047,16 @@ mod tests {
             // one child per non-root object node, each with >= 1 step
             assert_eq!(prof.children.len(), omega.nodes().len() - 1);
             assert!(prof.children.iter().all(|e| !e.children.is_empty()));
-            // without secondary indexes every step hash-builds over a scan
-            assert!(prof.any(&|n| n.access_path == "hash build (scan)"));
-            assert!(!prof.any(&|n| n.access_path == "index probe"));
+            // without secondary indexes a step hash-builds over a scan
+            // unless it arrives at its target's primary key
+            for (edge, access) in [
+                ("Edge[COURSES -> GRADES]", "hash build (scan)"),
+                ("Edge[COURSES -> CURRICULUM]", "hash build (scan)"),
+                ("Edge[COURSES -> DEPARTMENT]", "index probe"),
+                ("Edge[GRADES -> STUDENT]", "index probe"),
+            ] {
+                assert_eq!(prof.find(edge).unwrap().access_path, access, "{edge}");
+            }
         }
         // index every edge target and re-plan: all steps become probes
         for (rel, attrs) in plan.required_indexes() {
@@ -1091,9 +1099,19 @@ mod tests {
             .filter(|e| e.name == "core.probe_step")
             .collect();
         assert_eq!(probes.len(), 4); // one batched step per edge
-        assert!(probes
-            .iter()
-            .all(|p| p.field("access").unwrap() == &Json::str("hash build (scan)")));
+        for p in probes {
+            // no secondary index exists: only the steps that arrive at a
+            // primary key probe
+            let keyed = ["DEPARTMENT", "STUDENT"]
+                .iter()
+                .any(|t| p.field("target").unwrap() == &Json::str(*t));
+            let access = if keyed {
+                "index probe"
+            } else {
+                "hash build (scan)"
+            };
+            assert_eq!(p.field("access").unwrap(), &Json::str(access));
+        }
     }
 
     #[test]

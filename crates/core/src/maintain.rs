@@ -29,8 +29,8 @@
 //! incremental attempt failed midway.
 
 use crate::instance::{
-    instantiate_many_planned, plan_object, probe_step, ObjectPlan, StepPlan, VoInstance,
-    VoInstanceNode,
+    connecting_values, instantiate_many_planned, plan_object, probe_step, ObjectPlan, StepPlan,
+    VoInstance, VoInstanceNode,
 };
 use crate::object::ViewObject;
 use std::collections::{BTreeMap, BTreeSet};
@@ -258,8 +258,8 @@ impl MaterializedView {
     /// The `(relation, attrs)` pairs that should be indexed so the
     /// reverse walks of incremental refresh probe instead of scanning:
     /// for every edge step, the *source* relation's connecting
-    /// attributes (forward instantiation already wants the targets',
-    /// see [`ObjectPlan::required_indexes`]).
+    /// attributes unless they are its primary key (forward instantiation
+    /// already wants the targets', see [`ObjectPlan::required_indexes`]).
     pub fn reverse_required_indexes(&self, db: &Database) -> Result<Vec<(String, Vec<String>)>> {
         reverse_indexes_for(&self.object, &self.plan, db)
     }
@@ -473,13 +473,13 @@ impl MaterializedView {
             return Ok(false);
         };
         let pivots: Vec<Key> = pivots.iter().cloned().collect();
-        let rschema = db.table(rel)?.schema().clone();
+        let rschema = db.table(rel)?.schema();
         // the pre-op tuple as the instances currently hold it (patches
         // applied earlier in this refresh included)
         let sample = self
             .instances
             .get(&pivots[0])
-            .and_then(|inst| find_tuple(&inst.root, &self.object, &rschema, rel, key))
+            .and_then(|inst| find_tuple(&inst.root, &self.object, rschema, rel, key))
             .cloned();
         let Some(old) = sample else {
             // binding recorded but tuple not found in the instance tree —
@@ -487,7 +487,7 @@ impl MaterializedView {
             return Ok(false);
         };
         if let Some(positions) = self.connecting.get(rel) {
-            if old.project(positions) != new_tuple.project(positions) {
+            if positions.iter().any(|&p| old.get(p) != new_tuple.get(p)) {
                 return Ok(false);
             }
         }
@@ -496,7 +496,7 @@ impl MaterializedView {
         }
         for pivot in pivots {
             if let Some(inst) = self.instances.get_mut(&pivot) {
-                if patch_tuple(&mut inst.root, &self.object, &rschema, rel, key, new_tuple) {
+                if patch_tuple(&mut inst.root, &self.object, rschema, rel, key, new_tuple) {
                     patched.insert(pivot.clone());
                     events.entry(pivot).or_insert(ChangeKind::Updated);
                 }
@@ -640,6 +640,9 @@ pub fn reverse_indexes_for(
     for node in object.nodes().iter().skip(1) {
         for step in &plan.edge(node.id)?.steps {
             let schema = db.table(&step.source)?.schema();
+            if schema.is_key_at(&step.source_indices) {
+                continue; // the primary index answers the reverse probe
+            }
             let attrs: Vec<String> = step
                 .source_indices
                 .iter()
@@ -653,43 +656,33 @@ pub fn reverse_indexes_for(
 
 /// Execute one step *backwards*: given tuples of the step's target
 /// relation, find the source-relation tuples whose connecting projection
-/// matches. Probes a secondary index on the source's connecting
-/// attributes when present, otherwise builds one hash table over the
-/// source. Results are deduplicated by key.
+/// matches. Probes the index [`Table::index_at`] finds over the source's
+/// connecting attributes when there is one, otherwise builds one hash
+/// table over the source. Results are deduplicated by key.
 fn reverse_step(step: &StepPlan, db: &Database, targets: &[Tuple]) -> Result<Vec<Tuple>> {
     let source = db.table(&step.source)?;
     let sschema = source.schema();
     let mut seen: BTreeSet<Key> = BTreeSet::new();
     let mut out = Vec::new();
-    let indexed = source.has_index_at(&step.source_indices);
-    if indexed {
-        for t in targets {
-            let vals = t.project(&step.target_indices);
-            if vals.iter().any(Value::is_null) {
-                continue; // NULL never connects (Definition 2.1)
+    let mut keep = |matches: &[&Tuple]| {
+        for m in matches {
+            if seen.insert(m.key(sschema)) {
+                out.push((*m).clone());
             }
-            let matches = source
-                .probe_index_at(&step.source_indices, &vals)
-                .expect("index presence checked via has_index_at");
-            for m in matches {
-                if seen.insert(m.key(sschema)) {
-                    out.push(m.clone());
-                }
-            }
+        }
+    };
+    let connecting = targets
+        .iter()
+        .filter_map(|t| connecting_values(t, &step.target_indices));
+    if let Some(index) = source.index_at(&step.source_indices) {
+        for vals in connecting {
+            keep(&index.find(&vals));
         }
     } else {
         let groups = source.group_by_indices(&step.source_indices);
-        for t in targets {
-            let vals = t.project(&step.target_indices);
-            if vals.iter().any(Value::is_null) {
-                continue;
-            }
+        for vals in connecting {
             if let Some(matches) = groups.get(&vals) {
-                for m in matches {
-                    if seen.insert(m.key(sschema)) {
-                        out.push((*m).clone());
-                    }
-                }
+                keep(matches);
             }
         }
     }
@@ -768,7 +761,7 @@ fn collect_bindings(
         let mut frontier: Vec<(usize, Tuple)> = rows[eplan.parent].clone();
         for step in &eplan.steps {
             let inputs: Vec<(usize, &Tuple)> = frontier.iter().map(|(o, t)| (*o, t)).collect();
-            let next = probe_step(step, db, &inputs)?;
+            let (next, _) = probe_step(step, db, &inputs)?;
             let tschema = db.table(&step.target)?.schema();
             let mut seen: BTreeSet<(usize, Key)> = BTreeSet::new();
             frontier = Vec::with_capacity(next.len());
@@ -1085,12 +1078,14 @@ mod tests {
         let (_, mut db) = university_database();
         let (_, view) = omega_view(&mut db);
         let idx = view.reverse_required_indexes(&db).unwrap();
-        // every ω edge connects out of COURSES or GRADES
-        assert!(idx
-            .iter()
-            .any(|(rel, attrs)| rel == "COURSES" && attrs == &["dept_name".to_owned()]));
-        assert!(idx
-            .iter()
-            .any(|(rel, attrs)| rel == "GRADES" && attrs == &["ssn".to_owned()]));
+        // every ω edge connects out of COURSES or GRADES; the two that
+        // leave COURSES by its key (to GRADES, to CURRICULUM) ask for nothing
+        assert_eq!(
+            idx,
+            [
+                ("COURSES".to_owned(), vec!["dept_name".to_owned()]),
+                ("GRADES".to_owned(), vec!["ssn".to_owned()]),
+            ]
+        );
     }
 }

@@ -52,6 +52,10 @@ impl CountCondition {
     }
 }
 
+/// A predicate on a non-pivot node, with the column names of the node's
+/// relation it is evaluated over — resolved once per query.
+type ChildPredicate<'q> = (NodeId, &'q Expr, Vec<String>);
+
 /// A query over one view object.
 #[derive(Debug, Clone, Default)]
 pub struct VoQuery {
@@ -190,10 +194,26 @@ impl VoQuery {
             .iter()
             .filter_map(|row| pivot.get(&Key::new(row.clone())))
             .collect();
+        // the predicates on non-pivot nodes (the pivot's is already applied
+        // in the plan), each with its node relation's column names
+        let child_predicates: Vec<ChildPredicate<'_>> = self
+            .node_predicates
+            .iter()
+            .filter(|(&node, _)| node != 0)
+            .map(|(&node, pred)| {
+                let rel_schema = db.table(&object.node(node).relation)?.schema();
+                let columns = rel_schema
+                    .attributes()
+                    .iter()
+                    .map(|a| a.name.clone())
+                    .collect();
+                Ok((node, pred, columns))
+            })
+            .collect::<Result<_>>()?;
         // assemble all candidate instances set-at-a-time
         let mut out = Vec::new();
         for inst in instantiate_many_planned(object, db, object_plan, &candidates)? {
-            let inst = self.filter_instance(schema, object, db, inst)?;
+            let inst = self.filter_instance(&child_predicates, inst)?;
             let Some(inst) = inst else { continue };
             out.push(inst);
         }
@@ -224,25 +244,13 @@ impl VoQuery {
     /// conditions; `None` means the instance is filtered out.
     fn filter_instance(
         &self,
-        schema: &StructuralSchema,
-        object: &ViewObject,
-        db: &Database,
+        child_predicates: &[ChildPredicate<'_>],
         mut inst: VoInstance,
     ) -> Result<Option<VoInstance>> {
-        for (&node, pred) in &self.node_predicates {
-            if node == 0 {
-                continue; // already applied in the plan
-            }
-            let rel = &object.node(node).relation;
-            let rel_schema = db.table(rel)?.schema().clone();
-            let columns: Vec<String> = rel_schema
-                .attributes()
-                .iter()
-                .map(|a| a.name.clone())
-                .collect();
+        for (node, pred, columns) in child_predicates {
             let mut err = None;
-            prune_children(&mut inst.root, node, &mut |t: &Tuple| match pred
-                .eval_truth(&columns, t.values())
+            prune_children(&mut inst.root, *node, &mut |t: &Tuple| match pred
+                .eval_truth(columns, t.values())
             {
                 Ok(tr) => tr.is_true(),
                 Err(e) => {
@@ -254,7 +262,6 @@ impl VoQuery {
                 return Err(e);
             }
         }
-        let _ = schema;
         for c in &self.count_conditions {
             if !c.holds(inst.tuples_of(c.node).len()) {
                 return Ok(None);

@@ -56,7 +56,7 @@ fn validate_node(
     let node = object.node(inst.node);
     let rel_schema = schema.catalog().relation(&node.relation)?;
     // tuple conformance
-    Tuple::new(rel_schema, inst.tuple.clone().into_values())?;
+    inst.tuple.validate(rel_schema)?;
     for (&child_id, children) in &inst.children {
         // the child must be a declared child of this node
         if !node.children.contains(&child_id) {

@@ -232,7 +232,7 @@ pub fn enumerate_insertion(view: &SpjView, db: &Database, view_row: &[Value]) ->
                         vals.push(match a.ty {
                             DataType::Int => Value::Int(0),
                             DataType::Float => Value::Float(0.0),
-                            DataType::Text => Value::Text(String::new()),
+                            DataType::Text => Value::text(""),
                             DataType::Bool => Value::Bool(false),
                         });
                     }

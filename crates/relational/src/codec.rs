@@ -32,7 +32,7 @@ impl JsonCodec for Value {
             Value::Bool(b) => Json::Bool(*b),
             Value::Int(i) => Json::Int(*i),
             Value::Float(x) => Json::obj(vec![("float", Json::Float(*x))]),
-            Value::Text(s) => Json::str(s.clone()),
+            Value::Text(s) => Json::str(&**s),
         }
     }
 
@@ -41,7 +41,8 @@ impl JsonCodec for Value {
             Json::Null => Ok(Value::Null),
             Json::Bool(b) => Ok(Value::Bool(*b)),
             Json::Int(i) => Ok(Value::Int(*i)),
-            Json::Str(s) => Ok(Value::Text(s.clone())),
+            // straight from the parsed slice: one allocation per text value
+            Json::Str(s) => Ok(Value::text(s.as_str())),
             Json::Obj(_) => {
                 let x = match json.field("float")? {
                     Json::Str(s) => match s.as_str() {

@@ -203,7 +203,7 @@ impl Cursor {
         self.eat(|t| match t {
             Token::Int(i) => Some(Value::Int(*i)),
             Token::Float(x) => Some(Value::Float(*x)),
-            Token::Str(s) => Some(Value::Text(s.clone())),
+            Token::Str(s) => Some(Value::text(s.as_str())),
             Token::Ident(w) if w.eq_ignore_ascii_case("null") => Some(Value::Null),
             Token::Ident(w) if w.eq_ignore_ascii_case("true") => Some(Value::Bool(true)),
             Token::Ident(w) if w.eq_ignore_ascii_case("false") => Some(Value::Bool(false)),

@@ -219,16 +219,18 @@ impl<'base> DeltaDb<'base> {
     pub fn apply(&mut self, op: &DbOp) -> Result<()> {
         match op {
             DbOp::Insert { relation, tuple } => {
-                let schema = self.base.table(relation)?.schema().clone();
-                let tuple = Tuple::new(&schema, tuple.clone().into_values())?;
-                let key = tuple.key(&schema);
+                let schema = self.base.table(relation)?.schema();
+                tuple.validate(schema)?;
+                let key = tuple.key(schema);
                 if self.view(relation)?.contains_key(&key) {
                     return Err(Error::KeyConflict {
                         relation: relation.clone(),
                         key: key.to_string(),
                     });
                 }
-                self.delta_mut(relation).rows.insert(key, Some(tuple));
+                self.delta_mut(relation)
+                    .rows
+                    .insert(key, Some(tuple.clone()));
             }
             DbOp::Delete { relation, key } => {
                 if !self.view(relation)?.contains_key(key) {
@@ -244,9 +246,9 @@ impl<'base> DeltaDb<'base> {
                 old_key,
                 tuple,
             } => {
-                let schema = self.base.table(relation)?.schema().clone();
-                let new = Tuple::new(&schema, tuple.clone().into_values())?;
-                let new_key = new.key(&schema);
+                let schema = self.base.table(relation)?.schema();
+                tuple.validate(schema)?;
+                let new_key = tuple.key(schema);
                 let view = self.view(relation)?;
                 if !view.contains_key(old_key) {
                     return Err(Error::NoSuchTuple {
@@ -264,7 +266,7 @@ impl<'base> DeltaDb<'base> {
                 if new_key != *old_key {
                     delta.rows.insert(old_key.clone(), None);
                 }
-                delta.rows.insert(new_key, Some(new));
+                delta.rows.insert(new_key, Some(tuple.clone()));
             }
         }
         Ok(())

@@ -150,6 +150,15 @@ impl RelationSchema {
         &self.key
     }
 
+    /// True when `indices` are exactly the key positions, in any order: an
+    /// equality lookup over them is a primary-key lookup
+    /// ([`crate::table::Table::index_at`]).
+    pub fn is_key_at(&self, indices: &[usize]) -> bool {
+        // key positions are distinct, so finding each of them among equally
+        // many `indices` makes `indices` a permutation of the key
+        indices.len() == self.key.len() && self.key.iter().all(|k| indices.contains(k))
+    }
+
     /// Names of the primary-key attributes — the paper's `K(R)`.
     pub fn key_names(&self) -> Vec<&str> {
         self.key

@@ -141,9 +141,8 @@ impl DatabaseSnapshot {
                 chunk
                     .iter()
                     .map(|t| {
-                        let t = Tuple::new(&rel.schema, t.clone().into_values())?;
-                        let key = t.key(&rel.schema);
-                        Ok::<_, Error>((key, t))
+                        t.validate(&rel.schema)?;
+                        Ok::<_, Error>((t.key(&rel.schema), t.clone()))
                     })
                     .collect()
             })?;

@@ -20,7 +20,7 @@ pub struct Table {
     /// without copying rows.
     pub(crate) rows: BTreeMap<Key, Tuple>,
     /// Secondary indexes, keyed by the indexed attribute positions.
-    indexes: HashMap<Vec<usize>, BTreeMap<Vec<Value>, BTreeSet<Key>>>,
+    indexes: HashMap<Vec<usize>, SecondaryIndex>,
 }
 
 // Tables (rows + secondary indexes) are probed concurrently by the
@@ -36,6 +36,47 @@ pub struct KeyRange {
     pub start: Option<Key>,
     /// Exclusive upper bound, or the end of the key space.
     pub end: Option<Key>,
+}
+
+/// One secondary index: indexed values to the keys of the tuples holding
+/// them.
+type SecondaryIndex = BTreeMap<Vec<Value>, BTreeSet<Key>>;
+
+/// An index-backed equality access path into one table, chosen by
+/// [`Table::index_at`].
+#[derive(Debug)]
+pub struct IndexProbe<'t, 'i> {
+    table: &'t Table,
+    path: AccessPath<'t, 'i>,
+}
+
+#[derive(Debug)]
+enum AccessPath<'t, 'i> {
+    Secondary(&'t SecondaryIndex),
+    /// The primary index, probed at these positions: the key's, in the
+    /// order the probe values come in.
+    Primary(&'i [usize]),
+}
+
+impl<'t> IndexProbe<'t, '_> {
+    /// Tuples whose indexed attributes equal `values`, in primary-key
+    /// order. Not counted (see [`Table::index_at`]).
+    pub fn find(&self, values: &[Value]) -> Vec<&'t Tuple> {
+        let rows = &self.table.rows;
+        match self.path {
+            AccessPath::Secondary(index) => match index.get(values) {
+                Some(keys) => keys.iter().filter_map(|k| rows.get(k)).collect(),
+                None => Vec::new(),
+            },
+            AccessPath::Primary(indices) => {
+                // the value probed at each key position, in key order
+                let key: Option<Vec<Value>> = (self.table.schema.key_indices().iter())
+                    .map(|k| values.get(indices.iter().position(|i| i == k)?).cloned())
+                    .collect();
+                key.and_then(|k| rows.get(&Key(k))).into_iter().collect()
+            }
+        }
+    }
 }
 
 impl Table {
@@ -65,7 +106,7 @@ impl Table {
 
     /// Insert a tuple; rejects key conflicts.
     pub fn insert(&mut self, tuple: Tuple) -> Result<()> {
-        let tuple = Tuple::new(&self.schema, tuple.into_values())?;
+        tuple.validate(&self.schema)?;
         let key = tuple.key(&self.schema);
         if self.rows.contains_key(&key) {
             return Err(Error::KeyConflict {
@@ -96,7 +137,7 @@ impl Table {
     /// Rejects when the new key would collide with a third tuple. Returns
     /// the displaced tuple.
     pub fn replace(&mut self, old_key: &Key, new: Tuple) -> Result<Tuple> {
-        let new = Tuple::new(&self.schema, new.into_values())?;
+        new.validate(&self.schema)?;
         let new_key = new.key(&self.schema);
         if !self.rows.contains_key(old_key) {
             return Err(Error::NoSuchTuple {
@@ -210,30 +251,15 @@ impl Table {
     /// position-resolved form of [`Table::find_by_attrs`], for callers that
     /// resolve names once and probe many times.
     ///
-    /// This is the one place an equality lookup chooses its access path
-    /// ([`Table::find_by_attrs`], [`Table::keys_by_attrs`] and the overlay's
-    /// [`crate::overlay::TableView`] all come through here):
-    ///
-    /// 1. a secondary index over exactly `indices`, when one exists;
-    /// 2. else the primary index, when `indices` are the key positions in
-    ///    any order — the parent end of every structural connection is its
-    ///    relation's key (Definitions 2.2–2.4), so looking up an owner, a
-    ///    general entity or a referenced tuple needs no index of its own;
-    /// 3. else a scan of the relation, counted as a fallback.
-    ///
-    /// The first two count as index probes. Every path returns tuples in
-    /// primary-key order.
+    /// An index lookup when [`Table::index_at`] finds an access path
+    /// (counted as one index probe), else a scan of the relation, counted
+    /// as a fallback. Either way tuples come back in primary-key order.
+    /// [`Table::find_by_attrs`], [`Table::keys_by_attrs`] and the overlay's
+    /// [`crate::overlay::TableView`] all come through here.
     pub fn find_by_indices(&self, indices: &[usize], values: &[Value]) -> Vec<&Tuple> {
-        if let Some(index) = self.indexes.get(indices) {
+        if let Some(index) = self.index_at(indices) {
             crate::stats::count_index_probe();
-            return match index.get(values) {
-                Some(keys) => keys.iter().filter_map(|k| self.rows.get(k)).collect(),
-                None => Vec::new(),
-            };
-        }
-        if let Some(key) = self.key_spelled_by(indices, values) {
-            crate::stats::count_index_probe();
-            return self.rows.get(&key).into_iter().collect();
+            return index.find(values);
         }
         crate::stats::count_fallback_scan();
         self.rows
@@ -247,41 +273,30 @@ impl Table {
             .collect()
     }
 
-    /// The primary key that `values` at `indices` spell out, when `indices`
-    /// are exactly the key positions (in any order); `None` otherwise.
-    fn key_spelled_by(&self, indices: &[usize], values: &[Value]) -> Option<Key> {
-        let key = self.schema.key_indices();
-        if indices.len() != key.len() || values.len() != key.len() {
-            return None;
-        }
-        // key positions are distinct, so finding each of them among equally
-        // many `indices` makes `indices` a permutation of the key
-        key.iter()
-            .map(|k| {
-                indices
-                    .iter()
-                    .position(|i| i == k)
-                    .map(|p| values[p].clone())
-            })
-            .collect::<Option<Vec<Value>>>()
-            .map(Key)
-    }
-
-    /// Index-only probe for the set-at-a-time engine: tuples matching
-    /// `values` through the secondary index at `indices` (in primary-key
-    /// order), or `None` when no such index exists. Unlike
-    /// [`Table::find_by_indices`] this does **not** bump the access-path
-    /// counters — batched callers probe once per frontier tuple from
-    /// concurrent workers, and a per-probe bump on the shared counter
-    /// cache line would serialize them; they aggregate locally and record
-    /// one bulk count per frontier pass instead
+    /// The one place an equality lookup chooses its access path, resolved
+    /// once for any number of probes:
+    ///
+    /// 1. a secondary index over exactly `indices`, when one exists;
+    /// 2. else the primary index, when `indices` are the key positions in
+    ///    any order — the parent end of every structural connection is its
+    ///    relation's key (Definitions 2.2–2.4), so looking up an owner, a
+    ///    general entity or a referenced tuple needs no index of its own;
+    /// 3. else `None`: the caller scans ([`Table::find_by_indices`]) or
+    ///    hash-builds ([`Table::group_by_indices`]).
+    ///
+    /// Probing through the returned handle does **not** bump the
+    /// access-path counters — batched callers probe once per frontier
+    /// tuple from concurrent workers, and a per-probe bump on the shared
+    /// counter cache line would serialize them; they aggregate locally and
+    /// record one bulk count per frontier pass instead
     /// ([`crate::stats::count_index_probes`]).
-    pub fn probe_index_at(&self, indices: &[usize], values: &[Value]) -> Option<Vec<&Tuple>> {
-        let index = self.indexes.get(indices)?;
-        Some(match index.get(values) {
-            Some(keys) => keys.iter().filter_map(|k| self.rows.get(k)).collect(),
-            None => Vec::new(),
-        })
+    pub fn index_at<'t, 'i>(&'t self, indices: &'i [usize]) -> Option<IndexProbe<'t, 'i>> {
+        let path = match self.indexes.get(indices) {
+            Some(index) => AccessPath::Secondary(index),
+            None if self.schema.is_key_at(indices) => AccessPath::Primary(indices),
+            None => return None,
+        };
+        Some(IndexProbe { table: self, path })
     }
 
     /// Hash-build over the whole table: group every tuple by its values at
@@ -300,12 +315,6 @@ impl Table {
             groups.entry(vals).or_default().push(t);
         }
         groups
-    }
-
-    /// True when a secondary index exists over the attribute positions
-    /// `indices`.
-    pub fn has_index_at(&self, indices: &[usize]) -> bool {
-        self.indexes.contains_key(indices)
     }
 
     /// Keys of tuples whose named attributes equal `values`.
@@ -337,7 +346,7 @@ impl Table {
     /// Create (or refresh) a secondary index over `attrs`.
     pub fn create_index(&mut self, attrs: &[String]) -> Result<()> {
         let indices = self.schema.indices_of(attrs)?;
-        let mut index: BTreeMap<Vec<Value>, BTreeSet<Key>> = BTreeMap::new();
+        let mut index = SecondaryIndex::new();
         for (key, tuple) in &self.rows {
             index
                 .entry(tuple.project(&indices))
@@ -568,12 +577,18 @@ mod tests {
             .is_empty());
         // the key path is taken for the key only: part of it, or an
         // attribute repeated to the key's arity, is answered by the scan
-        assert!(t
-            .key_spelled_by(&[2, 0], &[1.into(), "CS1".into()])
-            .is_some());
-        assert!(t.key_spelled_by(&[2], &[1.into()]).is_none());
-        assert!(t.key_spelled_by(&[2, 2], &[1.into(), 1.into()]).is_none());
-        assert!(t.key_spelled_by(&[2, 1], &[1.into(), "A".into()]).is_none());
+        assert_eq!(
+            t.index_at(&[2, 0])
+                .unwrap()
+                .find(&[1.into(), "CS1".into()])
+                .len(),
+            1
+        );
+        assert!(t.index_at(&[2]).is_none());
+        assert!(t.index_at(&[2, 2]).is_none());
+        assert!(t.index_at(&[2, 1]).is_none());
+        // too few values spell no key
+        assert!(t.index_at(&[2, 0]).unwrap().find(&[1.into()]).is_empty());
         assert_eq!(
             t.find_by_attrs(&names(&["ssn"]), &[1.into()])
                 .unwrap()

@@ -4,26 +4,54 @@ use crate::error::{Error, Result};
 use crate::schema::RelationSchema;
 use crate::value::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// A tuple: an ordered list of values conforming to some relation schema.
 ///
-/// Tuples are plain data; conformance to a schema is checked at
-/// construction ([`Tuple::new`]) and at every table mutation.
+/// A tuple is one immutable, reference-counted allocation: `clone` bumps
+/// the count, so the row a table stores, the row an instance binds, the
+/// row an overlay holds as a post-image and the row the journal records
+/// are the same memory ([`Tuple::ptr_eq`]). Changing a value means
+/// building a new tuple ([`Tuple::with_named`], or [`Tuple::raw`] over an
+/// edited copy of [`Tuple::values`]). Conformance to a schema is checked
+/// at construction ([`Tuple::new`]) and, in place, at every table
+/// mutation ([`Tuple::validate`]).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Tuple(Vec<Value>);
+pub struct Tuple(Arc<[Value]>);
+
+// Rows are shared between the head database, pinned snapshots and the
+// parallel instantiation workers.
+const _: fn() = vo_exec::assert_send_sync::<Tuple>;
 
 impl Tuple {
     /// Build a tuple validated against `schema`: arity, types, and
     /// NULLability must all conform.
     pub fn new(schema: &RelationSchema, values: Vec<Value>) -> Result<Self> {
-        if values.len() != schema.arity() {
+        let tuple = Tuple::raw(values);
+        tuple.validate(schema)?;
+        Ok(tuple)
+    }
+
+    /// Build a tuple without schema validation. Used internally by
+    /// operators whose output schema is synthesized (projections, joins).
+    pub fn raw(values: Vec<Value>) -> Self {
+        Tuple(values.into())
+    }
+
+    /// Check this tuple against `schema` in place: arity, types, and
+    /// NULLability must all conform. Everything that accepts a tuple built
+    /// elsewhere (table mutations, the overlay, snapshot restore, update
+    /// validation) checks it this way and keeps the tuple it was handed,
+    /// so a row is allocated once however many layers vouch for it.
+    pub fn validate(&self, schema: &RelationSchema) -> Result<()> {
+        if self.0.len() != schema.arity() {
             return Err(Error::ArityMismatch {
                 relation: schema.name().to_owned(),
                 expected: schema.arity(),
-                found: values.len(),
+                found: self.0.len(),
             });
         }
-        for (v, a) in values.iter().zip(schema.attributes()) {
+        for (v, a) in self.0.iter().zip(schema.attributes()) {
             if v.is_null() {
                 if !a.nullable {
                     return Err(Error::NullViolation {
@@ -40,23 +68,18 @@ impl Tuple {
                 });
             }
         }
-        Ok(Tuple(values))
+        Ok(())
     }
 
-    /// Build a tuple without schema validation. Used internally by
-    /// operators whose output schema is synthesized (projections, joins).
-    pub fn raw(values: Vec<Value>) -> Self {
-        Tuple(values)
+    /// True when both tuples are the same allocation — stronger than `==`:
+    /// it shows a row was shared, not copied.
+    pub fn ptr_eq(&self, other: &Tuple) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// The values, in schema order.
     pub fn values(&self) -> &[Value] {
         &self.0
-    }
-
-    /// Consume the tuple, yielding its values.
-    pub fn into_values(self) -> Vec<Value> {
-        self.0
     }
 
     /// Value at position `i`.
@@ -72,7 +95,7 @@ impl Tuple {
     /// Return a copy with the named attribute replaced. Re-validates.
     pub fn with_named(&self, schema: &RelationSchema, attr: &str, value: Value) -> Result<Tuple> {
         let idx = schema.index_of(attr)?;
-        let mut vals = self.0.clone();
+        let mut vals = self.0.to_vec();
         vals[idx] = value;
         Tuple::new(schema, vals)
     }

@@ -11,6 +11,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// The scalar type of an attribute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,8 +49,9 @@ pub enum Value {
     Int(i64),
     /// 64-bit IEEE float.
     Float(f64),
-    /// UTF-8 text.
-    Text(String),
+    /// UTF-8 text, immutable and shared: cloning a text value bumps a
+    /// reference count instead of copying the string.
+    Text(Arc<str>),
 }
 
 impl Value {
@@ -79,7 +81,7 @@ impl Value {
     }
 
     /// Convenience constructor for text values.
-    pub fn text(s: impl Into<String>) -> Value {
+    pub fn text(s: impl Into<Arc<str>>) -> Value {
         Value::Text(s.into())
     }
 
@@ -231,13 +233,13 @@ impl From<bool> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Text(v.to_owned())
+        Value::Text(v.into())
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Text(v)
+        Value::Text(v.into())
     }
 }
 

@@ -540,7 +540,7 @@ pub fn plan_key_replacement(
                 key: okey.to_string(),
             })?
             .clone();
-        let newt = Tuple::new(&rel_schema, newt.into_values())?;
+        newt.validate(&rel_schema)?;
         if old == newt {
             continue;
         }
@@ -695,7 +695,7 @@ pub fn stub_tuple(schema: &RelationSchema, attrs: &[String], values: &[Value]) -
             out.push(match a.ty {
                 DataType::Int => Value::Int(0),
                 DataType::Float => Value::Float(0.0),
-                DataType::Text => Value::Text(String::new()),
+                DataType::Text => Value::text(""),
                 DataType::Bool => Value::Bool(false),
             });
         }

@@ -127,7 +127,7 @@ fn random_tx(rng: &mut SmallRng, st: &mut State, db: &Database) -> Vec<DbOp> {
                 let id = rng.choose(&st.courses).clone();
                 let old = db.table("COURSES").unwrap().get(&Key::single(id.as_str()));
                 let Some(old) = old else { continue };
-                let mut vals = old.clone().into_values();
+                let mut vals = old.values().to_vec();
                 vals[1] = format!("retitled {}", rng.gen_range(0..1000)).into();
                 ops.push(DbOp::Replace {
                     relation: "COURSES".into(),
@@ -142,7 +142,7 @@ fn random_tx(rng: &mut SmallRng, st: &mut State, db: &Database) -> Vec<DbOp> {
                 let id = rng.choose(&st.courses).clone();
                 let old = db.table("COURSES").unwrap().get(&Key::single(id.as_str()));
                 let Some(old) = old else { continue };
-                let mut vals = old.clone().into_values();
+                let mut vals = old.values().to_vec();
                 vals[3] = (*rng.choose(&DEPTS)).into();
                 ops.push(DbOp::Replace {
                     relation: "COURSES".into(),

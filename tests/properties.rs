@@ -29,7 +29,7 @@ fn arb_value(rng: &mut SmallRng) -> Value {
             let s: String = (0..len)
                 .map(|_| (b'a' + rng.gen_range(0..26) as u8) as char)
                 .collect();
-            Value::Text(s)
+            Value::text(s)
         }
     }
 }
@@ -62,6 +62,65 @@ fn value_order_is_total_and_consistent() {
             a.hash(&mut h1);
             b.hash(&mut h2);
             assert_eq!(h1.finish(), h2.finish());
+        }
+    }
+}
+
+/// `Value::Text` holds a shared `Arc<str>`; nothing that could observe the
+/// `String` it replaced may tell the difference: order, equality, hash,
+/// display and the codec's bytes are the string's own, whichever
+/// constructor built the value.
+#[test]
+fn text_values_behave_like_the_strings_they_hold() {
+    use penguin_vo::obs::json::assert_roundtrip;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+    fn hash_of(hashed: impl Hash) -> u64 {
+        let mut h = DefaultHasher::new();
+        hashed.hash(&mut h);
+        h.finish()
+    }
+    const ALPHABET: [char; 12] = [
+        'a',
+        'b',
+        'Z',
+        '0',
+        ' ',
+        '\'',
+        '"',
+        '\\',
+        '\n',
+        'é',
+        '√',
+        '\u{1F427}',
+    ];
+    let mut rng = SmallRng::seed_from_u64(0x7E87);
+    let mut arb_string = || -> String {
+        (0..rng.gen_range(0..7))
+            .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())])
+            .collect()
+    };
+    for _ in 0..512 {
+        let (a, b) = (arb_string(), arb_string());
+        let (va, vb) = (Value::text(a.as_str()), Value::text(b.as_str()));
+        assert_eq!(va.cmp(&vb), a.cmp(&b), "{a:?} vs {b:?}");
+        assert_eq!(va == vb, a == b);
+        // the variant tag, then the string exactly as `String` hashes
+        assert_eq!(hash_of(&va), hash_of((3u8, &a)));
+        assert_eq!(va.to_string(), format!("'{a}'"));
+        assert_eq!(va.as_text(), Some(a.as_str()));
+        assert_eq!(va.to_json().compact(), Json::str(a.as_str()).compact());
+        assert_roundtrip(&va);
+        // one value, however it was built — and a clone is the same text
+        for same in [
+            Value::text(a.clone()),
+            Value::from(a.as_str()),
+            Value::from(a.clone()),
+            va.clone(),
+        ] {
+            assert_eq!(same, va);
+            assert_eq!(hash_of(&same), hash_of(&va));
+            assert_eq!(same.to_json().compact(), va.to_json().compact());
         }
     }
 }
@@ -125,7 +184,7 @@ fn codecs_roundtrip_generated_documents() {
         let mut instances = instantiate_all(&schema, &omega, &db).unwrap();
         assert!(instances.len() >= 2);
         for inst in &mut instances {
-            let mut values = inst.root.tuple.clone().into_values();
+            let mut values = inst.root.tuple.values().to_vec();
             let at = rng.gen_range(0..values.len());
             values[at] = arb_codec_value(&mut rng);
             inst.root.tuple = Tuple::raw(values);

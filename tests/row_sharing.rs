@@ -1,0 +1,178 @@
+//! A row is allocated once. `Tuple` is a shared immutable `Arc<[Value]>`,
+//! so binding a row into an instance, laying it on an overlay, applying it
+//! to a table, journaling it and copying a table on write all copy a
+//! pointer. These tests show the mechanism without a clock, through
+//! [`Tuple::ptr_eq`]: which rows are the *same allocation* after each of
+//! those hops — and, for copy-on-write, exactly which are not.
+
+use penguin_vo::prelude::*;
+
+const OMEGA_RELATIONS: [&str; 4] = ["DEPARTMENT", "CURRICULUM", "GRADES", "STUDENT"];
+
+/// Every tuple bound in the subtree is the allocation `db` stores for it.
+fn assert_binds_stored_rows(object: &ViewObject, db: &Database, node: &VoInstanceNode) {
+    let table = db.table(&object.node(node.node).relation).unwrap();
+    let key = node.tuple.key(table.schema());
+    let stored = table.get(&key).expect("a bound tuple is a stored tuple");
+    assert!(
+        node.tuple.ptr_eq(stored),
+        "{}{key} was copied into the instance",
+        table.schema().name()
+    );
+    for child in node.children.values().flatten() {
+        assert_binds_stored_rows(object, db, child);
+    }
+}
+
+fn omega_system(scale: i64) -> Penguin {
+    let (schema, db) = university_scaled(scale, 42);
+    let mut p = Penguin::with_database(schema, db);
+    p.define_object("omega", "COURSES", &OMEGA_RELATIONS)
+        .unwrap();
+    let omega = p.object("omega").unwrap().object.clone();
+    p.install_translator("omega", Translator::permissive(&omega))
+        .unwrap();
+    p
+}
+
+#[test]
+fn instantiation_binds_the_tables_rows() {
+    let (schema, mut db) = university_scaled(4, 42);
+    // ω has one-step edges only; ω′ reaches STUDENT and FACULTY over
+    // contracted ones, so the de-duplicating path is covered too
+    let objects = [
+        generate_omega(&schema).unwrap(),
+        generate_omega_prime(&schema).unwrap(),
+    ];
+    // hash builds first, then index probes
+    for indexed in [false, true] {
+        for object in &objects {
+            if indexed {
+                let plan = plan_object(&schema, object, &db).unwrap();
+                for (rel, attrs) in plan.required_indexes() {
+                    db.ensure_index(&rel, &attrs).unwrap();
+                }
+            }
+            // 4 workers: the same rows are bound from several threads at once
+            for workers in [1, 4] {
+                let instances = instantiate_all_parallel(&schema, object, &db, workers).unwrap();
+                assert!(!instances.is_empty());
+                for inst in &instances {
+                    assert_binds_stored_rows(object, &db, &inst.root);
+                }
+            }
+        }
+    }
+
+    // the facade's readers are the same engine: head, pinned session, keyed
+    let p = omega_system(2);
+    let omega = &p.object("omega").unwrap().object;
+    let session = p.session();
+    let keyed = p.instance_by_key("omega", &Key::single("C0-0")).unwrap();
+    for inst in p
+        .instantiate_all("omega")
+        .unwrap()
+        .iter()
+        .chain(&session.instantiate_all("omega").unwrap())
+        .chain([&keyed])
+    {
+        assert_binds_stored_rows(omega, p.database(), &inst.root);
+    }
+}
+
+#[test]
+fn commit_beside_a_pinned_session_copies_pointers_except_the_written_row() {
+    let mut p = omega_system(4);
+    let courses = p.database().table("COURSES").unwrap().schema().clone();
+    let target = Key::single("C1-2");
+
+    let pinned = p.session();
+    let old = pinned.instance_by_key("omega", &target).unwrap();
+    let mut new = old.clone();
+    new.root.tuple = old
+        .root
+        .tuple
+        .with_named(&courses, "title", "retitled".into())
+        .unwrap();
+    let prepared = pinned
+        .prepare_batch("omega", UpdateBatch::new().replace(old.clone(), new))
+        .unwrap();
+    assert_eq!(prepared.ops.len(), 1, "a non-key VO-R is one replace");
+    // the session is still pinned, so this commit copies COURSES on write
+    p.commit_prepared("omega", prepared).unwrap();
+
+    let (head, snapshot) = (p.database(), pinned.database());
+    assert!(head.version() > snapshot.version());
+    let mut copied = Vec::new();
+    for rel in head.relation_names() {
+        let before = snapshot.table(rel).unwrap();
+        let after = head.table(rel).unwrap();
+        assert_eq!(before.len(), after.len());
+        for (key, row) in after.scan_entries() {
+            if !row.ptr_eq(before.get(key).expect("no key moved")) {
+                copied.push((rel, key.clone()));
+            }
+        }
+    }
+    assert_eq!(copied, [("COURSES", target.clone())]);
+    // and the reader beside the writer still sees what it pinned
+    assert_eq!(pinned.instance_by_key("omega", &target).unwrap(), old);
+    assert_eq!(
+        head.table("COURSES").unwrap().get(&target).unwrap().get(1),
+        &Value::text("retitled")
+    );
+}
+
+#[test]
+fn an_inserted_row_is_one_allocation_from_request_to_journal() {
+    let mut p = omega_system(2);
+    let cursor = p
+        .with_database_mut(|db| {
+            db.enable_commit_journal();
+            db.journal_subscribe(JournalStart::Head)
+        })
+        .unwrap();
+    let instance = p.instance_by_key("omega", &Key::single("C0-1")).unwrap();
+    p.delete_instance("omega", instance.clone()).unwrap();
+    p.with_database_mut(|db| db.journal_read(cursor).map(|_| ()))
+        .unwrap()
+        .unwrap();
+
+    // the request's tuples were rows of a table version that is gone now;
+    // inserting them back must store *them*, not copies
+    let outcome = p.insert_instance("omega", instance.clone()).unwrap();
+    let read = p.database().journal_peek(cursor).unwrap();
+    assert_eq!(read.transactions.len(), 1);
+    let journaled = &read.transactions[0];
+    assert_eq!(journaled.len(), outcome.ops.len());
+    let mut inserted = 0;
+    for (op, logged) in outcome.ops.iter().zip(journaled.iter()) {
+        let (
+            DbOp::Insert { relation, tuple },
+            DbOp::Insert {
+                tuple: logged_row, ..
+            },
+        ) = (op, logged)
+        else {
+            panic!("a complete insertion of a deleted instance only inserts: {op}");
+        };
+        let table = p.database().table(relation).unwrap();
+        let stored = table.get(&tuple.key(table.schema())).unwrap();
+        assert!(tuple.ptr_eq(stored), "{relation}: the table copied the row");
+        assert!(
+            tuple.ptr_eq(logged_row),
+            "{relation}: the journal copied the row"
+        );
+        inserted += 1;
+    }
+    assert!(inserted > 1, "the pivot and its owned GRADES");
+    // the request's own pivot tuple is the stored row: nothing between the
+    // caller and the table rebuilt it to validate it
+    let stored_pivot = p
+        .database()
+        .table("COURSES")
+        .unwrap()
+        .get(&Key::single("C0-1"))
+        .unwrap();
+    assert!(instance.root.tuple.ptr_eq(stored_pivot));
+}
