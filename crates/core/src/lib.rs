@@ -116,7 +116,7 @@ pub mod prelude {
         translate_replacement, translate_replacement_into, translate_replacement_traced, TraceEvent,
     };
     pub use crate::update::validate::{validate_instance, LocalValidation};
-    pub use crate::update::{OpRecorder, UpdateRequest};
+    pub use crate::update::UpdateRequest;
     pub use vo_exec::{available_parallelism, Parallelism};
     pub use vo_relational::prelude::*;
     pub use vo_structural::prelude::*;

@@ -18,7 +18,6 @@ use crate::island::IslandAnalysis;
 use crate::object::ViewObject;
 use crate::translator::Translator;
 use crate::update::validate::validate_instance;
-use crate::update::OpRecorder;
 use vo_relational::prelude::*;
 use vo_structural::prelude::*;
 
@@ -31,7 +30,7 @@ pub fn translate_complete_deletion(
     db: &Database,
     instance: &VoInstance,
 ) -> Result<Vec<DbOp>> {
-    let mut rec = OpRecorder::over(db);
+    let mut rec = DeltaDb::new(db);
     translate_complete_deletion_into(schema, object, analysis, translator, &mut rec, instance)?;
     Ok(rec.into_ops())
 }
@@ -43,7 +42,7 @@ pub fn translate_complete_deletion_into(
     object: &ViewObject,
     analysis: &IslandAnalysis,
     translator: &Translator,
-    rec: &mut OpRecorder<'_>,
+    rec: &mut DeltaDb<'_>,
     instance: &VoInstance,
 ) -> Result<()> {
     vo_relational::stats::count_snapshot_avoided();
@@ -58,7 +57,7 @@ pub fn translate_complete_deletion_into(
     // the instance must denote a stored entity: every island tuple exists
     for &node_id in &analysis.island {
         let node = object.node(node_id);
-        let table = rec.db.view(&node.relation)?;
+        let table = rec.view(&node.relation)?;
         for tuple in instance.tuples_of(node_id) {
             let key = tuple.key(table.schema());
             if !table.contains_key(&key) {
@@ -73,12 +72,12 @@ pub fn translate_complete_deletion_into(
     let pivot_schema = schema.catalog().relation(object.pivot())?;
     let pivot_key = instance.root.tuple.key(pivot_schema);
     let policy = translator.deletion_policy(schema, object, analysis);
-    let ops = plan_delete(schema, &rec.db, object.pivot(), &pivot_key, &policy)?;
+    let ops = plan_delete(schema, &*rec, object.pivot(), &pivot_key, &policy)?;
 
     // sanity: every island tuple of the instance is among the deletions
     for &node_id in &analysis.island {
         let node = object.node(node_id);
-        let table = rec.db.view(&node.relation)?;
+        let table = rec.view(&node.relation)?;
         for tuple in instance.tuples_of(node_id) {
             let key = tuple.key(table.schema());
             let covered = ops.iter().any(|op| match op {

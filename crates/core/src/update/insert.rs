@@ -20,7 +20,6 @@ use crate::island::IslandAnalysis;
 use crate::object::ViewObject;
 use crate::translator::Translator;
 use crate::update::validate::validate_instance;
-use crate::update::OpRecorder;
 use vo_relational::prelude::*;
 use vo_structural::prelude::*;
 
@@ -33,7 +32,7 @@ pub fn translate_complete_insertion(
     db: &Database,
     instance: &VoInstance,
 ) -> Result<Vec<DbOp>> {
-    let mut rec = OpRecorder::over(db);
+    let mut rec = DeltaDb::new(db);
     translate_complete_insertion_into(schema, object, analysis, translator, &mut rec, instance)?;
     Ok(rec.into_ops())
 }
@@ -45,7 +44,7 @@ pub fn translate_complete_insertion_into(
     object: &ViewObject,
     analysis: &IslandAnalysis,
     translator: &Translator,
-    rec: &mut OpRecorder<'_>,
+    rec: &mut DeltaDb<'_>,
     instance: &VoInstance,
 ) -> Result<()> {
     vo_relational::stats::count_snapshot_avoided();
@@ -69,11 +68,11 @@ pub fn translate_complete_insertion_into(
     for node_id in object.preorder() {
         let node = object.node(node_id);
         let in_island = analysis.in_island(node_id);
-        let table_schema = rec.db.view(&node.relation)?.schema().clone();
+        let table_schema = rec.base().table(&node.relation)?.schema();
         let policy = translator.policy(&node.relation);
         for tuple in instance.tuples_of(node_id) {
-            let key = tuple.key(&table_schema);
-            let existing = rec.db.view(&node.relation)?.get(&key).cloned();
+            let key = tuple.key(table_schema);
+            let existing = rec.view(&node.relation)?.get(&key).cloned();
             match existing {
                 Some(ref e) if e == tuple => {
                     // CASE 1
@@ -136,19 +135,19 @@ pub fn complete_dependencies(
     schema: &StructuralSchema,
     object: &ViewObject,
     translator: &Translator,
-    rec: &mut OpRecorder<'_>,
+    rec: &mut DeltaDb<'_>,
     written: &[(String, Tuple)],
 ) -> Result<()> {
     let object_relations: Vec<&str> = object.relations();
     for (relation, tuple) in written {
         // the tuple may have been superseded by a later op; skip if gone
-        let table = rec.db.view(relation)?;
+        let table = rec.view(relation)?;
         let key = tuple.key(table.schema());
         if table.get(&key) != Some(tuple) {
             continue;
         }
         let allow = |rel: &str| translator.may_insert_into(rel, object_relations.contains(&rel));
-        let ops = plan_completion(schema, &rec.db, relation, tuple, &allow)?;
+        let ops = plan_completion(schema, &*rec, relation, tuple, &allow)?;
         rec.apply_all(ops)?;
     }
     Ok(())

@@ -12,19 +12,22 @@
 //!    completion and the final consistency check, performed by the
 //!    pipeline ([`pipeline`]).
 //!
-//! All translators are pure: they read the database through a
-//! [`DeltaDb`] overlay and return the [`DbOp`] list that implements the
-//! request; the pipeline applies the ops transactionally so a failed
-//! global check rolls everything back.
+//! All translators are pure: they plan into a [`DeltaDb`] overlay — every
+//! decision reads the base as the ops planned so far leave it — whose op
+//! log is the [`DbOp`] list that implements the request; the pipeline
+//! checks the overlay and installs it, so a failed global check leaves
+//! the database untouched.
 //!
-//! **The no-clone contract.** [`OpRecorder`] never copies a base table:
-//! it owns a [`DeltaDb`] — an O(1)-construction read view layering the
-//! planned ops over a *borrowed* `&Database` — so translating a request
-//! costs only the delta it plans, not a full database snapshot. A batch
-//! of requests shares one recorder (and therefore one overlay), which is
-//! what makes set-at-a-time update translation cheap; the
-//! `translate.overlay_created` / `translate.snapshot_avoided` counters
+//! **The no-clone contract.** A [`DeltaDb`] never copies a base table:
+//! it is an O(1)-construction read view layering the planned ops over a
+//! *borrowed* `&Database`, so translating a request costs only the delta
+//! it plans, not a full database snapshot. A batch of requests shares one
+//! overlay, which is what makes set-at-a-time update translation cheap;
+//! the `translate.overlay_created` / `translate.snapshot_avoided` counters
 //! verify the contract at run time.
+//!
+//! [`DeltaDb`]: vo_relational::overlay::DeltaDb
+//! [`DbOp`]: vo_relational::database::DbOp
 
 pub mod delete;
 pub mod error;
@@ -36,8 +39,6 @@ pub mod replace;
 pub mod validate;
 
 use crate::instance::VoInstance;
-use vo_relational::overlay::DeltaDb;
-use vo_relational::prelude::*;
 
 /// A complete update request on a view object (paper §5's *complete
 /// update*: insertion, deletion, or replacement). Partial updates live in
@@ -68,122 +69,10 @@ impl UpdateRequest {
     }
 }
 
-/// A delta overlay plus the operation log replayed onto it. Translators
-/// work against the recorder so every decision sees the effects of the ops
-/// already planned, and the final log is the translation. The overlay
-/// borrows the base database — nothing is cloned (see the module docs for
-/// the no-clone contract).
-#[derive(Debug)]
-pub struct OpRecorder<'base> {
-    /// Read view: base database shadowed by the ops planned so far.
-    pub db: DeltaDb<'base>,
-    /// Operations planned so far, in application order.
-    pub ops: Vec<DbOp>,
-}
-
-impl<'base> OpRecorder<'base> {
-    /// Start from an existing overlay (which may already carry planned
-    /// ops from earlier requests of the same batch).
-    pub fn new(overlay: DeltaDb<'base>) -> Self {
-        OpRecorder {
-            db: overlay,
-            ops: Vec::new(),
-        }
-    }
-
-    /// Start with a fresh overlay over `db`.
-    pub fn over(db: &'base Database) -> Self {
-        Self::new(DeltaDb::new(db))
-    }
-
-    /// Plan one op (applying it to the overlay).
-    pub fn apply(&mut self, op: DbOp) -> Result<()> {
-        self.db.apply(&op)?;
-        self.ops.push(op);
-        Ok(())
-    }
-
-    /// Plan a batch of ops.
-    pub fn apply_all(&mut self, ops: impl IntoIterator<Item = DbOp>) -> Result<()> {
-        for op in ops {
-            self.apply(op)?;
-        }
-        Ok(())
-    }
-
-    /// Position marker into the op log; pair with [`OpRecorder::ops_since`]
-    /// to attribute a batch's ops to individual requests.
-    pub fn mark(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Ops planned since `mark`.
-    pub fn ops_since(&self, mark: usize) -> &[DbOp] {
-        &self.ops[mark..]
-    }
-
-    /// Finish, yielding the operation list.
-    pub fn into_ops(self) -> Vec<DbOp> {
-        self.ops
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::university::university_database;
-
-    #[test]
-    fn recorder_tracks_and_applies() {
-        let (_, db) = university_database();
-        let mut rec = OpRecorder::over(&db);
-        let dept = db.table("DEPARTMENT").unwrap().schema().clone();
-        rec.apply(DbOp::Insert {
-            relation: "DEPARTMENT".into(),
-            tuple: Tuple::new(&dept, vec!["Math".into()]).unwrap(),
-        })
-        .unwrap();
-        assert_eq!(rec.db.view("DEPARTMENT").unwrap().len(), 3);
-        assert_eq!(rec.ops.len(), 1);
-        // the original is untouched
-        assert_eq!(db.table("DEPARTMENT").unwrap().len(), 2);
-        let ops = rec.into_ops();
-        assert_eq!(ops.len(), 1);
-    }
-
-    #[test]
-    fn recorder_rejects_bad_op() {
-        let (_, db) = university_database();
-        let mut rec = OpRecorder::over(&db);
-        let err = rec.apply(DbOp::Delete {
-            relation: "DEPARTMENT".into(),
-            key: Key::single("Nope"),
-        });
-        assert!(err.is_err());
-        assert!(rec.ops.is_empty());
-    }
-
-    #[test]
-    fn recorder_marks_attribute_ops_to_requests() {
-        let (_, db) = university_database();
-        let mut rec = OpRecorder::over(&db);
-        let dept = db.table("DEPARTMENT").unwrap().schema().clone();
-        let m0 = rec.mark();
-        rec.apply(DbOp::Insert {
-            relation: "DEPARTMENT".into(),
-            tuple: Tuple::new(&dept, vec!["Math".into()]).unwrap(),
-        })
-        .unwrap();
-        let m1 = rec.mark();
-        rec.apply_all(vec![DbOp::Insert {
-            relation: "DEPARTMENT".into(),
-            tuple: Tuple::new(&dept, vec!["Physics".into()]).unwrap(),
-        }])
-        .unwrap();
-        assert_eq!(rec.ops_since(m0).len(), 2);
-        assert_eq!(rec.ops_since(m1).len(), 1);
-        assert_eq!(rec.ops_since(m1)[0].relation(), "DEPARTMENT");
-    }
 
     #[test]
     fn request_kinds() {

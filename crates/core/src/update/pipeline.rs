@@ -1,20 +1,22 @@
-//! The end-to-end update pipeline: steps 1–3 produce an operation list,
-//! step 4 checks the planned state against the structural model, and
-//! only a consistent plan is applied — transactionally, so the base ends
-//! up holding exactly the requested objects or is left untouched.
+//! The end-to-end update pipeline: steps 1–3 grow an overlay and its
+//! operation list, step 4 checks the overlay against the structural model,
+//! and only a consistent overlay is *installed* — as one net delta, so the
+//! base ends up holding exactly the requested objects or is left
+//! untouched. Every refusal happens against the overlay; nothing reaches a
+//! table that could need undoing.
 //!
 //! There is one pipeline body, and it is set-at-a-time: a whole
 //! [`UpdateBatch`] is translated over *one* shared overlay (the overlay
 //! borrows the base — no snapshot), each translator sees the ops planned
 //! by earlier requests, global validation runs once at the end — over the
-//! overlay's writes, not the database ([`check_delta`]) — and the batch
-//! applies in a single transaction. On failure the error
+//! overlay's writes, not the database ([`check_delta`]) — and the checked
+//! overlay is the commit ([`Database::install`]). On failure the error
 //! carries the offending request's index and kind, and the database is
-//! untouched. [`ViewObjectUpdater::apply_batch`] plans and applies,
+//! untouched. [`ViewObjectUpdater::apply_batch`] plans and installs,
 //! [`ViewObjectUpdater::apply_request`] is the one-request batch, and
 //! [`ViewObjectUpdater::prepare_batch`] plans against a pinned snapshot
-//! for [`ViewObjectUpdater::commit_prepared`] to validate and apply at
-//! the head.
+//! for [`ViewObjectUpdater::commit_prepared`] to re-fold, re-check and
+//! install at the head.
 //!
 //! All return [`UpdateOutcome`]s describing what was translated; the
 //! `Vec<DbOp>`-returning methods are sugar over them.
@@ -29,7 +31,7 @@ use crate::update::insert::translate_complete_insertion_into;
 use crate::update::propagate::propagate_links;
 use crate::update::replace::translate_replacement_into;
 use crate::update::validate::validate_instance;
-use crate::update::{OpRecorder, UpdateRequest};
+use crate::update::UpdateRequest;
 use vo_relational::prelude::*;
 use vo_structural::prelude::*;
 
@@ -188,6 +190,16 @@ impl PreparedBatch {
     }
 }
 
+/// What [`ViewObjectUpdater::plan`] hands its two callers: the checked
+/// overlay — still borrowing the base it was planned over — and what was
+/// learnt while growing it.
+struct Planned<'b> {
+    outcomes: Vec<UpdateOutcome>,
+    stats: UpdateStats,
+    touched: std::collections::BTreeSet<String>,
+    overlay: DeltaDb<'b>,
+}
+
 /// An ordered set of update requests translated over one shared overlay
 /// and applied as a single transaction. Build with the fluent helpers or
 /// collect from an iterator of [`UpdateRequest`]s.
@@ -307,12 +319,12 @@ impl ViewObjectUpdater {
         &self.translator
     }
 
-    /// Steps 1–3 for one request, planning into `rec`'s shared overlay.
-    /// Returns the steps that ran; the ops land in the recorder.
+    /// Steps 1–3 for one request, planning into the shared overlay `rec`.
+    /// Returns the steps that ran; the ops land in the overlay's log.
     fn translate_request_into(
         &self,
         schema: &StructuralSchema,
-        rec: &mut OpRecorder<'_>,
+        rec: &mut DeltaDb<'_>,
         request: UpdateRequest,
     ) -> UpdateResult<Vec<UpdateStep>> {
         let kind = request.kind();
@@ -407,7 +419,7 @@ impl ViewObjectUpdater {
         request: UpdateRequest,
     ) -> UpdateResult<UpdateOutcome> {
         let kind = request.kind();
-        let mut rec = OpRecorder::over(db);
+        let mut rec = DeltaDb::new(db);
         let steps = self.translate_request_into(schema, &mut rec, request)?;
         Ok(UpdateOutcome::new(kind, rec.into_ops(), steps))
     }
@@ -416,7 +428,8 @@ impl ViewObjectUpdater {
     /// request over one shared overlay of `base`, capture the conflict
     /// set, then run the global check over the overlay's writes. A
     /// violation is attributed to the request that last wrote the
-    /// offending tuple when one did.
+    /// offending tuple when one did. The checked overlay comes back with
+    /// the outcomes: installing it is the commit.
     ///
     /// The conflict set is captured *before* the global check runs, so it
     /// covers exactly the relations the translators consulted: the check
@@ -429,13 +442,13 @@ impl ViewObjectUpdater {
     /// consistent base to an inconsistent one; auditing a base corrupted
     /// out of band (`Database::table_mut`, raw SQL DML) is
     /// `check_consistency()`'s job — a full scan — not every writer's.
-    fn plan(
+    fn plan<'b>(
         &self,
         schema: &StructuralSchema,
-        base: &Database,
+        base: &'b Database,
         batch: UpdateBatch,
-    ) -> UpdateResult<PreparedBatch> {
-        let mut rec = OpRecorder::over(base);
+    ) -> UpdateResult<Planned<'b>> {
+        let mut rec = DeltaDb::new(base);
         let mut outcomes = Vec::with_capacity(batch.len());
         for (i, request) in batch.into_iter().enumerate() {
             let kind = request.kind();
@@ -449,15 +462,15 @@ impl ViewObjectUpdater {
                 steps,
             ));
         }
-        let touched = rec.db.touched_relations();
-        let violations = check_delta(schema, &rec.db)
-            .map_err(|e| UpdateError::new(UpdateStep::GlobalCheck, e))?;
+        let touched = rec.touched_relations();
+        let violations =
+            check_delta(schema, &rec).map_err(|e| UpdateError::new(UpdateStep::GlobalCheck, e))?;
         // the scan stays the specification: on a consistent base the two
         // must agree, which makes every update a debug build plans an
         // equivalence case
         #[cfg(debug_assertions)]
         if check_database(schema, base).is_ok_and(|v| v.is_empty()) {
-            let scan = check_database(schema, &rec.db).expect("it just scanned the base");
+            let scan = check_database(schema, &rec).expect("it just scanned the base");
             assert_eq!(violations, scan, "check_delta disagrees with the scan");
         }
         if let Some(first) = violations.first() {
@@ -473,13 +486,11 @@ impl ViewObjectUpdater {
         for outcome in &mut outcomes {
             outcome.steps.push(UpdateStep::GlobalCheck);
         }
-        let ops = rec.into_ops();
-        Ok(PreparedBatch {
+        Ok(Planned {
             outcomes,
-            stats: UpdateStats::from_ops(&ops),
-            ops,
-            base_version: base.version(),
+            stats: UpdateStats::from_ops(rec.ops_since(0)),
             touched,
+            overlay: rec,
         })
     }
 
@@ -499,12 +510,13 @@ impl ViewObjectUpdater {
     /// Set-at-a-time translation and application (the paper's translators,
     /// run back-to-back over one shared overlay).
     ///
-    /// The whole batch shares a single [`OpRecorder`] over the borrowed
-    /// base database: request *i*'s translator sees the ops planned by
-    /// requests *0..i*, global validation runs once over the final
-    /// overlay, and the ops apply in one transaction. On any failure the
-    /// database is untouched and the returned [`UpdateError`] names the
-    /// failing step plus — when attributable — the request index.
+    /// The whole batch shares a single [`DeltaDb`] over the borrowed base
+    /// database: request *i*'s translator sees the ops planned by requests
+    /// *0..i*, global validation runs once over the final overlay, and
+    /// that overlay's net delta is installed as one transaction. On any
+    /// failure the database is untouched and the returned [`UpdateError`]
+    /// names the failing step plus — when attributable — the request
+    /// index.
     ///
     /// Unlike a sequence of [`ViewObjectUpdater::apply_request`] calls,
     /// intermediate states need not be consistent: only the final overlay
@@ -516,13 +528,19 @@ impl ViewObjectUpdater {
         db: &mut Database,
         batch: impl Into<UpdateBatch>,
     ) -> UpdateResult<BatchOutcome> {
-        let planned = self.plan(schema, db, batch.into())?;
-        db.apply_all(&planned.ops)
+        let Planned {
+            outcomes,
+            stats,
+            overlay,
+            ..
+        } = self.plan(schema, db, batch.into())?;
+        let total_ops = overlay.mark();
+        db.install(overlay.finish())
             .map_err(|e| UpdateError::new(UpdateStep::GlobalCheck, e))?;
         Ok(BatchOutcome {
-            total_ops: planned.ops.len(),
-            outcomes: planned.outcomes,
-            stats: planned.stats,
+            total_ops,
+            outcomes,
+            stats,
         })
     }
 
@@ -539,22 +557,38 @@ impl ViewObjectUpdater {
         base: &Database,
         batch: impl Into<UpdateBatch>,
     ) -> UpdateResult<PreparedBatch> {
-        self.plan(schema, base, batch.into())
+        let Planned {
+            outcomes,
+            stats,
+            touched,
+            overlay,
+        } = self.plan(schema, base, batch.into())?;
+        Ok(PreparedBatch {
+            outcomes,
+            ops: overlay.into_ops(),
+            stats,
+            base_version: base.version(),
+            touched,
+        })
     }
 
     /// Commit a [`PreparedBatch`] at the head under first-committer-wins
     /// validation. Fails with [`UpdateStep::Commit`] (carrying
     /// [`Error::Conflict`]) when any relation the preparation touched has
     /// changed since its base version — the caller re-prepares against a
-    /// fresh snapshot and retries. On a clean validation the ops are laid
-    /// on an overlay of the head and step 4 runs again there — the same
-    /// [`check_delta`] as at prepare time, unconditionally: its probes
-    /// read parents and dependents in relations the translators never
-    /// consulted, which the conflict set therefore does not guard, and at
-    /// a cost proportional to the ops a "skip when nothing moved" branch
-    /// would be a second path bought for microseconds. A violation fails
-    /// the commit at [`UpdateStep::GlobalCheck`] with nothing applied;
-    /// otherwise the ops apply in one transaction.
+    /// fresh snapshot and retries. On a clean validation the ops are
+    /// folded onto an overlay of the head — the prepared batch carries ops,
+    /// not the delta it was checked as, because a delta holds its base's
+    /// pre-images only by reference and the head may have moved in
+    /// relations the translators never read — and step 4 runs again there,
+    /// the same [`check_delta`] as at prepare time, unconditionally: its
+    /// probes read parents and dependents in relations the conflict set
+    /// does not guard, and at a cost proportional to the ops a "skip when
+    /// nothing moved" branch would be a second path bought for
+    /// microseconds. A violation fails the commit at
+    /// [`UpdateStep::GlobalCheck`] with nothing installed; otherwise that
+    /// overlay is installed, its op list — the allocation `prepared`
+    /// carried — moving into the journal.
     pub fn commit_prepared(
         &self,
         schema: &StructuralSchema,
@@ -572,9 +606,9 @@ impl ViewObjectUpdater {
             stats,
             ..
         } = prepared;
+        let total_ops = ops.len();
         let mut head = DeltaDb::new(db);
-        ops.iter()
-            .try_for_each(|op| head.apply(op))
+        head.apply_all(ops)
             .and_then(|()| check_delta(schema, &head))
             .and_then(|violations| {
                 if violations.is_empty() {
@@ -586,13 +620,13 @@ impl ViewObjectUpdater {
             .map_err(|e| {
                 UpdateError::new(UpdateStep::GlobalCheck, Error::Rolledback(Box::new(e)))
             })?;
-        db.apply_all(&ops)
+        db.install(head.finish())
             .map_err(|e| UpdateError::new(UpdateStep::GlobalCheck, e))?;
         for outcome in &mut outcomes {
             outcome.steps.push(UpdateStep::Commit);
         }
         Ok(BatchOutcome {
-            total_ops: ops.len(),
+            total_ops,
             outcomes,
             stats,
         })
@@ -610,8 +644,8 @@ impl ViewObjectUpdater {
             .map_err(Error::from)
     }
 
-    /// Translate and apply a request transactionally: the whole op list
-    /// rolls back unless the database ends structurally consistent.
+    /// Translate and apply a request transactionally: nothing is
+    /// installed unless the database would end structurally consistent.
     pub fn apply(
         &self,
         schema: &StructuralSchema,
@@ -669,12 +703,12 @@ fn violations_error(violations: &[Violation]) -> Error {
 /// in its final (violating) state. `None` when the tuple pre-existed and
 /// no request wrote it (e.g. a deletion elsewhere left it dangling).
 fn attribute_violation(
-    rec: &OpRecorder<'_>,
+    rec: &DeltaDb<'_>,
     violation: &Violation,
     outcomes: &[UpdateOutcome],
 ) -> Option<usize> {
     let (relation, key) = violation.target();
-    let rel_schema = rec.db.view(relation).ok()?.schema();
+    let rel_schema = rec.view(relation).ok()?.schema();
     let mut hit = None;
     for (i, outcome) in outcomes.iter().enumerate() {
         for op in &outcome.ops {

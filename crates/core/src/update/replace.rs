@@ -22,7 +22,6 @@ use crate::translator::Translator;
 use crate::update::insert::complete_dependencies;
 use crate::update::propagate::propagate_links;
 use crate::update::validate::validate_instance;
-use crate::update::OpRecorder;
 use vo_relational::prelude::*;
 use vo_structural::prelude::*;
 
@@ -93,7 +92,7 @@ pub fn translate_replacement_traced(
     old: &VoInstance,
     new: VoInstance,
 ) -> Result<(Vec<DbOp>, Vec<TraceEvent>)> {
-    let mut rec = OpRecorder::over(db);
+    let mut rec = DeltaDb::new(db);
     let trace =
         translate_replacement_into(schema, object, analysis, translator, &mut rec, old, new)?;
     Ok((rec.into_ops(), trace))
@@ -107,7 +106,7 @@ pub fn translate_replacement_into(
     object: &ViewObject,
     analysis: &IslandAnalysis,
     translator: &Translator,
-    rec: &mut OpRecorder<'_>,
+    rec: &mut DeltaDb<'_>,
     old: &VoInstance,
     new: VoInstance,
 ) -> Result<Vec<TraceEvent>> {
@@ -137,7 +136,7 @@ pub fn translate_replacement_into(
 
     let pivot_schema = schema.catalog().relation(object.pivot())?;
     let old_root_key = old.root.tuple.key(pivot_schema);
-    if rec.db.view(object.pivot())?.get(&old_root_key) != Some(&old.root.tuple) {
+    if rec.view(object.pivot())?.get(&old_root_key) != Some(&old.root.tuple) {
         return Err(Error::ConstraintViolation(format!(
             "the old instance's pivot tuple {} is not current in the database",
             old.root.tuple
@@ -169,7 +168,7 @@ struct Ctx<'a, 'r, 'base> {
     object: &'a ViewObject,
     analysis: &'a IslandAnalysis,
     translator: &'a Translator,
-    rec: &'r mut OpRecorder<'base>,
+    rec: &'r mut DeltaDb<'base>,
     written: Vec<(String, Tuple)>,
     trace: Vec<TraceEvent>,
 }
@@ -185,18 +184,13 @@ impl Ctx<'_, '_, '_> {
         parent_pair: Option<(&Tuple, &Tuple)>,
     ) -> Result<()> {
         let relation = self.object.node(node_id).relation.clone();
-        let rel_schema = self.rec.db.view(&relation)?.schema().clone();
+        let rel_schema = self.rec.base().table(&relation)?.schema();
         let in_island = self.analysis.in_island(node_id);
 
         match (old, new) {
             (Some(o), Some(n)) => {
                 self.process_tuple_pair(
-                    node_id,
-                    &relation,
-                    &rel_schema,
-                    in_island,
-                    &o.tuple,
-                    &n.tuple,
+                    node_id, &relation, rel_schema, in_island, &o.tuple, &n.tuple,
                 )?;
                 // recurse over children of every declared child node
                 let children: Vec<NodeId> = self.object.node(node_id).children.clone();
@@ -218,20 +212,15 @@ impl Ctx<'_, '_, '_> {
                     // structural propagation (covers its island subtree).
                     // An ancestor key replacement may already have re-keyed
                     // the tuple; locate it through the parent pair.
-                    let key = self.current_key_of(
-                        node_id,
-                        &relation,
-                        &rel_schema,
-                        &o.tuple,
-                        parent_pair,
-                    )?;
+                    let key =
+                        self.current_key_of(node_id, &relation, rel_schema, &o.tuple, parent_pair)?;
                     if let Some(key) = key {
                         let policy = self.translator.deletion_policy(
                             self.schema,
                             self.object,
                             self.analysis,
                         );
-                        let ops = plan_delete(self.schema, &self.rec.db, &relation, &key, &policy)?;
+                        let ops = plan_delete(self.schema, &*self.rec, &relation, &key, &policy)?;
                         self.rec.apply_all(ops)?;
                     }
                     // children are covered by the cascade — no recursion
@@ -242,7 +231,7 @@ impl Ctx<'_, '_, '_> {
             }
             (None, Some(n)) => {
                 // pure addition: VO-CI cases for this subtree
-                self.process_addition(node_id, &relation, &rel_schema, in_island, &n.tuple)?;
+                self.process_addition(node_id, &relation, rel_schema, in_island, &n.tuple)?;
                 let children: Vec<NodeId> = self.object.node(node_id).children.clone();
                 for child in children {
                     let empty: Vec<VoInstanceNode> = Vec::new();
@@ -271,7 +260,7 @@ impl Ctx<'_, '_, '_> {
         parent_pair: Option<(&Tuple, &Tuple)>,
     ) -> Result<Option<Key>> {
         let key = old.key(rel_schema);
-        let table = self.rec.db.view(relation)?;
+        let table = self.rec.view(relation)?;
         if table.contains_key(&key) {
             return Ok(Some(key));
         }
@@ -290,16 +279,16 @@ impl Ctx<'_, '_, '_> {
                 .node(node.parent.expect("non-root"))
                 .relation
                 .clone();
-            let parent_schema = self.rec.db.view(&parent_rel)?.schema().clone();
+            let parent_schema = self.rec.view(&parent_rel)?.schema();
             let old_vals: Vec<Value> = t
                 .source_attrs()
                 .iter()
-                .map(|a| old_parent.get_named(&parent_schema, a).cloned())
+                .map(|a| old_parent.get_named(parent_schema, a).cloned())
                 .collect::<Result<_>>()?;
             let new_vals: Vec<Value> = t
                 .source_attrs()
                 .iter()
-                .map(|a| new_parent.get_named(&parent_schema, a).cloned())
+                .map(|a| new_parent.get_named(parent_schema, a).cloned())
                 .collect::<Result<_>>()?;
             if old_vals != new_vals {
                 let mut rewritten = old.clone();
@@ -307,7 +296,7 @@ impl Ctx<'_, '_, '_> {
                     rewritten = rewritten.with_named(rel_schema, attr, v)?;
                 }
                 let rk = rewritten.key(rel_schema);
-                if self.rec.db.view(relation)?.contains_key(&rk) {
+                if self.rec.view(relation)?.contains_key(&rk) {
                     return Ok(Some(rk));
                 }
             }
@@ -330,7 +319,7 @@ impl Ctx<'_, '_, '_> {
 
         if in_island {
             // ---- state R ----
-            let at_new = self.rec.db.view(relation)?.get(&new_key).cloned();
+            let at_new = self.rec.view(relation)?.get(&new_key).cloned();
             if at_new.as_ref() == Some(new) {
                 // already effected (e.g. by an ancestor's key propagation,
                 // when the non-inherited attributes did not change), or R-1
@@ -341,7 +330,7 @@ impl Ctx<'_, '_, '_> {
                 });
                 return Ok(());
             }
-            let old_present = self.rec.db.view(relation)?.contains_key(&old_key);
+            let old_present = self.rec.view(relation)?.contains_key(&old_key);
             if old_key == new_key {
                 // CASE R-2: projections differ, keys match
                 if !old_present {
@@ -398,7 +387,7 @@ impl Ctx<'_, '_, '_> {
                         self.translator
                             .deletion_policy(self.schema, self.object, self.analysis);
                     let ops =
-                        plan_delete(self.schema, &self.rec.db, relation, &old_key, &del_policy)?;
+                        plan_delete(self.schema, &*self.rec, relation, &old_key, &del_policy)?;
                     self.rec.apply_all(ops)?;
                 }
                 None => {
@@ -414,7 +403,7 @@ impl Ctx<'_, '_, '_> {
                         .modification_policy(self.object, self.analysis);
                     let ops = plan_key_replacement(
                         self.schema,
-                        &self.rec.db,
+                        &*self.rec,
                         relation,
                         &old_key,
                         new.clone(),
@@ -435,7 +424,7 @@ impl Ctx<'_, '_, '_> {
                 if old == new {
                     return Ok(());
                 }
-                let existing = self.rec.db.view(relation)?.get(&new_key).cloned();
+                let existing = self.rec.view(relation)?.get(&new_key).cloned();
                 match existing {
                     Some(ref e) if e == new => Ok(()),
                     Some(_) => {
@@ -475,7 +464,7 @@ impl Ctx<'_, '_, '_> {
     ) -> Result<()> {
         let policy = self.translator.policy(relation);
         let key = new.key(rel_schema);
-        let existing = self.rec.db.view(relation)?.get(&key).cloned();
+        let existing = self.rec.view(relation)?.get(&key).cloned();
         match existing {
             None => {
                 // CASE I-2

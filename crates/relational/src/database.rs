@@ -3,10 +3,15 @@
 //! Every higher layer (structural integrity maintenance, Keller view
 //! updates, view-object translation) expresses its effects as lists of
 //! [`DbOp`] — insert / delete / replace on keyed relations — which are the
-//! three database operations the paper's algorithms emit. Batches apply
-//! transactionally: any failure rolls back every op already applied.
+//! three database operations the paper's algorithms emit. A batch is
+//! folded into an overlay ([`crate::overlay::DeltaDb`]), where every op is
+//! admitted or the batch refused, and the overlay's net delta is then
+//! *installed* ([`Database::install`]) — the only way rows reach a table,
+//! so there is nothing to roll back and no undo log.
 
 use crate::error::{Error, Result};
+use crate::json::Json;
+use crate::overlay::{DeltaDb, Staged};
 use crate::schema::{DatabaseSchema, RelationSchema};
 use crate::stats::{count_commit, count_conflict, count_journal_dropped, count_snapshot_pinned};
 use crate::table::Table;
@@ -15,6 +20,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
+use vo_obs::trace;
 
 /// One primitive mutation on a keyed relation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,8 +97,8 @@ pub enum JournalStart {
 /// its cap (see [`Database::set_journal_cap`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalOverflow {
-    /// Reject the transaction with [`Error::JournalOverflow`] *before* any
-    /// of its ops are applied, so the database and the journal stay in
+    /// Reject the transaction with [`Error::JournalOverflow`] *before*
+    /// anything is installed, so the database and the journal stay in
     /// lockstep. Appropriate when losing a journal entry is worse than
     /// failing the write (e.g. ahead of a WAL persister).
     Error,
@@ -317,8 +323,8 @@ pub struct Database {
     /// so prepared access plans keyed on the epoch survive updates.
     structure_epoch: u64,
     /// Committed-transaction counter: bumped once per successful
-    /// transaction (single op, batch, or DDL), never by rollbacks — undo
-    /// replay restores the prior state, so no new version exists.
+    /// transaction (single op, batch, or DDL), never by a refused one — a
+    /// refusal happens before anything is installed.
     version: u64,
     /// Version at which each relation last changed (created, dropped, or
     /// touched by a committed transaction). A relation with no entry has
@@ -327,10 +333,10 @@ pub struct Database {
     table_stamps: BTreeMap<String, u64>,
     /// Committed-transaction journal (the durability and maintenance
     /// hook): when enabled, every *successful* transaction through the
-    /// data path — a single [`Database::apply`]/[`Database::insert`], or a
-    /// whole [`Database::apply_all`]/[`Database::apply_all_checked`]
-    /// batch — is recorded as one op list. Rolled-back batches record
-    /// nothing; undo ops replayed during a rollback are never journaled.
+    /// data path — every [`Database::install`], whichever of
+    /// [`Database::apply`] / [`Database::insert`] / [`Database::apply_all`]
+    /// or the update pipeline staged it — is recorded as one op list.
+    /// Refused batches record nothing.
     /// The journal is multi-consumer: `vo-store` reads it through one
     /// cursor to frame WAL commit records while materialized views read
     /// the same entries through their own cursors.
@@ -367,7 +373,7 @@ impl Database {
     }
 
     /// The committed-transaction version: bumped once per successful
-    /// transaction (and per DDL change), never by rollbacks. Two databases
+    /// transaction (and per DDL change), never by a refusal. Two databases
     /// that report the same version *through a shared history* hold
     /// identical data.
     pub fn version(&self) -> u64 {
@@ -416,21 +422,6 @@ impl Database {
         pinned.journal = None;
         DbSnapshot {
             inner: Arc::new(pinned),
-        }
-    }
-
-    /// Record one committed transaction: bump the version and stamp every
-    /// relation the transaction touched. Called only after a transaction
-    /// sticks — rollbacks restore the prior state and stamp nothing.
-    fn commit_stamp(&mut self, ops: &[DbOp]) {
-        if ops.is_empty() {
-            return;
-        }
-        self.version += 1;
-        count_commit();
-        for op in ops {
-            self.table_stamps
-                .insert(op.relation().to_owned(), self.version);
         }
     }
 
@@ -520,7 +511,7 @@ impl Database {
     /// bump the structure epoch, since tuple-level changes cannot
     /// invalidate a prepared access plan. Copy-on-write like
     /// [`Database::table_mut`]; version stamping happens per committed
-    /// transaction in [`Database::commit_stamp`], not per op.
+    /// transaction in [`Database::install`], not per row.
     fn data_table_mut(&mut self, name: &str) -> Result<&mut Table> {
         self.tables
             .get_mut(name)
@@ -694,8 +685,8 @@ impl Database {
     }
 
     /// Reject a would-be transaction while the journal is full under the
-    /// [`JournalOverflow::Error`] policy. Checked *before* any op applies
-    /// so a rejected transaction leaves no trace.
+    /// [`JournalOverflow::Error`] policy. Checked *before* anything is
+    /// installed so a rejected transaction leaves no trace.
     fn journal_admit(&self) -> Result<()> {
         let (Some(j), Some(cap)) = (&self.journal, self.journal_cap) else {
             return Ok(());
@@ -709,16 +700,6 @@ impl Database {
         Ok(())
     }
 
-    fn journal_commit(&mut self, ops: Vec<DbOp>) {
-        let cap = self.journal_cap;
-        if let Some(j) = &mut self.journal {
-            if !ops.is_empty() {
-                let dropped = j.push(ops, cap);
-                count_journal_dropped(dropped);
-            }
-        }
-    }
-
     /// Convenience: insert a tuple built from raw values.
     pub fn insert(&mut self, relation: &str, values: Vec<crate::value::Value>) -> Result<()> {
         let tuple = Tuple::new(self.table(relation)?.schema(), values)?;
@@ -726,90 +707,81 @@ impl Database {
             relation: relation.to_owned(),
             tuple,
         })
-        .map(|_| ())
     }
 
-    /// Apply one op as its own committed transaction, returning the op
-    /// that undoes it.
-    pub fn apply(&mut self, op: &DbOp) -> Result<DbOp> {
-        self.journal_admit()?;
-        let undo = self.apply_inner(op)?;
-        self.commit_stamp(std::slice::from_ref(op));
-        self.journal_commit(vec![op.clone()]);
-        Ok(undo)
+    /// Apply one op as its own committed transaction: a one-op batch,
+    /// except that its refusal comes back as it is, not wrapped.
+    pub fn apply(&mut self, op: &DbOp) -> Result<()> {
+        self.apply_all(std::slice::from_ref(op))
+            .map_err(|e| match e {
+                Error::Rolledback(cause) => *cause,
+                other => other,
+            })
     }
 
-    /// Apply one op without touching the commit journal — the primitive
-    /// under both [`Database::apply`] and the batch paths, and the path
-    /// rollbacks take so undo ops are never journaled.
-    fn apply_inner(&mut self, op: &DbOp) -> Result<DbOp> {
-        match op {
-            DbOp::Insert { relation, tuple } => {
-                let table = self.data_table_mut(relation)?;
-                let key = tuple.key(table.schema());
-                table.insert(tuple.clone())?;
-                Ok(DbOp::Delete {
-                    relation: relation.clone(),
-                    key,
-                })
-            }
-            DbOp::Delete { relation, key } => {
-                let table = self.data_table_mut(relation)?;
-                let old = table.delete(key)?;
-                Ok(DbOp::Insert {
-                    relation: relation.clone(),
-                    tuple: old,
-                })
-            }
-            DbOp::Replace {
-                relation,
-                old_key,
-                tuple,
-            } => {
-                let table = self.data_table_mut(relation)?;
-                let new_key = tuple.key(table.schema());
-                let old = table.replace(old_key, tuple.clone())?;
-                Ok(DbOp::Replace {
-                    relation: relation.clone(),
-                    old_key: new_key,
-                    tuple: old,
-                })
-            }
-        }
-    }
-
-    /// Apply a batch of ops transactionally: if any op fails, every
-    /// already-applied op is undone (in reverse order) and the error is
-    /// wrapped in [`Error::Rolledback`].
+    /// Apply a batch of ops as one transaction: overlay over `self`, fold,
+    /// install. Every op is admitted against the overlay, in order, before
+    /// anything is installed; the first one refused fails the batch, its
+    /// error wrapped in [`Error::Rolledback`], and nothing has been touched.
     pub fn apply_all(&mut self, ops: &[DbOp]) -> Result<()> {
-        self.apply_all_checked(ops, |_| Ok(()))
+        if ops.is_empty() {
+            return Ok(());
+        }
+        self.journal_admit()?;
+        let mut overlay = DeltaDb::new(self);
+        (ops.iter().try_for_each(|op| overlay.fold(op)))
+            .map_err(|e| Error::Rolledback(Box::new(e)))?;
+        let mut staged = overlay.finish();
+        // the borrowed ops are copied only when a journal is there to keep them
+        if self.journal.is_some() {
+            staged.ops = ops.to_vec();
+        }
+        self.install(staged)
     }
 
-    /// Apply a batch and then run `check`; if an op or the check fails,
-    /// roll the whole batch back. This is how global-integrity validation
-    /// vetoes a translated update (paper §5: "the transaction cannot be
-    /// completed and has to be rolled back").
-    pub fn apply_all_checked(
-        &mut self,
-        ops: &[DbOp],
-        check: impl FnOnce(&Database) -> Result<()>,
-    ) -> Result<()> {
-        if !ops.is_empty() {
-            self.journal_admit()?;
+    /// Commit a staged change: the one way rows reach a table, for a
+    /// pipeline commit, a raw [`Database::apply_all`] and a WAL replay alike.
+    /// Every refusal comes before anything is borrowed mutably: the change
+    /// must have been staged over this database at its current version
+    /// ([`Error::Conflict`] otherwise), the journal must admit one more
+    /// transaction, every row is validated once more. Then each key is put
+    /// or removed through `Table::put` (copy-on-write per written relation),
+    /// the version moves by one and stamps each written relation once — a
+    /// relation of insert-then-delete no-ops too: it was written — and the
+    /// op log moves into the journal. An empty change moves nothing.
+    pub fn install(&mut self, staged: Staged) -> Result<()> {
+        let (delta, ops) = (staged.delta, staged.ops);
+        let Some((first, _)) = delta.relations().next() else {
+            return Ok(());
+        };
+        let mut sp = trace::span("relational.install");
+        if sp.is_recording() {
+            sp.field("relations", Json::Int(delta.relations().count() as i64));
+            sp.field("keys", Json::Int(delta.len() as i64));
+            sp.field("ops", Json::Int(ops.len() as i64));
         }
-        let mut undo: Vec<DbOp> = Vec::with_capacity(ops.len());
-        let applied = ops
-            .iter()
-            .try_for_each(|op| self.apply_inner(op).map(|u| undo.push(u)));
-        if let Err(e) = applied.and_then(|()| check(self)) {
-            for u in undo.iter().rev() {
-                self.apply_inner(u)
-                    .expect("undo of a just-applied op must succeed");
-            }
-            return Err(Error::Rolledback(Box::new(e)));
+        if staged.base_version != self.version {
+            return Err(Error::Conflict {
+                relation: first.to_owned(),
+                base_version: staged.base_version,
+                head_version: self.version,
+            });
         }
-        self.commit_stamp(ops);
-        self.journal_commit(ops.to_vec());
+        self.journal_admit()?;
+        for (relation, rows) in delta.relations() {
+            let schema = self.table(relation)?.schema();
+            (rows.values().flatten()).try_for_each(|row| row.validate(schema))?;
+        }
+        self.version += 1;
+        count_commit();
+        for (relation, rows) in delta.into_relations() {
+            let table = self.data_table_mut(&relation).expect("admitted above");
+            rows.into_iter().for_each(|(key, row)| table.put(key, row));
+            self.table_stamps.insert(relation, self.version);
+        }
+        if let (Some(journal), false) = (&mut self.journal, ops.is_empty()) {
+            count_journal_dropped(journal.push(ops, self.journal_cap));
+        }
         Ok(())
     }
 }
@@ -896,45 +868,30 @@ mod tests {
     }
 
     #[test]
-    fn apply_returns_inverse() {
-        let mut d = db();
-        let schema = d.table("DEPARTMENT").unwrap().schema().clone();
-        let t = Tuple::new(&schema, vec!["CS".into()]).unwrap();
-        let ins = DbOp::Insert {
-            relation: "DEPARTMENT".into(),
-            tuple: t,
-        };
-        let undo = d.apply(&ins).unwrap();
-        assert_eq!(d.table("DEPARTMENT").unwrap().len(), 1);
-        d.apply(&undo).unwrap();
-        assert_eq!(d.table("DEPARTMENT").unwrap().len(), 0);
-    }
-
-    #[test]
-    fn replace_inverse_restores_original() {
+    fn single_ops_commit_one_by_one_with_unwrapped_errors() {
         let mut d = db();
         d.insert("COURSES", vec!["CS345".into(), "CS".into()])
             .unwrap();
         let schema = d.table("COURSES").unwrap().schema().clone();
-        let newt = Tuple::new(&schema, vec!["EES345".into(), "EES".into()]).unwrap();
-        let rep = DbOp::Replace {
+        let rekey = DbOp::Replace {
             relation: "COURSES".into(),
             old_key: Key::single("CS345"),
-            tuple: newt,
+            tuple: Tuple::new(&schema, vec!["EES345".into(), "EES".into()]).unwrap(),
         };
-        let undo = d.apply(&rep).unwrap();
-        assert!(d
-            .table("COURSES")
-            .unwrap()
-            .contains_key(&Key::single("EES345")));
-        d.apply(&undo).unwrap();
-        let t = d
-            .table("COURSES")
-            .unwrap()
-            .get(&Key::single("CS345"))
-            .unwrap()
-            .clone();
-        assert_eq!(t.get(1), &Value::text("CS"));
+        let v = d.version();
+        d.apply(&rekey).unwrap();
+        assert_eq!(d.version(), v + 1);
+        let courses = d.table("COURSES").unwrap();
+        assert!(!courses.contains_key(&Key::single("CS345")));
+        let moved = courses.get(&Key::single("EES345")).unwrap();
+        assert_eq!(moved.get(1), &Value::text("EES"));
+        // one op is not a batch: its refusal comes back as it is
+        assert!(matches!(d.apply(&rekey), Err(Error::NoSuchTuple { .. })));
+        assert!(matches!(
+            d.insert("COURSES", vec!["EES345".into(), "X".into()]),
+            Err(Error::KeyConflict { .. })
+        ));
+        assert_eq!(d.version(), v + 1);
     }
 
     #[test]
@@ -955,26 +912,110 @@ mod tests {
         ];
         let err = d.apply_all(&ops).unwrap_err();
         assert!(matches!(err, Error::Rolledback(_)));
-        // EE insert was rolled back
+        // the EE insert before it never reached the table
         assert_eq!(d.table("DEPARTMENT").unwrap().len(), 1);
     }
 
+    /// `ops` folded onto an overlay of `d` and — the check having vetoed
+    /// it — dropped: what used to be apply, veto, undo.
+    fn fold_and_veto(d: &Database, ops: &[DbOp]) {
+        let mut overlay = DeltaDb::new(d);
+        overlay.apply_all(ops.to_vec()).unwrap();
+        assert_eq!(overlay.delta().len(), ops.len());
+    }
+
     #[test]
-    fn checked_batch_rolls_back_on_veto() {
+    fn vetoed_overlay_installs_nothing_and_the_same_overlay_installs() {
         let mut d = db();
-        let dept = d.table("DEPARTMENT").unwrap().schema().clone();
-        let ops = vec![DbOp::Insert {
-            relation: "DEPARTMENT".into(),
-            tuple: Tuple::new(&dept, vec!["EE".into()]).unwrap(),
-        }];
-        let err = d
-            .apply_all_checked(&ops, |_| Err(Error::ConstraintViolation("vetoed".into())))
-            .unwrap_err();
-        assert!(matches!(err, Error::Rolledback(_)));
-        assert_eq!(d.table("DEPARTMENT").unwrap().len(), 0);
+        let ops = vec![dept_insert(&d, "EE")];
+        let pinned = d.snapshot();
+        fold_and_veto(&d, &ops);
+        assert_eq!(d.version(), pinned.version());
+        assert!(std::ptr::eq(
+            d.table("DEPARTMENT").unwrap(),
+            pinned.table("DEPARTMENT").unwrap()
+        ));
         // and succeeds when the check passes
-        d.apply_all_checked(&ops, |_| Ok(())).unwrap();
+        let mut overlay = DeltaDb::new(&d);
+        overlay.apply_all(ops).unwrap();
+        let staged = overlay.finish();
+        d.install(staged).unwrap();
         assert_eq!(d.table("DEPARTMENT").unwrap().len(), 1);
+        assert_eq!(d.version(), pinned.version() + 1);
+    }
+
+    #[test]
+    fn install_refuses_a_change_staged_over_another_version() {
+        let mut d = db();
+        let stale = {
+            let mut overlay = DeltaDb::new(&d);
+            overlay.apply(dept_insert(&d, "EE")).unwrap();
+            overlay.finish()
+        };
+        d.insert("COURSES", vec!["CS345".into(), "CS".into()])
+            .unwrap();
+        let pinned = d.snapshot();
+        let err = d.install(stale).unwrap_err();
+        assert!(
+            matches!(&err, Error::Conflict { relation, base_version, head_version }
+                if relation == "DEPARTMENT" && *base_version + 1 == *head_version),
+            "{err}"
+        );
+        assert_eq!(d.version(), pinned.version());
+        assert_eq!(d.table("DEPARTMENT").unwrap().len(), 0);
+    }
+
+    #[test]
+    fn install_writes_each_key_once_keeps_indexes_and_moves_the_ops_into_the_journal() {
+        let mut d = db();
+        d.create_index("COURSES", &["dept_name".to_owned()])
+            .unwrap();
+        d.insert("COURSES", vec!["CS345".into(), "CS".into()])
+            .unwrap();
+        let cursor = d.journal_subscribe(JournalStart::Head);
+        let courses = d.table("COURSES").unwrap().schema().clone();
+        let course = |id: &str, dept: &str| Tuple::new(&courses, vec![id.into(), dept.into()]);
+        let ops = vec![
+            // comes and goes inside the batch; CS345 moves department twice
+            DbOp::Insert {
+                relation: "COURSES".into(),
+                tuple: course("EE282", "EE").unwrap(),
+            },
+            DbOp::Delete {
+                relation: "COURSES".into(),
+                key: Key::single("EE282"),
+            },
+            DbOp::Replace {
+                relation: "COURSES".into(),
+                old_key: Key::single("CS345"),
+                tuple: course("CS345", "EE").unwrap(),
+            },
+            DbOp::Replace {
+                relation: "COURSES".into(),
+                old_key: Key::single("CS345"),
+                tuple: course("CS345", "ME").unwrap(),
+            },
+        ];
+        let handed = ops.as_ptr();
+        let mut overlay = DeltaDb::new(&d);
+        overlay.apply_all(ops).unwrap();
+        assert_eq!(overlay.delta().len(), 2, "four ops, two keys");
+        let staged = overlay.finish();
+        let (v, dept_v) = (d.version(), d.table_version("DEPARTMENT"));
+        d.install(staged).unwrap();
+        assert_eq!(d.version(), v + 1);
+        assert_eq!(d.table_version("COURSES"), v + 1);
+        assert_eq!(d.table_version("DEPARTMENT"), dept_v);
+        let by_dept = |dept: &str| {
+            let t = d.table("COURSES").unwrap();
+            t.keys_by_attrs(&["dept_name".to_owned()], &[Value::text(dept)])
+                .unwrap()
+        };
+        assert_eq!(by_dept("ME"), vec![Key::single("CS345")]);
+        assert!(by_dept("CS").is_empty() && by_dept("EE").is_empty());
+        let read = d.journal_read(cursor).unwrap();
+        assert_eq!(read.transactions.len(), 1);
+        assert!(std::ptr::eq(read.transactions[0].as_ptr(), handed));
     }
 
     #[test]
@@ -1021,7 +1062,7 @@ mod tests {
             },
         ];
         d.apply_all(&batch).unwrap();
-        // a rolled-back batch records nothing (duplicate key fails)
+        // a refused batch records nothing (duplicate key fails)
         let dept = d.table("DEPARTMENT").unwrap().schema().clone();
         let bad = vec![
             DbOp::Insert {
@@ -1034,14 +1075,8 @@ mod tests {
             },
         ];
         assert!(d.apply_all(&bad).is_err());
-        // a vetoed checked batch records nothing either
-        let ok = vec![DbOp::Insert {
-            relation: "DEPARTMENT".into(),
-            tuple: Tuple::new(&dept, vec!["ME".into()]).unwrap(),
-        }];
-        assert!(d
-            .apply_all_checked(&ok, |_| Err(Error::ConstraintViolation("veto".into())))
-            .is_err());
+        // a batch folded whole and then vetoed records nothing either
+        fold_and_veto(&d, &bad[..1]);
 
         let txs = d.journal_read(c).unwrap().transactions;
         assert_eq!(txs.len(), 2);
@@ -1193,7 +1228,7 @@ mod tests {
         assert_eq!(d.version(), v0 + 1);
         assert_eq!(d.table_version("DEPARTMENT"), v0 + 1);
         let courses_v = d.table_version("COURSES");
-        // a rolled-back batch leaves the version untouched
+        // a refused batch leaves the version untouched
         let dept = d.table("DEPARTMENT").unwrap().schema().clone();
         let bad = vec![
             DbOp::Insert {
@@ -1207,11 +1242,8 @@ mod tests {
         ];
         assert!(d.apply_all(&bad).is_err());
         assert_eq!(d.version(), v0 + 1);
-        // a vetoed checked batch too
-        let ok = vec![dept_insert(&d, "EE")];
-        assert!(d
-            .apply_all_checked(&ok, |_| Err(Error::ConstraintViolation("veto".into())))
-            .is_err());
+        // a batch folded whole and then vetoed too
+        fold_and_veto(&d, &bad[..1]);
         assert_eq!(d.version(), v0 + 1);
         // a batch stamps every touched relation with one version
         let courses = d.table("COURSES").unwrap().schema().clone();

@@ -11,8 +11,9 @@
 //! - **Keyed relations** with typed attributes and primary keys
 //!   ([`schema`], [`table`]), so `K(R)` / `NK(R)` reasoning is first-class.
 //! - **The three database update operations** the paper's translators emit
-//!   — insert, delete, replace — as a uniform [`database::DbOp`] protocol
-//!   with transactional batch application and rollback.
+//!   — insert, delete, replace — as a uniform [`database::DbOp`] protocol;
+//!   a batch is folded into a keyed net [`overlay::Delta`], checked there,
+//!   and installed whole or not at all.
 //! - **Relational algebra** ([`algebra`]) with selections, projections and
 //!   joins, used to instantiate view objects from base data.
 //! - A **SQL subset** ([`sql`]) for examples and ad-hoc inspection, over the
@@ -68,15 +69,13 @@ pub mod prelude {
     };
     pub use crate::error::{Error, Result};
     pub use crate::json::{json_enum, json_struct, Json, JsonCodec};
-    pub use crate::overlay::{DbRead, DeltaDb, DeltaWrite, TableView};
+    pub use crate::overlay::{DbRead, Delta, DeltaDb, DeltaWrite, Staged, TableView};
     pub use crate::predicate::{CmpOp, Expr, Truth};
     pub use crate::rng::SmallRng;
     pub use crate::schema::{AttributeDef, DatabaseSchema, RelationSchema};
     pub use crate::sql::SqlOutcome;
     pub use crate::stats::InstrumentationSnapshot;
-    pub use crate::storage::{
-        DatabaseSnapshot, RelationDelta, RelationSnapshot, SnapshotDelta, SnapshotDeltaBuilder,
-    };
+    pub use crate::storage::{DatabaseSnapshot, RelationDelta, RelationSnapshot, SnapshotDelta};
     pub use crate::table::{KeyRange, Table};
     pub use crate::tuple::{Key, Tuple};
     pub use crate::value::{DataType, Value};

@@ -1,23 +1,30 @@
-//! Delta overlays: read views that layer planned-but-uncommitted [`DbOp`]s
-//! over a borrowed [`Database`] without cloning any base table.
+//! The keyed net change set and the overlay that grows one: read views
+//! that layer planned-but-uncommitted [`DbOp`]s over a borrowed
+//! [`Database`] without cloning any base table and, once checked, *are*
+//! the commit.
 //!
 //! The update translators of the view-object model (paper §5) make every
 //! decision against the database *as it will look* once the ops planned so
-//! far have been applied. The original implementation obtained that view
-//! by cloning the whole database per translation; [`DeltaDb`] provides the
-//! same reads in O(delta) extra space:
+//! far have been applied, and §5 ends an update with "validate globally,
+//! then apply or roll back". Every refusal happens here, against the
+//! overlay, so nothing is applied that could need rolling back:
 //!
-//! - each relation carries a small [`TableDelta`] — a key-ordered map of
-//!   upserts (`Some(tuple)`) and deletions (`None`) shadowing the base;
+//! - a [`Delta`] is the net effect of any number of ops, `relation → key
+//!   → Option<Tuple>`, grown by the one fold [`Delta::record`]: what an
+//!   overlay shadows its base with, what [`Database::install`] moves into
+//!   the tables and what `vo-store` accumulates between checkpoints;
+//! - [`DeltaDb`] is a base, a `Delta` over it and the op log the delta
+//!   grew from; [`DeltaDb::apply`] mirrors [`Table`]'s mutation semantics
+//!   exactly — the same `KeyConflict` / `NoSuchTuple` / validation errors,
+//!   in the same order, judged against the merged view;
 //! - [`TableView`] merges base table and delta on every read, preserving
 //!   primary-key iteration order and the base table's access paths (base
 //!   hits come from a secondary index or the primary key where
 //!   [`Table::find_by_indices`] finds one; delta rows are scanned linearly,
 //!   and the delta is by construction tiny relative to the base);
-//! - [`DeltaDb::apply`] mirrors [`Table`]'s mutation semantics exactly —
-//!   the same `KeyConflict` / `NoSuchTuple` errors fire against the merged
-//!   view, so a plan that applies cleanly to the overlay applies cleanly
-//!   to the base.
+//! - [`DeltaDb::finish`] yields the [`Staged`] change [`Database::install`]
+//!   commits — the only way rows reach a table, so there is no undo log:
+//!   a batch whose *k*-th op is refused never touched one.
 //!
 //! The [`DbRead`] trait abstracts "something the planners can read": both
 //! [`Database`] and [`DeltaDb`] implement it, so integrity planners and
@@ -50,28 +57,100 @@ impl DbRead for Database {
     fn view(&self, relation: &str) -> Result<TableView<'_>> {
         Ok(TableView {
             base: self.table(relation)?,
-            delta: empty_delta(),
+            delta: &NO_ROWS,
         })
     }
 }
 
-/// Pending changes to one relation: `Some` entries shadow (or add) a tuple
-/// at that key, `None` entries delete it. Key-ordered, so merged scans
-/// stay deterministic.
-#[derive(Debug, Clone, Default)]
-pub struct TableDelta {
-    rows: BTreeMap<Key, Option<Tuple>>,
+/// Net changes to one relation: `Some` shadows (or adds) a tuple at that
+/// key, `None` deletes it. Key-ordered, so merged scans stay deterministic.
+pub type KeyedRows = BTreeMap<Key, Option<Tuple>>;
+
+static NO_ROWS: KeyedRows = BTreeMap::new();
+
+/// The keyed net change set: what any number of [`DbOp`]s come to, as
+/// `relation → key → Option<Tuple>`. Later ops on a key supersede earlier
+/// ones, so a delta stays O(distinct keys written) however many ops it
+/// spans. A key inserted and deleted again keeps its `None` entry: the
+/// relation *was* written.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Delta {
+    relations: BTreeMap<String, KeyedRows>,
 }
 
-impl TableDelta {
-    /// Number of keys this delta shadows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
+impl Delta {
+    /// True when no op has been folded in.
+    pub fn is_empty(&self) -> bool {
+        self.relations.is_empty()
     }
 
-    /// True when the delta shadows nothing.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+    /// Number of distinct (relation, key) entries.
+    pub fn len(&self) -> usize {
+        self.relations.values().map(BTreeMap::len).sum()
+    }
+
+    /// The written relations in name order, each with its keyed rows: the
+    /// write set, per key.
+    pub fn relations(&self) -> impl Iterator<Item = (&str, &KeyedRows)> {
+        self.relations.iter().map(|(r, rows)| (r.as_str(), rows))
+    }
+
+    /// The same by value — how [`Database::install`] and the checkpoint
+    /// encoder consume a delta.
+    pub(crate) fn into_relations(self) -> impl Iterator<Item = (String, KeyedRows)> {
+        self.relations.into_iter()
+    }
+
+    /// The key `op` writes last: its tuple's, or the one it deletes.
+    fn written_key(schema: &RelationSchema, op: &DbOp) -> Key {
+        debug_assert_eq!(schema.name(), op.relation());
+        match op {
+            DbOp::Insert { tuple, .. } | DbOp::Replace { tuple, .. } => tuple.key(schema),
+            DbOp::Delete { key, .. } => key.clone(),
+        }
+    }
+
+    /// Fold one op in — the only place a [`DbOp`] becomes keyed rows.
+    /// `schema`, the schema of the op's relation, derives the key of an
+    /// inserted or replacing tuple. The fold checks nothing: whether the
+    /// op applies is [`DeltaDb::apply`]'s question.
+    pub fn record(&mut self, schema: &RelationSchema, op: &DbOp) {
+        self.record_at(Self::written_key(schema, op), op);
+    }
+
+    /// [`Delta::record`] with the op's [`Delta::written_key`] in hand.
+    fn record_at(&mut self, key: Key, op: &DbOp) {
+        let rows = match self.relations.get_mut(op.relation()) {
+            Some(rows) => rows,
+            None => self.relations.entry(op.relation().to_owned()).or_default(),
+        };
+        match op {
+            DbOp::Insert { tuple, .. } => rows.insert(key, Some(tuple.clone())),
+            DbOp::Delete { .. } => rows.insert(key, None),
+            DbOp::Replace { old_key, tuple, .. } => {
+                if key != *old_key {
+                    rows.insert(old_key.clone(), None);
+                }
+                rows.insert(key, Some(tuple.clone()))
+            }
+        };
+    }
+
+    /// Fold a committed transaction in order, each relation's schema taken
+    /// from `db` (the database the ops were applied to).
+    pub fn record_all(&mut self, db: &Database, ops: &[DbOp]) -> Result<()> {
+        for op in ops {
+            self.record(db.table(op.relation())?.schema(), op);
+        }
+        Ok(())
+    }
+
+    /// Lay `later` over this delta: where both write a key, `later` wins.
+    /// `a.merge(b)` is the delta of a's ops followed by b's.
+    pub fn merge(&mut self, later: Delta) {
+        for (relation, rows) in later.relations {
+            self.relations.entry(relation).or_default().extend(rows);
+        }
     }
 }
 
@@ -89,25 +168,31 @@ pub struct DeltaWrite<'a> {
     pub after: Option<&'a Tuple>,
 }
 
-fn empty_delta() -> &'static TableDelta {
-    static EMPTY: TableDelta = TableDelta {
-        rows: BTreeMap::new(),
-    };
-    &EMPTY
+/// A change ready to commit — delta, op log, base version. Built only by
+/// [`DeltaDb::finish`], consumed by [`Database::install`].
+#[derive(Debug)]
+pub struct Staged {
+    pub(crate) delta: Delta,
+    pub(crate) ops: Vec<DbOp>,
+    pub(crate) base_version: u64,
 }
 
 /// A read view layering planned-but-uncommitted [`DbOp`]s over a borrowed
-/// [`Database`]. Construction is O(1); no base table is ever cloned.
+/// [`Database`], plus the log of those ops. Construction is O(1); no base
+/// table is ever cloned. Translators work against one overlay so every
+/// decision sees the effects of the ops already planned, and the final log
+/// is the translation.
 ///
 /// The overlay also records which relations were *read* through it (the
-/// read set). Together with the delta's key set (the write set) that is
+/// read set). Together with the delta's relations (the write set) that is
 /// exactly what first-committer-wins conflict validation
 /// ([`Database::check_unchanged`]) needs: a transaction planned over this
 /// overlay depends on no relation outside `read_set ∪ write_set`.
 #[derive(Debug)]
 pub struct DeltaDb<'base> {
     base: &'base Database,
-    deltas: BTreeMap<String, TableDelta>,
+    delta: Delta,
+    ops: Vec<DbOp>,
     /// Relations read through [`DeltaDb::view`]. Interior-mutable because
     /// reads take `&self`; a `Mutex` (not `RefCell`) keeps the overlay
     /// `Sync` for the parallel instantiation workers.
@@ -118,7 +203,8 @@ impl Clone for DeltaDb<'_> {
     fn clone(&self) -> Self {
         DeltaDb {
             base: self.base,
-            deltas: self.deltas.clone(),
+            delta: self.delta.clone(),
+            ops: self.ops.clone(),
             reads: Mutex::new(self.reads.lock().expect("read-set lock").clone()),
         }
     }
@@ -136,7 +222,8 @@ impl<'base> DeltaDb<'base> {
         crate::stats::count_overlay_created();
         DeltaDb {
             base,
-            deltas: BTreeMap::new(),
+            delta: Delta::default(),
+            ops: Vec::new(),
             reads: Mutex::new(BTreeSet::new()),
         }
     }
@@ -158,37 +245,22 @@ impl<'base> DeltaDb<'base> {
         }
         Ok(TableView {
             base: self.base.table(relation)?,
-            delta: self.deltas.get(relation).unwrap_or_else(|| empty_delta()),
+            delta: self.delta.relations.get(relation).unwrap_or(&NO_ROWS),
         })
-    }
-
-    /// Relations read through this overlay so far.
-    pub fn read_set(&self) -> BTreeSet<String> {
-        self.reads.lock().expect("read-set lock").clone()
-    }
-
-    /// Relations with pending writes in this overlay.
-    pub fn write_set(&self) -> BTreeSet<String> {
-        self.deltas.keys().cloned().collect()
     }
 
     /// Every relation this overlay depends on: reads ∪ pending writes.
     /// A transaction planned over the overlay commutes with any commit
     /// that leaves all of these relations untouched.
     pub fn touched_relations(&self) -> BTreeSet<String> {
-        let mut all = self.read_set();
-        all.extend(self.deltas.keys().cloned());
+        let mut all = self.reads.lock().expect("read-set lock").clone();
+        all.extend(self.delta.relations.keys().cloned());
         all
     }
 
-    /// Total number of delta entries across all relations.
-    pub fn delta_len(&self) -> usize {
-        self.deltas.values().map(TableDelta::len).sum()
-    }
-
-    /// True when no op has been applied to the overlay.
-    pub fn is_clean(&self) -> bool {
-        self.deltas.values().all(TableDelta::is_empty)
+    /// The net change the applied ops come to.
+    pub fn delta(&self) -> &Delta {
+        &self.delta
     }
 
     /// Every key the overlay writes, in relation then key order, with its
@@ -197,12 +269,12 @@ impl<'base> DeltaDb<'base> {
     /// two writes: the old key deleted, the new key upserted). Reads the
     /// base directly, so it adds nothing to the read set.
     pub fn writes(&self) -> impl Iterator<Item = DeltaWrite<'_>> {
-        self.deltas.iter().flat_map(|(relation, delta)| {
+        self.delta.relations().flat_map(|(relation, rows)| {
             let base = self
                 .base
                 .table(relation)
                 .expect("apply() admits ops on base relations only");
-            delta.rows.iter().map(move |(key, after)| DeltaWrite {
+            rows.iter().map(move |(key, after)| DeltaWrite {
                 relation,
                 key,
                 before: base.get(key),
@@ -211,69 +283,96 @@ impl<'base> DeltaDb<'base> {
         })
     }
 
-    /// Apply one planned op to the overlay. Error semantics mirror
-    /// [`Table`] exactly, judged against the merged view: duplicate
-    /// inserts and colliding replacements are `KeyConflict`, missing
-    /// delete/replace targets are `NoSuchTuple`, and tuples are
-    /// re-validated against the relation schema.
-    pub fn apply(&mut self, op: &DbOp) -> Result<()> {
-        match op {
-            DbOp::Insert { relation, tuple } => {
-                let schema = self.base.table(relation)?.schema();
-                tuple.validate(schema)?;
-                let key = tuple.key(schema);
-                if self.view(relation)?.contains_key(&key) {
-                    return Err(Error::KeyConflict {
-                        relation: relation.clone(),
-                        key: key.to_string(),
-                    });
-                }
-                self.delta_mut(relation)
-                    .rows
-                    .insert(key, Some(tuple.clone()));
-            }
-            DbOp::Delete { relation, key } => {
-                if !self.view(relation)?.contains_key(key) {
-                    return Err(Error::NoSuchTuple {
-                        relation: relation.clone(),
-                        key: key.to_string(),
-                    });
-                }
-                self.delta_mut(relation).rows.insert(key.clone(), None);
-            }
-            DbOp::Replace {
-                relation,
-                old_key,
-                tuple,
-            } => {
-                let schema = self.base.table(relation)?.schema();
-                tuple.validate(schema)?;
-                let new_key = tuple.key(schema);
-                let view = self.view(relation)?;
-                if !view.contains_key(old_key) {
-                    return Err(Error::NoSuchTuple {
-                        relation: relation.clone(),
-                        key: old_key.to_string(),
-                    });
-                }
-                if new_key != *old_key && view.contains_key(&new_key) {
-                    return Err(Error::KeyConflict {
-                        relation: relation.clone(),
-                        key: new_key.to_string(),
-                    });
-                }
-                let delta = self.delta_mut(relation);
-                if new_key != *old_key {
-                    delta.rows.insert(old_key.clone(), None);
-                }
-                delta.rows.insert(new_key, Some(tuple.clone()));
-            }
+    /// [`DeltaDb::apply`] for a borrowed op, leaving the log alone. Its one
+    /// read is of the relation it goes on to write, which the write set
+    /// covers: counted, but not added to the read set.
+    pub(crate) fn fold(&mut self, op: &DbOp) -> Result<()> {
+        let relation = op.relation();
+        let table = self.base.table(relation)?;
+        if let DbOp::Insert { tuple, .. } | DbOp::Replace { tuple, .. } = op {
+            tuple.validate(table.schema())?;
         }
+        let key = Delta::written_key(table.schema(), op);
+        crate::stats::count_overlay_read();
+        let view = TableView {
+            base: table,
+            delta: self.delta.relations.get(relation).unwrap_or(&NO_ROWS),
+        };
+        let conflict = |key: &Key| Error::KeyConflict {
+            relation: relation.to_owned(),
+            key: key.to_string(),
+        };
+        let missing = |key: &Key| Error::NoSuchTuple {
+            relation: relation.to_owned(),
+            key: key.to_string(),
+        };
+        let refusal = match op {
+            DbOp::Insert { .. } if view.contains_key(&key) => Some(conflict(&key)),
+            DbOp::Delete { .. } if !view.contains_key(&key) => Some(missing(&key)),
+            DbOp::Replace { old_key, .. } if !view.contains_key(old_key) => Some(missing(old_key)),
+            DbOp::Replace { old_key, .. } if key != *old_key && view.contains_key(&key) => {
+                Some(conflict(&key))
+            }
+            _ => None,
+        };
+        if let Some(refusal) = refusal {
+            return Err(refusal);
+        }
+        self.delta.record_at(key, op);
         Ok(())
     }
 
-    fn delta_mut(&mut self, relation: &str) -> &mut TableDelta {
-        self.deltas.entry(relation.to_owned()).or_default()
+    /// Plan one op: apply it to the overlay and append it to the log.
+    /// Error semantics mirror [`Table`] exactly, judged against the merged
+    /// view: duplicate inserts and colliding replacements are
+    /// `KeyConflict`, missing delete/replace targets are `NoSuchTuple`,
+    /// and tuples are re-validated against the relation schema. A refused
+    /// op leaves overlay and log as they were.
+    pub fn apply(&mut self, op: DbOp) -> Result<()> {
+        self.fold(&op)?;
+        self.ops.push(op);
+        Ok(())
+    }
+
+    /// Plan a list of ops in order, stopping at the first one refused (the
+    /// ops before it stay applied and logged). An empty log adopts `ops` —
+    /// the allocation: how a prepared batch's op list reaches the journal.
+    pub fn apply_all(&mut self, mut ops: Vec<DbOp>) -> Result<()> {
+        let mut applied = 0;
+        let outcome = (ops.iter()).try_for_each(|op| self.fold(op).map(|()| applied += 1));
+        ops.truncate(applied);
+        if self.ops.is_empty() {
+            self.ops = ops;
+        } else {
+            self.ops.append(&mut ops);
+        }
+        outcome
+    }
+
+    /// Position marker into the op log; pair with [`DeltaDb::ops_since`]
+    /// to attribute a batch's ops to individual requests.
+    pub fn mark(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Ops planned since `mark` (`0`: all of them).
+    pub fn ops_since(&self, mark: usize) -> &[DbOp] {
+        &self.ops[mark..]
+    }
+
+    /// Finish planning, yielding the op log alone.
+    pub fn into_ops(self) -> Vec<DbOp> {
+        self.ops
+    }
+
+    /// Finish planning: release the borrow of the base and yield what
+    /// [`Database::install`] commits.
+    pub fn finish(self) -> Staged {
+        Staged {
+            base_version: self.base.version(),
+            delta: self.delta,
+            ops: self.ops,
+        }
     }
 }
 
@@ -283,14 +382,14 @@ impl DbRead for DeltaDb<'_> {
     }
 }
 
-/// A merged read view of one relation: the base [`Table`] shadowed by a
-/// [`TableDelta`]. All accessors return references that borrow from the
-/// underlying storage (lifetime `'a`), not from the view value, so views
-/// are cheap to re-create per lookup.
+/// A merged read view of one relation: the base [`Table`] shadowed by the
+/// overlay's [`KeyedRows`] for it. All accessors return references that
+/// borrow from the underlying storage (lifetime `'a`), not from the view
+/// value, so views are cheap to re-create per lookup.
 #[derive(Debug, Clone, Copy)]
 pub struct TableView<'a> {
     base: &'a Table,
-    delta: &'a TableDelta,
+    delta: &'a KeyedRows,
 }
 
 impl<'a> TableView<'a> {
@@ -301,7 +400,7 @@ impl<'a> TableView<'a> {
 
     /// Fetch by key through the delta.
     pub fn get(&self, key: &Key) -> Option<&'a Tuple> {
-        match self.delta.rows.get(key) {
+        match self.delta.get(key) {
             Some(Some(t)) => Some(t),
             Some(None) => None,
             None => self.base.get(key),
@@ -316,7 +415,7 @@ impl<'a> TableView<'a> {
     /// Number of tuples in the merged view.
     pub fn len(&self) -> usize {
         let mut n = self.base.len();
-        for (key, entry) in &self.delta.rows {
+        for (key, entry) in self.delta {
             match (self.base.contains_key(key), entry) {
                 (true, None) => n -= 1,
                 (false, Some(_)) => n += 1,
@@ -335,7 +434,7 @@ impl<'a> TableView<'a> {
     pub fn scan(&self) -> TableViewScan<'a> {
         TableViewScan {
             base: self.base.rows.iter().peekable(),
-            delta: self.delta.rows.iter().peekable(),
+            delta: self.delta.iter().peekable(),
         }
     }
 
@@ -350,18 +449,18 @@ impl<'a> TableView<'a> {
 
     /// Position-resolved form of [`TableView::find_by_attrs`].
     pub fn find_by_indices(&self, indices: &[usize], values: &[Value]) -> Vec<&'a Tuple> {
-        if self.delta.rows.is_empty() {
+        if self.delta.is_empty() {
             return self.base.find_by_indices(indices, values);
         }
         let schema = self.base.schema();
         let mut hits: BTreeMap<Key, &'a Tuple> = BTreeMap::new();
         for t in self.base.find_by_indices(indices, values) {
             let key = t.key(schema);
-            if !self.delta.rows.contains_key(&key) {
+            if !self.delta.contains_key(&key) {
                 hits.insert(key, t);
             }
         }
-        for (key, entry) in &self.delta.rows {
+        for (key, entry) in self.delta {
             if let Some(t) = entry {
                 if indices
                     .iter()
@@ -465,7 +564,7 @@ mod tests {
         assert!(v.contains_key(&Key::single(1)));
         let all: Vec<_> = v.scan().collect();
         assert_eq!(all.len(), 3);
-        assert!(overlay.is_clean());
+        assert!(overlay.delta().is_empty());
         assert!(overlay.view("NOPE").is_err());
     }
 
@@ -474,19 +573,19 @@ mod tests {
         let db = base();
         let mut overlay = DeltaDb::new(&db);
         overlay
-            .apply(&DbOp::Insert {
+            .apply(DbOp::Insert {
                 relation: "PEOPLE".into(),
                 tuple: tuple(&db, 3, "cam", "ME"),
             })
             .unwrap();
         overlay
-            .apply(&DbOp::Delete {
+            .apply(DbOp::Delete {
                 relation: "PEOPLE".into(),
                 key: Key::single(2),
             })
             .unwrap();
         overlay
-            .apply(&DbOp::Replace {
+            .apply(DbOp::Replace {
                 relation: "PEOPLE".into(),
                 old_key: Key::single(1),
                 tuple: tuple(&db, 1, "ann", "EE"),
@@ -514,7 +613,7 @@ mod tests {
         let db = base();
         let mut overlay = DeltaDb::new(&db);
         overlay
-            .apply(&DbOp::Replace {
+            .apply(DbOp::Replace {
                 relation: "PEOPLE".into(),
                 old_key: Key::single(2),
                 tuple: tuple(&db, 9, "bob", "EE"),
@@ -557,7 +656,7 @@ mod tests {
                 tuple: tuple(&db, 4, "dee", "ME"),
             },
         ];
-        ops.iter().try_for_each(|op| overlay.apply(op)).unwrap();
+        overlay.apply_all(ops.to_vec()).unwrap();
         let dept = |t: Option<&Tuple>| t.map(|t| t.get(2).to_string());
         let seen: Vec<_> = overlay
             .writes()
@@ -577,7 +676,9 @@ mod tests {
                 ("PEOPLE", Key::single(9), None, Some("'EE'".into())),
             ]
         );
-        assert!(overlay.read_set().contains("PEOPLE")); // from apply(), not from writes()
+        // neither writes() nor a write's own check is a read of another
+        // relation: PEOPLE is touched because it is written
+        assert_eq!(overlay.touched_relations().len(), 1);
     }
 
     #[test]
@@ -585,19 +686,19 @@ mod tests {
         let db = base();
         let mut overlay = DeltaDb::new(&db);
         // duplicate insert
-        let err = overlay.apply(&DbOp::Insert {
+        let err = overlay.apply(DbOp::Insert {
             relation: "PEOPLE".into(),
             tuple: tuple(&db, 1, "dup", "CS"),
         });
         assert!(matches!(err, Err(Error::KeyConflict { .. })));
         // delete of a missing key
-        let err = overlay.apply(&DbOp::Delete {
+        let err = overlay.apply(DbOp::Delete {
             relation: "PEOPLE".into(),
             key: Key::single(99),
         });
         assert!(matches!(err, Err(Error::NoSuchTuple { .. })));
         // replace colliding with a third live tuple
-        let err = overlay.apply(&DbOp::Replace {
+        let err = overlay.apply(DbOp::Replace {
             relation: "PEOPLE".into(),
             old_key: Key::single(1),
             tuple: tuple(&db, 2, "ann", "CS"),
@@ -605,13 +706,13 @@ mod tests {
         assert!(matches!(err, Err(Error::KeyConflict { .. })));
         // delete then re-insert the same key is legal
         overlay
-            .apply(&DbOp::Delete {
+            .apply(DbOp::Delete {
                 relation: "PEOPLE".into(),
                 key: Key::single(1),
             })
             .unwrap();
         overlay
-            .apply(&DbOp::Insert {
+            .apply(DbOp::Insert {
                 relation: "PEOPLE".into(),
                 tuple: tuple(&db, 1, "ann2", "CS"),
             })
@@ -628,34 +729,102 @@ mod tests {
     }
 
     #[test]
-    fn overlay_plan_applies_cleanly_to_base() {
-        // whatever the overlay accepted must apply to the base verbatim
+    fn what_the_overlay_accepted_installs() {
         let mut db = base();
-        let ops = {
-            let mut overlay = DeltaDb::new(&db);
-            let plan = vec![
-                DbOp::Insert {
-                    relation: "PEOPLE".into(),
-                    tuple: tuple(&db, 3, "cam", "ME"),
-                },
-                DbOp::Replace {
-                    relation: "PEOPLE".into(),
-                    old_key: Key::single(3),
-                    tuple: tuple(&db, 5, "cam", "ME"),
-                },
-                DbOp::Delete {
-                    relation: "PEOPLE".into(),
-                    key: Key::single(5),
-                },
-            ];
-            for op in &plan {
-                overlay.apply(op).unwrap();
-            }
-            assert_eq!(overlay.view("PEOPLE").unwrap().len(), 3);
-            plan
-        };
-        db.apply_all(&ops).unwrap();
+        let plan = vec![
+            DbOp::Insert {
+                relation: "PEOPLE".into(),
+                tuple: tuple(&db, 3, "cam", "ME"),
+            },
+            DbOp::Replace {
+                relation: "PEOPLE".into(),
+                old_key: Key::single(3),
+                tuple: tuple(&db, 5, "cam", "ME"),
+            },
+            DbOp::Delete {
+                relation: "PEOPLE".into(),
+                key: Key::single(5),
+            },
+        ];
+        let mut overlay = DeltaDb::new(&db);
+        overlay.apply_all(plan.clone()).unwrap();
+        assert_eq!(overlay.view("PEOPLE").unwrap().len(), 3);
+        assert_eq!(overlay.ops_since(0), plan);
+        // keys 3 and 5 came and went: two no-op removals, one stamp
+        assert_eq!(overlay.delta().len(), 2);
+        let v = db.version();
+        let staged = overlay.finish();
+        db.install(staged).unwrap();
         assert_eq!(db.table("PEOPLE").unwrap().len(), 3);
+        assert_eq!(db.table_version("PEOPLE"), v + 1);
+    }
+
+    #[test]
+    fn the_log_is_what_the_delta_grew_from() {
+        let db = base();
+        let insert = |ssn| DbOp::Insert {
+            relation: "PEOPLE".into(),
+            tuple: tuple(&db, ssn, "new", "CS"),
+        };
+        let mut overlay = DeltaDb::new(&db);
+        let m0 = overlay.mark();
+        overlay.apply(insert(7)).unwrap();
+        let m1 = overlay.mark();
+        // an empty log adopts a list; a grown one appends to it
+        overlay.apply_all(vec![insert(8)]).unwrap();
+        assert_eq!(overlay.ops_since(m0).len(), 2);
+        assert_eq!(overlay.ops_since(m1), [insert(8)]);
+        // a refused op changes neither the overlay nor the log
+        assert!(overlay.apply(insert(1)).is_err());
+        assert_eq!((overlay.mark(), overlay.delta().len()), (2, 2));
+        // a list stops at its first refused op; what came before stays
+        let err = overlay.apply_all(vec![insert(9), insert(2), insert(10)]);
+        assert!(matches!(err, Err(Error::KeyConflict { .. })));
+        assert_eq!(overlay.into_ops(), [insert(7), insert(8), insert(9)]);
+
+        let list = vec![insert(11), insert(12)];
+        let handed = list.as_ptr();
+        let mut overlay = DeltaDb::new(&db);
+        overlay.apply_all(list).unwrap();
+        assert!(std::ptr::eq(overlay.into_ops().as_ptr(), handed));
+    }
+
+    #[test]
+    fn merge_is_the_fold_of_the_ops_in_order() {
+        let db = base();
+        let schema = db.table("PEOPLE").unwrap().schema();
+        let first = [
+            DbOp::Insert {
+                relation: "PEOPLE".into(),
+                tuple: tuple(&db, 3, "cam", "ME"),
+            },
+            DbOp::Delete {
+                relation: "PEOPLE".into(),
+                key: Key::single(1),
+            },
+        ];
+        let second = [
+            DbOp::Delete {
+                relation: "PEOPLE".into(),
+                key: Key::single(3),
+            },
+            DbOp::Replace {
+                relation: "PEOPLE".into(),
+                old_key: Key::single(2),
+                tuple: tuple(&db, 1, "bob", "EE"),
+            },
+        ];
+        let fold = |ops: &[DbOp]| {
+            let mut d = Delta::default();
+            ops.iter().for_each(|op| d.record(schema, op));
+            d
+        };
+        let mut merged = fold(&first);
+        merged.merge(fold(&second));
+        assert_eq!(merged, fold(&[first, second].concat()));
+        let rows: Vec<_> = merged.relations().flat_map(|(_, rows)| rows).collect();
+        assert_eq!(rows.len(), 3);
+        assert!(rows[0].1.is_some() && rows[1].1.is_none() && rows[2].1.is_none());
     }
 
     #[test]
@@ -667,13 +836,13 @@ mod tests {
             .unwrap();
         let mut overlay = DeltaDb::new(&db);
         overlay
-            .apply(&DbOp::Insert {
+            .apply(DbOp::Insert {
                 relation: "PEOPLE".into(),
                 tuple: tuple(&db, 3, "cam", "CS"),
             })
             .unwrap();
         overlay
-            .apply(&DbOp::Replace {
+            .apply(DbOp::Replace {
                 relation: "PEOPLE".into(),
                 old_key: Key::single(1),
                 tuple: tuple(&db, 1, "ann", "EE"),
@@ -702,7 +871,7 @@ mod tests {
         assert_eq!(count(&db), 3);
         assert_eq!(count(&overlay), 3);
         overlay
-            .apply(&DbOp::Delete {
+            .apply(DbOp::Delete {
                 relation: "PEOPLE".into(),
                 key: Key::single(4),
             })

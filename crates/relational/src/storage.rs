@@ -5,15 +5,17 @@
 //! [`crate::codec`]); the `vo-penguin` crate persists saved PENGUIN
 //! systems this way — the paper's "only its definition is saved" catalog,
 //! extended to data — and the `vo-store` crate writes snapshots as its
-//! checkpoint files.
+//! checkpoint files. A [`SnapshotDelta`] is only the on-disk spelling of
+//! the [`Delta`] an overlay grows and [`Database::install`] commits: built
+//! from one, restored through the table primitive `install` uses.
 
-use crate::database::{Database, DbOp};
+use crate::database::Database;
 use crate::error::{Error, Result};
 use crate::json::{Json, JsonCodec};
+use crate::overlay::{Delta, KeyedRows};
 use crate::schema::RelationSchema;
 use crate::table::Table;
 use crate::tuple::{Key, Tuple};
-use std::collections::BTreeMap;
 use vo_exec::map_chunks;
 
 /// One relation's image: schema, rows in key order, and the attribute
@@ -209,11 +211,10 @@ pub struct RelationDelta {
     pub deletes: Vec<Key>,
 }
 
-/// Net changes between two database states, derived from the committed
-/// op stream — the incremental-checkpoint artifact. Folding the journal
-/// keeps capture and apply O(|delta|), independent of database size
-/// (the same delta discipline `vo-penguin` uses for incremental view
-/// maintenance).
+/// Net changes between two database states — the incremental-checkpoint
+/// artifact, as it is written: a [`Delta`] with each relation's keyed rows
+/// split into the two lists of a [`RelationDelta`], pinned at a version.
+/// Capture and apply are O(|delta|), independent of database size.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SnapshotDelta {
     /// Per-relation changes, in relation-name order.
@@ -224,10 +225,19 @@ pub struct SnapshotDelta {
 }
 
 impl SnapshotDelta {
-    /// True when the delta carries no changes (the version pin may still
-    /// differ from the base).
-    pub fn is_empty(&self) -> bool {
-        self.relations.is_empty()
+    /// Spell `delta` the way it is written to disk, pinned at `version`.
+    pub fn new(delta: Delta, version: u64) -> Self {
+        let spell = |(relation, rows): (String, KeyedRows)| RelationDelta {
+            relation,
+            deletes: (rows.iter().filter(|(_, row)| row.is_none()))
+                .map(|(key, _)| key.clone())
+                .collect(),
+            upserts: rows.into_values().flatten().collect(),
+        };
+        SnapshotDelta {
+            relations: delta.into_relations().map(spell).collect(),
+            version,
+        }
     }
 
     /// Total upserts + deletes across all relations.
@@ -241,126 +251,21 @@ impl SnapshotDelta {
     /// Apply the delta to a database previously restored from the base
     /// snapshot (or an earlier delta in the same chain), then re-pin the
     /// version. Deletes of absent keys are tolerated; upserts replace
-    /// when the key exists and insert otherwise.
+    /// when the key exists and insert otherwise. Each relation's upserts
+    /// are validated before its first row moves.
     pub fn apply_to(&self, db: &mut Database) -> Result<()> {
         for rel in &self.relations {
             let table = db.table_mut(&rel.relation)?;
+            (rel.upserts.iter()).try_for_each(|t| t.validate(table.schema()))?;
             for key in &rel.deletes {
-                if table.contains_key(key) {
-                    table.delete(key)?;
-                }
+                table.put(key.clone(), None);
             }
             for t in &rel.upserts {
-                let key = t.key(table.schema());
-                if table.contains_key(&key) {
-                    table.replace(&key, t.clone())?;
-                } else {
-                    table.insert(t.clone())?;
-                }
+                table.put(t.key(table.schema()), Some(t.clone()));
             }
         }
         db.restore_version(self.version);
         Ok(())
-    }
-}
-
-/// Folds committed [`DbOp`]s into the net [`SnapshotDelta`] since the
-/// last checkpoint: later ops on a key supersede earlier ones, so the
-/// accumulated state stays O(distinct keys touched) no matter how many
-/// transactions the window spans.
-#[derive(Debug, Clone, Default)]
-pub struct SnapshotDeltaBuilder {
-    /// relation → key → upsert (`Some`) or delete (`None`).
-    changes: BTreeMap<String, BTreeMap<Key, Option<Tuple>>>,
-}
-
-impl SnapshotDeltaBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True when no changes have been folded since the last
-    /// [`SnapshotDeltaBuilder::build`]/[`SnapshotDeltaBuilder::clear`].
-    pub fn is_empty(&self) -> bool {
-        self.changes.is_empty()
-    }
-
-    /// Number of distinct (relation, key) entries currently folded.
-    pub fn change_count(&self) -> usize {
-        self.changes.values().map(BTreeMap::len).sum()
-    }
-
-    /// Discard all folded changes.
-    pub fn clear(&mut self) {
-        self.changes.clear();
-    }
-
-    /// Fold one committed op. `db` supplies the relation schema used to
-    /// derive primary keys; call while the relation still exists (DDL
-    /// forces a full checkpoint, clearing the builder, so in practice
-    /// every folded op's relation is live).
-    pub fn record(&mut self, db: &Database, op: &DbOp) -> Result<()> {
-        match op {
-            DbOp::Insert { relation, tuple } => {
-                let key = tuple.key(db.table(relation)?.schema());
-                self.changes
-                    .entry(relation.clone())
-                    .or_default()
-                    .insert(key, Some(tuple.clone()));
-            }
-            DbOp::Delete { relation, key } => {
-                self.changes
-                    .entry(relation.clone())
-                    .or_default()
-                    .insert(key.clone(), None);
-            }
-            DbOp::Replace {
-                relation,
-                old_key,
-                tuple,
-            } => {
-                let new_key = tuple.key(db.table(relation)?.schema());
-                let entry = self.changes.entry(relation.clone()).or_default();
-                if *old_key != new_key {
-                    entry.insert(old_key.clone(), None);
-                }
-                entry.insert(new_key, Some(tuple.clone()));
-            }
-        }
-        Ok(())
-    }
-
-    /// Fold a whole committed transaction in order.
-    pub fn record_all(&mut self, db: &Database, ops: &[DbOp]) -> Result<()> {
-        for op in ops {
-            self.record(db, op)?;
-        }
-        Ok(())
-    }
-
-    /// Drain the folded changes into a serializable delta pinned at
-    /// `version`, leaving the builder empty.
-    pub fn build(&mut self, version: u64) -> SnapshotDelta {
-        let relations = std::mem::take(&mut self.changes)
-            .into_iter()
-            .map(|(relation, entries)| {
-                let mut upserts = Vec::new();
-                let mut deletes = Vec::new();
-                for (key, change) in entries {
-                    match change {
-                        Some(t) => upserts.push(t),
-                        None => deletes.push(key),
-                    }
-                }
-                RelationDelta {
-                    relation,
-                    upserts,
-                    deletes,
-                }
-            })
-            .collect();
-        SnapshotDelta { relations, version }
     }
 }
 
@@ -548,10 +453,10 @@ mod tests {
     }
 
     #[test]
-    fn delta_builder_folds_ops_to_net_changes() {
+    fn delta_folds_ops_to_net_changes() {
         let mut db = wide_sample(4);
-        let mut builder = SnapshotDeltaBuilder::new();
-        assert!(builder.is_empty());
+        let mut folded = Delta::default();
+        assert!(folded.is_empty());
         let base = DatabaseSnapshot::capture_full(&db);
         // insert then replace (same key), insert then delete, replace
         // moving a key, plain delete
@@ -585,10 +490,10 @@ mod tests {
         ];
         for op in &ops {
             db.apply(op).unwrap();
-            builder.record(&db, op).unwrap();
+            folded.record(db.table("T").unwrap().schema(), op);
         }
-        let delta = builder.build(db.version());
-        assert!(builder.is_empty(), "build drains the builder");
+        assert_eq!(folded.len(), 5);
+        let delta = SnapshotDelta::new(folded, db.version());
         // net: upsert 100 ("y"), upsert 200, delete 10, delete 11,
         // delete 101 (insert+delete still records the delete — applying
         // it to the base is a tolerated no-op)

@@ -5,14 +5,15 @@ use crate::predicate::Expr;
 use crate::schema::RelationSchema;
 use crate::tuple::{Key, Tuple};
 use crate::value::Value;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// One stored relation: a primary-key ordered map of tuples plus optional
 /// secondary indexes.
 ///
-/// All mutations re-validate tuples against the schema and keep secondary
-/// indexes consistent. The primary index is a `BTreeMap` so scans are
-/// deterministic, which keeps query results and experiment output stable.
+/// All public mutations re-validate tuples against the schema and keep
+/// secondary indexes consistent. The primary index is a `BTreeMap` so scans
+/// are deterministic, keeping query results and experiment output stable.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: RelationSchema,
@@ -114,8 +115,7 @@ impl Table {
                 key: key.to_string(),
             });
         }
-        self.index_add(&key, &tuple);
-        self.rows.insert(key, tuple);
+        self.put(key, Some(tuple));
         Ok(())
     }
 
@@ -123,7 +123,7 @@ impl Table {
     pub fn delete(&mut self, key: &Key) -> Result<Tuple> {
         match self.rows.remove(key) {
             Some(t) => {
-                self.index_remove(key, &t);
+                Self::index_remove(&mut self.indexes, key, &t);
                 Ok(t)
             }
             None => Err(Error::NoSuchTuple {
@@ -152,10 +152,35 @@ impl Table {
             });
         }
         let old = self.rows.remove(old_key).expect("checked above");
-        self.index_remove(old_key, &old);
-        self.index_add(&new_key, &new);
-        self.rows.insert(new_key, new);
+        Self::index_remove(&mut self.indexes, old_key, &old);
+        self.put(new_key, Some(new));
         Ok(old)
+    }
+
+    /// Set the row at `key` — upsert `Some(row)`, remove on `None` (an
+    /// absent key is tolerated) — keeping secondary indexes: the one way a
+    /// net delta reaches a table, from [`crate::database::Database::install`]
+    /// and [`crate::storage::SnapshotDelta::apply_to`]. Both validate every
+    /// row *before* their first `put`, so a refusal never leaves a table
+    /// half-written; `row` must be valid and keyed `key`.
+    pub(crate) fn put(&mut self, key: Key, row: Option<Tuple>) {
+        debug_assert!(row.as_ref().is_none_or(|t| t.key(&self.schema) == key));
+        match (self.rows.entry(key), row) {
+            (Entry::Occupied(mut held), Some(row)) => {
+                let old = std::mem::replace(held.get_mut(), row);
+                Self::index_remove(&mut self.indexes, held.key(), &old);
+                Self::index_add(&mut self.indexes, held.key(), held.get());
+            }
+            (Entry::Occupied(held), None) => {
+                let (key, old) = held.remove_entry();
+                Self::index_remove(&mut self.indexes, &key, &old);
+            }
+            (Entry::Vacant(free), Some(row)) => {
+                Self::index_add(&mut self.indexes, free.key(), &row);
+                free.insert(row);
+            }
+            (Entry::Vacant(_), None) => {}
+        }
     }
 
     /// Fetch by key.
@@ -383,8 +408,8 @@ impl Table {
             .unwrap_or(false)
     }
 
-    fn index_add(&mut self, key: &Key, tuple: &Tuple) {
-        for (indices, index) in self.indexes.iter_mut() {
+    fn index_add(indexes: &mut HashMap<Vec<usize>, SecondaryIndex>, key: &Key, tuple: &Tuple) {
+        for (indices, index) in indexes.iter_mut() {
             index
                 .entry(tuple.project(indices))
                 .or_default()
@@ -392,8 +417,8 @@ impl Table {
         }
     }
 
-    fn index_remove(&mut self, key: &Key, tuple: &Tuple) {
-        for (indices, index) in self.indexes.iter_mut() {
+    fn index_remove(indexes: &mut HashMap<Vec<usize>, SecondaryIndex>, key: &Key, tuple: &Tuple) {
+        for (indices, index) in indexes.iter_mut() {
             let proj = tuple.project(indices);
             if let Some(set) = index.get_mut(&proj) {
                 set.remove(key);

@@ -334,7 +334,7 @@ mod tests {
     fn delta_round_trips_and_lists() {
         let dir = tmp_dir("delta");
         let mut db = sample_db();
-        let mut builder = SnapshotDeltaBuilder::new();
+        let mut folded = Delta::default();
         let ops = vec![
             DbOp::Insert {
                 relation: "T".into(),
@@ -347,7 +347,7 @@ mod tests {
         ];
         for op in &ops {
             db.apply(op).unwrap();
-            builder.record(&db, op).unwrap();
+            folded.record(db.table("T").unwrap().schema(), op);
         }
         let delta = DeltaCheckpoint {
             id: 2,
@@ -355,7 +355,7 @@ mod tests {
             parent_id: 1,
             lsn: 14,
             epoch: db.structure_epoch(),
-            delta: builder.build(db.version()),
+            delta: SnapshotDelta::new(folded, db.version()),
         };
         delta.write(&dir).unwrap();
         assert_eq!(list_artifact_ids(&dir, DELTA_PREFIX).unwrap(), vec![2]);

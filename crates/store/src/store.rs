@@ -57,7 +57,7 @@ use vo_obs::metrics::{self, Counter, Gauge, Histogram};
 use vo_obs::trace;
 use vo_relational::database::{Database, DbOp};
 use vo_relational::json::Json;
-use vo_relational::storage::{DatabaseSnapshot, SnapshotDeltaBuilder};
+use vo_relational::prelude::{DatabaseSnapshot, Delta, SnapshotDelta};
 
 /// The files of the pre-segmentation layout (one full checkpoint, one
 /// log). Nothing reads them: [`Store::open`] refuses a directory that
@@ -298,7 +298,7 @@ pub struct Store {
     /// Deltas chained onto the current base.
     chain_len: u64,
     /// Net changes since the last checkpoint, folded commit by commit.
-    delta: SnapshotDeltaBuilder,
+    delta: Delta,
 }
 
 /// Resolve a worker count for artifact encode/decode, where the item
@@ -351,7 +351,7 @@ impl Store {
             last_id: 0,
             next_id: 1,
             chain_len: 0,
-            delta: SnapshotDeltaBuilder::new(),
+            delta: Delta::default(),
         };
         store.checkpoint(db)?;
         Ok(store)
@@ -438,7 +438,7 @@ impl Store {
         let (mut wal, scans) = SegmentedWal::open(&dir, options.sync, options.max_segment_bytes)?;
         report.segments_scanned = scans.len() as u64;
 
-        let mut delta_builder = SnapshotDeltaBuilder::new();
+        let mut since_checkpoint = Delta::default();
         let n = scans.len();
         for (i, scan) in scans.iter().enumerate() {
             for rec in &scan.records {
@@ -447,7 +447,7 @@ impl Store {
                     continue;
                 }
                 db.apply_all(&rec.ops)?;
-                delta_builder.record_all(&db, &rec.ops)?;
+                since_checkpoint.record_all(&db, &rec.ops)?;
                 report.records_replayed += 1;
                 report.ops_replayed += rec.ops.len() as u64;
                 report.last_lsn = rec.lsn;
@@ -513,7 +513,7 @@ impl Store {
             last_id,
             next_id: max_id + 1,
             chain_len,
-            delta: delta_builder,
+            delta: since_checkpoint,
         };
         store.update_gauges();
         Ok((store, db, report))
@@ -666,7 +666,7 @@ impl Store {
             self.chain_len = 0;
             self.covered_lsn = covered;
             self.checkpoint_epoch = epoch;
-            self.delta.clear();
+            self.delta = Delta::default();
             // Everything is covered: the active segment's records are
             // stale, so truncate it in place, then drop what the base
             // superseded. Stale artifacts left by a crash in here are
@@ -690,7 +690,7 @@ impl Store {
                 parent_id: self.last_id,
                 lsn: covered,
                 epoch,
-                delta: self.delta.build(db.version()),
+                delta: SnapshotDelta::new(std::mem::take(&mut self.delta), db.version()),
             };
             if sp.is_recording() {
                 sp.field("changes", Json::Int(delta.delta.change_count() as i64));

@@ -425,7 +425,7 @@ pub fn plan_delete(
                 action => {
                     let vals = conn.to_values(table.schema(), tuple)?;
                     let referencing = db.view(&conn.from)?;
-                    let ref_schema = referencing.schema().clone();
+                    let ref_schema = referencing.schema();
                     for k1 in referencing.keys_by_attrs(&conn.from_attrs, &vals)? {
                         if to_delete.contains(&(conn.from.clone(), k1.clone())) {
                             continue;
@@ -451,7 +451,7 @@ pub fn plan_delete(
                             .or_insert_with(|| referencing.get(&k1).expect("listed").clone());
                         let mut t = entry.clone();
                         for attr in &conn.from_attrs {
-                            t = t.with_named(&ref_schema, attr, Value::Null).map_err(|e| {
+                            t = t.with_named(ref_schema, attr, Value::Null).map_err(|e| {
                                 trace::event_with("integrity.abort", || {
                                     vec![
                                         ("connection", Json::str(conn.name.clone())),
@@ -532,7 +532,7 @@ pub fn plan_key_replacement(
             continue;
         }
         let table = db.view(&rel)?;
-        let rel_schema = table.schema().clone();
+        let rel_schema = table.schema();
         let old = table
             .get(&okey)
             .ok_or_else(|| Error::NoSuchTuple {
@@ -540,7 +540,7 @@ pub fn plan_key_replacement(
                 key: okey.to_string(),
             })?
             .clone();
-        newt.validate(&rel_schema)?;
+        newt.validate(rel_schema)?;
         if old == newt {
             continue;
         }
@@ -552,18 +552,18 @@ pub fn plan_key_replacement(
 
         // propagate to owned / subset children whose inherited attributes changed
         for conn in schema.dependents_of(&rel) {
-            let old_vals = conn.from_values(&rel_schema, &old)?;
-            let new_vals = conn.from_values(&rel_schema, &newt)?;
+            let old_vals = conn.from_values(rel_schema, &old)?;
+            let new_vals = conn.from_values(rel_schema, &newt)?;
             if old_vals == new_vals {
                 continue;
             }
             let child = db.view(&conn.to)?;
-            let child_schema = child.schema().clone();
+            let child_schema = child.schema();
             for k2 in child.keys_by_attrs(&conn.to_attrs, &old_vals)? {
                 let ct = child.get(&k2).expect("listed").clone();
                 let mut nt = ct;
                 for (attr, v) in conn.to_attrs.iter().zip(new_vals.iter()) {
-                    nt = nt.with_named(&child_schema, attr, v.clone())?;
+                    nt = nt.with_named(child_schema, attr, v.clone())?;
                 }
                 work.push((conn.to.clone(), k2, nt));
             }
@@ -571,20 +571,20 @@ pub fn plan_key_replacement(
 
         // repair referencing tuples when referenced key values changed
         for conn in schema.referencers_of(&rel) {
-            let old_vals = conn.to_values(&rel_schema, &old)?;
-            let new_vals = conn.to_values(&rel_schema, &newt)?;
+            let old_vals = conn.to_values(rel_schema, &old)?;
+            let new_vals = conn.to_values(rel_schema, &newt)?;
             if old_vals == new_vals {
                 continue;
             }
             let referencing = db.view(&conn.from)?;
-            let ref_schema = referencing.schema().clone();
+            let ref_schema = referencing.schema();
             for k1 in referencing.keys_by_attrs(&conn.from_attrs, &old_vals)? {
                 match policy.modify_action(&conn.name) {
                     RefModifyAction::Propagate => {
                         let rt = referencing.get(&k1).expect("listed").clone();
                         let mut nt = rt;
                         for (attr, v) in conn.from_attrs.iter().zip(new_vals.iter()) {
-                            nt = nt.with_named(&ref_schema, attr, v.clone())?;
+                            nt = nt.with_named(ref_schema, attr, v.clone())?;
                         }
                         work.push((conn.from.clone(), k1, nt));
                     }
@@ -592,7 +592,7 @@ pub fn plan_key_replacement(
                         let rt = referencing.get(&k1).expect("listed").clone();
                         let mut nt = rt;
                         for attr in &conn.from_attrs {
-                            nt = nt.with_named(&ref_schema, attr, Value::Null).map_err(|e| {
+                            nt = nt.with_named(ref_schema, attr, Value::Null).map_err(|e| {
                                 Error::ConstraintViolation(format!(
                                     "cannot nullify {}.{attr}: {e}",
                                     conn.from
@@ -646,10 +646,10 @@ pub fn missing_dependencies(
     relation: &str,
     tuple: &Tuple,
 ) -> Result<Vec<MissingDependency>> {
-    let rel_schema = db.view(relation)?.schema().clone();
+    let rel_schema = db.view(relation)?.schema();
     let mut out = Vec::new();
     for dep in schema.dependencies_of(relation) {
-        let vals = connecting_values(dep.source_attrs(), &rel_schema, tuple)?;
+        let vals = connecting_values(dep.source_attrs(), rel_schema, tuple)?;
         if vals.iter().any(Value::is_null) {
             // NULL reference is explicitly legal (reference rule 1); NULLs
             // cannot occur in key-side dependencies.
@@ -730,8 +730,8 @@ pub fn plan_completion(
                     dep.relation
                 )));
             }
-            let target_schema = db.view(&dep.relation)?.schema().clone();
-            let stub = stub_tuple(&target_schema, &dep.attrs, &dep.values)?;
+            let target_schema = db.view(&dep.relation)?.schema();
+            let stub = stub_tuple(target_schema, &dep.attrs, &dep.values)?;
             ops.push(DbOp::Insert {
                 relation: dep.relation.clone(),
                 tuple: stub.clone(),
@@ -912,7 +912,7 @@ mod tests {
     /// `ops` laid on an overlay of `db`: the delta verdict, held to the scan's.
     fn delta_verdict(s: &StructuralSchema, db: &Database, ops: &[DbOp]) -> Vec<Violation> {
         let mut overlay = DeltaDb::new(db);
-        ops.iter().try_for_each(|op| overlay.apply(op)).unwrap();
+        overlay.apply_all(ops.to_vec()).unwrap();
         let delta = check_delta(s, &overlay).unwrap();
         assert_eq!(delta, check_database(s, &overlay).unwrap());
         delta
@@ -974,7 +974,7 @@ mod tests {
         let (s, db) = setup();
         let mut overlay = DeltaDb::new(&db);
         overlay
-            .apply(&delete("DEPARTMENT", Key::single("CS")))
+            .apply(delete("DEPARTMENT", Key::single("CS")))
             .unwrap();
         let scope = trace::start_trace();
         let v = check_delta(&s, &overlay).unwrap();

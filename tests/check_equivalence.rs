@@ -327,20 +327,19 @@ impl<'a> Gen<'a> {
 }
 
 /// Lay `ops` on `overlay` all-or-nothing; returns whether they applied.
-fn lay<'b>(overlay: &mut DeltaDb<'b>, batch: &mut Vec<DbOp>, ops: Vec<DbOp>) -> bool {
+fn lay(overlay: &mut DeltaDb<'_>, ops: Vec<DbOp>) -> bool {
     let mut trial = overlay.clone();
-    if ops.is_empty() || ops.iter().try_for_each(|op| trial.apply(op)).is_err() {
+    if ops.is_empty() || trial.apply_all(ops).is_err() {
         return false;
     }
     *overlay = trial;
-    batch.extend(ops);
     true
 }
 
-#[test]
-fn check_delta_equals_check_database_on_random_raw_batches() {
-    let _g = lock();
-    let (mut batches, mut violating, mut clean) = (0usize, 0usize, 0usize);
+/// The suite's input: every seeded batch (seeds 42 and 7, five fixtures),
+/// each a raw op list that applies to its fixture's base in order, handed
+/// to `visit` with that base and a label naming it.
+fn for_each_batch(mut visit: impl FnMut(&StructuralSchema, &Database, Vec<DbOp>, &str)) {
     for seed in [42u64, 7] {
         for (name, schema, db) in fixtures(seed) {
             let mut gen = Gen::new(&schema, seed ^ 0xC4EC);
@@ -348,13 +347,12 @@ fn check_delta_equals_check_database_on_random_raw_batches() {
                 let safe = b % 3 == 0;
                 let wanted = gen.rng.gen_range(1..13);
                 let mut overlay = DeltaDb::new(&db);
-                let mut batch: Vec<DbOp> = Vec::new();
                 for _ in 0..4 * wanted {
-                    if batch.len() >= wanted {
+                    if overlay.mark() >= wanted {
                         break;
                     }
                     let ops = gen.step(&overlay, safe);
-                    lay(&mut overlay, &mut batch, ops);
+                    lay(&mut overlay, ops);
                 }
                 // a quarter of the breaking batches go on to repair what they broke
                 if !safe && b % 4 == 1 {
@@ -363,44 +361,252 @@ fn check_delta_equals_check_database_on_random_raw_batches() {
                             break;
                         };
                         let ops = gen.repair(&overlay, &v);
-                        if !lay(&mut overlay, &mut batch, ops) {
+                        if !lay(&mut overlay, ops) {
                             break;
                         }
                     }
                 }
-                if batch.is_empty() {
-                    continue;
-                }
-
-                let context = format!("{name}, seed {seed}, batch {b}: {batch:#?}");
-                // the overlay the write path builds: the ops alone, laid on the base
-                let mut laid = DeltaDb::new(&db);
-                batch.iter().try_for_each(|op| laid.apply(op)).unwrap();
-                let scan = check_database(&schema, &laid).unwrap();
-                let delta = check_delta(&schema, &laid).unwrap();
-                assert_eq!(delta, scan, "delta != scan of the overlay — {context}");
-                // and the scan of the overlay is the scan of the ops applied
-                let mut applied = db.clone();
-                applied.apply_all(&batch).unwrap();
-                assert_eq!(
-                    delta,
-                    check_database(&schema, &applied).unwrap(),
-                    "delta != scan of the applied base — {context}"
-                );
-
-                batches += 1;
-                if scan.is_empty() {
-                    clean += 1;
-                } else {
-                    violating += 1;
+                let batch = overlay.into_ops();
+                if !batch.is_empty() {
+                    visit(
+                        &schema,
+                        &db,
+                        batch,
+                        &format!("{name}, seed {seed}, batch {b}"),
+                    );
                 }
             }
         }
     }
+}
+
+#[test]
+fn check_delta_equals_check_database_on_random_raw_batches() {
+    let _g = lock();
+    let (mut batches, mut violating, mut clean) = (0usize, 0usize, 0usize);
+    for_each_batch(|schema, db, batch, label| {
+        let context = format!("{label}: {batch:#?}");
+        // the overlay the write path builds: the ops alone, laid on the base
+        let mut laid = DeltaDb::new(db);
+        laid.apply_all(batch.clone()).unwrap();
+        let scan = check_database(schema, &laid).unwrap();
+        let delta = check_delta(schema, &laid).unwrap();
+        assert_eq!(delta, scan, "delta != scan of the overlay — {context}");
+        // and the scan of the overlay is the scan of the ops applied
+        let mut applied = db.clone();
+        applied.apply_all(&batch).unwrap();
+        assert_eq!(
+            delta,
+            check_database(schema, &applied).unwrap(),
+            "delta != scan of the applied base — {context}"
+        );
+
+        batches += 1;
+        if scan.is_empty() {
+            clean += 1;
+        } else {
+            violating += 1;
+        }
+    });
     assert!(batches >= 500, "only {batches} batches generated");
     assert!(
         10 * violating >= 3 * batches && 10 * clean >= 3 * batches,
         "the generator must yield both verdicts: {violating} violating, {clean} clean of {batches}"
+    );
+}
+
+/// `db` with a secondary index on the dependent end of every connection
+/// and on each relation's last attribute, so an install has indexes to keep.
+fn indexed(schema: &StructuralSchema, db: &Database) -> Database {
+    let mut db = db.clone();
+    for conn in schema.connections() {
+        let (dependent, attrs) = conn.dependent_end();
+        db.ensure_index(dependent, attrs).unwrap();
+    }
+    for rel in schema.catalog().iter() {
+        let last = rel.attributes().last().unwrap().name.clone();
+        db.ensure_index(rel.name(), &[last]).unwrap();
+    }
+    db
+}
+
+/// The oracle: each op applied on its own through the table's three
+/// mutations, stopping at the first one refused.
+fn replay(db: &mut Database, ops: &[DbOp]) -> Result<()> {
+    for op in ops {
+        let table = db.table_mut(op.relation())?;
+        match op {
+            DbOp::Insert { tuple, .. } => table.insert(tuple.clone())?,
+            DbOp::Delete { key, .. } => table.delete(key).map(|_| ())?,
+            DbOp::Replace { old_key, tuple, .. } => {
+                table.replace(old_key, tuple.clone()).map(|_| ())?
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Rows and index definitions of `db` as checkpoint bytes, the version (a
+/// replay through `table_mut` moves it per op) left out.
+fn image(db: &Database) -> String {
+    let mut snapshot = DatabaseSnapshot::capture_full(db);
+    snapshot.version = 0;
+    snapshot.encode_compact(1)
+}
+
+/// Every secondary index of `got` answers as `want`'s does, probed with the
+/// indexed values of every row either database or `base` holds (a stale
+/// entry answers for a value only the base still carried).
+fn assert_same_index_answers(got: &Database, want: &Database, base: &Database, context: &str) {
+    for rel in want.relation_names() {
+        let (got, want) = (got.table(rel).unwrap(), want.table(rel).unwrap());
+        assert_eq!(got.index_attrs(), want.index_attrs(), "{rel} — {context}");
+        for attrs in want.index_attrs() {
+            let positions = want.schema().indices_of(&attrs).unwrap();
+            let rows = (want.scan().chain(got.scan())).chain(base.table(rel).unwrap().scan());
+            for row in rows {
+                let probe = row.project(&positions);
+                assert_eq!(
+                    got.find_by_attrs(&attrs, &probe).unwrap(),
+                    want.find_by_attrs(&attrs, &probe).unwrap(),
+                    "{rel} by {attrs:?} = {probe:?} — {context}"
+                );
+            }
+        }
+    }
+}
+
+/// A delta through its on-disk spelling and back onto `db`.
+fn checkpoint(db: &mut Database, delta: Delta, version: u64) {
+    let text = SnapshotDelta::new(delta, version).to_json().compact();
+    let decoded = SnapshotDelta::from_json(&penguin_vo::relational::json::parse(&text).unwrap());
+    decoded.unwrap().apply_to(db).unwrap();
+}
+
+/// Install = replay: folding a batch into an overlay and installing its
+/// net delta ends where applying the ops one by one to the tables ends —
+/// same rows, same index answers — or both refuse with the same words and
+/// the install side has touched nothing.
+#[test]
+fn install_equals_replay_on_random_raw_batches() {
+    let _g = lock();
+    let mut rng = SmallRng::seed_from_u64(0x1A57);
+    let (mut installed, mut refused) = (0usize, 0usize);
+    for_each_batch(|schema, db, mut batch, label| {
+        let base = indexed(schema, db);
+        // every third batch is poisoned: one of its ops arrives twice, or
+        // deletes a key nobody holds, or carries a row of the wrong shape
+        if rng.gen_bool(0.33) {
+            let at = rng.gen_range(0..batch.len());
+            let poison = match (rng.gen_range(0..3), &batch[at]) {
+                (0, op) => op.clone(),
+                (1, op) => DbOp::Delete {
+                    relation: op.relation().to_owned(),
+                    key: Key::single("nobody"),
+                },
+                (_, op) => DbOp::Insert {
+                    relation: op.relation().to_owned(),
+                    tuple: Tuple::raw(vec![Value::Null]),
+                },
+            };
+            batch.insert(at + 1, poison);
+        }
+        let context = format!("{label}: {batch:#?}");
+
+        let mut oracle = base.clone();
+        let replayed = replay(&mut oracle, &batch);
+        let mut head = base.clone();
+        let mut overlay = DeltaDb::new(&head);
+        let folded = overlay.apply_all(batch.clone());
+        assert_eq!(
+            folded.as_ref().map_err(Error::to_string),
+            replayed.as_ref().map_err(Error::to_string),
+            "{context}"
+        );
+        if folded.is_err() {
+            // a copy of a delete, or of a re-key, is refused; a copy of an
+            // in-place replace is not — so not every poisoned batch lands here
+            refused += 1;
+            let wrapped = head.apply_all(&batch).unwrap_err();
+            assert_eq!(
+                wrapped,
+                Error::Rolledback(Box::new(replayed.unwrap_err())),
+                "{context}"
+            );
+            assert_eq!(head.version(), base.version(), "{context}");
+            assert_eq!(image(&head), image(&base), "{context}");
+            return;
+        }
+        installed += 1;
+        let net = overlay.delta().clone();
+        let staged = overlay.finish();
+        head.install(staged).unwrap();
+        let want = image(&oracle);
+        assert_eq!(image(&head), want, "{context}");
+        assert_same_index_answers(&head, &oracle, &base, &context);
+        assert_eq!(head.version(), base.version() + 1, "{context}");
+        for rel in head.relation_names() {
+            let written = net.relations().any(|(r, _)| r == rel);
+            let stamp = if written {
+                head.version()
+            } else {
+                base.table_version(rel)
+            };
+            assert_eq!(head.table_version(rel), stamp, "{rel} — {context}");
+        }
+
+        // the same batch cut in two at any op: merging the halves' deltas
+        // is the batch's delta, and one checkpoint of the merge restores
+        // what a checkpoint of each half, in order, restores
+        let cut = rng.gen_range(0..batch.len() + 1);
+        let mut first = DeltaDb::new(&base);
+        first.apply_all(batch[..cut].to_vec()).unwrap();
+        let first_delta = first.delta().clone();
+        let first = first.finish();
+        let mut middle = base.clone();
+        middle.install(first).unwrap();
+        let mut second = DeltaDb::new(&middle);
+        second.apply_all(batch[cut..].to_vec()).unwrap();
+        let second = second.delta().clone();
+        let mut merged = first_delta.clone();
+        merged.merge(second.clone());
+        assert_eq!(merged, net, "cut at {cut} — {context}");
+        let (mut once, mut twice) = (base.clone(), base.clone());
+        checkpoint(&mut once, merged, head.version());
+        checkpoint(&mut twice, first_delta, middle.version());
+        checkpoint(&mut twice, second, head.version());
+        assert_eq!(image(&once), want, "cut at {cut}, merged — {context}");
+        assert_eq!(image(&twice), want, "cut at {cut}, in order — {context}");
+        assert_same_index_answers(&once, &head, &base, &context);
+        assert_eq!(once.version(), head.version());
+
+        // a key that comes and goes inside a batch installs as a no-op
+        // that still stamps its relation
+        let rel = batch[0].relation();
+        let rs = schema.catalog().relation(rel).unwrap();
+        let ghost = Gen::new(schema, 0).orphan(rel);
+        let mut overlay = DeltaDb::new(&head);
+        overlay
+            .apply_all(vec![
+                DbOp::Insert {
+                    relation: rel.to_owned(),
+                    tuple: ghost.clone(),
+                },
+                DbOp::Delete {
+                    relation: rel.to_owned(),
+                    key: ghost.key(rs),
+                },
+            ])
+            .unwrap();
+        assert_eq!(overlay.delta().len(), 1, "{context}");
+        let (staged, version) = (overlay.finish(), head.version());
+        head.install(staged).unwrap();
+        assert_eq!(image(&head), want, "{context}");
+        assert_eq!(head.table_version(rel), version + 1, "{context}");
+    });
+    assert!(
+        installed >= 500 && refused >= 100,
+        "{installed} installed, {refused} refused"
     );
 }
 
@@ -412,12 +618,15 @@ fn safe_steps_alone_never_violate() {
     for (name, schema, db) in fixtures(42) {
         let mut gen = Gen::new(&schema, 0x5AFE);
         let mut overlay = DeltaDb::new(&db);
-        let mut batch = Vec::new();
         for _ in 0..60 {
             let ops = gen.step(&overlay, true);
-            lay(&mut overlay, &mut batch, ops);
+            lay(&mut overlay, ops);
         }
-        assert!(batch.len() >= 20, "{name}: {} ops applied", batch.len());
+        assert!(
+            overlay.mark() >= 20,
+            "{name}: {} ops applied",
+            overlay.mark()
+        );
         assert_eq!(
             check_database(&schema, &overlay).unwrap(),
             Vec::new(),
@@ -458,7 +667,7 @@ fn permuted_multi_attribute_key_takes_the_primary_key_path() {
     // the same through an overlay that shadows another row of the table
     let mut overlay = DeltaDb::new(&db);
     overlay
-        .apply(&DbOp::Delete {
+        .apply(DbOp::Delete {
             relation: "GRADES".into(),
             key: grades.scan().next().unwrap().key(grades.schema()),
         })

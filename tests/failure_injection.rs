@@ -16,7 +16,38 @@ fn snapshot(db: &Database) -> Vec<(String, Vec<Tuple>)> {
         .collect()
 }
 
-/// A batch with a poisoned op at an arbitrary position rolls back wholly.
+/// What a refusal must leave exactly as it was, beyond the rows: the
+/// version, every relation's stamp, the journal — and the tables
+/// themselves, which a pinned reader still shares (a refused batch that
+/// copied one on write would leave the head holding a private copy of a
+/// table whose content never changed).
+#[track_caller]
+fn assert_untouched(db: &Database, pinned: &DbSnapshot, retained: usize) {
+    assert_eq!(snapshot(db), snapshot(pinned));
+    assert_eq!(db.version(), pinned.version());
+    assert_eq!(db.journal_retained(), retained);
+    for rel in db.relation_names() {
+        assert_eq!(db.table_version(rel), pinned.table_version(rel), "{rel}");
+        assert!(
+            std::ptr::eq(db.table(rel).unwrap(), pinned.table(rel).unwrap()),
+            "{rel} was copied on write by a batch that was refused"
+        );
+    }
+}
+
+fn department_inserts(db: &Database, n: usize) -> Vec<DbOp> {
+    let dept = db.table("DEPARTMENT").unwrap().schema();
+    (0..n)
+        .map(|i| DbOp::Insert {
+            relation: "DEPARTMENT".into(),
+            tuple: Tuple::new(dept, vec![format!("new-{i}").into()]).unwrap(),
+        })
+        .collect()
+}
+
+/// A batch with a poisoned op at an arbitrary position — last included —
+/// is refused wholly, and so is a sound batch the journal cannot admit:
+/// neither touches anything, beside a pinned reader.
 #[test]
 fn poisoned_batches_roll_back() {
     let mut rng = SmallRng::seed_from_u64(0xBAD);
@@ -24,13 +55,8 @@ fn poisoned_batches_roll_back() {
         let pos = rng.gen_range(0..6);
         let seed = rng.next_u64() % 100;
         let (_, mut db) = university_scaled(1, seed);
-        let dept = db.table("DEPARTMENT").unwrap().schema().clone();
-        let mut ops: Vec<DbOp> = (0..5)
-            .map(|i| DbOp::Insert {
-                relation: "DEPARTMENT".into(),
-                tuple: Tuple::new(&dept, vec![format!("new-{i}").into()]).unwrap(),
-            })
-            .collect();
+        db.journal_subscribe(JournalStart::Head);
+        let mut ops = department_inserts(&db, 5);
         // poison: delete a tuple that does not exist
         ops.insert(
             pos.min(ops.len()),
@@ -39,14 +65,26 @@ fn poisoned_batches_roll_back() {
                 key: Key::single("ghost"),
             },
         );
-        let before = snapshot(&db);
+        let pinned = db.snapshot();
         let err = db.apply_all(&ops).unwrap_err();
         assert!(matches!(err, Error::Rolledback(_)));
-        assert_eq!(snapshot(&db), before);
+        assert_untouched(&db, &pinned, 0);
+
+        // a full journal under the refusing policy turns a sound batch away
+        db.set_journal_cap(Some(JournalCap::error(1)));
+        let sound = department_inserts(&db, 7);
+        db.apply_all(&sound[..5]).unwrap();
+        let pinned = db.snapshot();
+        let err = db.apply_all(&sound[5..]).unwrap_err();
+        assert!(matches!(err, Error::JournalOverflow { capacity: 1 }));
+        assert_untouched(&db, &pinned, 1);
     }
 }
 
-/// Vetoed checked batches roll back wholly.
+/// A veto falls on the overlay, before anything is installed: a batch
+/// whose *k*-th op is refused, for every *k*, and a batch folded whole and
+/// then vetoed by its check both leave database, version and journal
+/// untouched; the same overlay, not vetoed, is the commit.
 #[test]
 fn vetoed_batches_roll_back() {
     let mut rng = SmallRng::seed_from_u64(0xE70);
@@ -54,19 +92,35 @@ fn vetoed_batches_roll_back() {
         let n = rng.gen_range(1..6);
         let seed = rng.next_u64() % 100;
         let (_, mut db) = university_scaled(1, seed);
-        let dept = db.table("DEPARTMENT").unwrap().schema().clone();
-        let ops: Vec<DbOp> = (0..n)
-            .map(|i| DbOp::Insert {
-                relation: "DEPARTMENT".into(),
-                tuple: Tuple::new(&dept, vec![format!("new-{i}").into()]).unwrap(),
-            })
-            .collect();
-        let before = snapshot(&db);
-        let err = db
-            .apply_all_checked(&ops, |_| Err(Error::ConstraintViolation("veto".into())))
-            .unwrap_err();
-        assert!(matches!(err, Error::Rolledback(_)));
-        assert_eq!(snapshot(&db), before);
+        db.journal_subscribe(JournalStart::Head);
+        let ops = department_inserts(&db, n);
+        let pinned = db.snapshot();
+        for k in 0..n {
+            // the k-th insert arrives twice: its second copy is refused
+            let mut refused = ops.clone();
+            refused.insert(k + 1, ops[k].clone());
+            let err = db.apply_all(&refused[..k + 2]).unwrap_err();
+            assert!(
+                matches!(&err, Error::Rolledback(e) if matches!(**e, Error::KeyConflict { .. }))
+            );
+            assert_untouched(&db, &pinned, 0);
+        }
+
+        // folded whole, then vetoed by its check: the overlay is dropped,
+        // and there is nothing to undo
+        let mut overlay = DeltaDb::new(&db);
+        overlay.apply_all(ops.clone()).unwrap();
+        drop(overlay);
+        assert_untouched(&db, &pinned, 0);
+        // the same overlay, passed, is the commit
+        let mut overlay = DeltaDb::new(&db);
+        overlay.apply_all(ops).unwrap();
+        let staged = overlay.finish();
+        db.install(staged).unwrap();
+        let departments = |db: &Database| db.table("DEPARTMENT").unwrap().len();
+        assert_eq!(departments(&db), departments(&pinned) + n);
+        assert_eq!(db.version(), pinned.version() + 1);
+        assert_eq!(db.journal_retained(), 1);
     }
 }
 

@@ -1,9 +1,10 @@
 //! A row is allocated once. `Tuple` is a shared immutable `Arc<[Value]>`,
-//! so binding a row into an instance, laying it on an overlay, applying it
-//! to a table, journaling it and copying a table on write all copy a
-//! pointer. These tests show the mechanism without a clock, through
-//! [`Tuple::ptr_eq`]: which rows are the *same allocation* after each of
-//! those hops — and, for copy-on-write, exactly which are not.
+//! so binding a row into an instance, laying it on an overlay, installing
+//! it into a table, journaling it and copying a table on write all copy a
+//! pointer — and the op list a commit is handed moves into the journal as
+//! the allocation it is. These tests show the mechanism without a clock,
+//! through [`Tuple::ptr_eq`]: which rows are the *same allocation* after
+//! each of those hops — and, for copy-on-write, exactly which are not.
 
 use penguin_vo::prelude::*;
 
@@ -175,4 +176,28 @@ fn an_inserted_row_is_one_allocation_from_request_to_journal() {
         .get(&Key::single("C0-1"))
         .unwrap();
     assert!(instance.root.tuple.ptr_eq(stored_pivot));
+
+    // prepared on a session, committed at the head: the op list itself —
+    // not just its rows — is what the journal's consumers read
+    p.delete_instance("omega", instance.clone()).unwrap();
+    p.with_database_mut(|db| db.journal_read(cursor).map(|_| ()))
+        .unwrap()
+        .unwrap();
+    let prepared = p
+        .session()
+        .prepare_batch("omega", UpdateBatch::new().insert(instance.clone()))
+        .unwrap();
+    let handed = prepared.ops.as_ptr();
+    assert_eq!(prepared.ops.len(), outcome.ops.len());
+    p.commit_prepared("omega", prepared).unwrap();
+    let read = p.database().journal_peek(cursor).unwrap();
+    assert_eq!(read.transactions.len(), 1);
+    assert!(
+        std::ptr::eq(read.transactions[0].as_ptr(), handed),
+        "the journal copied the op list commit_prepared was handed"
+    );
+    let DbOp::Insert { tuple: logged, .. } = &read.transactions[0][0] else {
+        panic!("VO-CI starts with the pivot's insert");
+    };
+    assert!(instance.root.tuple.ptr_eq(logged));
 }

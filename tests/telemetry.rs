@@ -381,6 +381,7 @@ fn golden_span_inventory_is_still_instrumented() {
         "penguin.apply_batch",
         "penguin.translate",
         "relational.execute",
+        "relational.install",
         "store.checkpoint",
         "store.recover",
         "wal.append",

@@ -140,10 +140,10 @@ fn base_checkpoint_bytes_at_one_and_four_workers() {
 #[test]
 fn delta_checkpoint_bytes() {
     let mut db = two_relation_db();
-    let mut builder = SnapshotDeltaBuilder::new();
+    let mut folded = Delta::default();
     for op in &sample_ops() {
         db.apply(op).unwrap();
-        builder.record(&db, op).unwrap();
+        folded.record(db.table(op.relation()).unwrap().schema(), op);
     }
     let delta = DeltaCheckpoint {
         id: 4,
@@ -151,7 +151,7 @@ fn delta_checkpoint_bytes() {
         parent_id: 3,
         lsn: 18,
         epoch: db.structure_epoch(),
-        delta: builder.build(db.version()),
+        delta: SnapshotDelta::new(folded, db.version()),
     };
     let dir = tmp_dir("delta");
     delta.write(&dir).unwrap();
