@@ -7,20 +7,27 @@
 //! layer exports traces, metrics, and profiles through the same document
 //! model. Rather than depend on an external serialization framework, the
 //! persisted type closure is small enough to hand-code against this
-//! document model: [`Json`] is the tree, [`parse`] reads a string,
-//! [`Json::pretty`] renders one with stable, human-diffable formatting,
-//! [`Json::compact`] renders a single line (for JSONL streams), and
-//! [`JsonCodec`] is how a type maps onto the tree — with the impls for
-//! strings, booleans, integers, lists, options and maps living here,
-//! once, and [`json_struct!`](crate::json_struct) /
+//! document model: [`Json`] is the tree, [`Reader`] pulls values out of
+//! a text one at a time and **is** the grammar, [`parse`] builds the tree
+//! over it, [`Json::pretty`] renders one with stable, human-diffable
+//! formatting, [`Json::compact`] renders a single line (for JSONL
+//! streams), and [`JsonCodec`] is how a type maps onto either — with the
+//! impls for strings, booleans, integers, lists, options and maps living
+//! here, once, and [`json_struct!`](crate::json_struct) /
 //! [`json_enum!`](crate::json_enum) for plain structs and tag enums.
+//!
+//! A type decodes from the tree ([`JsonCodec::from_json`]) or straight
+//! from the text ([`JsonCodec::read_json`], [`decode`]): the second never
+//! holds more than the value it is building, which is what a store reads
+//! its checkpoints and log records through.
 //!
 //! Integers and floats are kept as distinct variants so `i64` values
 //! round-trip exactly; floats print with Rust's shortest-roundtrip
 //! formatting, and every finite float prints as a token [`parse`] reads
 //! back as [`Json::Float`] with the same bits.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// An error from the JSON layer (parse failure or shape mismatch).
@@ -60,6 +67,67 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// What sort of value a document holds at some position: what
+/// [`Reader::kind`] reads off the next byte, and how shape errors name
+/// what they found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool,
+    /// An integer or a float.
+    Number,
+    /// A string.
+    Str,
+    /// An array.
+    Arr,
+    /// An object.
+    Obj,
+}
+
+impl std::fmt::Display for Kind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Kind::Null => "null",
+            Kind::Bool => "bool",
+            Kind::Number => "number",
+            Kind::Str => "string",
+            Kind::Arr => "array",
+            Kind::Obj => "object",
+        })
+    }
+}
+
+/// A value that is not a container, borrowed from whichever source holds
+/// it — the tree ([`Json::scalar`]) or the text ([`Reader::scalar`]) — so
+/// a mapping from JSON scalars is written once and fed by either.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Scalar<'a> {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// A number without fraction or exponent.
+    Int(i64),
+    /// Any other number.
+    Float(f64),
+    /// A string.
+    Str(&'a str),
+}
+
+impl Scalar<'_> {
+    /// The kind of value this is.
+    pub fn kind(&self) -> Kind {
+        match self {
+            Scalar::Null => Kind::Null,
+            Scalar::Bool(_) => Kind::Bool,
+            Scalar::Int(_) | Scalar::Float(_) => Kind::Number,
+            Scalar::Str(_) => Kind::Str,
+        }
+    }
+}
+
 impl Json {
     /// Build an object from key/value pairs.
     pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
@@ -78,7 +146,7 @@ impl Json {
                 .iter()
                 .find(|(k, _)| k == name)
                 .map(|(_, v)| v)
-                .ok_or_else(|| bad(format!("missing field `{name}`"))),
+                .ok_or_else(|| missing_field(name)),
             other => Err(bad(format!(
                 "expected object with field `{name}`, got {}",
                 other.kind()
@@ -90,7 +158,7 @@ impl Json {
     pub fn elements(&self) -> Result<&[Json]> {
         match self {
             Json::Arr(items) => Ok(items),
-            other => Err(bad(format!("expected array, got {}", other.kind()))),
+            other => Err(expected("array", other.kind())),
         }
     }
 
@@ -98,7 +166,7 @@ impl Json {
     pub fn entries(&self) -> Result<&[(String, Json)]> {
         match self {
             Json::Obj(pairs) => Ok(pairs),
-            other => Err(bad(format!("expected object, got {}", other.kind()))),
+            other => Err(expected("object", other.kind())),
         }
     }
 
@@ -106,7 +174,7 @@ impl Json {
     pub fn as_str(&self) -> Result<&str> {
         match self {
             Json::Str(s) => Ok(s),
-            other => Err(bad(format!("expected string, got {}", other.kind()))),
+            other => Err(expected("string", other.kind())),
         }
     }
 
@@ -114,7 +182,7 @@ impl Json {
     pub fn as_i64(&self) -> Result<i64> {
         match self {
             Json::Int(i) => Ok(*i),
-            other => Err(bad(format!("expected integer, got {}", other.kind()))),
+            other => Err(expected("integer", other.kind())),
         }
     }
 
@@ -127,8 +195,7 @@ impl Json {
 
     /// `usize` convenience over [`Json::as_u64`].
     pub fn as_usize(&self) -> Result<usize> {
-        let u = self.as_u64()?;
-        usize::try_from(u).map_err(|_| bad(format!("integer {u} does not fit a usize")))
+        self.as_u64().and_then(fits_usize)
     }
 
     /// Decode the field `name` of an object as a `T`.
@@ -146,7 +213,7 @@ impl Json {
         match self {
             Json::Int(i) => Ok(*i as f64),
             Json::Float(x) => Ok(*x),
-            other => Err(bad(format!("expected number, got {}", other.kind()))),
+            other => Err(expected("number", other.kind())),
         }
     }
 
@@ -154,18 +221,31 @@ impl Json {
     pub fn as_bool(&self) -> Result<bool> {
         match self {
             Json::Bool(b) => Ok(*b),
-            other => Err(bad(format!("expected bool, got {}", other.kind()))),
+            other => Err(expected("bool", other.kind())),
         }
     }
 
-    fn kind(&self) -> &'static str {
+    /// The scalar this value is; error for arrays and objects.
+    #[inline]
+    pub fn scalar(&self) -> Result<Scalar<'_>> {
         match self {
-            Json::Null => "null",
-            Json::Bool(_) => "bool",
-            Json::Int(_) | Json::Float(_) => "number",
-            Json::Str(_) => "string",
-            Json::Arr(_) => "array",
-            Json::Obj(_) => "object",
+            Json::Null => Ok(Scalar::Null),
+            Json::Bool(b) => Ok(Scalar::Bool(*b)),
+            Json::Int(i) => Ok(Scalar::Int(*i)),
+            Json::Float(x) => Ok(Scalar::Float(*x)),
+            Json::Str(s) => Ok(Scalar::Str(s)),
+            other => Err(expected("scalar value", other.kind())),
+        }
+    }
+
+    fn kind(&self) -> Kind {
+        match self {
+            Json::Null => Kind::Null,
+            Json::Bool(_) => Kind::Bool,
+            Json::Int(_) | Json::Float(_) => Kind::Number,
+            Json::Str(_) => Kind::Str,
+            Json::Arr(_) => Kind::Arr,
+            Json::Obj(_) => Kind::Obj,
         }
     }
 
@@ -345,6 +425,16 @@ fn bad(msg: impl Into<String>) -> JsonError {
     JsonError(msg.into())
 }
 
+/// The error for an object without the field `name` (public for
+/// [`json_struct!`](crate::json_struct)'s expansion).
+pub fn missing_field(name: &str) -> JsonError {
+    bad(format!("missing field `{name}`"))
+}
+
+fn expected(what: &str, got: Kind) -> JsonError {
+    bad(format!("expected {what}, got {got}"))
+}
+
 /// How a type maps onto the [`Json`] document model — the one codec
 /// layer under every persisted file and wire frame. `Error` is the
 /// implementing crate's own error type; shape mismatches reported by this
@@ -361,10 +451,28 @@ pub trait JsonCodec: Sized {
 
     /// Decode from a JSON document (inverse of [`JsonCodec::to_json`]).
     fn from_json(json: &Json) -> std::result::Result<Self, Self::Error>;
+
+    /// Decode the value `r` stands at, leaving it just past that value.
+    /// Unless overridden this builds the value's tree and decodes that; a
+    /// type with many elements — rows, ops — reads them one by one
+    /// instead. Either way it accepts exactly what [`JsonCodec::from_json`]
+    /// accepts, to the same value.
+    fn read_json(r: &mut Reader<'_>) -> std::result::Result<Self, Self::Error> {
+        Self::from_json(&r.value()?)
+    }
+}
+
+/// Decode a whole text as a `T` without building its tree: what
+/// `T::from_json(&parse(text)?)` returns, through [`JsonCodec::read_json`].
+pub fn decode<T: JsonCodec>(text: &str) -> std::result::Result<T, T::Error> {
+    let mut r = Reader::new(text);
+    let value = T::read_json(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
 macro_rules! scalar_codec {
-    ($($ty:ty, $encode:expr, $decode:expr;)+) => {$(
+    ($($ty:ty, $encode:expr, $decode:expr, $read:expr;)+) => {$(
         impl JsonCodec for $ty {
             type Error = JsonError;
             fn to_json(&self) -> Json {
@@ -373,16 +481,25 @@ macro_rules! scalar_codec {
             fn from_json(json: &Json) -> Result<Self> {
                 $decode(json)
             }
+            fn read_json(r: &mut Reader<'_>) -> Result<Self> {
+                $read(r)
+            }
         }
     )+};
 }
 
+fn fits_usize(u: u64) -> Result<usize> {
+    usize::try_from(u).map_err(|_| bad(format!("integer {u} does not fit a usize")))
+}
+
 scalar_codec! {
-    String, |s: &String| Json::Str(s.clone()), |j: &Json| j.as_str().map(str::to_owned);
-    bool, |b: &bool| Json::Bool(*b), Json::as_bool;
-    i64, |i: &i64| Json::Int(*i), Json::as_i64;
-    u64, |u: &u64| Json::Int(*u as i64), Json::as_u64;
-    usize, |u: &usize| Json::Int(*u as i64), Json::as_usize;
+    String, |s: &String| Json::Str(s.clone()), |j: &Json| j.as_str().map(str::to_owned),
+        |r: &mut Reader<'_>| r.string().map(Cow::into_owned);
+    bool, |b: &bool| Json::Bool(*b), Json::as_bool, Reader::bool;
+    i64, |i: &i64| Json::Int(*i), Json::as_i64, Reader::i64;
+    u64, |u: &u64| Json::Int(*u as i64), Json::as_u64, Reader::u64;
+    usize, |u: &usize| Json::Int(*u as i64), Json::as_usize,
+        |r: &mut Reader<'_>| r.u64().and_then(fits_usize);
 }
 
 /// A JSON array.
@@ -393,6 +510,14 @@ impl<T: JsonCodec> JsonCodec for Vec<T> {
     }
     fn from_json(json: &Json) -> std::result::Result<Self, T::Error> {
         json.elements()?.iter().map(T::from_json).collect()
+    }
+    fn read_json(r: &mut Reader<'_>) -> std::result::Result<Self, T::Error> {
+        let mut items = Vec::new();
+        r.begin_array()?;
+        while r.next_element()? {
+            items.push(T::read_json(r)?);
+        }
+        Ok(items)
     }
 }
 
@@ -406,6 +531,12 @@ impl<T: JsonCodec> JsonCodec for Option<T> {
         match json {
             Json::Null => Ok(None),
             other => T::from_json(other).map(Some),
+        }
+    }
+    fn read_json(r: &mut Reader<'_>) -> std::result::Result<Self, T::Error> {
+        match r.kind()? {
+            Kind::Null => Ok(r.null().map(|()| None)?),
+            _ => T::read_json(r).map(Some),
         }
     }
 }
@@ -443,11 +574,43 @@ where
 /// `json_struct!(Type { field, field as "key", … }, ErrorType)`: one JSON
 /// object, one entry per field in the order listed, keyed by the field's
 /// name unless renamed. The document shape is stated once, so encoder and
-/// decoder cannot disagree on it.
+/// both decoders cannot disagree on it: fields are looked up by name, in
+/// any order, and entries the struct does not list are passed over.
+///
+/// A type whose encoder is written by hand — it splices one field with
+/// [`Json::write_compact_with`] — takes the decoders alone, as
+/// expressions: `json_struct!(@from json, Type { … })` over a tree and
+/// `json_struct!(@read r, Type { … })` over a `r: &mut Reader`, each
+/// inside a function returning `Result<_, E>` with `E: From<JsonError>`.
 #[macro_export]
 macro_rules! json_struct {
     (@key $field:ident) => { stringify!($field) };
     (@key $field:ident $key:literal) => { $key };
+    (@from $json:ident, $ty:ident { $($field:ident $(as $key:literal)?),+ $(,)? }) => {
+        $ty {
+            $($field: $json.get($crate::json_struct!(@key $field $($key)?))?),+
+        }
+    };
+    (@read $r:ident, $ty:ident { $($field:ident $(as $key:literal)?),+ $(,)? }) => {{
+        $(let mut $field = None;)+
+        $r.begin_object()?;
+        while let Some(key) = $r.next_key()? {
+            $(if key == $crate::json_struct!(@key $field $($key)?) {
+                $field = Some($crate::json::JsonCodec::read_json($r)?);
+                continue;
+            })+
+            $r.skip_value()?;
+        }
+        $ty {
+            $($field: match $field {
+                Some(value) => value,
+                None => {
+                    let name = $crate::json_struct!(@key $field $($key)?);
+                    return Err($crate::json::missing_field(name).into());
+                }
+            }),+
+        }
+    }};
     ($ty:ty { $($field:ident $(as $key:literal)?),+ $(,)? }, $err:ty) => {
         impl $crate::json::JsonCodec for $ty {
             type Error = $err;
@@ -458,9 +621,12 @@ macro_rules! json_struct {
                 )),+])
             }
             fn from_json(json: &$crate::json::Json) -> ::std::result::Result<Self, $err> {
-                Ok(Self {
-                    $($field: json.get($crate::json_struct!(@key $field $($key)?))?),+
-                })
+                Ok($crate::json_struct!(@from json, Self { $($field $(as $key)?),+ }))
+            }
+            fn read_json(
+                r: &mut $crate::json::Reader<'_>,
+            ) -> ::std::result::Result<Self, $err> {
+                Ok($crate::json_struct!(@read r, Self { $($field $(as $key)?),+ }))
             }
         }
     };
@@ -497,8 +663,8 @@ macro_rules! json_enum {
 pub use crate::{json_enum, json_struct};
 
 /// Assert the round-trip law for `x` (for tests; every codec impl must
-/// pass it): its compact text parses and decodes to an equal value whose
-/// re-encoding is byte-identical.
+/// pass it): its compact text decodes — through the tree and straight
+/// from the text — to an equal value whose re-encoding is byte-identical.
 pub fn assert_roundtrip<T>(x: &T)
 where
     T: JsonCodec + PartialEq + std::fmt::Debug,
@@ -509,264 +675,480 @@ where
         .unwrap_or_else(|e| panic!("own encoding decodes: {e:?}\n{text}"));
     assert_eq!(&back, x, "{text}");
     assert_eq!(back.to_json().compact(), text);
+    let read = decode::<T>(&text).unwrap_or_else(|e| panic!("own encoding reads: {e:?}\n{text}"));
+    assert_eq!(&read, x, "read from the text: {text}");
 }
 
-/// Parse a JSON document, rejecting trailing garbage.
+/// Parse a JSON document, rejecting trailing garbage: the tree builder
+/// over [`Reader`].
 pub fn parse(input: &str) -> Result<Json> {
-    let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != bytes.len() {
-        return Err(bad(format!("trailing characters at byte {}", p.pos)));
-    }
-    Ok(v)
+    let mut r = Reader::new(input);
+    let value = r.value()?;
+    r.finish()?;
+    Ok(value)
 }
 
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Keys of one object compared one by one up to this many; past it the
+/// object keeps a set, so a hostile document cannot make duplicate
+/// detection quadratic.
+const KEYS_SCANNED: usize = 16;
+
+/// What the byte after a backslash stands for; 0 where there is no such
+/// escape (`\u` is read by `hex4`).
+const ESCAPE: [u8; 256] = {
+    let mut table = [0u8; 256];
+    table[b'"' as usize] = b'"';
+    table[b'\\' as usize] = b'\\';
+    table[b'/' as usize] = b'/';
+    table[b'n' as usize] = b'\n';
+    table[b'r' as usize] = b'\r';
+    table[b't' as usize] = b'\t';
+    table[b'b' as usize] = 0x08;
+    table[b'f' as usize] = 0x0C;
+    table
+};
+
+/// One open array or object.
+#[derive(Debug)]
+struct Open<'a> {
+    /// No element or entry read yet: the next one takes no comma.
+    first: bool,
+    /// Where this object's keys start in [`Reader::keys`].
+    keys_from: usize,
+    /// This object's keys once there are more than [`KEYS_SCANNED`].
+    seen: Option<BTreeSet<Cow<'a, str>>>,
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+/// A pull reader over a JSON text: the caller asks for the value it
+/// expects next — a scalar, the start of an array and then each element,
+/// the start of an object and then each key — and gets it without a tree
+/// in between; strings free of escapes are slices of the text.
+///
+/// The reader **is** the grammar: literals, numbers, escapes and
+/// surrogate pairs, the nesting limit, duplicate keys and trailing
+/// characters are accepted or refused here and nowhere else ([`parse`]
+/// is [`Reader::value`] followed by [`Reader::finish`]). Well-formed
+/// UTF-8 comes with the `&str`. A value passed over
+/// ([`Reader::skip_value`]) is held to the same rules as one that is read.
+///
+/// After an error the reader's position is unspecified; stop reading.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Innermost last.
+    open: Vec<Open<'a>>,
+    /// The keys read so far of every open object that still scans them,
+    /// innermost last.
+    keys: Vec<Cow<'a, str>>,
+    /// The last string [`Reader::scalar`] read that held escapes.
+    unescaped: String,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            open: Vec::new(),
+            keys: Vec::new(),
+            unescaped: String::new(),
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
-            Ok(())
-        } else {
-            Err(bad(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    /// The kind of the value the reader stands at, from its first byte.
+    pub fn kind(&mut self) -> Result<Kind> {
+        if self.open.len() > MAX_DEPTH {
+            return Err(bad("document nested too deeply"));
+        }
+        self.skip_ws();
+        match self.peek() {
+            Some(b'n') => Ok(Kind::Null),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'"') => Ok(Kind::Str),
+            Some(b'[') => Ok(Kind::Arr),
+            Some(b'{') => Ok(Kind::Obj),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Number),
+            _ => Err(bad(format!("unexpected input at byte {}", self.pos))),
+        }
+    }
+
+    fn expect(&mut self, kind: Kind, what: &str) -> Result<()> {
+        match self.kind()? {
+            got if got == kind => Ok(()),
+            got => Err(expected(what, got)),
+        }
+    }
+
+    fn literal(&mut self, word: &str) -> Result<()> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(bad(format!("invalid literal at byte {}", self.pos)))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json> {
-        if depth > MAX_DEPTH {
-            return Err(bad("document nested too deeply"));
+    /// Read `null`.
+    pub fn null(&mut self) -> Result<()> {
+        self.expect(Kind::Null, "null")?;
+        self.literal("null")
+    }
+
+    /// Read a boolean.
+    pub fn bool(&mut self) -> Result<bool> {
+        self.expect(Kind::Bool, "bool")?;
+        self.truth()
+    }
+
+    /// `true` or `false`, the reader at its first byte.
+    fn truth(&mut self) -> Result<bool> {
+        let value = self.peek() == Some(b't');
+        self.literal(if value { "true" } else { "false" })?;
+        Ok(value)
+    }
+
+    /// Read an integer; a number with a fraction or an exponent is an error.
+    pub fn i64(&mut self) -> Result<i64> {
+        self.expect(Kind::Number, "integer")?;
+        match self.number()? {
+            Scalar::Int(i) => Ok(i),
+            other => Err(expected("integer", other.kind())),
         }
+    }
+
+    /// Read a non-negative integer (the streamed [`Json::as_u64`]).
+    pub fn u64(&mut self) -> Result<u64> {
+        let i = self.i64()?;
+        u64::try_from(i).map_err(|_| bad(format!("expected non-negative integer, got {i}")))
+    }
+
+    /// Read a string: a slice of the text when it holds no escapes.
+    pub fn string(&mut self) -> Result<Cow<'a, str>> {
+        self.expect(Kind::Str, "string")?;
+        self.quoted()
+    }
+
+    /// Read a value that is not a container. A string is lent: a slice of
+    /// the text, or of the reader's own buffer when it held escapes.
+    pub fn scalar(&mut self) -> Result<Scalar<'_>> {
+        let kind = self.kind()?;
+        self.scalar_of(kind)
+    }
+
+    /// [`Reader::scalar`], the value's kind already read off its first byte.
+    fn scalar_of(&mut self, kind: Kind) -> Result<Scalar<'_>> {
+        match kind {
+            Kind::Null => self.literal("null").map(|()| Scalar::Null),
+            Kind::Bool => self.truth().map(Scalar::Bool),
+            Kind::Number => self.number(),
+            Kind::Str => Ok(Scalar::Str(match self.quoted()? {
+                Cow::Borrowed(slice) => slice,
+                Cow::Owned(unescaped) => {
+                    self.unescaped = unescaped;
+                    &self.unescaped
+                }
+            })),
+            container => Err(expected("scalar value", container)),
+        }
+    }
+
+    /// Enter an array; [`Reader::next_element`] then steps through it.
+    pub fn begin_array(&mut self) -> Result<()> {
+        self.expect(Kind::Arr, "array")?;
+        self.begin();
+        Ok(())
+    }
+
+    /// Enter an object; [`Reader::next_key`] then steps through it.
+    pub fn begin_object(&mut self) -> Result<()> {
+        self.expect(Kind::Obj, "object")?;
+        self.begin();
+        Ok(())
+    }
+
+    fn begin(&mut self) {
+        self.pos += 1;
+        self.open.push(Open {
+            first: true,
+            keys_from: self.keys.len(),
+            seen: None,
+        });
+    }
+
+    /// Step past the separator to the next element or entry of the
+    /// innermost open container: `false` once `close` ended it.
+    fn advance(&mut self, close: u8) -> Result<bool> {
+        self.skip_ws();
+        let open = self.open.last_mut().expect("inside a container");
+        let first = std::mem::take(&mut open.first);
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            _ => Err(bad(format!("unexpected input at byte {}", self.pos))),
+            Some(b) if b == close => {
+                self.pos += 1;
+                let open = self.open.pop().expect("inside a container");
+                self.keys.truncate(open.keys_from);
+                Ok(false)
+            }
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(bad(format!(
+                "expected `,` or `{}` at byte {}",
+                close as char, self.pos
+            ))),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json> {
-        self.expect(b'[')?;
+    /// Move to the next element of the innermost open array: `true` when
+    /// the reader stands at one (read or skip it before asking again),
+    /// `false` when the array has ended and is closed.
+    pub fn next_element(&mut self) -> Result<bool> {
+        self.advance(b']')
+    }
+
+    /// Move to the next entry of the innermost open object: its key, with
+    /// the reader left at its value (read or skip it before asking again),
+    /// or `None` when the object has ended and is closed. A key the object
+    /// already held is an error.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>> {
+        if !self.advance(b'}')? {
+            return Ok(None);
+        }
         self.skip_ws();
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                    self.skip_ws();
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(bad(format!("expected `,` or `]` at byte {}", self.pos))),
+        let key = self.quoted()?;
+        let open = self.open.last_mut().expect("inside an object");
+        let fresh = match &mut open.seen {
+            Some(seen) => seen.insert(key.clone()),
+            None if self.keys[open.keys_from..].contains(&key) => false,
+            None if self.keys.len() - open.keys_from < KEYS_SCANNED => {
+                self.keys.push(key.clone());
+                true
             }
+            None => {
+                let mut seen: BTreeSet<_> = self.keys.drain(open.keys_from..).collect();
+                seen.insert(key.clone());
+                open.seen = Some(seen);
+                true
+            }
+        };
+        if !fresh {
+            return Err(bad(format!("duplicate object key `{key}`")));
         }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json> {
-        self.expect(b'{')?;
         self.skip_ws();
-        let mut pairs: Vec<(String, Json)> = Vec::new();
-        let mut seen = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
+        if self.peek() != Some(b':') {
+            return Err(bad(format!("expected `:` at byte {}", self.pos)));
         }
-        loop {
-            let key = self.string()?;
-            if seen.insert(key.clone(), ()).is_some() {
-                return Err(bad(format!("duplicate object key `{key}`")));
+        self.pos += 1;
+        Ok(Some(key))
+    }
+
+    /// Build the tree of the value the reader stands at — for anything
+    /// small enough that its shape is easier to take apart than to stream.
+    pub fn value(&mut self) -> Result<Json> {
+        match self.kind()? {
+            Kind::Arr => {
+                let mut items = Vec::new();
+                self.begin();
+                while self.next_element()? {
+                    items.push(self.value()?);
+                }
+                Ok(Json::Arr(items))
             }
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
+            Kind::Obj => {
+                let mut pairs = Vec::new();
+                self.begin();
+                while let Some(key) = self.next_key()? {
+                    pairs.push((key.into_owned(), self.value()?));
+                }
+                Ok(Json::Obj(pairs))
+            }
+            Kind::Str => Ok(Json::Str(self.quoted()?.into_owned())),
+            scalar => Ok(match self.scalar_of(scalar)? {
+                Scalar::Null => Json::Null,
+                Scalar::Bool(b) => Json::Bool(b),
+                Scalar::Int(i) => Json::Int(i),
+                Scalar::Float(x) => Json::Float(x),
+                Scalar::Str(s) => Json::Str(s.to_owned()),
+            }),
+        }
+    }
+
+    /// Pass over the value the reader stands at, checking it as closely
+    /// as if it were read.
+    pub fn skip_value(&mut self) -> Result<()> {
+        match self.kind()? {
+            Kind::Arr => {
+                self.begin();
+                while self.next_element()? {
+                    self.skip_value()?;
+                }
+            }
+            Kind::Obj => {
+                self.begin();
+                while self.next_key()?.is_some() {
+                    self.skip_value()?;
+                }
+            }
+            scalar => {
+                self.scalar_of(scalar)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// End the document: anything but whitespace left is an error.
+    pub fn finish(mut self) -> Result<()> {
+        debug_assert!(self.open.is_empty(), "finish inside a container");
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(bad(format!("trailing characters at byte {}", self.pos)));
+        }
+        Ok(())
+    }
+
+    /// A string, the reader at its opening quote. The text between two
+    /// escapes is copied as a run, and a string without escapes is not
+    /// copied at all.
+    fn quoted(&mut self) -> Result<Cow<'a, str>> {
+        if self.peek() != Some(b'"') {
+            return Err(bad(format!("expected `\"` at byte {}", self.pos)));
+        }
+        self.pos += 1;
+        let mut run = self.pos;
+        let mut unescaped: Option<String> = None;
+        loop {
+            // `"`, `\\` and control characters are ASCII, so every cut
+            // below falls on a character boundary of the `&str`
             match self.peek() {
-                Some(b',') => {
+                None => return Err(bad("unterminated string")),
+                Some(b'"') => {
+                    let tail = &self.text[run..self.pos];
                     self.pos += 1;
-                    self.skip_ws();
+                    return Ok(match unescaped {
+                        None => Cow::Borrowed(tail),
+                        Some(mut s) => {
+                            s.push_str(tail);
+                            Cow::Owned(s)
+                        }
+                    });
                 }
-                Some(b'}') => {
+                Some(b'\\') => {
+                    let s = unescaped.get_or_insert_with(String::new);
+                    s.push_str(&self.text[run..self.pos]);
                     self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+                    s.push(self.escape()?);
+                    run = self.pos;
                 }
-                _ => return Err(bad(format!("expected `,` or `}}` at byte {}", self.pos))),
+                Some(b) if b < 0x20 => return Err(bad("control character in string")),
+                Some(_) => self.pos += 1,
             }
         }
     }
 
-    fn string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err(bad("unterminated string"));
+    /// The character an escape stands for, the reader just past its `\\`.
+    fn escape(&mut self) -> Result<char> {
+        let Some(esc) = self.peek() else {
+            return Err(bad("unterminated escape"));
+        };
+        self.pos += 1;
+        if esc != b'u' {
+            return match ESCAPE[esc as usize] {
+                0 => Err(bad(format!("invalid escape `\\{}`", esc as char))),
+                c => Ok(c as char),
             };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(bad("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'b' => s.push('\u{0008}'),
-                        b'f' => s.push('\u{000C}'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            // Surrogate pairs for astral-plane characters.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let low = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&low) {
-                                        return Err(bad("invalid low surrogate"));
-                                    }
-                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            s.push(c.ok_or_else(|| bad("invalid unicode escape"))?);
-                        }
-                        other => return Err(bad(format!("invalid escape `\\{}`", other as char))),
-                    }
-                }
-                b if b < 0x20 => return Err(bad("control character in string")),
-                // Plain ASCII (the `"` / `\` / control cases matched above).
-                b if b < 0x80 => s.push(b as char),
-                _ => {
-                    // Multi-byte UTF-8: back up one byte and decode just
-                    // the next character (at most 4 bytes) — validating
-                    // the whole remaining input here would make string
-                    // parsing quadratic.
-                    self.pos -= 1;
-                    let end = (self.pos + 4).min(self.bytes.len());
-                    let rest = &self.bytes[self.pos..end];
-                    let c = match std::str::from_utf8(rest) {
-                        Ok(text) => text.chars().next(),
-                        Err(e) if e.valid_up_to() > 0 => {
-                            std::str::from_utf8(&rest[..e.valid_up_to()])
-                                .unwrap()
-                                .chars()
-                                .next()
-                        }
-                        Err(_) => None,
-                    };
-                    let c = c.ok_or_else(|| bad("invalid UTF-8 in string"))?;
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
         }
+        let cp = self.hex4()?;
+        // Surrogate pairs for astral-plane characters; a lone half of
+        // either kind is no character.
+        let c = if (0xD800..0xDC00).contains(&cp) {
+            if !self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
+                return Err(bad("invalid unicode escape"));
+            }
+            self.pos += 2;
+            let low = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(bad("invalid low surrogate"));
+            }
+            char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00))
+        } else {
+            char::from_u32(cp)
+        };
+        c.ok_or_else(|| bad("invalid unicode escape"))
     }
 
     fn hex4(&mut self) -> Result<u32> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
+        let Some(hex) = self.text.as_bytes().get(self.pos..self.pos + 4) else {
             return Err(bad("truncated unicode escape"));
+        };
+        let mut cp = 0;
+        for &b in hex {
+            let digit = (b as char).to_digit(16);
+            cp = cp * 16 + digit.ok_or_else(|| bad("invalid unicode escape"))?;
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| bad("invalid unicode escape"))?;
-        let cp = u32::from_str_radix(hex, 16).map_err(|_| bad("invalid unicode escape"))?;
-        self.pos = end;
+        self.pos += 4;
         Ok(cp)
     }
 
-    fn number(&mut self) -> Result<Json> {
+    /// A number, the reader at its first byte: an integer unless it has a
+    /// fraction or an exponent.
+    fn number(&mut self) -> Result<Scalar<'static>> {
+        let bytes = self.text.as_bytes();
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        let negative = self.peek() == Some(b'-');
+        let mut i = start + negative as usize;
+        // accumulated below zero, where `i64::MIN` fits; `None` on overflow
+        let mut int = Some(0i64);
+        let digits_from = i;
+        while let Some(d @ b'0'..=b'9') = bytes.get(i) {
+            int = int.and_then(|n| n.checked_mul(10)?.checked_sub((d - b'0') as i64));
+            i += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        if i == digits_from {
+            int = None;
         }
         let mut is_float = false;
-        if self.peek() == Some(b'.') {
+        if bytes.get(i) == Some(&b'.') {
             is_float = true;
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            i += 1;
+            while matches!(bytes.get(i), Some(b'0'..=b'9')) {
+                i += 1;
             }
         }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
+        if matches!(bytes.get(i), Some(b'e' | b'E')) {
             is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.pos += 1;
+            i += 1;
+            if matches!(bytes.get(i), Some(b'+' | b'-')) {
+                i += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            while matches!(bytes.get(i), Some(b'0'..=b'9')) {
+                i += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if is_float {
-            text.parse::<f64>()
-                .map(Json::Float)
-                .map_err(|_| bad(format!("invalid number `{text}`")))
+        self.pos = i;
+        let text = &self.text[start..i];
+        let value = if is_float {
+            text.parse().ok().map(Scalar::Float)
+        } else if negative {
+            int.map(Scalar::Int)
         } else {
-            text.parse::<i64>()
-                .map(Json::Int)
-                .map_err(|_| bad(format!("invalid number `{text}`")))
-        }
+            int.and_then(i64::checked_neg).map(Scalar::Int)
+        };
+        value.ok_or_else(|| bad(format!("invalid number `{text}`")))
     }
 }
 
@@ -839,9 +1221,86 @@ mod tests {
             "{\"a\":1,\"a\":2}",
             "nul",
             "--1",
+            "\"\\u+041\"",
+            "\"\\ud83e\"",
+            "\"\\udd80\"",
         ] {
             assert!(parse(src).is_err(), "accepted {src:?}");
+            // passed over, a value is held to the same rules
+            let wrapped = format!("[{src}]");
+            let mut r = Reader::new(&wrapped);
+            r.begin_array().unwrap();
+            let skipped = (|| {
+                while r.next_element()? {
+                    r.skip_value()?;
+                }
+                r.finish()
+            })();
+            assert!(skipped.is_err(), "skipped over {src:?}");
         }
+    }
+
+    #[test]
+    fn reader_pulls_values_without_a_tree() {
+        let text = r#" {"id": 7, "rows": [["a\nb", null, -3], []],
+            "skip": {"x": [1, {"y": "\ud83e\udd80"}]}, "name": "plain ü"} "#;
+        let mut r = Reader::new(text);
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap().unwrap(), "id");
+        assert_eq!(r.u64().unwrap(), 7);
+        assert_eq!(r.next_key().unwrap().unwrap(), "rows");
+        r.begin_array().unwrap();
+        assert!(r.next_element().unwrap());
+        r.begin_array().unwrap();
+        assert!(r.next_element().unwrap());
+        assert_eq!(r.string().unwrap(), Cow::<str>::Owned("a\nb".into()));
+        assert!(r.next_element().unwrap());
+        assert_eq!(r.kind().unwrap(), Kind::Null);
+        r.null().unwrap();
+        assert!(r.next_element().unwrap());
+        assert_eq!(r.scalar().unwrap(), Scalar::Int(-3));
+        assert!(!r.next_element().unwrap());
+        assert!(r.next_element().unwrap());
+        assert_eq!(Vec::<bool>::read_json(&mut r).unwrap(), Vec::<bool>::new());
+        assert!(!r.next_element().unwrap());
+        assert_eq!(r.next_key().unwrap().unwrap(), "skip");
+        r.skip_value().unwrap();
+        assert_eq!(r.next_key().unwrap().unwrap(), "name");
+        // no escapes: a slice of the text, not a copy
+        assert!(matches!(r.string().unwrap(), Cow::Borrowed("plain ü")));
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
+        // a shape mismatch names what it found, as the tree's accessors do
+        assert_eq!(
+            Reader::new("[1]").u64().unwrap_err(),
+            Json::Arr(vec![]).as_u64().unwrap_err()
+        );
+        assert_eq!(
+            Reader::new("1.5").i64().unwrap_err().0,
+            "expected integer, got number"
+        );
+        assert!(decode::<Vec<u64>>("[1,2] x").is_err());
+    }
+
+    #[test]
+    fn duplicate_keys_are_found_in_small_and_large_objects() {
+        let object = |keys: &[String]| {
+            let entries: Vec<String> = keys.iter().map(|k| format!("\"{k}\":0")).collect();
+            format!("{{{}}}", entries.join(","))
+        };
+        for n in [2, KEYS_SCANNED, KEYS_SCANNED + 1, 3 * KEYS_SCANNED] {
+            let mut keys: Vec<String> = (0..n).map(|i| format!("k{i}")).collect();
+            assert!(parse(&object(&keys)).is_ok(), "{n} distinct keys");
+            for repeated in [0, n / 2, n - 1] {
+                // spelled with an escape the second time: compared decoded
+                keys.push(format!("\\u006b{repeated}"));
+                let err = parse(&object(&keys)).unwrap_err();
+                assert_eq!(err.0, format!("duplicate object key `k{repeated}`"), "{n}");
+                keys.pop();
+            }
+        }
+        // an inner object's keys are its own
+        assert!(parse(r#"{"a":{"a":1,"b":2},"b":{"a":1}}"#).is_ok());
     }
 
     #[test]

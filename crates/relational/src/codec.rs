@@ -7,7 +7,7 @@
 
 use crate::database::DbOp;
 use crate::error::{Error, Result};
-use crate::json::{json_enum, json_struct, Json, JsonCodec};
+use crate::json::{json_enum, json_struct, missing_field, Json, JsonCodec, Kind, Reader, Scalar};
 use crate::schema::{AttributeDef, RelationSchema};
 use crate::storage::{DatabaseSnapshot, RelationDelta, RelationSnapshot, SnapshotDelta};
 use crate::tuple::{Key, Tuple};
@@ -38,37 +38,70 @@ impl JsonCodec for Value {
 
     fn from_json(json: &Json) -> Result<Self> {
         match json {
-            Json::Null => Ok(Value::Null),
-            Json::Bool(b) => Ok(Value::Bool(*b)),
-            Json::Int(i) => Ok(Value::Int(*i)),
-            // straight from the parsed slice: one allocation per text value
-            Json::Str(s) => Ok(Value::text(s.as_str())),
-            Json::Obj(_) => {
-                let x = match json.field("float")? {
-                    Json::Str(s) => match s.as_str() {
-                        "NaN" => f64::NAN,
-                        "inf" => f64::INFINITY,
-                        "-inf" => f64::NEG_INFINITY,
-                        other => {
-                            return Err(Error::Serialization(format!(
-                                "invalid float literal `{other}`"
-                            )))
-                        }
-                    },
-                    // also the bare digit strings older builds wrote for
-                    // integral floats from 1e15 up
-                    other => other.as_f64()?,
-                };
-                Ok(Value::Float(x))
-            }
-            Json::Float(_) => Err(Error::Serialization(
-                "bare float: expected {\"float\": …} wrapper".into(),
-            )),
-            Json::Arr(_) => Err(Error::Serialization(
-                "expected scalar value, got array".into(),
-            )),
+            Json::Obj(_) => wrapped_float(json.field("float")?.scalar()?),
+            other => bare_value(other.scalar()?),
         }
     }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self> {
+        if r.kind()? != Kind::Obj {
+            return bare_value(r.scalar()?);
+        }
+        // the `float` entry wherever it stands, as `Json::field` finds it
+        let mut float = None;
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            if key == "float" {
+                float = Some(wrapped_float(r.scalar()?)?);
+            } else {
+                r.skip_value()?;
+            }
+        }
+        float.ok_or_else(|| missing_field("float").into())
+    }
+}
+
+/// The value a scalar outside any wrapper stands for, whichever source
+/// it was read from.
+fn bare_value(scalar: Scalar<'_>) -> Result<Value> {
+    match scalar {
+        Scalar::Null => Ok(Value::Null),
+        Scalar::Bool(b) => Ok(Value::Bool(b)),
+        Scalar::Int(i) => Ok(Value::Int(i)),
+        // straight from the source's slice: one allocation per text value
+        Scalar::Str(s) => Ok(Value::text(s)),
+        Scalar::Float(_) => Err(Error::Serialization(
+            "bare float: expected {\"float\": …} wrapper".into(),
+        )),
+    }
+}
+
+/// The float inside a `{"float": …}` wrapper, whichever source it was
+/// read from.
+fn wrapped_float(scalar: Scalar<'_>) -> Result<Value> {
+    let x = match scalar {
+        Scalar::Str(s) => match s {
+            "NaN" => f64::NAN,
+            "inf" => f64::INFINITY,
+            "-inf" => f64::NEG_INFINITY,
+            other => {
+                return Err(Error::Serialization(format!(
+                    "invalid float literal `{other}`"
+                )))
+            }
+        },
+        Scalar::Float(x) => x,
+        // the bare digit strings older builds wrote for integral floats
+        // from 1e15 up
+        Scalar::Int(i) => i as f64,
+        other => {
+            return Err(Error::Serialization(format!(
+                "expected number, got {}",
+                other.kind()
+            )))
+        }
+    };
+    Ok(Value::Float(x))
 }
 
 json_struct!(AttributeDef { name, ty, nullable }, Error);
@@ -109,6 +142,10 @@ impl JsonCodec for Tuple {
     fn from_json(json: &Json) -> Result<Self> {
         Vec::from_json(json).map(Tuple::raw)
     }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self> {
+        Vec::read_json(r).map(Tuple::raw)
+    }
 }
 
 impl JsonCodec for Key {
@@ -120,6 +157,10 @@ impl JsonCodec for Key {
 
     fn from_json(json: &Json) -> Result<Self> {
         Vec::from_json(json).map(Key::new)
+    }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self> {
+        Vec::read_json(r).map(Key::new)
     }
 }
 
@@ -172,6 +213,52 @@ impl JsonCodec for DbOp {
             other => Err(Error::Serialization(format!("unknown db op `{other}`"))),
         }
     }
+
+    /// Streams when the discriminant comes first, as [`DbOp::to_json`]
+    /// writes it — the entries an op of that kind holds are then read in
+    /// place and any other passed over; an object in another order is
+    /// decoded through its tree.
+    fn read_json(r: &mut Reader<'_>) -> Result<Self> {
+        r.begin_object()?;
+        let Some(first) = r.next_key()? else {
+            return Err(missing_field("relation").into());
+        };
+        if first != "op" {
+            let mut pairs = vec![(first.into_owned(), r.value()?)];
+            while let Some(key) = r.next_key()? {
+                pairs.push((key.into_owned(), r.value()?));
+            }
+            return DbOp::from_json(&Json::Obj(pairs));
+        }
+        let op = r.string()?;
+        let (mut relation, mut tuple, mut key, mut old_key) = (None, None, None, None);
+        while let Some(entry) = r.next_key()? {
+            match (&*op, &*entry) {
+                (_, "relation") => relation = Some(String::read_json(r)?),
+                ("insert" | "replace", "tuple") => tuple = Some(Tuple::read_json(r)?),
+                ("delete", "key") => key = Some(Key::read_json(r)?),
+                ("replace", "old_key") => old_key = Some(Key::read_json(r)?),
+                _ => r.skip_value()?,
+            }
+        }
+        let relation = relation.ok_or_else(|| missing_field("relation"))?;
+        match &*op {
+            "insert" => Ok(DbOp::Insert {
+                relation,
+                tuple: tuple.ok_or_else(|| missing_field("tuple"))?,
+            }),
+            "delete" => Ok(DbOp::Delete {
+                relation,
+                key: key.ok_or_else(|| missing_field("key"))?,
+            }),
+            "replace" => Ok(DbOp::Replace {
+                relation,
+                old_key: old_key.ok_or_else(|| missing_field("old_key"))?,
+                tuple: tuple.ok_or_else(|| missing_field("tuple"))?,
+            }),
+            other => Err(Error::Serialization(format!("unknown db op `{other}`"))),
+        }
+    }
 }
 
 impl RelationSnapshot {
@@ -185,19 +272,6 @@ impl RelationSnapshot {
             ("indexes", self.indexes.to_json()),
         ])
     }
-
-    /// Decode with row decoding fanned out over `workers` threads.
-    fn decode(json: &Json, workers: usize) -> Result<Self> {
-        Ok(RelationSnapshot {
-            schema: json.get("schema")?,
-            rows: vo_exec::map_chunks(
-                json.field("rows")?.elements()?,
-                workers.max(1),
-                |_, chunk| chunk.iter().map(Tuple::from_json).collect(),
-            )?,
-            indexes: json.get("indexes")?,
-        })
-    }
 }
 
 impl JsonCodec for RelationSnapshot {
@@ -208,7 +282,11 @@ impl JsonCodec for RelationSnapshot {
     }
 
     fn from_json(json: &Json) -> Result<Self> {
-        Self::decode(json, 1)
+        Ok(json_struct!(@from json, RelationSnapshot { schema, rows, indexes }))
+    }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(json_struct!(@read r, RelationSnapshot { schema, rows, indexes }))
     }
 }
 
@@ -222,24 +300,10 @@ impl DatabaseSnapshot {
             ("version", self.version.to_json()),
         ])
     }
-
-    /// The one decoder, with per-relation row decoding fanned out over
-    /// `workers` threads via [`vo_exec::map_chunks`] — the recovery decode
-    /// path for partitioned checkpoints. The decoded snapshot is identical
-    /// at every worker count.
-    pub fn from_json_with(json: &Json, workers: usize) -> Result<Self> {
-        Ok(DatabaseSnapshot {
-            relations: json
-                .field("relations")?
-                .elements()?
-                .iter()
-                .map(|rel| RelationSnapshot::decode(rel, workers))
-                .collect::<Result<_>>()?,
-            version: json.get("version")?,
-        })
-    }
 }
 
+/// Read from a checkpoint's text ([`JsonCodec::read_json`]), the rows of
+/// each relation become tuples one at a time — the recovery decode path.
 impl JsonCodec for DatabaseSnapshot {
     type Error = Error;
 
@@ -248,7 +312,11 @@ impl JsonCodec for DatabaseSnapshot {
     }
 
     fn from_json(json: &Json) -> Result<Self> {
-        Self::from_json_with(json, 1)
+        Ok(json_struct!(@from json, DatabaseSnapshot { relations, version }))
+    }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(json_struct!(@read r, DatabaseSnapshot { relations, version }))
     }
 }
 

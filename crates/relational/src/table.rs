@@ -208,8 +208,8 @@ impl Table {
     /// storage. Ranges are half-open (`start` inclusive, `end`
     /// exclusive), cover the whole key space (first/last are unbounded),
     /// and concatenating [`Table::scan_range`] over them in order yields
-    /// exactly [`Table::scan`]. Checkpoint encode/decode and snapshot
-    /// restore fan out one worker per range; because the ranges are a
+    /// exactly [`Table::scan`]. Checkpoint capture and encoding fan out
+    /// one worker per range; because the ranges are a
     /// function of the key order alone, the merged output is
     /// byte-identical at every worker count.
     pub fn key_ranges(&self, parts: usize) -> Vec<KeyRange> {
@@ -368,17 +368,28 @@ impl Table {
         Ok(out)
     }
 
-    /// Create (or refresh) a secondary index over `attrs`.
+    /// Create (or refresh) a secondary index over `attrs`: one scan
+    /// collects `(indexed values, key)` pairs, one sort groups them, and
+    /// the key sets and the map are each built from sorted input — what
+    /// `index_add` row by row would leave, without a tree descent
+    /// per row.
     pub fn create_index(&mut self, attrs: &[String]) -> Result<()> {
         let indices = self.schema.indices_of(attrs)?;
-        let mut index = SecondaryIndex::new();
-        for (key, tuple) in &self.rows {
-            index
-                .entry(tuple.project(&indices))
-                .or_default()
-                .insert(key.clone());
+        let mut pairs: Vec<(Vec<Value>, Key)> = (self.rows.iter())
+            .map(|(key, tuple)| (tuple.project(&indices), key.clone()))
+            .collect();
+        // stable, so each group's keys stay in the scan's key order
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut groups: Vec<(Vec<Value>, BTreeSet<Key>)> = Vec::new();
+        let mut pairs = pairs.into_iter().peekable();
+        while let Some((values, key)) = pairs.next() {
+            let mut keys = vec![key];
+            while let Some((_, key)) = pairs.next_if(|(next, _)| *next == values) {
+                keys.push(key);
+            }
+            groups.push((values, keys.into_iter().collect()));
         }
-        self.indexes.insert(indices, index);
+        self.indexes.insert(indices, groups.into_iter().collect());
         Ok(())
     }
 

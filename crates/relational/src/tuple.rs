@@ -27,9 +27,9 @@ impl Tuple {
     /// Build a tuple validated against `schema`: arity, types, and
     /// NULLability must all conform.
     pub fn new(schema: &RelationSchema, values: Vec<Value>) -> Result<Self> {
-        let tuple = Tuple::raw(values);
-        tuple.validate(schema)?;
-        Ok(tuple)
+        // checked first: a refused row never becomes an allocation
+        conforms(&values, schema)?;
+        Ok(Tuple::raw(values))
     }
 
     /// Build a tuple without schema validation. Used internally by
@@ -44,31 +44,7 @@ impl Tuple {
     /// validation) checks it this way and keeps the tuple it was handed,
     /// so a row is allocated once however many layers vouch for it.
     pub fn validate(&self, schema: &RelationSchema) -> Result<()> {
-        if self.0.len() != schema.arity() {
-            return Err(Error::ArityMismatch {
-                relation: schema.name().to_owned(),
-                expected: schema.arity(),
-                found: self.0.len(),
-            });
-        }
-        for (v, a) in self.0.iter().zip(schema.attributes()) {
-            if v.is_null() {
-                if !a.nullable {
-                    return Err(Error::NullViolation {
-                        relation: schema.name().to_owned(),
-                        attribute: a.name.clone(),
-                    });
-                }
-            } else if !v.conforms_to(a.ty) {
-                return Err(Error::TypeMismatch {
-                    relation: schema.name().to_owned(),
-                    attribute: a.name.clone(),
-                    expected: a.ty.to_string(),
-                    found: format!("{v}"),
-                });
-            }
-        }
-        Ok(())
+        conforms(&self.0, schema)
     }
 
     /// True when both tuples are the same allocation — stronger than `==`:
@@ -118,6 +94,35 @@ impl Tuple {
     pub fn arity(&self) -> usize {
         self.0.len()
     }
+}
+
+/// Arity, types and NULLability of `values` against `schema`.
+fn conforms(values: &[Value], schema: &RelationSchema) -> Result<()> {
+    if values.len() != schema.arity() {
+        return Err(Error::ArityMismatch {
+            relation: schema.name().to_owned(),
+            expected: schema.arity(),
+            found: values.len(),
+        });
+    }
+    for (v, a) in values.iter().zip(schema.attributes()) {
+        if v.is_null() {
+            if !a.nullable {
+                return Err(Error::NullViolation {
+                    relation: schema.name().to_owned(),
+                    attribute: a.name.clone(),
+                });
+            }
+        } else if !v.conforms_to(a.ty) {
+            return Err(Error::TypeMismatch {
+                relation: schema.name().to_owned(),
+                attribute: a.name.clone(),
+                expected: a.ty.to_string(),
+                found: format!("{v}"),
+            });
+        }
+    }
+    Ok(())
 }
 
 impl fmt::Display for Tuple {

@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 
 use crate::crc32::crc32;
 use crate::error::{StoreError, StoreResult};
-use vo_relational::json::{json_struct, parse, Json, JsonCodec};
+use vo_relational::json::{decode, json_struct, Json, JsonCodec, Reader};
 use vo_relational::storage::{DatabaseSnapshot, SnapshotDelta};
 
 /// File name prefix for base checkpoints (`base-000001.json`).
@@ -95,10 +95,14 @@ pub fn write_artifact(dir: &Path, name: &str, body: &str) -> StoreResult<u64> {
     Ok(text.len() as u64)
 }
 
-/// Read an artifact and verify its checksum line; returns the JSON body.
-/// Any mismatch — missing newline, bad hex, CRC disagreement — is
-/// [`StoreError::Corrupt`].
-pub fn read_artifact(path: &Path) -> StoreResult<String> {
+/// Read an artifact, verify its checksum line and decode its body
+/// straight from the file's text — one buffer, no document tree. A
+/// missing newline, bad hex or CRC disagreement is [`StoreError::Corrupt`],
+/// and so is a body that is not JSON.
+pub fn read_artifact<T>(path: &Path) -> StoreResult<T>
+where
+    T: JsonCodec<Error = StoreError>,
+{
     let text = std::fs::read_to_string(path).map_err(StoreError::io("read artifact"))?;
     let (crc_line, body) = text.split_once('\n').ok_or_else(|| {
         StoreError::Corrupt(format!("artifact {} has no checksum line", path.display()))
@@ -116,7 +120,7 @@ pub fn read_artifact(path: &Path) -> StoreResult<String> {
             path.display()
         )));
     }
-    Ok(body.to_owned())
+    decode(body)
 }
 
 /// A full database image pinned to a log position, heading a delta chain.
@@ -161,18 +165,29 @@ impl BaseCheckpoint {
         write_artifact(dir, &Self::file_name(self.id), &body)
     }
 
-    /// Load `base-<id>.json` from `dir`, decoding rows with up to
-    /// `workers` parallel workers. Checksum or decode failure is a hard
-    /// [`StoreError::Corrupt`] — a base cannot be skipped, the data it
-    /// held is gone.
-    pub fn load(dir: &Path, id: u64, workers: usize) -> StoreResult<BaseCheckpoint> {
-        let json = parse(&read_artifact(&dir.join(Self::file_name(id)))?)?;
-        Ok(BaseCheckpoint {
-            id: json.get("id")?,
-            lsn: json.get("lsn")?,
-            epoch: json.get("epoch")?,
-            snapshot: DatabaseSnapshot::from_json_with(json.field("snapshot")?, workers)?,
-        })
+    /// Load `base-<id>.json` from `dir`, its rows decoded one at a time
+    /// off the file's text. Checksum or decode failure is a hard error —
+    /// a base cannot be skipped, the data it held is gone.
+    pub fn load(dir: &Path, id: u64) -> StoreResult<BaseCheckpoint> {
+        read_artifact(&dir.join(Self::file_name(id)))
+    }
+}
+
+/// [`BaseCheckpoint::write`] splices the snapshot into this shape rather
+/// than build its tree; the decoders are the field list.
+impl JsonCodec for BaseCheckpoint {
+    type Error = StoreError;
+
+    fn to_json(&self) -> Json {
+        self.doc(self.snapshot.to_json())
+    }
+
+    fn from_json(json: &Json) -> StoreResult<Self> {
+        Ok(json_struct!(@from json, BaseCheckpoint { id, lsn, epoch, snapshot }))
+    }
+
+    fn read_json(r: &mut Reader<'_>) -> StoreResult<Self> {
+        Ok(json_struct!(@read r, BaseCheckpoint { id, lsn, epoch, snapshot }))
     }
 }
 
@@ -211,7 +226,7 @@ impl DeltaCheckpoint {
     /// [`StoreError::Corrupt`]; callers treat it as a broken chain, not
     /// a fatal store error.
     pub fn load(dir: &Path, id: u64) -> StoreResult<DeltaCheckpoint> {
-        DeltaCheckpoint::from_json(&parse(&read_artifact(&dir.join(Self::file_name(id)))?)?)
+        read_artifact(&dir.join(Self::file_name(id)))
     }
 
     /// Full path of `delta-<id>.json` inside `dir` (tests, compaction).
@@ -300,8 +315,9 @@ mod tests {
         let four = std::fs::read(base_path_in(&dir, 1)).unwrap();
         assert_eq!(one, four, "artifact bytes must not depend on worker count");
         assert_eq!(n1, n4);
-        let loaded = BaseCheckpoint::load(&dir, 1, 3).unwrap();
+        let loaded = BaseCheckpoint::load(&dir, 1).unwrap();
         assert_eq!(loaded, base);
+        vo_relational::json::assert_roundtrip(&base);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -324,7 +340,7 @@ mod tests {
         bytes[mid] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            BaseCheckpoint::load(&dir, 1, 1),
+            BaseCheckpoint::load(&dir, 1),
             Err(StoreError::Corrupt(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -365,6 +381,7 @@ mod tests {
         );
         let loaded = DeltaCheckpoint::load(&dir, 2).unwrap();
         assert_eq!(loaded, delta);
+        vo_relational::json::assert_roundtrip(&delta);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -27,9 +27,11 @@
 //!   recovery** that restores the newest base, applies the delta chain
 //!   (falling back to segment replay when a delta is corrupt), replays
 //!   the intact log tail, and truncates a torn final record
-//!   (*truncate-at-corruption*). Base encode/decode and table rebuilds
-//!   fan out per key-range partition via `vo_exec`, byte-identical at
-//!   every worker count. This is the only on-disk layout: a
+//!   (*truncate-at-corruption*). Artifacts and log records are decoded
+//!   straight off their text, row by row, and a log record the
+//!   checkpoints cover is not decoded at all; base encoding and table
+//!   rebuilds fan out per key-range partition via `vo_exec`,
+//!   byte-identical at every worker count. This is the only on-disk layout: a
 //!   pre-segmentation directory (`checkpoint.json` + `wal.log`) is
 //!   refused with [`StoreError::UnsupportedLayout`], never opened as
 //!   an empty database.

@@ -9,8 +9,8 @@
 //!   active segment; once a later *base* checkpoint covers a sealed
 //!   segment's last LSN, [`SegmentedWal::delete_retired`] unlinks the
 //!   file instead of truncating a shared log in place.
-//! - **Recovery can skip covered segments wholesale** and fan the decode
-//!   of the rest out per segment.
+//! - **Recovery passes over covered records** without decoding them
+//!   ([`Wal::read_all`]).
 //! - **Corruption is contained.** A torn tail is only legal in the
 //!   highest-numbered (active) segment, where it is truncated exactly as
 //!   the single-file WAL did. Corruption in a *sealed* segment is
@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use crate::error::{StoreError, StoreResult};
-use crate::wal::{CommitRecord, Replay, SyncPolicy, Wal};
+use crate::wal::{Replay, SyncPolicy, Wal};
 use vo_obs::metrics::{self, Counter};
 use vo_relational::database::DbOp;
 
@@ -99,19 +99,18 @@ pub struct SealedSegment {
     pub last_lsn: u64,
 }
 
-/// The decoded contents of one segment, produced by
-/// [`SegmentedWal::open`] for the recovery pass.
+/// What scanning one segment found, produced by [`SegmentedWal::open`]
+/// for the recovery pass.
 #[derive(Debug)]
 pub struct SegmentScan {
     /// Sequence number of the segment.
     pub seq: u64,
-    /// Valid records, in append order.
-    pub records: Vec<CommitRecord>,
-    /// Whether decoding stopped at a torn or corrupt record. For the
-    /// highest-numbered segment the tail has already been truncated;
-    /// for sealed segments the caller must prove the hidden suffix is
-    /// covered by a checkpoint (see [`Store::open`](crate::store::Store::open)).
-    pub torn: bool,
+    /// Its valid records, and whether decoding stopped at a torn or
+    /// corrupt one (`torn`). For the highest-numbered segment the tail
+    /// has already been truncated; for sealed segments the caller must
+    /// prove the hidden suffix is covered by a checkpoint (see
+    /// [`Store::open`](crate::store::Store::open)).
+    pub replay: Replay,
 }
 
 /// A write-ahead log split across length-capped segment files.
@@ -149,7 +148,8 @@ impl SegmentedWal {
     /// Open the segments already in `dir` (creating segment 1 if there
     /// are none). Returns the log positioned for appends after the last
     /// valid record, plus one [`SegmentScan`] per segment in sequence
-    /// order for the caller's replay pass.
+    /// order for the caller's replay pass; records at or below `covered`
+    /// are counted in it, not decoded.
     ///
     /// Only the highest-numbered segment is truncated on a torn tail;
     /// lower segments are reported as-is and the caller decides whether
@@ -158,6 +158,7 @@ impl SegmentedWal {
         dir: &Path,
         policy: SyncPolicy,
         max_segment_bytes: u64,
+        covered: u64,
     ) -> StoreResult<(Self, Vec<SegmentScan>)> {
         let files = list_segment_files(dir)?;
         if files.is_empty() {
@@ -172,13 +173,12 @@ impl SegmentedWal {
             let (replay, wal) = if i == last_index {
                 // Active segment: truncate a torn tail and keep the
                 // handle for appends.
-                let (wal, replay) = Wal::open_for_append(path, policy)?;
+                let (wal, replay) = Wal::open_for_append(path, policy, covered)?;
                 (replay, Some(wal))
             } else {
-                (Wal::read_all(path)?, None)
+                (Wal::read_all(path, covered)?, None)
             };
-            let first_lsn = replay.records.first().map_or(0, |r| r.lsn);
-            let last_lsn = replay.records.last().map_or(0, |r| r.lsn);
+            let (first_lsn, last_lsn) = (replay.first_lsn, replay.last_lsn);
             max_lsn = max_lsn.max(last_lsn);
             match wal {
                 Some(wal) => active = Some((wal, *seq, first_lsn)),
@@ -192,11 +192,7 @@ impl SegmentedWal {
                     last_lsn,
                 }),
             }
-            scans.push(SegmentScan {
-                seq: *seq,
-                records: replay.records,
-                torn: replay.torn,
-            });
+            scans.push(SegmentScan { seq: *seq, replay });
         }
         let (mut wal, active_seq, active_first_lsn) =
             active.expect("non-empty file list yields an active segment");
@@ -352,7 +348,7 @@ impl SegmentedWal {
 /// Re-read one segment file from disk (used by fault-injection tests and
 /// the standalone compactor's verification pass).
 pub fn read_segment(path: &Path) -> StoreResult<Replay> {
-    Wal::read_all(path)
+    Wal::read_all(path, 0)
 }
 
 #[cfg(test)]
@@ -393,13 +389,13 @@ mod tests {
         assert_eq!(lsns, (1..=20).collect::<Vec<u64>>());
         // Reopen: same records, same order, appends continue the sequence.
         drop(wal);
-        let (mut wal, scans) = SegmentedWal::open(&dir, SyncPolicy::Never, 64).unwrap();
+        let (mut wal, scans) = SegmentedWal::open(&dir, SyncPolicy::Never, 64, 0).unwrap();
         let replayed: Vec<u64> = scans
             .iter()
-            .flat_map(|s| s.records.iter().map(|r| r.lsn))
+            .flat_map(|s| s.replay.records.iter().map(|r| r.lsn))
             .collect();
         assert_eq!(replayed, lsns);
-        assert!(scans.iter().all(|s| !s.torn));
+        assert!(scans.iter().all(|s| !s.replay.torn));
         assert_eq!(wal.append(&[op(99)]).unwrap(), 21);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -39,8 +39,11 @@
 //!   only; a tear inside a sealed segment is tolerated solely when every
 //!   record it could hide is already covered by a checkpoint.
 //!
-//! Recovery is **byte-identical at every parallelism level**: base
-//! encode/decode and table rebuilds fan out per key-range partition via
+//! Recovery decodes rows, not documents: artifacts and log records are
+//! read through `vo_relational::json::Reader` straight into tuples and
+//! ops, and a log record at or below the covered LSN is not decoded at
+//! all. It is **byte-identical at every parallelism level**: base
+//! encoding and table rebuilds fan out per key-range partition via
 //! `vo_exec::map_chunks`, whose contiguous deterministic partitioning
 //! keeps artifacts and recovered states independent of worker count.
 
@@ -48,7 +51,7 @@ use crate::delta::{
     base_path_in, list_artifact_ids, BaseCheckpoint, DeltaCheckpoint, BASE_PREFIX, DELTA_PREFIX,
 };
 use crate::error::{StoreError, StoreResult};
-use crate::segment::SegmentedWal;
+use crate::segment::{SegmentScan, SegmentedWal};
 use crate::wal::SyncPolicy;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -200,8 +203,8 @@ pub struct StoreOptions {
     pub max_segment_bytes: u64,
     /// When checkpoints are promoted to full bases (compaction).
     pub compaction: CompactionPolicy,
-    /// Worker fan-out for base checkpoint encode/decode and recovery
-    /// table rebuilds. Artifacts and recovered states are byte-identical
+    /// Worker fan-out for base checkpoint encoding and recovery table
+    /// rebuilds. Artifacts and recovered states are byte-identical
     /// at every setting.
     pub parallelism: Parallelism,
 }
@@ -301,9 +304,9 @@ pub struct Store {
     delta: Delta,
 }
 
-/// Resolve a worker count for artifact encode/decode, where the item
-/// count is unknown until after the decode. `map_chunks` clamps to the
-/// actual item count, so overshooting is safe.
+/// Resolve a worker count for rebuilding tables from a decoded artifact,
+/// before the item count is known. `map_chunks` clamps to the actual
+/// item count, so overshooting is safe.
 fn io_workers(p: Parallelism) -> usize {
     match p {
         Parallelism::Off => 1,
@@ -386,7 +389,7 @@ impl Store {
         let mut db = if let Some(&newest) = base_ids.last() {
             // A corrupt base is a hard error: unlike a delta it has no
             // fallback — the segments it covered are gone.
-            let base = BaseCheckpoint::load(&dir, newest, workers)?;
+            let base = BaseCheckpoint::load(&dir, newest)?;
             let mut db = base.snapshot.restore_with(workers)?;
             covered = base.lsn;
             base_id = newest;
@@ -434,25 +437,24 @@ impl Store {
         report.checkpoint_lsn = covered;
         report.last_lsn = covered;
 
-        // -- live log tail --
-        let (mut wal, scans) = SegmentedWal::open(&dir, options.sync, options.max_segment_bytes)?;
+        // -- live log tail: records the artifacts cover are counted, the
+        // rest decoded and replayed --
+        let (mut wal, scans) =
+            SegmentedWal::open(&dir, options.sync, options.max_segment_bytes, covered)?;
         report.segments_scanned = scans.len() as u64;
 
         let mut since_checkpoint = Delta::default();
         let n = scans.len();
-        for (i, scan) in scans.iter().enumerate() {
-            for rec in &scan.records {
-                if rec.lsn <= covered {
-                    report.records_skipped += 1;
-                    continue;
-                }
+        for (i, SegmentScan { seq, replay }) in scans.iter().enumerate() {
+            report.records_skipped += replay.skipped;
+            for rec in &replay.records {
                 db.apply_all(&rec.ops)?;
                 since_checkpoint.record_all(&db, &rec.ops)?;
                 report.records_replayed += 1;
                 report.ops_replayed += rec.ops.len() as u64;
                 report.last_lsn = rec.lsn;
             }
-            if !scan.torn {
+            if !replay.torn {
                 continue;
             }
             if i + 1 == n {
@@ -467,10 +469,10 @@ impl Store {
             // range is empty or fully covered by a checkpoint; otherwise
             // committed history is gone and recovery must not pretend
             // otherwise.
-            let last_good = scan.records.last().map_or(0, |r| r.lsn);
-            let next_first = scans[i + 1..]
-                .iter()
-                .find_map(|s| s.records.first().map(|r| r.lsn));
+            let last_good = replay.last_lsn;
+            let next_first = (scans[i + 1..].iter())
+                .map(|s| s.replay.first_lsn)
+                .find(|&lsn| lsn != 0);
             let tolerable = match next_first {
                 Some(nf) => nf == last_good + 1 || nf.saturating_sub(1) <= covered,
                 None => false,
@@ -479,7 +481,7 @@ impl Store {
                 return Err(StoreError::Corrupt(format!(
                     "sealed segment {} is torn mid-history and the hidden \
                      records are not covered by any checkpoint",
-                    crate::segment::segment_file_name(scan.seq)
+                    crate::segment::segment_file_name(*seq)
                 )));
             }
         }
@@ -748,7 +750,7 @@ impl Store {
         let workers = io_workers(self.options.parallelism);
         // Reconstruct the covered state from disk: base + delta chain.
         // (Segments are not needed — the chain *is* the covered state.)
-        let base = BaseCheckpoint::load(&self.dir, self.base_id, workers)?;
+        let base = BaseCheckpoint::load(&self.dir, self.base_id)?;
         let mut db = base.snapshot.restore_with(workers)?;
         let mut last = base.id;
         let mut folded = 0u64;

@@ -31,6 +31,13 @@
 //! [`StoreError::Corrupt`], naming the file and byte offset; the file is
 //! left untouched.
 //!
+//! ## Covered records
+//!
+//! A scan is told the LSN the caller's checkpoints already cover. A
+//! record at or below it is framed, checksummed and counted, but only its
+//! leading `lsn` is read: its ops would be decoded to be dropped, so what
+//! recovery decodes follows what it replays, not what the log holds.
+//!
 //! ## Group commit
 //!
 //! Appends land in an in-memory buffer first. [`SyncPolicy`] decides when
@@ -49,7 +56,7 @@ use std::sync::OnceLock;
 use vo_obs::metrics::{self, Counter};
 use vo_obs::trace;
 use vo_relational::database::DbOp;
-use vo_relational::json::{json_struct, parse, Json, JsonCodec};
+use vo_relational::json::{decode, json_struct, Json, JsonCodec, Reader};
 
 /// Magic bytes opening every WAL file (name + format version).
 pub const MAGIC: &[u8; 8] = b"VOWAL001";
@@ -136,11 +143,31 @@ fn encode_record(rec: &CommitRecord) -> StoreResult<Vec<u8>> {
     Ok(out)
 }
 
+/// The LSN a payload opens with, where [`CommitRecord`]'s encoder puts
+/// it; `None` for any other payload, which only a full decode can judge.
+fn leading_lsn(payload: &str) -> Option<u64> {
+    let mut r = Reader::new(payload);
+    r.begin_object().ok()?;
+    if r.next_key().ok()?? != "lsn" {
+        return None;
+    }
+    let lsn = r.u64().ok()?;
+    // a number ends where the next entry begins, not where the payload stops
+    r.next_key().ok().map(|_| lsn)
+}
+
 /// The outcome of scanning a log file.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Replay {
-    /// Every intact record, in log order.
+    /// Every intact record past the covered LSN, in log order.
     pub records: Vec<CommitRecord>,
+    /// Intact records at or below the covered LSN: passed over undecoded.
+    pub skipped: u64,
+    /// LSN of the first intact record, covered or not (0 = the log holds
+    /// none).
+    pub first_lsn: u64,
+    /// LSN of the last intact record, covered or not (0 = none).
+    pub last_lsn: u64,
     /// Byte offset just past the last intact record — where a torn tail
     /// must be truncated.
     pub valid_len: u64,
@@ -191,31 +218,22 @@ impl Wal {
     }
 
     /// Scan the log at `path` without opening it for writing: every intact
-    /// record plus where (and whether) a torn tail begins. A missing or
-    /// empty file reads as an empty log; a present file with the wrong
-    /// magic, or a checksum-valid record that does not decode, is an
-    /// error, not a torn tail.
-    pub fn read_all(path: impl AsRef<Path>) -> StoreResult<Replay> {
+    /// record past `covered` decoded, the rest counted, plus where (and
+    /// whether) a torn tail begins. A missing or empty file reads as an
+    /// empty log; a present file with the wrong magic, or a checksum-valid
+    /// record that does not decode, is an error, not a torn tail.
+    pub fn read_all(path: impl AsRef<Path>, covered: u64) -> StoreResult<Replay> {
         let path = path.as_ref();
         let bytes = match std::fs::read(path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(StoreError::io("read wal file")(e)),
         };
-        if bytes.is_empty() {
-            return Ok(Replay {
-                records: Vec::new(),
-                valid_len: 0,
-                torn: false,
-            });
-        }
+        let mut replay = Replay::default();
         if bytes.len() < MAGIC.len() {
-            // crash before the header write completed
-            return Ok(Replay {
-                records: Vec::new(),
-                valid_len: 0,
-                torn: true,
-            });
+            // empty, or a crash before the header write completed
+            replay.torn = !bytes.is_empty();
+            return Ok(replay);
         }
         if &bytes[..MAGIC.len()] != MAGIC {
             return Err(StoreError::Corrupt(format!(
@@ -223,9 +241,7 @@ impl Wal {
                 path.display()
             )));
         }
-        let mut records = Vec::new();
         let mut off = MAGIC.len();
-        let mut torn = false;
         while off < bytes.len() {
             // A short header, a short payload or a checksum mismatch means
             // the append never completed. So does a zero length: no record
@@ -239,41 +255,52 @@ impl Wal {
                 (len > 0 && crc32(payload) == crc).then_some(payload)
             })();
             let Some(payload) = framed else {
-                torn = true;
+                replay.torn = true;
                 break;
             };
             // The whole payload reached the disk, so a record that does not
             // decode is not a torn write. Truncating here would silently
             // drop it and every acknowledged commit after it.
-            let rec = std::str::from_utf8(payload)
+            let (lsn, live) = std::str::from_utf8(payload)
                 .map_err(|e| e.to_string())
-                .and_then(|text| parse(text).map_err(|e| e.to_string()))
-                .and_then(|json| CommitRecord::from_json(&json).map_err(|e| e.to_string()))
+                .and_then(|text| {
+                    if let Some(lsn) = leading_lsn(text).filter(|&lsn| lsn <= covered) {
+                        return Ok((lsn, None));
+                    }
+                    let rec = decode::<CommitRecord>(text).map_err(|e| e.to_string())?;
+                    Ok((rec.lsn, Some(rec)))
+                })
                 .map_err(|why| {
                     StoreError::Corrupt(format!(
                         "{}: the record at byte {off} passes its checksum but does not decode ({why})",
                         path.display()
                     ))
                 })?;
-            records.push(rec);
+            match live.filter(|rec| rec.lsn > covered) {
+                Some(rec) => replay.records.push(rec),
+                None => replay.skipped += 1,
+            }
+            if replay.first_lsn == 0 {
+                replay.first_lsn = lsn;
+            }
+            replay.last_lsn = lsn;
             off += 8 + payload.len();
         }
-        Ok(Replay {
-            records,
-            valid_len: off as u64,
-            torn,
-        })
+        replay.valid_len = off as u64;
+        Ok(replay)
     }
 
-    /// Open the log at `path` for appending, first scanning it and
-    /// truncating any torn tail. Returns the opened log plus the replay
-    /// of its intact records. A missing file is created fresh.
+    /// Open the log at `path` for appending, first scanning it (see
+    /// [`Wal::read_all`] for `covered`) and truncating any torn tail.
+    /// Returns the opened log plus the replay of its intact records. A
+    /// missing file is created fresh.
     pub fn open_for_append(
         path: impl Into<PathBuf>,
         policy: SyncPolicy,
+        covered: u64,
     ) -> StoreResult<(Wal, Replay)> {
         let path = path.into();
-        let replay = Self::read_all(&path)?;
+        let replay = Self::read_all(&path, covered)?;
         if replay.valid_len < MAGIC.len() as u64 {
             // empty, missing, or torn before the header finished: restart
             let wal = Wal::create(path, policy)?;
@@ -297,7 +324,7 @@ impl Wal {
             .append(true)
             .open(&path)
             .map_err(StoreError::io("open wal for append"))?;
-        let next_lsn = replay.records.last().map_or(1, |r| r.lsn + 1);
+        let next_lsn = replay.last_lsn + 1;
         Ok((
             Wal {
                 file,
@@ -463,7 +490,7 @@ mod tests {
             let lsn = wal.append(&sample_ops(i)).unwrap();
             assert_eq!(lsn, (i + 1) as u64);
         }
-        let replay = Wal::read_all(&path).unwrap();
+        let replay = Wal::read_all(&path, 0).unwrap();
         assert!(!replay.torn);
         assert_eq!(replay.records.len(), 5);
         assert_eq!(replay.records[2].lsn, 3);
@@ -479,7 +506,7 @@ mod tests {
             wal.append(&sample_ops(i)).unwrap();
         }
         let good_two = {
-            let replay = Wal::read_all(&path).unwrap();
+            let replay = Wal::read_all(&path, 0).unwrap();
             // chop the final record mid-payload
             let full = std::fs::metadata(&path).unwrap().len();
             let f = OpenOptions::new().write(true).open(&path).unwrap();
@@ -490,17 +517,17 @@ mod tests {
             }
             end_of_two
         };
-        let replay = Wal::read_all(&path).unwrap();
+        let replay = Wal::read_all(&path, 0).unwrap();
         assert!(replay.torn);
         assert_eq!(replay.records.len(), 2);
         assert_eq!(replay.valid_len, good_two);
         // reopening truncates and appends after the good prefix
-        let (mut wal, replay) = Wal::open_for_append(&path, SyncPolicy::Always).unwrap();
+        let (mut wal, replay) = Wal::open_for_append(&path, SyncPolicy::Always, 0).unwrap();
         assert_eq!(replay.records.len(), 2);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), good_two);
         assert_eq!(wal.next_lsn(), 3);
         wal.append(&sample_ops(9)).unwrap();
-        let replay = Wal::read_all(&path).unwrap();
+        let replay = Wal::read_all(&path, 0).unwrap();
         assert!(!replay.torn);
         assert_eq!(replay.records.len(), 3);
         assert_eq!(replay.records[2].lsn, 3);
@@ -521,7 +548,7 @@ mod tests {
         let target = off_before_last as usize + 12;
         bytes[target] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        let replay = Wal::read_all(&path).unwrap();
+        let replay = Wal::read_all(&path, 0).unwrap();
         assert!(replay.torn);
         assert_eq!(replay.records.len(), 3);
         assert_eq!(replay.valid_len, off_before_last);
@@ -535,16 +562,16 @@ mod tests {
         wal.append(&sample_ops(0)).unwrap();
         wal.append(&sample_ops(1)).unwrap();
         // nothing on disk yet: both commits sit in the buffer
-        assert_eq!(Wal::read_all(&path).unwrap().records.len(), 0);
+        assert_eq!(Wal::read_all(&path, 0).unwrap().records.len(), 0);
         wal.append(&sample_ops(2)).unwrap();
         // third append crossed the threshold: all three written + synced
-        assert_eq!(Wal::read_all(&path).unwrap().records.len(), 3);
+        assert_eq!(Wal::read_all(&path, 0).unwrap().records.len(), 3);
         wal.append(&sample_ops(3)).unwrap();
-        assert_eq!(Wal::read_all(&path).unwrap().records.len(), 3);
+        assert_eq!(Wal::read_all(&path, 0).unwrap().records.len(), 3);
         // dropping the wal without sync loses the buffered fourth commit —
         // exactly the documented EveryN trade-off
         drop(wal);
-        assert_eq!(Wal::read_all(&path).unwrap().records.len(), 3);
+        assert_eq!(Wal::read_all(&path, 0).unwrap().records.len(), 3);
         std::fs::remove_file(&path).ok();
     }
 
@@ -555,7 +582,7 @@ mod tests {
         wal.append(&sample_ops(0)).unwrap();
         drop(wal);
         // no fsync ever happened, but the bytes reached the file
-        assert_eq!(Wal::read_all(&path).unwrap().records.len(), 1);
+        assert_eq!(Wal::read_all(&path, 0).unwrap().records.len(), 1);
         std::fs::remove_file(&path).ok();
     }
 
@@ -571,7 +598,7 @@ mod tests {
         assert_eq!(wal.next_lsn(), 4);
         let lsn = wal.append(&sample_ops(7)).unwrap();
         assert_eq!(lsn, 4);
-        let replay = Wal::read_all(&path).unwrap();
+        let replay = Wal::read_all(&path, 0).unwrap();
         assert_eq!(replay.records.len(), 1);
         assert_eq!(replay.records[0].lsn, 4);
         std::fs::remove_file(&path).ok();
@@ -612,15 +639,15 @@ mod tests {
         bytes.extend_from_slice(&0u32.to_le_bytes()); // bogus crc
         bytes.extend_from_slice(b"tiny"); // 4 bytes, not 4 GiB
         std::fs::write(&path, &bytes).unwrap();
-        let replay = Wal::read_all(&path).unwrap();
+        let replay = Wal::read_all(&path, 0).unwrap();
         assert!(replay.torn);
         assert_eq!(replay.records.len(), 1);
         assert_eq!(replay.valid_len, good_len);
         // reopening truncates the fabricated tail and stays usable
-        let (mut wal, _) = Wal::open_for_append(&path, SyncPolicy::Always).unwrap();
+        let (mut wal, _) = Wal::open_for_append(&path, SyncPolicy::Always, 0).unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), good_len);
         wal.append(&sample_ops(1)).unwrap();
-        assert_eq!(Wal::read_all(&path).unwrap().records.len(), 2);
+        assert_eq!(Wal::read_all(&path, 0).unwrap().records.len(), 2);
         std::fs::remove_file(&path).ok();
     }
 
@@ -638,8 +665,8 @@ mod tests {
         bytes.extend_from_slice(payload);
         std::fs::write(&path, &bytes).unwrap();
         for result in [
-            Wal::read_all(&path).map(|_| ()),
-            Wal::open_for_append(&path, SyncPolicy::Always).map(|_| ()),
+            Wal::read_all(&path, 0).map(|_| ()),
+            Wal::open_for_append(&path, SyncPolicy::Always, 0).map(|_| ()),
         ] {
             match result {
                 Err(StoreError::Corrupt(m)) => {
@@ -655,6 +682,51 @@ mod tests {
     }
 
     #[test]
+    fn covered_records_are_counted_not_decoded() {
+        let path = tmp("covered.log");
+        let mut wal = Wal::create(&path, SyncPolicy::Always).unwrap();
+        for i in 0..5 {
+            wal.append(&sample_ops(i)).unwrap();
+        }
+        drop(wal);
+        let replay = Wal::read_all(&path, 3).unwrap();
+        assert_eq!((replay.skipped, replay.records.len()), (3, 2));
+        assert_eq!((replay.first_lsn, replay.last_lsn), (1, 5));
+        assert_eq!(replay.records[0].lsn, 4);
+        assert_eq!(replay.records[1].ops, sample_ops(4));
+        // the same scan with nothing covered is what it always was
+        let all = Wal::read_all(&path, 0).unwrap();
+        assert_eq!((all.skipped, all.records.len()), (0, 5));
+        assert_eq!(all.valid_len, replay.valid_len);
+
+        // A checksum-valid record whose ops do not decode: passed over
+        // while covered, corruption as soon as it would be replayed. One
+        // whose `lsn` does not lead is decoded in full either way.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let bad_at = bytes.len();
+        for payload in [
+            &br#"{"lsn":6,"ops":"gone"}"#[..],
+            &br#"{"ops":[],"lsn":7}"#[..],
+        ] {
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+            bytes.extend_from_slice(payload);
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        let replay = Wal::read_all(&path, 7).unwrap();
+        assert_eq!((replay.skipped, replay.records.len()), (7, 0));
+        assert_eq!(replay.last_lsn, 7);
+        let replay = Wal::read_all(&path, 6).unwrap();
+        assert_eq!((replay.skipped, replay.records.len()), (6, 1));
+        assert_eq!(replay.records[0].lsn, 7);
+        match Wal::read_all(&path, 5) {
+            Err(StoreError::Corrupt(m)) => assert!(m.contains(&format!("byte {bad_at}")), "{m}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn zero_filled_tail_reads_as_torn_tail() {
         // Blocks allocated but never written read as zeros after a crash:
         // length 0, checksum 0 — which *is* the CRC of an empty payload.
@@ -666,7 +738,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(&[0u8; 64]);
         std::fs::write(&path, &bytes).unwrap();
-        let replay = Wal::read_all(&path).unwrap();
+        let replay = Wal::read_all(&path, 0).unwrap();
         assert!(replay.torn);
         assert_eq!(replay.records.len(), 1);
         assert_eq!(replay.valid_len, good_len);
@@ -677,7 +749,10 @@ mod tests {
     fn wrong_magic_is_corruption_not_a_torn_tail() {
         let path = tmp("magic.log");
         std::fs::write(&path, b"NOTAWAL0rest").unwrap();
-        assert!(matches!(Wal::read_all(&path), Err(StoreError::Corrupt(_))));
+        assert!(matches!(
+            Wal::read_all(&path, 0),
+            Err(StoreError::Corrupt(_))
+        ));
         std::fs::remove_file(&path).ok();
     }
 }

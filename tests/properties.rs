@@ -11,7 +11,9 @@
 //!   and replacement by an arbitrary edit either fails cleanly or leaves a
 //!   consistent database whose instance equals the requested one;
 //! - codecs: every persisted or wire document decodes back to an equal
-//!   value whose re-encoding is byte-identical.
+//!   value whose re-encoding is byte-identical; a type read straight off
+//!   a text and the same type built from the text's tree give one verdict
+//!   and one value, whatever the text.
 
 use penguin_vo::prelude::*;
 
@@ -205,6 +207,488 @@ fn codecs_roundtrip_generated_documents() {
     }
 }
 
+// ------------------------------------------- one grammar, one mapping --
+
+use penguin_vo::obs::json::{decode, parse, JsonError};
+
+/// Read `text` as a `T` twice — straight off the text
+/// ([`JsonCodec::read_json`]) and through its tree (`from_json(&parse(..))`)
+/// — and demand one verdict and, when accepted, one value.
+fn decoders_agree<T>(text: &str) -> bool
+where
+    T: JsonCodec + PartialEq + std::fmt::Debug,
+    T::Error: From<JsonError> + std::fmt::Debug,
+{
+    let streamed = decode::<T>(text);
+    let tree = parse(text)
+        .map_err(T::Error::from)
+        .and_then(|json| T::from_json(&json));
+    match (streamed, tree) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a, b, "{text}");
+            true
+        }
+        (Err(_), Err(_)) => false,
+        (a, b) => panic!("{text}\n  read off the text: {a:?}\n  built from the tree: {b:?}"),
+    }
+}
+
+/// A string token: plain runs, multi-byte UTF-8, every short escape, BMP
+/// escapes and surrogate pairs; with `faults`, also lone surrogates of
+/// either half, escapes that do not exist, short or non-hex `\u`, a raw
+/// control character and a missing closing quote.
+fn arb_string_token(rng: &mut SmallRng, faults: bool) -> String {
+    const PIECES: [&str; 16] = [
+        "a",
+        "course",
+        " ",
+        "ü",
+        "日本",
+        "🦀",
+        "\\\"",
+        "\\\\",
+        "\\/",
+        "\\n",
+        "\\r",
+        "\\t",
+        "\\b",
+        "\\f",
+        "\\u00e9",
+        "\\ud83e\\udd80",
+    ];
+    const FAULTS: [&str; 8] = [
+        "\\ud83e",
+        "\\udd80",
+        "\\ud83e\\n",
+        "\\x",
+        "\\u12",
+        "\\u+041",
+        "\u{1}",
+        "\\",
+    ];
+    let mut s = String::from("\"");
+    for _ in 0..rng.gen_range(0..5) {
+        s.push_str(rng.choose::<&str>(&PIECES));
+    }
+    if faults && rng.gen_bool(0.5) {
+        s.push_str(rng.choose::<&str>(&FAULTS));
+    }
+    if !(faults && rng.gen_bool(0.2)) {
+        s.push('"');
+    }
+    s
+}
+
+fn arb_scalar_token(rng: &mut SmallRng, faults: bool) -> String {
+    const NUMBERS: [&str; 14] = [
+        "0",
+        "-0",
+        "7",
+        "-17",
+        "007",
+        "9223372036854775807",
+        "-9223372036854775808",
+        "1.5",
+        "-0.0",
+        "1e19",
+        "1E-3",
+        "2.",
+        "0.0000001",
+        "123456789012345.0",
+    ];
+    const FAULTS: [&str; 8] = [
+        "9223372036854775808",
+        "-",
+        "1e",
+        "--1",
+        "nul",
+        "tru",
+        "+1",
+        "NaN",
+    ];
+    match rng.gen_range(0..6) {
+        0 => "null".into(),
+        1 => (if rng.gen_bool(0.5) { "true" } else { "false" }).into(),
+        2 | 3 => arb_string_token(rng, faults),
+        _ if faults && rng.gen_bool(0.3) => (*rng.choose(&FAULTS[..])).into(),
+        _ => (*rng.choose(&NUMBERS[..])).into(),
+    }
+}
+
+/// A document as text, so that every spelling the grammar has — and, with
+/// `faults`, the ones it refuses: duplicate keys, stray or missing
+/// separators — is reachable, which a rendered tree would never produce.
+fn arb_doc(rng: &mut SmallRng, depth: usize, faults: bool) -> String {
+    let pad = |rng: &mut SmallRng| if rng.gen_bool(0.2) { " \n\t" } else { "" };
+    let n = rng.gen_range(0..4);
+    match rng.gen_range(0..if depth == 0 { 1 } else { 4 }) {
+        0 => arb_scalar_token(rng, faults),
+        1 => {
+            let items: Vec<String> = (0..n).map(|_| arb_doc(rng, depth - 1, faults)).collect();
+            let sep = if faults && rng.gen_bool(0.1) {
+                ",,"
+            } else {
+                ","
+            };
+            format!("[{}{}{}]", pad(rng), items.join(sep), pad(rng))
+        }
+        _ => {
+            let mut keys: Vec<String> = (0..n).map(|_| arb_string_token(rng, faults)).collect();
+            if faults && n > 1 && rng.gen_bool(0.3) {
+                keys[n - 1] = keys[0].clone();
+            }
+            let colon = if faults && rng.gen_bool(0.1) { "" } else { ":" };
+            let entries: Vec<String> = keys
+                .iter()
+                .map(|k| format!("{k}{}{colon}{}", pad(rng), arb_doc(rng, depth - 1, faults)))
+                .collect();
+            format!("{{{}}}", entries.join(","))
+        }
+    }
+}
+
+/// Every edge of the `Value` ↔ JSON mapping as it is written, then the
+/// spellings only a reader meets: the bare digit strings old builds wrote,
+/// the entry out of place among others, and what must be refused.
+fn value_edge_texts() -> Vec<String> {
+    let mut texts: Vec<String> = [
+        Value::Null,
+        Value::Bool(false),
+        Value::Int(i64::MIN),
+        Value::Int(i64::MAX),
+        Value::Float(1e19),
+        Value::Float(-1e19),
+        Value::Float(-0.0),
+        Value::Float(0.5),
+        Value::Float(f64::NAN),
+        Value::Float(f64::INFINITY),
+        Value::Float(f64::NEG_INFINITY),
+        Value::Float(f64::MAX),
+        Value::Float(5e-324),
+        Value::text(""),
+        Value::text("NaN"),
+        Value::text("line\nbreak \"quoted\" \\ tab\t ü 🦀 \u{1}"),
+    ]
+    .iter()
+    .map(|v| v.to_json().compact())
+    .collect();
+    texts.extend(
+        [
+            r#"{"float":1000000000000000}"#,
+            r#"{"float":-7}"#,
+            r#"{"pad":[1,{"a":"b"}],"float":2.5}"#,
+            r#"{"float":2.5,"pad":null}"#,
+            r#"{"float":"nan"}"#,
+            r#"{"float":null}"#,
+            r#"{"float":true}"#,
+            r#"{"float":[1.5]}"#,
+            r#"{"float":{"float":1.5}}"#,
+            r#"{"float":1.5,"float":1.5}"#,
+            r#"{"flat":1.5}"#,
+            r#"{}"#,
+            r#"1.5"#,
+            r#"[1]"#,
+            r#"9223372036854775808"#,
+        ]
+        .map(String::from),
+    );
+    texts
+}
+
+/// What `json::tests::malformed_inputs_rejected` refuses as documents,
+/// here refused in every position a streamed decoder reads or passes over.
+const MALFORMED: [&str; 12] = [
+    "{not json",
+    "[1, 2",
+    "{\"a\": }",
+    "\"unterminated",
+    "12trailing",
+    "[1] extra",
+    "{\"a\":1,\"a\":2}",
+    "nul",
+    "--1",
+    "\"\\u+041\"",
+    "\"\\ud83e\"",
+    "\"\\udd80\"",
+];
+
+#[test]
+fn reading_off_the_text_agrees_with_decoding_the_tree() {
+    let rounds = if cfg!(debug_assertions) { 400 } else { 4000 };
+    let mut rng = SmallRng::seed_from_u64(0x0DDBA11);
+    let (mut accepted, mut refused) = (0, 0);
+    let mut tally = |ok: bool| *(if ok { &mut accepted } else { &mut refused }) += 1;
+
+    // -- the mapping's edges, alone and as the elements of a row
+    let edges = value_edge_texts();
+    for text in &edges {
+        tally(decoders_agree::<Value>(text));
+        tally(decoders_agree::<Option<Value>>(text));
+    }
+    tally(decoders_agree::<Tuple>(&format!(
+        "[{}]",
+        edges[..16].join(",")
+    )));
+    tally(decoders_agree::<Vec<Value>>(&format!(
+        "[{}]",
+        edges.join(",")
+    )));
+
+    // -- generated documents: where a value is read, and where one is
+    // passed over (an entry no decoder asked for)
+    for round in 0..rounds {
+        let faults = round % 2 == 1;
+        let doc = arb_doc(&mut rng, 3, faults);
+        tally(decoders_agree::<Value>(&doc));
+        tally(decoders_agree::<Vec<Value>>(&doc));
+        tally(decoders_agree::<Key>(&format!("[{doc},7]")));
+        tally(decoders_agree::<Vec<Option<String>>>(&doc));
+        tally(decoders_agree::<Value>(&format!(
+            r#"{{"pad":{doc},"float":"-inf"}}"#
+        )));
+        tally(decoders_agree::<CommitRecord>(&format!(
+            r#"{{"lsn":{},"pad":{doc},"ops":[]}}"#,
+            round
+        )));
+        let tail = [" ", "\n", "x", "]", ",", "{}", "0"][round % 7];
+        tally(decoders_agree::<Vec<Value>>(&format!("{doc}{tail}")));
+    }
+    for src in MALFORMED {
+        assert!(!decoders_agree::<Value>(src), "{src}");
+        assert!(!decoders_agree::<Vec<Value>>(&format!("[{src}]")), "{src}");
+        assert!(!decoders_agree::<Value>(&format!(
+            r#"{{"float":1.5,"pad":{src}}}"#
+        )));
+        assert!(!decoders_agree::<DbOp>(&format!(
+            r#"{{"op":"delete","relation":"T","key":[1],"pad":{src}}}"#
+        )));
+    }
+
+    // -- nesting: a value may sit under 128 containers and no more,
+    // read or passed over
+    for depth in [1, 100, 126, 127, 128, 129, 130, 200] {
+        let nest = "[".repeat(depth) + &"]".repeat(depth);
+        let ok = decoders_agree::<Value>(&format!(r#"{{"pad":{nest},"float":1.5}}"#));
+        assert_eq!(ok, depth <= 128, "{depth} arrays inside an object");
+        let nest = "{\"a\":".repeat(depth) + "null" + &"}".repeat(depth);
+        let ok = decoders_agree::<Vec<Option<String>>>(&format!("[null,{nest}]"));
+        assert!(!ok, "an object where a string belongs");
+        tally(decoders_agree::<CommitRecord>(&format!(
+            r#"{{"pad":{nest},"lsn":1,"ops":[]}}"#
+        )));
+    }
+
+    // -- the store's own documents, then damaged: entries reordered,
+    // dropped, doubled or renamed, and single characters replaced
+    let mut db = Database::new();
+    db.create_relation(
+        RelationSchema::new(
+            "T",
+            vec![
+                AttributeDef::required("k", DataType::Int),
+                AttributeDef::nullable("v", DataType::Float),
+                AttributeDef::nullable("w", DataType::Text),
+            ],
+            &["k"],
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    db.create_index("T", &["w".to_string()]).unwrap();
+    for k in 0..6i64 {
+        let v = [Value::Null, Value::Float(1e19), Value::Float(f64::NAN)][k as usize % 3].clone();
+        db.insert("T", vec![k.into(), v, format!("w\t{k} ü").into()])
+            .unwrap();
+    }
+    let ops = vec![
+        DbOp::Insert {
+            relation: "T".into(),
+            tuple: Tuple::raw(vec![9.into(), 0.5.into(), Value::Null]),
+        },
+        DbOp::Delete {
+            relation: "T".into(),
+            key: Key::single(1),
+        },
+        DbOp::Replace {
+            relation: "T".into(),
+            old_key: Key::single(2),
+            tuple: Tuple::raw(vec![7.into(), Value::Null, "moved".into()]),
+        },
+    ];
+    let base = BaseCheckpoint {
+        id: 3,
+        lsn: 17,
+        epoch: db.structure_epoch(),
+        snapshot: DatabaseSnapshot::capture_full(&db),
+    };
+    let mut folded = Delta::default();
+    for op in &ops {
+        db.apply(op).unwrap();
+        folded.record(db.table("T").unwrap().schema(), op);
+    }
+    let delta = DeltaCheckpoint {
+        id: 4,
+        base_id: 3,
+        parent_id: 3,
+        lsn: 18,
+        epoch: db.structure_epoch(),
+        delta: SnapshotDelta::new(folded, db.version()),
+    };
+    let record = CommitRecord { lsn: 42, ops };
+    penguin_vo::obs::json::assert_roundtrip(&base);
+    penguin_vo::obs::json::assert_roundtrip(&delta);
+    penguin_vo::obs::json::assert_roundtrip(&record);
+
+    /// Disturb the entries of one object on a random path down from `at`.
+    fn disturb(rng: &mut SmallRng, at: &mut Json) -> bool {
+        match at {
+            Json::Arr(items) if !items.is_empty() => {
+                let i = rng.gen_range(0..items.len());
+                disturb(rng, &mut items[i])
+            }
+            Json::Obj(pairs) => {
+                if !pairs.is_empty() && rng.gen_bool(0.7) {
+                    let i = rng.gen_range(0..pairs.len());
+                    if disturb(rng, &mut pairs[i].1) {
+                        return true;
+                    }
+                }
+                match rng.gen_range(0..4) {
+                    0 => rng.shuffle(pairs),
+                    1 if !pairs.is_empty() => {
+                        pairs.remove(rng.gen_range(0..pairs.len()));
+                    }
+                    2 if !pairs.is_empty() => {
+                        // the value of one entry under the name of another:
+                        // junk where an op holds nothing, a wrong type elsewhere
+                        let value = pairs[rng.gen_range(0..pairs.len())].1.clone();
+                        let name = *rng.choose(&["key", "tuple", "old_key", "op", "lsn"][..]);
+                        pairs.retain(|(k, _)| k != name);
+                        pairs.push((name.to_owned(), value));
+                    }
+                    _ => pairs.push(("pad".to_owned(), Json::Int(1))),
+                }
+                true
+            }
+            _ => false,
+        }
+    }
+    fn damaged(rng: &mut SmallRng, text: &str) -> String {
+        // (a text damaged before may no longer have a tree to disturb)
+        if let Some(mut json) = parse(text).ok().filter(|_| rng.gen_bool(0.7)) {
+            disturb(rng, &mut json);
+            return json.compact();
+        }
+        let mut chars: Vec<char> = text.chars().collect();
+        let i = rng.gen_range(0..chars.len());
+        chars[i] = *rng.choose(&['"', '\\', ',', ':', '[', ']', '{', '}', '0', 'e', '.', '-'][..]);
+        chars.into_iter().collect()
+    }
+    let texts = [
+        base.to_json().compact(),
+        delta.to_json().compact(),
+        record.to_json().compact(),
+    ];
+    for _ in 0..rounds {
+        tally(decoders_agree::<BaseCheckpoint>(&damaged(
+            &mut rng, &texts[0],
+        )));
+        tally(decoders_agree::<DeltaCheckpoint>(&damaged(
+            &mut rng, &texts[1],
+        )));
+        let rec = damaged(&mut rng, &texts[2]);
+        tally(decoders_agree::<CommitRecord>(&rec));
+        let again = damaged(&mut rng, &rec);
+        tally(decoders_agree::<CommitRecord>(&again));
+    }
+    // the law is not vacuous on either side
+    assert!(
+        accepted > rounds && refused > rounds,
+        "{accepted} / {refused}"
+    );
+}
+
+/// Cut at every byte, the golden artifacts and the golden log record are a
+/// typed error from either decoder and from the store's own readers —
+/// never a panic, never a value.
+#[test]
+fn truncated_artifacts_and_records_are_typed_errors() {
+    let golden = |name: &str| {
+        let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+        std::fs::read(path.join(name)).unwrap()
+    };
+    let dir = std::env::temp_dir().join(format!("vo_truncation_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+
+    fn body_cuts<T>(body: &[u8])
+    where
+        T: JsonCodec + PartialEq + std::fmt::Debug,
+        T::Error: From<JsonError> + std::fmt::Debug,
+    {
+        let whole = std::str::from_utf8(body).unwrap();
+        assert!(decoders_agree::<T>(whole), "the golden document decodes");
+        for cut in 0..body.len() {
+            // a cut inside a character is refused before any decoder runs
+            if let Ok(prefix) = std::str::from_utf8(&body[..cut]) {
+                assert!(
+                    !decoders_agree::<T>(prefix),
+                    "accepted a prefix of {cut} bytes"
+                );
+            }
+        }
+    }
+
+    let base = golden("base_checkpoint.json");
+    let newline = base.iter().position(|&b| b == b'\n').unwrap();
+    body_cuts::<BaseCheckpoint>(&base[newline + 1..]);
+    assert!(BaseCheckpoint::load(&dir, 3).is_err(), "no file yet");
+    for cut in 0..base.len() {
+        std::fs::write(dir.join(BaseCheckpoint::file_name(3)), &base[..cut]).unwrap();
+        let err = BaseCheckpoint::load(&dir, 3).expect_err("a truncated base loaded");
+        assert!(
+            matches!(err, StoreError::Corrupt(_) | StoreError::Io { .. }),
+            "{err:?}"
+        );
+    }
+    std::fs::write(dir.join(BaseCheckpoint::file_name(3)), &base).unwrap();
+    assert_eq!(BaseCheckpoint::load(&dir, 3).unwrap().lsn, 17);
+
+    let delta = golden("delta_checkpoint.json");
+    let newline = delta.iter().position(|&b| b == b'\n').unwrap();
+    body_cuts::<DeltaCheckpoint>(&delta[newline + 1..]);
+    for cut in 0..delta.len() {
+        std::fs::write(dir.join(DeltaCheckpoint::file_name(4)), &delta[..cut]).unwrap();
+        let err = DeltaCheckpoint::load(&dir, 4).expect_err("a truncated delta loaded");
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+    }
+
+    // the record, framed with a checksum that matches each cut: all of it
+    // "reached the disk", so it is corruption, not a torn tail
+    let record = golden("commit_record.json");
+    body_cuts::<CommitRecord>(&record);
+    let log = dir.join("wal-000001.log");
+    for cut in 1..record.len() {
+        let payload = &record[..cut];
+        let mut bytes = penguin_vo::store::wal::MAGIC.to_vec();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&penguin_vo::store::crc32::crc32(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        std::fs::write(&log, &bytes).unwrap();
+        for covered in [0, 41, 42] {
+            match Wal::read_all(&log, covered) {
+                Err(StoreError::Corrupt(_)) => {}
+                // only its leading `lsn` is read once that says "covered"
+                Ok(replay) if covered == 42 && cut >= r#"{"lsn":42,"ops":"#.len() => {
+                    assert_eq!((replay.skipped, replay.records.len()), (1, 0));
+                }
+                other => panic!("{cut} bytes, covered {covered}: {other:?}"),
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------- tables --
 
 fn course_table() -> Table {
@@ -298,6 +782,79 @@ fn table_ops_keep_indexes_consistent() {
                     .filter(|x| x.get_named(&schema, "v").unwrap() == &Value::text(probe))
                     .count();
                 assert_eq!(via_index, via_scan);
+            }
+        }
+    }
+}
+
+/// An index built in bulk over stored rows ([`Table::create_index`] after
+/// the inserts) is the index that grew with them (before the inserts): the
+/// same definitions in the same order, and the same rows in the same
+/// order for any probe — on every relation of the three synthetic shapes.
+#[test]
+fn bulk_built_index_equals_the_incremental_one() {
+    use penguin_vo::penguin::{synthetic_schema, SchemaShape};
+    let mut rng = SmallRng::seed_from_u64(0x1DEC5);
+    for (shape, n) in [
+        (SchemaShape::OwnershipChain, 4),
+        (SchemaShape::OwnershipStar, 5),
+        (SchemaShape::ReferenceTree, 7),
+    ] {
+        let structural = synthetic_schema(shape, n);
+        for rel in structural.catalog().relation_names() {
+            let schema = structural.catalog().relation(rel).unwrap().clone();
+            // few distinct values per attribute: long key sets, and NULLs
+            let rows: Vec<Tuple> = (0..60)
+                .map(|_| {
+                    let values = schema.attributes().iter().map(|a| match a.ty {
+                        _ if a.nullable && rng.gen_bool(0.2) => Value::Null,
+                        DataType::Int => Value::Int(rng.gen_range_i64(0..5)),
+                        DataType::Text => Value::text(format!("t{}", rng.gen_range(0..4))),
+                        DataType::Float => Value::Float(rng.gen_range(0..3) as f64),
+                        DataType::Bool => Value::Bool(rng.gen_bool(0.5)),
+                    });
+                    Tuple::new(&schema, values.collect()).unwrap()
+                })
+                .collect();
+            let names: Vec<String> = schema.attributes().iter().map(|a| a.name.clone()).collect();
+            let mut index_sets: Vec<Vec<String>> = names.iter().map(|n| vec![n.clone()]).collect();
+            index_sets.push(names.iter().rev().take(2).cloned().collect());
+            let mut incremental = Table::new(schema.clone());
+            for attrs in &index_sets {
+                incremental.create_index(attrs).unwrap();
+            }
+            let mut bulk = Table::new(schema.clone());
+            for row in &rows {
+                // a repeated key is refused by both alike
+                assert_eq!(
+                    incremental.insert(row.clone()).is_ok(),
+                    bulk.insert(row.clone()).is_ok()
+                );
+            }
+            for attrs in index_sets.iter().rev() {
+                bulk.create_index(attrs).unwrap();
+            }
+            assert!(bulk.len() > 4, "{rel}: {} rows", bulk.len());
+            assert_eq!(incremental.index_attrs(), bulk.index_attrs(), "{rel}");
+            for attrs in &index_sets {
+                let at = schema.indices_of(attrs).unwrap();
+                let mut probes: Vec<Vec<Value>> = rows.iter().map(|r| r.project(&at)).collect();
+                probes.push(vec![Value::Null; at.len()]);
+                probes.push(vec![Value::text("absent"); at.len()]);
+                for probe in &probes {
+                    let before = penguin_vo::relational::stats::snapshot();
+                    let found = bulk.find_by_indices(&at, probe);
+                    let d = before.delta(&penguin_vo::relational::stats::snapshot());
+                    assert!(d.index_probes >= 1, "{rel} {attrs:?}: probed, not scanned");
+                    assert_eq!(
+                        found,
+                        incremental.find_by_indices(&at, probe),
+                        "{rel} {attrs:?}"
+                    );
+                    let scanned: Vec<&Tuple> =
+                        bulk.scan().filter(|r| r.project(&at) == *probe).collect();
+                    assert_eq!(found, scanned, "{rel} {attrs:?} {probe:?}");
+                }
             }
         }
     }
