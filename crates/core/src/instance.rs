@@ -238,13 +238,10 @@ pub fn follow_edge(
         let target_indices = target.schema().indices_of(t.target_attrs())?;
         let mut next = Vec::new();
         for tuple in &frontier {
-            let vals = tuple.project(&src_indices);
-            if vals.iter().any(Value::is_null) {
-                continue; // NULL never connects (Definition 2.1)
-            }
-            for m in target.find_by_indices(&target_indices, &vals) {
+            // NULL never connects (Definition 2.1): nothing is visited
+            target.for_each_connected(&target_indices, tuple, &src_indices, |m| {
                 next.push(m.clone());
-            }
+            });
         }
         at = t.target().to_owned();
         frontier = next;
@@ -276,9 +273,9 @@ pub struct StepPlan {
     pub target_attrs: Vec<String>,
     /// Positions of the connecting attributes in `target` tuples.
     pub target_indices: Vec<usize>,
-    /// True when the connecting attributes are `target`'s primary key (in
-    /// any order): the step probes the primary index and needs no
-    /// secondary one.
+    /// True when the connecting attributes are `target`'s primary key or
+    /// lead it (in any order): the step probes the primary index — one
+    /// tuple, or one run of it — and needs no secondary one.
     pub target_keyed: bool,
 }
 
@@ -299,9 +296,10 @@ pub struct EdgePlan {
 impl EdgePlan {
     /// The `(relation, attrs)` pairs a database should index so every
     /// step of this edge probes instead of scanning. A step that arrives
-    /// at its target's primary key asks for nothing: the primary index
-    /// already answers it, and a secondary copy of the key would be
-    /// maintained by every write and cloned by every copy-on-write.
+    /// at its target's primary key, or at the attributes that lead it,
+    /// asks for nothing: the primary index already answers it, and a
+    /// secondary copy of the key would be maintained by every write and
+    /// cloned by every copy-on-write.
     pub fn required_indexes(&self) -> impl Iterator<Item = (&str, &[String])> {
         self.steps
             .iter()
@@ -346,7 +344,7 @@ pub fn plan_edge(
             target: t.target().to_owned(),
             source_indices,
             target_attrs: t.target_attrs().to_vec(),
-            target_keyed: target_schema.is_key_at(&target_indices),
+            target_keyed: target_schema.leads_key_at(&target_indices),
             target_indices,
         });
         at = t.target().to_owned();
@@ -365,21 +363,16 @@ pub fn plan_edge(
     })
 }
 
-/// The tuple's values at `indices`, unless one of them is NULL: NULL never
-/// connects (Definition 2.1).
-pub(crate) fn connecting_values(tuple: &Tuple, indices: &[usize]) -> Option<Vec<Value>> {
-    let vals = tuple.project(indices);
-    (!vals.iter().any(Value::is_null)).then_some(vals)
-}
-
 /// Execute one prepared step over a whole frontier: each input is a
 /// `(origin, tuple)` pair, and every match inherits its input's origin.
 /// The access path is the one [`Table::index_at`] chooses for the target's
-/// connecting attributes — a secondary index, or the primary index when
-/// they are the target's key — and each probe is one lookup; where there
-/// is none, ONE hash table is built over the target and probed for every
-/// input — never a per-input scan. Returns the matches and the access
-/// path's profile label.
+/// connecting attributes — the primary index when they are the target's
+/// key, a range of it when they lead the key, else a secondary index —
+/// and each probe is one lookup that borrows its values from the input
+/// tuple; where there is none, ONE hash table is built over the target
+/// and probed for every input — never a per-input scan. NULL never
+/// connects (Definition 2.1). Returns the matches and the access path's
+/// profile label.
 pub(crate) fn probe_step(
     step: &StepPlan,
     db: &Database,
@@ -387,28 +380,33 @@ pub(crate) fn probe_step(
 ) -> Result<(Vec<(usize, Tuple)>, &'static str)> {
     let target = db.table(&step.target)?;
     let mut out = Vec::new();
-    let connecting = inputs.iter().filter_map(|&(origin, tuple)| {
-        Some((origin, connecting_values(tuple, &step.source_indices)?))
-    });
-    let access = if let Some(index) = target.index_at(&step.target_indices) {
+    let access = if let Some(mut index) = target.index_at(&step.target_indices) {
         // Counter bumps are aggregated locally and recorded once per
         // frontier pass: parallel workers otherwise serialize on the shared
         // counter cache lines, one relaxed RMW per input tuple.
         let mut probes = 0u64;
-        for (origin, vals) in connecting {
-            probes += 1;
-            out.extend(index.find(&vals).into_iter().map(|m| (origin, m.clone())));
+        for &(origin, tuple) in inputs {
+            let probed = index.visit(tuple, &step.source_indices, |m| {
+                out.push((origin, m.clone()));
+            });
+            probes += u64::from(probed);
         }
         if probes > 0 {
             vo_relational::stats::count_index_probes(probes);
         }
-        "index probe"
+        index.label()
     } else {
         let groups = target.group_by_indices(&step.target_indices);
-        for (origin, vals) in connecting {
-            if let Some(matches) = groups.get(&vals) {
-                out.extend(matches.iter().map(|m| (origin, (*m).clone())));
-            }
+        let mut buf = Vec::new();
+        for &(origin, tuple) in inputs {
+            let matches = (tuple.connecting(&step.source_indices, &mut buf))
+                .and_then(|vals| groups.get(vals));
+            out.extend(
+                matches
+                    .into_iter()
+                    .flatten()
+                    .map(|m| (origin, (*m).clone())),
+            );
         }
         "hash build (scan)"
     };
@@ -572,8 +570,8 @@ pub fn instantiate_many_planned(
 /// [`instantiate_many_planned`], additionally returning a structured
 /// profile of the instantiation: the root node covers the whole call, one
 /// child per object edge (in instantiation order), and one grandchild per
-/// edge step carrying the access path actually taken (`index probe` vs
-/// `hash build (scan)`), rows in/out and elapsed time.
+/// edge step carrying the access path actually taken (`index probe`,
+/// `key range` or `hash build (scan)`), rows in/out and elapsed time.
 pub fn instantiate_many_profiled(
     object: &ViewObject,
     db: &Database,
@@ -1012,23 +1010,22 @@ mod tests {
         let (schema, db) = university_database();
         let omega = generate_omega(&schema).unwrap();
         let plan = plan_object(&schema, &omega, &db).unwrap();
-        // an edge that arrives at part of a key, or off it, wants an index;
-        // DEPARTMENT(dept_name) and STUDENT(ssn) are reached by their
-        // primary keys and want none
+        // an edge that arrives at a later part of a key, or off it, wants an
+        // index: CURRICULUM(degree, course_id) is reached by its second key
+        // attribute. DEPARTMENT(dept_name) and STUDENT(ssn) are reached by
+        // their primary keys, GRADES(course_id, ssn) by the attribute that
+        // leads its key, and want none
         let names = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert_eq!(
             plan.required_indexes(),
-            vec![
-                ("CURRICULUM".to_string(), names(&["course_id"])),
-                ("GRADES".to_string(), names(&["course_id"])),
-            ]
+            vec![("CURRICULUM".to_string(), names(&["course_id"]))]
         );
         let keyed: std::collections::BTreeSet<&str> = (1..omega.nodes().len())
             .flat_map(|id| &plan.edge(id).unwrap().steps)
             .filter(|s| s.target_keyed)
             .map(|s| s.target.as_str())
             .collect();
-        assert_eq!(keyed, ["DEPARTMENT", "STUDENT"].into());
+        assert_eq!(keyed, ["DEPARTMENT", "GRADES", "STUDENT"].into());
     }
 
     #[test]
@@ -1048,9 +1045,10 @@ mod tests {
             assert_eq!(prof.children.len(), omega.nodes().len() - 1);
             assert!(prof.children.iter().all(|e| !e.children.is_empty()));
             // without secondary indexes a step hash-builds over a scan
-            // unless it arrives at its target's primary key
+            // unless it arrives at its target's primary key or at what
+            // leads it: an owner's GRADES are one run of GRADES' key order
             for (edge, access) in [
-                ("Edge[COURSES -> GRADES]", "hash build (scan)"),
+                ("Edge[COURSES -> GRADES]", "key range"),
                 ("Edge[COURSES -> CURRICULUM]", "hash build (scan)"),
                 ("Edge[COURSES -> DEPARTMENT]", "index probe"),
                 ("Edge[GRADES -> STUDENT]", "index probe"),
@@ -1070,9 +1068,11 @@ mod tests {
             "{}",
             prof.render()
         );
-        assert!(prof.any(&|n| n.access_path == "index probe"));
+        let curriculum = prof.find("Edge[COURSES -> CURRICULUM]").unwrap();
+        assert_eq!(curriculum.access_path, "index probe");
+        // the index changes nothing for an edge the key order answers
         let grades = prof.find("Edge[COURSES -> GRADES]").unwrap();
-        assert_eq!(grades.access_path, "index probe");
+        assert_eq!(grades.access_path, "key range");
         assert_eq!(grades.rows_out, 17); // all GRADES rows bind across the 3 pivots
     }
 
@@ -1101,14 +1101,11 @@ mod tests {
         assert_eq!(probes.len(), 4); // one batched step per edge
         for p in probes {
             // no secondary index exists: only the steps that arrive at a
-            // primary key probe
-            let keyed = ["DEPARTMENT", "STUDENT"]
-                .iter()
-                .any(|t| p.field("target").unwrap() == &Json::str(*t));
-            let access = if keyed {
-                "index probe"
-            } else {
-                "hash build (scan)"
+            // primary key, or at what leads one, probe
+            let access = match p.field("target").unwrap().as_str().unwrap() {
+                "DEPARTMENT" | "STUDENT" => "index probe",
+                "GRADES" => "key range",
+                _ => "hash build (scan)",
             };
             assert_eq!(p.field("access").unwrap(), &Json::str(access));
         }

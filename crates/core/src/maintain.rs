@@ -24,13 +24,17 @@
 //!
 //! Refresh cost is therefore proportional to the delta (ops processed ×
 //! affected instances), not to the database size. A refresh falls back to
-//! a full rebuild only when the structure epoch drifted (DDL invalidated
-//! the plan), the journal cursor lapsed past evicted entries, or a prior
-//! incremental attempt failed midway.
+//! a full rebuild only when the structure epoch drifted (DDL, or a table
+//! borrowed mutably behind the journal's back), the journal cursor lapsed
+//! past evicted entries, or a prior incremental attempt failed midway.
+//!
+//! A view plans nothing: the object's [`ObjectPlan`] is definition-time
+//! state of whoever registered the object, handed to [`MaterializedView::build`]
+//! and to every [`MaterializedView::refresh`], and must be current for the
+//! database it is used with.
 
 use crate::instance::{
-    connecting_values, instantiate_many_planned, plan_object, probe_step, ObjectPlan, StepPlan,
-    VoInstance, VoInstanceNode,
+    instantiate_many_planned, probe_step, ObjectPlan, StepPlan, VoInstance, VoInstanceNode,
 };
 use crate::object::ViewObject;
 use std::collections::{BTreeMap, BTreeSet};
@@ -39,7 +43,6 @@ use vo_obs::metrics::{self, Counter, Histogram};
 use vo_obs::trace;
 use vo_relational::database::JournalRead;
 use vo_relational::prelude::*;
-use vo_structural::prelude::*;
 
 fn refreshes() -> Counter {
     static C: OnceLock<Counter> = OnceLock::new();
@@ -124,7 +127,9 @@ pub struct ViewStaleness {
 #[derive(Debug, Clone)]
 pub struct MaterializedView {
     object: ViewObject,
-    plan: ObjectPlan,
+    /// The structure epoch of the plan the instances were last built or
+    /// refreshed with; a later one forces a full rebuild.
+    epoch: u64,
     cursor: JournalCursor,
     /// Pivot key → instance, in key order (matching
     /// [`crate::instance::instantiate_all`], which scans the pivot table
@@ -150,19 +155,19 @@ pub struct MaterializedView {
 }
 
 impl MaterializedView {
-    /// Materialize `object` against the current database state. `cursor`
+    /// Materialize `object` against the current database state through
+    /// `plan`, its access plan prepared at `db`'s structure epoch. `cursor`
     /// must be a journal cursor positioned at (or before) the present —
     /// typically subscribed at [`JournalStart::Head`] just before this
     /// call; entries already reflected in the database are harmless to
     /// replay, but entries committed *after* build must all reach the
     /// cursor.
     pub fn build(
-        schema: &StructuralSchema,
         object: ViewObject,
+        plan: &ObjectPlan,
         db: &Database,
         cursor: JournalCursor,
     ) -> Result<MaterializedView> {
-        let plan = plan_object(schema, &object, db)?;
         let mut relevant = BTreeSet::new();
         let mut connecting: BTreeMap<String, BTreeSet<usize>> = BTreeMap::new();
         relevant.insert(object.pivot().to_owned());
@@ -183,7 +188,7 @@ impl MaterializedView {
         let node_rels = object.relations().iter().map(|r| (*r).to_owned()).collect();
         let mut view = MaterializedView {
             object,
-            plan,
+            epoch: plan.epoch(),
             cursor,
             instances: BTreeMap::new(),
             bindings: BTreeMap::new(),
@@ -196,7 +201,7 @@ impl MaterializedView {
                 .collect(),
             needs_full: false,
         };
-        view.rebuild_full(schema, db)?;
+        view.rebuild_full(plan, db)?;
         Ok(view)
     }
 
@@ -255,22 +260,14 @@ impl MaterializedView {
         self.instances.values().cloned().collect()
     }
 
-    /// The `(relation, attrs)` pairs that should be indexed so the
-    /// reverse walks of incremental refresh probe instead of scanning:
-    /// for every edge step, the *source* relation's connecting
-    /// attributes unless they are its primary key (forward instantiation
-    /// already wants the targets', see [`ObjectPlan::required_indexes`]).
-    pub fn reverse_required_indexes(&self, db: &Database) -> Result<Vec<(String, Vec<String>)>> {
-        reverse_indexes_for(&self.object, &self.plan, db)
-    }
-
-    /// Apply one journal delta (obtained by peeking this view's cursor).
-    /// The caller advances the cursor after a successful return; on error
-    /// the view marks itself for a full rebuild, since instances may be
+    /// Apply one journal delta (obtained by peeking this view's cursor)
+    /// through `plan`, the object's access plan, current for `db`. The
+    /// caller advances the cursor after a successful return; on error the
+    /// view marks itself for a full rebuild, since instances may be
     /// half-patched.
     pub fn refresh(
         &mut self,
-        schema: &StructuralSchema,
+        plan: &ObjectPlan,
         db: &Database,
         read: &JournalRead,
     ) -> Result<RefreshOutcome> {
@@ -282,13 +279,13 @@ impl MaterializedView {
             ops: read.op_count() as u64,
             ..RefreshOutcome::default()
         };
-        if read.lapsed > 0 || self.needs_full || !self.plan.is_current(db) {
+        if read.lapsed > 0 || self.needs_full || self.epoch != plan.epoch() {
             outcome.full_rebuild = true;
             full_rebuilds().inc();
-            outcome.changes = self.rebuild_full(schema, db)?;
+            outcome.changes = self.rebuild_full(plan, db)?;
             outcome.rebuilt = self.instances.len() as u64;
         } else {
-            let r = self.apply_incremental(db, read, &mut outcome);
+            let r = self.apply_incremental(plan, db, read, &mut outcome);
             if r.is_err() {
                 // instances may be half-patched; resynchronize from the
                 // database on the next refresh
@@ -311,6 +308,7 @@ impl MaterializedView {
 
     fn apply_incremental(
         &mut self,
+        plan: &ObjectPlan,
         db: &Database,
         read: &JournalRead,
         outcome: &mut RefreshOutcome,
@@ -330,7 +328,7 @@ impl MaterializedView {
                         if *relation == pivot_rel {
                             dirty.insert(tuple.key(db.table(relation)?.schema()));
                         }
-                        self.reverse_affected(db, relation, tuple, &mut dirty)?;
+                        self.reverse_affected(plan, db, relation, tuple, &mut dirty)?;
                     }
                     DbOp::Delete { relation, key } => {
                         // the old traversal is exactly what the binding
@@ -361,7 +359,7 @@ impl MaterializedView {
                         if *relation == pivot_rel {
                             dirty.insert(new_key);
                         }
-                        self.reverse_affected(db, relation, tuple, &mut dirty)?;
+                        self.reverse_affected(plan, db, relation, tuple, &mut dirty)?;
                     }
                 }
             }
@@ -369,7 +367,7 @@ impl MaterializedView {
         // a patched pivot that also went dirty gets recomputed anyway —
         // don't double-count it
         outcome.patched = patched.difference(&dirty).count() as u64;
-        outcome.rebuilt = self.recompute(db, &dirty, &mut events)?;
+        outcome.rebuilt = self.recompute(plan, db, &dirty, &mut events)?;
         outcome.changes = events
             .into_iter()
             .map(|(pivot, kind)| InstanceChange { pivot, kind })
@@ -390,13 +388,14 @@ impl MaterializedView {
     /// instance must be recomputed.
     fn reverse_affected(
         &self,
+        plan: &ObjectPlan,
         db: &Database,
         rel: &str,
         tuple: &Tuple,
         dirty: &mut BTreeSet<Key>,
     ) -> Result<()> {
         for node in self.object.nodes().iter().skip(1) {
-            let eplan = self.plan.edge(node.id)?;
+            let eplan = plan.edge(node.id)?;
             for (i, step) in eplan.steps.iter().enumerate() {
                 if step.target != rel {
                     continue;
@@ -408,7 +407,7 @@ impl MaterializedView {
                         break;
                     }
                 }
-                self.pivots_reaching(db, eplan.parent, frontier, dirty)?;
+                self.pivots_reaching(plan, db, eplan.parent, frontier, dirty)?;
             }
         }
         Ok(())
@@ -419,6 +418,7 @@ impl MaterializedView {
     /// pivot keys reached.
     fn pivots_reaching(
         &self,
+        plan: &ObjectPlan,
         db: &Database,
         node: usize,
         tuples: Vec<Tuple>,
@@ -434,7 +434,7 @@ impl MaterializedView {
             dirty.extend(tuples.iter().map(|t| t.key(schema)));
             return Ok(());
         }
-        let eplan = self.plan.edge(node)?;
+        let eplan = plan.edge(node)?;
         let mut frontier = tuples;
         for step in eplan.steps.iter().rev() {
             frontier = reverse_step(step, db, &frontier)?;
@@ -442,7 +442,7 @@ impl MaterializedView {
                 return Ok(());
             }
         }
-        self.pivots_reaching(db, eplan.parent, frontier, dirty)
+        self.pivots_reaching(plan, db, eplan.parent, frontier, dirty)
     }
 
     /// Try to apply a same-key replace as in-place tuple patches. Returns
@@ -510,6 +510,7 @@ impl MaterializedView {
     /// rebuilt.
     fn recompute(
         &mut self,
+        plan: &ObjectPlan,
         db: &Database,
         dirty: &BTreeSet<Key>,
         events: &mut BTreeMap<Key, ChangeKind>,
@@ -539,8 +540,8 @@ impl MaterializedView {
             }
         }
         let refs: Vec<&Tuple> = present.iter().map(|(_, t)| t).collect();
-        let insts = instantiate_many_planned(&self.object, db, &self.plan, &refs)?;
-        let binds = collect_bindings(&self.object, &self.plan, db, &refs)?;
+        let insts = instantiate_many_planned(&self.object, db, plan, &refs)?;
+        let binds = collect_bindings(&self.object, plan, db, &refs)?;
         let mut rebuilt = 0u64;
         for (((key, _), inst), bind) in present.iter().zip(insts).zip(binds) {
             rebuilt += 1;
@@ -575,19 +576,23 @@ impl MaterializedView {
         self.per_pivot.insert(pivot.clone(), binds);
     }
 
-    /// Re-instantiate every pivot from scratch (re-planning first) and
-    /// diff against the previous state for watch events.
-    fn rebuild_full(
-        &mut self,
-        schema: &StructuralSchema,
-        db: &Database,
-    ) -> Result<Vec<InstanceChange>> {
-        self.plan = plan_object(schema, &self.object, db)?;
+    /// Re-instantiate every pivot from scratch and diff against the
+    /// previous state for watch events.
+    fn rebuild_full(&mut self, plan: &ObjectPlan, db: &Database) -> Result<Vec<InstanceChange>> {
+        if !plan.is_current(db) {
+            return Err(Error::InvalidPlan(format!(
+                "materialized view of {} handed a plan prepared at epoch {}, database at {}",
+                self.object.name(),
+                plan.epoch(),
+                db.structure_epoch()
+            )));
+        }
+        self.epoch = plan.epoch();
         let table = db.table(self.object.pivot())?;
         let pschema = table.schema().clone();
         let tuples: Vec<&Tuple> = table.scan().collect();
-        let insts = instantiate_many_planned(&self.object, db, &self.plan, &tuples)?;
-        let binds = collect_bindings(&self.object, &self.plan, db, &tuples)?;
+        let insts = instantiate_many_planned(&self.object, db, plan, &tuples)?;
+        let binds = collect_bindings(&self.object, plan, db, &tuples)?;
         self.bindings.clear();
         self.per_pivot.clear();
         let mut fresh = BTreeMap::new();
@@ -625,12 +630,13 @@ impl MaterializedView {
     }
 }
 
-/// The `(relation, attrs)` pairs whose indexes make `object`'s reverse
-/// walks probe instead of scan — see
-/// [`MaterializedView::reverse_required_indexes`]. A free function so
-/// callers can provision the indexes *before* materializing (index
-/// creation moves the structure epoch, which would otherwise invalidate
-/// the freshly built view's plan).
+/// The `(relation, attrs)` pairs that should be indexed so the reverse
+/// walks of incremental refresh probe instead of scanning: for every edge
+/// step, the *source* relation's connecting attributes unless they are its
+/// primary key or lead it (forward instantiation already wants the
+/// targets', see [`ObjectPlan::required_indexes`]). Callers provision the
+/// indexes *before* materializing: index creation moves the structure
+/// epoch, and a view is built through a plan current for its database.
 pub fn reverse_indexes_for(
     object: &ViewObject,
     plan: &ObjectPlan,
@@ -640,7 +646,7 @@ pub fn reverse_indexes_for(
     for node in object.nodes().iter().skip(1) {
         for step in &plan.edge(node.id)?.steps {
             let schema = db.table(&step.source)?.schema();
-            if schema.is_key_at(&step.source_indices) {
+            if schema.leads_key_at(&step.source_indices) {
                 continue; // the primary index answers the reverse probe
             }
             let attrs: Vec<String> = step
@@ -656,34 +662,31 @@ pub fn reverse_indexes_for(
 
 /// Execute one step *backwards*: given tuples of the step's target
 /// relation, find the source-relation tuples whose connecting projection
-/// matches. Probes the index [`Table::index_at`] finds over the source's
-/// connecting attributes when there is one, otherwise builds one hash
-/// table over the source. Results are deduplicated by key.
+/// matches. Probes the path [`Table::index_at`] finds over the source's
+/// connecting attributes — each probe borrowing its values from the
+/// target tuple — when there is one, otherwise builds one hash table over
+/// the source. NULL never connects. Results are deduplicated by key.
 fn reverse_step(step: &StepPlan, db: &Database, targets: &[Tuple]) -> Result<Vec<Tuple>> {
     let source = db.table(&step.source)?;
     let sschema = source.schema();
     let mut seen: BTreeSet<Key> = BTreeSet::new();
     let mut out = Vec::new();
-    let mut keep = |matches: &[&Tuple]| {
-        for m in matches {
-            if seen.insert(m.key(sschema)) {
-                out.push((*m).clone());
-            }
+    let mut keep = |m: &Tuple| {
+        if seen.insert(m.key(sschema)) {
+            out.push(m.clone());
         }
     };
-    let connecting = targets
-        .iter()
-        .filter_map(|t| connecting_values(t, &step.target_indices));
-    if let Some(index) = source.index_at(&step.source_indices) {
-        for vals in connecting {
-            keep(&index.find(&vals));
+    if let Some(mut index) = source.index_at(&step.source_indices) {
+        for t in targets {
+            index.visit(t, &step.target_indices, &mut keep);
         }
     } else {
         let groups = source.group_by_indices(&step.source_indices);
-        for vals in connecting {
-            if let Some(matches) = groups.get(&vals) {
-                keep(matches);
-            }
+        let mut buf = Vec::new();
+        for t in targets {
+            let matches =
+                (t.connecting(&step.target_indices, &mut buf)).and_then(|vals| groups.get(vals));
+            matches.into_iter().flatten().for_each(|m| keep(m));
         }
     }
     Ok(out)
@@ -781,9 +784,10 @@ fn collect_bindings(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::instantiate_all;
+    use crate::instance::{instantiate_all, plan_object};
     use crate::treegen::generate_omega;
     use crate::university::university_database;
+    use vo_structural::prelude::*;
 
     fn tup(db: &Database, rel: &str, values: Vec<Value>) -> Tuple {
         Tuple::new(db.table(rel).unwrap().schema(), values).unwrap()
@@ -792,8 +796,9 @@ mod tests {
     fn omega_view(db: &mut Database) -> (StructuralSchema, MaterializedView) {
         let (schema, _) = university_database();
         let omega = generate_omega(&schema).unwrap();
+        let plan = plan_object(&schema, &omega, db).unwrap();
         let cursor = db.journal_subscribe(JournalStart::Head);
-        let view = MaterializedView::build(&schema, omega, db, cursor).unwrap();
+        let view = MaterializedView::build(omega, &plan, db, cursor).unwrap();
         (schema, view)
     }
 
@@ -804,7 +809,8 @@ mod tests {
     ) -> RefreshOutcome {
         let read = db.journal_peek(view.cursor()).unwrap();
         let n = read.transactions.len();
-        let outcome = view.refresh(schema, db, &read).unwrap();
+        let plan = plan_object(schema, view.object(), db).unwrap();
+        let outcome = view.refresh(&plan, db, &read).unwrap();
         db.journal_advance(view.cursor(), n).unwrap();
         outcome
     }
@@ -1074,10 +1080,11 @@ mod tests {
     }
 
     #[test]
-    fn reverse_required_indexes_lists_step_sources() {
+    fn reverse_indexes_list_step_sources() {
         let (_, mut db) = university_database();
-        let (_, view) = omega_view(&mut db);
-        let idx = view.reverse_required_indexes(&db).unwrap();
+        let (schema, view) = omega_view(&mut db);
+        let plan = plan_object(&schema, view.object(), &db).unwrap();
+        let idx = reverse_indexes_for(view.object(), &plan, &db).unwrap();
         // every ω edge connects out of COURSES or GRADES; the two that
         // leave COURSES by its key (to GRADES, to CURRICULUM) ask for nothing
         assert_eq!(

@@ -17,7 +17,7 @@ use crate::instance::VoInstance;
 use crate::island::IslandAnalysis;
 use crate::object::ViewObject;
 use crate::translator::Translator;
-use crate::update::validate::validate_instance;
+use crate::update::validate::{validate_instance, LocalValidation};
 use vo_relational::prelude::*;
 use vo_structural::prelude::*;
 
@@ -37,6 +37,9 @@ pub fn translate_complete_deletion(
 
 /// Like [`translate_complete_deletion`], but planning into an existing
 /// recorder — the batch path, where many requests share one overlay.
+///
+/// Runs step 1 itself and hands over to the translation proper; the
+/// pipeline, which has run it already, goes there directly.
 pub fn translate_complete_deletion_into(
     schema: &StructuralSchema,
     object: &ViewObject,
@@ -45,14 +48,38 @@ pub fn translate_complete_deletion_into(
     rec: &mut DeltaDb<'_>,
     instance: &VoInstance,
 ) -> Result<()> {
-    vo_relational::stats::count_snapshot_avoided();
-    if !translator.allow_deletion {
-        return Err(Error::ConstraintViolation(format!(
-            "translator for {} forbids complete deletions",
-            object.name()
-        )));
+    // a forbidden kind is reported before an invalid instance
+    permitted(object, translator)?;
+    let validated = validate_instance(schema, object, instance)?;
+    translate_complete_deletion_checked(
+        schema, object, analysis, translator, rec, instance, &validated,
+    )
+}
+
+fn permitted(object: &ViewObject, translator: &Translator) -> Result<()> {
+    if translator.allow_deletion {
+        return Ok(());
     }
-    validate_instance(schema, object, instance)?;
+    Err(Error::ConstraintViolation(format!(
+        "translator for {} forbids complete deletions",
+        object.name()
+    )))
+}
+
+/// Step 3 of a complete deletion alone. `_validated` is the caller's
+/// evidence that `instance` passed local validation (step 1); a deletion
+/// reads nothing from it.
+pub(crate) fn translate_complete_deletion_checked(
+    schema: &StructuralSchema,
+    object: &ViewObject,
+    analysis: &IslandAnalysis,
+    translator: &Translator,
+    rec: &mut DeltaDb<'_>,
+    instance: &VoInstance,
+    _validated: &LocalValidation,
+) -> Result<()> {
+    vo_relational::stats::count_snapshot_avoided();
+    permitted(object, translator)?;
 
     // the instance must denote a stored entity: every island tuple exists
     for &node_id in &analysis.island {

@@ -19,7 +19,7 @@ use crate::instance::VoInstance;
 use crate::island::IslandAnalysis;
 use crate::object::ViewObject;
 use crate::translator::Translator;
-use crate::update::validate::validate_instance;
+use crate::update::validate::{validate_instance, LocalValidation};
 use vo_relational::prelude::*;
 use vo_structural::prelude::*;
 
@@ -39,6 +39,9 @@ pub fn translate_complete_insertion(
 
 /// Like [`translate_complete_insertion`], but planning into an existing
 /// recorder — the batch path, where many requests share one overlay.
+///
+/// Runs step 1 itself and hands over to the translation proper; the
+/// pipeline, which has run it already, goes there directly.
 pub fn translate_complete_insertion_into(
     schema: &StructuralSchema,
     object: &ViewObject,
@@ -47,19 +50,42 @@ pub fn translate_complete_insertion_into(
     rec: &mut DeltaDb<'_>,
     instance: &VoInstance,
 ) -> Result<()> {
-    vo_relational::stats::count_snapshot_avoided();
-    if !translator.allow_insertion {
-        return Err(Error::ConstraintViolation(format!(
-            "translator for {} forbids complete insertions",
-            object.name()
-        )));
+    // a forbidden kind is reported before an invalid instance
+    permitted(object, translator)?;
+    let validated = validate_instance(schema, object, instance)?;
+    translate_complete_insertion_checked(
+        schema, object, analysis, translator, rec, instance, &validated,
+    )
+}
+
+fn permitted(object: &ViewObject, translator: &Translator) -> Result<()> {
+    if translator.allow_insertion {
+        return Ok(());
     }
-    let local = validate_instance(schema, object, instance)?;
-    if !local.contracted_nodes.is_empty() {
+    Err(Error::ConstraintViolation(format!(
+        "translator for {} forbids complete insertions",
+        object.name()
+    )))
+}
+
+/// Step 3 of a complete insertion alone: `validated` is what local
+/// validation (step 1) returned for `instance`.
+pub(crate) fn translate_complete_insertion_checked(
+    schema: &StructuralSchema,
+    object: &ViewObject,
+    analysis: &IslandAnalysis,
+    translator: &Translator,
+    rec: &mut DeltaDb<'_>,
+    instance: &VoInstance,
+    validated: &LocalValidation,
+) -> Result<()> {
+    vo_relational::stats::count_snapshot_avoided();
+    permitted(object, translator)?;
+    if !validated.contracted_nodes.is_empty() {
         return Err(Error::ConstraintViolation(format!(
             "insertion binds tuples through contracted edges (nodes {:?}); \
              the intermediate relations' tuples are unspecified",
-            local.contracted_nodes
+            validated.contracted_nodes
         )));
     }
 

@@ -25,11 +25,11 @@ use crate::instance::VoInstance;
 use crate::island::{analyze, IslandAnalysis};
 use crate::object::ViewObject;
 use crate::translator::Translator;
-use crate::update::delete::translate_complete_deletion_into;
+use crate::update::delete::translate_complete_deletion_checked;
 use crate::update::error::{UpdateError, UpdateResult, UpdateStep};
-use crate::update::insert::translate_complete_insertion_into;
+use crate::update::insert::translate_complete_insertion_checked;
 use crate::update::propagate::propagate_links;
-use crate::update::replace::translate_replacement_into;
+use crate::update::replace::translate_replacement_checked;
 use crate::update::validate::validate_instance;
 use crate::update::UpdateRequest;
 use vo_relational::prelude::*;
@@ -320,7 +320,9 @@ impl ViewObjectUpdater {
     }
 
     /// Steps 1–3 for one request, planning into the shared overlay `rec`.
-    /// Returns the steps that ran; the ops land in the overlay's log.
+    /// Returns the steps that ran; the ops land in the overlay's log. Each
+    /// step runs once: step 3 is the translators' `_checked` halves, which
+    /// take what steps 1–2 established instead of establishing it again.
     fn translate_request_into(
         &self,
         schema: &StructuralSchema,
@@ -331,33 +333,32 @@ impl ViewObjectUpdater {
         let mut steps = Vec::with_capacity(3);
 
         // step 1 — local validation
-        let request = {
-            let instance = match &request {
-                UpdateRequest::CompleteInsertion(inst) => inst,
-                UpdateRequest::CompleteDeletion(inst) => inst,
-                UpdateRequest::Replacement { old, .. } => old,
-            };
-            validate_instance(schema, &self.object, instance)
-                .map_err(|e| UpdateError::new(UpdateStep::Validate, e).with_kind(kind))?;
-            steps.push(UpdateStep::Validate);
-            request
+        let instance = match &request {
+            UpdateRequest::CompleteInsertion(inst) => inst,
+            UpdateRequest::CompleteDeletion(inst) => inst,
+            UpdateRequest::Replacement { old, .. } => old,
         };
+        let validated = validate_instance(schema, &self.object, instance)
+            .map_err(|e| UpdateError::new(UpdateStep::Validate, e).with_kind(kind))?;
+        steps.push(UpdateStep::Validate);
 
         // step 2 — propagation within the view object (replacements only:
         // the replacing instance's inherited linking attributes must
-        // follow its ancestors before translation compares trees)
-        let request = match request {
+        // follow its ancestors before translation compares trees); what
+        // step 3 is handed for a replacement is the validation of the
+        // propagated replacing instance
+        let (request, validated) = match request {
             UpdateRequest::Replacement { old, new } => {
-                let new = propagate_links(schema, &self.object, new)
+                let (new, validated) = propagate_links(schema, &self.object, new)
                     .and_then(|new| {
-                        validate_instance(schema, &self.object, &new)?;
-                        Ok(new)
+                        let validated = validate_instance(schema, &self.object, &new)?;
+                        Ok((new, validated))
                     })
                     .map_err(|e| UpdateError::new(UpdateStep::Propagate, e).with_kind(kind))?;
                 steps.push(UpdateStep::Propagate);
-                UpdateRequest::Replacement { old, new }
+                (UpdateRequest::Replacement { old, new }, validated)
             }
-            other => other,
+            other => (other, validated),
         };
 
         // step 3 — translation into database operations
@@ -376,30 +377,33 @@ impl ViewObjectUpdater {
         }
         let before = rec.mark();
         let translated = match request {
-            UpdateRequest::CompleteInsertion(inst) => translate_complete_insertion_into(
+            UpdateRequest::CompleteInsertion(inst) => translate_complete_insertion_checked(
                 schema,
                 &self.object,
                 &self.analysis,
                 &self.translator,
                 rec,
                 &inst,
+                &validated,
             ),
-            UpdateRequest::CompleteDeletion(inst) => translate_complete_deletion_into(
+            UpdateRequest::CompleteDeletion(inst) => translate_complete_deletion_checked(
                 schema,
                 &self.object,
                 &self.analysis,
                 &self.translator,
                 rec,
                 &inst,
+                &validated,
             ),
-            UpdateRequest::Replacement { old, new } => translate_replacement_into(
+            UpdateRequest::Replacement { old, new } => translate_replacement_checked(
                 schema,
                 &self.object,
                 &self.analysis,
                 &self.translator,
                 rec,
                 &old,
-                new,
+                &new,
+                &validated,
             )
             .map(|_trace| ()),
         };

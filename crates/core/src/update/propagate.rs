@@ -9,53 +9,95 @@
 //! exactly the hierarchical consistency local validation demands.
 
 use crate::instance::{VoInstance, VoInstanceNode};
-use crate::object::ViewObject;
+use crate::object::{ViewObject, VoNode};
 use vo_relational::prelude::*;
 use vo_structural::prelude::*;
 
 /// Rewrite the connecting attributes of every child tuple (over direct
 /// edges) to match its parent, top-down. Returns the corrected instance.
+/// A child that already matches is left alone — the same allocation, so
+/// translation's `old == new` on an unchanged tuple is a pointer
+/// comparison.
 pub fn propagate_links(
     schema: &StructuralSchema,
     object: &ViewObject,
     mut instance: VoInstance,
 ) -> Result<VoInstance> {
-    propagate_node(schema, object, &mut instance.root)?;
+    // one entry per object node, by id: the edge into it
+    let links: Vec<Option<Link<'_>>> = (object.nodes().iter())
+        .map(|node| Link::into_node(schema, object, node))
+        .collect::<Result<_>>()?;
+    propagate_node(&links, &mut instance.root)?;
     Ok(instance)
 }
 
-fn propagate_node(
-    schema: &StructuralSchema,
-    object: &ViewObject,
-    inst: &mut VoInstanceNode,
-) -> Result<()> {
-    let node = object.node(inst.node);
-    let rel_schema = schema.catalog().relation(&node.relation)?.clone();
-    let child_ids: Vec<_> = inst.children.keys().copied().collect();
-    for child_id in child_ids {
-        let child_node = object.node(child_id);
-        let edge = child_node.edge.as_ref().expect("non-root");
-        if edge.is_direct() {
-            let t = edge.steps[0].resolve(schema)?;
-            let parent_vals: Vec<Value> = t
-                .source_attrs()
-                .iter()
-                .map(|a| inst.tuple.get_named(&rel_schema, a).cloned())
-                .collect::<Result<_>>()?;
-            let target_attrs: Vec<String> = t.target_attrs().to_vec();
-            let child_schema = schema.catalog().relation(&child_node.relation)?.clone();
-            if let Some(children) = inst.children.get_mut(&child_id) {
-                for c in children.iter_mut() {
-                    for (attr, val) in target_attrs.iter().zip(parent_vals.iter()) {
-                        c.tuple = c.tuple.with_named(&child_schema, attr, val.clone())?;
-                    }
-                }
+/// A direct edge's connecting positions, resolved once for every instance
+/// node that crosses it.
+struct Link<'s> {
+    /// `(position in the parent tuple, position in the child tuple)`.
+    pairs: Vec<(usize, usize)>,
+    child: &'s RelationSchema,
+}
+
+impl<'s> Link<'s> {
+    /// The link over the edge into `node`; `None` for the pivot and for a
+    /// contracted edge, whose intermediate tuples the instance lacks.
+    fn into_node(
+        schema: &'s StructuralSchema,
+        object: &ViewObject,
+        node: &VoNode,
+    ) -> Result<Option<Link<'s>>> {
+        let (Some(parent), Some(edge)) = (node.parent, node.edge.as_ref()) else {
+            return Ok(None);
+        };
+        if !edge.is_direct() {
+            return Ok(None);
+        }
+        let t = edge.steps[0].resolve(schema)?;
+        let parent = schema.catalog().relation(&object.node(parent).relation)?;
+        let child = schema.catalog().relation(&node.relation)?;
+        let from = parent.indices_of(t.source_attrs())?;
+        let to = child.indices_of(t.target_attrs())?;
+        Ok(Some(Link {
+            pairs: from.into_iter().zip(to).collect(),
+            child,
+        }))
+    }
+
+    /// `child` with `parent`'s connecting values, re-validated — or `None`
+    /// when it holds them already.
+    fn rewritten(&self, parent: &Tuple, child: &Tuple) -> Result<Option<Tuple>> {
+        // a position a malformed tuple lacks counts as differing, and the
+        // rebuilt child is validated: the refusal is an error, not a panic
+        let (from, to) = (parent.values(), child.values());
+        let holds = |&(f, t): &(usize, usize)| matches!((from.get(f), to.get(t)), (Some(p), Some(c)) if p.identical(c));
+        if self.pairs.iter().all(holds) {
+            return Ok(None);
+        }
+        let mut values = to.to_vec();
+        for &(f, t) in &self.pairs {
+            if let (Some(p), Some(slot)) = (from.get(f), values.get_mut(t)) {
+                *slot = p.clone();
             }
         }
-        if let Some(children) = inst.children.get_mut(&child_id) {
-            for c in children.iter_mut() {
-                propagate_node(schema, object, c)?;
+        Tuple::new(self.child, values).map(Some)
+    }
+}
+
+fn propagate_node(links: &[Option<Link<'_>>], inst: &mut VoInstanceNode) -> Result<()> {
+    let VoInstanceNode {
+        tuple, children, ..
+    } = inst;
+    for (child_id, children) in children.iter_mut() {
+        // an id the object lacks is local validation's to refuse
+        let link = links.get(*child_id).and_then(Option::as_ref);
+        for c in children.iter_mut() {
+            if let Some(link) = link {
+                if let Some(rewritten) = link.rewritten(tuple, &c.tuple)? {
+                    c.tuple = rewritten;
+                }
             }
+            propagate_node(links, c)?;
         }
     }
     Ok(())
@@ -64,7 +106,7 @@ fn propagate_node(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::instantiate_all;
+    use crate::instance::{instantiate_all, VoInstanceNode};
     use crate::treegen::generate_omega;
     use crate::university::university_database;
     use crate::update::validate::validate_instance;
@@ -193,5 +235,30 @@ mod tests {
         let inst = instantiate_all(&schema, &omega, &db).unwrap().remove(0);
         let fixed = propagate_links(&schema, &omega, inst.clone()).unwrap();
         assert_eq!(fixed, inst);
+        // and nothing was rebuilt: every tuple is the allocation it was
+        for id in 0..omega.nodes().len() {
+            for (was, is) in inst.tuples_of(id).iter().zip(fixed.tuples_of(id)) {
+                assert!(was.ptr_eq(is), "node {id}");
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_replacing_instances_are_refused_not_panicked_on() {
+        let (schema, db) = university_database();
+        let omega = generate_omega(&schema).unwrap();
+        let inst = instantiate_all(&schema, &omega, &db).unwrap().remove(0);
+        // a child under an id the object lacks is left for validation
+        let mut bogus = inst.clone();
+        let stray = VoInstanceNode::leaf(99, bogus.root.tuple.clone());
+        bogus.root.children.insert(99, vec![stray]);
+        let out = propagate_links(&schema, &omega, bogus).unwrap();
+        assert!(validate_instance(&schema, &omega, &out).is_err());
+        // a child tuple too short to hold its connecting attribute
+        let mut short = inst;
+        let children = short.root.children.values_mut().next().unwrap();
+        children[0].tuple = Tuple::raw(vec![]);
+        let err = propagate_links(&schema, &omega, short).unwrap_err();
+        assert!(matches!(err, Error::ArityMismatch { .. }), "got {err}");
     }
 }

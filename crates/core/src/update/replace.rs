@@ -21,7 +21,7 @@ use crate::object::{NodeId, ViewObject};
 use crate::translator::Translator;
 use crate::update::insert::complete_dependencies;
 use crate::update::propagate::propagate_links;
-use crate::update::validate::validate_instance;
+use crate::update::validate::{validate_instance, LocalValidation};
 use vo_relational::prelude::*;
 use vo_structural::prelude::*;
 
@@ -101,6 +101,10 @@ pub fn translate_replacement_traced(
 /// Like [`translate_replacement_traced`], but planning into an existing
 /// recorder — the batch path, where many requests share one overlay.
 /// Returns the state-machine trace; the ops accumulate in `rec`.
+///
+/// Runs steps 1–2 itself (validate `old`, propagate within `new`,
+/// re-validate) and hands over to the translation proper; the pipeline,
+/// which has run them already, goes there directly.
 pub fn translate_replacement_into(
     schema: &StructuralSchema,
     object: &ViewObject,
@@ -110,20 +114,44 @@ pub fn translate_replacement_into(
     old: &VoInstance,
     new: VoInstance,
 ) -> Result<Vec<TraceEvent>> {
-    vo_relational::stats::count_snapshot_avoided();
-    if !translator.allow_replacement {
-        return Err(Error::ConstraintViolation(format!(
-            "translator for {} forbids replacements",
-            object.name()
-        )));
-    }
+    // a forbidden kind is reported before an invalid instance
+    permitted(object, translator)?;
     validate_instance(schema, object, old)?;
-    // step 2: propagation within the view object, then re-validate
     let new = propagate_links(schema, object, new)?;
-    let local_new = validate_instance(schema, object, &new)?;
+    let validated = validate_instance(schema, object, &new)?;
+    translate_replacement_checked(
+        schema, object, analysis, translator, rec, old, &new, &validated,
+    )
+}
+
+fn permitted(object: &ViewObject, translator: &Translator) -> Result<()> {
+    if translator.allow_replacement {
+        return Ok(());
+    }
+    Err(Error::ConstraintViolation(format!(
+        "translator for {} forbids replacements",
+        object.name()
+    )))
+}
+
+/// Step 3 of a replacement alone: `old` has passed local validation, `new`
+/// has been propagated and `validated` is what validating it returned.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn translate_replacement_checked(
+    schema: &StructuralSchema,
+    object: &ViewObject,
+    analysis: &IslandAnalysis,
+    translator: &Translator,
+    rec: &mut DeltaDb<'_>,
+    old: &VoInstance,
+    new: &VoInstance,
+    validated: &LocalValidation,
+) -> Result<Vec<TraceEvent>> {
+    vo_relational::stats::count_snapshot_avoided();
+    permitted(object, translator)?;
 
     // contracted-edge nodes may not change
-    for &cn in &local_new.contracted_nodes {
+    for &cn in &validated.contracted_nodes {
         let o: Vec<&Tuple> = old.tuples_of(cn);
         let n: Vec<&Tuple> = new.tuples_of(cn);
         if o != n {

@@ -226,8 +226,8 @@ impl Penguin {
     /// Register a pre-built view object. Prepares its access plan and
     /// auto-provisions a secondary index on every edge target's
     /// connecting attributes — except where they are the target's primary
-    /// key, which already answers the probe — so instantiation never falls
-    /// back to a relation scan.
+    /// key or lead it, which the primary index already answers — so
+    /// instantiation never falls back to a relation scan.
     pub fn register_object(&mut self, object: ViewObject) -> Result<&RegisteredObject> {
         let name = object.name().to_owned();
         let registered = self.registry.prepare(object, &self.db)?;
@@ -555,13 +555,20 @@ mod tests {
     #[test]
     fn registering_provisions_edge_indexes() {
         let mut p = system();
-        p.define_object("omega", "COURSES", &["DEPARTMENT", "GRADES", "STUDENT"])
-            .unwrap();
+        p.define_object(
+            "omega",
+            "COURSES",
+            &["DEPARTMENT", "CURRICULUM", "GRADES", "STUDENT"],
+        )
+        .unwrap();
         // an edge target got an index on its connecting attributes unless
-        // they are its primary key, which needs no copy
+        // they are its primary key or lead it, which the key order answers:
+        // GRADES(course_id, ssn) needs none, CURRICULUM(degree, course_id)
+        // is reached by its second key attribute
         let db = p.database();
         let indexes = |rel: &str| db.table(rel).unwrap().index_attrs();
-        assert_eq!(indexes("GRADES"), [["course_id".to_string()]]);
+        assert_eq!(indexes("CURRICULUM"), [["course_id".to_string()]]);
+        assert!(indexes("GRADES").is_empty());
         assert!(indexes("DEPARTMENT").is_empty());
         assert!(indexes("STUDENT").is_empty());
     }

@@ -36,7 +36,8 @@ impl Penguin {
         // state the cursor points at, and `&mut self` keeps anything from
         // committing in between
         let cursor = self.db.journal_subscribe(JournalStart::Head);
-        let view = MaterializedView::build(self.registry.schema(), object, &self.db, cursor)?;
+        let plan = &self.registry.planned(name, &self.db)?.plan;
+        let view = MaterializedView::build(object, plan, &self.db, cursor)?;
         self.views.insert(name.to_owned(), view);
         Ok(&self.views[name])
     }
@@ -77,7 +78,8 @@ impl Penguin {
             .get_mut(name)
             .ok_or_else(|| Error::NoSuchRelation(format!("materialized view {name}")))?;
         let read = self.db.journal_peek(view.cursor())?;
-        let outcome = view.refresh(self.registry.schema(), &self.db, &read)?;
+        let plan = &self.registry.planned(name, &self.db)?.plan;
+        let outcome = view.refresh(plan, &self.db, &read)?;
         self.db
             .journal_advance(view.cursor(), read.transactions.len())?;
         if !outcome.changes.is_empty() {

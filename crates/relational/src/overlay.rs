@@ -18,10 +18,11 @@
 //!   exactly — the same `KeyConflict` / `NoSuchTuple` / validation errors,
 //!   in the same order, judged against the merged view;
 //! - [`TableView`] merges base table and delta on every read, preserving
-//!   primary-key iteration order and the base table's access paths (base
-//!   hits come from a secondary index or the primary key where
-//!   [`Table::find_by_indices`] finds one; delta rows are scanned linearly,
-//!   and the delta is by construction tiny relative to the base);
+//!   primary-key iteration order and the base table's access paths: a
+//!   lookup goes by the path [`Table::index_at`] chooses, and where that
+//!   is the key or its leading part the delta — key-ordered like the rows —
+//!   answers by the same point or range lookup; only a lookup on non-key
+//!   attributes walks the delta beside its base hits;
 //! - [`DeltaDb::finish`] yields the [`Staged`] change [`Database::install`]
 //!   commits — the only way rows reach a table, so there is no undo log:
 //!   a batch whose *k*-th op is refused never touched one.
@@ -37,12 +38,12 @@
 use crate::database::{Database, DbOp};
 use crate::error::{Error, Result};
 use crate::schema::RelationSchema;
-use crate::table::Table;
+pub use crate::table::KeyedRows;
+use crate::table::{self, Merged, Table, NO_ROWS};
 use crate::tuple::{Key, Tuple};
 use crate::value::Value;
 use std::collections::btree_map;
 use std::collections::{BTreeMap, BTreeSet};
-use std::iter::Peekable;
 use std::sync::Mutex;
 
 /// Uniform read access for integrity planners and update translators: a
@@ -61,12 +62,6 @@ impl DbRead for Database {
         })
     }
 }
-
-/// Net changes to one relation: `Some` shadows (or adds) a tuple at that
-/// key, `None` deletes it. Key-ordered, so merged scans stay deterministic.
-pub type KeyedRows = BTreeMap<Key, Option<Tuple>>;
-
-static NO_ROWS: KeyedRows = BTreeMap::new();
 
 /// The keyed net change set: what any number of [`DbOp`]s come to, as
 /// `relation → key → Option<Tuple>`. Later ops on a key supersede earlier
@@ -432,46 +427,33 @@ impl<'a> TableView<'a> {
 
     /// Iterate all tuples of the merged view in primary-key order.
     pub fn scan(&self) -> TableViewScan<'a> {
-        TableViewScan {
-            base: self.base.rows.iter().peekable(),
-            delta: self.delta.iter().peekable(),
-        }
+        table::merged(self.base.rows.iter(), self.delta.iter())
     }
 
-    /// Tuples whose named attributes equal `values`, in primary-key order.
-    /// Base hits come by the access path [`Table::find_by_indices`]
-    /// chooses (secondary index, primary key, or scan); delta rows are
-    /// filtered linearly (the delta is small by construction).
+    /// Tuples whose named attributes equal `values`, in primary-key order,
+    /// by the access path [`Table::index_at`] chooses on the base, followed
+    /// through the delta.
     pub fn find_by_attrs(&self, attrs: &[String], values: &[Value]) -> Result<Vec<&'a Tuple>> {
         let indices = self.base.schema().indices_of(attrs)?;
         Ok(self.find_by_indices(&indices, values))
     }
 
-    /// Position-resolved form of [`TableView::find_by_attrs`].
+    /// Position-resolved form of [`TableView::find_by_attrs`]: the overlay's
+    /// [`Table::find_by_indices`], counted the same way.
     pub fn find_by_indices(&self, indices: &[usize], values: &[Value]) -> Vec<&'a Tuple> {
-        if self.delta.is_empty() {
-            return self.base.find_by_indices(indices, values);
-        }
-        let schema = self.base.schema();
-        let mut hits: BTreeMap<Key, &'a Tuple> = BTreeMap::new();
-        for t in self.base.find_by_indices(indices, values) {
-            let key = t.key(schema);
-            if !self.delta.contains_key(&key) {
-                hits.insert(key, t);
-            }
-        }
-        for (key, entry) in self.delta {
-            if let Some(t) = entry {
-                if indices
-                    .iter()
-                    .zip(values.iter())
-                    .all(|(&i, v)| t.get(i) == v)
-                {
-                    hits.insert(key.clone(), t);
-                }
-            }
-        }
-        hits.into_values().collect()
+        table::find(self.base, self.delta, indices, values)
+    }
+
+    /// The overlay's [`Table::for_each_connected`]: every tuple of the
+    /// merged view connected to `source`, visited in primary-key order.
+    pub fn for_each_connected(
+        &self,
+        indices: &[usize],
+        source: &Tuple,
+        positions: &[usize],
+        visit: impl FnMut(&'a Tuple),
+    ) -> bool {
+        table::connected(self.base, self.delta, indices, source, positions, visit)
     }
 
     /// Keys of tuples whose named attributes equal `values`.
@@ -486,41 +468,8 @@ impl<'a> TableView<'a> {
 
 /// Key-ordered merge iterator over a [`TableView`]: base rows not shadowed
 /// by the delta, interleaved with the delta's upserts.
-#[derive(Debug)]
-pub struct TableViewScan<'a> {
-    base: Peekable<btree_map::Iter<'a, Key, Tuple>>,
-    delta: Peekable<btree_map::Iter<'a, Key, Option<Tuple>>>,
-}
-
-impl<'a> Iterator for TableViewScan<'a> {
-    type Item = &'a Tuple;
-
-    fn next(&mut self) -> Option<&'a Tuple> {
-        loop {
-            match (self.base.peek(), self.delta.peek()) {
-                (Some((bk, _)), Some((dk, _))) => {
-                    if bk < dk {
-                        return self.base.next().map(|(_, t)| t);
-                    }
-                    if bk == dk {
-                        self.base.next();
-                    }
-                    match self.delta.next() {
-                        Some((_, Some(t))) => return Some(t),
-                        _ => continue, // deletion: emit nothing for this key
-                    }
-                }
-                (Some(_), None) => return self.base.next().map(|(_, t)| t),
-                (None, Some(_)) => match self.delta.next() {
-                    Some((_, Some(t))) => return Some(t),
-                    Some((_, None)) => continue,
-                    None => return None,
-                },
-                (None, None) => return None,
-            }
-        }
-    }
-}
+pub type TableViewScan<'a> =
+    Merged<btree_map::Iter<'a, Key, Tuple>, btree_map::Iter<'a, Key, Option<Tuple>>>;
 
 #[cfg(test)]
 mod tests {

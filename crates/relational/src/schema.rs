@@ -150,13 +150,15 @@ impl RelationSchema {
         &self.key
     }
 
-    /// True when `indices` are exactly the key positions, in any order: an
-    /// equality lookup over them is a primary-key lookup
-    /// ([`crate::table::Table::index_at`]).
-    pub fn is_key_at(&self, indices: &[usize]) -> bool {
-        // key positions are distinct, so finding each of them among equally
-        // many `indices` makes `indices` a permutation of the key
-        indices.len() == self.key.len() && self.key.iter().all(|k| indices.contains(k))
+    /// True when `indices` are the key's leading positions — all of them or
+    /// the first few — in any order: rows are stored in key order, so an
+    /// equality lookup over them is one lookup in the primary index, or one
+    /// contiguous range of it ([`crate::table::Table::index_at`]).
+    pub fn leads_key_at(&self, indices: &[usize]) -> bool {
+        // key positions are distinct, so finding each of the first n among
+        // n `indices` makes `indices` a permutation of them
+        let n = indices.len();
+        (1..=self.key.len()).contains(&n) && self.key[..n].iter().all(|k| indices.contains(k))
     }
 
     /// Names of the primary-key attributes — the paper's `K(R)`.

@@ -7,6 +7,8 @@ use crate::tuple::{Key, Tuple};
 use crate::value::Value;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::iter::Peekable;
+use std::ops::Bound;
 
 /// One stored relation: a primary-key ordered map of tuples plus optional
 /// secondary indexes.
@@ -43,41 +45,242 @@ pub struct KeyRange {
 /// them.
 type SecondaryIndex = BTreeMap<Vec<Value>, BTreeSet<Key>>;
 
-/// An index-backed equality access path into one table, chosen by
-/// [`Table::index_at`].
-#[derive(Debug)]
-pub struct IndexProbe<'t, 'i> {
-    table: &'t Table,
-    path: AccessPath<'t, 'i>,
+/// Net changes to one relation, keyed like its rows: `Some` shadows (or
+/// adds) a tuple at that key, `None` deletes it. Key-ordered, so a lookup
+/// through an overlay is the same point or range lookup as in the table,
+/// and merged reads stay deterministic.
+pub type KeyedRows = BTreeMap<Key, Option<Tuple>>;
+
+/// What shadows a bare table: nothing.
+pub(crate) static NO_ROWS: KeyedRows = BTreeMap::new();
+
+/// The rows of a key-ordered map whose keys start with `prefix`: one
+/// contiguous run, found by one descent.
+fn key_run<'m, 'p, V>(
+    rows: &'m BTreeMap<Key, V>,
+    prefix: &'p [Value],
+) -> impl Iterator<Item = (&'m Key, &'m V)> + use<'m, 'p, V> {
+    rows.range::<[Value], _>((Bound::Included(prefix), Bound::Unbounded))
+        .take_while(move |(key, _)| key.0.starts_with(prefix))
 }
 
-#[derive(Debug)]
-enum AccessPath<'t, 'i> {
-    Secondary(&'t SecondaryIndex),
-    /// The primary index, probed at these positions: the key's, in the
-    /// order the probe values come in.
-    Primary(&'i [usize]),
+/// Key-ordered merge of a table's rows with the net changes shadowing
+/// them: base rows the delta does not write, interleaved with the delta's
+/// upserts. Both inputs ascend by key.
+pub struct Merged<B: Iterator, D: Iterator> {
+    base: Peekable<B>,
+    delta: Peekable<D>,
 }
 
-impl<'t> IndexProbe<'t, '_> {
-    /// Tuples whose indexed attributes equal `values`, in primary-key
-    /// order. Not counted (see [`Table::index_at`]).
-    pub fn find(&self, values: &[Value]) -> Vec<&'t Tuple> {
-        let rows = &self.table.rows;
-        match self.path {
-            AccessPath::Secondary(index) => match index.get(values) {
-                Some(keys) => keys.iter().filter_map(|k| rows.get(k)).collect(),
-                None => Vec::new(),
-            },
-            AccessPath::Primary(indices) => {
-                // the value probed at each key position, in key order
-                let key: Option<Vec<Value>> = (self.table.schema.key_indices().iter())
-                    .map(|k| values.get(indices.iter().position(|i| i == k)?).cloned())
-                    .collect();
-                key.and_then(|k| rows.get(&Key(k))).into_iter().collect()
+pub(crate) fn merged<'a, B, D>(base: B, delta: D) -> Merged<B, D>
+where
+    B: Iterator<Item = (&'a Key, &'a Tuple)>,
+    D: Iterator<Item = (&'a Key, &'a Option<Tuple>)>,
+{
+    Merged {
+        base: base.peekable(),
+        delta: delta.peekable(),
+    }
+}
+
+impl<'a, B, D> Iterator for Merged<B, D>
+where
+    B: Iterator<Item = (&'a Key, &'a Tuple)>,
+    D: Iterator<Item = (&'a Key, &'a Option<Tuple>)>,
+{
+    type Item = &'a Tuple;
+
+    fn next(&mut self) -> Option<&'a Tuple> {
+        loop {
+            let shadowed = match (self.base.peek(), self.delta.peek()) {
+                (Some((bk, _)), Some((dk, _))) if bk < dk => None,
+                (Some((bk, _)), Some((dk, _))) => Some(bk == dk),
+                (Some(_), None) => None,
+                (None, Some(_)) => Some(false),
+                (None, None) => return None,
+            };
+            let Some(shadowed) = shadowed else {
+                return self.base.next().map(|(_, t)| t);
+            };
+            if shadowed {
+                self.base.next();
+            }
+            // a deletion emits nothing for its key
+            if let Some((_, Some(t))) = self.delta.next() {
+                return Some(t);
             }
         }
     }
+}
+
+/// An index-backed equality access path into one table — and through the
+/// net changes shadowing it, when it was reached through an overlay —
+/// chosen by [`Table::index_at`].
+#[derive(Debug)]
+pub struct IndexProbe<'t, 'i> {
+    table: &'t Table,
+    delta: &'t KeyedRows,
+    /// The probed positions, in the order probe values come in.
+    indices: &'i [usize],
+    path: AccessPath<'t>,
+    /// Where a probe of several attributes is gathered, probe after probe.
+    buf: Vec<Value>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum AccessPath<'t> {
+    /// The probed positions are the key's: one primary-index lookup.
+    Key,
+    /// They are the key's leading positions: one run of the primary index.
+    KeyRange,
+    Secondary(&'t SecondaryIndex),
+}
+
+impl<'t> IndexProbe<'t, '_> {
+    /// The same path through `delta`'s net changes over the table.
+    pub(crate) fn over(mut self, delta: &'t KeyedRows) -> Self {
+        self.delta = delta;
+        self
+    }
+
+    /// The path's name in profiles and `EXPLAIN ANALYZE`.
+    pub fn label(&self) -> &'static str {
+        match self.path {
+            AccessPath::KeyRange => "key range",
+            AccessPath::Key | AccessPath::Secondary(_) => "index probe",
+        }
+    }
+
+    /// Hand `visit` every tuple connected to `source`: those whose probed
+    /// attributes equal `source`'s values at `positions`, in primary-key
+    /// order. False — and nothing visited — when one of those values is
+    /// NULL, which never connects (Definition 2.1). One connecting value
+    /// is borrowed from `source`, several share this probe's buffer:
+    /// nothing is allocated per probe. Not counted (see
+    /// [`Table::index_at`]).
+    pub fn visit(
+        &mut self,
+        source: &Tuple,
+        positions: &[usize],
+        visit: impl FnMut(&'t Tuple),
+    ) -> bool {
+        debug_assert_eq!(positions.len(), self.indices.len());
+        if source.has_null_at(positions) {
+            return false;
+        }
+        self.each(|k| source.get(positions[k]), visit);
+        true
+    }
+
+    /// Every tuple whose probed attributes equal `value(0..)`, in
+    /// primary-key order; plain equality, NULL included.
+    fn each<'v>(&mut self, value: impl Fn(usize) -> &'v Value, mut visit: impl FnMut(&'t Tuple)) {
+        let (table, delta, indices) = (self.table, self.delta, self.indices);
+        // the probe in the order the path reads it: the key's, or the
+        // secondary index's own
+        let probe: &[Value] = if indices.len() == 1 {
+            std::slice::from_ref(value(0))
+        } else {
+            self.buf.clear();
+            match self.path {
+                AccessPath::Secondary(_) => {
+                    self.buf
+                        .extend((0..indices.len()).map(|k| value(k).clone()));
+                }
+                AccessPath::Key | AccessPath::KeyRange => {
+                    let leading = &table.schema.key_indices()[..indices.len()];
+                    self.buf.extend(leading.iter().map(|k| {
+                        let at = indices.iter().position(|i| i == k);
+                        value(at.expect("index_at found every leading key position")).clone()
+                    }));
+                }
+            }
+            &self.buf
+        };
+        match self.path {
+            AccessPath::Key => match delta.get(probe) {
+                Some(written) => written.iter().for_each(visit),
+                None => table.rows.get(probe).into_iter().for_each(visit),
+            },
+            AccessPath::KeyRange => {
+                merged(key_run(&table.rows, probe), key_run(delta, probe)).for_each(visit);
+            }
+            AccessPath::Secondary(index) => {
+                let hits = (index.get(probe).into_iter().flatten())
+                    .filter_map(|key| table.rows.get_key_value(key));
+                if delta.is_empty() {
+                    hits.for_each(|(_, t)| visit(t));
+                } else {
+                    // a written row shadows the indexed one at its key
+                    // whether or not it still matches
+                    merged(hits, delta.iter())
+                        .filter(|t| indices.iter().zip(probe).all(|(&i, v)| t.get(i) == v))
+                        .for_each(visit);
+                }
+            }
+        }
+    }
+}
+
+/// The one body of every counted equality lookup, on a table or through
+/// an overlay ([`Table::find_by_indices`], [`Table::for_each_connected`]
+/// and their [`crate::overlay::TableView`] twins): the path
+/// [`Table::index_at`] chooses, counted as one index probe, else a scan of
+/// the merged rows, counted as a fallback.
+pub(crate) fn lookup<'t, 'v>(
+    table: &'t Table,
+    delta: &'t KeyedRows,
+    indices: &[usize],
+    value: impl Fn(usize) -> &'v Value,
+    visit: impl FnMut(&'t Tuple),
+) {
+    if let Some(index) = table.index_at(indices) {
+        crate::stats::count_index_probe();
+        index.over(delta).each(value, visit);
+        return;
+    }
+    crate::stats::count_fallback_scan();
+    merged(table.rows.iter(), delta.iter())
+        .filter(|t| {
+            indices
+                .iter()
+                .enumerate()
+                .all(|(k, &i)| t.get(i) == value(k))
+        })
+        .for_each(visit);
+}
+
+/// [`lookup`] by a list of values, collected. Positions pair with values
+/// as `zip` pairs them: a list cut short probes the positions it covers.
+pub(crate) fn find<'t>(
+    table: &'t Table,
+    delta: &'t KeyedRows,
+    indices: &[usize],
+    values: &[Value],
+) -> Vec<&'t Tuple> {
+    let indices = &indices[..indices.len().min(values.len())];
+    let mut found = Vec::new();
+    lookup(table, delta, indices, |k| &values[k], |t| found.push(t));
+    found
+}
+
+/// [`lookup`] by the values a tuple connects through. False when one of
+/// them is NULL, which never connects (Definition 2.1): nothing is looked
+/// up and nothing counted.
+pub(crate) fn connected<'t>(
+    table: &'t Table,
+    delta: &'t KeyedRows,
+    indices: &[usize],
+    source: &Tuple,
+    positions: &[usize],
+    visit: impl FnMut(&'t Tuple),
+) -> bool {
+    debug_assert_eq!(positions.len(), indices.len());
+    let connects = !source.has_null_at(positions);
+    if connects {
+        lookup(table, delta, indices, |k| source.get(positions[k]), visit);
+    }
+    connects
 }
 
 impl Table {
@@ -279,34 +482,44 @@ impl Table {
     /// An index lookup when [`Table::index_at`] finds an access path
     /// (counted as one index probe), else a scan of the relation, counted
     /// as a fallback. Either way tuples come back in primary-key order.
-    /// [`Table::find_by_attrs`], [`Table::keys_by_attrs`] and the overlay's
-    /// [`crate::overlay::TableView`] all come through here.
+    /// [`Table::find_by_attrs`], [`Table::keys_by_attrs`],
+    /// [`Table::for_each_connected`] and the overlay's
+    /// [`crate::overlay::TableView`] all come through one lookup.
     pub fn find_by_indices(&self, indices: &[usize], values: &[Value]) -> Vec<&Tuple> {
-        if let Some(index) = self.index_at(indices) {
-            crate::stats::count_index_probe();
-            return index.find(values);
-        }
-        crate::stats::count_fallback_scan();
-        self.rows
-            .values()
-            .filter(|t| {
-                indices
-                    .iter()
-                    .zip(values.iter())
-                    .all(|(&i, v)| t.get(i) == v)
-            })
-            .collect()
+        find(self, &NO_ROWS, indices, values)
+    }
+
+    /// Hand `visit` every tuple connected to `source` — those whose
+    /// attributes at `indices` equal `source`'s values at `positions` — in
+    /// primary-key order, by the same counted lookup as
+    /// [`Table::find_by_indices`], without copying the values or
+    /// collecting the matches. False when a NULL among the values kept it
+    /// from looking: NULL connects nothing (Definition 2.1).
+    pub fn for_each_connected<'t>(
+        &'t self,
+        indices: &[usize],
+        source: &Tuple,
+        positions: &[usize],
+        visit: impl FnMut(&'t Tuple),
+    ) -> bool {
+        connected(self, &NO_ROWS, indices, source, positions, visit)
     }
 
     /// The one place an equality lookup chooses its access path, resolved
     /// once for any number of probes:
     ///
-    /// 1. a secondary index over exactly `indices`, when one exists;
-    /// 2. else the primary index, when `indices` are the key positions in
-    ///    any order — the parent end of every structural connection is its
+    /// 1. the primary index, when `indices` are the key positions in any
+    ///    order — the parent end of every structural connection is its
     ///    relation's key (Definitions 2.2–2.4), so looking up an owner, a
     ///    general entity or a referenced tuple needs no index of its own;
-    /// 3. else `None`: the caller scans ([`Table::find_by_indices`]) or
+    /// 2. else a *range* of the primary index, when `indices` are the
+    ///    key's leading positions (in any order): rows are stored in key
+    ///    order, so the tuples sharing a key prefix are one contiguous run,
+    ///    found by one descent. An ownership child's key contains its
+    ///    owner's (Definition 2.2); where it leads the key, an owner's
+    ///    children need no index of their own either;
+    /// 3. else a secondary index over exactly `indices`, when one exists;
+    /// 4. else `None`: the caller scans ([`Table::find_by_indices`]) or
     ///    hash-builds ([`Table::group_by_indices`]).
     ///
     /// Probing through the returned handle does **not** bump the
@@ -314,14 +527,25 @@ impl Table {
     /// tuple from concurrent workers, and a per-probe bump on the shared
     /// counter cache line would serialize them; they aggregate locally and
     /// record one bulk count per frontier pass instead
-    /// ([`crate::stats::count_index_probes`]).
+    /// ([`crate::stats::count_index_probes`]), a key range counting as the
+    /// one probe it is.
     pub fn index_at<'t, 'i>(&'t self, indices: &'i [usize]) -> Option<IndexProbe<'t, 'i>> {
-        let path = match self.indexes.get(indices) {
-            Some(index) => AccessPath::Secondary(index),
-            None if self.schema.is_key_at(indices) => AccessPath::Primary(indices),
-            None => return None,
+        let path = if self.schema.leads_key_at(indices) {
+            if indices.len() == self.schema.key_indices().len() {
+                AccessPath::Key
+            } else {
+                AccessPath::KeyRange
+            }
+        } else {
+            AccessPath::Secondary(self.indexes.get(indices)?)
         };
-        Some(IndexProbe { table: self, path })
+        Some(IndexProbe {
+            table: self,
+            delta: &NO_ROWS,
+            indices,
+            path,
+            buf: Vec::new(),
+        })
     }
 
     /// Hash-build over the whole table: group every tuple by its values at
@@ -611,26 +835,56 @@ mod tests {
             .find_by_attrs(&names(&["course_id", "ssn"]), &["CS2".into(), 2.into()])
             .unwrap()
             .is_empty());
-        // the key path is taken for the key only: part of it, or an
-        // attribute repeated to the key's arity, is answered by the scan
-        assert_eq!(
-            t.index_at(&[2, 0])
-                .unwrap()
-                .find(&[1.into(), "CS1".into()])
-                .len(),
-            1
-        );
-        assert!(t.index_at(&[2]).is_none());
+        // the key path is taken for the key and for what leads it; a
+        // later part of it, or an attribute repeated to the key's arity,
+        // is answered by the scan
+        assert_eq!(t.index_at(&[2, 0]).unwrap().label(), "index probe");
+        assert_eq!(t.index_at(&[2]).unwrap().label(), "key range");
+        assert!(t.index_at(&[0]).is_none());
         assert!(t.index_at(&[2, 2]).is_none());
         assert!(t.index_at(&[2, 1]).is_none());
-        // too few values spell no key
-        assert!(t.index_at(&[2, 0]).unwrap().find(&[1.into()]).is_empty());
+        assert!(t.index_at(&[]).is_none());
+        let before = crate::stats::snapshot();
         assert_eq!(
             t.find_by_attrs(&names(&["ssn"]), &[1.into()])
                 .unwrap()
                 .len(),
             2
         );
+        // values cut short probe the positions they cover
+        assert_eq!(t.find_by_indices(&[2, 0], &[1.into()]).len(), 2);
+        let d = before.delta(&crate::stats::snapshot());
+        assert!(d.index_probes >= 2, "a key range is an index probe");
+    }
+
+    #[test]
+    fn the_visitor_borrows_refuses_null_and_keeps_key_order() {
+        let mut t = people();
+        for (ssn, name, dept) in [
+            (3, "cam", None),
+            (1, "ann", Some("CS")),
+            (2, "bob", Some("CS")),
+        ] {
+            t.insert(row(&t, ssn, name, dept)).unwrap();
+        }
+        t.create_index(&["dept_name".to_string()]).unwrap();
+        let seen = |source: &Tuple| {
+            let mut names = Vec::new();
+            let probed = (t.index_at(&[2]).unwrap())
+                .visit(source, &[2], |m| names.push(m.get(1).to_string()));
+            (probed, names)
+        };
+        assert_eq!(
+            seen(&row(&t, 9, "x", Some("CS"))),
+            (true, vec!["'ann'".to_string(), "'bob'".to_string()])
+        );
+        assert_eq!(seen(&row(&t, 9, "x", Some("EE"))), (true, vec![]));
+        // NULL never connects — though a plain lookup finds the NULL row
+        assert_eq!(seen(&row(&t, 9, "x", None)), (false, vec![]));
+        assert_eq!(t.find_by_indices(&[2], &[Value::Null]).len(), 1);
+        let mut none = 0;
+        t.for_each_connected(&[2], &row(&t, 9, "x", None), &[2], |_| none += 1);
+        assert_eq!(none, 0);
     }
 
     #[test]

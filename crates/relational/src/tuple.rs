@@ -68,9 +68,13 @@ impl Tuple {
         Ok(&self.0[schema.index_of(attr)?])
     }
 
-    /// Return a copy with the named attribute replaced. Re-validates.
+    /// Return a copy with the named attribute replaced, re-validated — or
+    /// this very allocation when the value is already there.
     pub fn with_named(&self, schema: &RelationSchema, attr: &str, value: Value) -> Result<Tuple> {
         let idx = schema.index_of(attr)?;
+        if self.0[idx].identical(&value) {
+            return Ok(self.clone());
+        }
         let mut vals = self.0.to_vec();
         vals[idx] = value;
         Tuple::new(schema, vals)
@@ -88,6 +92,32 @@ impl Tuple {
     /// Project to the given attribute indices (no validation).
     pub fn project(&self, indices: &[usize]) -> Vec<Value> {
         indices.iter().map(|&i| self.0[i].clone()).collect()
+    }
+
+    /// True when a value at one of `positions` is NULL — such a tuple
+    /// connects to nothing through them (Definition 2.1).
+    pub fn has_null_at(&self, positions: &[usize]) -> bool {
+        positions.iter().any(|&p| self.0[p].is_null())
+    }
+
+    /// The values at `positions` as the slice a lookup is keyed by, or
+    /// `None` when one of them is NULL: NULL never connects (Definition
+    /// 2.1). One position is borrowed from the tuple; several are gathered
+    /// into `buf`, which a caller reuses from probe to probe.
+    pub fn connecting<'v>(
+        &'v self,
+        positions: &[usize],
+        buf: &'v mut Vec<Value>,
+    ) -> Option<&'v [Value]> {
+        if self.has_null_at(positions) {
+            return None;
+        }
+        if let [p] = positions {
+            return Some(std::slice::from_ref(&self.0[*p]));
+        }
+        buf.clear();
+        buf.extend(positions.iter().map(|&p| self.0[p].clone()));
+        Some(buf)
     }
 
     /// Number of values.
@@ -158,6 +188,16 @@ impl Key {
 
     /// Key components.
     pub fn values(&self) -> &[Value] {
+        &self.0
+    }
+}
+
+/// A key is looked up by its components: a point lookup and a range from
+/// a key prefix both take a borrowed slice, so a probe never builds a
+/// `Key`. Sound because `Key`'s derived `Eq`, `Ord` and `Hash` are those of
+/// its one field, a `Vec<Value>`, which are its slice's.
+impl std::borrow::Borrow<[Value]> for Key {
+    fn borrow(&self) -> &[Value] {
         &self.0
     }
 }
@@ -237,6 +277,25 @@ mod tests {
         let t2 = t.with_named(&s, "grade", "B".into()).unwrap();
         assert_eq!(t2.get_named(&s, "grade").unwrap(), &Value::text("B"));
         assert!(t.with_named(&s, "student_id", Value::Null).is_err());
+        // a value already there keeps the allocation
+        assert!(t.with_named(&s, "grade", "A".into()).unwrap().ptr_eq(&t));
+        assert!(!t2.ptr_eq(&t));
+    }
+
+    #[test]
+    fn connecting_borrows_one_value_and_gathers_several() {
+        let s = grades_schema();
+        let t = Tuple::new(&s, vec!["CS345".into(), 7.into(), Value::Null]).unwrap();
+        let mut buf = Vec::new();
+        let one = t.connecting(&[1], &mut buf).unwrap();
+        assert!(std::ptr::eq(one.as_ptr(), t.get(1)));
+        assert_eq!(
+            t.connecting(&[1, 0], &mut buf).unwrap(),
+            [7.into(), "CS345".into()]
+        );
+        // NULL never connects
+        assert!(t.connecting(&[2], &mut buf).is_none());
+        assert!(t.connecting(&[0, 2], &mut buf).is_none());
     }
 
     #[test]

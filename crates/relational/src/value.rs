@@ -80,6 +80,13 @@ impl Value {
         }
     }
 
+    /// True when `other` is this value in this variant. `==` follows the
+    /// storage order, under which `Int(2) == Float(2.0)`; a column holds
+    /// one of them, so "the value is already there" asks for more.
+    pub fn identical(&self, other: &Value) -> bool {
+        self == other && self.data_type() == other.data_type()
+    }
+
     /// Convenience constructor for text values.
     pub fn text(s: impl Into<Arc<str>>) -> Value {
         Value::Text(s.into())

@@ -26,16 +26,19 @@
 //! a [`vo_relational::overlay::DeltaDb`] overlay of planned-but-uncommitted
 //! ops — the substrate of batch update translation.
 //!
-//! **Access paths.** Every lookup here goes through
-//! [`TableView::find_by_attrs`] / [`TableView::keys_by_attrs`], and so by
-//! the path [`Table::find_by_indices`] chooses: a secondary index over the
-//! attributes when one exists, else the primary index when the attributes
-//! are the relation's key, else a counted scan. The parent end of every
-//! connection is its relation's key (Definitions 2.2–2.4), so looking *up*
-//! — for an owner, a general entity, a referenced tuple — never scans;
-//! looking *down* for dependents is a probe where the dependent end is
-//! indexed (object registration indexes every edge it traverses) and a
-//! scan of the dependent relation where it is not.
+//! **Access paths.** Every lookup here is
+//! [`TableView::for_each_connected`] — the tuple a lookup starts from and
+//! the positions it connects through, no copy of its values, no list of
+//! its matches — and so goes by the path [`Table::index_at`] chooses: the
+//! primary index when the attributes are the relation's key, a range of it
+//! when they lead the key, a secondary index over them when one exists,
+//! else a counted scan. The parent end of every connection is its
+//! relation's key (Definitions 2.2–2.4), so looking *up* — for an owner, a
+//! general entity, a referenced tuple — never scans; looking *down* for
+//! dependents is a key range where the owner's key leads the dependent's,
+//! a probe where the dependent end is indexed (object registration
+//! indexes every other edge it traverses) and a scan of the dependent
+//! relation where it is neither.
 
 use crate::connection::{Connection, ConnectionKind};
 use crate::schema::StructuralSchema;
@@ -221,52 +224,20 @@ impl Violation {
 pub fn check_database(schema: &StructuralSchema, db: &impl DbRead) -> Result<Vec<Violation>> {
     let mut out = Vec::new();
     for conn in schema.connections() {
-        let r1 = db.view(&conn.from)?;
-        let r2 = db.view(&conn.to)?;
-        match conn.kind {
-            ConnectionKind::Ownership | ConnectionKind::Subset => {
-                // every R2 tuple needs a connected R1 tuple
-                for t2 in r2.scan() {
-                    let vals = conn.to_values(r2.schema(), t2)?;
-                    if vals.iter().any(Value::is_null) {
-                        // key attrs cannot be NULL; defensive
-                        continue;
-                    }
-                    let owners = r1.find_by_attrs(&conn.from_attrs, &vals)?;
-                    if owners.is_empty() {
-                        let v = if conn.kind == ConnectionKind::Ownership {
-                            Violation::OrphanOwned {
-                                connection: conn.name.clone(),
-                                relation: conn.to.clone(),
-                                key: t2.key(r2.schema()),
-                            }
-                        } else {
-                            Violation::SubsetWithoutParent {
-                                connection: conn.name.clone(),
-                                relation: conn.to.clone(),
-                                key: t2.key(r2.schema()),
-                            }
-                        };
-                        out.push(v);
-                    }
-                }
-            }
-            ConnectionKind::Reference => {
-                // every R1 tuple is connected or has NULL X1
-                for t1 in r1.scan() {
-                    let vals = conn.from_values(r1.schema(), t1)?;
-                    if vals.iter().any(Value::is_null) {
-                        continue;
-                    }
-                    let targets = r2.find_by_attrs(&conn.to_attrs, &vals)?;
-                    if targets.is_empty() {
-                        out.push(Violation::DanglingReference {
-                            connection: conn.name.clone(),
-                            relation: conn.from.clone(),
-                            key: t1.key(r1.schema()),
-                        });
-                    }
-                }
+        // every dependent tuple needs a connected tuple at the parent end,
+        // or NULL among its connecting values (which only a reference's
+        // non-key X1 can hold)
+        let (parent, parent_attrs) = conn.parent_end();
+        let (dependent, dependent_attrs) = conn.dependent_end();
+        let (parents, dependents) = (db.view(parent)?, db.view(dependent)?);
+        let parent_at = parents.schema().indices_of(parent_attrs)?;
+        let dependent_at = dependents.schema().indices_of(dependent_attrs)?;
+        for tuple in dependents.scan() {
+            let mut parented = false;
+            let asked =
+                parents.for_each_connected(&parent_at, tuple, &dependent_at, |_| parented = true);
+            if asked && !parented {
+                out.push(Violation::unparented(conn, tuple.key(dependents.schema())));
             }
         }
     }
@@ -311,12 +282,10 @@ pub fn check_delta(schema: &StructuralSchema, db: &DeltaDb<'_>) -> Result<Vec<Vi
             let (dependent, dependent_attrs) = conn.dependent_end();
             if dependent == w.relation {
                 if let Some(tuple) = w.after {
-                    let vals = connecting_values(dependent_attrs, rel_schema, tuple)?;
                     // NULL never connects, and need not (reference rule 1)
-                    if !vals.iter().any(Value::is_null) {
+                    if let Some(from) = connects_at(dependent_attrs, rel_schema, tuple)? {
                         probes += 1;
-                        let parents = db.view(parent)?.find_by_attrs(parent_attrs, &vals)?;
-                        if parents.is_empty() {
+                        if !any_at(&db.view(parent)?, parent_attrs, tuple, &from)? {
                             found.insert((i, w.key.clone()));
                         }
                     }
@@ -324,11 +293,12 @@ pub fn check_delta(schema: &StructuralSchema, db: &DeltaDb<'_>) -> Result<Vec<Vi
             }
             if parent == w.relation {
                 if let (Some(tuple), None) = (w.before, w.after) {
-                    let vals = connecting_values(parent_attrs, rel_schema, tuple)?;
+                    let from = rel_schema.indices_of(parent_attrs)?;
                     probes += 1;
-                    for key in db.view(dependent)?.keys_by_attrs(dependent_attrs, &vals)? {
-                        found.insert((i, key));
-                    }
+                    let dependents = db.view(dependent)?;
+                    for_each_at(&dependents, dependent_attrs, tuple, &from, |t| {
+                        found.insert((i, t.key(dependents.schema())));
+                    })?;
                 }
             }
         }
@@ -372,9 +342,9 @@ pub fn plan_delete(
         })?;
         // cascade over ownership and subset
         for conn in schema.dependents_of(&rel) {
-            let vals = conn.from_values(table.schema(), tuple)?;
+            let from = table.schema().indices_of(&conn.from_attrs)?;
             let child = db.view(&conn.to)?;
-            let keys = child.keys_by_attrs(&conn.to_attrs, &vals)?;
+            let keys = keys_at(&child, &conn.to_attrs, tuple, &from)?;
             if !keys.is_empty() {
                 trace::event_with("integrity.cascade", || {
                     vec![
@@ -392,9 +362,9 @@ pub fn plan_delete(
         // reference cascade when the policy says so
         for conn in schema.referencers_of(&rel) {
             if policy.delete_action(&conn.name) == RefDeleteAction::Cascade {
-                let vals = conn.to_values(table.schema(), tuple)?;
+                let from = table.schema().indices_of(&conn.to_attrs)?;
                 let referencing = db.view(&conn.from)?;
-                let keys = referencing.keys_by_attrs(&conn.from_attrs, &vals)?;
+                let keys = keys_at(&referencing, &conn.from_attrs, tuple, &from)?;
                 if !keys.is_empty() {
                     trace::event_with("integrity.cascade", || {
                         vec![
@@ -423,10 +393,10 @@ pub fn plan_delete(
             match policy.delete_action(&conn.name) {
                 RefDeleteAction::Cascade => {} // handled in phase 1
                 action => {
-                    let vals = conn.to_values(table.schema(), tuple)?;
+                    let from = table.schema().indices_of(&conn.to_attrs)?;
                     let referencing = db.view(&conn.from)?;
                     let ref_schema = referencing.schema();
-                    for k1 in referencing.keys_by_attrs(&conn.from_attrs, &vals)? {
+                    for k1 in keys_at(&referencing, &conn.from_attrs, tuple, &from)? {
                         if to_delete.contains(&(conn.from.clone(), k1.clone())) {
                             continue;
                         }
@@ -552,18 +522,17 @@ pub fn plan_key_replacement(
 
         // propagate to owned / subset children whose inherited attributes changed
         for conn in schema.dependents_of(&rel) {
-            let old_vals = conn.from_values(rel_schema, &old)?;
-            let new_vals = conn.from_values(rel_schema, &newt)?;
-            if old_vals == new_vals {
+            let from = rel_schema.indices_of(&conn.from_attrs)?;
+            if from.iter().all(|&p| old.get(p) == newt.get(p)) {
                 continue;
             }
             let child = db.view(&conn.to)?;
             let child_schema = child.schema();
-            for k2 in child.keys_by_attrs(&conn.to_attrs, &old_vals)? {
+            for k2 in keys_at(&child, &conn.to_attrs, &old, &from)? {
                 let ct = child.get(&k2).expect("listed").clone();
                 let mut nt = ct;
-                for (attr, v) in conn.to_attrs.iter().zip(new_vals.iter()) {
-                    nt = nt.with_named(child_schema, attr, v.clone())?;
+                for (attr, &p) in conn.to_attrs.iter().zip(&from) {
+                    nt = nt.with_named(child_schema, attr, newt.get(p).clone())?;
                 }
                 work.push((conn.to.clone(), k2, nt));
             }
@@ -571,20 +540,19 @@ pub fn plan_key_replacement(
 
         // repair referencing tuples when referenced key values changed
         for conn in schema.referencers_of(&rel) {
-            let old_vals = conn.to_values(rel_schema, &old)?;
-            let new_vals = conn.to_values(rel_schema, &newt)?;
-            if old_vals == new_vals {
+            let from = rel_schema.indices_of(&conn.to_attrs)?;
+            if from.iter().all(|&p| old.get(p) == newt.get(p)) {
                 continue;
             }
             let referencing = db.view(&conn.from)?;
             let ref_schema = referencing.schema();
-            for k1 in referencing.keys_by_attrs(&conn.from_attrs, &old_vals)? {
+            for k1 in keys_at(&referencing, &conn.from_attrs, &old, &from)? {
                 match policy.modify_action(&conn.name) {
                     RefModifyAction::Propagate => {
                         let rt = referencing.get(&k1).expect("listed").clone();
                         let mut nt = rt;
-                        for (attr, v) in conn.from_attrs.iter().zip(new_vals.iter()) {
-                            nt = nt.with_named(ref_schema, attr, v.clone())?;
+                        for (attr, &p) in conn.from_attrs.iter().zip(&from) {
+                            nt = nt.with_named(ref_schema, attr, newt.get(p).clone())?;
                         }
                         work.push((conn.from.clone(), k1, nt));
                     }
@@ -649,36 +617,74 @@ pub fn missing_dependencies(
     let rel_schema = db.view(relation)?.schema();
     let mut out = Vec::new();
     for dep in schema.dependencies_of(relation) {
-        let vals = connecting_values(dep.source_attrs(), rel_schema, tuple)?;
-        if vals.iter().any(Value::is_null) {
-            // NULL reference is explicitly legal (reference rule 1); NULLs
-            // cannot occur in key-side dependencies.
+        // NULL reference is explicitly legal (reference rule 1); NULLs
+        // cannot occur in key-side dependencies.
+        let Some(from) = connects_at(dep.source_attrs(), rel_schema, tuple)? else {
             continue;
-        }
-        let target = db.view(dep.target())?;
-        if target.find_by_attrs(dep.target_attrs(), &vals)?.is_empty() {
+        };
+        if !any_at(&db.view(dep.target())?, dep.target_attrs(), tuple, &from)? {
             out.push(MissingDependency {
                 connection: dep.connection.name.clone(),
                 relation: dep.target().to_owned(),
                 attrs: dep.target_attrs().to_vec(),
-                values: vals,
+                values: tuple.project(&from),
             });
         }
     }
     Ok(out)
 }
 
-/// Values of the connecting attributes `attrs` in a tuple of the relation
-/// `schema` describes.
-fn connecting_values(
+/// Where a tuple of the relation `schema` describes holds the connecting
+/// attributes `attrs` — `None` when it holds a NULL there and so connects
+/// to nothing (Definition 2.1).
+fn connects_at(
     attrs: &[String],
     schema: &RelationSchema,
     tuple: &Tuple,
-) -> Result<Vec<Value>> {
-    attrs
-        .iter()
-        .map(|a| tuple.get_named(schema, a).cloned())
-        .collect()
+) -> Result<Option<Vec<usize>>> {
+    let at = schema.indices_of(attrs)?;
+    Ok((!tuple.has_null_at(&at)).then_some(at))
+}
+
+/// Visit every tuple of `target` whose `attrs` hold what `source` holds at
+/// `from`: the tuples connected to it, by `target`'s access path.
+fn for_each_at<'a>(
+    target: &TableView<'a>,
+    attrs: &[String],
+    source: &Tuple,
+    from: &[usize],
+    visit: impl FnMut(&'a Tuple),
+) -> Result<()> {
+    let at = target.schema().indices_of(attrs)?;
+    target.for_each_connected(&at, source, from, visit);
+    Ok(())
+}
+
+/// True when [`for_each_at`] has something to visit.
+fn any_at(
+    target: &TableView<'_>,
+    attrs: &[String],
+    source: &Tuple,
+    from: &[usize],
+) -> Result<bool> {
+    let mut any = false;
+    for_each_at(target, attrs, source, from, |_| any = true)?;
+    Ok(any)
+}
+
+/// The keys [`for_each_at`] visits, for planners that go on to write what
+/// they found.
+fn keys_at(
+    target: &TableView<'_>,
+    attrs: &[String],
+    source: &Tuple,
+    from: &[usize],
+) -> Result<Vec<Key>> {
+    let mut keys = Vec::new();
+    for_each_at(target, attrs, source, from, |t| {
+        keys.push(t.key(target.schema()))
+    })?;
+    Ok(keys)
 }
 
 /// Build a stub tuple for `relation` carrying `values` in `attrs`; other

@@ -120,6 +120,94 @@ fn reference_tree_random_equivalence() {
     }
 }
 
+/// Where the owner's key sits in the owned relation's key decides the
+/// access path: `MID(seq, id)` is owned by `TOP(id)` through its *second*
+/// key attribute (a secondary index, or a hash build without one);
+/// `LOW(id, seq, n)` is owned by `MID` through `(seq, id)`, the attributes
+/// that lead its key in the other order (a key range, with or without an
+/// index); `TAIL(n, seq, id)` through the two that end its key. Batched,
+/// legacy and — through `assert_equivalent` — indexed must agree on all.
+#[test]
+fn ownership_off_the_leading_key_attribute_equivalence() {
+    let schema = StructuralSchemaBuilder::new()
+        .relation(
+            "R0",
+            &[("id", DataType::Int), ("v", DataType::Text)],
+            &["id"],
+        )
+        .relation(
+            "MID",
+            &[
+                ("seq", DataType::Int),
+                ("id", DataType::Int),
+                ("v", DataType::Text),
+            ],
+            &["seq", "id"],
+        )
+        .relation(
+            "LOW",
+            &[
+                ("id", DataType::Int),
+                ("seq", DataType::Int),
+                ("n", DataType::Int),
+            ],
+            &["id", "seq", "n"],
+        )
+        .relation(
+            "TAIL",
+            &[
+                ("n", DataType::Int),
+                ("seq", DataType::Int),
+                ("id", DataType::Int),
+            ],
+            &["n", "seq", "id"],
+        )
+        .owns("own_mid", "R0", &["id"], "MID", &["id"])
+        .owns("own_low", "MID", &["seq", "id"], "LOW", &["seq", "id"])
+        .owns("own_tail", "MID", &["seq", "id"], "TAIL", &["seq", "id"])
+        .build()
+        .unwrap();
+    let tree = generate_tree(
+        &schema,
+        "R0",
+        &MetricWeights {
+            threshold: 0.01,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let object = prune_by_relations(&schema, &tree, "off_key", &["MID", "LOW", "TAIL"]).unwrap();
+    let mut rng = SmallRng::seed_from_u64(0x0FF5E7);
+    let mut bound = std::collections::BTreeSet::new();
+    for _ in 0..8 {
+        let mut db = Database::from_schema(schema.catalog());
+        for id in 0..rng.gen_range_i64(1..6) {
+            db.insert("R0", vec![id.into(), format!("top-{id}").into()])
+                .unwrap();
+        }
+        // few distinct values: shared prefixes, repeats refused, some dangle
+        let cell = |rng: &mut SmallRng| Value::Int(rng.gen_range_i64(0..6));
+        for _ in 0..rng.gen_range(0..30) {
+            let _ = db.insert("MID", vec![cell(&mut rng), cell(&mut rng), "mid".into()]);
+            for rel in ["LOW", "TAIL"] {
+                let _ = db.insert(rel, (0..3).map(|_| cell(&mut rng)).collect());
+            }
+        }
+        let plan = plan_object(&schema, &object, &db).unwrap();
+        // LOW is reached through what leads its key; MID and TAIL are not
+        let wanted: Vec<String> = (plan.required_indexes().into_iter())
+            .map(|(rel, _)| rel)
+            .collect();
+        assert_eq!(wanted, ["MID", "TAIL"]);
+        assert_equivalent(&schema, &object, &mut db);
+        for instance in instantiate_all(&schema, &object, &db).unwrap() {
+            let nodes = (1..object.nodes().len()).filter(|&id| !instance.tuples_of(id).is_empty());
+            bound.extend(nodes.map(|id| object.node(id).relation.clone()));
+        }
+    }
+    assert_eq!(bound.len(), 3, "every edge bound something: {bound:?}");
+}
+
 #[test]
 fn university_scaled_equivalence() {
     let mut rng = SmallRng::seed_from_u64(0x0111);

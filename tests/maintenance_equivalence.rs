@@ -320,7 +320,8 @@ fn refresh_view(
 ) -> RefreshOutcome {
     let read = db.journal_peek(view.cursor()).unwrap();
     let n = read.transactions.len();
-    let out = view.refresh(schema, db, &read).unwrap();
+    let plan = plan_object(schema, view.object(), db).unwrap();
+    let out = view.refresh(&plan, db, &read).unwrap();
     db.journal_advance(view.cursor(), n).unwrap();
     out
 }
@@ -347,9 +348,11 @@ fn seeded_random_workloads_stay_equivalent() {
         let omega = generate_omega(&schema).unwrap();
         let people = people_object(&schema);
         let c_omega = db.journal_subscribe(JournalStart::Head);
-        let mut v_omega = MaterializedView::build(&schema, omega, &db, c_omega).unwrap();
+        let plan = plan_object(&schema, &omega, &db).unwrap();
+        let mut v_omega = MaterializedView::build(omega, &plan, &db, c_omega).unwrap();
         let c_people = db.journal_subscribe(JournalStart::Head);
-        let mut v_people = MaterializedView::build(&schema, people, &db, c_people).unwrap();
+        let plan = plan_object(&schema, &people, &db).unwrap();
+        let mut v_people = MaterializedView::build(people, &plan, &db, c_people).unwrap();
 
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut st = State::figure4();
@@ -411,7 +414,8 @@ fn capped_journal_lapse_recovers_by_full_rebuild() {
     let (schema, mut db) = university_database();
     let omega = generate_omega(&schema).unwrap();
     let cursor = db.journal_subscribe(JournalStart::Head);
-    let mut view = MaterializedView::build(&schema, omega, &db, cursor).unwrap();
+    let plan = plan_object(&schema, &omega, &db).unwrap();
+    let mut view = MaterializedView::build(omega, &plan, &db, cursor).unwrap();
     db.set_journal_cap(Some(JournalCap::drop_oldest(3)));
 
     let mut rng = SmallRng::seed_from_u64(1337);

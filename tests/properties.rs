@@ -860,6 +860,220 @@ fn bulk_built_index_equals_the_incremental_one() {
     }
 }
 
+/// Every permutation of `items`.
+fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
+    if items.len() <= 1 {
+        return vec![items.to_vec()];
+    }
+    let mut out = Vec::new();
+    for i in 0..items.len() {
+        let mut rest = items.to_vec();
+        let head = rest.remove(i);
+        for mut tail in permutations(&rest) {
+            tail.insert(0, head);
+            out.push(tail);
+        }
+    }
+    out
+}
+
+/// A value for `attr`, from a handful per type — so runs of equal key
+/// prefixes are long — with texts that are strict prefixes of one another.
+fn arb_cell(rng: &mut SmallRng, attr: &AttributeDef) -> Value {
+    match attr.ty {
+        _ if attr.nullable && rng.gen_bool(0.2) => Value::Null,
+        DataType::Int => Value::Int(rng.gen_range_i64(0..5)),
+        DataType::Text => Value::text(*rng.choose(&["c", "c1", "c10", "d"])),
+        DataType::Float => Value::Float(rng.gen_range(0..3) as f64),
+        DataType::Bool => Value::Bool(rng.gen_bool(0.5)),
+    }
+}
+
+/// **Every access path is a scan.** Whatever [`Table::index_at`] chooses
+/// for a position list — the primary index for the whole key in any
+/// order, a range of it for each leading part of the key, a secondary
+/// index, or nothing — its visitor, `find_by_indices` and
+/// `for_each_connected` return the rows a filtered `scan()` returns, in
+/// its order: on a table, and through an overlay whose delta inserts,
+/// deletes, replaces in place and re-keys rows inside and outside the
+/// probed range. NULL, absent values and texts that are prefixes of other
+/// texts are probed too; a NULL connects nothing but equals a NULL.
+#[test]
+fn every_access_path_is_a_scan() {
+    use penguin_vo::penguin::{synthetic_schema, SchemaShape};
+    let rounds = if cfg!(debug_assertions) { 4 } else { 24 };
+    let mut rng = SmallRng::seed_from_u64(0xACCE55);
+    let wide = StructuralSchemaBuilder::new()
+        .relation(
+            "W",
+            &[
+                ("a", DataType::Text),
+                ("x", DataType::Int),
+                ("b", DataType::Int),
+                ("c", DataType::Text),
+                ("y", DataType::Text),
+            ],
+            // declared out of attribute order on purpose
+            &["a", "c", "b"],
+        )
+        .build()
+        .unwrap();
+    let shapes = [
+        synthetic_schema(SchemaShape::OwnershipChain, 4),
+        synthetic_schema(SchemaShape::OwnershipStar, 4),
+        synthetic_schema(SchemaShape::ReferenceTree, 4),
+        wide,
+    ];
+    let (mut ranged, mut pointed, mut indexed, mut scanned, mut refused) = (0, 0, 0, 0, 0);
+    for structural in &shapes {
+        for rel in structural.catalog().relation_names() {
+            for _ in 0..rounds {
+                let schema = structural.catalog().relation(rel).unwrap().clone();
+                let arb_row = |rng: &mut SmallRng| {
+                    let cells = schema.attributes().iter().map(|a| arb_cell(rng, a));
+                    Tuple::new(&schema, cells.collect()).unwrap()
+                };
+                let mut db = Database::new();
+                db.create_relation(schema.clone()).unwrap();
+                for _ in 0..40 {
+                    let _ = db.apply(&DbOp::Insert {
+                        relation: rel.to_owned(),
+                        tuple: arb_row(&mut rng),
+                    });
+                }
+                // the last attribute is indexed; a non-key attribute before
+                // it, or a later part of the key, is not
+                let key = schema.key_indices().to_vec();
+                let last = schema.arity() - 1;
+                assert!(
+                    !key.contains(&last),
+                    "{rel}: generated relations end off the key"
+                );
+                let last_name = schema.attributes()[last].name.clone();
+                db.ensure_index(rel, &[last_name]).unwrap();
+
+                // position lists: the whole key in every order, every
+                // leading part of it (in key order and reversed), the
+                // indexed attribute, and lists no path answers
+                let mut lists: Vec<Vec<usize>> = permutations(&key);
+                for n in 1..key.len() {
+                    lists.push(key[..n].to_vec());
+                    lists.push(key[..n].iter().rev().copied().collect());
+                }
+                lists.push(vec![last]);
+                lists.extend(key.last().filter(|_| key.len() > 1).map(|&k| vec![k]));
+                lists.extend((0..last).find(|i| !key.contains(i)).map(|i| vec![i, last]));
+
+                // an overlay that writes inside and outside every range
+                let keys: Vec<Key> = (db.table(rel).unwrap().scan_entries())
+                    .map(|(k, _)| k.clone())
+                    .collect();
+                let mut overlay = DeltaDb::new(&db);
+                for _ in 0..30 {
+                    let relation = rel.to_owned();
+                    let held = rng.choose(&keys).clone();
+                    let _ = overlay.apply(match rng.gen_range(0..4) {
+                        0 => DbOp::Insert {
+                            relation,
+                            tuple: arb_row(&mut rng),
+                        },
+                        1 => DbOp::Delete {
+                            relation,
+                            key: held,
+                        },
+                        2 => {
+                            // same key, other values
+                            let mut cells = arb_row(&mut rng).values().to_vec();
+                            for (&at, v) in key.iter().zip(held.values()) {
+                                cells[at] = v.clone();
+                            }
+                            DbOp::Replace {
+                                relation,
+                                old_key: held,
+                                tuple: Tuple::new(&schema, cells).unwrap(),
+                            }
+                        }
+                        _ => DbOp::Replace {
+                            relation,
+                            old_key: held,
+                            tuple: arb_row(&mut rng),
+                        },
+                    });
+                }
+                assert!(overlay.delta().len() >= 3, "{rel}: the overlay wrote");
+
+                let table = db.table(rel).unwrap();
+                let view = overlay.view(rel).unwrap();
+                // Key orders as its components do, and is found by them
+                for pair in keys.windows(2) {
+                    assert_eq!(
+                        pair[0].cmp(&pair[1]),
+                        pair[0].values().cmp(pair[1].values())
+                    );
+                }
+                for list in &lists {
+                    let mut probes: Vec<Vec<Value>> = (table.scan().chain(view.scan()))
+                        .map(|row| row.project(list))
+                        .collect();
+                    probes.sort();
+                    probes.dedup();
+                    probes.push(vec![Value::Null; list.len()]);
+                    probes.push(vec![Value::text("absent"); list.len()]);
+                    probes.push(vec![Value::Int(99); list.len()]);
+                    let label = table.index_at(list).map(|path| path.label());
+                    match (label, schema.leads_key_at(list)) {
+                        (Some("key range"), true) => ranged += 1,
+                        (Some("index probe"), true) => pointed += 1,
+                        (Some("index probe"), false) => indexed += 1,
+                        (None, false) => scanned += 1,
+                        other => panic!("{rel} {list:?}: chose {other:?}"),
+                    }
+                    for probe in &probes {
+                        let what = format!("{rel} {list:?} = {probe:?}");
+                        let equal = |row: &&Tuple| row.project(list) == *probe;
+                        let nulls = probe.iter().any(Value::is_null);
+                        let source = Tuple::raw(probe.clone());
+                        let positions: Vec<usize> = (0..list.len()).collect();
+
+                        // on the table
+                        let want: Vec<&Tuple> = table.scan().filter(equal).collect();
+                        let before = penguin_vo::relational::stats::snapshot();
+                        assert_eq!(table.find_by_indices(list, probe), want, "{what}");
+                        let d = before.delta(&penguin_vo::relational::stats::snapshot());
+                        match label {
+                            Some(_) => assert!(d.index_probes >= 1, "{what}: probed"),
+                            None => assert!(d.fallback_scans >= 1, "{what}: scanned"),
+                        }
+                        let mut got = Vec::new();
+                        let asked =
+                            table.for_each_connected(list, &source, &positions, |t| got.push(t));
+                        assert_eq!(asked, !nulls, "{what}");
+                        assert_eq!(got, if nulls { vec![] } else { want.clone() }, "{what}");
+                        if let Some(mut path) = table.index_at(list) {
+                            let mut got = Vec::new();
+                            let asked = path.visit(&source, &positions, |t| got.push(t));
+                            assert_eq!(asked, !nulls, "{what}");
+                            assert_eq!(got, if nulls { vec![] } else { want }, "{what}");
+                        }
+                        refused += usize::from(nulls);
+
+                        // through the overlay
+                        let want: Vec<&Tuple> = view.scan().filter(equal).collect();
+                        assert_eq!(view.find_by_indices(list, probe), want, "overlay {what}");
+                        let mut got = Vec::new();
+                        let asked =
+                            view.for_each_connected(list, &source, &positions, |t| got.push(t));
+                        assert_eq!(asked, !nulls, "overlay {what}");
+                        assert_eq!(got, if nulls { vec![] } else { want }, "overlay {what}");
+                    }
+                }
+            }
+        }
+    }
+    // every kind of path, and the NULL refusal, were exercised
+    assert!(ranged > 0 && pointed > 0 && indexed > 0 && scanned > 0 && refused > 0);
+}
+
 // ------------------------------------------------------------- optimizer --
 
 fn arb_course_pred(rng: &mut SmallRng, depth: usize) -> Expr {

@@ -125,6 +125,39 @@ fn commit_beside_a_pinned_session_copies_pointers_except_the_written_row() {
 }
 
 #[test]
+fn a_non_key_replacement_rebuilds_nothing_but_the_pivot() {
+    let mut p = omega_system(2);
+    let courses = p.database().table("COURSES").unwrap().schema().clone();
+    let target = Key::single("C1-3");
+    let old = p.instance_by_key("omega", &target).unwrap();
+    let mut new = old.clone();
+    new.root.tuple = old
+        .root
+        .tuple
+        .with_named(&courses, "title", "retitled".into())
+        .unwrap();
+    assert!(new.size() > 5, "the instance has children to leave alone");
+
+    // step 2 finds every child connected already and keeps each as the
+    // allocation it is, so translation compares them by pointer
+    let omega = p.object("omega").unwrap().object.clone();
+    let propagated = propagate_links(p.schema(), &omega, new.clone()).unwrap();
+    for id in 0..omega.nodes().len() {
+        for (was, is) in new.tuples_of(id).iter().zip(propagated.tuples_of(id)) {
+            assert!(was.ptr_eq(is), "propagation rebuilt a tuple of node {id}");
+        }
+    }
+
+    let outcome = p
+        .apply_batch("omega", UpdateBatch::new().replace(old, new.clone()))
+        .unwrap();
+    assert_eq!(outcome.total_ops, 1, "a non-key VO-R is one replace");
+    // the replacing pivot is the stored row, and every other tuple of the
+    // replacing instance still is the row the table holds
+    assert_binds_stored_rows(&omega, p.database(), &new.root);
+}
+
+#[test]
 fn an_inserted_row_is_one_allocation_from_request_to_journal() {
     let mut p = omega_system(2);
     let cursor = p
