@@ -1,110 +1,242 @@
 //! View-object instances: hierarchical values assembled from relational
 //! tuples (paper §3, Figure 4).
 //!
-//! An instance mirrors its object's tree: the root holds one pivot tuple;
-//! under each node, every child node id maps to the *set* of child
-//! instances connected to it. Instances carry **full base tuples** — the
+//! An instance binds tuples to its object's tree: the root holds one pivot
+//! tuple; under each bound tuple, every child node binds the *set* of
+//! tuples connected to it. Instances carry **full base tuples** — the
 //! projection controls what is displayed and queried, while updates need
 //! complete tuples (the paper notes that inserted view-object tuples "need
 //! to be extended with some values for the attributes that have been
 //! projected out"; carrying full tuples makes the application supply them
 //! up front).
+//!
+//! The binding is kept flat, the form the batched engine computes it in:
+//! every tuple but the pivot sits in one `Vec`, grouped by object node id.
+//! A group holds its tuples in parent-position order, then engine order,
+//! and each tuple records its parent's position in the parent node's
+//! group — so a node's tuples are a slice, the tuples under one parent a
+//! run of it, a clone is one allocation and equality a slice comparison.
 
 use crate::object::{NodeId, ViewObject};
-use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 use vo_obs::trace;
 use vo_relational::prelude::*;
 use vo_structural::prelude::*;
 
-/// One node of an instance: a tuple of the node's relation plus child
-/// instances grouped by child node id.
+/// One tuple bound into an instance, and where it hangs: the object node
+/// it is bound at and its parent's position among the parent node's
+/// tuples. Dereferences to its tuple, so a group reads as the tuples it
+/// binds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VoInstanceNode {
-    /// The object node this instance node belongs to.
+    /// The object node this tuple is bound at.
     pub node: NodeId,
+    /// The object node its parent is bound at (0 for the pivot itself).
+    pub parent: NodeId,
+    /// Its parent's position among the tuples bound at `parent`.
+    pub parent_pos: usize,
     /// The full base tuple.
     pub tuple: Tuple,
-    /// Child instances per child object-node id.
-    pub children: BTreeMap<NodeId, Vec<VoInstanceNode>>,
 }
 
 impl VoInstanceNode {
-    /// A leaf instance node.
-    pub fn leaf(node: NodeId, tuple: Tuple) -> Self {
+    /// The root of an instance: `tuple` bound at the pivot node.
+    pub(crate) fn pivot(tuple: Tuple) -> Self {
         VoInstanceNode {
-            node,
+            node: 0,
+            parent: 0,
+            parent_pos: 0,
             tuple,
-            children: BTreeMap::new(),
         }
     }
+}
 
-    /// Append a child instance under `child_node`.
-    pub fn push_child(&mut self, child: VoInstanceNode) {
-        self.children.entry(child.node).or_default().push(child);
-    }
+impl std::ops::Deref for VoInstanceNode {
+    type Target = Tuple;
 
-    /// All instance nodes for object node `id` in this subtree, in
-    /// traversal order.
-    pub fn collect<'a>(&'a self, id: NodeId, out: &mut Vec<&'a VoInstanceNode>) {
-        if self.node == id {
-            out.push(self);
-        }
-        for nodes in self.children.values() {
-            for n in nodes {
-                n.collect(id, out);
-            }
-        }
-    }
-
-    /// Total number of instance nodes in this subtree.
-    pub fn size(&self) -> usize {
-        1 + self
-            .children
-            .values()
-            .flatten()
-            .map(|n| n.size())
-            .sum::<usize>()
+    fn deref(&self) -> &Tuple {
+        &self.tuple
     }
 }
 
 /// A complete view-object instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VoInstance {
-    /// Name of the view object this instance belongs to.
-    pub object: String,
-    /// The pivot instance node.
+    /// Name of the view object this instance belongs to — the object's
+    /// own allocation ([`ViewObject::shared_name`]).
+    pub object: Arc<str>,
+    /// The pivot tuple.
     pub root: VoInstanceNode,
+    /// Every other bound tuple, grouped by ascending node id; within a
+    /// group ordered by parent (node, position), then as pushed.
+    bound: Vec<VoInstanceNode>,
 }
 
 impl VoInstance {
+    /// Build an instance of `object` anchored on `pivot`, tuple by tuple.
+    pub fn builder(object: &ViewObject, pivot: Tuple) -> InstanceBuilder<'_> {
+        InstanceBuilder {
+            object,
+            pivot,
+            bound: Vec::new(),
+            lens: vec![0; object.nodes().len()],
+        }
+    }
+
+    /// The instance whose non-pivot tuples are `bound`, each group in the
+    /// order its tuples were numbered in.
+    pub(crate) fn from_parts(
+        object: Arc<str>,
+        root: VoInstanceNode,
+        mut bound: Vec<VoInstanceNode>,
+    ) -> Self {
+        // stable: a group keeps the order its positions were handed out in
+        bound.sort_by_key(|e| e.node);
+        VoInstance {
+            object,
+            root,
+            bound,
+        }
+    }
+
     /// The instance's object key (the pivot tuple's key).
     pub fn key(&self, schema: &StructuralSchema, object: &ViewObject) -> Result<Key> {
         let pivot = schema.catalog().relation(object.pivot())?;
         Ok(self.root.tuple.key(pivot))
     }
 
-    /// All tuples for object node `id`, in traversal order.
-    pub fn tuples_of(&self, id: NodeId) -> Vec<&Tuple> {
-        let mut nodes = Vec::new();
-        self.root.collect(id, &mut nodes);
-        nodes.into_iter().map(|n| &n.tuple).collect()
+    /// The tuples bound at node `id`, in parent-position order.
+    pub fn tuples_of(&self, id: NodeId) -> &[VoInstanceNode] {
+        if id == 0 {
+            return std::slice::from_ref(&self.root);
+        }
+        &self.bound[self.group(id)]
     }
 
-    /// All instance nodes for object node `id`.
-    pub fn nodes_of(&self, id: NodeId) -> Vec<&VoInstanceNode> {
-        let mut nodes = Vec::new();
-        self.root.collect(id, &mut nodes);
-        nodes
+    /// Every bound tuple but the pivot, grouped by ascending node id.
+    pub fn bound(&self) -> &[VoInstanceNode] {
+        &self.bound
+    }
+
+    /// Where node `id`'s group lies in `bound` (empty for the pivot).
+    fn group(&self, id: NodeId) -> Range<usize> {
+        let start = self.bound.partition_point(|e| e.node < id);
+        start..start + self.bound[start..].partition_point(|e| e.node == id)
+    }
+
+    /// The positions, among the tuples bound at `child`, of those under
+    /// the tuple at position `pos` of node `node`: one run of the group.
+    pub fn children(&self, node: NodeId, pos: usize, child: NodeId) -> Range<usize> {
+        let group = &self.bound[self.group(child)];
+        let under = (node, pos);
+        let start = group.partition_point(|e| (e.parent, e.parent_pos) < under);
+        start..start + group[start..].partition_point(|e| (e.parent, e.parent_pos) == under)
+    }
+
+    /// The runs under the tuple at position `pos` of node `node`, by
+    /// ascending child node id: `(child, positions among its tuples)`.
+    pub(crate) fn runs_under(
+        &self,
+        node: NodeId,
+        pos: usize,
+    ) -> impl Iterator<Item = (NodeId, Range<usize>)> + '_ {
+        (self.bound.chunk_by(|a, b| a.node == b.node))
+            .map(move |group| (group[0].node, self.children(node, pos, group[0].node)))
+            .filter(|(_, run)| !run.is_empty())
     }
 
     /// Total number of tuples bound into the instance.
     pub fn size(&self) -> usize {
-        self.root.size()
+        1 + self.bound.len()
+    }
+
+    /// Bind `tuple` in place of the one at position `pos` of node `node`.
+    /// Panics when there is no such tuple.
+    pub fn rewrite(&mut self, node: NodeId, pos: usize, tuple: Tuple) {
+        if node == 0 {
+            assert_eq!(pos, 0, "the pivot is the only tuple of node 0");
+            self.root.tuple = tuple;
+        } else {
+            let group = self.group(node);
+            self.bound[group][pos].tuple = tuple;
+        }
+    }
+
+    /// Bind `tuple` at `node` under the tuple at position `parent_pos` of
+    /// node `parent`, after the tuples bound there already. Returns its
+    /// position among `node`'s tuples. Panics when `node` is the pivot's.
+    pub fn attach(
+        &mut self,
+        parent: NodeId,
+        parent_pos: usize,
+        node: NodeId,
+        tuple: Tuple,
+    ) -> usize {
+        assert_ne!(node, 0, "the pivot is bound at the root");
+        let group = self.group(node);
+        let under = (parent, parent_pos);
+        let pos = self.bound[group.clone()].partition_point(|e| (e.parent, e.parent_pos) <= under);
+        // the tuples behind it in its group move one position on
+        for e in &mut self.bound {
+            if e.parent == node && e.parent_pos >= pos {
+                e.parent_pos += 1;
+            }
+        }
+        self.bound.insert(
+            group.start + pos,
+            VoInstanceNode {
+                node,
+                parent,
+                parent_pos,
+                tuple,
+            },
+        );
+        pos
+    }
+
+    /// Unbind the tuple at position `pos` of node `node` (not the pivot),
+    /// with every tuple below it. Panics when there is no such tuple.
+    pub fn remove(&mut self, node: NodeId, pos: usize) {
+        let mut gone = vec![false; self.bound.len()];
+        gone[self.group(node)][pos] = true;
+        // index in `bound` of each tuple's parent (`None`: the pivot)
+        let parent_at: Vec<Option<usize>> = (self.bound.iter())
+            .map(|e| (e.parent != 0).then(|| self.group(e.parent).start + e.parent_pos))
+            .collect();
+        // a parent may sit in a later group: sweep until nothing more goes
+        let mut swept = true;
+        while swept {
+            swept = false;
+            for (i, parent) in parent_at.iter().enumerate() {
+                if !gone[i] && parent.is_some_and(|p| gone.get(p) == Some(&true)) {
+                    (gone[i], swept) = (true, true);
+                }
+            }
+        }
+        // what stays is renumbered within its group, and pointed at anew
+        let mut kept = vec![0; self.bound.len()];
+        for i in 1..self.bound.len() {
+            let same = self.bound[i].node == self.bound[i - 1].node;
+            kept[i] = if same {
+                kept[i - 1] + usize::from(!gone[i - 1])
+            } else {
+                0
+            };
+        }
+        for (e, parent) in self.bound.iter_mut().zip(&parent_at) {
+            if let Some(&pos) = parent.and_then(|p| kept.get(p)) {
+                e.parent_pos = pos;
+            }
+        }
+        let mut gone = gone.into_iter();
+        self.bound
+            .retain(|_| !gone.next().expect("one mark per tuple"));
     }
 
     /// Render the instance in the paper's Figure 4 notation, showing only
-    /// projected attributes:
+    /// projected attributes, children in the object's child order:
     ///
     /// ```text
     /// (COURSES: course_id='CS345', ...
@@ -117,51 +249,87 @@ impl VoInstance {
         object: &ViewObject,
     ) -> Result<String> {
         let mut out = String::new();
-        render_node(schema, object, &self.root, 0, &mut out)?;
+        self.render(schema, object, &self.root, 0, 0, &mut out)?;
         Ok(out)
+    }
+
+    fn render(
+        &self,
+        schema: &StructuralSchema,
+        object: &ViewObject,
+        bound: &VoInstanceNode,
+        pos: usize,
+        depth: usize,
+        out: &mut String,
+    ) -> Result<()> {
+        let node = object.node(bound.node);
+        let rel_schema = schema.catalog().relation(&node.relation)?;
+        for _ in 0..depth {
+            out.push_str("  ");
+        }
+        let fields: Vec<String> = node
+            .attrs
+            .iter()
+            .map(|a| bound.get_named(rel_schema, a).map(|v| format!("{a}={v}")))
+            .collect::<Result<_>>()?;
+        out.push_str(&format!("({}: {}", node.relation, fields.join(", ")));
+        if node.children.is_empty() {
+            out.push_str(")\n");
+            return Ok(());
+        }
+        out.push('\n');
+        for &child in &node.children {
+            for at in self.children(node.id, pos, child) {
+                let tuple = &self.tuples_of(child)[at];
+                self.render(schema, object, tuple, at, depth + 1, out)?;
+            }
+        }
+        for _ in 0..depth {
+            out.push_str("  ");
+        }
+        out.push_str(")\n");
+        Ok(())
     }
 }
 
-fn render_node(
-    schema: &StructuralSchema,
-    object: &ViewObject,
-    inst: &VoInstanceNode,
-    depth: usize,
-    out: &mut String,
-) -> Result<()> {
-    let node = object.node(inst.node);
-    let rel_schema = schema.catalog().relation(&node.relation)?;
-    for _ in 0..depth {
-        out.push_str("  ");
+/// Builds a [`VoInstance`] tuple by tuple ([`VoInstance::builder`]). Each
+/// push names the tuple's node and its parent's position, and returns the
+/// tuple's own position for its children to name. Nodes may be filled in
+/// any order; within one node, tuples come in parent-position order.
+#[derive(Debug)]
+pub struct InstanceBuilder<'o> {
+    object: &'o ViewObject,
+    pivot: Tuple,
+    bound: Vec<VoInstanceNode>,
+    /// Tuples pushed so far, per node id.
+    lens: Vec<usize>,
+}
+
+impl InstanceBuilder<'_> {
+    /// Bind `tuple` at `node` under the tuple at position `parent_pos` of
+    /// the node's parent. Returns its position among `node`'s tuples.
+    /// Panics when `node` is the pivot or not a node of the object.
+    pub fn push(&mut self, parent_pos: usize, node: NodeId, tuple: Tuple) -> usize {
+        let parent = (self.object.node(node).parent).expect("the pivot is the root, not a push");
+        let pos = self.lens[node];
+        self.lens[node] += 1;
+        self.bound.push(VoInstanceNode {
+            node,
+            parent,
+            parent_pos,
+            tuple,
+        });
+        pos
     }
-    let fields: Vec<String> = node
-        .attrs
-        .iter()
-        .map(|a| {
-            inst.tuple
-                .get_named(rel_schema, a)
-                .map(|v| format!("{a}={v}"))
-        })
-        .collect::<Result<_>>()?;
-    out.push_str(&format!("({}: {}", node.relation, fields.join(", ")));
-    if inst.children.values().all(|v| v.is_empty()) && node.children.is_empty() {
-        out.push(')');
-        out.push('\n');
-        return Ok(());
+
+    /// The instance built.
+    pub fn finish(self) -> VoInstance {
+        VoInstance::from_parts(
+            self.object.shared_name().clone(),
+            VoInstanceNode::pivot(self.pivot),
+            self.bound,
+        )
     }
-    out.push('\n');
-    for &child in &node.children {
-        if let Some(instances) = inst.children.get(&child) {
-            for ci in instances {
-                render_node(schema, object, ci, depth + 1, out)?;
-            }
-        }
-    }
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-    out.push_str(")\n");
-    Ok(())
 }
 
 /// Assemble the instance anchored on `root_tuple` by following the
@@ -173,29 +341,27 @@ pub fn assemble(
     db: &Database,
     root_tuple: Tuple,
 ) -> Result<VoInstance> {
-    let root = assemble_node(schema, object, db, 0, root_tuple)?;
-    Ok(VoInstance {
-        object: object.name().to_owned(),
-        root,
-    })
+    let mut b = VoInstance::builder(object, root_tuple.clone());
+    assemble_node(schema, object, db, &mut b, 0, 0, &root_tuple)?;
+    Ok(b.finish())
 }
 
 fn assemble_node(
     schema: &StructuralSchema,
     object: &ViewObject,
     db: &Database,
+    b: &mut InstanceBuilder<'_>,
     node: NodeId,
-    tuple: Tuple,
-) -> Result<VoInstanceNode> {
-    let mut inst = VoInstanceNode::leaf(node, tuple);
+    pos: usize,
+    tuple: &Tuple,
+) -> Result<()> {
     for &child in &object.node(node).children {
-        let terminals = follow_edge(schema, object, db, node, child, &inst.tuple)?;
-        for t in terminals {
-            let ci = assemble_node(schema, object, db, child, t)?;
-            inst.push_child(ci);
+        for t in follow_edge(schema, object, db, node, child, tuple)? {
+            let at = b.push(pos, child, t.clone());
+            assemble_node(schema, object, db, b, child, at, &t)?;
         }
     }
-    Ok(inst)
+    Ok(())
 }
 
 /// Follow the (possibly multi-step) edge from `parent`'s tuple to the
@@ -608,10 +774,12 @@ fn instantiate_planned_inner(
     // row k's parent.
     let mut rows: Vec<Vec<Tuple>> = vec![Vec::new(); n];
     let mut parent_row: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut parent_of: Vec<NodeId> = vec![0; n];
     rows[0] = pivots.iter().map(|t| (*t).clone()).collect();
     let order = object.preorder();
     for &id in order.iter().skip(1) {
         let eplan = plan.edge(id)?;
+        parent_of[id] = eplan.parent;
         let parent_refs: Vec<&Tuple> = rows[eplan.parent].iter().collect();
         let terminals = if let Some(prof) = profile.as_deref_mut() {
             let start = Instant::now();
@@ -634,35 +802,54 @@ fn instantiate_planned_inner(
         };
         (parent_row[id], rows[id]) = terminals.into_iter().unzip();
     }
-    // Stitch bottom-up: reverse preorder guarantees every child level is
-    // assembled before its parent attaches it.
-    let mut built: Vec<Vec<VoInstanceNode>> = vec![Vec::new(); n];
-    for &id in order.iter().rev() {
-        let mut insts: Vec<VoInstanceNode> = std::mem::take(&mut rows[id])
-            .into_iter()
-            .map(|t| VoInstanceNode::leaf(id, t))
+    // Cut every node's rows into per-pivot runs: parent-major order keeps
+    // each pivot's rows contiguous at every node, so starts[id][i] — where
+    // pivot i's run begins in rows[id] — is found by one merge against the
+    // parent's starts.
+    let mut starts: Vec<Vec<usize>> = vec![Vec::new(); n];
+    starts[0] = (0..=pivots.len()).collect();
+    for &id in order.iter().skip(1) {
+        let (rows_of, mut k) = (&parent_row[id], 0);
+        starts[id] = (starts[parent_of[id]].iter())
+            .map(|&first| {
+                k += rows_of[k..].partition_point(|&p| p < first);
+                k
+            })
             .collect();
-        for &c in &object.node(id).children {
-            for (k, ci) in std::mem::take(&mut built[c]).into_iter().enumerate() {
-                insts[parent_row[c][k]].push_child(ci);
+    }
+    // Move each run into its instance: groups by ascending node id, parent
+    // positions relative to the parent's run.
+    let mut rows: Vec<std::vec::IntoIter<Tuple>> = rows.into_iter().map(Vec::into_iter).collect();
+    let mut instances = Vec::with_capacity(pivots.len());
+    for i in 0..pivots.len() {
+        let run = |id: usize| starts[id][i]..starts[id][i + 1];
+        let mut bound = Vec::with_capacity((1..n).map(|id| run(id).len()).sum());
+        for id in 1..n {
+            let parent = parent_of[id];
+            let base = starts[parent][i];
+            for k in run(id) {
+                bound.push(VoInstanceNode {
+                    node: id,
+                    parent,
+                    parent_pos: parent_row[id][k] - base,
+                    tuple: rows[id].next().expect("one row per position of the run"),
+                });
             }
         }
-        built[id] = insts;
+        let pivot = rows[0].next().expect("one row per pivot");
+        instances.push(VoInstance {
+            object: object.shared_name().clone(),
+            root: VoInstanceNode::pivot(pivot),
+            bound,
+        });
     }
-    let roots = std::mem::take(&mut built[0]);
-    vo_relational::stats::count_instances_built(roots.len() as u64);
+    vo_relational::stats::count_instances_built(instances.len() as u64);
     if sp.is_recording() {
         sp.field("object", Json::str(object.name()));
         sp.field("pivots", Json::Int(pivots.len() as i64));
-        sp.field("instances", Json::Int(roots.len() as i64));
+        sp.field("instances", Json::Int(instances.len() as i64));
     }
-    Ok(roots
-        .into_iter()
-        .map(|root| VoInstance {
-            object: object.name().to_owned(),
-            root,
-        })
-        .collect())
+    Ok(instances)
 }
 
 /// Summarize an edge's access path from its step profiles: the single
@@ -1242,7 +1429,6 @@ mod tests {
             vec!["NEW1".into(), "T".into(), "graduate".into(), Value::Null],
         )
         .unwrap();
-        let mut root = VoInstanceNode::leaf(0, t);
         let gra = omega
             .nodes()
             .iter()
@@ -1250,15 +1436,16 @@ mod tests {
             .unwrap()
             .id;
         let grades = db.table("GRADES").unwrap().schema().clone();
-        root.push_child(VoInstanceNode::leaf(
+        let mut b = VoInstance::builder(&omega, t);
+        b.push(
+            0,
             gra,
             Tuple::new(&grades, vec!["NEW1".into(), 1.into(), "A".into()]).unwrap(),
-        ));
-        let inst = VoInstance {
-            object: omega.name().to_owned(),
-            root,
-        };
+        );
+        let inst = b.finish();
         assert_eq!(inst.size(), 2);
         assert_eq!(inst.tuples_of(gra).len(), 1);
+        assert_eq!(inst.tuples_of(gra)[0].parent, 0);
+        assert!(Arc::ptr_eq(&inst.object, omega.shared_name()));
     }
 }

@@ -82,7 +82,7 @@ pub mod prelude {
         assemble, follow_edge, follow_edge_batch, instantiate_all, instantiate_all_legacy,
         instantiate_all_parallel, instantiate_many, instantiate_many_parallel,
         instantiate_many_planned, instantiate_many_profiled, plan_edge, plan_object, EdgePlan,
-        ObjectPlan, StepPlan, VoInstance, VoInstanceNode,
+        InstanceBuilder, ObjectPlan, StepPlan, VoInstance, VoInstanceNode,
     };
     pub use crate::island::{analyze, IslandAnalysis, KeySplit};
     pub use crate::maintain::{
@@ -100,20 +100,16 @@ pub mod prelude {
         TemplateNode, TemplateTree,
     };
     pub use crate::university::{seed_figure4, university_database, university_schema};
-    pub use crate::update::delete::{
-        translate_complete_deletion, translate_complete_deletion_into,
-    };
+    pub use crate::update::delete::translate_complete_deletion;
     pub use crate::update::error::{UpdateError, UpdateResult, UpdateStep};
-    pub use crate::update::insert::{
-        translate_complete_insertion, translate_complete_insertion_into,
-    };
+    pub use crate::update::insert::translate_complete_insertion;
     pub use crate::update::partial::PartialOp;
     pub use crate::update::pipeline::{
         BatchOutcome, PreparedBatch, UpdateBatch, UpdateOutcome, UpdateStats, ViewObjectUpdater,
     };
     pub use crate::update::propagate::propagate_links;
     pub use crate::update::replace::{
-        translate_replacement, translate_replacement_into, translate_replacement_traced, TraceEvent,
+        translate_replacement, translate_replacement_traced, TraceEvent,
     };
     pub use crate::update::validate::{validate_instance, LocalValidation};
     pub use crate::update::UpdateRequest;

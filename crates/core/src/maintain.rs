@@ -33,9 +33,7 @@
 //! and to every [`MaterializedView::refresh`], and must be current for the
 //! database it is used with.
 
-use crate::instance::{
-    instantiate_many_planned, probe_step, ObjectPlan, StepPlan, VoInstance, VoInstanceNode,
-};
+use crate::instance::{instantiate_many_planned, probe_step, ObjectPlan, StepPlan, VoInstance};
 use crate::object::ViewObject;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
@@ -476,13 +474,14 @@ impl MaterializedView {
         let rschema = db.table(rel)?.schema();
         // the pre-op tuple as the instances currently hold it (patches
         // applied earlier in this refresh included)
-        let sample = self
-            .instances
-            .get(&pivots[0])
-            .and_then(|inst| find_tuple(&inst.root, &self.object, rschema, rel, key))
-            .cloned();
+        let inst = self.instances.get(&pivots[0]);
+        let sample = (self.object.nodes().iter())
+            .filter(|node| node.relation == rel)
+            .flat_map(|node| inst.map_or(&[][..], |inst| inst.tuples_of(node.id)))
+            .find(|bound| bound.key(rschema) == *key)
+            .map(|bound| bound.tuple.clone());
         let Some(old) = sample else {
-            // binding recorded but tuple not found in the instance tree —
+            // binding recorded but tuple not bound in the instance —
             // be conservative
             return Ok(false);
         };
@@ -496,7 +495,7 @@ impl MaterializedView {
         }
         for pivot in pivots {
             if let Some(inst) = self.instances.get_mut(&pivot) {
-                if patch_tuple(&mut inst.root, &self.object, rschema, rel, key, new_tuple) {
+                if patch_tuple(inst, &self.object, rschema, rel, key, new_tuple) {
                     patched.insert(pivot.clone());
                     events.entry(pivot).or_insert(ChangeKind::Updated);
                 }
@@ -692,27 +691,10 @@ fn reverse_step(step: &StepPlan, db: &Database, targets: &[Tuple]) -> Result<Vec
     Ok(out)
 }
 
-/// Find the tuple bound for `(rel, key)` anywhere in an instance subtree.
-fn find_tuple<'a>(
-    node: &'a VoInstanceNode,
-    object: &ViewObject,
-    rschema: &RelationSchema,
-    rel: &str,
-    key: &Key,
-) -> Option<&'a Tuple> {
-    if object.node(node.node).relation == rel && node.tuple.key(rschema) == *key {
-        return Some(&node.tuple);
-    }
-    node.children
-        .values()
-        .flatten()
-        .find_map(|c| find_tuple(c, object, rschema, rel, key))
-}
-
-/// Replace every occurrence of `(rel, key)` in an instance subtree with
-/// `new_tuple`. Returns true when at least one tuple was rewritten.
+/// Rewrite every occurrence of `(rel, key)` in an instance to `new_tuple`.
+/// Returns true when at least one tuple was rewritten.
 fn patch_tuple(
-    node: &mut VoInstanceNode,
+    inst: &mut VoInstance,
     object: &ViewObject,
     rschema: &RelationSchema,
     rel: &str,
@@ -720,12 +702,13 @@ fn patch_tuple(
     new_tuple: &Tuple,
 ) -> bool {
     let mut hit = false;
-    if object.node(node.node).relation == rel && node.tuple.key(rschema) == *key {
-        node.tuple = new_tuple.clone();
-        hit = true;
-    }
-    for child in node.children.values_mut().flatten() {
-        hit |= patch_tuple(child, object, rschema, rel, key, new_tuple);
+    for node in object.nodes().iter().filter(|node| node.relation == rel) {
+        for pos in 0..inst.tuples_of(node.id).len() {
+            if inst.tuples_of(node.id)[pos].key(rschema) == *key {
+                inst.rewrite(node.id, pos, new_tuple.clone());
+                hit = true;
+            }
+        }
     }
     hit
 }

@@ -10,6 +10,7 @@
 //! excluded).
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use vo_relational::prelude::*;
 use vo_structural::prelude::*;
 
@@ -83,7 +84,8 @@ pub struct VoNode {
 /// A view object: a named tree of projections anchored on a pivot relation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ViewObject {
-    name: String,
+    /// Shared with every instance of the object ([`crate::instance::VoInstance::object`]).
+    name: Arc<str>,
     nodes: Vec<VoNode>,
 }
 
@@ -138,7 +140,7 @@ impl ViewObjectBuilder {
     /// Validate against the structural schema and finish.
     pub fn build(self, schema: &StructuralSchema) -> Result<ViewObject> {
         let object = ViewObject {
-            name: self.name,
+            name: self.name.into(),
             nodes: self.nodes,
         };
         object.validate(schema)?;
@@ -155,7 +157,7 @@ impl ViewObject {
         schema: &StructuralSchema,
     ) -> Result<Self> {
         let object = ViewObject {
-            name: name.into(),
+            name: name.into().into(),
             nodes,
         };
         object.validate(schema)?;
@@ -164,6 +166,11 @@ impl ViewObject {
 
     /// The object's name.
     pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The object's name as the allocation its instances share.
+    pub fn shared_name(&self) -> &Arc<str> {
         &self.name
     }
 

@@ -248,18 +248,12 @@ impl VoQuery {
         mut inst: VoInstance,
     ) -> Result<Option<VoInstance>> {
         for (node, pred, columns) in child_predicates {
-            let mut err = None;
-            prune_children(&mut inst.root, *node, &mut |t: &Tuple| match pred
-                .eval_truth(columns, t.values())
-            {
-                Ok(tr) => tr.is_true(),
-                Err(e) => {
-                    err = Some(e);
-                    false
+            // last first: a removal moves only the tuples behind it
+            for pos in (0..inst.tuples_of(*node).len()).rev() {
+                let tuple = &inst.tuples_of(*node)[pos];
+                if !pred.eval_truth(columns, tuple.values())?.is_true() {
+                    inst.remove(*node, pos);
                 }
-            });
-            if let Some(e) = err {
-                return Err(e);
             }
         }
         for c in &self.count_conditions {
@@ -273,21 +267,6 @@ impl VoQuery {
             }
         }
         Ok(Some(inst))
-    }
-}
-
-/// Keep only children of `node_id` anywhere in the subtree whose tuple
-/// passes `keep`.
-fn prune_children(
-    inst: &mut crate::instance::VoInstanceNode,
-    node_id: NodeId,
-    keep: &mut dyn FnMut(&Tuple) -> bool,
-) {
-    for (_, children) in inst.children.iter_mut() {
-        children.retain(|c| c.node != node_id || keep(&c.tuple));
-        for c in children.iter_mut() {
-            prune_children(c, node_id, keep);
-        }
     }
 }
 

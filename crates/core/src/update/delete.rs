@@ -21,7 +21,9 @@ use crate::update::validate::{validate_instance, LocalValidation};
 use vo_relational::prelude::*;
 use vo_structural::prelude::*;
 
-/// Translate a complete deletion into database operations.
+/// Translate a complete deletion into database operations: steps 1 and 3
+/// over an overlay of `db` (the pipeline, which has run step 1 already,
+/// goes to step 3 directly).
 pub fn translate_complete_deletion(
     schema: &StructuralSchema,
     object: &ViewObject,
@@ -30,40 +32,13 @@ pub fn translate_complete_deletion(
     db: &Database,
     instance: &VoInstance,
 ) -> Result<Vec<DbOp>> {
-    let mut rec = DeltaDb::new(db);
-    translate_complete_deletion_into(schema, object, analysis, translator, &mut rec, instance)?;
-    Ok(rec.into_ops())
-}
-
-/// Like [`translate_complete_deletion`], but planning into an existing
-/// recorder — the batch path, where many requests share one overlay.
-///
-/// Runs step 1 itself and hands over to the translation proper; the
-/// pipeline, which has run it already, goes there directly.
-pub fn translate_complete_deletion_into(
-    schema: &StructuralSchema,
-    object: &ViewObject,
-    analysis: &IslandAnalysis,
-    translator: &Translator,
-    rec: &mut DeltaDb<'_>,
-    instance: &VoInstance,
-) -> Result<()> {
-    // a forbidden kind is reported before an invalid instance
-    permitted(object, translator)?;
+    translator.permitted(object, "complete-deletion")?;
     let validated = validate_instance(schema, object, instance)?;
+    let mut rec = DeltaDb::new(db);
     translate_complete_deletion_checked(
-        schema, object, analysis, translator, rec, instance, &validated,
-    )
-}
-
-fn permitted(object: &ViewObject, translator: &Translator) -> Result<()> {
-    if translator.allow_deletion {
-        return Ok(());
-    }
-    Err(Error::ConstraintViolation(format!(
-        "translator for {} forbids complete deletions",
-        object.name()
-    )))
+        schema, object, analysis, translator, &mut rec, instance, &validated,
+    )?;
+    Ok(rec.into_ops())
 }
 
 /// Step 3 of a complete deletion alone. `_validated` is the caller's
@@ -79,7 +54,7 @@ pub(crate) fn translate_complete_deletion_checked(
     _validated: &LocalValidation,
 ) -> Result<()> {
     vo_relational::stats::count_snapshot_avoided();
-    permitted(object, translator)?;
+    translator.permitted(object, "complete-deletion")?;
 
     // the instance must denote a stored entity: every island tuple exists
     for &node_id in &analysis.island {
@@ -105,7 +80,7 @@ pub(crate) fn translate_complete_deletion_checked(
     for &node_id in &analysis.island {
         let node = object.node(node_id);
         let table = rec.view(&node.relation)?;
-        for tuple in instance.tuples_of(node_id) {
+        for tuple in instance.tuples_of(node_id).iter().map(|t| &t.tuple) {
             let key = tuple.key(table.schema());
             let covered = ops.iter().any(|op| match op {
                 DbOp::Delete { relation, key: k } => relation == &node.relation && k == &key,

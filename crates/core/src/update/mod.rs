@@ -39,6 +39,9 @@ pub mod replace;
 pub mod validate;
 
 use crate::instance::VoInstance;
+use crate::object::ViewObject;
+use crate::translator::Translator;
+use vo_relational::prelude::*;
 
 /// A complete update request on a view object (paper §5's *complete
 /// update*: insertion, deletion, or replacement). Partial updates live in
@@ -66,6 +69,27 @@ impl UpdateRequest {
             UpdateRequest::CompleteDeletion(_) => "complete-deletion",
             UpdateRequest::Replacement { .. } => "replacement",
         }
+    }
+}
+
+impl Translator {
+    /// Whether this translator lets a request of `kind` ([`UpdateRequest::kind`])
+    /// through at all — asked before the instance is looked at, so a
+    /// forbidden kind is reported before an invalid instance.
+    pub(crate) fn permitted(&self, object: &ViewObject, kind: &str) -> Result<()> {
+        let (allowed, requests) = match kind {
+            "complete-insertion" => (self.allow_insertion, "complete insertions"),
+            "complete-deletion" => (self.allow_deletion, "complete deletions"),
+            "replacement" => (self.allow_replacement, "replacements"),
+            other => unreachable!("`{other}` is no UpdateRequest::kind"),
+        };
+        if allowed {
+            return Ok(());
+        }
+        Err(Error::ConstraintViolation(format!(
+            "translator for {} forbids {requests}",
+            object.name()
+        )))
     }
 }
 

@@ -5,7 +5,7 @@
 //! updates obey exactly the same translator and global-integrity rules as
 //! complete updates.
 
-use crate::instance::{assemble, VoInstanceNode};
+use crate::instance::{assemble, VoInstance};
 use crate::object::NodeId;
 use crate::update::error::{UpdateError, UpdateResult, UpdateStep};
 use crate::update::pipeline::{UpdateOutcome, ViewObjectUpdater};
@@ -107,7 +107,7 @@ impl ViewObjectUpdater {
         schema: &StructuralSchema,
         db: &Database,
         op: PartialOp,
-    ) -> Result<(crate::instance::VoInstance, crate::instance::VoInstance)> {
+    ) -> Result<(VoInstance, VoInstance)> {
         let pivot_key = match &op {
             PartialOp::InsertChild { pivot_key, .. }
             | PartialOp::DeleteChild { pivot_key, .. }
@@ -131,28 +131,27 @@ impl ViewObjectUpdater {
                         "cannot InsertChild at the pivot; use a complete insertion".into(),
                     )
                 })?;
-                // attach under every instance of the parent whose linking
-                // values match; if the tuple's linking values don't match
-                // any parent, link propagation will rewrite them when the
-                // parent is the pivot — otherwise reject ambiguity
-                let mut attached = false;
-                attach(&mut new.root, parent, node, &tuple, &mut attached);
-                if !attached {
+                // attach under every tuple of the parent node; if the
+                // tuple's linking values don't match one, link propagation
+                // rewrites them when the parent is the pivot — otherwise
+                // validation refuses the ambiguity
+                let parents = new.tuples_of(parent).len();
+                if parents == 0 {
                     return Err(Error::ConstraintViolation(format!(
                         "no instance of node {parent} to attach the new child under"
                     )));
                 }
+                for pos in 0..parents {
+                    new.attach(parent, pos, node, tuple.clone());
+                }
             }
             PartialOp::DeleteChild { node, key, .. } => {
-                let rel = &self.object().node(node).relation;
-                let rel_schema = schema.catalog().relation(rel)?.clone();
-                let mut removed = false;
-                remove(&mut new.root, node, &key, &rel_schema, &mut removed);
-                if !removed {
-                    return Err(Error::NoSuchTuple {
-                        relation: rel.clone(),
-                        key: key.to_string(),
-                    });
+                for pos in self
+                    .child_positions(schema, &new, node, &key)?
+                    .into_iter()
+                    .rev()
+                {
+                    new.remove(node, pos);
                 }
             }
             PartialOp::ModifyChild {
@@ -161,22 +160,8 @@ impl ViewObjectUpdater {
                 new: newt,
                 ..
             } => {
-                let rel = &self.object().node(node).relation;
-                let rel_schema = schema.catalog().relation(rel)?.clone();
-                let mut modified = false;
-                modify(
-                    &mut new.root,
-                    node,
-                    &old_key,
-                    &newt,
-                    &rel_schema,
-                    &mut modified,
-                );
-                if !modified {
-                    return Err(Error::NoSuchTuple {
-                        relation: rel.clone(),
-                        key: old_key.to_string(),
-                    });
+                for pos in self.child_positions(schema, &new, node, &old_key)? {
+                    new.rewrite(node, pos, newt.clone());
                 }
             }
             PartialOp::ModifyPivot { new: newt, .. } => {
@@ -185,63 +170,29 @@ impl ViewObjectUpdater {
         }
         Ok((old, new))
     }
-}
 
-fn attach(
-    inst: &mut VoInstanceNode,
-    parent: NodeId,
-    node: NodeId,
-    tuple: &Tuple,
-    attached: &mut bool,
-) {
-    if inst.node == parent {
-        inst.push_child(VoInstanceNode::leaf(node, tuple.clone()));
-        *attached = true;
-    }
-    for children in inst.children.values_mut() {
-        for c in children.iter_mut() {
-            if c.node != node {
-                attach(c, parent, node, tuple, attached);
-            }
+    /// The positions of the tuples with key `key` among those `inst` binds
+    /// at `node` (never the pivot, which `ModifyPivot` addresses).
+    fn child_positions(
+        &self,
+        schema: &StructuralSchema,
+        inst: &VoInstance,
+        node: NodeId,
+        key: &Key,
+    ) -> Result<Vec<usize>> {
+        let relation = &self.object().node(node).relation;
+        let rel_schema = schema.catalog().relation(relation)?;
+        let hits: Vec<usize> = (inst.tuples_of(node).iter().enumerate())
+            .filter(|(_, t)| node != 0 && t.key(rel_schema) == *key)
+            .map(|(pos, _)| pos)
+            .collect();
+        if hits.is_empty() {
+            return Err(Error::NoSuchTuple {
+                relation: relation.clone(),
+                key: key.to_string(),
+            });
         }
-    }
-}
-
-fn remove(
-    inst: &mut VoInstanceNode,
-    node: NodeId,
-    key: &Key,
-    rel_schema: &RelationSchema,
-    removed: &mut bool,
-) {
-    for children in inst.children.values_mut() {
-        let before = children.len();
-        children.retain(|c| !(c.node == node && c.tuple.key(rel_schema) == *key));
-        if children.len() != before {
-            *removed = true;
-        }
-        for c in children.iter_mut() {
-            remove(c, node, key, rel_schema, removed);
-        }
-    }
-}
-
-fn modify(
-    inst: &mut VoInstanceNode,
-    node: NodeId,
-    old_key: &Key,
-    new: &Tuple,
-    rel_schema: &RelationSchema,
-    modified: &mut bool,
-) {
-    for children in inst.children.values_mut() {
-        for c in children.iter_mut() {
-            if c.node == node && c.tuple.key(rel_schema) == *old_key {
-                c.tuple = new.clone();
-                *modified = true;
-            }
-            modify(c, node, old_key, new, rel_schema, modified);
-        }
+        Ok(hits)
     }
 }
 

@@ -28,9 +28,8 @@ use crate::translator::Translator;
 use crate::update::delete::translate_complete_deletion_checked;
 use crate::update::error::{UpdateError, UpdateResult, UpdateStep};
 use crate::update::insert::translate_complete_insertion_checked;
-use crate::update::propagate::propagate_links;
 use crate::update::replace::translate_replacement_checked;
-use crate::update::validate::validate_instance;
+use crate::update::validate::{check_shape, Links};
 use crate::update::UpdateRequest;
 use vo_relational::prelude::*;
 use vo_structural::prelude::*;
@@ -287,6 +286,8 @@ pub struct ViewObjectUpdater {
     object: ViewObject,
     analysis: IslandAnalysis,
     translator: Translator,
+    /// The object's direct edges, resolved for steps 1–2.
+    links: Links,
 }
 
 impl ViewObjectUpdater {
@@ -297,10 +298,12 @@ impl ViewObjectUpdater {
         translator: Translator,
     ) -> Result<Self> {
         let analysis = analyze(schema, &object)?;
+        let links = Links::new(schema, &object)?;
         Ok(ViewObjectUpdater {
             object,
             analysis,
             translator,
+            links,
         })
     }
 
@@ -338,7 +341,8 @@ impl ViewObjectUpdater {
             UpdateRequest::CompleteDeletion(inst) => inst,
             UpdateRequest::Replacement { old, .. } => old,
         };
-        let validated = validate_instance(schema, &self.object, instance)
+        let validated = check_shape(schema, &self.object, instance)
+            .and_then(|v| self.links.check_connected(instance).map(|()| v))
             .map_err(|e| UpdateError::new(UpdateStep::Validate, e).with_kind(kind))?;
         steps.push(UpdateStep::Validate);
 
@@ -349,11 +353,7 @@ impl ViewObjectUpdater {
         // propagated replacing instance
         let (request, validated) = match request {
             UpdateRequest::Replacement { old, new } => {
-                let (new, validated) = propagate_links(schema, &self.object, new)
-                    .and_then(|new| {
-                        let validated = validate_instance(schema, &self.object, &new)?;
-                        Ok((new, validated))
-                    })
+                let (new, validated) = (self.links.replacing(schema, &self.object, new))
                     .map_err(|e| UpdateError::new(UpdateStep::Propagate, e).with_kind(kind))?;
                 steps.push(UpdateStep::Propagate);
                 (UpdateRequest::Replacement { old, new }, validated)
@@ -830,8 +830,8 @@ mod tests {
             .find(|n| n.relation == "STUDENT")
             .unwrap()
             .id;
-        let mut root = crate::instance::VoInstanceNode::leaf(
-            0,
+        let mut b = VoInstance::builder(
+            &omega,
             Tuple::new(
                 &courses,
                 vec![
@@ -843,19 +843,17 @@ mod tests {
             )
             .unwrap(),
         );
-        let mut g = crate::instance::VoInstanceNode::leaf(
+        let g = b.push(
+            0,
             gid,
             Tuple::new(&grades, vec!["CS700".into(), 77.into(), "A".into()]).unwrap(),
         );
-        g.push_child(crate::instance::VoInstanceNode::leaf(
+        b.push(
+            g,
             sid,
             Tuple::new(&student, vec![77.into(), "MS".into()]).unwrap(),
-        ));
-        root.push_child(g);
-        let inst = crate::instance::VoInstance {
-            object: omega.name().to_owned(),
-            root,
-        };
+        );
+        let inst = b.finish();
         let before = db.total_tuples();
         let err = updater.insert(&schema, &mut db, inst).unwrap_err();
         assert!(err.to_string().contains("not permitted") || matches!(err, Error::Rolledback(_)));

@@ -8,8 +8,9 @@
 //! changed `COURSES.dept_name` re-targets the DEPARTMENT child), which is
 //! exactly the hierarchical consistency local validation demands.
 
-use crate::instance::{VoInstance, VoInstanceNode};
-use crate::object::{ViewObject, VoNode};
+use crate::instance::VoInstance;
+use crate::object::ViewObject;
+use crate::update::validate::{check_shape, Links, LocalValidation};
 use vo_relational::prelude::*;
 use vo_structural::prelude::*;
 
@@ -21,92 +22,86 @@ use vo_structural::prelude::*;
 pub fn propagate_links(
     schema: &StructuralSchema,
     object: &ViewObject,
-    mut instance: VoInstance,
+    instance: VoInstance,
 ) -> Result<VoInstance> {
-    // one entry per object node, by id: the edge into it
-    let links: Vec<Option<Link<'_>>> = (object.nodes().iter())
-        .map(|node| Link::into_node(schema, object, node))
-        .collect::<Result<_>>()?;
-    propagate_node(&links, &mut instance.root)?;
-    Ok(instance)
+    Links::new(schema, object)?.propagate(schema, object, instance)
 }
 
-/// A direct edge's connecting positions, resolved once for every instance
-/// node that crosses it.
-struct Link<'s> {
-    /// `(position in the parent tuple, position in the child tuple)`.
-    pairs: Vec<(usize, usize)>,
-    child: &'s RelationSchema,
-}
-
-impl<'s> Link<'s> {
-    /// The link over the edge into `node`; `None` for the pivot and for a
-    /// contracted edge, whose intermediate tuples the instance lacks.
-    fn into_node(
-        schema: &'s StructuralSchema,
+impl Links {
+    /// [`propagate_links`] over this table.
+    pub(crate) fn propagate(
+        &self,
+        schema: &StructuralSchema,
         object: &ViewObject,
-        node: &VoNode,
-    ) -> Result<Option<Link<'s>>> {
-        let (Some(parent), Some(edge)) = (node.parent, node.edge.as_ref()) else {
-            return Ok(None);
-        };
-        if !edge.is_direct() {
-            return Ok(None);
-        }
-        let t = edge.steps[0].resolve(schema)?;
-        let parent = schema.catalog().relation(&object.node(parent).relation)?;
-        let child = schema.catalog().relation(&node.relation)?;
-        let from = parent.indices_of(t.source_attrs())?;
-        let to = child.indices_of(t.target_attrs())?;
-        Ok(Some(Link {
-            pairs: from.into_iter().zip(to).collect(),
-            child,
-        }))
-    }
-
-    /// `child` with `parent`'s connecting values, re-validated — or `None`
-    /// when it holds them already.
-    fn rewritten(&self, parent: &Tuple, child: &Tuple) -> Result<Option<Tuple>> {
-        // a position a malformed tuple lacks counts as differing, and the
-        // rebuilt child is validated: the refusal is an error, not a panic
-        let (from, to) = (parent.values(), child.values());
-        let holds = |&(f, t): &(usize, usize)| matches!((from.get(f), to.get(t)), (Some(p), Some(c)) if p.identical(c));
-        if self.pairs.iter().all(holds) {
-            return Ok(None);
-        }
-        let mut values = to.to_vec();
-        for &(f, t) in &self.pairs {
-            if let (Some(p), Some(slot)) = (from.get(f), values.get_mut(t)) {
-                *slot = p.clone();
-            }
-        }
-        Tuple::new(self.child, values).map(Some)
-    }
-}
-
-fn propagate_node(links: &[Option<Link<'_>>], inst: &mut VoInstanceNode) -> Result<()> {
-    let VoInstanceNode {
-        tuple, children, ..
-    } = inst;
-    for (child_id, children) in children.iter_mut() {
-        // an id the object lacks is local validation's to refuse
-        let link = links.get(*child_id).and_then(Option::as_ref);
-        for c in children.iter_mut() {
-            if let Some(link) = link {
-                if let Some(rewritten) = link.rewritten(tuple, &c.tuple)? {
-                    c.tuple = rewritten;
+        mut instance: VoInstance,
+    ) -> Result<VoInstance> {
+        // parents before children, so a rewritten tuple passes its values on
+        for id in object.preorder() {
+            let (Some(pairs), Some(parent)) = (self.edge_into(id), object.node(id).parent) else {
+                continue;
+            };
+            for pos in 0..instance.tuples_of(id).len() {
+                let child = &instance.tuples_of(id)[pos];
+                // a tuple filed under another node is local validation's
+                // to refuse
+                let from = (child.parent == parent)
+                    .then(|| instance.tuples_of(parent).get(child.parent_pos))
+                    .flatten();
+                let Some(from) = from else { continue };
+                if let Some(rewritten) = rewritten(schema, object, id, pairs, from, child)? {
+                    instance.rewrite(id, pos, rewritten);
                 }
             }
-            propagate_node(links, c)?;
+        }
+        Ok(instance)
+    }
+
+    /// Step 2 for a replacing instance: its shape is checked before
+    /// propagation reads it, its connections after propagation set them.
+    pub(crate) fn replacing(
+        &self,
+        schema: &StructuralSchema,
+        object: &ViewObject,
+        new: VoInstance,
+    ) -> Result<(VoInstance, LocalValidation)> {
+        let validated = check_shape(schema, object, &new)?;
+        let new = self.propagate(schema, object, new)?;
+        self.check_connected(&new)?;
+        Ok((new, validated))
+    }
+}
+
+/// `child`, a tuple of node `id`, with `parent`'s connecting values,
+/// re-validated — or `None` when it holds them already.
+fn rewritten(
+    schema: &StructuralSchema,
+    object: &ViewObject,
+    id: usize,
+    pairs: &[(usize, usize)],
+    parent: &Tuple,
+    child: &Tuple,
+) -> Result<Option<Tuple>> {
+    // a position a malformed tuple lacks counts as differing, and the
+    // rebuilt child is validated: the refusal is an error, not a panic
+    let (from, to) = (parent.values(), child.values());
+    let holds = |&(f, t): &(usize, usize)| matches!((from.get(f), to.get(t)), (Some(p), Some(c)) if p.identical(c));
+    if pairs.iter().all(holds) {
+        return Ok(None);
+    }
+    let mut values = to.to_vec();
+    for &(f, t) in pairs {
+        if let (Some(p), Some(slot)) = (from.get(f), values.get_mut(t)) {
+            *slot = p.clone();
         }
     }
-    Ok(())
+    let child_schema = schema.catalog().relation(&object.node(id).relation)?;
+    Tuple::new(child_schema, values).map(Some)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::{instantiate_all, VoInstanceNode};
+    use crate::instance::instantiate_all;
     use crate::treegen::generate_omega;
     use crate::university::university_database;
     use crate::update::validate::validate_instance;
@@ -208,9 +203,8 @@ mod tests {
             .unwrap()
             .id;
         let grades = db.table("GRADES").unwrap().schema().clone();
-        if let Some(gs) = inst.root.children.get_mut(&gra) {
-            gs[0].tuple = gs[0].tuple.with_named(&grades, "ssn", 99.into()).unwrap();
-        }
+        let moved = inst.tuples_of(gra)[0].with_named(&grades, "ssn", 99.into());
+        inst.rewrite(gra, 0, moved.unwrap());
         let fixed = propagate_links(&schema, &omega, inst).unwrap();
         let stu = omega
             .nodes()
@@ -250,14 +244,12 @@ mod tests {
         let inst = instantiate_all(&schema, &omega, &db).unwrap().remove(0);
         // a child under an id the object lacks is left for validation
         let mut bogus = inst.clone();
-        let stray = VoInstanceNode::leaf(99, bogus.root.tuple.clone());
-        bogus.root.children.insert(99, vec![stray]);
+        bogus.attach(0, 0, 99, bogus.root.tuple.clone());
         let out = propagate_links(&schema, &omega, bogus).unwrap();
         assert!(validate_instance(&schema, &omega, &out).is_err());
         // a child tuple too short to hold its connecting attribute
         let mut short = inst;
-        let children = short.root.children.values_mut().next().unwrap();
-        children[0].tuple = Tuple::raw(vec![]);
+        short.rewrite(short.bound()[0].node, 0, Tuple::raw(vec![]));
         let err = propagate_links(&schema, &omega, short).unwrap_err();
         assert!(matches!(err, Error::ArityMismatch { .. }), "got {err}");
     }

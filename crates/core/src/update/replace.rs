@@ -20,8 +20,7 @@ use crate::island::IslandAnalysis;
 use crate::object::{NodeId, ViewObject};
 use crate::translator::Translator;
 use crate::update::insert::complete_dependencies;
-use crate::update::propagate::propagate_links;
-use crate::update::validate::{validate_instance, LocalValidation};
+use crate::update::validate::{validate_instance, Links, LocalValidation};
 use vo_relational::prelude::*;
 use vo_structural::prelude::*;
 
@@ -82,7 +81,10 @@ pub fn translate_replacement(
 }
 
 /// Like [`translate_replacement`], additionally returning the state-machine
-/// trace (the sequence of paper cases that fired).
+/// trace (the sequence of paper cases that fired). Runs steps 1–2 itself
+/// (validate `old`; check `new`'s shape, propagate within it, check its
+/// connections) before step 3; the pipeline, which has run them already,
+/// goes to step 3 directly.
 pub fn translate_replacement_traced(
     schema: &StructuralSchema,
     object: &ViewObject,
@@ -92,46 +94,14 @@ pub fn translate_replacement_traced(
     old: &VoInstance,
     new: VoInstance,
 ) -> Result<(Vec<DbOp>, Vec<TraceEvent>)> {
-    let mut rec = DeltaDb::new(db);
-    let trace =
-        translate_replacement_into(schema, object, analysis, translator, &mut rec, old, new)?;
-    Ok((rec.into_ops(), trace))
-}
-
-/// Like [`translate_replacement_traced`], but planning into an existing
-/// recorder — the batch path, where many requests share one overlay.
-/// Returns the state-machine trace; the ops accumulate in `rec`.
-///
-/// Runs steps 1–2 itself (validate `old`, propagate within `new`,
-/// re-validate) and hands over to the translation proper; the pipeline,
-/// which has run them already, goes there directly.
-pub fn translate_replacement_into(
-    schema: &StructuralSchema,
-    object: &ViewObject,
-    analysis: &IslandAnalysis,
-    translator: &Translator,
-    rec: &mut DeltaDb<'_>,
-    old: &VoInstance,
-    new: VoInstance,
-) -> Result<Vec<TraceEvent>> {
-    // a forbidden kind is reported before an invalid instance
-    permitted(object, translator)?;
+    translator.permitted(object, "replacement")?;
     validate_instance(schema, object, old)?;
-    let new = propagate_links(schema, object, new)?;
-    let validated = validate_instance(schema, object, &new)?;
-    translate_replacement_checked(
-        schema, object, analysis, translator, rec, old, &new, &validated,
-    )
-}
-
-fn permitted(object: &ViewObject, translator: &Translator) -> Result<()> {
-    if translator.allow_replacement {
-        return Ok(());
-    }
-    Err(Error::ConstraintViolation(format!(
-        "translator for {} forbids replacements",
-        object.name()
-    )))
+    let (new, validated) = Links::new(schema, object)?.replacing(schema, object, new)?;
+    let mut rec = DeltaDb::new(db);
+    let trace = translate_replacement_checked(
+        schema, object, analysis, translator, &mut rec, old, &new, &validated,
+    )?;
+    Ok((rec.into_ops(), trace))
 }
 
 /// Step 3 of a replacement alone: `old` has passed local validation, `new`
@@ -148,13 +118,12 @@ pub(crate) fn translate_replacement_checked(
     validated: &LocalValidation,
 ) -> Result<Vec<TraceEvent>> {
     vo_relational::stats::count_snapshot_avoided();
-    permitted(object, translator)?;
+    translator.permitted(object, "replacement")?;
 
     // contracted-edge nodes may not change
     for &cn in &validated.contracted_nodes {
-        let o: Vec<&Tuple> = old.tuples_of(cn);
-        let n: Vec<&Tuple> = new.tuples_of(cn);
-        if o != n {
+        let (o, n) = (old.tuples_of(cn), new.tuples_of(cn));
+        if !o.iter().map(|t| &t.tuple).eq(n.iter().map(|t| &t.tuple)) {
             return Err(Error::ConstraintViolation(format!(
                 "replacement changes tuples of node {cn}, which is bound through a \
                  contracted edge; the intermediate relations are unspecified"
@@ -177,10 +146,12 @@ pub(crate) fn translate_replacement_checked(
         analysis,
         translator,
         rec,
+        old,
+        new,
         written: Vec::new(),
         trace: Vec::new(),
     };
-    ctx.walk_pair(0, Some(&old.root), Some(&new.root), None)?;
+    ctx.walk_pair(0, Some(0), Some(0), None)?;
     let Ctx {
         rec,
         written,
@@ -197,58 +168,68 @@ struct Ctx<'a, 'r, 'base> {
     analysis: &'a IslandAnalysis,
     translator: &'a Translator,
     rec: &'r mut DeltaDb<'base>,
+    old: &'a VoInstance,
+    new: &'a VoInstance,
     written: Vec<(String, Tuple)>,
     trace: Vec<TraceEvent>,
 }
 
 impl Ctx<'_, '_, '_> {
-    /// Process a matched/unmatched pair of instance nodes for `node_id`,
-    /// then recurse over their children.
+    /// Process a matched/unmatched pair of tuples of `node_id` — positions
+    /// in the old and the new instance — then recurse over their children.
     fn walk_pair(
         &mut self,
         node_id: NodeId,
-        old: Option<&VoInstanceNode>,
-        new: Option<&VoInstanceNode>,
+        old: Option<usize>,
+        new: Option<usize>,
         parent_pair: Option<(&Tuple, &Tuple)>,
     ) -> Result<()> {
-        let relation = self.object.node(node_id).relation.clone();
-        let rel_schema = self.rec.base().table(&relation)?.schema();
+        let object = self.object;
+        let relation = &object.node(node_id).relation;
+        let rel_schema = self.rec.base().table(relation)?.schema();
         let in_island = self.analysis.in_island(node_id);
+        let (olds, news) = (self.old, self.new);
 
         match (old, new) {
             (Some(o), Some(n)) => {
-                self.process_tuple_pair(
-                    node_id, &relation, rel_schema, in_island, &o.tuple, &n.tuple,
-                )?;
+                let (ot, nt) = (&olds.tuples_of(node_id)[o], &news.tuples_of(node_id)[n]);
+                self.process_tuple_pair(node_id, relation, rel_schema, in_island, ot, nt)?;
                 // recurse over children of every declared child node
-                let children: Vec<NodeId> = self.object.node(node_id).children.clone();
-                for child in children {
-                    let empty: Vec<VoInstanceNode> = Vec::new();
-                    let olds = o.children.get(&child).unwrap_or(&empty);
-                    let news = n.children.get(&child).unwrap_or(&empty);
-                    let pairs =
-                        pair_children(self.schema, self.analysis, self.object, child, olds, news)?;
+                for &child in &object.node(node_id).children {
+                    let (oruns, nruns) = (
+                        olds.children(node_id, o, child),
+                        news.children(node_id, n, child),
+                    );
+                    let pairs = pair_children(
+                        self.schema,
+                        self.analysis,
+                        object,
+                        child,
+                        &olds.tuples_of(child)[oruns.clone()],
+                        &news.tuples_of(child)[nruns.clone()],
+                    )?;
                     for (co, cn) in pairs {
-                        self.walk_pair(child, co, cn, Some((&o.tuple, &n.tuple)))?;
+                        let (co, cn) = (co.map(|i| oruns.start + i), cn.map(|i| nruns.start + i));
+                        self.walk_pair(child, co, cn, Some((ot, nt)))?;
                     }
                 }
             }
             (Some(o), None) => {
+                let o = &olds.tuples_of(node_id)[o];
                 if in_island {
                     self.trace.push(TraceEvent::IslandRemoval { node: node_id });
                     // removal of part of the entity: delete with full
                     // structural propagation (covers its island subtree).
                     // An ancestor key replacement may already have re-keyed
                     // the tuple; locate it through the parent pair.
-                    let key =
-                        self.current_key_of(node_id, &relation, rel_schema, &o.tuple, parent_pair)?;
+                    let key = self.current_key_of(node_id, relation, rel_schema, o, parent_pair)?;
                     if let Some(key) = key {
                         let policy = self.translator.deletion_policy(
                             self.schema,
                             self.object,
                             self.analysis,
                         );
-                        let ops = plan_delete(self.schema, &*self.rec, &relation, &key, &policy)?;
+                        let ops = plan_delete(self.schema, &*self.rec, relation, &key, &policy)?;
                         self.rec.apply_all(ops)?;
                     }
                     // children are covered by the cascade — no recursion
@@ -259,12 +240,10 @@ impl Ctx<'_, '_, '_> {
             }
             (None, Some(n)) => {
                 // pure addition: VO-CI cases for this subtree
-                self.process_addition(node_id, &relation, rel_schema, in_island, &n.tuple)?;
-                let children: Vec<NodeId> = self.object.node(node_id).children.clone();
-                for child in children {
-                    let empty: Vec<VoInstanceNode> = Vec::new();
-                    let news = n.children.get(&child).unwrap_or(&empty);
-                    for cn in news {
+                let nt = &news.tuples_of(node_id)[n];
+                self.process_addition(node_id, relation, rel_schema, in_island, nt)?;
+                for &child in &object.node(node_id).children {
+                    for cn in news.children(node_id, n, child) {
                         self.walk_pair(child, None, Some(cn), None)?;
                     }
                 }
@@ -293,43 +272,21 @@ impl Ctx<'_, '_, '_> {
             return Ok(Some(key));
         }
         // rewrite the inherited linking attributes from the new parent
-        if let Some((old_parent, new_parent)) = parent_pair {
-            let node = self.object.node(node_id);
-            let Some(edge) = &node.edge else {
-                return Ok(None);
-            };
-            if !edge.is_direct() {
-                return Ok(None);
-            }
-            let t = edge.steps[0].resolve(self.schema)?;
-            let parent_rel = self
-                .object
-                .node(node.parent.expect("non-root"))
-                .relation
-                .clone();
-            let parent_schema = self.rec.view(&parent_rel)?.schema();
-            let old_vals: Vec<Value> = t
-                .source_attrs()
-                .iter()
-                .map(|a| old_parent.get_named(parent_schema, a).cloned())
-                .collect::<Result<_>>()?;
-            let new_vals: Vec<Value> = t
-                .source_attrs()
-                .iter()
-                .map(|a| new_parent.get_named(parent_schema, a).cloned())
-                .collect::<Result<_>>()?;
-            if old_vals != new_vals {
-                let mut rewritten = old.clone();
-                for (attr, v) in t.target_attrs().iter().zip(new_vals) {
-                    rewritten = rewritten.with_named(rel_schema, attr, v)?;
-                }
-                let rk = rewritten.key(rel_schema);
-                if self.rec.view(relation)?.contains_key(&rk) {
-                    return Ok(Some(rk));
-                }
-            }
+        let links = Links::new(self.schema, self.object)?;
+        let (Some((old_parent, new_parent)), Some(pairs)) = (parent_pair, links.edge_into(node_id))
+        else {
+            return Ok(None);
+        };
+        let (from, to) = (old_parent.values(), new_parent.values());
+        if pairs.iter().all(|&(f, _)| from[f] == to[f]) {
+            return Ok(None);
         }
-        Ok(None)
+        let mut values = old.values().to_vec();
+        for &(f, t) in pairs {
+            values[t] = to[f].clone();
+        }
+        let rk = Tuple::raw(values).key(rel_schema);
+        Ok(self.rec.view(relation)?.contains_key(&rk).then_some(rk))
     }
 
     fn process_tuple_pair(
@@ -542,18 +499,19 @@ impl Ctx<'_, '_, '_> {
     }
 }
 
-/// Pair old and new child instance lists: island nodes pair by the locally
+/// Pair old and new child tuple runs: island nodes pair by the locally
 /// accessible key complement `A_j` (inherited components change when an
 /// ancestor key changes), other nodes pair by full key; leftovers pair
-/// positionally, and the rest become one-sided entries.
-fn pair_children<'i>(
+/// positionally, and the rest become one-sided entries. Returns positions
+/// within the runs.
+fn pair_children(
     schema: &StructuralSchema,
     analysis: &IslandAnalysis,
     object: &ViewObject,
     node_id: NodeId,
-    olds: &'i [VoInstanceNode],
-    news: &'i [VoInstanceNode],
-) -> Result<Vec<(Option<&'i VoInstanceNode>, Option<&'i VoInstanceNode>)>> {
+    olds: &[VoInstanceNode],
+    news: &[VoInstanceNode],
+) -> Result<Vec<(Option<usize>, Option<usize>)>> {
     let relation = &object.node(node_id).relation;
     let rel_schema = schema.catalog().relation(relation)?;
     let ident_attrs: Vec<String> = match analysis.key_split.get(node_id).and_then(|s| s.as_ref()) {
@@ -571,33 +529,28 @@ fn pair_children<'i>(
             .collect()
     };
 
-    let mut out: Vec<(Option<&VoInstanceNode>, Option<&VoInstanceNode>)> = Vec::new();
+    let mut out: Vec<(Option<usize>, Option<usize>)> = Vec::new();
     let mut used_new = vec![false; news.len()];
-    let mut unmatched_old: Vec<&VoInstanceNode> = Vec::new();
-    for o in olds {
-        let oid = ident(&o.tuple)?;
+    let mut unmatched_old: Vec<usize> = Vec::new();
+    for (i, o) in olds.iter().enumerate() {
+        let oid = ident(o)?;
         let mut matched = false;
         for (j, n) in news.iter().enumerate() {
             if used_new[j] {
                 continue;
             }
-            if ident(&n.tuple)? == oid {
+            if ident(n)? == oid {
                 used_new[j] = true;
-                out.push((Some(o), Some(n)));
+                out.push((Some(i), Some(j)));
                 matched = true;
                 break;
             }
         }
         if !matched {
-            unmatched_old.push(o);
+            unmatched_old.push(i);
         }
     }
-    let mut remaining_new: Vec<&VoInstanceNode> = news
-        .iter()
-        .enumerate()
-        .filter(|(j, _)| !used_new[*j])
-        .map(|(_, n)| n)
-        .collect();
+    let mut remaining_new: Vec<usize> = (0..news.len()).filter(|&j| !used_new[j]).collect();
     // positional pairing of leftovers (the paper's "get the next
     // view-object tuple" walks both lists in order)
     while let (Some(o), true) = (unmatched_old.first().copied(), !remaining_new.is_empty()) {
@@ -617,7 +570,7 @@ fn pair_children<'i>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::{assemble, VoInstanceNode};
+    use crate::instance::assemble;
     use crate::island::analyze;
     use crate::treegen::generate_omega;
     use crate::university::university_database;
@@ -769,11 +722,8 @@ mod tests {
             .unwrap();
         // additionally flip one grade
         let gid = node_id(&omega, "GRADES");
-        let gs = new.root.children.get_mut(&gid).unwrap();
-        gs[0].tuple = gs[0]
-            .tuple
-            .with_named(&grades, "grade", "C".into())
-            .unwrap();
+        let flipped = new.tuples_of(gid)[0].with_named(&grades, "grade", "C".into());
+        new.rewrite(gid, 0, flipped.unwrap());
         let ops =
             translate_replacement(&schema, &omega, &analysis, &translator, &db, &old, new).unwrap();
         db.apply_all(&ops).unwrap();
@@ -851,7 +801,7 @@ mod tests {
         let old = cs345(&schema, &db, &omega);
         let mut new = old.clone();
         let gid = node_id(&omega, "GRADES");
-        new.root.children.get_mut(&gid).unwrap().remove(0); // drop student 1's grade
+        new.remove(gid, 0); // drop student 1's grade
         let ops =
             translate_replacement(&schema, &omega, &analysis, &translator, &db, &old, new).unwrap();
         db.apply_all(&ops).unwrap();
@@ -874,10 +824,12 @@ mod tests {
         let mut new = old.clone();
         let gid = node_id(&omega, "GRADES");
         let grades = db.table("GRADES").unwrap().schema().clone();
-        new.root.push_child(VoInstanceNode::leaf(
+        new.attach(
+            0,
+            0,
             gid,
             Tuple::new(&grades, vec!["CS345".into(), 7.into(), "B".into()]).unwrap(),
-        ));
+        );
         let ops =
             translate_replacement(&schema, &omega, &analysis, &translator, &db, &old, new).unwrap();
         db.apply_all(&ops).unwrap();
@@ -983,7 +935,7 @@ mod tests {
         // drop a grade
         let mut new = old.clone();
         let gid = node_id(&omega, "GRADES");
-        new.root.children.get_mut(&gid).unwrap().remove(0);
+        new.remove(gid, 0);
         let (_, trace) =
             translate_replacement_traced(&schema, &omega, &analysis, &translator, &db, &old, new)
                 .unwrap();
@@ -1023,11 +975,11 @@ mod tests {
             .unwrap();
         let gid = node_id(&omega, "GRADES");
         // drop student 2's grade from the renamed course
-        new.root
-            .children
-            .get_mut(&gid)
-            .unwrap()
-            .retain(|g| g.tuple.values()[1] != Value::Int(2));
+        let dropped = new
+            .tuples_of(gid)
+            .iter()
+            .position(|g| g.values()[1] == Value::Int(2));
+        new.remove(gid, dropped.unwrap());
         let ops =
             translate_replacement(&schema, &omega, &analysis, &translator, &db, &old, new).unwrap();
         db.apply_all(&ops).unwrap();
@@ -1056,21 +1008,13 @@ mod tests {
         // change student 1's degree program (non-island node)
         let sid = node_id(&omega, "STUDENT");
         let student = db.table("STUDENT").unwrap().schema().clone();
-        fn patch(n: &mut VoInstanceNode, sid: usize, student: &RelationSchema) {
-            for cs in n.children.values_mut() {
-                for c in cs.iter_mut() {
-                    if c.node == sid && c.tuple.get_named(student, "ssn").unwrap() == &Value::Int(1)
-                    {
-                        c.tuple = c
-                            .tuple
-                            .with_named(student, "degree_program", "MBA".into())
-                            .unwrap();
-                    }
-                    patch(c, sid, student);
-                }
+        for pos in 0..new.tuples_of(sid).len() {
+            let s = &new.tuples_of(sid)[pos];
+            if s.get_named(&student, "ssn").unwrap() == &Value::Int(1) {
+                let mba = s.with_named(&student, "degree_program", "MBA".into());
+                new.rewrite(sid, pos, mba.unwrap());
             }
         }
-        patch(&mut new.root, sid, &student);
         let ops =
             translate_replacement(&schema, &omega, &analysis, &translator, &db, &old, new).unwrap();
         db.apply_all(&ops).unwrap();

@@ -1,15 +1,17 @@
 //! Step 1 — local validation against the view-object definition.
 //!
-//! Checks that an instance is structurally a member of its object's class:
-//! node ids and relations line up, every tuple conforms to its base
-//! schema, and — for direct edges — the connecting values of every child
-//! tuple match its parent (hierarchical well-formedness). Nodes reached
-//! through *contracted* (multi-step) edges cannot be checked locally
-//! because the intermediate relations' tuples are not part of the
+//! Checks that an instance is structurally a member of its object's class,
+//! in two halves. The *shape*: every bound tuple sits at a node of the
+//! object, under a tuple of that node's parent, and conforms to its base
+//! schema. The *connections*: over direct edges, the connecting values of
+//! every child tuple match its parent (hierarchical well-formedness).
+//! Nodes reached through *contracted* (multi-step) edges cannot be checked
+//! locally because the intermediate relations' tuples are not part of the
 //! instance; [`validate_instance`] reports them so translators can reject
-//! writes through them.
+//! writes through them. A replacing instance is shape-checked before
+//! propagation (step 2) reads it and connection-checked after.
 
-use crate::instance::{VoInstance, VoInstanceNode};
+use crate::instance::VoInstance;
 use crate::object::{NodeId, ViewObject};
 use vo_relational::prelude::*;
 use vo_structural::prelude::*;
@@ -28,7 +30,20 @@ pub fn validate_instance(
     object: &ViewObject,
     instance: &VoInstance,
 ) -> Result<LocalValidation> {
-    if instance.object != object.name() {
+    let validated = check_shape(schema, object, instance)?;
+    Links::new(schema, object)?.check_connected(instance)?;
+    Ok(validated)
+}
+
+/// The shape half of step 1: the instance is `object`'s, its root binds
+/// the pivot, every other tuple sits at a node of the object under a tuple
+/// of that node's parent, and every tuple conforms to its relation.
+pub(crate) fn check_shape(
+    schema: &StructuralSchema,
+    object: &ViewObject,
+    instance: &VoInstance,
+) -> Result<LocalValidation> {
+    if *instance.object != *object.name() {
         return Err(Error::ConstraintViolation(format!(
             "instance belongs to object {}, not {}",
             instance.object,
@@ -40,81 +55,108 @@ pub fn validate_instance(
             "instance root must bind the pivot node".into(),
         ));
     }
+    let catalog = schema.catalog();
+    instance.root.validate(catalog.relation(object.pivot())?)?;
     let mut v = LocalValidation::default();
-    validate_node(schema, object, &instance.root, &mut v)?;
-    v.contracted_nodes.sort_unstable();
+    for bound in instance.bound() {
+        let node = (object.nodes().get(bound.node)).filter(|n| n.parent == Some(bound.parent));
+        let Some(node) = node else {
+            return Err(Error::ConstraintViolation(format!(
+                "instance binds node {} under node {}, which is not a child",
+                bound.node, bound.parent
+            )));
+        };
+        let parents = instance.tuples_of(bound.parent).len();
+        if bound.parent_pos >= parents {
+            return Err(Error::ConstraintViolation(format!(
+                "instance binds a tuple of node {} under position {} of node {}, \
+                 which binds {parents}",
+                bound.node, bound.parent_pos, bound.parent
+            )));
+        }
+        bound.validate(catalog.relation(&node.relation)?)?;
+        if !node.edge.as_ref().is_some_and(|e| e.is_direct()) {
+            v.contracted_nodes.push(node.id);
+        }
+    }
     v.contracted_nodes.dedup();
     Ok(v)
 }
 
-fn validate_node(
-    schema: &StructuralSchema,
-    object: &ViewObject,
-    inst: &VoInstanceNode,
-    v: &mut LocalValidation,
-) -> Result<()> {
-    let node = object.node(inst.node);
-    let rel_schema = schema.catalog().relation(&node.relation)?;
-    // tuple conformance
-    inst.tuple.validate(rel_schema)?;
-    for (&child_id, children) in &inst.children {
-        // the child must be a declared child of this node
-        if !node.children.contains(&child_id) {
-            return Err(Error::ConstraintViolation(format!(
-                "instance binds node {child_id} under node {}, which is not a child",
-                inst.node
-            )));
-        }
-        let child_node = object.node(child_id);
-        let edge = child_node.edge.as_ref().expect("non-root");
-        if edge.is_direct() {
-            let t = edge.steps[0].resolve(schema)?;
-            let child_schema = schema.catalog().relation(&child_node.relation)?;
-            let parent_vals: Vec<Value> = t
-                .source_attrs()
-                .iter()
-                .map(|a| inst.tuple.get_named(rel_schema, a).cloned())
-                .collect::<Result<_>>()?;
-            for c in children {
-                let child_vals: Vec<Value> = t
-                    .target_attrs()
-                    .iter()
-                    .map(|a| c.tuple.get_named(child_schema, a).cloned())
-                    .collect::<Result<_>>()?;
-                if parent_vals.iter().any(Value::is_null) {
-                    return Err(Error::ConstraintViolation(format!(
-                        "instance node {} has NULL connecting values yet binds children",
-                        inst.node
-                    )));
-                }
-                if child_vals != parent_vals {
-                    return Err(Error::ConstraintViolation(format!(
-                        "child tuple {} of node {child_id} is not connected to its parent \
-                         (expected {:?})",
-                        c.tuple, parent_vals
-                    )));
-                }
+/// Every direct edge of an object resolved once: per node id, the
+/// `(position in the parent tuple, position in the child tuple)` pairs of
+/// the attributes connecting it to its parent — `None` for the pivot and
+/// for a contracted edge, whose intermediate tuples an instance lacks.
+/// Steps 1 and 2 read the one table: validation compares those values,
+/// propagation copies them.
+#[derive(Debug, Clone)]
+pub(crate) struct Links(Vec<Option<Vec<(usize, usize)>>>);
+
+impl Links {
+    pub(crate) fn new(schema: &StructuralSchema, object: &ViewObject) -> Result<Self> {
+        let catalog = schema.catalog();
+        let link = |node: &crate::object::VoNode| -> Result<_> {
+            let (Some(parent), Some(edge)) = (node.parent, node.edge.as_ref()) else {
+                return Ok(None);
+            };
+            if !edge.is_direct() {
+                return Ok(None);
             }
-        } else if !children.is_empty() {
-            v.contracted_nodes.push(child_id);
-        }
-        for c in children {
-            if c.node != child_id {
+            let t = edge.steps[0].resolve(schema)?;
+            let from =
+                (catalog.relation(&object.node(parent).relation)?).indices_of(t.source_attrs())?;
+            let to = catalog
+                .relation(&node.relation)?
+                .indices_of(t.target_attrs())?;
+            Ok(Some(from.into_iter().zip(to).collect()))
+        };
+        object
+            .nodes()
+            .iter()
+            .map(link)
+            .collect::<Result<_>>()
+            .map(Links)
+    }
+
+    /// The pairs of the direct edge into node `id`, if it has one.
+    pub(crate) fn edge_into(&self, id: NodeId) -> Option<&[(usize, usize)]> {
+        self.0.get(id)?.as_deref()
+    }
+
+    /// The connection half of step 1, on a shape-checked instance: over
+    /// every direct edge a child tuple holds its parent's connecting
+    /// values, and a parent with a NULL among them binds no child (NULL
+    /// never connects, Definition 2.1).
+    pub(crate) fn check_connected(&self, instance: &VoInstance) -> Result<()> {
+        for child in instance.bound() {
+            let Some(pairs) = self.edge_into(child.node) else {
+                continue;
+            };
+            let parent = &instance.tuples_of(child.parent)[child.parent_pos];
+            let (from, to) = (parent.values(), child.values());
+            if pairs.iter().any(|&(f, _)| from[f].is_null()) {
                 return Err(Error::ConstraintViolation(format!(
-                    "instance child under key {child_id} claims node {}",
-                    c.node
+                    "instance node {} has NULL connecting values yet binds children",
+                    child.parent
                 )));
             }
-            validate_node(schema, object, c, v)?;
+            if pairs.iter().any(|&(f, t)| from[f] != to[t]) {
+                let expected: Vec<&Value> = pairs.iter().map(|&(f, _)| &from[f]).collect();
+                return Err(Error::ConstraintViolation(format!(
+                    "child tuple {} of node {} is not connected to its parent \
+                     (expected {expected:?})",
+                    child.tuple, child.node
+                )));
+            }
         }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::{assemble, instantiate_all, VoInstanceNode};
+    use crate::instance::{assemble, instantiate_all};
     use crate::treegen::{generate_omega, generate_omega_prime};
     use crate::university::university_database;
 
@@ -170,7 +212,7 @@ mod tests {
             .id;
         let grades = db.table("GRADES").unwrap().schema().clone();
         let foreign = Tuple::new(&grades, vec!["CS101".into(), 1.into(), "B".into()]).unwrap();
-        inst.root.push_child(VoInstanceNode::leaf(gra, foreign));
+        inst.attach(0, 0, gra, foreign);
         let err = validate_instance(&schema, &omega, &inst).unwrap_err();
         assert!(matches!(err, Error::ConstraintViolation(_)));
     }
@@ -188,11 +230,14 @@ mod tests {
             .unwrap()
             .id;
         let student = db.table("STUDENT").unwrap().schema().clone();
-        inst.root.push_child(VoInstanceNode::leaf(
+        inst.attach(
+            0,
+            0,
             stu,
             Tuple::new(&student, vec![1.into(), "MS".into()]).unwrap(),
-        ));
-        assert!(validate_instance(&schema, &omega, &inst).is_err());
+        );
+        let err = validate_instance(&schema, &omega, &inst).unwrap_err();
+        assert!(err.to_string().contains("which is not a child"), "{err}");
     }
 
     #[test]

@@ -190,14 +190,14 @@ impl VoClient {
         };
         write_frame(
             stream,
-            request.to_json().compact().as_bytes(),
+            request.encode().as_bytes(),
             self.opts.max_frame_bytes,
         )?;
         let payload =
             read_frame(stream, self.opts.max_frame_bytes)?.ok_or(NetError::Disconnected)?;
         let text = std::str::from_utf8(&payload)
             .map_err(|_| NetError::Json("response is not UTF-8".to_owned()))?;
-        let response = Response::from_json(&vo_obs::json::parse(text)?)?;
+        let response = Response::decode(text)?;
         // id 0 marks a connection-level error the server sent before it
         // could attribute a request (admission rejection, broken frame).
         if response.id != id && response.id != 0 {

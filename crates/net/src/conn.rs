@@ -406,8 +406,7 @@ fn dispatch(
 fn decode_request(payload: &[u8]) -> Result<Request, NetError> {
     let text = std::str::from_utf8(payload)
         .map_err(|_| NetError::Json("payload is not UTF-8".to_owned()))?;
-    let json = vo_obs::json::parse(text)?;
-    Request::from_json(&json)
+    Request::decode(text)
 }
 
 fn answer_error(shared: &Arc<Shared>, stream: &mut TcpStream, id: u64, error: WireError) {
@@ -427,7 +426,7 @@ fn answer_error(shared: &Arc<Shared>, stream: &mut TcpStream, id: u64, error: Wi
 /// too big for the frame cap degrades to a typed `too_large` error so the
 /// connection survives. Returns `false` when the socket is dead.
 fn write_response(shared: &Arc<Shared>, stream: &mut TcpStream, response: &Response) -> bool {
-    let payload = response.to_json().compact();
+    let payload = response.encode();
     match write_frame(stream, payload.as_bytes(), shared.opts.max_frame_bytes) {
         Ok(n) => {
             shared

@@ -18,7 +18,7 @@ use vo_core::instance::VoInstance;
 use vo_core::maintain::InstanceChange;
 use vo_core::update::error::UpdateError;
 use vo_core::update::UpdateRequest;
-use vo_obs::json::{Json, JsonCodec};
+use vo_obs::json::{missing_field, parse, Json, JsonCodec, Reader};
 use vo_relational::error::Error;
 
 /// Version of this wire vocabulary; sent in `HELLO` both ways.
@@ -134,6 +134,64 @@ impl RequestBody {
 impl Request {
     /// Encode as JSON.
     pub fn to_json(&self) -> Json {
+        self.doc(|requests| requests.to_json())
+    }
+
+    /// The compact text of [`Request::to_json`], a batch's update requests
+    /// written straight into it ([`JsonCodec::write_json`]).
+    pub fn encode(&self) -> String {
+        let mut out = String::new();
+        self.doc(|_| Json::Null)
+            .write_compact_with(&mut out, "requests", |out| {
+                if let RequestBody::Prepare { requests, .. } | RequestBody::Apply { requests, .. } =
+                    &self.body
+                {
+                    requests.write_json(out);
+                }
+            });
+        out
+    }
+
+    /// Decode a payload: what `from_json(&parse(text))` returns. A batch
+    /// whose `id` and `op` lead, as [`Request::encode`] writes them, is
+    /// read straight off the text into its instances
+    /// ([`JsonCodec::read_json`]); anything else through its tree.
+    pub fn decode(text: &str) -> NetResult<Self> {
+        let mut r = Reader::new(text);
+        r.begin_object()?;
+        let id = match r.next_key()? {
+            Some(key) if key == "id" => u64::read_json(&mut r)?,
+            _ => return Request::from_json(&parse(text)?),
+        };
+        let op = match r.next_key()? {
+            Some(key) if key == "op" => r.string()?,
+            _ => return Request::from_json(&parse(text)?),
+        };
+        if op != "PREPARE" && op != "APPLY" {
+            return Request::from_json(&parse(text)?);
+        }
+        let (mut object, mut requests) = (None, None);
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "object" => object = Some(String::read_json(&mut r)?),
+                "requests" => requests = Some(Vec::read_json(&mut r)?),
+                _ => r.skip_value()?,
+            }
+        }
+        r.finish()?;
+        let object = object.ok_or_else(|| missing_field("object"))?;
+        let requests = requests.ok_or_else(|| missing_field("requests"))?;
+        let body = if op == "PREPARE" {
+            RequestBody::Prepare { object, requests }
+        } else {
+            RequestBody::Apply { object, requests }
+        };
+        Ok(Request { id, body })
+    }
+
+    /// The document, the update requests a batch carries rendered by
+    /// `requests`.
+    fn doc(&self, batch: impl FnOnce(&Vec<UpdateRequest>) -> Json) -> Json {
         let mut pairs = vec![("id", self.id.to_json()), ("op", Json::str(self.body.op()))];
         match &self.body {
             RequestBody::Hello { secret, proto } => {
@@ -143,7 +201,7 @@ impl Request {
             RequestBody::Voql { src } => pairs.push(("src", src.to_json())),
             RequestBody::Prepare { object, requests } | RequestBody::Apply { object, requests } => {
                 pairs.push(("object", object.to_json()));
-                pairs.push(("requests", requests.to_json()));
+                pairs.push(("requests", batch(requests)));
             }
             RequestBody::Commit { handle } => pairs.push(("handle", handle.to_json())),
             RequestBody::Materialize { object } | RequestBody::Watch { object } => {
@@ -310,6 +368,60 @@ impl ResponseBody {
 impl Response {
     /// Encode as JSON.
     pub fn to_json(&self) -> Json {
+        self.doc(|instances| instances.to_json())
+    }
+
+    /// The compact text of [`Response::to_json`], instances written
+    /// straight into it ([`JsonCodec::write_json`]).
+    pub fn encode(&self) -> String {
+        let mut out = String::new();
+        self.doc(|_| Json::Null)
+            .write_compact_with(&mut out, "instances", |out| {
+                if let Ok(ResponseBody::Instances(instances)) = &self.result {
+                    instances.write_json(out);
+                }
+            });
+        out
+    }
+
+    /// Decode a payload: what `from_json(&parse(text))` returns. Instances
+    /// whose `id`, `ok` and `kind` lead, as [`Response::encode`] writes
+    /// them, are read straight off the text ([`JsonCodec::read_json`]);
+    /// anything else through its tree.
+    pub fn decode(text: &str) -> NetResult<Self> {
+        let mut r = Reader::new(text);
+        r.begin_object()?;
+        let lead = |r: &mut Reader<'_>, name: &str| -> NetResult<bool> {
+            Ok(r.next_key()?.is_some_and(|key| key == name))
+        };
+        if !lead(&mut r, "id")? {
+            return Response::from_json(&parse(text)?);
+        }
+        let id = u64::read_json(&mut r)?;
+        if !lead(&mut r, "ok")?
+            || !r.bool()?
+            || !lead(&mut r, "kind")?
+            || r.string()? != "instances"
+        {
+            return Response::from_json(&parse(text)?);
+        }
+        let mut instances = None;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "instances" => instances = Some(Vec::read_json(&mut r)?),
+                _ => r.skip_value()?,
+            }
+        }
+        r.finish()?;
+        let instances = instances.ok_or_else(|| missing_field("instances"))?;
+        Ok(Response {
+            id,
+            result: Ok(ResponseBody::Instances(instances)),
+        })
+    }
+
+    /// The document, the instances a `GET` returns rendered by `instances`.
+    fn doc(&self, instances: impl FnOnce(&Vec<VoInstance>) -> Json) -> Json {
         let mut pairs = vec![("id", self.id.to_json())];
         match &self.result {
             Ok(body) => {
@@ -325,9 +437,7 @@ impl Response {
                         pairs.push(("proto", proto.to_json()));
                         pairs.push(("version", version.to_json()));
                     }
-                    ResponseBody::Instances(instances) => {
-                        pairs.push(("instances", instances.to_json()))
-                    }
+                    ResponseBody::Instances(list) => pairs.push(("instances", instances(list))),
                     ResponseBody::Text(t) | ResponseBody::Metrics(t) => {
                         pairs.push(("text", t.to_json()))
                     }
@@ -592,16 +702,72 @@ mod tests {
     use vo_relational::tuple::Key;
     use vo_relational::value::Value;
 
+    /// Written straight or rendered from the tree, one text; read straight
+    /// or through the tree, one value.
     fn roundtrip_request(req: Request) {
-        let json = req.to_json();
-        let parsed = vo_obs::json::parse(&json.compact()).unwrap();
-        assert_eq!(Request::from_json(&parsed).unwrap(), req);
+        let text = req.to_json().compact();
+        assert_eq!(req.encode(), text);
+        assert_eq!(Request::from_json(&parse(&text).unwrap()).unwrap(), req);
+        assert_eq!(Request::decode(&text).unwrap(), req);
     }
 
     fn roundtrip_response(resp: Response) {
-        let json = resp.to_json();
-        let parsed = vo_obs::json::parse(&json.compact()).unwrap();
-        assert_eq!(Response::from_json(&parsed).unwrap(), resp);
+        let text = resp.to_json().compact();
+        assert_eq!(resp.encode(), text);
+        assert_eq!(Response::from_json(&parse(&text).unwrap()).unwrap(), resp);
+        assert_eq!(Response::decode(&text).unwrap(), resp);
+    }
+
+    fn omega_instances() -> Vec<VoInstance> {
+        let (schema, db) = vo_core::university::university_database();
+        let omega = vo_core::treegen::generate_omega(&schema).unwrap();
+        vo_core::instance::instantiate_all(&schema, &omega, &db).unwrap()
+    }
+
+    #[test]
+    fn instance_frames_stream_both_ways() {
+        let instances = omega_instances();
+        let requests = vec![
+            UpdateRequest::Replacement {
+                old: instances[0].clone(),
+                new: instances[1].clone(),
+            },
+            UpdateRequest::CompleteDeletion(instances[2].clone()),
+        ];
+        let object = "omega".to_owned();
+        for body in [
+            RequestBody::Prepare {
+                object: object.clone(),
+                requests: requests.clone(),
+            },
+            RequestBody::Apply { object, requests },
+        ] {
+            roundtrip_request(Request { id: 9, body });
+        }
+        roundtrip_response(Response {
+            id: 9,
+            result: Ok(ResponseBody::Instances(instances)),
+        });
+        // entries in another order decode through the tree, to the same value
+        let prepare = r#"{"op":"PREPARE","id":3,"requests":[],"object":"omega"}"#;
+        assert_eq!(
+            Request::decode(prepare).unwrap(),
+            Request::from_json(&parse(prepare).unwrap()).unwrap()
+        );
+        let get = r#"{"kind":"instances","id":3,"ok":true,"instances":[]}"#;
+        assert_eq!(
+            Response::decode(get).unwrap(),
+            Response::from_json(&parse(get).unwrap()).unwrap()
+        );
+        // and what one refuses, so does the other
+        for bad in [
+            r#"{"id":3,"op":"PREPARE","object":"omega"}"#,
+            r#"{"id":3,"op":"APPLY","object":"omega","requests":[{"kind":"replacement"}]}"#,
+            r#"{"id":3,"op":"PREPARE","object":"omega","requests":[]} x"#,
+        ] {
+            assert!(Request::decode(bad).is_err(), "{bad}");
+        }
+        assert!(Response::decode(r#"{"id":3,"ok":true,"kind":"instances"}"#).is_err());
     }
 
     #[test]

@@ -126,6 +126,21 @@ impl Scalar<'_> {
             Scalar::Str(_) => Kind::Str,
         }
     }
+
+    /// Append the token [`Json::compact`] writes for this value.
+    pub fn write(&self, out: &mut String) {
+        match self {
+            Scalar::Null => out.push_str("null"),
+            Scalar::Bool(b) => {
+                let _ = write!(out, "{b}");
+            }
+            Scalar::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            Scalar::Float(x) => write_float(out, *x),
+            Scalar::Str(s) => write_escaped(out, s),
+        }
+    }
 }
 
 impl Json {
@@ -266,15 +281,6 @@ impl Json {
 
     fn write(&self, out: &mut String, depth: usize) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Json::Float(x) => write_float(out, *x),
-            Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -313,6 +319,7 @@ impl Json {
                 indent(out, depth);
                 out.push('}');
             }
+            scalar => scalar.scalar().expect("not a container").write(out),
         }
     }
 
@@ -342,15 +349,6 @@ impl Json {
 
     pub(crate) fn write_compact(&self, out: &mut String) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Json::Float(x) => write_float(out, *x),
-            Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -373,6 +371,7 @@ impl Json {
                 }
                 out.push('}');
             }
+            scalar => scalar.scalar().expect("not a container").write(out),
         }
     }
 }
@@ -460,6 +459,14 @@ pub trait JsonCodec: Sized {
     fn read_json(r: &mut Reader<'_>) -> std::result::Result<Self, Self::Error> {
         Self::from_json(&r.value()?)
     }
+
+    /// Append [`Json::compact`] of [`JsonCodec::to_json`] to `out`. Unless
+    /// overridden this builds the tree and renders it; a type that is many
+    /// values — rows, instances — writes them one by one instead, to the
+    /// same bytes.
+    fn write_json(&self, out: &mut String) {
+        self.to_json().write_compact(out);
+    }
 }
 
 /// Decode a whole text as a `T` without building its tree: what
@@ -519,6 +526,21 @@ impl<T: JsonCodec> JsonCodec for Vec<T> {
         }
         Ok(items)
     }
+    fn write_json(&self, out: &mut String) {
+        write_list(self, out);
+    }
+}
+
+/// Append the JSON array of `items`, each by [`JsonCodec::write_json`].
+pub fn write_list<T: JsonCodec>(items: &[T], out: &mut String) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
 }
 
 /// `null` for `None`. The field itself must still be present.
@@ -663,14 +685,18 @@ macro_rules! json_enum {
 pub use crate::{json_enum, json_struct};
 
 /// Assert the round-trip law for `x` (for tests; every codec impl must
-/// pass it): its compact text decodes — through the tree and straight
-/// from the text — to an equal value whose re-encoding is byte-identical.
+/// pass it): its compact text, rendered from the tree or written straight,
+/// decodes — through the tree and straight from the text — to an equal
+/// value whose re-encoding is byte-identical.
 pub fn assert_roundtrip<T>(x: &T)
 where
     T: JsonCodec + PartialEq + std::fmt::Debug,
     T::Error: std::fmt::Debug,
 {
     let text = x.to_json().compact();
+    let mut written = String::new();
+    x.write_json(&mut written);
+    assert_eq!(written, text, "written straight: {written}");
     let back = T::from_json(&parse(&text).expect("own encoding parses"))
         .unwrap_or_else(|e| panic!("own encoding decodes: {e:?}\n{text}"));
     assert_eq!(&back, x, "{text}");

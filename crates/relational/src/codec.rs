@@ -7,7 +7,9 @@
 
 use crate::database::DbOp;
 use crate::error::{Error, Result};
-use crate::json::{json_enum, json_struct, missing_field, Json, JsonCodec, Kind, Reader, Scalar};
+use crate::json::{
+    json_enum, json_struct, missing_field, write_list, Json, JsonCodec, Kind, Reader, Scalar,
+};
 use crate::schema::{AttributeDef, RelationSchema};
 use crate::storage::{DatabaseSnapshot, RelationDelta, RelationSnapshot, SnapshotDelta};
 use crate::tuple::{Key, Tuple};
@@ -58,6 +60,20 @@ impl JsonCodec for Value {
             }
         }
         float.ok_or_else(|| missing_field("float").into())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Value::Null => Scalar::Null.write(out),
+            Value::Bool(b) => Scalar::Bool(*b).write(out),
+            Value::Int(i) => Scalar::Int(*i).write(out),
+            Value::Float(x) => {
+                out.push_str("{\"float\":");
+                Scalar::Float(*x).write(out);
+                out.push('}');
+            }
+            Value::Text(s) => Scalar::Str(s).write(out),
+        }
     }
 }
 
@@ -145,6 +161,10 @@ impl JsonCodec for Tuple {
 
     fn read_json(r: &mut Reader<'_>) -> Result<Self> {
         Vec::read_json(r).map(Tuple::raw)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_list(self.values(), out);
     }
 }
 

@@ -82,7 +82,7 @@ fn main() -> Result<()> {
                     let object = penguin.object("omega").map(|r| r.object.clone());
                     for inst in &instances {
                         match &object {
-                            Ok(o) if o.name() == inst.object => {
+                            Ok(o) if o.name() == &*inst.object => {
                                 print!(
                                     "{}",
                                     inst.to_display_string(penguin.schema(), o)

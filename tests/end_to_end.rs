@@ -268,17 +268,20 @@ fn rejected_updates_leave_no_trace() {
         .unwrap()
         .clone();
     let mut old = penguin.instance_by_key("o", &Key::single("CS345")).unwrap();
-    let mut g = VoInstanceNode::leaf(
-        gid,
-        Tuple::new(&grades, vec!["CS345".into(), 999.into(), "A".into()]).unwrap(),
-    );
-    g.push_child(VoInstanceNode::leaf(
-        sid,
-        Tuple::new(&students, vec![999.into(), "MS".into()]).unwrap(),
-    ));
     let new = {
         let mut n = old.clone();
-        n.root.push_child(g);
+        let g = n.attach(
+            0,
+            0,
+            gid,
+            Tuple::new(&grades, vec!["CS345".into(), 999.into(), "A".into()]).unwrap(),
+        );
+        n.attach(
+            gid,
+            g,
+            sid,
+            Tuple::new(&students, vec![999.into(), "MS".into()]).unwrap(),
+        );
         n
     };
     old = penguin.instance_by_key("o", &Key::single("CS345")).unwrap();

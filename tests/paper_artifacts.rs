@@ -415,20 +415,19 @@ fn vo_r_case_traces() {
         ),
         ("grade edit + new enrollee", {
             let mut n = old.clone();
-            let first = &mut n.root.children.get_mut(&gid).unwrap()[0];
-            first.tuple = first
-                .tuple
-                .with_named(&grades, "grade", "C".into())
-                .unwrap();
-            n.root.push_child(VoInstanceNode::leaf(
+            let first = n.tuples_of(gid)[0].with_named(&grades, "grade", "C".into());
+            n.rewrite(gid, 0, first.unwrap());
+            n.attach(
+                0,
+                0,
                 gid,
                 Tuple::new(&grades, vec!["CS345".into(), 9.into(), "B".into()]).unwrap(),
-            ));
+            );
             n
         }),
         ("dropped grade (island removal)", {
             let mut n = old.clone();
-            n.root.children.get_mut(&gid).unwrap().remove(2);
+            n.remove(gid, 2);
             n
         }),
     ];
@@ -545,31 +544,28 @@ fn translation_op_counts() {
     let mut rows = Vec::new();
     for (n_grades, fresh) in [(4usize, 0usize), (4, 4), (16, 0), (16, 16), (64, 64)] {
         let course = ["NEW1", "New Course", "graduate", "dept-0"];
-        let mut root = VoInstanceNode::leaf(
+        let pivot = Tuple::new(&courses, course.map(Value::from).to_vec()).unwrap();
+        let mut b = VoInstance::builder(&omega, pivot);
+        b.push(
             0,
-            Tuple::new(&courses, course.map(Value::from).to_vec()).unwrap(),
-        );
-        root.push_child(VoInstanceNode::leaf(
             node_on(&omega, "DEPARTMENT"),
             Tuple::new(&dept, vec!["dept-0".into()]).unwrap(),
-        ));
+        );
         for i in 0..n_grades as i64 {
             // fresh students get ssns beyond the generated range
             let ssn = if i < fresh as i64 { 100_000 + i } else { 1 + i };
-            let mut g = VoInstanceNode::leaf(
+            let g = b.push(
+                0,
                 gid,
                 Tuple::new(&grades, vec!["NEW1".into(), ssn.into(), "A".into()]).unwrap(),
             );
-            g.push_child(VoInstanceNode::leaf(
+            b.push(
+                g,
                 sid,
                 Tuple::new(&student, vec![ssn.into(), "MS".into()]).unwrap(),
-            ));
-            root.push_child(g);
+            );
         }
-        let inst = VoInstance {
-            object: omega.name().to_owned(),
-            root,
-        };
+        let inst = b.finish();
         let ops = translate_complete_insertion(&schema, &omega, &analysis, &translator, &db, &inst)
             .unwrap();
         rows.push(row![n_grades, n_grades - fresh, fresh, ops.len()]);
@@ -593,8 +589,9 @@ fn translation_op_counts() {
         ("pivot key change (R-3 + propagation)", rekeyed.clone()),
         ("pivot key + grade edits", {
             let mut n = rekeyed;
-            for g in n.root.children.get_mut(&gid).unwrap() {
-                g.tuple = g.tuple.with_named(&grades, "grade", "F".into()).unwrap();
+            for pos in 0..n.tuples_of(gid).len() {
+                let failed = n.tuples_of(gid)[pos].with_named(&grades, "grade", "F".into());
+                n.rewrite(gid, pos, failed.unwrap());
             }
             n
         }),

@@ -13,7 +13,9 @@
 //! - codecs: every persisted or wire document decodes back to an equal
 //!   value whose re-encoding is byte-identical; a type read straight off
 //!   a text and the same type built from the text's tree give one verdict
-//!   and one value, whatever the text.
+//!   and one value, whatever the text;
+//! - instances: the flat form is the tree it binds — engine, builder,
+//!   codec and in-place edits against a tree assembled tuple by tuple.
 
 use penguin_vo::prelude::*;
 
@@ -687,6 +689,318 @@ fn truncated_artifacts_and_records_are_typed_errors() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// ------------------------------------------------------------- instances --
+
+/// An instance as the tree it binds — the shape `VoInstanceNode` had
+/// before instances were flat, a `children` map per tuple — assembled
+/// tuple by tuple through `follow_edge`: the reference the flat form, its
+/// codec and its edits are held to.
+#[derive(Debug, Clone)]
+struct Tree {
+    node: NodeId,
+    tuple: Tuple,
+    children: std::collections::BTreeMap<NodeId, Vec<Tree>>,
+}
+
+fn tree_of(schema: &StructuralSchema, object: &ViewObject, db: &Database, t: Tuple) -> Tree {
+    fn grow(
+        schema: &StructuralSchema,
+        object: &ViewObject,
+        db: &Database,
+        node: NodeId,
+        tuple: Tuple,
+    ) -> Tree {
+        let mut children = std::collections::BTreeMap::new();
+        for &child in &object.node(node).children {
+            let found = follow_edge(schema, object, db, node, child, &tuple).unwrap();
+            if !found.is_empty() {
+                let grown = found
+                    .into_iter()
+                    .map(|t| grow(schema, object, db, child, t));
+                children.insert(child, grown.collect());
+            }
+        }
+        Tree {
+            node,
+            tuple,
+            children,
+        }
+    }
+    grow(schema, object, db, 0, t)
+}
+
+/// The wire text of the instance `tree` is, as the tree encoder wrote it.
+fn tree_text(object: &ViewObject, tree: &Tree) -> String {
+    fn node(t: &Tree) -> Json {
+        let children = (t.children.iter())
+            .map(|(id, list)| (id.to_string(), Json::Arr(list.iter().map(node).collect())))
+            .collect();
+        Json::obj(vec![
+            ("node", Json::Int(t.node as i64)),
+            ("tuple", t.tuple.to_json()),
+            ("children", Json::Obj(children)),
+        ])
+    }
+    Json::obj(vec![
+        ("object", Json::str(object.name())),
+        ("root", node(tree)),
+    ])
+    .compact()
+}
+
+/// The flat instance of `tree` through the builder, node by node — in a
+/// shuffled node order when `rng` is given.
+fn flatten(object: &ViewObject, tree: &Tree, rng: Option<&mut SmallRng>) -> VoInstance {
+    type Groups = std::collections::BTreeMap<NodeId, Vec<(usize, Tuple)>>;
+    fn walk(t: &Tree, pos: usize, groups: &mut Groups) {
+        for (&child, list) in &t.children {
+            for c in list {
+                let group = groups.entry(child).or_default();
+                group.push((pos, c.tuple.clone()));
+                let at = group.len() - 1;
+                walk(c, at, groups);
+            }
+        }
+    }
+    let mut groups = Groups::new();
+    walk(tree, 0, &mut groups);
+    let mut order: Vec<NodeId> = groups.keys().copied().collect();
+    if let Some(rng) = rng {
+        rng.shuffle(&mut order);
+    }
+    let mut b = VoInstance::builder(object, tree.tuple.clone());
+    for id in order {
+        for (parent_pos, tuple) in &groups[&id] {
+            b.push(*parent_pos, id, tuple.clone());
+        }
+    }
+    b.finish()
+}
+
+/// The path (child key, index) from the root to the tuple at position
+/// `pos` of node `node`, positions counted as the flat form counts them.
+fn path_to(tree: &Tree, node: NodeId, pos: usize) -> Vec<(NodeId, usize)> {
+    fn walk(t: &Tree, node: NodeId, left: &mut usize, path: &mut Vec<(NodeId, usize)>) -> bool {
+        for (&child, list) in &t.children {
+            for (i, c) in list.iter().enumerate() {
+                path.push((child, i));
+                if child == node {
+                    if *left == 0 {
+                        return true;
+                    }
+                    *left -= 1;
+                }
+                if walk(c, node, left, path) {
+                    return true;
+                }
+                path.pop();
+            }
+        }
+        false
+    }
+    let mut path = Vec::new();
+    assert!(node == 0 || walk(tree, node, &mut { pos }, &mut path));
+    path
+}
+
+fn at_mut<'t>(tree: &'t mut Tree, path: &[(NodeId, usize)]) -> &'t mut Tree {
+    (path.iter()).fold(tree, |t, (key, i)| {
+        &mut t.children.get_mut(key).unwrap()[*i]
+    })
+}
+
+/// Instances of every shape the codec and the edits meet: the three
+/// synthetic shapes over random rows, university ω and ω′, and ω with its
+/// node ids renumbered against its child order — a child's id below its
+/// parent's, siblings declared in descending id order.
+fn instance_cases(rng: &mut SmallRng) -> Vec<(StructuralSchema, ViewObject, Database)> {
+    use penguin_vo::penguin::{seed_ownership_chain, synthetic_schema, SchemaShape};
+    let pruned = |schema: &StructuralSchema, n: usize, rng: &mut SmallRng| {
+        let w = MetricWeights {
+            threshold: 0.01,
+            ..Default::default()
+        };
+        let tree = generate_tree(schema, "R0", &w).unwrap();
+        let keep: Vec<String> = (1..n)
+            .filter(|_| rng.gen_bool(0.8))
+            .map(|i| format!("R{i}"))
+            .collect();
+        let keep: Vec<&str> = keep.iter().map(String::as_str).collect();
+        prune_by_relations(schema, &tree, "synthetic", &keep).unwrap()
+    };
+    let mut cases = Vec::new();
+    for (shape, n) in [
+        (SchemaShape::OwnershipChain, 4),
+        (SchemaShape::OwnershipStar, 4),
+        (SchemaShape::ReferenceTree, 6),
+    ] {
+        let schema = synthetic_schema(shape, n);
+        let mut db = Database::from_schema(schema.catalog());
+        match shape {
+            SchemaShape::OwnershipChain => seed_ownership_chain(&mut db, n, 2).unwrap(),
+            _ => {
+                for i in 0..n {
+                    for k in 0..rng.gen_range_i64(1..6) {
+                        let link = match rng.gen_range(0..5) {
+                            0 => Value::Null,
+                            _ => rng.gen_range_i64(0..3).into(),
+                        };
+                        let row = match shape {
+                            SchemaShape::OwnershipStar if i == 0 => vec![k.into(), "root".into()],
+                            SchemaShape::OwnershipStar => vec![link, k.into(), "leaf".into()],
+                            _ => vec![k.into(), link, format!("n{i}").into()],
+                        };
+                        let _ = db.insert(&format!("R{i}"), row); // NULL keys refused
+                    }
+                }
+            }
+        }
+        let object = pruned(&schema, n, rng);
+        cases.push((schema, object, db));
+    }
+    let (schema, db) = university_scaled(1, rng.next_u64() % 100);
+    let omega = generate_omega(&schema).unwrap();
+    let last = omega.nodes().len() - 1;
+    let renumbered = |old: NodeId| if old == 0 { 0 } else { last + 1 - old };
+    let nodes = (0..=last)
+        .map(|id| {
+            let n = omega.node(renumbered(id));
+            VoNode {
+                id,
+                relation: n.relation.clone(),
+                attrs: n.attrs.clone(),
+                parent: n.parent.map(renumbered),
+                edge: n.edge.clone(),
+                children: n.children.iter().map(|&c| renumbered(c)).collect(),
+            }
+        })
+        .collect();
+    let reversed = ViewObject::from_nodes("omega_renumbered", nodes, &schema).unwrap();
+    for object in [omega, generate_omega_prime(&schema).unwrap(), reversed] {
+        cases.push((schema.clone(), object, db.clone()));
+    }
+    cases
+}
+
+/// One random disturbance of an instance's text: entries shuffled — a
+/// node's children before its tuple — or dropped, a child key renamed,
+/// a node id changed.
+fn disturb_instance(rng: &mut SmallRng, at: &mut Json) {
+    match at {
+        Json::Arr(items) if !items.is_empty() => {
+            let i = rng.gen_range(0..items.len());
+            disturb_instance(rng, &mut items[i]);
+        }
+        Json::Obj(pairs) if !pairs.is_empty() => {
+            let i = rng.gen_range(0..pairs.len());
+            match rng.gen_range(0..6) {
+                0 => rng.shuffle(pairs),
+                1 => {
+                    pairs.remove(i);
+                }
+                2 => pairs[i].0 = rng.gen_range(0..5).to_string(),
+                3 if pairs[i].0 == "node" => pairs[i].1 = Json::Int(rng.gen_range(0..5) as i64),
+                _ => disturb_instance(rng, &mut pairs[i].1),
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Instances are flat, and the flat form is the tree: the engine binds
+/// what the tuple-at-a-time tree binds, the builder makes the same instance
+/// whatever order the nodes are filled in, the codec writes the tree
+/// encoder's bytes (rendered or written straight) and reads them back
+/// (off the text or through the tree) to an equal instance, and each
+/// in-place edit equals the instance rebuilt from the edited tree.
+#[test]
+fn instances_are_their_trees() {
+    use penguin_vo::obs::json::assert_roundtrip;
+    let rounds = if cfg!(debug_assertions) { 2 } else { 12 };
+    let mut rng = SmallRng::seed_from_u64(0xF1A7);
+    let (mut edits, mut bound, mut refused) = (0, 0, 0);
+    for _ in 0..rounds {
+        for (schema, object, db) in instance_cases(&mut rng) {
+            let instances = instantiate_all(&schema, &object, &db).unwrap();
+            let pivots = db.table(object.pivot()).unwrap().scan();
+            for (inst, pivot) in instances.iter().zip(pivots) {
+                let mut tree = tree_of(&schema, &object, &db, pivot.clone());
+                bound += inst.size();
+                assert_eq!(inst, &flatten(&object, &tree, None));
+                assert_eq!(inst, &flatten(&object, &tree, Some(&mut rng)));
+                let text = tree_text(&object, &tree);
+                assert_eq!(inst.to_json().compact(), text);
+                assert_roundtrip(inst);
+                for _ in 0..4 {
+                    let mut json = parse(&text).unwrap();
+                    disturb_instance(&mut rng, &mut json);
+                    refused += usize::from(!decoders_agree::<VoInstance>(&json.compact()));
+                }
+
+                // one edit of each kind, on the instance and on the tree
+                let mut edited = inst.clone();
+                let groups: Vec<NodeId> = (1..object.nodes().len())
+                    .filter(|&id| !edited.tuples_of(id).is_empty())
+                    .collect();
+                let stranger = Tuple::raw(vec![Value::Int(rng.gen_range_i64(0..1000))]);
+                if let Some(&node) = groups.get(rng.gen_range(0..groups.len().max(1))) {
+                    let pos = rng.gen_range(0..edited.tuples_of(node).len());
+                    let path = path_to(&tree, node, pos);
+                    edited.rewrite(node, pos, stranger.clone());
+                    at_mut(&mut tree, &path).tuple = stranger.clone();
+                    assert_eq!(
+                        edited,
+                        flatten(&object, &tree, None),
+                        "rewrite {node}@{pos}"
+                    );
+
+                    let pos = rng.gen_range(0..edited.tuples_of(node).len());
+                    let path = path_to(&tree, node, pos);
+                    edited.remove(node, pos);
+                    let ((key, i), above) = path.split_last().unwrap();
+                    let parent = at_mut(&mut tree, above);
+                    parent.children.get_mut(key).unwrap().remove(*i);
+                    parent.children.retain(|_, list| !list.is_empty());
+                    assert_eq!(edited, flatten(&object, &tree, None), "remove {node}@{pos}");
+                    edits += 2;
+                }
+                // under the first tuple of each parent node — the tuples
+                // behind it in the group move on — and under a random one
+                for parent in 0..object.nodes().len() {
+                    let (children, parents) = (
+                        &object.node(parent).children,
+                        edited.tuples_of(parent).len(),
+                    );
+                    if children.is_empty() || parents == 0 {
+                        continue;
+                    }
+                    for pos in [0, rng.gen_range(0..parents)] {
+                        let child = children[rng.gen_range(0..children.len())];
+                        let path = path_to(&tree, parent, pos);
+                        edited.attach(parent, pos, child, stranger.clone());
+                        let leaf = Tree {
+                            node: child,
+                            tuple: stranger.clone(),
+                            children: Default::default(),
+                        };
+                        let under = at_mut(&mut tree, &path);
+                        under.children.entry(child).or_default().push(leaf);
+                        assert_eq!(edited, flatten(&object, &tree, None), "attach {child}");
+                        edits += 1;
+                    }
+                }
+                assert_eq!(edited.to_json().compact(), tree_text(&object, &tree));
+                assert_roundtrip(&edited);
+            }
+        }
+    }
+    // the law is not vacuous: there were trees, edits and refusals
+    assert!(
+        bound > 100 && edits > 20 && refused > 4,
+        "{bound} / {edits} / {refused}"
+    );
 }
 
 // ---------------------------------------------------------------- tables --

@@ -10,18 +10,28 @@ use penguin_vo::prelude::*;
 
 const OMEGA_RELATIONS: [&str; 4] = ["DEPARTMENT", "CURRICULUM", "GRADES", "STUDENT"];
 
-/// Every tuple bound in the subtree is the allocation `db` stores for it.
-fn assert_binds_stored_rows(object: &ViewObject, db: &Database, node: &VoInstanceNode) {
-    let table = db.table(&object.node(node.node).relation).unwrap();
-    let key = node.tuple.key(table.schema());
-    let stored = table.get(&key).expect("a bound tuple is a stored tuple");
-    assert!(
-        node.tuple.ptr_eq(stored),
-        "{}{key} was copied into the instance",
-        table.schema().name()
-    );
-    for child in node.children.values().flatten() {
-        assert_binds_stored_rows(object, db, child);
+/// Every tuple bound in the instance is the allocation `db` stores for it.
+fn assert_binds_stored_rows(object: &ViewObject, db: &Database, inst: &VoInstance) {
+    for bound in std::iter::once(&inst.root).chain(inst.bound()) {
+        let table = db.table(&object.node(bound.node).relation).unwrap();
+        let key = bound.key(table.schema());
+        let stored = table.get(&key).expect("a bound tuple is a stored tuple");
+        assert!(
+            bound.ptr_eq(stored),
+            "{}{key} was copied into the instance",
+            table.schema().name()
+        );
+    }
+}
+
+/// A clone of an instance is a new list of the same rows.
+fn assert_clone_shares_rows(inst: &VoInstance) {
+    let copy = inst.clone();
+    assert_eq!(&copy, inst);
+    assert!(copy.root.ptr_eq(&inst.root));
+    assert_eq!(copy.bound().len(), inst.bound().len());
+    for (a, b) in copy.bound().iter().zip(inst.bound()) {
+        assert!(a.ptr_eq(b), "the clone copied a row of node {}", a.node);
     }
 }
 
@@ -59,7 +69,8 @@ fn instantiation_binds_the_tables_rows() {
                 let instances = instantiate_all_parallel(&schema, object, &db, workers).unwrap();
                 assert!(!instances.is_empty());
                 for inst in &instances {
-                    assert_binds_stored_rows(object, &db, &inst.root);
+                    assert_binds_stored_rows(object, &db, inst);
+                    assert_clone_shares_rows(inst);
                 }
             }
         }
@@ -77,7 +88,7 @@ fn instantiation_binds_the_tables_rows() {
         .chain(&session.instantiate_all("omega").unwrap())
         .chain([&keyed])
     {
-        assert_binds_stored_rows(omega, p.database(), &inst.root);
+        assert_binds_stored_rows(omega, p.database(), inst);
     }
 }
 
@@ -154,7 +165,7 @@ fn a_non_key_replacement_rebuilds_nothing_but_the_pivot() {
     assert_eq!(outcome.total_ops, 1, "a non-key VO-R is one replace");
     // the replacing pivot is the stored row, and every other tuple of the
     // replacing instance still is the row the table holds
-    assert_binds_stored_rows(&omega, p.database(), &new.root);
+    assert_binds_stored_rows(&omega, p.database(), &new);
 }
 
 #[test]

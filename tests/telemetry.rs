@@ -41,22 +41,20 @@ fn system() -> Penguin {
 fn fresh_course(p: &Penguin, id: &str) -> VoInstance {
     let omega = &p.object("omega").unwrap().object;
     let courses = p.database().table("COURSES").unwrap().schema().clone();
-    VoInstance {
-        object: omega.name().to_owned(),
-        root: VoInstanceNode::leaf(
-            0,
-            Tuple::new(
-                &courses,
-                vec![
-                    id.into(),
-                    format!("course {id}").into(),
-                    "graduate".into(),
-                    "Computer Science".into(),
-                ],
-            )
-            .unwrap(),
-        ),
-    }
+    VoInstance::builder(
+        omega,
+        Tuple::new(
+            &courses,
+            vec![
+                id.into(),
+                format!("course {id}").into(),
+                "graduate".into(),
+                "Computer Science".into(),
+            ],
+        )
+        .unwrap(),
+    )
+    .finish()
 }
 
 /// The pipeline attached through the facade drains real workload spans as

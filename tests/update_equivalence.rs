@@ -31,22 +31,20 @@ fn assert_same_database(a: &Database, b: &Database, context: &str) {
 /// A fresh course instance (root only; its department already exists, so
 /// dependency completion plans nothing extra).
 fn fresh_course(omega: &ViewObject, courses: &RelationSchema, id: &str, dept: &str) -> VoInstance {
-    VoInstance {
-        object: omega.name().to_owned(),
-        root: VoInstanceNode::leaf(
-            0,
-            Tuple::new(
-                courses,
-                vec![
-                    id.into(),
-                    format!("course {id}").into(),
-                    "graduate".into(),
-                    dept.into(),
-                ],
-            )
-            .unwrap(),
-        ),
-    }
+    VoInstance::builder(
+        omega,
+        Tuple::new(
+            courses,
+            vec![
+                id.into(),
+                format!("course {id}").into(),
+                "graduate".into(),
+                dept.into(),
+            ],
+        )
+        .unwrap(),
+    )
+    .finish()
 }
 
 fn shuffle<T>(items: &mut [T], rng: &mut SmallRng) {
