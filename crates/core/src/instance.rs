@@ -579,7 +579,7 @@ pub(crate) fn probe_step(
     if !out.is_empty() {
         vo_relational::stats::count_join_rows(out.len() as u64);
     }
-    trace::debug_event_with("core.probe_step", || {
+    trace::event_with("core.probe_step", || {
         vec![
             ("source", Json::str(step.source.clone())),
             ("target", Json::str(step.target.clone())),

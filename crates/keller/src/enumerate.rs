@@ -130,7 +130,7 @@ pub fn enumerate_deletions(
             violations,
         });
     }
-    trace::debug_event_with("keller.enumerate", || {
+    trace::event_with("keller.enumerate", || {
         vec![
             ("op", Json::str("delete")),
             ("view", Json::str(view.name.clone())),
@@ -244,7 +244,7 @@ pub fn enumerate_insertion(view: &SpjView, db: &Database, view_row: &[Value]) ->
             }
         }
     }
-    trace::debug_event_with("keller.enumerate", || {
+    trace::event_with("keller.enumerate", || {
         let ambiguous = violations
             .iter()
             .filter(|v| v.contains("ambiguous"))
@@ -341,7 +341,7 @@ pub fn enumerate_replacements(
             violations,
         });
     }
-    trace::debug_event_with("keller.enumerate", || {
+    trace::event_with("keller.enumerate", || {
         let join_attr = out
             .iter()
             .filter(|c| c.violations.iter().any(|v| v.contains("join attribute")))

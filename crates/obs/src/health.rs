@@ -1,6 +1,5 @@
-//! System health: a programmable policy turning raw observability
-//! signals into an Ok/Degraded/Unhealthy verdict with machine-readable
-//! reasons.
+//! System health: a threshold policy turning raw observability signals
+//! into an Ok/Degraded/Unhealthy verdict with machine-readable reasons.
 //!
 //! Counters and histograms tell an operator *what happened*; they do not
 //! say whether the system is currently fine. This module closes that gap
@@ -16,7 +15,6 @@
 //! as `Penguin::health()`.
 
 use crate::json::Json;
-use std::sync::Arc;
 
 /// The verdict, ordered by severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -145,14 +143,13 @@ pub struct HealthInputs {
     pub net_connection_limit: Option<u64>,
 }
 
-/// A custom, code-defined health rule (see [`HealthPolicy::with_rule`]).
-pub type HealthRule = Arc<dyn Fn(&HealthInputs) -> Option<HealthReason> + Send + Sync>;
-
-/// Thresholds (and custom rules) turning [`HealthInputs`] into a
-/// [`HealthReport`]. All thresholds are inclusive lower bounds for the
-/// violation ("value ≥ threshold fires"); set one to `u64::MAX` to
-/// disable that signal.
-#[derive(Clone)]
+/// Thresholds turning [`HealthInputs`] into a [`HealthReport`]. All
+/// thresholds are inclusive lower bounds for the violation ("value ≥
+/// threshold fires"); set one to `u64::MAX` to disable that signal.
+/// Start from [`HealthPolicy::default`] and adjust the thresholds you
+/// need.
+#[derive(Debug, Clone)]
+#[non_exhaustive]
 pub struct HealthPolicy {
     /// Per-consumer journal lag that degrades the verdict.
     pub journal_lag_degraded: u64,
@@ -181,27 +178,6 @@ pub struct HealthPolicy {
     /// Connection saturation that makes the system unhealthy: at or past
     /// this ratio new clients are being turned away.
     pub conn_saturation_unhealthy: f64,
-    /// Additional code-defined rules, evaluated after the built-ins.
-    rules: Vec<HealthRule>,
-}
-
-impl std::fmt::Debug for HealthPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HealthPolicy")
-            .field("journal_lag_degraded", &self.journal_lag_degraded)
-            .field("journal_lag_unhealthy", &self.journal_lag_unhealthy)
-            .field("persistence_lag_degraded", &self.persistence_lag_degraded)
-            .field("persistence_lag_unhealthy", &self.persistence_lag_unhealthy)
-            .field("staleness_degraded", &self.staleness_degraded)
-            .field("wal_bytes_degraded", &self.wal_bytes_degraded)
-            .field("wal_bytes_unhealthy", &self.wal_bytes_unhealthy)
-            .field("wal_segments_degraded", &self.wal_segments_degraded)
-            .field("wal_segments_unhealthy", &self.wal_segments_unhealthy)
-            .field("conn_saturation_degraded", &self.conn_saturation_degraded)
-            .field("conn_saturation_unhealthy", &self.conn_saturation_unhealthy)
-            .field("rules", &self.rules.len())
-            .finish()
-    }
 }
 
 impl Default for HealthPolicy {
@@ -221,28 +197,11 @@ impl Default for HealthPolicy {
             wal_segments_unhealthy: 512,
             conn_saturation_degraded: 0.85,
             conn_saturation_unhealthy: 1.0,
-            rules: Vec::new(),
         }
     }
 }
 
 impl HealthPolicy {
-    /// Add a code-defined rule: return `Some(reason)` to contribute to
-    /// the verdict, `None` to pass. Rules run after the built-in
-    /// threshold checks, over the same inputs.
-    pub fn with_rule(
-        mut self,
-        rule: impl Fn(&HealthInputs) -> Option<HealthReason> + Send + Sync + 'static,
-    ) -> Self {
-        self.rules.push(Arc::new(rule));
-        self
-    }
-
-    /// Number of registered custom rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-
     /// Grade `value` against a degraded/unhealthy threshold pair.
     fn grade(value: u64, degraded: u64, unhealthy: u64) -> Option<(HealthStatus, u64)> {
         if value >= unhealthy {
@@ -395,12 +354,6 @@ impl HealthPolicy {
             }
         }
 
-        for rule in &self.rules {
-            if let Some(reason) = rule(inputs) {
-                reasons.push(reason);
-            }
-        }
-
         let status = reasons
             .iter()
             .map(|r| r.status)
@@ -461,26 +414,6 @@ mod tests {
         assert_eq!(report.status, HealthStatus::Degraded);
         let codes: Vec<&str> = report.reasons.iter().map(|r| r.code.as_str()).collect();
         assert_eq!(codes, vec!["journal_lapsed:omega", "recovery_torn_tail"]);
-    }
-
-    #[test]
-    fn custom_rules_run_after_builtins() {
-        let policy = HealthPolicy::default().with_rule(|inputs| {
-            (inputs.consumer_lags.len() > 2).then(|| HealthReason {
-                code: "too_many_consumers".into(),
-                status: HealthStatus::Unhealthy,
-                value: 3.0,
-                threshold: 2.0,
-                detail: "journal fan-out beyond budget".into(),
-            })
-        });
-        assert_eq!(policy.rule_count(), 1);
-        let report = policy.evaluate(&HealthInputs {
-            consumer_lags: vec![("a".into(), 0), ("b".into(), 0), ("c".into(), 0)],
-            ..HealthInputs::default()
-        });
-        assert_eq!(report.status, HealthStatus::Unhealthy);
-        assert_eq!(report.reasons.last().unwrap().code, "too_many_consumers");
     }
 
     #[test]

@@ -427,8 +427,7 @@ impl MetricsSnapshot {
 }
 
 /// Snapshot every registered metric and render it as Prometheus-style
-/// exposition text — the pull-based counterpart of the telemetry
-/// pipeline's push-based JSONL export.
+/// exposition text (what vo-net's METRICS reply carries).
 pub fn expose_text() -> String {
     snapshot_all().expose_text()
 }

@@ -1,13 +1,12 @@
 //! The slow-operation log: a bounded ring of spans whose duration crossed
 //! a per-name threshold.
 //!
-//! Telemetry sampling may legitimately drop most spans, and the trace
-//! ring evicts old ones — but an operator diagnosing tail latency wants
-//! the outliers *kept*, with their fields intact. The slow log hooks the
-//! tracer's record path: every closing span is checked against the
-//! threshold registered for its name ([`threshold`]), and crossers are
-//! copied into a separate bounded ring ([`take`] / [`entries`]) that
-//! neither sampling nor trace-ring eviction touches.
+//! The trace ring evicts old spans — but an operator diagnosing tail
+//! latency wants the outliers *kept*, with their fields intact. The slow
+//! log hooks the tracer's record path: every closing span is checked
+//! against the threshold registered for its name ([`threshold`]), and
+//! crossers are copied into a separate bounded ring ([`take`] /
+//! [`entries`]) that trace-ring eviction does not touch.
 //!
 //! Cost when unused: one relaxed atomic load per recorded span (and
 //! recording itself only happens while tracing is enabled, so the
@@ -35,21 +34,6 @@ pub struct SlowOp {
     pub event: SpanEvent,
     /// The threshold (µs) it crossed, for context in exports.
     pub threshold_us: u64,
-}
-
-impl SlowOp {
-    /// The slow op as a JSON object: the span's export shape plus the
-    /// crossed threshold.
-    pub fn to_json(&self) -> crate::json::Json {
-        let mut j = self.event.to_json();
-        if let crate::json::Json::Obj(pairs) = &mut j {
-            pairs.push((
-                "threshold_us".to_owned(),
-                crate::json::Json::Int(self.threshold_us as i64),
-            ));
-        }
-        j
-    }
 }
 
 struct SlowLog {
@@ -93,33 +77,6 @@ pub fn clear_threshold(name: &str) -> bool {
         THRESHOLD_COUNT.fetch_sub(1, Ordering::Relaxed);
     }
     removed
-}
-
-/// The registered threshold for `name`, if any.
-pub fn threshold_for(name: &str) -> Option<Duration> {
-    if THRESHOLD_COUNT.load(Ordering::Relaxed) == 0 {
-        return None;
-    }
-    log()
-        .lock()
-        .unwrap()
-        .thresholds
-        .get(name)
-        .map(|&us| Duration::from_micros(us))
-}
-
-/// The threshold `event` crossed, if its name has one and its duration
-/// reached it — the "always keep" predicate shared with the telemetry
-/// sampler.
-pub fn crossed(event: &SpanEvent) -> Option<u64> {
-    if THRESHOLD_COUNT.load(Ordering::Relaxed) == 0 {
-        return None;
-    }
-    let l = log().lock().unwrap();
-    match l.thresholds.get(event.name) {
-        Some(&us) if event.dur_us >= us => Some(us),
-        _ => None,
-    }
 }
 
 /// Tracer hook: copy `event` into the ring when it crossed its name's
@@ -209,8 +166,6 @@ mod tests {
         assert_eq!(ops[0].event.name, "test.slowlog.op");
         assert_eq!(ops[0].event.field("rows"), Some(&Json::Int(42)));
         assert_eq!(ops[0].threshold_us, 1);
-        let j = ops[0].to_json();
-        assert_eq!(j.field("threshold_us").unwrap().as_i64().unwrap(), 1);
         assert!(clear_threshold("test.slowlog.op"));
         assert!(clear_threshold("test.slowlog.fast"));
         assert!(!clear_threshold("test.slowlog.op"));

@@ -38,18 +38,6 @@ use std::time::Instant;
 /// Number of guards currently holding tracing on (0 = disabled).
 static ACTIVE: AtomicU64 = AtomicU64::new(0);
 
-/// Current [`Verbosity`] as its discriminant (see [`set_verbosity`]).
-static VERBOSITY: AtomicU64 = AtomicU64::new(Verbosity::Debug as u64);
-
-/// Record-time head sampling rate: keep 1-in-this-many traces (≤ 1 =
-/// keep everything). Installed by the telemetry pipeline; see
-/// [`set_head_sample`].
-static HEAD_SAMPLE: AtomicU64 = AtomicU64::new(1);
-
-/// Spans skipped by the head sampler since the last
-/// [`take_head_skipped`] — folded into drain statistics.
-static HEAD_SKIPPED: AtomicU64 = AtomicU64::new(0);
-
 /// Monotonic id source for spans and events (process-wide).
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -65,9 +53,6 @@ thread_local! {
     /// Cross-thread parent link: the span id adopted as parent while this
     /// thread's own stack is empty (see [`link_parent`]).
     static PARENT_LINK: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
-    /// Root id of the currently-open trace on this thread that the head
-    /// sampler decided *not* to keep; spans under it record nothing.
-    static INERT_ROOT: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
 }
 
 /// True while at least one [`TraceScope`] guard is alive. This is the
@@ -75,90 +60,6 @@ thread_local! {
 #[inline]
 pub fn enabled() -> bool {
     ACTIVE.load(Ordering::Relaxed) != 0
-}
-
-/// How much an active trace records.
-///
-/// Spans and ordinary events always record while tracing is on; the
-/// per-row instrumentation behind [`debug_event_with`] (probe steps,
-/// enumeration criteria — one event per tuple touched) records only at
-/// [`Verbosity::Debug`]. The default is `Debug`, so a bare
-/// [`start_trace`] in a test sees everything; attaching a production
-/// [`TelemetryPipeline`](crate::sink::TelemetryPipeline) lowers the
-/// process to `Info` unless its policy asks for debug events — per-row
-/// events cost more than the workloads they annotate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Verbosity {
-    /// Spans and instant events only; per-row debug events are skipped
-    /// (their field closures never run).
-    Info = 0,
-    /// Everything, including one event per probe step / enumeration row.
-    Debug = 1,
-}
-
-/// Set the process-wide trace verbosity, returning the previous value.
-pub fn set_verbosity(v: Verbosity) -> Verbosity {
-    match VERBOSITY.swap(v as u64, Ordering::Relaxed) {
-        0 => Verbosity::Info,
-        _ => Verbosity::Debug,
-    }
-}
-
-/// The current process-wide trace verbosity.
-pub fn verbosity() -> Verbosity {
-    match VERBOSITY.load(Ordering::Relaxed) {
-        0 => Verbosity::Info,
-        _ => Verbosity::Debug,
-    }
-}
-
-/// True when tracing is on *and* verbosity is [`Verbosity::Debug`] — the
-/// gate [`debug_event_with`] checks before doing any work.
-#[inline]
-pub fn debug_enabled() -> bool {
-    enabled() && VERBOSITY.load(Ordering::Relaxed) != 0
-}
-
-/// Install record-time head sampling: keep 1-in-`n` traces (grouped by
-/// trace root, same hash as the drain-time
-/// [`SamplingPolicy`](crate::sink::SamplingPolicy)), deciding at the
-/// *root span's open* so the spans of an unsampled trace never pay for
-/// field construction, clock reads, or the collector mutex. Returns the
-/// previous rate; `n <= 1` keeps everything.
-///
-/// Two carve-outs preserve observability guarantees:
-/// - spans whose name has a [`crate::slowlog`] threshold registered
-///   always record in full, so the slow-op log keeps its fidelity;
-/// - instant events ([`event_with`]) are exempt — they are rare on hot
-///   paths (the per-row ones sit behind [`debug_event_with`]) and may
-///   carry `error` fields that drain-time policies promise to keep.
-///
-/// The telemetry pipeline installs this alongside its drain-time policy
-/// (which re-applies the same decision, so what was recorded and what is
-/// exported agree); restore the previous rate when detaching.
-pub fn set_head_sample(n: u64) -> u64 {
-    HEAD_SAMPLE.swap(n.max(1), Ordering::Relaxed)
-}
-
-/// The record-time head-sampling rate in force (1 = keep everything).
-pub fn head_sample() -> u64 {
-    HEAD_SAMPLE.load(Ordering::Relaxed)
-}
-
-/// Drain the count of spans the head sampler skipped since last asked.
-pub(crate) fn take_head_skipped() -> u64 {
-    HEAD_SKIPPED.swap(0, Ordering::Relaxed)
-}
-
-/// SplitMix64 — decorrelates consecutive root ids so "1-in-N" holds even
-/// though span ids are sequential. Shared by the record-time head
-/// sampler and the drain-time sampling policy: both must make the same
-/// keep/drop call for a given trace.
-pub(crate) fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// The interned id of the calling thread, as recorded in
@@ -203,9 +104,8 @@ pub fn link_parent(parent: Option<u64>) -> ParentLinkGuard {
 /// The effective `(parent, root)` at open time for a new span or event
 /// with the given fresh id: the innermost open span of this thread (whose
 /// root is inherited), else the installed cross-thread link (which
-/// doubles as the root for the worker's subtree — sampling decisions then
-/// group the whole fork under the caller's span id), else the new span is
-/// its own root.
+/// doubles as the root for the worker's subtree, so the whole fork groups
+/// under the caller's span id), else the new span is its own root.
 fn effective_parent(stack: &[(u64, u64)], id: u64) -> (Option<u64>, u64) {
     if let Some(&(pid, root)) = stack.last() {
         return (Some(pid), root);
@@ -246,7 +146,8 @@ pub struct SpanEvent {
     pub parent: Option<u64>,
     /// Id of the trace's top-level span (self for a root span). Worker
     /// threads inherit the linked caller span's id as their subtree root.
-    /// This is the grouping key for head-based trace sampling.
+    /// This is the trace id every span and event of one top-level
+    /// operation shares.
     pub root: u64,
     /// Nesting depth at open time (0 = top level).
     pub depth: usize,
@@ -264,38 +165,11 @@ impl SpanEvent {
         self.fields.iter().find(|(k, _)| *k == name).map(|(_, v)| v)
     }
 
-    /// The event as a JSON object.
-    pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("id".to_owned(), Json::Int(self.id as i64)),
-            ("thread".to_owned(), Json::Int(self.thread as i64)),
-            ("name".to_owned(), Json::str(self.name)),
-            (
-                "parent".to_owned(),
-                match self.parent {
-                    Some(p) => Json::Int(p as i64),
-                    None => Json::Null,
-                },
-            ),
-            ("root".to_owned(), Json::Int(self.root as i64)),
-            ("depth".to_owned(), Json::Int(self.depth as i64)),
-            ("start_us".to_owned(), Json::Int(self.start_us as i64)),
-            ("dur_us".to_owned(), Json::Int(self.dur_us as i64)),
-        ];
-        let fields: Vec<(String, Json)> = self
-            .fields
-            .iter()
-            .map(|(k, v)| ((*k).to_owned(), v.clone()))
-            .collect();
-        pairs.push(("fields".to_owned(), Json::Obj(fields)));
-        Json::Obj(pairs)
-    }
-
-    /// Serialize as one compact JSON object directly into `out` — the
-    /// same bytes as `self.to_json().compact()`, without building the
-    /// intermediate tree. This is the telemetry export hot path: a drain
-    /// serializes every kept event, and the tree walk's per-key `String`
-    /// allocations dominate its cost.
+    /// Serialize as one compact JSON object directly into `out` (no
+    /// trailing newline): `id`, `thread`, `name`, `parent`, `root`,
+    /// `depth`, `start_us`, `dur_us`, then `fields` as an object in
+    /// insertion order. The one encoder of a span event; [`export_jsonl`]
+    /// writes one per line.
     pub fn write_jsonl(&self, out: &mut String) {
         use std::fmt::Write as _;
         let _ = write!(
@@ -363,7 +237,7 @@ fn epoch() -> Instant {
 
 fn record(event: SpanEvent) {
     // The slow-op log keeps its own copy of threshold-crossing spans, so
-    // they survive ring eviction and telemetry sampling alike.
+    // they survive ring eviction.
     crate::slowlog::observe(&event);
     let mut c = collector().lock().unwrap();
     if c.buf.len() >= c.capacity {
@@ -414,11 +288,6 @@ struct OpenSpan {
     depth: usize,
     start: Instant,
     fields: Vec<(&'static str, Json)>,
-    /// False when the head sampler dropped this span's trace: the guard
-    /// still maintains the span stack (descendant slow-log candidates
-    /// keep correct parent links), but stores no fields and records
-    /// nothing at close.
-    live: bool,
 }
 
 /// RAII handle for an open span; records a [`SpanEvent`] on drop. Inert
@@ -432,15 +301,13 @@ impl SpanGuard {
     /// Attach a field to the span (no-op when the span is not recording).
     pub fn field(&mut self, key: &'static str, value: Json) {
         if let Some(open) = &mut self.inner {
-            if open.live {
-                open.fields.push((key, value));
-            }
+            open.fields.push((key, value));
         }
     }
 
     /// True when this guard is actually recording.
     pub fn is_recording(&self) -> bool {
-        self.inner.as_ref().is_some_and(|o| o.live)
+        self.inner.is_some()
     }
 }
 
@@ -457,18 +324,6 @@ impl Drop for SpanGuard {
                 stack.truncate(pos);
             }
         });
-        if open.id == open.root {
-            // A closing trace root ends any inert region it opened.
-            INERT_ROOT.with(|c| {
-                if c.get() == Some(open.id) {
-                    c.set(None);
-                }
-            });
-        }
-        if !open.live {
-            HEAD_SKIPPED.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
         let start_us = open.start.duration_since(epoch()).as_micros() as u64;
         let dur_us = open.start.elapsed().as_micros() as u64;
         record(SpanEvent {
@@ -498,29 +353,6 @@ pub fn span(name: &'static str) -> SpanGuard {
         stack.push((id, root));
         (parent, root, depth)
     });
-    // Record-time head sampling: decided once at the trace root (its
-    // fresh id is the root id the drain-time policy will hash, so both
-    // make the same call); descendants inherit the verdict through
-    // INERT_ROOT. Spans with a slow-log threshold registered for their
-    // name stay live regardless — the slow-op log must see them.
-    let live = {
-        let n = HEAD_SAMPLE.load(Ordering::Relaxed);
-        if n <= 1 {
-            true
-        } else {
-            let inert = if parent.is_none() && root == id {
-                let inert = !mix(id).is_multiple_of(n);
-                INERT_ROOT.with(|c| c.set(inert.then_some(id)));
-                inert
-            } else {
-                INERT_ROOT.with(std::cell::Cell::get) == Some(root)
-            };
-            !inert || crate::slowlog::threshold_for(name).is_some()
-        }
-    };
-    // Pin the epoch before taking the span clock so start_us never
-    // underflows on the first-ever span.
-    let start = if live { Instant::now() } else { epoch() };
     SpanGuard {
         inner: Some(OpenSpan {
             id,
@@ -528,16 +360,10 @@ pub fn span(name: &'static str) -> SpanGuard {
             parent,
             root,
             depth,
-            start,
+            start: Instant::now(),
             // one exact-size allocation for the common field count — the
-            // 0→4→8 growth path costs a realloc on every 5-field span;
-            // inert spans allocate nothing
-            fields: if live {
-                Vec::with_capacity(8)
-            } else {
-                Vec::new()
-            },
-            live,
+            // 0→4→8 growth path costs a realloc on every 5-field span
+            fields: Vec::with_capacity(8),
         }),
     }
 }
@@ -566,18 +392,6 @@ pub fn event_with(name: &'static str, fields: impl FnOnce() -> Vec<(&'static str
         dur_us: 0,
         fields: fields(),
     });
-}
-
-/// Record a per-row debug event; skipped entirely (closure never runs)
-/// unless tracing is on at [`Verbosity::Debug`]. Use this for
-/// instrumentation that fires once per tuple touched — probe steps,
-/// enumeration criteria — where recording would cost more than the work
-/// being traced.
-pub fn debug_event_with(name: &'static str, fields: impl FnOnce() -> Vec<(&'static str, Json)>) {
-    if !debug_enabled() {
-        return;
-    }
-    event_with(name, fields);
 }
 
 /// Crate-wide serialization for tests that toggle the process-global
@@ -654,23 +468,42 @@ mod tests {
         let _serial = serial();
         let _scope = start_trace();
         {
-            let mut s = span("test.jsonl");
-            s.field("rows", Json::Int(3));
+            let mut outer = span("test.jsonl");
+            outer.field("rows", Json::Int(3));
+            outer.field("s", Json::str("a \"quoted\" value\n"));
+            outer.field("i", Json::Int(-7));
+            outer.field("f", Json::Float(1.5));
+            outer.field("n", Json::Null);
+            let _inner = span("test.jsonl");
         }
         let evs = my_events("test.jsonl");
+        assert_eq!(evs.len(), 2);
         let jsonl = export_jsonl(&evs);
-        for line in jsonl.lines() {
+        assert_eq!(jsonl.lines().count(), evs.len());
+        for (line, e) in jsonl.lines().zip(&evs) {
             let v = crate::json::parse(line).unwrap();
-            assert_eq!(v.field("name").unwrap().as_str().unwrap(), "test.jsonl");
-            assert_eq!(
-                v.field("fields")
-                    .unwrap()
-                    .field("rows")
-                    .unwrap()
-                    .as_i64()
-                    .unwrap(),
-                3
-            );
+            assert_eq!(v.field("name").unwrap().as_str().unwrap(), e.name);
+            let parent = e.parent.map_or(Json::Null, |p| Json::Int(p as i64));
+            assert_eq!(v.field("parent").unwrap(), &parent);
+            let numbers = [
+                ("id", e.id),
+                ("thread", e.thread),
+                ("root", e.root),
+                ("depth", e.depth as u64),
+                ("start_us", e.start_us),
+                ("dur_us", e.dur_us),
+            ];
+            for (k, want) in numbers {
+                assert_eq!(v.field(k).unwrap().as_i64().unwrap(), want as i64, "{k}");
+            }
+            // every field reads back equal, in insertion order: the
+            // escaped string, -7, 1.5 and null on the outer span
+            let fields = v.field("fields").unwrap().entries().unwrap();
+            assert_eq!(fields.len(), e.fields.len());
+            for ((k, got), (want_k, want)) in fields.iter().zip(&e.fields) {
+                assert_eq!(k, want_k);
+                assert_eq!(got, want, "{k}");
+            }
         }
     }
 
@@ -842,88 +675,6 @@ mod tests {
         let outer = my_events("test.shrink_outer");
         assert_eq!(outer.len(), 1);
         assert_eq!(outer[0].parent, None);
-    }
-
-    #[test]
-    fn write_jsonl_matches_tree_serialization() {
-        let _serial = serial();
-        let _scope = start_trace();
-        {
-            let mut outer = span("test.jsonl_direct");
-            outer.field("s", Json::str("a \"quoted\" value\n"));
-            outer.field("i", Json::Int(-7));
-            outer.field("f", Json::Float(1.5));
-            outer.field("n", Json::Null);
-            let _inner = span("test.jsonl_direct");
-        }
-        for e in my_events("test.jsonl_direct") {
-            let mut direct = String::new();
-            e.write_jsonl(&mut direct);
-            assert_eq!(direct, e.to_json().compact());
-        }
-    }
-
-    #[test]
-    fn info_verbosity_skips_debug_events_without_running_closures() {
-        let _serial = serial();
-        let _scope = start_trace();
-        let prev = set_verbosity(Verbosity::Info);
-        assert!(!debug_enabled());
-        debug_event_with("test.debug_gated", || {
-            panic!("debug field closure must not run at Info")
-        });
-        assert!(my_events("test.debug_gated").is_empty());
-        // ordinary events still record at Info
-        event_with("test.info_event", Vec::new);
-        assert_eq!(my_events("test.info_event").len(), 1);
-        set_verbosity(Verbosity::Debug);
-        debug_event_with("test.debug_gated", || vec![("n", Json::Int(1))]);
-        assert_eq!(my_events("test.debug_gated").len(), 1);
-        set_verbosity(prev);
-    }
-
-    #[test]
-    fn head_sampler_skips_spans_but_keeps_thresholded_names_and_events() {
-        let _serial = serial();
-        let _scope = start_trace();
-        clear();
-        crate::slowlog::threshold(
-            "test.head.thresholded",
-            std::time::Duration::from_secs(3600),
-        );
-        let prev = set_head_sample(u64::MAX); // drop every trace
-        take_head_skipped();
-        {
-            let mut root = span("test.head.root");
-            root.field("ignored", Json::Int(1));
-            assert!(!root.is_recording());
-            let child = span("test.head.plain_child");
-            assert!(!child.is_recording());
-            // thresholded names always record, even inside an inert
-            // trace, and keep their parent links through the span stack
-            let kept = span("test.head.thresholded");
-            assert!(kept.is_recording());
-            drop(kept);
-            // instant events are exempt (keep_errors depends on them)
-            event_with("test.head.event", || vec![("error", Json::str("x"))]);
-        }
-        assert!(my_events("test.head.root").is_empty());
-        assert!(my_events("test.head.plain_child").is_empty());
-        let kept = my_events("test.head.thresholded");
-        assert_eq!(kept.len(), 1);
-        assert!(kept[0].parent.is_some());
-        assert_ne!(kept[0].root, kept[0].id);
-        assert_eq!(my_events("test.head.event").len(), 1);
-        assert!(take_head_skipped() >= 2); // root + plain child
-                                           // a fresh root after the inert one records again at rate 1
-        set_head_sample(1);
-        {
-            let _s = span("test.head.after");
-        }
-        assert_eq!(my_events("test.head.after").len(), 1);
-        set_head_sample(prev);
-        crate::slowlog::clear_threshold("test.head.thresholded");
-        clear();
     }
 
     #[test]

@@ -20,7 +20,6 @@ use vo_core::prelude::*;
 use vo_exec::Parallelism;
 use vo_obs::health::{HealthPolicy, HealthStatus};
 use vo_obs::metrics::{self, Counter};
-use vo_obs::sink::TelemetryPipeline;
 use vo_store::{RecoveryReport, Store};
 
 /// Snapshot sessions pinned through [`Penguin::session`].
@@ -61,11 +60,7 @@ pub struct Penguin {
     /// Watch subscriptions fed by [`Penguin::refresh`].
     watches: BTreeMap<WatchId, Watch>,
     next_watch: u64,
-    /// Telemetry export pipeline, when attached (the `VO_TELEMETRY` env
-    /// knob or [`Penguin::set_telemetry`]). Drained on
-    /// [`Penguin::persist_pending`] and on drop.
-    telemetry: Option<TelemetryPipeline>,
-    /// Thresholds (and custom rules) behind [`Penguin::health`].
+    /// Thresholds behind [`Penguin::health`].
     health_policy: HealthPolicy,
     /// Verdict of the previous [`Penguin::health`] call, for transition
     /// events ([`Cell`]: probing health must not require `&mut`).
@@ -84,9 +79,7 @@ impl Clone for Penguin {
     /// is disabled); the original keeps persisting. Materialized views
     /// and watches are not cloned either: their journal cursors belong to
     /// the original's journal ([`Penguin::materialize`] again on the
-    /// clone). The telemetry pipeline stays with the original too (two
-    /// drainers would steal each other's spans); the health policy is
-    /// copied.
+    /// clone). The health policy is copied.
     fn clone(&self) -> Self {
         let mut db = self.db.clone();
         db.disable_commit_journal();
@@ -100,7 +93,6 @@ impl Clone for Penguin {
             views: BTreeMap::new(),
             watches: BTreeMap::new(),
             next_watch: 0,
-            telemetry: None,
             health_policy: self.health_policy.clone(),
             last_health: Cell::new(self.last_health.get()),
         }
@@ -114,12 +106,7 @@ impl Penguin {
         Penguin::with_database(schema, db)
     }
 
-    /// Create a system over an existing database. When the `VO_TELEMETRY`
-    /// environment knob is set (`<path>[,sample=N][,no-slow][,no-errors]`),
-    /// a telemetry pipeline writing JSONL to that path is attached — a
-    /// spec that fails to parse or open is ignored (telemetry must never
-    /// keep the system from starting); attach explicitly through
-    /// [`Penguin::set_telemetry`] to observe the failure.
+    /// Create a system over an existing database.
     pub fn with_database(schema: StructuralSchema, db: Database) -> Self {
         Penguin {
             registry: Arc::new(Registry::new(schema)),
@@ -131,7 +118,6 @@ impl Penguin {
             views: BTreeMap::new(),
             watches: BTreeMap::new(),
             next_watch: 0,
-            telemetry: TelemetryPipeline::from_env().and_then(|r| r.ok()),
             health_policy: HealthPolicy::default(),
             last_health: Cell::new(HealthStatus::Ok),
         }

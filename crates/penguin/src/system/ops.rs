@@ -1,11 +1,10 @@
-//! Operating a [`Penguin`]: telemetry, the slow-operation log, health.
+//! Operating a [`Penguin`]: the slow-operation log, health.
 
 use super::Penguin;
 use std::sync::OnceLock;
 use vo_core::prelude::*;
 use vo_obs::health::{HealthInputs, HealthPolicy, HealthReport, StalenessInput};
 use vo_obs::metrics::{self, Counter};
-use vo_obs::sink::TelemetryPipeline;
 use vo_obs::slowlog::{self, SlowOp};
 use vo_obs::trace;
 use vo_store::Store;
@@ -17,41 +16,9 @@ fn health_transitions() -> Counter {
 }
 
 impl Penguin {
-    /// Drain collected spans through the telemetry pipeline (no-op when
-    /// none is attached), mapping sink failures into [`Error::Storage`].
-    pub(super) fn drain_telemetry(&mut self) -> Result<()> {
-        if let Some(t) = &mut self.telemetry {
-            t.drain()
-                .map_err(|e| Error::Storage(format!("telemetry drain: {e}")))?;
-        }
-        Ok(())
-    }
-
-    /// The attached telemetry pipeline, if any.
-    pub fn telemetry(&self) -> Option<&TelemetryPipeline> {
-        self.telemetry.as_ref()
-    }
-
-    /// Mutable access to the attached telemetry pipeline (to adjust its
-    /// sampling policy or drain it by hand).
-    pub fn telemetry_mut(&mut self) -> Option<&mut TelemetryPipeline> {
-        self.telemetry.as_mut()
-    }
-
-    /// Attach (or with `None` detach) a telemetry pipeline, returning the
-    /// previous one. A detached pipeline drains once more as it drops.
-    /// Run at most one pipeline per process: the trace ring is global,
-    /// and concurrent drainers would steal each other's spans.
-    pub fn set_telemetry(
-        &mut self,
-        pipeline: Option<TelemetryPipeline>,
-    ) -> Option<TelemetryPipeline> {
-        std::mem::replace(&mut self.telemetry, pipeline)
-    }
-
     /// The slow-operation log: spans that crossed their per-name
-    /// [`vo_obs::slowlog::threshold`], full fields retained, regardless
-    /// of telemetry sampling. Oldest first; the log is process-global.
+    /// [`vo_obs::slowlog::threshold`], full fields retained, however the
+    /// trace ring evicts. Oldest first; the log is process-global.
     pub fn slow_ops(&self) -> Vec<SlowOp> {
         slowlog::entries()
     }
@@ -61,7 +28,7 @@ impl Penguin {
         &self.health_policy
     }
 
-    /// Replace the health policy (thresholds and custom rules).
+    /// Replace the health policy's thresholds.
     pub fn set_health_policy(&mut self, policy: HealthPolicy) -> &mut Self {
         self.health_policy = policy;
         self

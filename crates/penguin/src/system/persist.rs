@@ -113,13 +113,11 @@ impl Penguin {
     }
 
     /// Drain committed-but-unpersisted transactions into the store (a
-    /// no-op on in-memory systems) and flush the telemetry pipeline, when
-    /// one is attached. Mutating facade calls flush the store
+    /// no-op on in-memory systems). Mutating facade calls flush the store
     /// automatically; call this to retry after one of them reported a
     /// persistence failure.
     pub fn persist_pending(&mut self) -> Result<()> {
-        self.flush_store()?;
-        self.drain_telemetry()
+        self.flush_store()
     }
 
     /// Flush pending transactions and take a checkpoint now — normally

@@ -62,9 +62,6 @@ pub mod prelude {
     pub use vo_obs::health::{
         HealthInputs, HealthPolicy, HealthReason, HealthReport, HealthStatus, StalenessInput,
     };
-    pub use vo_obs::sink::{
-        DrainStats, FileSink, MemorySink, SamplingPolicy, TelemetryPipeline, TelemetrySink,
-    };
     pub use vo_obs::slowlog::SlowOp;
     pub use vo_penguin::{
         hospital_database, run_voql, university_scaled, Penguin, Session, VoqlOutcome, WatchId,

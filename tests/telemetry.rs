@@ -1,5 +1,5 @@
-//! Integration tests for the telemetry pipeline, the slow-op log, the
-//! metrics exposition, and the system health monitor — the observability
+//! Integration tests for trace export, the slow-op log, the metrics
+//! exposition, and the system health monitor — the observability
 //! surface a production PENGUIN deployment operates on.
 //!
 //! The trace ring, slow log, and metrics registry are process-global, so
@@ -57,29 +57,26 @@ fn fresh_course(p: &Penguin, id: &str) -> VoInstance {
     .finish()
 }
 
-/// The pipeline attached through the facade drains real workload spans as
-/// JSONL that the in-tree parser reads back, field for field.
+/// Spans of a real workload leave the process as JSONL
+/// (`export_jsonl(&take())`) that the in-tree parser reads back, field
+/// for field.
 #[test]
 fn facade_telemetry_roundtrips_jsonl_through_parser() {
     let _serial = serial();
     let mut p = system();
-    let sink = MemorySink::new();
-    let handle = sink.clone();
-    let pipeline = TelemetryPipeline::new(Box::new(sink), SamplingPolicy::default());
+    let _scope = trace::start_trace();
     trace::take(); // isolate from other tests' leftovers
-    assert!(p.set_telemetry(Some(pipeline)).is_none());
-    assert!(p.telemetry().is_some());
 
     let reqs: Vec<UpdateRequest> = (0..3)
         .map(|i| UpdateRequest::CompleteInsertion(fresh_course(&p, &format!("TL-{i}"))))
         .collect();
     p.apply_batch("omega", reqs).unwrap();
-    // persist_pending drains the pipeline even on an in-memory system
-    p.persist_pending().unwrap();
 
-    let lines = handle.lines();
-    let batch: Vec<&String> = lines
+    let jsonl = trace::export_jsonl(&trace::take());
+    let lines: Vec<&str> = jsonl.lines().collect();
+    let batch: Vec<&str> = lines
         .iter()
+        .copied()
         .filter(|l| l.contains("penguin.apply_batch"))
         .collect();
     assert_eq!(batch.len(), 1, "expected exactly one apply_batch span");
@@ -112,37 +109,23 @@ fn facade_telemetry_roundtrips_jsonl_through_parser() {
         .collect();
     assert!(!translated.is_empty());
     assert!(translated.iter().all(|r| *r == root_id));
-    // detaching hands the pipeline back with its lifetime totals
-    let detached = p.set_telemetry(None).unwrap();
-    assert!(detached.totals().kept >= 1);
 }
 
 /// A span crossing its registered threshold lands in the slow-op log with
-/// every field intact, even under a sampling policy that drops everything.
+/// every field intact, and in the trace export beside it.
 #[test]
 fn slow_op_log_keeps_forced_slow_span_with_fields() {
     let _serial = serial();
     let mut p = system();
     slowlog::clear();
     slowlog::threshold("penguin.apply_batch", Duration::from_micros(1));
-    let sink = MemorySink::new();
-    let handle = sink.clone();
-    // sample out every ordinary trace: only the always-keep rules survive
-    let pipeline = TelemetryPipeline::new(
-        Box::new(sink),
-        SamplingPolicy {
-            sample_every: u64::MAX,
-            ..SamplingPolicy::default()
-        },
-    );
+    let _scope = trace::start_trace();
     trace::take();
-    p.set_telemetry(Some(pipeline));
 
     let reqs: Vec<UpdateRequest> = (0..2)
         .map(|i| UpdateRequest::CompleteInsertion(fresh_course(&p, &format!("SL-{i}"))))
         .collect();
     p.apply_batch("omega", reqs).unwrap();
-    p.persist_pending().unwrap();
 
     let ops: Vec<SlowOp> = p
         .slow_ops()
@@ -155,13 +138,16 @@ fn slow_op_log_keeps_forced_slow_span_with_fields() {
     assert!(op.event.dur_us >= 1);
     assert_eq!(op.event.field("object"), Some(&Json::str("omega")));
     assert_eq!(op.event.field("requests"), Some(&Json::Int(2)));
-    let j = op.to_json();
-    assert!(j.field("threshold_us").unwrap().as_i64().unwrap() == 1);
-    // the sampler kept it too: slow spans bypass 1-in-u64::MAX sampling
-    assert!(handle
+    // the slow op is the span the trace export carries
+    let exported = trace::export_jsonl(&trace::take());
+    let line = exported
         .lines()
-        .iter()
-        .any(|l| l.contains("penguin.apply_batch")));
+        .find(|l| l.contains("penguin.apply_batch"))
+        .expect("the slow span is exported too");
+    assert_eq!(
+        line,
+        trace::export_jsonl(std::slice::from_ref(&op.event)).trim_end()
+    );
     slowlog::clear_threshold("penguin.apply_batch");
     slowlog::clear();
 }
@@ -267,7 +253,7 @@ fn check_exposition(text: &str) -> std::result::Result<(), String> {
             if !valid_name(name) {
                 return Err(at("bad metric name in TYPE declaration"));
             }
-            if kind != "counter" && kind != "summary" {
+            if !["counter", "gauge", "summary"].contains(&kind) {
                 return Err(at("unknown metric kind"));
             }
             if it.next().is_some() {
@@ -312,8 +298,10 @@ fn check_exposition(text: &str) -> std::result::Result<(), String> {
     Ok(())
 }
 
-/// `expose_text()` over a registry fed by real workload traffic passes
-/// the line-by-line checker and carries the expected metric families.
+/// `expose_text()` over a registry fed by real workload traffic — an
+/// in-memory system and a persistent one, whose store sets the `store.*`
+/// gauges vo-net's METRICS reply carries — passes the line-by-line
+/// checker and carries the expected metric families.
 #[test]
 fn exposition_text_passes_line_checker() {
     let _serial = serial();
@@ -326,16 +314,26 @@ fn exposition_text_passes_line_checker() {
     p.instantiate_all("omega").unwrap();
     metrics::histogram("test.exposition.us").record(250);
 
+    let dir = std::env::temp_dir().join(format!("vo_telemetry_expose_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut persistent = Penguin::persistent(&dir, university_database().0).unwrap();
+    persistent
+        .sql("INSERT INTO DEPARTMENT VALUES ('EX-D')")
+        .unwrap();
+
     let text = metrics::expose_text();
     check_exposition(&text).unwrap();
     assert!(text.contains("# TYPE penguin_plan_cache_hits counter"));
+    assert!(text.contains("# TYPE store_wal_live_bytes gauge"));
     assert!(text.contains("# TYPE test_exposition_us summary"));
     assert!(text.contains("test_exposition_us{quantile=\"0.99\"}"));
     assert!(text.contains("test_exposition_us_count"));
     // a deliberately broken exposition is rejected
     assert!(check_exposition("garbage line with no value x").is_err());
     assert!(check_exposition("undeclared_metric 1\n").is_err());
-    assert!(check_exposition("# TYPE weird gauge\n").is_err());
+    assert!(check_exposition("# TYPE weird histogram\n").is_err());
+    drop(persistent);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Recursively scan `dir` for tracer instrumentation sites and collect
