@@ -539,7 +539,7 @@ pub fn plan_edge(
 /// and probed for every input — never a per-input scan. NULL never
 /// connects (Definition 2.1). Returns the matches and the access path's
 /// profile label.
-pub(crate) fn probe_step(
+fn probe_step(
     step: &StepPlan,
     db: &Database,
     inputs: &[(usize, &Tuple)],

@@ -2,44 +2,55 @@
 //! commit journal.
 //!
 //! A [`MaterializedView`] holds every instance of one view object, keyed
-//! by pivot key, plus a **binding index**: for each `(relation, tuple
-//! key)` its instantiation traversed — pivot tuples, node tuples, *and*
-//! intermediate step tuples — the set of pivot keys whose instances
-//! depend on it. Refreshing translates the committed [`DbOp`] stream
-//! (read through the view's own journal cursor) into instance effects,
-//! semi-naive style:
+//! by pivot key, and nothing else: it keeps no record of what each
+//! instantiation traversed. Every journal entry carries, for each key its
+//! transaction wrote, the row the table held before and the row it holds
+//! after ([`RowImage`]). A refresh reads those images through the view's
+//! own journal cursor and works from them and the current database alone:
 //!
-//! - Ops on relations the object never traverses are skipped outright.
-//! - A same-key `Replace` whose connecting-attribute projections are
-//!   unchanged cannot move any instance membership: the new tuple is
-//!   **patched in place** wherever the binding index says it appears.
-//! - Every other op dirties exactly the pivots whose instances could have
-//!   changed: deletes and key replaces through the binding index (the old
-//!   traversal), inserts and new tuples by walking the edge steps *in
-//!   reverse* from the op's tuple up to the pivot relation (the new
-//!   traversal). Dirty pivots are then recomputed in one batch through
-//!   the canonical planned instantiation engine — the same code full
-//!   instantiation uses, which is what makes refreshed instances
+//! - Images of relations the object never traverses are skipped outright.
+//! - A same-key change that leaves every connecting attribute alone cannot
+//!   move any instance's membership. The new row is **patched in place**
+//!   into the instances a reverse walk from it reaches (below). A row of an
+//!   intermediate relation is bound by no instance, so such a change of
+//!   one touches nothing.
+//! - Every other image dirties pivots. A pivot-relation row dirties its own
+//!   key. Every pre-image and post-image is walked *in reverse* over the
+//!   current state, step by step up the object's edges to the pivot
+//!   relation (probing the indexes [`reverse_indexes_for`] provisions), and
+//!   every pivot reached is dirty. Dirty pivots are recomputed in one batch
+//!   through the planned instantiation engine — the code full
+//!   instantiation runs, which is what makes refreshed instances
 //!   byte-identical to re-instantiation.
 //!
-//! Refresh cost is therefore proportional to the delta (ops processed ×
-//! affected instances), not to the database size. A refresh falls back to
-//! a full rebuild only when the structure epoch drifted (DDL, or a table
-//! borrowed mutably behind the journal's back), the journal cursor lapsed
-//! past evicted entries, or a prior incremental attempt failed midway.
+//! **Why the walks find every changed instance.** An instance changes only
+//! if a tuple on one of its paths from the pivot — in the old state or the
+//! new — was written. Take the first written tuple along such a path. Its
+//! ancestors on the path were not written, so they are present now with
+//! the values they had. The reverse walk from that tuple's pre-image (on an
+//! old path) or post-image (on a new path) therefore retraces the path to
+//! the pivot. When the first written tuple is the pivot itself, its own
+//! image dirties it. Over several transactions the first transaction's
+//! pre-image and the last one's post-image are among the images walked.
+//!
+//! Refresh cost is therefore proportional to the delta (images × the
+//! probes of their walks), not to the number of instances. A refresh falls
+//! back to a full rebuild only when the structure epoch drifted (DDL, or a
+//! table borrowed mutably behind the journal's back), the journal cursor
+//! lapsed past evicted entries, or a prior incremental attempt failed
+//! midway.
 //!
 //! A view plans nothing: the object's [`ObjectPlan`] is definition-time
 //! state of whoever registered the object, handed to [`MaterializedView::build`]
 //! and to every [`MaterializedView::refresh`], and must be current for the
 //! database it is used with.
 
-use crate::instance::{instantiate_many_planned, probe_step, ObjectPlan, StepPlan, VoInstance};
+use crate::instance::{instantiate_many_planned, ObjectPlan, StepPlan, VoInstance};
 use crate::object::ViewObject;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 use vo_obs::metrics::{self, Counter, Histogram};
 use vo_obs::trace;
-use vo_relational::database::JournalRead;
 use vo_relational::prelude::*;
 
 fn refreshes() -> Counter {
@@ -133,19 +144,14 @@ pub struct MaterializedView {
     /// [`crate::instance::instantiate_all`], which scans the pivot table
     /// in key order).
     instances: BTreeMap<Key, VoInstance>,
-    /// relation → tuple key → pivot keys whose traversal visited it.
-    bindings: BTreeMap<String, BTreeMap<Key, BTreeSet<Key>>>,
-    /// Pivot key → its bindings, for O(per-instance) unbinding.
-    per_pivot: BTreeMap<Key, Vec<(String, Key)>>,
-    /// Relations whose ops can affect this object (pivot + every step
-    /// source and target); ops on any other relation are skipped.
-    relevant: BTreeSet<String>,
-    /// Relations bound as object *nodes* (patches need the old tuple,
-    /// which only node tuples retain inside instances).
+    /// Relations bound as object *nodes*: the only ones whose rows an
+    /// instance holds, and so the only ones a patch can reach.
     node_rels: BTreeSet<String>,
-    /// Per relation, the union of attribute positions any edge step uses
-    /// to connect through it. A same-key replace leaving these positions
-    /// unchanged cannot alter instance membership.
+    /// Per step source and target relation, the union of attribute
+    /// positions any edge step uses to connect through it. A same-key
+    /// change leaving these positions unchanged cannot alter instance
+    /// membership. Images of a relation neither here nor the pivot's are
+    /// skipped.
     connecting: BTreeMap<String, Vec<usize>>,
     /// Forced full rebuild on next refresh (set when an incremental pass
     /// fails partway, leaving instances half-patched).
@@ -166,13 +172,9 @@ impl MaterializedView {
         db: &Database,
         cursor: JournalCursor,
     ) -> Result<MaterializedView> {
-        let mut relevant = BTreeSet::new();
         let mut connecting: BTreeMap<String, BTreeSet<usize>> = BTreeMap::new();
-        relevant.insert(object.pivot().to_owned());
         for node in object.nodes().iter().skip(1) {
             for step in &plan.edge(node.id)?.steps {
-                relevant.insert(step.source.clone());
-                relevant.insert(step.target.clone());
                 connecting
                     .entry(step.source.clone())
                     .or_default()
@@ -189,9 +191,6 @@ impl MaterializedView {
             epoch: plan.epoch(),
             cursor,
             instances: BTreeMap::new(),
-            bindings: BTreeMap::new(),
-            per_pivot: BTreeMap::new(),
-            relevant,
             node_rels,
             connecting: connecting
                 .into_iter()
@@ -311,53 +310,30 @@ impl MaterializedView {
         read: &JournalRead,
         outcome: &mut RefreshOutcome,
     ) -> Result<()> {
-        let pivot_rel = self.object.pivot().to_owned();
         let mut dirty: BTreeSet<Key> = BTreeSet::new();
         let mut events: BTreeMap<Key, ChangeKind> = BTreeMap::new();
         let mut patched: BTreeSet<Key> = BTreeSet::new();
-        for tx in &read.transactions {
-            for op in tx.iter() {
-                let rel = op.relation();
-                if !self.relevant.contains(rel) {
+        for entry in &read.transactions {
+            for (rel, images) in &entry.images {
+                if !self.connecting.contains_key(rel) && rel != self.object.pivot() {
                     continue; // semi-naive: the object never traverses it
                 }
-                match op {
-                    DbOp::Insert { relation, tuple } => {
-                        if *relation == pivot_rel {
-                            dirty.insert(tuple.key(db.table(relation)?.schema()));
-                        }
-                        self.reverse_affected(plan, db, relation, tuple, &mut dirty)?;
-                    }
-                    DbOp::Delete { relation, key } => {
-                        // the old traversal is exactly what the binding
-                        // index recorded (pivot tuples self-bind, so a
-                        // pivot delete dirties its own instance)
-                        self.bound_pivots(relation, key, &mut dirty);
-                    }
-                    DbOp::Replace {
-                        relation,
-                        old_key,
-                        tuple,
-                    } => {
-                        let new_key = tuple.key(db.table(relation)?.schema());
-                        if *old_key == new_key
-                            && self.try_patch(
-                                db,
-                                relation,
-                                &new_key,
-                                tuple,
-                                &mut events,
-                                &mut patched,
-                            )?
-                        {
+                for image in images {
+                    if let (Some(before), Some(after)) = (&image.before, &image.after) {
+                        if self.connects_alike(rel, before, after) {
+                            // an intermediate relation's rows are bound by
+                            // no instance: only its connecting values count
+                            if before != after && self.node_rels.contains(rel) {
+                                for pivot in self.patch(plan, db, rel, after)? {
+                                    events.entry(pivot.clone()).or_insert(ChangeKind::Updated);
+                                    patched.insert(pivot);
+                                }
+                            }
                             continue;
                         }
-                        // key change or connecting change: delete + insert
-                        self.bound_pivots(relation, old_key, &mut dirty);
-                        if *relation == pivot_rel {
-                            dirty.insert(new_key);
-                        }
-                        self.reverse_affected(plan, db, relation, tuple, &mut dirty)?;
+                    }
+                    for row in image.before.iter().chain(&image.after) {
+                        self.reaching(plan, db, rel, row, &mut dirty)?;
                     }
                 }
             }
@@ -373,39 +349,43 @@ impl MaterializedView {
         Ok(())
     }
 
-    /// Add every pivot whose last traversal visited `(rel, key)`.
-    fn bound_pivots(&self, rel: &str, key: &Key, dirty: &mut BTreeSet<Key>) {
-        if let Some(pivots) = self.bindings.get(rel).and_then(|m| m.get(key)) {
-            dirty.extend(pivots.iter().cloned());
-        }
+    /// True when `before` and `after`, two rows of `rel`, agree on every
+    /// attribute an edge step connects through: no instance's membership
+    /// can tell them apart.
+    fn connects_alike(&self, rel: &str, before: &Tuple, after: &Tuple) -> bool {
+        (self.connecting.get(rel))
+            .is_none_or(|positions| positions.iter().all(|&p| before.get(p) == after.get(p)))
     }
 
-    /// Walk edge steps in reverse from `tuple` (a tuple of `rel`, in its
-    /// post-op state) up to the pivot relation, against the current
-    /// database: every pivot reached could traverse `tuple` now, so its
-    /// instance must be recomputed.
-    fn reverse_affected(
+    /// Every pivot whose instance can bind `row`, a row of `rel` before or
+    /// after the commit, in the current state: its own key when `rel` is
+    /// the pivot relation, and every pivot reached by walking edge steps in
+    /// reverse from `row` up to the pivot relation.
+    fn reaching(
         &self,
         plan: &ObjectPlan,
         db: &Database,
         rel: &str,
-        tuple: &Tuple,
-        dirty: &mut BTreeSet<Key>,
+        row: &Tuple,
+        out: &mut BTreeSet<Key>,
     ) -> Result<()> {
+        if rel == self.object.pivot() {
+            out.insert(row.key(db.table(rel)?.schema()));
+        }
         for node in self.object.nodes().iter().skip(1) {
             let eplan = plan.edge(node.id)?;
             for (i, step) in eplan.steps.iter().enumerate() {
                 if step.target != rel {
                     continue;
                 }
-                let mut frontier = vec![tuple.clone()];
+                let mut frontier = vec![row.clone()];
                 for j in (0..=i).rev() {
                     frontier = reverse_step(&eplan.steps[j], db, &frontier)?;
                     if frontier.is_empty() {
                         break;
                     }
                 }
-                self.pivots_reaching(plan, db, eplan.parent, frontier, dirty)?;
+                self.pivots_reaching(plan, db, eplan.parent, frontier, out)?;
             }
         }
         Ok(())
@@ -443,70 +423,36 @@ impl MaterializedView {
         self.pivots_reaching(plan, db, eplan.parent, frontier, dirty)
     }
 
-    /// Try to apply a same-key replace as in-place tuple patches. Returns
-    /// true when the op is fully absorbed: the tuple's connecting
-    /// attributes are unchanged, so instance membership cannot move and
-    /// every occurrence recorded in the binding index is rewritten
-    /// directly. Returns false when the op needs the dirty/recompute path
-    /// (unbound tuple, non-node relation, or a connecting change).
-    fn try_patch(
+    /// Rewrite `after`, a row of node relation `rel` now, into every
+    /// instance that binds its key and that a walk from `after` reaches.
+    /// Its connecting values are the ones the instance was built through,
+    /// so the walk retraces every path that binds it (see the module
+    /// docs). Returns the pivots of the instances rewritten.
+    fn patch(
         &mut self,
+        plan: &ObjectPlan,
         db: &Database,
         rel: &str,
-        key: &Key,
-        new_tuple: &Tuple,
-        events: &mut BTreeMap<Key, ChangeKind>,
-        patched: &mut BTreeSet<Key>,
-    ) -> Result<bool> {
-        if !self.node_rels.contains(rel) {
-            // intermediate-step relations are not stored in instances, so
-            // the old tuple (needed for the connecting comparison) is
-            // unavailable
-            return Ok(false);
-        }
-        let Some(pivots) = self.bindings.get(rel).and_then(|m| m.get(key)) else {
-            // not on any materialized traversal: if the replace changed
-            // connecting values it may *become* reachable — let the
-            // reverse walk decide
-            return Ok(false);
-        };
-        let pivots: Vec<Key> = pivots.iter().cloned().collect();
+        after: &Tuple,
+    ) -> Result<Vec<Key>> {
+        let mut reached = BTreeSet::new();
+        self.reaching(plan, db, rel, after, &mut reached)?;
         let rschema = db.table(rel)?.schema();
-        // the pre-op tuple as the instances currently hold it (patches
-        // applied earlier in this refresh included)
-        let inst = self.instances.get(&pivots[0]);
-        let sample = (self.object.nodes().iter())
-            .filter(|node| node.relation == rel)
-            .flat_map(|node| inst.map_or(&[][..], |inst| inst.tuples_of(node.id)))
-            .find(|bound| bound.key(rschema) == *key)
-            .map(|bound| bound.tuple.clone());
-        let Some(old) = sample else {
-            // binding recorded but tuple not bound in the instance —
-            // be conservative
-            return Ok(false);
-        };
-        if let Some(positions) = self.connecting.get(rel) {
-            if positions.iter().any(|&p| old.get(p) != new_tuple.get(p)) {
-                return Ok(false);
-            }
-        }
-        if old == *new_tuple {
-            return Ok(true); // byte-identical: nothing to do
-        }
-        for pivot in pivots {
+        let key = after.key(rschema);
+        let mut rewritten = Vec::new();
+        for pivot in reached {
             if let Some(inst) = self.instances.get_mut(&pivot) {
-                if patch_tuple(inst, &self.object, rschema, rel, key, new_tuple) {
-                    patched.insert(pivot.clone());
-                    events.entry(pivot).or_insert(ChangeKind::Updated);
+                if patch_tuple(inst, &self.object, rschema, rel, &key, after) {
+                    rewritten.push(pivot);
                 }
             }
         }
-        Ok(true)
+        Ok(rewritten)
     }
 
     /// Recompute every dirty pivot through the canonical instantiation
-    /// engine and refresh its bindings. Returns the number of instances
-    /// rebuilt.
+    /// engine; a dirty pivot no longer in its table loses its instance.
+    /// Returns the number of instances rebuilt.
     fn recompute(
         &mut self,
         plan: &ObjectPlan,
@@ -517,34 +463,23 @@ impl MaterializedView {
         if dirty.is_empty() {
             return Ok(0);
         }
-        for k in dirty {
-            if let Some(binds) = self.per_pivot.remove(k) {
-                for (rel, key) in binds {
-                    if let Some(per_rel) = self.bindings.get_mut(&rel) {
-                        if let Some(set) = per_rel.get_mut(&key) {
-                            set.remove(k);
-                            if set.is_empty() {
-                                per_rel.remove(&key);
-                            }
-                        }
+        let table = db.table(self.object.pivot())?;
+        let (mut keys, mut rows) = (Vec::new(), Vec::new());
+        for key in dirty {
+            match table.get(key) {
+                Some(row) => {
+                    keys.push(key);
+                    rows.push(row);
+                }
+                None => {
+                    if self.instances.remove(key).is_some() {
+                        events.insert(key.clone(), ChangeKind::Removed);
                     }
                 }
             }
         }
-        let table = db.table(self.object.pivot())?;
-        let mut present: Vec<(Key, Tuple)> = Vec::new();
-        for k in dirty {
-            if let Some(t) = table.get(k) {
-                present.push((k.clone(), t.clone()));
-            }
-        }
-        let refs: Vec<&Tuple> = present.iter().map(|(_, t)| t).collect();
-        let insts = instantiate_many_planned(&self.object, db, plan, &refs)?;
-        let binds = collect_bindings(&self.object, plan, db, &refs)?;
-        let mut rebuilt = 0u64;
-        for (((key, _), inst), bind) in present.iter().zip(insts).zip(binds) {
-            rebuilt += 1;
-            self.install_bindings(key, bind);
+        let insts = instantiate_many_planned(&self.object, db, plan, &rows)?;
+        for (&key, inst) in keys.iter().zip(insts) {
             match self.instances.insert(key.clone(), inst) {
                 None => {
                     events.insert(key.clone(), ChangeKind::Inserted);
@@ -555,24 +490,7 @@ impl MaterializedView {
                 Some(_) => {}
             }
         }
-        for k in dirty {
-            if !table.contains_key(k) && self.instances.remove(k).is_some() {
-                events.insert(k.clone(), ChangeKind::Removed);
-            }
-        }
-        Ok(rebuilt)
-    }
-
-    fn install_bindings(&mut self, pivot: &Key, binds: Vec<(String, Key)>) {
-        for (rel, key) in &binds {
-            self.bindings
-                .entry(rel.clone())
-                .or_default()
-                .entry(key.clone())
-                .or_default()
-                .insert(pivot.clone());
-        }
-        self.per_pivot.insert(pivot.clone(), binds);
+        Ok(keys.len() as u64)
     }
 
     /// Re-instantiate every pivot from scratch and diff against the
@@ -587,19 +505,10 @@ impl MaterializedView {
             )));
         }
         self.epoch = plan.epoch();
-        let table = db.table(self.object.pivot())?;
-        let pschema = table.schema().clone();
-        let tuples: Vec<&Tuple> = table.scan().collect();
-        let insts = instantiate_many_planned(&self.object, db, plan, &tuples)?;
-        let binds = collect_bindings(&self.object, plan, db, &tuples)?;
-        self.bindings.clear();
-        self.per_pivot.clear();
-        let mut fresh = BTreeMap::new();
-        for ((t, inst), bind) in tuples.iter().zip(insts).zip(binds) {
-            let key = t.key(&pschema);
-            self.install_bindings(&key, bind);
-            fresh.insert(key, inst);
-        }
+        let (keys, rows): (Vec<&Key>, Vec<&Tuple>) =
+            db.table(self.object.pivot())?.scan_entries().unzip();
+        let insts = instantiate_many_planned(&self.object, db, plan, &rows)?;
+        let fresh = keys.into_iter().cloned().zip(insts).collect();
         let old = std::mem::replace(&mut self.instances, fresh);
         self.needs_full = false;
         let mut changes = Vec::new();
@@ -713,62 +622,11 @@ fn patch_tuple(
     hit
 }
 
-/// Walk the object's edges for every pivot (the same frontier passes
-/// instantiation makes) and record each `(relation, tuple key)` touched —
-/// node tuples *and* intermediate step tuples — per originating pivot.
-/// Returned in pivot order; each pivot's list starts with its own
-/// self-binding.
-fn collect_bindings(
-    object: &ViewObject,
-    plan: &ObjectPlan,
-    db: &Database,
-    pivots: &[&Tuple],
-) -> Result<Vec<Vec<(String, Key)>>> {
-    let pschema = db.table(object.pivot())?.schema();
-    let mut out: Vec<BTreeSet<(String, Key)>> = pivots
-        .iter()
-        .map(|t| {
-            let mut s = BTreeSet::new();
-            s.insert((object.pivot().to_owned(), t.key(pschema)));
-            s
-        })
-        .collect();
-    let n = object.nodes().len();
-    // rows[id]: (pivot ordinal, tuple) pairs reaching node id, deduplicated
-    // per (pivot, key) — duplicates add no reachability
-    let mut rows: Vec<Vec<(usize, Tuple)>> = vec![Vec::new(); n];
-    rows[0] = pivots
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (i, (*t).clone()))
-        .collect();
-    for &id in object.preorder().iter().skip(1) {
-        let eplan = plan.edge(id)?;
-        let mut frontier: Vec<(usize, Tuple)> = rows[eplan.parent].clone();
-        for step in &eplan.steps {
-            let inputs: Vec<(usize, &Tuple)> = frontier.iter().map(|(o, t)| (*o, t)).collect();
-            let (next, _) = probe_step(step, db, &inputs)?;
-            let tschema = db.table(&step.target)?.schema();
-            let mut seen: BTreeSet<(usize, Key)> = BTreeSet::new();
-            frontier = Vec::with_capacity(next.len());
-            for (o, t) in next {
-                let k = t.key(tschema);
-                out[o].insert((step.target.clone(), k.clone()));
-                if seen.insert((o, k)) {
-                    frontier.push((o, t));
-                }
-            }
-        }
-        rows[id] = frontier;
-    }
-    Ok(out.into_iter().map(|s| s.into_iter().collect()).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instance::{instantiate_all, plan_object};
-    use crate::treegen::generate_omega;
+    use crate::treegen::{generate_omega, generate_omega_prime};
     use crate::university::university_database;
     use vo_structural::prelude::*;
 
@@ -776,13 +634,20 @@ mod tests {
         Tuple::new(db.table(rel).unwrap().schema(), values).unwrap()
     }
 
-    fn omega_view(db: &mut Database) -> (StructuralSchema, MaterializedView) {
+    fn view_of(
+        db: &mut Database,
+        generate: fn(&StructuralSchema) -> Result<ViewObject>,
+    ) -> (StructuralSchema, MaterializedView) {
         let (schema, _) = university_database();
-        let omega = generate_omega(&schema).unwrap();
-        let plan = plan_object(&schema, &omega, db).unwrap();
+        let object = generate(&schema).unwrap();
+        let plan = plan_object(&schema, &object, db).unwrap();
         let cursor = db.journal_subscribe(JournalStart::Head);
-        let view = MaterializedView::build(omega, &plan, db, cursor).unwrap();
+        let view = MaterializedView::build(object, &plan, db, cursor).unwrap();
         (schema, view)
+    }
+
+    fn omega_view(db: &mut Database) -> (StructuralSchema, MaterializedView) {
+        view_of(db, generate_omega)
     }
 
     fn refresh(
@@ -922,6 +787,42 @@ mod tests {
             out.changes,
             vec![InstanceChange {
                 pivot: Key::single("CS101"),
+                kind: ChangeKind::Updated,
+            }]
+        );
+        assert_equiv(&view, &schema, &db);
+    }
+
+    #[test]
+    fn intermediate_rows_refresh_through_their_connecting_values_only() {
+        let (_, mut db) = university_database();
+        let (schema, mut view) = view_of(&mut db, generate_omega_prime);
+        // ω′ reaches STUDENT through GRADES, whose rows no instance binds:
+        // a grade value changes no instance
+        let regrade = tup(&db, "GRADES", vec!["CS345".into(), 1.into(), "A+".into()]);
+        db.apply(&DbOp::Replace {
+            relation: "GRADES".into(),
+            old_key: Key::new(vec!["CS345".into(), 1.into()]),
+            tuple: regrade,
+        })
+        .unwrap();
+        let out = refresh(&mut view, &schema, &mut db);
+        assert_eq!((out.patched, out.rebuilt), (0, 0));
+        assert!(out.changes.is_empty());
+        assert_equiv(&view, &schema, &db);
+        // dropping the grade drops student 1 from CS345's instance, found by
+        // walking the displaced row back to its course
+        db.apply(&DbOp::Delete {
+            relation: "GRADES".into(),
+            key: Key::new(vec!["CS345".into(), 1.into()]),
+        })
+        .unwrap();
+        let out = refresh(&mut view, &schema, &mut db);
+        assert_eq!(out.rebuilt, 1);
+        assert_eq!(
+            out.changes,
+            vec![InstanceChange {
+                pivot: Key::single("CS345"),
                 kind: ChangeKind::Updated,
             }]
         );

@@ -18,11 +18,12 @@ impl Penguin {
     /// Materialize every instance of a registered object and keep it
     /// incrementally maintained: the view subscribes its own cursor on the
     /// database's commit journal (enabling the journal if needed) and
-    /// [`Penguin::refresh`] translates committed operations into instance
-    /// patches/recomputations instead of re-instantiating the world.
-    /// Provisions the secondary indexes the reverse walks want (on each
-    /// edge step's source connecting attributes) before building.
-    /// Re-materializing an object rebuilds its view from scratch.
+    /// [`Penguin::refresh`] turns the rows each commit displaced and left
+    /// into instance patches/recomputations instead of re-instantiating
+    /// the world. Provisions the secondary indexes the reverse walks want
+    /// (on each edge step's source connecting attributes) before building,
+    /// which is then one instantiation. Re-materializing an object rebuilds
+    /// its view from scratch.
     pub fn materialize(&mut self, name: &str) -> Result<&MaterializedView> {
         let reg = self.registry.planned(name, &self.db)?;
         let object = reg.object.clone();
@@ -69,8 +70,8 @@ impl Penguin {
     /// Bring one materialized view up to date with every transaction
     /// committed since its last refresh, fanning the per-instance changes
     /// out to its watchers. Cost is proportional to the delta, not the
-    /// database: ops on untraversed relations are skipped, non-connecting
-    /// replaces are patched in place, and only genuinely affected
+    /// database: rows of untraversed relations are skipped, non-connecting
+    /// changes are patched in place, and only genuinely affected
     /// instances are recomputed (see [`MaterializedView::refresh`]).
     pub fn refresh(&mut self, name: &str) -> Result<RefreshOutcome> {
         let view = self

@@ -173,7 +173,7 @@ impl Penguin {
             // database (which already reflects the lost transactions)
             store.checkpoint(&self.db)?;
         } else {
-            let refs: Vec<&[DbOp]> = read.transactions.iter().map(|t| t.as_slice()).collect();
+            let refs: Vec<&[DbOp]> = read.transactions.iter().map(|t| t.ops.as_slice()).collect();
             store.commit(&self.db, &refs)?;
         }
         self.db.journal_advance(cursor, read.transactions.len())?;

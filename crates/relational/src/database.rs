@@ -146,6 +146,38 @@ impl JournalCap {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct JournalCursor(u64);
 
+/// One key a committed transaction wrote: the row the table held there
+/// before the commit and the row it holds after, `None` where the key is
+/// absent — never both. Both are the table's own shared rows, not copies,
+/// and either one carries the key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowImage {
+    /// The row displaced by the commit.
+    pub before: Option<Tuple>,
+    /// The row the commit left.
+    pub after: Option<Tuple>,
+}
+
+impl RowImage {
+    /// The written key, read off the rows under `schema`.
+    pub fn key(&self, schema: &RelationSchema) -> Key {
+        let row = self.before.as_ref().or(self.after.as_ref());
+        row.expect("an image holds a row on one side").key(schema)
+    }
+}
+
+/// One committed transaction as the journal keeps it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JournalEntry {
+    /// The op list the transaction was planned as: what a WAL record
+    /// encodes.
+    pub ops: Vec<DbOp>,
+    /// The net change it installed: per written relation in name order,
+    /// one image per key in key order. A key the transaction inserted and
+    /// deleted again was absent on both sides and has no image.
+    pub images: Vec<(String, Vec<RowImage>)>,
+}
+
 /// One consumer's view of the journal: the transactions committed since
 /// its cursor, plus how many it irrecoverably missed.
 #[derive(Debug, Clone, Default)]
@@ -153,7 +185,7 @@ pub struct JournalRead {
     /// Committed transactions in commit order, one `Arc` per transaction.
     /// Entries are shared, not copied: every consumer reads the same
     /// allocation.
-    pub transactions: Vec<Arc<Vec<DbOp>>>,
+    pub transactions: Vec<Arc<JournalEntry>>,
     /// Transactions evicted past this cursor by a
     /// [`JournalOverflow::DropOldest`] cap since the last read. Non-zero
     /// means the delta stream has a hole: an incremental consumer must
@@ -164,7 +196,7 @@ pub struct JournalRead {
 impl JournalRead {
     /// Total ops across all returned transactions.
     pub fn op_count(&self) -> usize {
-        self.transactions.iter().map(|t| t.len()).sum()
+        self.transactions.iter().map(|t| t.ops.len()).sum()
     }
 }
 
@@ -183,7 +215,7 @@ struct Consumer {
 /// one delta stream without stealing from each other.
 #[derive(Debug, Clone, Default)]
 struct CommitJournal {
-    entries: VecDeque<Arc<Vec<DbOp>>>,
+    entries: VecDeque<Arc<JournalEntry>>,
     /// Sequence number of `entries[0]`. Sequence numbers are assigned at
     /// commit and never reused, so a consumer's position is a plain `u64`.
     base_seq: u64,
@@ -262,8 +294,8 @@ impl CommitJournal {
 
     /// Append one committed transaction, enforcing a drop-oldest cap.
     /// Returns the number of entries evicted.
-    fn push(&mut self, ops: Vec<DbOp>, cap: Option<JournalCap>) -> u64 {
-        self.entries.push_back(Arc::new(ops));
+    fn push(&mut self, entry: JournalEntry, cap: Option<JournalCap>) -> u64 {
+        self.entries.push_back(Arc::new(entry));
         match cap {
             Some(JournalCap {
                 max_transactions,
@@ -335,8 +367,9 @@ pub struct Database {
     /// hook): when enabled, every *successful* transaction through the
     /// data path — every [`Database::install`], whichever of
     /// [`Database::apply`] / [`Database::insert`] / [`Database::apply_all`]
-    /// or the update pipeline staged it — is recorded as one op list.
-    /// Refused batches record nothing.
+    /// or the update pipeline staged it — is recorded as one
+    /// [`JournalEntry`]: its op list and the pre-/post-images of every key
+    /// it wrote. Refused batches record nothing.
     /// The journal is multi-consumer: `vo-store` reads it through one
     /// cursor to frame WAL commit records while materialized views read
     /// the same entries through their own cursors.
@@ -748,7 +781,8 @@ impl Database {
     /// or removed through `Table::put` (copy-on-write per written relation),
     /// the version moves by one and stamps each written relation once — a
     /// relation of insert-then-delete no-ops too: it was written — and the
-    /// op log moves into the journal. An empty change moves nothing.
+    /// op log moves into the journal beside the rows each key held before
+    /// and holds after. An empty change moves nothing.
     pub fn install(&mut self, staged: Staged) -> Result<()> {
         let (delta, ops) = (staged.delta, staged.ops);
         let Some((first, _)) = delta.relations().next() else {
@@ -774,13 +808,31 @@ impl Database {
         }
         self.version += 1;
         count_commit();
+        let journaling = self.journal.is_some();
+        let mut images = Vec::new();
         for (relation, rows) in delta.into_relations() {
             let table = self.data_table_mut(&relation).expect("admitted above");
-            rows.into_iter().for_each(|(key, row)| table.put(key, row));
-            self.table_stamps.insert(relation, self.version);
+            let mut written = Vec::with_capacity(if journaling { rows.len() } else { 0 });
+            for (key, after) in rows {
+                if !journaling {
+                    table.put(key, after);
+                    continue;
+                }
+                let before = table.put(key, after.clone());
+                if before.is_some() || after.is_some() {
+                    written.push(RowImage { before, after });
+                }
+            }
+            if written.is_empty() {
+                self.table_stamps.insert(relation, self.version);
+            } else {
+                self.table_stamps.insert(relation.clone(), self.version);
+                images.push((relation, written));
+            }
         }
-        if let (Some(journal), false) = (&mut self.journal, ops.is_empty()) {
-            count_journal_dropped(journal.push(ops, self.journal_cap));
+        if let Some(journal) = &mut self.journal {
+            let entry = JournalEntry { ops, images };
+            count_journal_dropped(journal.push(entry, self.journal_cap));
         }
         Ok(())
     }
@@ -1015,7 +1067,23 @@ mod tests {
         assert!(by_dept("CS").is_empty() && by_dept("EE").is_empty());
         let read = d.journal_read(cursor).unwrap();
         assert_eq!(read.transactions.len(), 1);
-        assert!(std::ptr::eq(read.transactions[0].as_ptr(), handed));
+        assert!(std::ptr::eq(read.transactions[0].ops.as_ptr(), handed));
+        // EE282 came and went: only CS345 has an image, and its rows are
+        // the ones the table held and holds
+        let [(relation, images)] = &read.transactions[0].images[..] else {
+            panic!("one written relation");
+        };
+        let [image] = &images[..] else {
+            panic!("one image: {images:?}");
+        };
+        let key = image.key(&courses);
+        assert_eq!(
+            (relation.as_str(), &key),
+            ("COURSES", &Key::single("CS345"))
+        );
+        assert_eq!(image.before.as_ref().unwrap().get(1), &Value::text("CS"));
+        let held = d.table("COURSES").unwrap().get(&key).unwrap();
+        assert!(image.after.as_ref().unwrap().ptr_eq(held));
     }
 
     #[test]
@@ -1080,8 +1148,8 @@ mod tests {
 
         let txs = d.journal_read(c).unwrap().transactions;
         assert_eq!(txs.len(), 2);
-        assert_eq!(txs[0].len(), 1);
-        assert_eq!(*txs[1], batch);
+        assert_eq!(txs[0].ops.len(), 1);
+        assert_eq!(txs[1].ops, batch);
         // read: the journal is empty again but still enabled
         assert!(d.journal_read(c).unwrap().transactions.is_empty());
         assert!(d.commit_journal_enabled());

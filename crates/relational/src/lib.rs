@@ -64,8 +64,8 @@ pub mod prelude {
     pub use crate::aggregate::{aggregate_rows, AggFunc, AggSpec};
     pub use crate::algebra::{Plan, ResultSet};
     pub use crate::database::{
-        Database, DbOp, DbSnapshot, JournalCap, JournalCursor, JournalOverflow, JournalRead,
-        JournalStart,
+        Database, DbOp, DbSnapshot, JournalCap, JournalCursor, JournalEntry, JournalOverflow,
+        JournalRead, JournalStart, RowImage,
     };
     pub use crate::error::{Error, Result};
     pub use crate::json::{json_enum, json_struct, Json, JsonCodec};

@@ -365,24 +365,28 @@ impl Table {
     /// net delta reaches a table, from [`crate::database::Database::install`]
     /// and [`crate::storage::SnapshotDelta::apply_to`]. Both validate every
     /// row *before* their first `put`, so a refusal never leaves a table
-    /// half-written; `row` must be valid and keyed `key`.
-    pub(crate) fn put(&mut self, key: Key, row: Option<Tuple>) {
+    /// half-written; `row` must be valid and keyed `key`. Returns the row
+    /// the table held at `key` — the pre-image the commit journal keeps.
+    pub(crate) fn put(&mut self, key: Key, row: Option<Tuple>) -> Option<Tuple> {
         debug_assert!(row.as_ref().is_none_or(|t| t.key(&self.schema) == key));
         match (self.rows.entry(key), row) {
             (Entry::Occupied(mut held), Some(row)) => {
                 let old = std::mem::replace(held.get_mut(), row);
                 Self::index_remove(&mut self.indexes, held.key(), &old);
                 Self::index_add(&mut self.indexes, held.key(), held.get());
+                Some(old)
             }
             (Entry::Occupied(held), None) => {
                 let (key, old) = held.remove_entry();
                 Self::index_remove(&mut self.indexes, &key, &old);
+                Some(old)
             }
             (Entry::Vacant(free), Some(row)) => {
                 Self::index_add(&mut self.indexes, free.key(), &row);
                 free.insert(row);
+                None
             }
-            (Entry::Vacant(_), None) => {}
+            (Entry::Vacant(_), None) => None,
         }
     }
 

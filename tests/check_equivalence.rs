@@ -19,6 +19,7 @@
 use penguin_vo::penguin::{seed_ownership_chain, synthetic_schema, SchemaShape};
 use penguin_vo::prelude::*;
 use penguin_vo::relational::stats;
+use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -607,6 +608,106 @@ fn install_equals_replay_on_random_raw_batches() {
     assert!(
         installed >= 500 && refused >= 100,
         "{installed} installed, {refused} refused"
+    );
+}
+
+/// The journal law: an installed batch journals its op list and, for each
+/// key whose row it changed, the base's row before and the head's row
+/// after — the very allocations the tables hold. A re-key is its old key
+/// deleted and its new key upserted; a key that comes and goes inside the
+/// batch, and an empty batch, journal no image.
+#[test]
+fn install_journals_the_rows_it_displaced_and_left() {
+    let _g = lock();
+    let same = |image: Option<&Tuple>, held: Option<&Tuple>| match (image, held) {
+        (Some(image), Some(held)) => image.ptr_eq(held),
+        (image, held) => image.is_none() && held.is_none(),
+    };
+    let (mut installed, mut rekeyed) = (0usize, 0usize);
+    for_each_batch(|schema, base, batch, label| {
+        // the batch, then one key that comes and goes, its values out of
+        // the range the batch's own fresh values come from
+        let rel = batch[0].relation().to_owned();
+        let rs = schema.catalog().relation(&rel).unwrap();
+        let mut gen = Gen::new(schema, 0);
+        gen.fresh = 2_000_000;
+        let ghost = gen.orphan(&rel);
+        let ghost_key = ghost.key(rs);
+        let mut ops = batch;
+        ops.push(DbOp::Insert {
+            relation: rel.clone(),
+            tuple: ghost,
+        });
+        ops.push(DbOp::Delete {
+            relation: rel.clone(),
+            key: ghost_key.clone(),
+        });
+        let context = format!("{label}: {ops:#?}");
+
+        let mut head = base.clone();
+        let cursor = head.journal_subscribe(JournalStart::Head);
+        head.apply_all(&ops).unwrap();
+        let read = head.journal_read(cursor).unwrap();
+        let [entry] = &read.transactions[..] else {
+            panic!("one entry per commit — {context}");
+        };
+        assert_eq!(entry.ops, ops, "{context}");
+
+        let mut imaged = BTreeSet::new();
+        for (rel, images) in &entry.images {
+            let (was, is) = (base.table(rel).unwrap(), head.table(rel).unwrap());
+            for image in images {
+                assert!(image.before.is_some() || image.after.is_some(), "{context}");
+                let key = image.key(was.schema());
+                let at = format!("{rel} {key} — {context}");
+                assert!(same(image.before.as_ref(), was.get(&key)), "{at}");
+                assert!(same(image.after.as_ref(), is.get(&key)), "{at}");
+                assert!(imaged.insert((rel.clone(), key)), "{at}");
+            }
+            // in key order
+            let keys: Vec<Key> = images.iter().map(|i| i.key(was.schema())).collect();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "{rel} — {context}");
+        }
+        assert!(!imaged.contains(&(rel, ghost_key)), "{context}");
+        // every key whose row moved has its image, and only keys the ops
+        // name have one
+        let mut named = BTreeSet::new();
+        for op in &ops {
+            let rs = schema.catalog().relation(op.relation()).unwrap();
+            let rel = op.relation().to_owned();
+            match op {
+                DbOp::Insert { tuple, .. } => named.insert((rel, tuple.key(rs))),
+                DbOp::Delete { key, .. } => named.insert((rel, key.clone())),
+                DbOp::Replace { old_key, tuple, .. } => {
+                    let key = tuple.key(rs);
+                    rekeyed += usize::from(key != *old_key);
+                    named.insert((rel.clone(), old_key.clone()));
+                    named.insert((rel, key))
+                }
+            };
+        }
+        assert!(imaged.is_subset(&named), "{context}");
+        for rel in base.relation_names() {
+            let (was, is) = (base.table(rel).unwrap(), head.table(rel).unwrap());
+            for key in was.scan_entries().chain(is.scan_entries()).map(|(k, _)| k) {
+                if !same(was.get(key), is.get(key)) {
+                    let at = format!("{rel} {key} moved — {context}");
+                    assert!(imaged.contains(&(rel.to_owned(), key.clone())), "{at}");
+                }
+            }
+        }
+        installed += 1;
+
+        // an empty batch and an empty change journal nothing
+        let version = head.version();
+        head.apply_all(&[]).unwrap();
+        head.install(DeltaDb::new(&head).finish()).unwrap();
+        assert_eq!(head.version(), version, "{context}");
+        assert!(head.journal_read(cursor).unwrap().transactions.is_empty());
+    });
+    assert!(
+        installed >= 500 && rekeyed >= 50,
+        "{installed} installed, {rekeyed} re-keys"
     );
 }
 

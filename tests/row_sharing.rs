@@ -189,9 +189,9 @@ fn an_inserted_row_is_one_allocation_from_request_to_journal() {
     let read = p.database().journal_peek(cursor).unwrap();
     assert_eq!(read.transactions.len(), 1);
     let journaled = &read.transactions[0];
-    assert_eq!(journaled.len(), outcome.ops.len());
+    assert_eq!(journaled.ops.len(), outcome.ops.len());
     let mut inserted = 0;
-    for (op, logged) in outcome.ops.iter().zip(journaled.iter()) {
+    for (op, logged) in outcome.ops.iter().zip(&journaled.ops) {
         let (
             DbOp::Insert { relation, tuple },
             DbOp::Insert {
@@ -211,6 +211,21 @@ fn an_inserted_row_is_one_allocation_from_request_to_journal() {
         inserted += 1;
     }
     assert!(inserted > 1, "the pivot and its owned GRADES");
+    // the entry's post-images are the same rows again, one per inserted key
+    let mut imaged = 0;
+    for (relation, images) in &journaled.images {
+        let table = p.database().table(relation).unwrap();
+        for image in images {
+            assert!(image.before.is_none(), "{relation}: nothing was displaced");
+            let after = image.after.as_ref().unwrap();
+            assert!(
+                after.ptr_eq(table.get(&image.key(table.schema())).unwrap()),
+                "{relation}: the journal's post-image is a copy"
+            );
+            imaged += 1;
+        }
+    }
+    assert_eq!(imaged, inserted);
     // the request's own pivot tuple is the stored row: nothing between the
     // caller and the table rebuilt it to validate it
     let stored_pivot = p
@@ -237,10 +252,10 @@ fn an_inserted_row_is_one_allocation_from_request_to_journal() {
     let read = p.database().journal_peek(cursor).unwrap();
     assert_eq!(read.transactions.len(), 1);
     assert!(
-        std::ptr::eq(read.transactions[0].as_ptr(), handed),
+        std::ptr::eq(read.transactions[0].ops.as_ptr(), handed),
         "the journal copied the op list commit_prepared was handed"
     );
-    let DbOp::Insert { tuple: logged, .. } = &read.transactions[0][0] else {
+    let DbOp::Insert { tuple: logged, .. } = &read.transactions[0].ops[0] else {
         panic!("VO-CI starts with the pivot's insert");
     };
     assert!(instance.root.tuple.ptr_eq(logged));
