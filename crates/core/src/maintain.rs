@@ -794,7 +794,7 @@ mod tests {
     }
 
     #[test]
-    fn intermediate_rows_refresh_through_their_connecting_values_only() {
+    fn intermediate_rows_refresh_through_their_connecting_attributes_only() {
         let (_, mut db) = university_database();
         let (schema, mut view) = view_of(&mut db, generate_omega_prime);
         // ω′ reaches STUDENT through GRADES, whose rows no instance binds:

@@ -15,7 +15,7 @@
 //! slow-loris connection is cut off, it cannot park a worker forever.
 
 use crate::{NetError, NetResult};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::time::{Duration, Instant};
 use vo_store::crc32::crc32;
 
@@ -26,6 +26,11 @@ pub const DEFAULT_MAX_FRAME_BYTES: usize = 1 << 20;
 pub const HEADER_BYTES: usize = 8;
 
 /// Write one frame; returns the total bytes put on the wire.
+///
+/// Header and payload go out in one vectored write, so on a `TCP_NODELAY`
+/// socket a frame is one segment, not a header segment and then a payload
+/// segment the reader wakes up for again. A short write continues where it
+/// stopped.
 ///
 /// Rejects a payload over `max` locally — a peer honoring the same cap
 /// would refuse it anyway, better to fail before transmitting.
@@ -39,8 +44,16 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8], max: usize) -> NetResult<
     let mut header = [0u8; HEADER_BYTES];
     header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut parts = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut unwritten = &mut parts[..];
+    while !unwritten.is_empty() {
+        match w.write_vectored(unwritten) {
+            Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut unwritten, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(HEADER_BYTES + payload.len())
 }
@@ -234,6 +247,47 @@ mod tests {
         assert!(read_frame(&mut r, DEFAULT_MAX_FRAME_BYTES)
             .unwrap()
             .is_none());
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_survives_short_ones() {
+        /// Takes at most `cap` bytes per write, counting the writes.
+        struct Trickle {
+            out: Vec<u8>,
+            cap: usize,
+            writes: usize,
+        }
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.write_vectored(&[IoSlice::new(buf)])
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+                self.writes += 1;
+                let before = self.out.len();
+                for buf in bufs {
+                    let room = self.cap - (self.out.len() - before);
+                    self.out.extend_from_slice(&buf[..buf.len().min(room)]);
+                }
+                Ok(self.out.len() - before)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let payload = b"{\"id\":1}";
+        let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+        expected.extend_from_slice(&crc32(payload).to_le_bytes());
+        expected.extend_from_slice(payload);
+        for (cap, writes) in [(usize::MAX, 1), (3, 6)] {
+            let mut w = Trickle {
+                out: Vec::new(),
+                cap,
+                writes: 0,
+            };
+            write_frame(&mut w, payload, DEFAULT_MAX_FRAME_BYTES).unwrap();
+            assert_eq!(w.out, expected, "cap {cap}");
+            assert_eq!(w.writes, writes, "cap {cap}");
+        }
     }
 
     #[test]

@@ -62,10 +62,11 @@ impl SavedSystem {
         }
     }
 
-    /// Restore a working system (re-validating everything: schemas,
-    /// tuples, object definitions, translators).
+    /// Restore a working system (re-validating object definitions and
+    /// translators; schemas and tuples were validated when the image was
+    /// captured or decoded).
     pub fn restore(&self) -> Result<Penguin> {
-        self.restore_with_database(self.data.restore()?)
+        self.restore_with_database(self.data.clone().restore()?)
     }
 
     /// Restore a system around an externally recovered database (e.g. one
@@ -94,9 +95,8 @@ impl SavedSystem {
     }
 
     /// Deserialize from a JSON string. The structural schema, every
-    /// relation schema, every connection, and every object definition are
-    /// re-validated while decoding; tuples are re-validated on
-    /// [`SavedSystem::restore`].
+    /// relation schema, every tuple, every connection, and every object
+    /// definition are re-validated while decoding.
     pub fn from_json(json: &str) -> Result<Self> {
         decode(json)
     }

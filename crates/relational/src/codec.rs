@@ -1,9 +1,10 @@
 //! JSON codecs for the persistable relational types: [`JsonCodec`] impls
 //! over the shared combinators in [`crate::json`].
 //!
-//! Decoding re-validates everything it can locally (schemas via
-//! [`RelationSchema::new`]), while tuple-level validation happens when a
-//! snapshot is restored into a database.
+//! Decoding re-validates everything it can locally: schemas via
+//! [`RelationSchema::new`], and a snapshot's rows against the schema they
+//! are stored under, each as it is read. A [`DbOp`] or a delta's rows are
+//! validated against the live schema when they are applied.
 
 use crate::database::DbOp;
 use crate::error::{Error, Result};
@@ -16,6 +17,7 @@ use crate::storage::{DatabaseSnapshot, RelationDelta, RelationSnapshot, Snapshot
 use crate::tuple::{Key, Tuple};
 use crate::value::{DataType, Value};
 use std::borrow::Cow;
+use std::cell::RefCell;
 
 json_enum!(
     DataType { Int => "INT", Float => "FLOAT", Text => "TEXT", Bool => "BOOL" },
@@ -40,7 +42,7 @@ impl JsonCodec for Value {
                 Scalar::Float(*x).write(out);
                 out.push('}');
             }
-            Value::Text(s) => Scalar::Str(s).write(out),
+            Value::Text(s) => Scalar::Str(s.as_str()).write(out),
         }
     }
 
@@ -68,7 +70,8 @@ fn bare_value(scalar: Scalar<'_>) -> Result<Value> {
         Scalar::Null => Ok(Value::Null),
         Scalar::Bool(b) => Ok(Value::Bool(b)),
         Scalar::Int(i) => Ok(Value::Int(i)),
-        // straight from the text's slice: one allocation per text value
+        // straight from the text's slice: a short text is copied in place,
+        // a long one is its one allocation
         Scalar::Str(s) => Ok(Value::text(s)),
         Scalar::Float(_) => Err(Error::Serialization(
             "bare float: expected {\"float\": …} wrapper".into(),
@@ -128,8 +131,10 @@ impl JsonCodec for RelationSchema {
     }
 }
 
-/// A JSON array of values. No schema validation here — snapshots
-/// re-validate every tuple on restore, and replaying a [`DbOp`] through
+/// A JSON array of values, read as one allocation: the values go into a
+/// buffer each thread reuses, and the tuple is allocated once, at its
+/// size. No schema validation here — a snapshot's rows are validated as
+/// its decoder reads them, and replaying a [`DbOp`] through
 /// [`crate::database::Database::apply`] validates against the live schema.
 impl JsonCodec for Tuple {
     type Error = Error;
@@ -139,7 +144,17 @@ impl JsonCodec for Tuple {
     }
 
     fn read_json(r: &mut Reader<'_>) -> Result<Self> {
-        Vec::read_json(r).map(Tuple::raw)
+        thread_local! {
+            static VALUES: RefCell<Vec<Value>> = const { RefCell::new(Vec::new()) };
+        }
+        VALUES.with_borrow_mut(|values| {
+            values.clear();
+            r.begin_array()?;
+            while r.next_element()? {
+                values.push(Value::read_json(r)?);
+            }
+            Ok(Tuple::raw_from(values))
+        })
     }
 }
 
@@ -249,7 +264,7 @@ impl RelationSnapshot {
         o.entry("schema", &self.schema);
         let fragments = vo_exec::map_chunks(&self.rows, workers.max(1), |_, chunk| {
             let mut s = String::new();
-            for (j, t) in chunk.iter().enumerate() {
+            for (j, (_, t)) in chunk.iter().enumerate() {
                 if j > 0 {
                     s.push(',');
                 }
@@ -258,15 +273,16 @@ impl RelationSnapshot {
             Ok::<_, Error>(vec![s])
         })
         .expect("row encoding cannot fail");
-        let rows = o.key("rows");
-        rows.push('[');
-        rows.push_str(&fragments.join(","));
-        rows.push(']');
+        write_list_with(fragments, o.key("rows"), |rows, out| out.push_str(&rows));
         o.entry("indexes", &self.indexes);
         o.finish();
     }
 }
 
+/// The one snapshot decoder: each row is checked against the schema and
+/// keyed as it is read. Rows that come before their schema are kept as
+/// their checked text ([`Deferred`], as a [`DbOp`]'s early entries are) and
+/// read once the schema has been.
 impl JsonCodec for RelationSnapshot {
     type Error = Error;
 
@@ -275,8 +291,57 @@ impl JsonCodec for RelationSnapshot {
     }
 
     fn read_json(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(json_struct!(@read r, RelationSnapshot { schema, rows, indexes }))
+        let (mut schema, mut rows, mut indexes) = (None, None, None);
+        let mut early = Deferred::default();
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match (&*key, &schema) {
+                ("schema", _) => {
+                    let schema = schema.insert(RelationSchema::read_json(r)?);
+                    std::mem::take(&mut early).replay(|_, r| {
+                        rows = Some(keyed_rows(r, schema)?);
+                        Ok::<_, Error>(())
+                    })?;
+                }
+                ("rows", Some(schema)) => rows = Some(keyed_rows(r, schema)?),
+                ("rows", None) => early.keep(key, r)?,
+                ("indexes", _) => indexes = Some(JsonCodec::read_json(r)?),
+                _ => r.skip_value()?,
+            }
+        }
+        Ok(RelationSnapshot {
+            schema: required(schema, "schema")?,
+            rows: required(rows, "rows")?,
+            indexes: required(indexes, "indexes")?,
+        })
     }
+}
+
+/// A relation's rows under `schema`, each validated and keyed as it is
+/// read, in strict key order. The writer writes key order; rows in any
+/// other are sorted, and a key held twice is refused as
+/// [`crate::table::Table::insert`] refuses it.
+fn keyed_rows(r: &mut Reader<'_>, schema: &RelationSchema) -> Result<Vec<(Key, Tuple)>> {
+    let mut rows: Vec<(Key, Tuple)> = Vec::new();
+    let mut sorted = true;
+    r.begin_array()?;
+    while r.next_element()? {
+        let tuple = Tuple::read_json(r)?;
+        tuple.validate(schema)?;
+        let key = tuple.key(schema);
+        sorted &= rows.last().is_none_or(|(last, _)| *last < key);
+        rows.push((key, tuple));
+    }
+    if !sorted {
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        if let Some(pair) = rows.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return Err(Error::KeyConflict {
+                relation: schema.name().to_owned(),
+                key: pair[0].0.to_string(),
+            });
+        }
+    }
+    Ok(rows)
 }
 
 impl DatabaseSnapshot {
@@ -294,8 +359,9 @@ impl DatabaseSnapshot {
     }
 }
 
-/// Read from a checkpoint's text, the rows of each relation become tuples
-/// one at a time — the recovery decode path.
+/// Read from a checkpoint's text, the rows of each relation become valid,
+/// keyed tuples one at a time — the recovery decode path, and all that
+/// [`DatabaseSnapshot::restore`] installs.
 impl JsonCodec for DatabaseSnapshot {
     type Error = Error;
 
@@ -441,5 +507,35 @@ mod tests {
         assert_roundtrip(&snap);
         let restored = snap.restore().unwrap();
         assert!(restored.table("T").unwrap().has_index(&["v".to_string()]));
+    }
+
+    #[test]
+    fn snapshot_rows_are_validated_and_keyed_as_they_are_read() {
+        let schema = encode_schema();
+        let doc = |rows: &str| format!(r#"{{"schema":{schema},"rows":[{rows}],"indexes":[]}}"#);
+        let rows = |snap: &RelationSnapshot| snap.rows().cloned().collect::<Vec<_>>();
+        let written = decode::<RelationSnapshot>(&doc(r#"[1,"a"],[2,null]"#)).unwrap();
+        // rows before their schema are read once it has been
+        let early = format!(r#"{{"rows":[[2,null],[1,"a"]],"indexes":[],"schema":{schema}}}"#);
+        let early = decode::<RelationSnapshot>(&early).unwrap();
+        assert_eq!(early, written, "and put in key order");
+        assert_eq!(rows(&early)[0].get(0), &Value::Int(1));
+        for bad in [r#"[1,"a"],[1,"b"]"#, r#"["a",1]"#, r#"[null,"a"]"#, "[1]"] {
+            assert!(decode::<RelationSnapshot>(&doc(bad)).is_err(), "{bad}");
+        }
+    }
+
+    fn encode_schema() -> String {
+        crate::json::encode(
+            &RelationSchema::new(
+                "T",
+                vec![
+                    AttributeDef::required("k", DataType::Int),
+                    AttributeDef::nullable("v", DataType::Text),
+                ],
+                &["k"],
+            )
+            .unwrap(),
+        )
     }
 }

@@ -78,6 +78,6 @@ pub mod prelude {
     pub use crate::storage::{DatabaseSnapshot, RelationDelta, RelationSnapshot, SnapshotDelta};
     pub use crate::table::{KeyRange, Table};
     pub use crate::tuple::{Key, Tuple};
-    pub use crate::value::{DataType, Value};
+    pub use crate::value::{DataType, Text, Value};
     pub use vo_obs::profile::ProfileNode;
 }

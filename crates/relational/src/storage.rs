@@ -19,14 +19,31 @@ use vo_exec::map_chunks;
 
 /// One relation's image: schema, rows in key order, and the attribute
 /// lists of its secondary indexes.
+///
+/// Its rows are valid under its schema by construction, each beside its
+/// key: they come from a table ([`DatabaseSnapshot::capture`]) or from the
+/// decoder, which validates and keys each row as it reads it. No field
+/// lets another row in, so [`DatabaseSnapshot::restore`] installs them as
+/// they are.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RelationSnapshot {
-    /// The relation schema.
-    pub schema: RelationSchema,
-    /// All tuples, in key order.
-    pub rows: Vec<Tuple>,
+    pub(crate) schema: RelationSchema,
+    /// All tuples with their keys, in strict key order.
+    pub(crate) rows: Vec<(Key, Tuple)>,
     /// Secondary indexes to rebuild, as attribute-name lists.
     pub indexes: Vec<Vec<String>>,
+}
+
+impl RelationSnapshot {
+    /// The relation schema.
+    pub fn schema(&self) -> &RelationSchema {
+        &self.schema
+    }
+
+    /// The tuples, in key order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &Tuple> {
+        self.rows.iter().map(|(_, t)| t)
+    }
 }
 
 /// A whole-database image.
@@ -48,19 +65,11 @@ impl DatabaseSnapshot {
     /// [`DatabaseSnapshot::capture_full`] to carry them, or set
     /// [`RelationSnapshot::indexes`] to declare an explicit subset.
     pub fn capture(db: &Database) -> Self {
-        let mut relations = Vec::new();
-        for name in db.relation_names() {
-            let table = db.table(name).expect("listed");
-            relations.push(RelationSnapshot {
-                schema: table.schema().clone(),
-                rows: table.scan().cloned().collect(),
-                indexes: Vec::new(),
-            });
+        let mut snapshot = Self::capture_full(db);
+        for rel in &mut snapshot.relations {
+            rel.indexes.clear();
         }
-        DatabaseSnapshot {
-            relations,
-            version: db.version(),
-        }
+        snapshot
     }
 
     /// Capture a snapshot including every secondary index, so
@@ -81,11 +90,11 @@ impl DatabaseSnapshot {
         for name in db.relation_names() {
             let table = db.table(name).expect("listed");
             let ranges = table.key_ranges(workers.max(1));
-            let rows: Vec<Tuple> = map_chunks(&ranges, workers.max(1), |_, chunk| {
+            let rows = map_chunks(&ranges, workers.max(1), |_, chunk| {
                 Ok::<_, Error>(
-                    chunk
-                        .iter()
-                        .flat_map(|r| table.scan_range(r).cloned())
+                    (chunk.iter())
+                        .flat_map(|r| table.scan_range(r))
+                        .map(|(key, tuple)| (key.clone(), tuple.clone()))
                         .collect(),
                 )
             })
@@ -102,41 +111,14 @@ impl DatabaseSnapshot {
         }
     }
 
-    /// Rebuild a database from the snapshot (validating every tuple and
-    /// rebuilding declared indexes).
-    pub fn restore(&self) -> Result<Database> {
-        self.restore_with(1)
-    }
-
-    /// [`DatabaseSnapshot::restore`] with tuple validation fanned out
-    /// over `workers` threads per relation (snapshot rows are contiguous
-    /// key-range partitions, so chunks validate independently). The
-    /// rebuilt database is identical at every worker count.
-    pub fn restore_with(&self, workers: usize) -> Result<Database> {
+    /// Rebuild the database the snapshot holds: its rows are installed as
+    /// they were captured or decoded — valid, keyed and in key order, so
+    /// each table is built from them in bulk — and the declared indexes are
+    /// rebuilt.
+    pub fn restore(self) -> Result<Database> {
         let mut db = Database::new();
-        for rel in &self.relations {
-            let entries: Vec<(Key, Tuple)> = map_chunks(&rel.rows, workers.max(1), |_, chunk| {
-                chunk
-                    .iter()
-                    .map(|t| {
-                        t.validate(&rel.schema)?;
-                        Ok::<_, Error>((t.key(&rel.schema), t.clone()))
-                    })
-                    .collect()
-            })?;
-            let sorted = entries.windows(2).all(|w| w[0].0 < w[1].0);
-            let mut table = if sorted {
-                Table::from_sorted_rows(rel.schema.clone(), entries)
-            } else {
-                // Rows not in strict key order (a hand-built or legacy
-                // snapshot): take the per-tuple insert path, which
-                // reports duplicates precisely.
-                let mut t = Table::new(rel.schema.clone());
-                for (_, tuple) in entries {
-                    t.insert(tuple)?;
-                }
-                t
-            };
+        for rel in self.relations {
+            let mut table = Table::from_sorted_rows(rel.schema, rel.rows);
             for idx in &rel.indexes {
                 table.create_index(idx)?;
             }
@@ -227,6 +209,7 @@ impl SnapshotDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{decode, encode};
     use crate::schema::AttributeDef;
     use crate::value::{DataType, Value};
 
@@ -259,6 +242,9 @@ mod tests {
         let a: Vec<_> = db.table("T").unwrap().scan().cloned().collect();
         let b: Vec<_> = restored.table("T").unwrap().scan().cloned().collect();
         assert_eq!(a, b);
+        // the restored table holds the captured rows themselves
+        let same = |(x, y): (&Tuple, &Tuple)| x.ptr_eq(y);
+        assert!(a.iter().zip(&b).all(same));
     }
 
     #[test]
@@ -272,7 +258,6 @@ mod tests {
 
     #[test]
     fn declared_indexes_json_roundtrip_rebuilds_probing_indexes() {
-        use crate::json::{decode, encode};
         let mut db = sample();
         db.create_index("T", &["v".to_string()]).unwrap();
         let mut snap = DatabaseSnapshot::capture(&db);
@@ -327,15 +312,14 @@ mod tests {
         assert!(db.version() > 0);
         let snap = DatabaseSnapshot::capture(&db);
         assert_eq!(snap.version, db.version());
-        let restored = snap.restore().unwrap();
-        assert_eq!(restored.version(), db.version());
-        assert_eq!(restored.table_version("T"), db.version());
         // JSON round trip carries it; a document without the field (no
         // writer has produced one since versions were pinned) is a typed
         // error, never a silent version 0
-        use crate::json::{decode, encode};
         let back: DatabaseSnapshot = decode(&encode(&snap)).unwrap();
         assert_eq!(back.version, snap.version);
+        let restored = snap.restore().unwrap();
+        assert_eq!(restored.version(), db.version());
+        assert_eq!(restored.table_version("T"), db.version());
         assert!(matches!(
             decode::<DatabaseSnapshot>(r#"{"relations":[]}"#),
             Err(Error::Serialization(_))
@@ -344,14 +328,20 @@ mod tests {
 
     #[test]
     fn corrupt_snapshot_rejected_on_restore() {
-        let db = sample();
-        let mut snap = DatabaseSnapshot::capture(&db);
-        // duplicate key
-        let t = snap.relations[0].rows[0].clone();
-        snap.relations[0].rows.push(t);
-        assert!(snap.restore().is_err());
-        // and at every worker count
-        assert!(snap.restore_with(3).is_err());
+        let text = encode(&DatabaseSnapshot::capture(&sample()));
+        // a row written twice: a duplicate key
+        let twice = text.replace(r#"[1,"a"]"#, r#"[1,"a"],[1,"a"]"#);
+        assert_ne!(twice, text);
+        assert!(matches!(
+            decode::<DatabaseSnapshot>(&twice),
+            Err(Error::KeyConflict { .. })
+        ));
+        // a row that does not conform to its schema
+        let mistyped = text.replace(r#"[1,"a"]"#, r#"["1","a"]"#);
+        assert!(matches!(
+            decode::<DatabaseSnapshot>(&mistyped),
+            Err(Error::TypeMismatch { .. })
+        ));
     }
 
     fn wide_sample(n: i64) -> Database {
@@ -373,33 +363,26 @@ mod tests {
             assert!(ranges.len() <= parts.max(1));
             assert_eq!(ranges.first().unwrap().start, None);
             assert_eq!(ranges.last().unwrap().end, None);
-            let stitched: Vec<_> = ranges
-                .iter()
-                .flat_map(|r| table.scan_range(r).cloned())
-                .collect();
-            let full: Vec<_> = table.scan().cloned().collect();
+            let stitched: Vec<_> = ranges.iter().flat_map(|r| table.scan_range(r)).collect();
+            let full: Vec<_> = table.scan_entries().collect();
             assert_eq!(stitched, full, "parts={parts}");
         }
     }
 
     #[test]
-    fn partitioned_capture_restore_and_encode_are_worker_count_invariant() {
+    fn partitioned_capture_and_encode_are_worker_count_invariant() {
         let db = wide_sample(37);
         let baseline = DatabaseSnapshot::capture_full(&db);
-        let text = crate::json::encode(&baseline);
+        let text = encode(&baseline);
         for workers in [1, 2, 3, 8] {
             assert_eq!(DatabaseSnapshot::capture_full_with(&db, workers), baseline);
             let mut written = String::new();
             baseline.write_json_with(&mut written, workers);
             assert_eq!(written, text, "workers={workers}");
-            let restored = baseline.restore_with(workers).unwrap();
-            assert_eq!(
-                DatabaseSnapshot::capture_full(&restored),
-                baseline,
-                "workers={workers}"
-            );
-            assert!(restored.table("T").unwrap().has_index(&["v".to_string()]));
         }
+        let restored = baseline.clone().restore().unwrap();
+        assert_eq!(DatabaseSnapshot::capture_full(&restored), baseline);
+        assert!(restored.table("T").unwrap().has_index(&["v".to_string()]));
         // and it reads back
         crate::json::assert_roundtrip(&baseline);
     }
@@ -455,8 +438,8 @@ mod tests {
 
         // base + delta == live state, and the codec round-trips it
         let mut rebuilt = base.restore().unwrap();
-        let text = crate::json::encode(&delta);
-        let decoded: SnapshotDelta = crate::json::decode(&text).unwrap();
+        let text = encode(&delta);
+        let decoded: SnapshotDelta = decode(&text).unwrap();
         assert_eq!(decoded, delta);
         decoded.apply_to(&mut rebuilt).unwrap();
         assert_eq!(

@@ -445,8 +445,12 @@ impl Table {
             .collect()
     }
 
-    /// Iterate tuples whose key falls inside `range`, in key order.
-    pub fn scan_range<'a>(&'a self, range: &KeyRange) -> impl Iterator<Item = &'a Tuple> + 'a {
+    /// Iterate the `(key, tuple)` pairs whose key falls inside `range`, in
+    /// key order.
+    pub fn scan_range<'a>(
+        &'a self,
+        range: &KeyRange,
+    ) -> impl Iterator<Item = (&'a Key, &'a Tuple)> + 'a {
         use std::ops::Bound;
         let lo = match &range.start {
             Some(k) => Bound::Included(k.clone()),
@@ -456,13 +460,13 @@ impl Table {
             Some(k) => Bound::Excluded(k.clone()),
             None => Bound::Unbounded,
         };
-        self.rows.range((lo, hi)).map(|(_, t)| t)
+        self.rows.range((lo, hi))
     }
 
-    /// Bulk-build a table from already-validated rows in strictly
-    /// ascending key order (the partitioned snapshot-restore path — the
-    /// caller validated each tuple and verified the order). No secondary
-    /// indexes; create them afterwards.
+    /// Bulk-build a table from already-validated, keyed rows in strictly
+    /// ascending key order — a snapshot's rows, which its decoder validated,
+    /// keyed and ordered as it read them. No secondary indexes; create them
+    /// afterwards.
     pub(crate) fn from_sorted_rows(schema: RelationSchema, entries: Vec<(Key, Tuple)>) -> Table {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         Table {
@@ -596,26 +600,28 @@ impl Table {
         Ok(out)
     }
 
-    /// Create (or refresh) a secondary index over `attrs`: one scan
-    /// collects `(indexed values, key)` pairs, one sort groups them, and
-    /// the key sets and the map are each built from sorted input — what
-    /// `index_add` row by row would leave, without a tree descent
-    /// per row.
+    /// Create (or refresh) a secondary index over `attrs`: one sort of the
+    /// rows by their indexed values groups them, each group's values are
+    /// copied out once, and the key sets and the map are each built from
+    /// sorted input — what `index_add` row by row would leave, without a
+    /// tree descent per row.
     pub fn create_index(&mut self, attrs: &[String]) -> Result<()> {
         let indices = self.schema.indices_of(attrs)?;
-        let mut pairs: Vec<(Vec<Value>, Key)> = (self.rows.iter())
-            .map(|(key, tuple)| (tuple.project(&indices), key.clone()))
-            .collect();
+        fn values_at<'t>(indices: &'t [usize], t: &'t Tuple) -> impl Iterator<Item = &'t Value> {
+            indices.iter().map(|&i| t.get(i))
+        }
+        let indexed = |t| values_at(&indices, t);
+        let mut rows: Vec<(&Key, &Tuple)> = self.rows.iter().collect();
         // stable, so each group's keys stay in the scan's key order
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        rows.sort_by(|a, b| indexed(a.1).cmp(indexed(b.1)));
         let mut groups: Vec<(Vec<Value>, BTreeSet<Key>)> = Vec::new();
-        let mut pairs = pairs.into_iter().peekable();
-        while let Some((values, key)) = pairs.next() {
-            let mut keys = vec![key];
-            while let Some((_, key)) = pairs.next_if(|(next, _)| *next == values) {
-                keys.push(key);
+        let mut rows = rows.into_iter().peekable();
+        while let Some((key, tuple)) = rows.next() {
+            let mut keys = vec![key.clone()];
+            while let Some((key, _)) = rows.next_if(|(_, next)| indexed(next).eq(indexed(tuple))) {
+                keys.push(key.clone());
             }
-            groups.push((values, keys.into_iter().collect()));
+            groups.push((tuple.project(&indices), keys.into_iter().collect()));
         }
         self.indexes.insert(indices, groups.into_iter().collect());
         Ok(())

@@ -38,9 +38,17 @@ impl Tuple {
         Tuple(values.into())
     }
 
+    /// [`Tuple::raw`] over the values `values` holds, leaving it empty with
+    /// its capacity: the tuple is one allocation of exactly its size, for a
+    /// decoder that reads every row into the same buffer.
+    pub(crate) fn raw_from(values: &mut Vec<Value>) -> Self {
+        // a drain knows its length, so the slice is allocated once
+        Tuple(values.drain(..).collect())
+    }
+
     /// Check this tuple against `schema` in place: arity, types, and
     /// NULLability must all conform. Everything that accepts a tuple built
-    /// elsewhere (table mutations, the overlay, snapshot restore, update
+    /// elsewhere (table mutations, the overlay, the snapshot decoder, update
     /// validation) checks it this way and keeps the tuple it was handed,
     /// so a row is allocated once however many layers vouch for it.
     pub fn validate(&self, schema: &RelationSchema) -> Result<()> {

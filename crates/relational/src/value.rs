@@ -8,6 +8,7 @@
 //! storage and sorting, where `Null` sorts first and floats use IEEE total
 //! ordering.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -49,10 +50,14 @@ pub enum Value {
     Int(i64),
     /// 64-bit IEEE float.
     Float(f64),
-    /// UTF-8 text, immutable and shared: cloning a text value bumps a
-    /// reference count instead of copying the string.
-    Text(Arc<str>),
+    /// UTF-8 text: up to [`Text::INLINE`] bytes in place, longer text
+    /// shared (see [`Text`]).
+    Text(Text),
 }
+
+// A value is three words: a short text fits in them, and the variant tag
+// lives in the values an inline text's length byte leaves free.
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
 
 impl Value {
     /// The type of this value, or `None` for NULL (which conforms to every
@@ -88,7 +93,7 @@ impl Value {
     }
 
     /// Convenience constructor for text values.
-    pub fn text(s: impl Into<Arc<str>>) -> Value {
+    pub fn text(s: impl Into<Text>) -> Value {
         Value::Text(s.into())
     }
 
@@ -112,7 +117,7 @@ impl Value {
     /// Extract as text if possible.
     pub fn as_text(&self) -> Option<&str> {
         match self {
-            Value::Text(s) => Some(s),
+            Value::Text(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -250,6 +255,167 @@ impl From<String> for Value {
     }
 }
 
+/// Immutable UTF-8 text, as a [`Value`] holds it. A string of up to
+/// [`Text::INLINE`] bytes is stored in place: building or cloning one
+/// allocates nothing and touches no reference count. A longer one is one
+/// shared `Arc<str>`, which a clone shares. Which of the two a text is
+/// follows from its length alone, so every constructor builds the same
+/// text from the same string. Order, equality, hashing, `Display` and
+/// `Debug` are the string's own.
+#[derive(Clone)]
+pub struct Text(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The string's bytes, zero-padded. Zero padding makes comparing the
+    /// padded arrays, then the lengths, exactly the string's order: where
+    /// one string is a prefix of the other the arrays agree up to the
+    /// longer one's next nonzero byte, and the lengths decide the rest —
+    /// NUL bytes included.
+    Inline(Len, [u8; Text::INLINE]),
+    /// Longer than [`Text::INLINE`] bytes.
+    Heap(Arc<str>),
+}
+
+/// An inline text's length. An enum rather than a `u8`, so the byte's
+/// other 233 values are free to tag [`Repr`] and [`Value`]: that is how a
+/// value stays three words.
+#[rustfmt::skip]
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum Len {
+    L0, L1, L2, L3, L4, L5, L6, L7, L8, L9, L10, L11,
+    L12, L13, L14, L15, L16, L17, L18, L19, L20, L21, L22,
+}
+
+#[rustfmt::skip]
+const LENS: [Len; Text::INLINE + 1] = {
+    use Len::*;
+    [
+        L0, L1, L2, L3, L4, L5, L6, L7, L8, L9, L10, L11,
+        L12, L13, L14, L15, L16, L17, L18, L19, L20, L21, L22,
+    ]
+};
+
+impl Text {
+    /// The longest text stored in place: what is left of a value's three
+    /// words after the length byte, which also carries the enums' tags.
+    /// It holds the keys and names the paper's relations are made of —
+    /// course ids, department names, titles, levels.
+    pub const INLINE: usize = 22;
+
+    /// `s` in place, when it fits.
+    fn inline(s: &str) -> Option<Text> {
+        let len = *LENS.get(s.len())?;
+        let mut bytes = [0; Text::INLINE];
+        bytes[..s.len()].copy_from_slice(s.as_bytes());
+        Some(Text(Repr::Inline(len, bytes)))
+    }
+
+    /// The string.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            // `Text::inline`, the one constructor of `Repr::Inline`, copies
+            // a whole `&str` into `bytes[..len]`
+            Repr::Inline(len, bytes) => std::str::from_utf8(&bytes[..*len as usize])
+                .expect("an inline text holds the bytes of a whole string"),
+            Repr::Heap(s) => s,
+        }
+    }
+
+    /// True when the text is stored in place, so that a clone copies it.
+    pub fn is_inline(&self) -> bool {
+        matches!(self.0, Repr::Inline(..))
+    }
+
+    /// An inline text as two big-endian words ordered as the string is:
+    /// its first 16 bytes, then its last 6 with the length after them.
+    fn words(len: Len, bytes: &[u8; Text::INLINE]) -> (u128, u64) {
+        let (head, tail) = bytes.split_at(16);
+        let mut low = [0; 8];
+        low[..6].copy_from_slice(tail);
+        low[6] = len as u8;
+        let head = u128::from_be_bytes(head.try_into().expect("16 bytes"));
+        (head, u64::from_be_bytes(low))
+    }
+}
+
+impl PartialEq for Text {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.0, &other.0) {
+            (Repr::Inline(la, a), Repr::Inline(lb, b)) => la == lb && a == b,
+            (Repr::Heap(a), Repr::Heap(b)) => a == b,
+            // a text is inline exactly when it fits
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Text {}
+
+impl PartialOrd for Text {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Text {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (&self.0, &other.0) {
+            (Repr::Inline(la, a), Repr::Inline(lb, b)) => {
+                Text::words(*la, a).cmp(&Text::words(*lb, b))
+            }
+            _ => self.as_str().cmp(other.as_str()),
+        }
+    }
+}
+
+impl Hash for Text {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state)
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Self {
+        Text::inline(s).unwrap_or_else(|| Text(Repr::Heap(s.into())))
+    }
+}
+
+impl From<String> for Text {
+    fn from(s: String) -> Self {
+        Text::inline(&s).unwrap_or_else(|| Text(Repr::Heap(s.into())))
+    }
+}
+
+/// A long string is shared, not copied; a short one is copied in place.
+impl From<Arc<str>> for Text {
+    fn from(s: Arc<str>) -> Self {
+        Text::inline(&s).unwrap_or(Text(Repr::Heap(s)))
+    }
+}
+
+impl From<Cow<'_, str>> for Text {
+    fn from(s: Cow<'_, str>) -> Self {
+        match s {
+            Cow::Borrowed(s) => Text::from(s),
+            Cow::Owned(s) => Text::from(s),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,6 +487,7 @@ mod tests {
         assert_eq!(Value::Null.to_string(), "NULL");
         assert_eq!(Value::text("a").to_string(), "'a'");
         assert_eq!(Value::Int(-4).to_string(), "-4");
+        assert_eq!(format!("{:?}", Value::text("a")), "Text(\"a\")");
     }
 
     #[test]
@@ -329,5 +496,25 @@ mod tests {
         assert_eq!(Value::from("s"), Value::text("s"));
         assert_eq!(Value::from(2.5), Value::Float(2.5));
         assert_eq!(Value::from(true), Value::Bool(true));
+    }
+
+    #[test]
+    fn text_is_inline_up_to_22_bytes_and_shared_past_them() {
+        let short = "x".repeat(Text::INLINE);
+        let long = "x".repeat(Text::INLINE + 1);
+        assert!(Text::from(short.as_str()).is_inline());
+        assert!(!Text::from(long.as_str()).is_inline());
+        // an `Arc<str>` that fits is copied in place; one that does not is
+        // shared
+        assert!(Text::from(Arc::<str>::from(short.as_str())).is_inline());
+        let shared: Arc<str> = long.as_str().into();
+        let Repr::Heap(held) = Text::from(shared.clone()).0 else {
+            panic!("a long text is not inline");
+        };
+        assert!(Arc::ptr_eq(&held, &shared));
+        // NUL bytes are characters, not padding
+        assert!(Text::from("a") < Text::from("a\0"));
+        assert!(Text::from("a\0") < Text::from("a\0\0"));
+        assert_ne!(Text::from("a"), Text::from("a\0"));
     }
 }

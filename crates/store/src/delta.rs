@@ -71,20 +71,21 @@ pub fn list_artifact_ids(dir: &Path, prefix: &str) -> StoreResult<Vec<u64>> {
     Ok(out)
 }
 
-/// Atomically write an artifact: prepend the CRC-32 line, write to a
-/// `.tmp` sibling, fsync, rename into place, best-effort fsync the
-/// directory. Returns the bytes written.
+/// Atomically write an artifact: the CRC-32 line, then the body (not a
+/// copy of it), to a `.tmp` sibling, fsync, rename into place, best-effort
+/// fsync the directory. Returns the bytes written.
 pub fn write_artifact(dir: &Path, name: &str, body: &str) -> StoreResult<u64> {
     let live = dir.join(name);
     let tmp = dir.join(format!("{name}.tmp"));
-    let text = format!("{:08x}\n{body}", crc32(body.as_bytes()));
+    let crc_line = format!("{:08x}\n", crc32(body.as_bytes()));
     let mut f = OpenOptions::new()
         .write(true)
         .create(true)
         .truncate(true)
         .open(&tmp)
         .map_err(StoreError::io("create artifact tmp"))?;
-    f.write_all(text.as_bytes())
+    (f.write_all(crc_line.as_bytes()))
+        .and_then(|()| f.write_all(body.as_bytes()))
         .map_err(StoreError::io("write artifact"))?;
     f.sync_data().map_err(StoreError::io("fsync artifact"))?;
     drop(f);
@@ -92,35 +93,35 @@ pub fn write_artifact(dir: &Path, name: &str, body: &str) -> StoreResult<u64> {
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_data();
     }
-    Ok(text.len() as u64)
+    Ok((crc_line.len() + body.len()) as u64)
 }
 
 /// Read an artifact, verify its checksum line and decode its body
-/// straight from the file's text — one buffer, no document tree. A
-/// missing newline, bad hex or CRC disagreement is [`StoreError::Corrupt`],
-/// and so is a body that is not JSON.
+/// straight from the file's text — one buffer, no document tree. The
+/// checksum is checked over the bytes, before they are taken for text, so
+/// a flipped bit is [`StoreError::Corrupt`] whether or not it left valid
+/// UTF-8 behind; so are a missing newline, bad hex, and a body that is not
+/// UTF-8 or not JSON.
 pub fn read_artifact<T>(path: &Path) -> StoreResult<T>
 where
     T: JsonCodec<Error = StoreError>,
 {
-    let text = std::fs::read_to_string(path).map_err(StoreError::io("read artifact"))?;
-    let (crc_line, body) = text.split_once('\n').ok_or_else(|| {
-        StoreError::Corrupt(format!("artifact {} has no checksum line", path.display()))
-    })?;
-    let expected = u32::from_str_radix(crc_line.trim(), 16).map_err(|_| {
-        StoreError::Corrupt(format!(
-            "artifact {} has a malformed checksum",
-            path.display()
-        ))
-    })?;
-    let actual = crc32(body.as_bytes());
+    let corrupt = |what: &str| StoreError::Corrupt(format!("artifact {} {what}", path.display()));
+    let bytes = std::fs::read(path).map_err(StoreError::io("read artifact"))?;
+    let newline = bytes.iter().position(|&b| b == b'\n');
+    let newline = newline.ok_or_else(|| corrupt("has no checksum line"))?;
+    let (crc_line, body) = (&bytes[..newline], &bytes[newline + 1..]);
+    let expected = std::str::from_utf8(crc_line)
+        .ok()
+        .and_then(|line| u32::from_str_radix(line.trim(), 16).ok())
+        .ok_or_else(|| corrupt("has a malformed checksum"))?;
+    let actual = crc32(body);
     if actual != expected {
-        return Err(StoreError::Corrupt(format!(
-            "artifact {} checksum mismatch (expected {expected:08x}, computed {actual:08x})",
-            path.display()
+        return Err(corrupt(&format!(
+            "checksum mismatch (expected {expected:08x}, computed {actual:08x})"
         )));
     }
-    decode(body)
+    decode(std::str::from_utf8(body).map_err(|e| corrupt(&format!("is not UTF-8: {e}")))?)
 }
 
 /// A full database image pinned to a log position, heading a delta chain.
@@ -164,7 +165,8 @@ impl BaseCheckpoint {
     }
 
     /// Load `base-<id>.json` from `dir`, its rows decoded one at a time
-    /// off the file's text. Checksum or decode failure is a hard error —
+    /// off the file's text, each validated and keyed as it is read.
+    /// Checksum, decode or validation failure is a hard error —
     /// a base cannot be skipped, the data it held is gone.
     pub fn load(dir: &Path, id: u64) -> StoreResult<BaseCheckpoint> {
         read_artifact(&dir.join(Self::file_name(id)))

@@ -41,11 +41,12 @@
 //!
 //! Recovery decodes rows, not documents: artifacts and log records are
 //! read through `vo_relational::json::Reader` straight into tuples and
-//! ops, and a log record at or below the covered LSN is not decoded at
-//! all. It is **byte-identical at every parallelism level**: base
-//! encoding and table rebuilds fan out per key-range partition via
-//! `vo_exec::map_chunks`, whose contiguous deterministic partitioning
-//! keeps artifacts and recovered states independent of worker count.
+//! ops — a base's rows validated and keyed as they are read, then
+//! installed as they are — and a log record at or below the covered LSN
+//! is not decoded at all. Artifacts are **byte-identical at every
+//! parallelism level**: base capture and encoding fan out per key-range
+//! partition via `vo_exec::map_chunks`, whose contiguous deterministic
+//! partitioning keeps them independent of worker count.
 
 use crate::delta::{
     base_path_in, list_artifact_ids, BaseCheckpoint, DeltaCheckpoint, BASE_PREFIX, DELTA_PREFIX,
@@ -55,6 +56,7 @@ use crate::segment::{SegmentScan, SegmentedWal};
 use crate::wal::SyncPolicy;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
+use std::time::Instant;
 use vo_exec::Parallelism;
 use vo_obs::metrics::{self, Counter, Gauge, Histogram};
 use vo_obs::trace;
@@ -203,9 +205,8 @@ pub struct StoreOptions {
     pub max_segment_bytes: u64,
     /// When checkpoints are promoted to full bases (compaction).
     pub compaction: CompactionPolicy,
-    /// Worker fan-out for base checkpoint encoding and recovery table
-    /// rebuilds. Artifacts and recovered states are byte-identical
-    /// at every setting.
+    /// Worker fan-out for base checkpoint capture and encoding. Artifacts
+    /// are byte-identical at every setting.
     pub parallelism: Parallelism,
 }
 
@@ -304,17 +305,6 @@ pub struct Store {
     delta: Delta,
 }
 
-/// Resolve a worker count for rebuilding tables from a decoded artifact,
-/// before the item count is known. `map_chunks` clamps to the actual
-/// item count, so overshooting is safe.
-fn io_workers(p: Parallelism) -> usize {
-    match p {
-        Parallelism::Off => 1,
-        Parallelism::Fixed(n) => n.max(1),
-        Parallelism::Auto => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
-}
-
 impl Store {
     /// Initialize a fresh store at `dir` for `db`, truncating any
     /// previous store there (segments, artifacts, and old-layout files):
@@ -374,7 +364,13 @@ impl Store {
         std::fs::create_dir_all(&dir).map_err(StoreError::io("create store directory"))?;
         let mut sp = trace::span("store.recover");
         let mut report = RecoveryReport::default();
-        let workers = io_workers(options.parallelism);
+        // the three phases' wall time, for the span
+        let mut phase = Instant::now();
+        let mut phase_us = || {
+            let us = phase.elapsed().as_micros() as i64;
+            phase = Instant::now();
+            Json::Int(us)
+        };
 
         // -- checkpointed state: newest base + delta chain --
         let base_ids = list_artifact_ids(&dir, BASE_PREFIX)?;
@@ -386,12 +382,13 @@ impl Store {
         let mut last_id = 0u64;
         let mut chain_len = 0u64;
 
-        let mut db = if let Some(&newest) = base_ids.last() {
+        let (mut db, base_us, deltas_us) = if let Some(&newest) = base_ids.last() {
             // A corrupt base is a hard error: unlike a delta it has no
             // fallback — the segments it covered are gone.
             let base = BaseCheckpoint::load(&dir, newest)?;
-            let mut db = base.snapshot.restore_with(workers)?;
             covered = base.lsn;
+            let mut db = base.snapshot.restore()?;
+            let base_us = phase_us();
             base_id = newest;
             last_id = newest;
             // Follow the delta chain by parent pointers. A delta that
@@ -417,7 +414,7 @@ impl Store {
                 report.deltas_applied += 1;
             }
             report.delta_chain_broken = unreadable > 0 || !available.is_empty();
-            db
+            (db, base_us, phase_us())
         } else {
             // No base: a fresh directory — or a pre-segmentation store,
             // which must not pass for an empty database.
@@ -432,7 +429,7 @@ impl Store {
                     old.join(" + ")
                 )));
             }
-            Database::new()
+            (Database::new(), phase_us(), phase_us())
         };
         report.checkpoint_lsn = covered;
         report.last_lsn = covered;
@@ -489,8 +486,12 @@ impl Store {
         ops_replayed().add(report.ops_replayed);
         deltas_applied().add(report.deltas_applied);
         wal.bump_next_lsn(report.last_lsn + 1);
+        let log_us = phase_us();
 
         if sp.is_recording() {
+            sp.field("base_us", base_us);
+            sp.field("deltas_us", deltas_us);
+            sp.field("log_us", log_us);
             sp.field("checkpoint_lsn", Json::Int(report.checkpoint_lsn as i64));
             sp.field("deltas", Json::Int(report.deltas_applied as i64));
             sp.field("segments", Json::Int(report.segments_scanned as i64));
@@ -747,12 +748,11 @@ impl Store {
         }
         let mut sp = trace::span("store.compact");
         self.wal.sync()?;
-        let workers = io_workers(self.options.parallelism);
         // Reconstruct the covered state from disk: base + delta chain.
         // (Segments are not needed — the chain *is* the covered state.)
         let base = BaseCheckpoint::load(&self.dir, self.base_id)?;
-        let mut db = base.snapshot.restore_with(workers)?;
         let mut last = base.id;
+        let mut db = base.snapshot.restore()?;
         let mut folded = 0u64;
         while last != self.last_id {
             let next = list_artifact_ids(&self.dir, DELTA_PREFIX)?

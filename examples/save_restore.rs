@@ -55,8 +55,8 @@ fn main() -> Result<()> {
             .data
             .relations
             .iter()
-            .find(|r| r.schema.name() == "DEPARTMENT")
-            .map(|r| r.rows.len())
+            .find(|r| r.schema().name() == "DEPARTMENT")
+            .map(|r| r.rows().len())
             .unwrap_or(0)
     );
     std::fs::remove_file(&path).ok();

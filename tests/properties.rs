@@ -72,21 +72,29 @@ fn value_order_is_total_and_consistent() {
     }
 }
 
-/// `Value::Text` holds a shared `Arc<str>`; nothing that could observe the
-/// `String` it replaced may tell the difference: order, equality, hash,
-/// display and the codec's bytes are the string's own, whichever
-/// constructor built the value.
+/// `Value::Text` holds a short string in place and a long one as a shared
+/// `Arc<str>`; nothing that could observe the `String` it stands for may
+/// tell the difference: order, equality, hash, display and the codec's
+/// bytes are the string's own, whichever constructor built the value.
+/// Strings are drawn at byte lengths of 0 to 48 — a multibyte character
+/// may end past the mark, so some straddle the inline limit of 22 bytes —
+/// with NUL bytes among the characters. Half of the pairs share a prefix of
+/// up to 23 bytes and end near the limit, on one side of it or both, so
+/// that inline texts differing only past their first 16 bytes are
+/// compared too.
 #[test]
 fn text_values_behave_like_the_strings_they_hold() {
-    use penguin_vo::obs::json::assert_roundtrip;
+    use penguin_vo::obs::json::{assert_roundtrip, decode};
+    use std::borrow::Cow;
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
+    use std::sync::Arc;
     fn hash_of(hashed: impl Hash) -> u64 {
         let mut h = DefaultHasher::new();
         hashed.hash(&mut h);
         h.finish()
     }
-    const ALPHABET: [char; 12] = [
+    const ALPHABET: [char; 13] = [
         'a',
         'b',
         'Z',
@@ -96,39 +104,72 @@ fn text_values_behave_like_the_strings_they_hold() {
         '"',
         '\\',
         '\n',
+        '\0',
         'é',
         '√',
         '\u{1F427}',
     ];
+    fn grow(rng: &mut SmallRng, s: &mut String, bytes: usize) {
+        while s.len() < bytes {
+            s.push(ALPHABET[rng.gen_range(0..ALPHABET.len())]);
+        }
+    }
     let mut rng = SmallRng::seed_from_u64(0x7E87);
-    let mut arb_string = || -> String {
-        (0..rng.gen_range(0..7))
-            .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())])
-            .collect()
-    };
-    for _ in 0..512 {
-        let (a, b) = (arb_string(), arb_string());
+    let mut lengths = [0usize; 2];
+    for round in 0..2048 {
+        let mut a = String::new();
+        grow(&mut rng, &mut a, round % 49);
+        let mut b = String::new();
+        let bytes = if round % 2 == 0 {
+            // a prefix of `a` cut near the limit, then a tail of its own
+            // that ends near the limit too
+            let mut cut = a.len().min(14 + rng.gen_range(0..10));
+            while !a.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            b.push_str(&a[..cut]);
+            cut + rng.gen_range(0..12)
+        } else {
+            rng.gen_range(0..49)
+        };
+        grow(&mut rng, &mut b, bytes);
+        for s in [&a, &b] {
+            lengths[usize::from(s.len() > Text::INLINE)] += 1;
+        }
         let (va, vb) = (Value::text(a.as_str()), Value::text(b.as_str()));
         assert_eq!(va.cmp(&vb), a.cmp(&b), "{a:?} vs {b:?}");
-        assert_eq!(va == vb, a == b);
+        assert_eq!(va == vb, a == b, "{a:?} vs {b:?}");
         // the variant tag, then the string exactly as `String` hashes
         assert_eq!(hash_of(&va), hash_of((3u8, &a)));
         assert_eq!(va.to_string(), format!("'{a}'"));
+        assert_eq!(format!("{va:?}"), format!("Text({a:?})"));
         assert_eq!(va.as_text(), Some(a.as_str()));
         assert_eq!(encode(&va), Json::str(a.as_str()).compact());
         assert_roundtrip(&va);
         // one value, however it was built — and a clone is the same text
+        let shared: Arc<str> = a.as_str().into();
         for same in [
             Value::text(a.clone()),
+            Value::text(shared),
+            Value::text(Cow::Borrowed(a.as_str())),
+            Value::text(Cow::<str>::Owned(a.clone())),
             Value::from(a.as_str()),
             Value::from(a.clone()),
+            decode::<Value>(&encode(&va)).unwrap(),
             va.clone(),
         ] {
+            let Value::Text(text) = &same else {
+                panic!("{same:?} is not text");
+            };
+            assert_eq!(text.is_inline(), a.len() <= Text::INLINE, "{a:?}");
             assert_eq!(same, va);
+            assert_eq!(same.cmp(&vb), a.cmp(&b));
             assert_eq!(hash_of(&same), hash_of(&va));
             assert_eq!(encode(&same), encode(&va));
         }
     }
+    // both sides of the limit were drawn, and often
+    assert!(lengths.iter().all(|&n| n > 1000), "{lengths:?}");
 }
 
 // ---------------------------------------------------------------- codecs --

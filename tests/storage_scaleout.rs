@@ -175,6 +175,60 @@ fn delta_bit_flip_falls_back_to_segment_replay() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Flipping a byte's high bit leaves bytes that are not UTF-8, and the
+/// checksum still catches the flip before the bytes are taken for text: in
+/// a delta it breaks the chain, and recovery lands exactly where a low-bit
+/// flip of the same byte lands; in a base it is corruption, not an I/O
+/// error.
+#[test]
+fn high_bit_flip_is_corruption_not_an_io_error() {
+    let dir = tmp_dir("high_bit_flip");
+    let options = StoreOptions {
+        compaction: CompactionPolicy::never(),
+        ..StoreOptions::default()
+    };
+    let mut db = fresh_db();
+    let mut store = Store::create(&dir, &db, options).unwrap();
+    for k in 0..10 {
+        let op = insert_op(&db, k);
+        commit_one(&mut db, &mut store, op);
+        if k % 5 == 4 {
+            store.checkpoint(&db).unwrap(); // deltas #1 and #2
+        }
+    }
+    store.sync().unwrap();
+    drop(store);
+
+    let flipped = |path: &Path, mask: u8| {
+        let mut bytes = std::fs::read(path).unwrap();
+        let mid = bytes.len() / 2;
+        assert!(bytes[mid].is_ascii());
+        bytes[mid] ^= mask;
+        std::fs::write(path, &bytes).unwrap();
+    };
+    let delta = dir.join(&list(&dir, "delta-", ".json")[1]);
+    let pristine = std::fs::read(&delta).unwrap();
+    let mut opened = Vec::new();
+    for mask in [0x80, 0x01] {
+        std::fs::write(&delta, &pristine).unwrap();
+        flipped(&delta, mask);
+        let (_s, recovered, report) = Store::open(&dir, options).unwrap();
+        assert!(report.delta_chain_broken, "mask {mask:#04x}");
+        assert_eq!(fingerprint(&recovered), fingerprint(&db));
+        opened.push(report);
+    }
+    assert_eq!(opened[0], opened[1]);
+
+    std::fs::write(&delta, &pristine).unwrap();
+    let base = dir.join(&list(&dir, "base-", ".json")[0]);
+    flipped(&base, 0x80);
+    match Store::open(&dir, options) {
+        Err(StoreError::Corrupt(m)) => assert!(m.contains("checksum mismatch"), "{m}"),
+        other => panic!("expected Corrupt, got {:?}", other.map(|r| r.2)),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A kill between the delta-checkpoint write and segment retirement
 /// leaves both the delta and the "already covered" segments on disk —
 /// recovery skips the stale records by LSN. The converse kill (segment

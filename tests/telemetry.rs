@@ -336,6 +336,44 @@ fn exposition_text_passes_line_checker() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `store.recover` splits a recovery into its three phases — the base, the
+/// delta chain, the log tail — one field each, and together they fit in
+/// the span.
+#[test]
+fn store_recover_span_splits_base_deltas_and_log() {
+    let _serial = serial();
+    let dir = std::env::temp_dir().join(format!("vo_telemetry_recover_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    {
+        let mut p = Penguin::persistent(&dir, university_database().0).unwrap();
+        p.sql("INSERT INTO DEPARTMENT VALUES ('RC-D')").unwrap();
+        p.checkpoint().unwrap(); // a delta
+        p.sql("INSERT INTO DEPARTMENT VALUES ('RC-E')").unwrap(); // the log tail
+    }
+    let _scope = trace::start_trace();
+    trace::take();
+    let (_store, _db, report) = Store::open(&dir, StoreOptions::default()).unwrap();
+    assert!(report.deltas_applied == 1 && report.records_replayed >= 1);
+    let spans: Vec<_> = (trace::take().into_iter())
+        .filter(|e| e.name == "store.recover")
+        .collect();
+    assert_eq!(spans.len(), 1);
+    let span = &spans[0];
+    let phases: Vec<i64> = ["base_us", "deltas_us", "log_us"]
+        .into_iter()
+        .map(|f| match span.field(f) {
+            Some(Json::Int(us)) => *us,
+            other => panic!("{f}: {other:?}"),
+        })
+        .collect();
+    assert!(
+        phases.iter().sum::<i64>() <= span.dur_us as i64,
+        "{phases:?} within {} µs",
+        span.dur_us
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Recursively scan `dir` for tracer instrumentation sites and collect
 /// the span/event names they register.
 fn scan_span_names(dir: &Path, out: &mut BTreeSet<String>) {
