@@ -548,8 +548,7 @@ fn probe_step(
     let mut out = Vec::new();
     let access = if let Some(mut index) = target.index_at(&step.target_indices) {
         // Counter bumps are aggregated locally and recorded once per
-        // frontier pass: parallel workers otherwise serialize on the shared
-        // counter cache lines, one relaxed RMW per input tuple.
+        // frontier pass: one relaxed RMW per pass, not one per input tuple.
         let mut probes = 0u64;
         for &(origin, tuple) in inputs {
             let probed = index.visit(tuple, &step.source_indices, |m| {
@@ -863,69 +862,14 @@ fn edge_access_label(steps: &[ProfileNode]) -> String {
     }
 }
 
-// The parallel engine hands `&ObjectPlan` and the instances it builds
-// across worker threads; pin their thread-safety at compile time.
-const _: fn() = vo_exec::assert_send_sync::<ObjectPlan>;
-const _: fn() = vo_exec::assert_send_sync::<EdgePlan>;
-const _: fn() = vo_exec::assert_send_sync::<VoInstance>;
-
-/// Instantiate the object for every pivot in `pivots` on up to `workers`
-/// threads: the pivot set is split into contiguous chunks
-/// ([`vo_exec::partition`]), each chunk runs the batched probe pipeline
-/// ([`instantiate_many_planned`]) against the shared immutable database,
-/// and per-chunk results are concatenated in chunk order.
-///
-/// **Determinism:** pivot tuples are independent work units (each instance
-/// derives from exactly one pivot plus edge probes; per-parent terminal
-/// dedup never crosses pivots), and chunks are contiguous in pivot order,
-/// so the output is **identical — order and content — to the sequential
-/// path** at every worker count. `workers <= 1` (or fewer than two
-/// pivots) runs the sequential path inline with zero thread spawn.
-///
-/// Tracing: the fork point opens a `core.instantiate_parallel` span and
-/// hands its id to every worker ([`trace::link_parent`]), so each chunk's
-/// `core.instantiate` span — recorded into the shared collector at worker
-/// join — parents into the caller's tree and profiles stay coherent under
-/// parallelism.
-pub fn instantiate_many_parallel(
-    object: &ViewObject,
-    db: &Database,
-    plan: &ObjectPlan,
-    pivots: &[&Tuple],
-    workers: usize,
-) -> Result<Vec<VoInstance>> {
-    if workers <= 1 || pivots.len() < 2 {
-        return instantiate_many_planned(object, db, plan, pivots);
-    }
-    let mut sp = trace::span("core.instantiate_parallel");
-    let fork = trace::current_span_id();
-    let chunks = vo_exec::partition(pivots.len(), workers).len();
-    let instances = vo_exec::map_chunks(pivots, workers, |_, chunk| {
-        let _link = trace::link_parent(fork);
-        instantiate_planned_inner(object, db, plan, chunk, None)
-    })?;
-    if sp.is_recording() {
-        sp.field("object", Json::str(object.name()));
-        sp.field("pivots", Json::Int(pivots.len() as i64));
-        sp.field("workers", Json::Int(chunks as i64));
-        sp.field("instances", Json::Int(instances.len() as i64));
-    }
-    Ok(instances)
-}
-
-/// Assemble every instance of `object` (one per pivot tuple) on up to
-/// `workers` threads — the parallel counterpart of [`instantiate_all`].
-/// Output is identical to the sequential path at every worker count.
-pub fn instantiate_all_parallel(
-    schema: &StructuralSchema,
-    object: &ViewObject,
-    db: &Database,
-    workers: usize,
-) -> Result<Vec<VoInstance>> {
-    let plan = plan_object(schema, object, db)?;
-    let pivots: Vec<&Tuple> = db.table(object.pivot())?.scan().collect();
-    instantiate_many_parallel(object, db, &plan, &pivots, workers)
-}
+// The net server shares plans and the instances they build across its
+// worker threads; pin their thread-safety at compile time.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<ObjectPlan>();
+    send_sync::<EdgePlan>();
+    send_sync::<VoInstance>();
+};
 
 /// Plan and batch-instantiate in one call.
 pub fn instantiate_many(
@@ -1296,109 +1240,6 @@ mod tests {
             };
             assert_eq!(p.field("access").unwrap(), &Json::str(access));
         }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_at_every_worker_count() {
-        let (schema, mut db) = university_database();
-        db.insert(
-            "COURSES",
-            vec![
-                "X1".into(),
-                "Detached".into(),
-                "graduate".into(),
-                Value::Null,
-            ],
-        )
-        .unwrap();
-        for object in [
-            generate_omega(&schema).unwrap(),
-            generate_omega_prime(&schema).unwrap(),
-        ] {
-            let sequential = instantiate_all(&schema, &object, &db).unwrap();
-            for workers in [1usize, 2, 3, 7, 64] {
-                let parallel = instantiate_all_parallel(&schema, &object, &db, workers).unwrap();
-                assert_eq!(sequential, parallel, "object {} k={workers}", object.name());
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_worker_spans_parent_into_fork_span() {
-        let (schema, db) = university_database();
-        let omega = generate_omega(&schema).unwrap();
-        let plan = plan_object(&schema, &omega, &db).unwrap();
-        let pivots: Vec<&Tuple> = db.table("COURSES").unwrap().scan().collect();
-        let scope = vo_obs::trace::start_trace();
-        instantiate_many_parallel(&omega, &db, &plan, &pivots, 3).unwrap();
-        let me = vo_obs::trace::current_thread_id();
-        let evs = vo_obs::trace::events();
-        drop(scope);
-        // other tests may trace concurrently; our fork span is the one on
-        // this thread, and chunk spans are tied to it by parent id
-        let fork = evs
-            .iter()
-            .rfind(|e| e.thread == me && e.name == "core.instantiate_parallel")
-            .expect("fork span recorded");
-        assert_eq!(fork.field("object").unwrap(), &Json::str("omega"));
-        assert_eq!(fork.field("pivots").unwrap(), &Json::Int(3));
-        assert_eq!(fork.field("workers").unwrap(), &Json::Int(3));
-        assert_eq!(fork.field("instances").unwrap(), &Json::Int(3));
-        // every chunk's core.instantiate span links back to the fork span,
-        // each from its own worker thread
-        let chunks: Vec<_> = evs
-            .iter()
-            .filter(|e| e.name == "core.instantiate" && e.parent == Some(fork.id))
-            .collect();
-        assert_eq!(chunks.len(), 3, "one merged chunk span per worker");
-        let threads: std::collections::BTreeSet<u64> = chunks.iter().map(|e| e.thread).collect();
-        assert_eq!(threads.len(), 3);
-    }
-
-    #[test]
-    fn parallel_falls_back_to_sequential_inline() {
-        // workers=1 and tiny pivot sets must not spawn: the chunk span is
-        // recorded on the calling thread with no parallel fork span.
-        let (schema, db) = university_database();
-        let omega = generate_omega(&schema).unwrap();
-        let plan = plan_object(&schema, &omega, &db).unwrap();
-        let pivots: Vec<&Tuple> = db.table("COURSES").unwrap().scan().collect();
-        let one = &pivots[..1];
-        let scope = vo_obs::trace::start_trace();
-        instantiate_many_parallel(&omega, &db, &plan, one, 8).unwrap();
-        instantiate_many_parallel(&omega, &db, &plan, &pivots, 1).unwrap();
-        let me = vo_obs::trace::current_thread_id();
-        let mine: Vec<_> = vo_obs::trace::events()
-            .into_iter()
-            .filter(|e| e.thread == me)
-            .collect();
-        drop(scope);
-        assert!(mine.iter().any(|e| e.name == "core.instantiate"));
-        assert!(!mine.iter().any(|e| e.name == "core.instantiate_parallel"));
-    }
-
-    #[test]
-    fn parallel_handles_empty_pivot_set() {
-        let (schema, db) = university_database();
-        let omega = generate_omega(&schema).unwrap();
-        let plan = plan_object(&schema, &omega, &db).unwrap();
-        let none: Vec<&Tuple> = Vec::new();
-        assert!(instantiate_many_parallel(&omega, &db, &plan, &none, 4)
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
-    fn parallel_surfaces_plan_errors() {
-        // a plan prepared for one object used with another must fail the
-        // same way it does sequentially, from whichever chunk hits it
-        let (schema, db) = university_database();
-        let omega = generate_omega(&schema).unwrap();
-        let op = generate_omega_prime(&schema).unwrap();
-        let plan = plan_object(&schema, &op, &db).unwrap();
-        let pivots: Vec<&Tuple> = db.table("COURSES").unwrap().scan().collect();
-        let err = instantiate_many_parallel(&omega, &db, &plan, &pivots, 2).unwrap_err();
-        assert!(matches!(err, Error::InvalidPlan(_)), "got {err}");
     }
 
     #[test]

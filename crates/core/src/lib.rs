@@ -80,9 +80,8 @@ pub mod prelude {
     };
     pub use crate::instance::{
         assemble, follow_edge, follow_edge_batch, instantiate_all, instantiate_all_legacy,
-        instantiate_all_parallel, instantiate_many, instantiate_many_parallel,
-        instantiate_many_planned, instantiate_many_profiled, plan_edge, plan_object, EdgePlan,
-        InstanceBuilder, ObjectPlan, StepPlan, VoInstance, VoInstanceNode,
+        instantiate_many, instantiate_many_planned, instantiate_many_profiled, plan_edge,
+        plan_object, EdgePlan, InstanceBuilder, ObjectPlan, StepPlan, VoInstance, VoInstanceNode,
     };
     pub use crate::island::{analyze, IslandAnalysis, KeySplit};
     pub use crate::maintain::{
@@ -113,7 +112,6 @@ pub mod prelude {
     };
     pub use crate::update::validate::{validate_instance, LocalValidation};
     pub use crate::update::UpdateRequest;
-    pub use vo_exec::{available_parallelism, Parallelism};
     pub use vo_relational::prelude::*;
     pub use vo_structural::prelude::*;
 }

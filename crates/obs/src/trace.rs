@@ -17,16 +17,8 @@
 //! Span events are recorded at *close* time (children before parents);
 //! [`SpanEvent::parent`]/[`SpanEvent::depth`] let consumers rebuild the
 //! tree. Instant events ([`event_with`]) carry a zero duration and attach
-//! to the innermost open span of their thread.
-//!
-//! **Cross-thread parenting:** worker threads spawned inside a traced
-//! region start with an empty span stack, so their spans would come out
-//! parentless. A fork point captures [`current_span_id`] and each worker
-//! installs it with [`link_parent`]; spans and events opened while the
-//! worker's own stack is empty then record the linked id as their parent.
-//! Workers record into the same global collector (it is mutex-protected),
-//! so at join time the caller's span tree is already merged — consumers
-//! rebuild it across threads purely from the `parent` links.
+//! to the innermost open span of their thread. A span opened on a thread
+//! with no open span is the root of its own tree.
 
 use crate::json::Json;
 use std::cell::RefCell;
@@ -50,9 +42,6 @@ thread_local! {
     static STACK: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
     /// This thread's interned id.
     static THREAD_ID: u64 = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
-    /// Cross-thread parent link: the span id adopted as parent while this
-    /// thread's own stack is empty (see [`link_parent`]).
-    static PARENT_LINK: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
 }
 
 /// True while at least one [`TraceScope`] guard is alive. This is the
@@ -69,49 +58,18 @@ pub fn current_thread_id() -> u64 {
     THREAD_ID.with(|id| *id)
 }
 
-/// The id of the innermost open span on this thread (falling back to the
-/// installed parent link), or `None` outside any span. Capture this at a
-/// fork point and hand it to workers via [`link_parent`] so their spans
-/// parent into the caller's tree.
+/// The id of the innermost open span on this thread, or `None` outside
+/// any span.
 pub fn current_span_id() -> Option<u64> {
-    STACK
-        .with(|s| s.borrow().last().map(|&(id, _)| id))
-        .or_else(|| PARENT_LINK.with(std::cell::Cell::get))
-}
-
-/// Adopt `parent` (a span id from [`current_span_id`], usually captured
-/// on another thread) as the parent of spans and events opened while this
-/// thread's own span stack is empty. Restores the previous link on drop,
-/// so nested fork/join regions compose.
-#[must_use = "the link is removed when the guard is dropped"]
-#[derive(Debug)]
-pub struct ParentLinkGuard {
-    prev: Option<u64>,
-}
-
-impl Drop for ParentLinkGuard {
-    fn drop(&mut self) {
-        PARENT_LINK.with(|l| l.set(self.prev));
-    }
-}
-
-/// Install a cross-thread parent link for the lifetime of the guard.
-pub fn link_parent(parent: Option<u64>) -> ParentLinkGuard {
-    let prev = PARENT_LINK.with(|l| l.replace(parent));
-    ParentLinkGuard { prev }
+    STACK.with(|s| s.borrow().last().map(|&(id, _)| id))
 }
 
 /// The effective `(parent, root)` at open time for a new span or event
 /// with the given fresh id: the innermost open span of this thread (whose
-/// root is inherited), else the installed cross-thread link (which
-/// doubles as the root for the worker's subtree, so the whole fork groups
-/// under the caller's span id), else the new span is its own root.
+/// root is inherited), else the new span is its own root.
 fn effective_parent(stack: &[(u64, u64)], id: u64) -> (Option<u64>, u64) {
-    if let Some(&(pid, root)) = stack.last() {
-        return (Some(pid), root);
-    }
-    match PARENT_LINK.with(std::cell::Cell::get) {
-        Some(link) => (Some(link), link),
+    match stack.last() {
+        Some(&(pid, root)) => (Some(pid), root),
         None => (None, id),
     }
 }
@@ -144,8 +102,7 @@ pub struct SpanEvent {
     pub name: &'static str,
     /// Id of the enclosing span on the same thread, if any.
     pub parent: Option<u64>,
-    /// Id of the trace's top-level span (self for a root span). Worker
-    /// threads inherit the linked caller span's id as their subtree root.
+    /// Id of the trace's top-level span (self for a root span).
     /// This is the trace id every span and event of one top-level
     /// operation shares.
     pub root: u64,
@@ -508,85 +465,13 @@ mod tests {
     }
 
     #[test]
-    fn worker_spans_link_into_callers_tree() {
+    fn roots_propagate_through_nesting() {
         let _serial = serial();
         let _scope = start_trace();
-        let worker_thread;
-        {
-            let _outer = span("test.link_outer");
-            let parent = current_span_id();
-            assert!(parent.is_some());
-            worker_thread = std::thread::spawn(move || {
-                let _link = link_parent(parent);
-                {
-                    let _inner = span("test.link_inner");
-                    event_with("test.link_event", Vec::new);
-                }
-                current_thread_id()
-            })
-            .join()
-            .unwrap();
-        }
-        let me = current_thread_id();
-        let evs = events();
-        let outer = evs
-            .iter()
-            .find(|e| e.thread == me && e.name == "test.link_outer")
-            .unwrap();
-        let inner = evs
-            .iter()
-            .find(|e| e.thread == worker_thread && e.name == "test.link_inner")
-            .unwrap();
-        let instant = evs
-            .iter()
-            .find(|e| e.thread == worker_thread && e.name == "test.link_event")
-            .unwrap();
-        // the worker's span parents into the caller's open span, and the
-        // worker's own nesting continues beneath it
-        assert_eq!(inner.parent, Some(outer.id));
-        assert_eq!(instant.parent, Some(inner.id));
-    }
-
-    #[test]
-    fn parent_link_restores_on_drop() {
-        let _serial = serial();
-        let _scope = start_trace();
-        {
-            let _a = link_parent(Some(999_991));
-            assert_eq!(current_span_id(), Some(999_991));
-            {
-                let _b = link_parent(Some(999_997));
-                assert_eq!(current_span_id(), Some(999_997));
-            }
-            assert_eq!(current_span_id(), Some(999_991));
-            // an open span shadows the link
-            {
-                let _s = span("test.link_shadow");
-                assert_ne!(current_span_id(), Some(999_991));
-            }
-        }
-        assert_eq!(current_span_id(), None);
-    }
-
-    #[test]
-    fn roots_propagate_through_nesting_and_links() {
-        let _serial = serial();
-        let _scope = start_trace();
-        let worker_thread;
         {
             let _outer = span("test.root_outer");
-            let parent = current_span_id();
-            {
-                let _mid = span("test.root_mid");
-                event_with("test.root_event", Vec::new);
-            }
-            worker_thread = std::thread::spawn(move || {
-                let _link = link_parent(parent);
-                let _w = span("test.root_worker");
-                current_thread_id()
-            })
-            .join()
-            .unwrap();
+            let _mid = span("test.root_mid");
+            event_with("test.root_event", Vec::new);
         }
         let evs = events();
         let me = current_thread_id();
@@ -604,12 +489,6 @@ mod tests {
                 .unwrap();
             assert_eq!(e.root, outer.id, "{name}");
         }
-        // a linked worker subtree groups under the linked caller span
-        let w = evs
-            .iter()
-            .find(|e| e.thread == worker_thread && e.name == "test.root_worker")
-            .unwrap();
-        assert_eq!(w.root, outer.id);
     }
 
     #[test]

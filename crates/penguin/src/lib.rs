@@ -37,8 +37,24 @@ pub use generator::{
 pub use registry::RegisteredObject;
 pub use session::Session;
 pub use system::{Penguin, WatchId, SYSTEM_FILE};
-pub use vo_exec::{available_parallelism, Parallelism};
 pub use vo_store::{
     CheckpointPolicy, CompactionPolicy, CompactionReport, RecoveryReport, StoreOptions, SyncPolicy,
 };
 pub use voql::{parse as parse_voql, run as run_voql, VoqlOutcome, VoqlStatement};
+
+/// The worker count the benchmark's `exec.workers` row reads. Every
+/// instantiation and checkpoint runs on its calling thread, so
+/// [`Parallelism::workers_for`] is always 1. Nothing in the product reads
+/// it; it goes when the benchmark drops that row (ROADMAP item 1e).
+#[derive(Debug, Clone, Copy)]
+pub enum Parallelism {
+    /// The only setting: one worker.
+    Auto,
+}
+
+impl Parallelism {
+    /// One worker, whatever the number of work items.
+    pub fn workers_for(&self, _items: usize) -> usize {
+        1
+    }
+}

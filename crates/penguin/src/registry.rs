@@ -13,7 +13,6 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use vo_core::prelude::*;
-use vo_exec::Parallelism;
 use vo_obs::metrics::{self, Counter};
 
 /// Access plans built: one per registration, one per object each time
@@ -186,19 +185,12 @@ impl Registry {
     }
 
     /// All instances of an object, via its registered plan (batched, one
-    /// join pass per edge step), parallelized across contiguous pivot
-    /// partitions. Every worker shares the plan immutably, so the hot
-    /// path takes no lock.
-    pub(crate) fn instantiate_all(
-        &self,
-        db: &Database,
-        parallelism: Parallelism,
-        name: &str,
-    ) -> Result<Vec<VoInstance>> {
+    /// join pass per edge step). Readers on several threads share the plan
+    /// immutably, so the hot path takes no lock.
+    pub(crate) fn instantiate_all(&self, db: &Database, name: &str) -> Result<Vec<VoInstance>> {
         let reg = self.served(name, db)?;
         let pivots: Vec<&Tuple> = db.table(reg.object.pivot())?.scan().collect();
-        let workers = parallelism.workers_for(pivots.len());
-        instantiate_many_parallel(&reg.object, db, &reg.plan, &pivots, workers)
+        instantiate_many_planned(&reg.object, db, &reg.plan, &pivots)
     }
 
     /// Instantiate all of an object's instances and return the operator

@@ -40,7 +40,6 @@ use crate::registry::{RegisteredObject, Registry};
 use crate::voql::{self, VoqlOutcome, VoqlStatement};
 use std::sync::Arc;
 use vo_core::prelude::*;
-use vo_exec::Parallelism;
 
 /// An immutable, thread-shareable view of a [`crate::system::Penguin`]
 /// pinned at one committed database version.
@@ -54,24 +53,18 @@ use vo_exec::Parallelism;
 pub struct Session {
     registry: Arc<Registry>,
     snapshot: DbSnapshot,
-    parallelism: Parallelism,
 }
 
 // a Session's whole point is crossing threads; fail the build if a field
 // ever stops being shareable
-const _: fn() = vo_exec::assert_send_sync::<Session>;
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Session>();
+};
 
 impl Session {
-    pub(crate) fn pin(
-        registry: Arc<Registry>,
-        snapshot: DbSnapshot,
-        parallelism: Parallelism,
-    ) -> Self {
-        Session {
-            registry,
-            snapshot,
-            parallelism,
-        }
+    pub(crate) fn pin(registry: Arc<Registry>, snapshot: DbSnapshot) -> Self {
+        Session { registry, snapshot }
     }
 
     /// The committed database version this session is pinned at.
@@ -94,11 +87,6 @@ impl Session {
         self.registry.schema()
     }
 
-    /// The instantiation-parallelism setting inherited at pin time.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
     /// Names of all objects registered when the session was pinned.
     pub fn object_names(&self) -> Vec<&str> {
         self.registry.object_names()
@@ -113,8 +101,7 @@ impl Session {
     /// counterpart of [`crate::system::Penguin::instantiate_all`], without
     /// any lock held during instantiation.
     pub fn instantiate_all(&self, name: &str) -> Result<Vec<VoInstance>> {
-        self.registry
-            .instantiate_all(self.database(), self.parallelism, name)
+        self.registry.instantiate_all(self.database(), name)
     }
 
     /// Execute a query on an object at the pinned version.

@@ -17,7 +17,6 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use vo_core::prelude::*;
-use vo_exec::Parallelism;
 use vo_obs::health::{HealthPolicy, HealthStatus};
 use vo_obs::metrics::{self, Counter};
 use vo_store::{RecoveryReport, Store};
@@ -37,11 +36,6 @@ pub struct Penguin {
     /// in it is current for `db` whenever a `&mut self` call returns.
     registry: Arc<Registry>,
     db: Database,
-    /// Degree of parallelism for pivot-partitioned instantiation.
-    /// Defaults to the `VO_PARALLELISM` environment knob when set,
-    /// [`Parallelism::Auto`] otherwise; [`Penguin::set_parallelism`]
-    /// overrides both. Output is identical at every setting.
-    parallelism: Parallelism,
     /// Durable backing store ([`Penguin::persistent`] / [`Penguin::open`]);
     /// `None` for in-memory systems. When present, the database's commit
     /// journal is enabled and every successful mutating facade call reads
@@ -70,7 +64,10 @@ pub struct Penguin {
 // The facade is single-writer (`Cell` interior state, so not `Sync`) but
 // must cross threads by move: a network server owns it behind a mutex on
 // its own thread. Fail the build if a field ever stops being sendable.
-const _: fn() = vo_exec::assert_send::<Penguin>;
+const _: () = {
+    const fn send<T: Send>() {}
+    send::<Penguin>();
+};
 
 impl Clone for Penguin {
     /// Clone the in-memory system. The durable store handle is *not*
@@ -86,7 +83,6 @@ impl Clone for Penguin {
         Penguin {
             registry: Arc::clone(&self.registry),
             db,
-            parallelism: self.parallelism,
             store: None,
             wal_cursor: None,
             recovery: self.recovery,
@@ -111,7 +107,6 @@ impl Penguin {
         Penguin {
             registry: Arc::new(Registry::new(schema)),
             db,
-            parallelism: Parallelism::from_env().unwrap_or_default(),
             store: None,
             wal_cursor: None,
             recovery: None,
@@ -131,21 +126,6 @@ impl Penguin {
     /// The head of the definition-time registry.
     pub(crate) fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// The current instantiation-parallelism setting.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// Set the degree of parallelism for instantiation: `Off` always runs
-    /// the sequential engine, `Fixed(n)` uses exactly `n` workers, `Auto`
-    /// (the default) uses every available core on large pivot sets and
-    /// falls back to sequential on small ones. Purely a performance knob —
-    /// results are identical at every setting.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) -> &mut Self {
-        self.parallelism = parallelism;
-        self
     }
 
     /// The database (read access).
@@ -274,11 +254,9 @@ impl Penguin {
     }
 
     /// All instances of an object, via its registered plan (batched, one
-    /// join pass per edge step), parallelized across contiguous pivot
-    /// partitions per the [`Penguin::set_parallelism`] knob.
+    /// join pass per edge step).
     pub fn instantiate_all(&self, name: &str) -> Result<Vec<VoInstance>> {
-        self.registry
-            .instantiate_all(&self.db, self.parallelism, name)
+        self.registry.instantiate_all(&self.db, name)
     }
 
     /// Instantiate all of an object's instances and return the structured
@@ -377,11 +355,7 @@ impl Penguin {
     /// `Arc` clones plus O(relations).
     pub fn session(&self) -> Session {
         sessions_opened().inc();
-        Session::pin(
-            Arc::clone(&self.registry),
-            self.db.snapshot(),
-            self.parallelism,
-        )
+        Session::pin(Arc::clone(&self.registry), self.db.snapshot())
     }
 
     /// Commit a batch prepared against a pinned snapshot, validating it
@@ -606,28 +580,6 @@ mod tests {
         let text = prof.render();
         assert!(text.contains("access=index probe"));
         assert!(text.contains("rows_out=3"));
-    }
-
-    #[test]
-    fn parallelism_knob_is_output_invariant() {
-        let mut p = system();
-        p.define_object(
-            "omega",
-            "COURSES",
-            &["DEPARTMENT", "CURRICULUM", "GRADES", "STUDENT"],
-        )
-        .unwrap();
-        p.set_parallelism(Parallelism::Off);
-        let sequential = p.instantiate_all("omega").unwrap();
-        for knob in [
-            Parallelism::Fixed(2),
-            Parallelism::Fixed(7),
-            Parallelism::Auto,
-        ] {
-            p.set_parallelism(knob);
-            assert_eq!(p.parallelism(), knob);
-            assert_eq!(p.instantiate_all("omega").unwrap(), sequential, "{knob:?}");
-        }
     }
 
     #[test]

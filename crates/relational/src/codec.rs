@@ -255,30 +255,6 @@ impl<'a> OpEntries<'a> {
     }
 }
 
-impl RelationSnapshot {
-    /// Append the compact encoding, each key-range partition of the rows
-    /// written independently over `workers` threads and joined in key
-    /// order: the same bytes at every worker count.
-    pub(crate) fn write_json_with(&self, out: &mut String, workers: usize) {
-        let mut o = ObjectWriter::new(out);
-        o.entry("schema", &self.schema);
-        let fragments = vo_exec::map_chunks(&self.rows, workers.max(1), |_, chunk| {
-            let mut s = String::new();
-            for (j, (_, t)) in chunk.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                t.write_json(&mut s);
-            }
-            Ok::<_, Error>(vec![s])
-        })
-        .expect("row encoding cannot fail");
-        write_list_with(fragments, o.key("rows"), |rows, out| out.push_str(&rows));
-        o.entry("indexes", &self.indexes);
-        o.finish();
-    }
-}
-
 /// The one snapshot decoder: each row is checked against the schema and
 /// keyed as it is read. Rows that come before their schema are kept as
 /// their checked text ([`Deferred`], as a [`DbOp`]'s early entries are) and
@@ -287,7 +263,11 @@ impl JsonCodec for RelationSnapshot {
     type Error = Error;
 
     fn write_json(&self, out: &mut String) {
-        self.write_json_with(out, 1);
+        let mut o = ObjectWriter::new(out);
+        o.entry("schema", &self.schema);
+        write_list(self.rows(), o.key("rows"));
+        o.entry("indexes", &self.indexes);
+        o.finish();
     }
 
     fn read_json(r: &mut Reader<'_>) -> Result<Self> {
@@ -344,35 +324,11 @@ fn keyed_rows(r: &mut Reader<'_>, schema: &RelationSchema) -> Result<Vec<(Key, T
     Ok(rows)
 }
 
-impl DatabaseSnapshot {
-    /// Append the compact encoding, each relation's rows written per
-    /// key-range partition over `workers` threads: the same bytes as
-    /// [`JsonCodec::write_json`] at every worker count.
-    pub fn write_json_with(&self, out: &mut String, workers: usize) {
-        let mut o = ObjectWriter::new(out);
-        write_list_with(&self.relations, o.key("relations"), |rel, out| {
-            rel.write_json_with(out, workers)
-        });
-        // the pinned version, so MVCC stamps survive checkpoint/recovery
-        o.entry("version", &self.version);
-        o.finish();
-    }
-}
-
-/// Read from a checkpoint's text, the rows of each relation become valid,
-/// keyed tuples one at a time — the recovery decode path, and all that
-/// [`DatabaseSnapshot::restore`] installs.
-impl JsonCodec for DatabaseSnapshot {
-    type Error = Error;
-
-    fn write_json(&self, out: &mut String) {
-        self.write_json_with(out, 1);
-    }
-
-    fn read_json(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(json_struct!(@read r, DatabaseSnapshot { relations, version }))
-    }
-}
+// Read from a checkpoint's text, the rows of each relation become valid,
+// keyed tuples one at a time — the recovery decode path, and all that
+// `DatabaseSnapshot::restore` installs. `version` is the pinned version, so
+// MVCC stamps survive checkpoint/recovery.
+json_struct!(DatabaseSnapshot { relations, version }, Error);
 
 json_struct!(
     RelationDelta {

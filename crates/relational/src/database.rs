@@ -379,9 +379,12 @@ pub struct Database {
     journal_cap: Option<JournalCap>,
 }
 
-// Parallel instantiation shares `&Database` across worker threads; a
-// future `Rc`/`RefCell`/raw-pointer field must fail to compile, not race.
-const _: fn() = vo_exec::assert_send_sync::<Database>;
+// The net server shares `&Database` across its worker threads; a future
+// `Rc`/`RefCell`/raw-pointer field must fail to compile, not race.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Database>();
+};
 
 impl Database {
     /// An empty database.
@@ -853,7 +856,10 @@ pub struct DbSnapshot {
 }
 
 // Session readers hold snapshots across worker threads.
-const _: fn() = vo_exec::assert_send_sync::<DbSnapshot>;
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<DbSnapshot>();
+};
 
 impl DbSnapshot {
     /// The committed version this snapshot pins.

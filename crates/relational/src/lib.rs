@@ -76,7 +76,7 @@ pub mod prelude {
     pub use crate::sql::SqlOutcome;
     pub use crate::stats::InstrumentationSnapshot;
     pub use crate::storage::{DatabaseSnapshot, RelationDelta, RelationSnapshot, SnapshotDelta};
-    pub use crate::table::{KeyRange, Table};
+    pub use crate::table::Table;
     pub use crate::tuple::{Key, Tuple};
     pub use crate::value::{DataType, Text, Value};
     pub use vo_obs::profile::ProfileNode;

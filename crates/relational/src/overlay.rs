@@ -190,7 +190,7 @@ pub struct DeltaDb<'base> {
     ops: Vec<DbOp>,
     /// Relations read through [`DeltaDb::view`]. Interior-mutable because
     /// reads take `&self`; a `Mutex` (not `RefCell`) keeps the overlay
-    /// `Sync` for the parallel instantiation workers.
+    /// `Sync`.
     reads: Mutex<BTreeSet<String>>,
 }
 
@@ -205,11 +205,14 @@ impl Clone for DeltaDb<'_> {
     }
 }
 
-// Overlays borrow a shared `&Database` and may be built per worker on top
-// of it; keep them (and the views they hand out) thread-safe by
+// Overlays borrow a shared `&Database`, which the net server's worker
+// threads share; keep them (and the views they hand out) thread-safe by
 // construction for any base lifetime.
-const _: fn() = vo_exec::assert_send_sync::<DeltaDb<'static>>;
-const _: fn() = vo_exec::assert_send_sync::<TableView<'static>>;
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<DeltaDb<'static>>();
+    send_sync::<TableView<'static>>();
+};
 
 impl<'base> DeltaDb<'base> {
     /// An empty overlay over `base`.

@@ -11,9 +11,10 @@
 //!
 //! ## Concurrency contract (relaxed ordering)
 //!
-//! Every counter is an `AtomicU64` bumped with `Ordering::Relaxed` — the
-//! parallel instantiation workers increment them concurrently with no
-//! synchronization beyond the atomic itself. What that buys, and what it
+//! Every counter is an `AtomicU64` bumped with `Ordering::Relaxed` —
+//! concurrent readers (the net server's worker threads, each instantiating
+//! on its own pinned session) increment them with no synchronization
+//! beyond the atomic itself. What that buys, and what it
 //! doesn't:
 //!
 //! - **Per-counter monotonicity.** Increments are atomic read-modify-write
@@ -100,8 +101,8 @@ pub fn count_index_probe() {
 }
 
 /// Record `n` index-answered lookups in one bump. The set-at-a-time
-/// engine aggregates per frontier pass so parallel workers touch the
-/// shared counter cache line once per step, not once per tuple.
+/// engine aggregates per frontier pass, so it touches the shared counter
+/// once per step, not once per tuple.
 pub fn count_index_probes(n: u64) {
     index_probes().add(n);
 }

@@ -10,12 +10,11 @@
 //! from one, restored through the table primitive `install` uses.
 
 use crate::database::Database;
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::overlay::{Delta, KeyedRows};
 use crate::schema::RelationSchema;
 use crate::table::Table;
 use crate::tuple::{Key, Tuple};
-use vo_exec::map_chunks;
 
 /// One relation's image: schema, rows in key order, and the attribute
 /// lists of its secondary indexes.
@@ -77,34 +76,18 @@ impl DatabaseSnapshot {
     /// equivalent, not just content-equivalent. This is the checkpoint
     /// image `vo-store` persists.
     pub fn capture_full(db: &Database) -> Self {
-        Self::capture_full_with(db, 1)
-    }
-
-    /// [`DatabaseSnapshot::capture_full`] fanned out over `workers`
-    /// threads: each relation is split into contiguous key-range
-    /// partitions ([`Table::key_ranges`]) and the partitions are captured
-    /// through [`vo_exec::map_chunks`]. The merge concatenates partitions
-    /// in key order, so the snapshot is identical at every worker count.
-    pub fn capture_full_with(db: &Database, workers: usize) -> Self {
-        let mut relations = Vec::new();
-        for name in db.relation_names() {
-            let table = db.table(name).expect("listed");
-            let ranges = table.key_ranges(workers.max(1));
-            let rows = map_chunks(&ranges, workers.max(1), |_, chunk| {
-                Ok::<_, Error>(
-                    (chunk.iter())
-                        .flat_map(|r| table.scan_range(r))
+        let relations = (db.relation_names().into_iter())
+            .map(|name| {
+                let table = db.table(name).expect("listed");
+                RelationSnapshot {
+                    schema: table.schema().clone(),
+                    rows: (table.scan_entries())
                         .map(|(key, tuple)| (key.clone(), tuple.clone()))
                         .collect(),
-                )
+                    indexes: table.index_attrs(),
+                }
             })
-            .expect("range capture cannot fail");
-            relations.push(RelationSnapshot {
-                schema: table.schema().clone(),
-                rows,
-                indexes: table.index_attrs(),
-            });
-        }
+            .collect();
         DatabaseSnapshot {
             relations,
             version: db.version(),
@@ -209,6 +192,7 @@ impl SnapshotDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::json::{decode, encode};
     use crate::schema::AttributeDef;
     use crate::value::{DataType, Value};
@@ -355,35 +339,12 @@ mod tests {
     }
 
     #[test]
-    fn key_ranges_cover_and_partition_the_key_space() {
-        let db = wide_sample(23);
-        let table = db.table("T").unwrap();
-        for parts in [1, 2, 3, 7, 64] {
-            let ranges = table.key_ranges(parts);
-            assert!(ranges.len() <= parts.max(1));
-            assert_eq!(ranges.first().unwrap().start, None);
-            assert_eq!(ranges.last().unwrap().end, None);
-            let stitched: Vec<_> = ranges.iter().flat_map(|r| table.scan_range(r)).collect();
-            let full: Vec<_> = table.scan_entries().collect();
-            assert_eq!(stitched, full, "parts={parts}");
-        }
-    }
-
-    #[test]
-    fn partitioned_capture_and_encode_are_worker_count_invariant() {
+    fn full_capture_restores_indexes_and_reads_back() {
         let db = wide_sample(37);
         let baseline = DatabaseSnapshot::capture_full(&db);
-        let text = encode(&baseline);
-        for workers in [1, 2, 3, 8] {
-            assert_eq!(DatabaseSnapshot::capture_full_with(&db, workers), baseline);
-            let mut written = String::new();
-            baseline.write_json_with(&mut written, workers);
-            assert_eq!(written, text, "workers={workers}");
-        }
         let restored = baseline.clone().restore().unwrap();
         assert_eq!(DatabaseSnapshot::capture_full(&restored), baseline);
         assert!(restored.table("T").unwrap().has_index(&["v".to_string()]));
-        // and it reads back
         crate::json::assert_roundtrip(&baseline);
     }
 

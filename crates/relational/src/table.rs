@@ -26,20 +26,12 @@ pub struct Table {
     indexes: HashMap<Vec<usize>, SecondaryIndex>,
 }
 
-// Tables (rows + secondary indexes) are probed concurrently by the
-// parallel instantiation workers through `&Database`.
-const _: fn() = vo_exec::assert_send_sync::<Table>;
-
-/// A contiguous primary-key range: `start` inclusive, `end` exclusive,
-/// `None` meaning unbounded on that side. Produced by
-/// [`Table::key_ranges`] and consumed by [`Table::scan_range`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KeyRange {
-    /// Inclusive lower bound, or the start of the key space.
-    pub start: Option<Key>,
-    /// Exclusive upper bound, or the end of the key space.
-    pub end: Option<Key>,
-}
+// Tables (rows + secondary indexes) are probed concurrently by the net
+// server's worker threads through `&Database`.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Table>();
+};
 
 /// One secondary index: indexed values to the keys of the tuples holding
 /// them.
@@ -410,59 +402,6 @@ impl Table {
         self.rows.iter()
     }
 
-    /// Split the primary-key order into `parts` contiguous, near-equal
-    /// key ranges — `vo-exec`'s pivot partitioning generalized to
-    /// storage. Ranges are half-open (`start` inclusive, `end`
-    /// exclusive), cover the whole key space (first/last are unbounded),
-    /// and concatenating [`Table::scan_range`] over them in order yields
-    /// exactly [`Table::scan`]. Checkpoint capture and encoding fan out
-    /// one worker per range; because the ranges are a
-    /// function of the key order alone, the merged output is
-    /// byte-identical at every worker count.
-    pub fn key_ranges(&self, parts: usize) -> Vec<KeyRange> {
-        let slices = vo_exec::partition(self.rows.len(), parts.max(1));
-        if slices.is_empty() {
-            return vec![KeyRange {
-                start: None,
-                end: None,
-            }];
-        }
-        let keys: Vec<&Key> = self.rows.keys().collect();
-        slices
-            .iter()
-            .map(|r| KeyRange {
-                start: if r.start == 0 {
-                    None
-                } else {
-                    Some(keys[r.start].clone())
-                },
-                end: if r.end >= keys.len() {
-                    None
-                } else {
-                    Some(keys[r.end].clone())
-                },
-            })
-            .collect()
-    }
-
-    /// Iterate the `(key, tuple)` pairs whose key falls inside `range`, in
-    /// key order.
-    pub fn scan_range<'a>(
-        &'a self,
-        range: &KeyRange,
-    ) -> impl Iterator<Item = (&'a Key, &'a Tuple)> + 'a {
-        use std::ops::Bound;
-        let lo = match &range.start {
-            Some(k) => Bound::Included(k.clone()),
-            None => Bound::Unbounded,
-        };
-        let hi = match &range.end {
-            Some(k) => Bound::Excluded(k.clone()),
-            None => Bound::Unbounded,
-        };
-        self.rows.range((lo, hi))
-    }
-
     /// Bulk-build a table from already-validated, keyed rows in strictly
     /// ascending key order — a snapshot's rows, which its decoder validated,
     /// keyed and ordered as it read them. No secondary indexes; create them
@@ -532,9 +471,8 @@ impl Table {
     ///
     /// Probing through the returned handle does **not** bump the
     /// access-path counters — batched callers probe once per frontier
-    /// tuple from concurrent workers, and a per-probe bump on the shared
-    /// counter cache line would serialize them; they aggregate locally and
-    /// record one bulk count per frontier pass instead
+    /// tuple, and rather than one atomic bump per probe they aggregate
+    /// locally and record one bulk count per frontier pass
     /// ([`crate::stats::count_index_probes`]), a key range counting as the
     /// one probe it is.
     pub fn index_at<'t, 'i>(&'t self, indices: &'i [usize]) -> Option<IndexProbe<'t, 'i>> {

@@ -20,8 +20,11 @@ use std::sync::Arc;
 pub struct Tuple(Arc<[Value]>);
 
 // Rows are shared between the head database, pinned snapshots and the
-// parallel instantiation workers.
-const _: fn() = vo_exec::assert_send_sync::<Tuple>;
+// net server's worker threads.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Tuple>();
+};
 
 impl Tuple {
     /// Build a tuple validated against `schema`: arity, types, and

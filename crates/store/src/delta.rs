@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 
 use crate::crc32::crc32;
 use crate::error::{StoreError, StoreResult};
-use vo_relational::json::{decode, encode, json_struct, JsonCodec, ObjectWriter, Reader};
+use vo_relational::json::{decode, encode, json_struct, JsonCodec};
 use vo_relational::storage::{DatabaseSnapshot, SnapshotDelta};
 
 /// File name prefix for base checkpoints (`base-000001.json`).
@@ -144,24 +144,9 @@ impl BaseCheckpoint {
         artifact_file_name(BASE_PREFIX, id)
     }
 
-    /// Append the compact encoding, the snapshot's rows written over up to
-    /// `workers` parallel workers (byte-identical at any worker count).
-    fn write_json_with(&self, out: &mut String, workers: usize) {
-        let mut o = ObjectWriter::new(out);
-        o.entry("id", &self.id);
-        o.entry("lsn", &self.lsn);
-        o.entry("epoch", &self.epoch);
-        self.snapshot.write_json_with(o.key("snapshot"), workers);
-        o.finish();
-    }
-
-    /// Atomically persist into `dir`, encoding the snapshot with up to
-    /// `workers` parallel workers (byte-identical at any worker count).
-    /// Returns bytes written.
-    pub fn write(&self, dir: &Path, workers: usize) -> StoreResult<u64> {
-        let mut body = String::new();
-        self.write_json_with(&mut body, workers);
-        write_artifact(dir, &Self::file_name(self.id), &body)
+    /// Atomically persist into `dir`. Returns bytes written.
+    pub fn write(&self, dir: &Path) -> StoreResult<u64> {
+        write_artifact(dir, &Self::file_name(self.id), &encode(self))
     }
 
     /// Load `base-<id>.json` from `dir`, its rows decoded one at a time
@@ -173,19 +158,15 @@ impl BaseCheckpoint {
     }
 }
 
-/// [`BaseCheckpoint::write`] fans the snapshot's rows out over workers;
-/// the decoder is the field list.
-impl JsonCodec for BaseCheckpoint {
-    type Error = StoreError;
-
-    fn write_json(&self, out: &mut String) {
-        self.write_json_with(out, 1);
-    }
-
-    fn read_json(r: &mut Reader<'_>) -> StoreResult<Self> {
-        Ok(json_struct!(@read r, BaseCheckpoint { id, lsn, epoch, snapshot }))
-    }
-}
+json_struct!(
+    BaseCheckpoint {
+        id,
+        lsn,
+        epoch,
+        snapshot
+    },
+    StoreError
+);
 
 /// Net changes since the previous artifact, chained by id.
 #[derive(Debug, Clone, PartialEq)]
@@ -296,7 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn base_round_trips_and_workers_are_byte_invariant() {
+    fn base_round_trips() {
         let dir = tmp_dir("base");
         let db = sample_db();
         let base = BaseCheckpoint {
@@ -305,12 +286,8 @@ mod tests {
             epoch: db.structure_epoch(),
             snapshot: DatabaseSnapshot::capture_full(&db),
         };
-        let n1 = base.write(&dir, 1).unwrap();
-        let one = std::fs::read(base_path_in(&dir, 1)).unwrap();
-        let n4 = base.write(&dir, 4).unwrap();
-        let four = std::fs::read(base_path_in(&dir, 1)).unwrap();
-        assert_eq!(one, four, "artifact bytes must not depend on worker count");
-        assert_eq!(n1, n4);
+        let n = base.write(&dir).unwrap();
+        assert_eq!(n, std::fs::metadata(base_path_in(&dir, 1)).unwrap().len());
         let loaded = BaseCheckpoint::load(&dir, 1).unwrap();
         assert_eq!(loaded, base);
         vo_relational::json::assert_roundtrip(&base);
@@ -327,7 +304,7 @@ mod tests {
             epoch: 0,
             snapshot: DatabaseSnapshot::capture_full(&db),
         };
-        base.write(&dir, 1).unwrap();
+        base.write(&dir).unwrap();
         let path = base_path_in(&dir, 1);
         let mut bytes = std::fs::read(&path).unwrap();
         // Flip one bit inside a row value: still valid JSON, but the

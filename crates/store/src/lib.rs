@@ -29,12 +29,10 @@
 //!   the intact log tail, and truncates a torn final record
 //!   (*truncate-at-corruption*). Artifacts and log records are decoded
 //!   straight off their text, row by row, and a log record the
-//!   checkpoints cover is not decoded at all; base encoding and table
-//!   rebuilds fan out per key-range partition via `vo_exec`,
-//!   byte-identical at every worker count. This is the only on-disk layout: a
-//!   pre-segmentation directory (`checkpoint.json` + `wal.log`) is
-//!   refused with [`StoreError::UnsupportedLayout`], never opened as
-//!   an empty database.
+//!   checkpoints cover is not decoded at all. This is the only on-disk
+//!   layout: a pre-segmentation directory (`checkpoint.json` +
+//!   `wal.log`) is refused with [`StoreError::UnsupportedLayout`], never
+//!   opened as an empty database.
 //!
 //! The `vo-penguin` facade builds `Penguin::persistent` / `Penguin::open`
 //! on top: every successful translated update is drained from the

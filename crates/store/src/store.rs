@@ -43,10 +43,9 @@
 //! read through `vo_relational::json::Reader` straight into tuples and
 //! ops — a base's rows validated and keyed as they are read, then
 //! installed as they are — and a log record at or below the covered LSN
-//! is not decoded at all. Artifacts are **byte-identical at every
-//! parallelism level**: base capture and encoding fan out per key-range
-//! partition via `vo_exec::map_chunks`, whose contiguous deterministic
-//! partitioning keeps them independent of worker count.
+//! is not decoded at all. A base is captured and encoded in one pass over
+//! each table in key order, so the same database always writes the same
+//! bytes.
 
 use crate::delta::{
     base_path_in, list_artifact_ids, BaseCheckpoint, DeltaCheckpoint, BASE_PREFIX, DELTA_PREFIX,
@@ -57,7 +56,6 @@ use crate::wal::SyncPolicy;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use std::time::Instant;
-use vo_exec::Parallelism;
 use vo_obs::metrics::{self, Counter, Gauge, Histogram};
 use vo_obs::trace;
 use vo_relational::database::{Database, DbOp};
@@ -205,9 +203,6 @@ pub struct StoreOptions {
     pub max_segment_bytes: u64,
     /// When checkpoints are promoted to full bases (compaction).
     pub compaction: CompactionPolicy,
-    /// Worker fan-out for base checkpoint capture and encoding. Artifacts
-    /// are byte-identical at every setting.
-    pub parallelism: Parallelism,
 }
 
 impl Default for StoreOptions {
@@ -217,7 +212,6 @@ impl Default for StoreOptions {
             checkpoint: CheckpointPolicy::default(),
             max_segment_bytes: 1 << 20,
             compaction: CompactionPolicy::default(),
-            parallelism: Parallelism::default(),
         }
     }
 }
@@ -652,17 +646,16 @@ impl Store {
                 || self.wal.segment_count() >= policy.max_segments);
         let full = need_full || auto_compact;
         let bytes = if full {
-            let workers = self.options.parallelism.workers_for(db.total_tuples());
             let base = BaseCheckpoint {
                 id: self.next_id,
                 lsn: covered,
                 epoch,
-                snapshot: DatabaseSnapshot::capture_full_with(db, workers),
+                snapshot: DatabaseSnapshot::capture_full(db),
             };
             if sp.is_recording() {
                 sp.field("tuples", Json::Int(base.snapshot.total_tuples() as i64));
             }
-            let bytes = base.write(&self.dir, workers)?;
+            let bytes = base.write(&self.dir)?;
             self.base_id = base.id;
             self.last_id = base.id;
             self.next_id += 1;
@@ -769,14 +762,13 @@ impl Store {
             last = next.id;
             folded += 1;
         }
-        let enc_workers = self.options.parallelism.workers_for(db.total_tuples());
         let base = BaseCheckpoint {
             id: self.next_id,
             lsn: self.covered_lsn,
             epoch: self.checkpoint_epoch,
-            snapshot: DatabaseSnapshot::capture_full_with(&db, enc_workers),
+            snapshot: DatabaseSnapshot::capture_full(&db),
         };
-        base.write(&self.dir, enc_workers)?;
+        base.write(&self.dir)?;
         self.base_id = base.id;
         self.last_id = base.id;
         self.next_id += 1;
@@ -993,7 +985,7 @@ mod tests {
             epoch: db.structure_epoch(),
             snapshot: DatabaseSnapshot::capture_full(&db),
         }
-        .write(&dir, 1)
+        .write(&dir)
         .unwrap();
         drop(store);
         let (s, recovered, report) = Store::open(&dir, StoreOptions::default()).unwrap();
@@ -1123,8 +1115,8 @@ mod tests {
     }
 
     #[test]
-    fn recovery_is_byte_identical_at_every_worker_count() {
-        let dir = tmp_dir("workers");
+    fn recovery_and_recompaction_are_byte_identical() {
+        let dir = tmp_dir("recompact");
         let mut db = Database::new();
         db.create_relation(schema_t()).unwrap();
         let mut store = Store::create(&dir, &db, StoreOptions::default()).unwrap();
@@ -1136,17 +1128,11 @@ mod tests {
         store.checkpoint(&db).unwrap();
         drop(store);
         let expected = fingerprint(&db);
-        for workers in [
-            Parallelism::Off,
-            Parallelism::Fixed(2),
-            Parallelism::Fixed(7),
-        ] {
-            let options = StoreOptions {
-                parallelism: workers,
-                ..StoreOptions::default()
-            };
-            let (_s, recovered, _r) = Store::open(&dir, options).unwrap();
-            assert_eq!(fingerprint(&recovered), expected, "workers={workers:?}");
+        // recover, compact, reopen: the compacted base holds the same state
+        for _ in 0..2 {
+            let (mut s, recovered, _r) = Store::open(&dir, StoreOptions::default()).unwrap();
+            assert_eq!(fingerprint(&recovered), expected);
+            s.compact().unwrap();
         }
         std::fs::remove_dir_all(&dir).ok();
     }

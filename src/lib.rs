@@ -42,7 +42,6 @@
 //! ```
 
 pub use vo_core as core;
-pub use vo_exec as exec;
 pub use vo_keller as keller;
 pub use vo_net as net;
 pub use vo_obs as obs;

@@ -4,10 +4,9 @@
 //! hold wherever the suite runs.
 //!
 //! Each test counts the allocations its own thread makes (the harness runs
-//! tests side by side), and the store is opened without worker threads, so
-//! everything recovery allocates is counted.
+//! tests side by side), and recovery runs on the thread that opens the
+//! store, so everything it allocates is counted.
 
-use penguin_vo::exec::Parallelism;
 use penguin_vo::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -77,7 +76,6 @@ fn options() -> StoreOptions {
             max_wal_bytes: u64::MAX,
             max_wal_records: CHECKPOINT_EVERY,
         },
-        parallelism: Parallelism::Off,
         ..StoreOptions::default()
     }
 }

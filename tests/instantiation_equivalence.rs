@@ -2,7 +2,9 @@
 //! databases of every synthetic shape plus the scaled university workload,
 //! set-at-a-time `instantiate_all` / `instantiate_many` must produce
 //! instance trees *identical* to the tuple-at-a-time legacy path
-//! (`assemble` per pivot), with and without secondary indexes.
+//! (`assemble` per pivot), with and without secondary indexes — the
+//! paper's own database included, with no pivot, one pivot and a
+//! NULL-linked one.
 
 use penguin_vo::penguin::{seed_ownership_chain, synthetic_schema, SchemaShape};
 use penguin_vo::prelude::*;
@@ -208,29 +210,67 @@ fn ownership_off_the_leading_key_attribute_equivalence() {
     assert_eq!(bound.len(), 3, "every edge bound something: {bound:?}");
 }
 
+/// A NULL-linked pivot: a course with no department.
+fn insert_detached_course(db: &mut Database) {
+    db.insert(
+        "COURSES",
+        vec![
+            "XX".into(),
+            "Detached".into(),
+            "graduate".into(),
+            Value::Null,
+        ],
+    )
+    .unwrap();
+}
+
+/// The paper's own database beside the scaled ones, at the pivot counts
+/// that are edge cases: with a NULL-linked pivot, with no pivot at all,
+/// and with a single pivot tuple. Each comes with its pivot count.
+fn university_edge_cases() -> Vec<(StructuralSchema, Database, usize)> {
+    let (schema, mut linked) = university_database();
+    insert_detached_course(&mut linked);
+    let pivots = linked.table("COURSES").unwrap().len();
+    let empty = Database::from_schema(schema.catalog());
+    let (_, mut single) = university_database();
+    let courses = single.table_mut("COURSES").unwrap();
+    let keep = Key::single("CS345");
+    let drop: Vec<Key> = (courses.scan_entries())
+        .map(|(key, _)| key.clone())
+        .filter(|key| *key != keep)
+        .collect();
+    for key in drop {
+        // bypass integrity: prune sibling pivots only
+        courses.delete(&key).unwrap();
+    }
+    vec![
+        (schema.clone(), linked, pivots),
+        (schema.clone(), empty, 0),
+        (schema, single, 1),
+    ]
+}
+
 #[test]
 fn university_scaled_equivalence() {
     let mut rng = SmallRng::seed_from_u64(0x0111);
+    let mut cases = university_edge_cases();
     for _ in 0..4 {
         let scale = rng.gen_range_i64(1..4);
         let seed = rng.next_u64() % 1000;
         let (schema, mut db) = university_scaled(scale, seed);
         // a NULL-linked pivot and a dangling grade keep the edge cases hot
-        db.insert(
-            "COURSES",
-            vec![
-                "XX".into(),
-                "Detached".into(),
-                "graduate".into(),
-                Value::Null,
-            ],
-        )
-        .unwrap();
+        insert_detached_course(&mut db);
+        let pivots = db.table("COURSES").unwrap().len();
+        cases.push((schema, db, pivots));
+    }
+    for (schema, mut db, pivots) in cases {
         for object in [
             generate_omega(&schema).unwrap(),
             generate_omega_prime(&schema).unwrap(),
         ] {
             assert_equivalent(&schema, &object, &mut db);
+            let instances = instantiate_all(&schema, &object, &db).unwrap();
+            assert_eq!(instances.len(), pivots, "{}", object.name());
         }
     }
 }

@@ -64,15 +64,22 @@ fn instantiation_binds_the_tables_rows() {
                     db.ensure_index(&rel, &attrs).unwrap();
                 }
             }
-            // 4 workers: the same rows are bound from several threads at once
-            for workers in [1, 4] {
-                let instances = instantiate_all_parallel(&schema, object, &db, workers).unwrap();
+            let bind = || {
+                let instances = instantiate_all(&schema, object, &db).unwrap();
                 assert!(!instances.is_empty());
                 for inst in &instances {
                     assert_binds_stored_rows(object, &db, inst);
                     assert_clone_shares_rows(inst);
                 }
-            }
+            };
+            bind();
+            // four threads at once bind the same rows of one `&Database`,
+            // as the net server's concurrent readers do
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(bind);
+                }
+            });
         }
     }
 

@@ -407,7 +407,6 @@ fn golden_span_inventory_is_still_instrumented() {
     const GOLDEN: &[&str] = &[
         // spans
         "core.instantiate",
-        "core.instantiate_parallel",
         "integrity.check_delta",
         "integrity.plan_delete",
         "integrity.plan_replacement",

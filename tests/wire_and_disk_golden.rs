@@ -120,7 +120,7 @@ fn commit_record_bytes() {
 }
 
 #[test]
-fn base_checkpoint_bytes_at_one_and_four_workers() {
+fn base_checkpoint_bytes() {
     let db = two_relation_db();
     let base = BaseCheckpoint {
         id: 3,
@@ -128,13 +128,11 @@ fn base_checkpoint_bytes_at_one_and_four_workers() {
         epoch: db.structure_epoch(),
         snapshot: DatabaseSnapshot::capture_full(&db),
     };
-    for workers in [1, 4] {
-        let dir = tmp_dir(&format!("base_w{workers}"));
-        base.write(&dir, workers).unwrap();
-        let text = std::fs::read_to_string(dir.join(BaseCheckpoint::file_name(3))).unwrap();
-        check("base_checkpoint.json", &text);
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    let dir = tmp_dir("base");
+    base.write(&dir).unwrap();
+    let text = std::fs::read_to_string(dir.join(BaseCheckpoint::file_name(3))).unwrap();
+    check("base_checkpoint.json", &text);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
