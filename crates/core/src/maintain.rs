@@ -44,11 +44,19 @@
 //! state of whoever registered the object, handed to [`MaterializedView::build`]
 //! and to every [`MaterializedView::refresh`], and must be current for the
 //! database it is used with.
+//!
+//! **Reads from the materialization.** The instances sit behind an `Arc`.
+//! [`MaterializedView::current`] hands them out only while they reflect
+//! the database exactly — the condition under which a refresh would be a
+//! no-op — so a reader that holds them reads what re-instantiation would
+//! build. A refresh writes through [`Arc::make_mut`]: a set some reader
+//! still holds is copied first (counted as `maintain.view_copies`), and
+//! the reader keeps the version it took.
 
 use crate::instance::{instantiate_many_planned, ObjectPlan, StepPlan, VoInstance};
 use crate::object::ViewObject;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use vo_obs::metrics::{self, Counter, Histogram};
 use vo_obs::trace;
 use vo_relational::prelude::*;
@@ -71,6 +79,13 @@ fn instances_patched() -> Counter {
 fn instances_rebuilt() -> Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     *C.get_or_init(|| metrics::counter("maintain.instances_rebuilt"))
+}
+
+/// Refreshes that copied their instance set before writing it, because a
+/// reader still held the set [`MaterializedView::current`] handed out.
+fn view_copies() -> Counter {
+    static C: OnceLock<Counter> = OnceLock::new();
+    *C.get_or_init(|| metrics::counter("maintain.view_copies"))
 }
 
 fn journal_lag() -> Histogram {
@@ -131,6 +146,20 @@ pub struct ViewStaleness {
     pub needs_full: bool,
 }
 
+/// Every instance of one materialized object by pivot key, in key order
+/// (matching [`crate::instance::instantiate_all`], which scans the pivot
+/// table in key order).
+pub type ViewInstances = BTreeMap<Key, VoInstance>;
+
+/// The set a refresh is about to write: `instances` itself, or a copy of
+/// it when a reader still holds it.
+fn written(instances: &mut Arc<ViewInstances>) -> &mut ViewInstances {
+    if Arc::get_mut(instances).is_none() {
+        view_copies().inc();
+    }
+    Arc::make_mut(instances)
+}
+
 /// Every instance of one view object, maintained incrementally from the
 /// commit journal. See the module docs for the algorithm.
 #[derive(Debug, Clone)]
@@ -140,10 +169,9 @@ pub struct MaterializedView {
     /// refreshed with; a later one forces a full rebuild.
     epoch: u64,
     cursor: JournalCursor,
-    /// Pivot key → instance, in key order (matching
-    /// [`crate::instance::instantiate_all`], which scans the pivot table
-    /// in key order).
-    instances: BTreeMap<Key, VoInstance>,
+    /// Pivot key → instance, shared with the readers
+    /// [`MaterializedView::current`] handed it to.
+    instances: Arc<ViewInstances>,
     /// Relations bound as object *nodes*: the only ones whose rows an
     /// instance holds, and so the only ones a patch can reach.
     node_rels: BTreeSet<String>,
@@ -190,7 +218,7 @@ impl MaterializedView {
             object,
             epoch: plan.epoch(),
             cursor,
-            instances: BTreeMap::new(),
+            instances: Arc::default(),
             node_rels,
             connecting: connecting
                 .into_iter()
@@ -228,6 +256,22 @@ impl MaterializedView {
             lapsed: db.journal_lapsed(self.cursor)?,
             needs_full: self.needs_full,
         })
+    }
+
+    /// Every instance, when the view reflects `db` exactly: no refresh
+    /// failed since the last full rebuild, the view was built or refreshed
+    /// at `db`'s structure epoch, and its journal cursor has read every
+    /// committed transaction with none evicted past it. These are the
+    /// conditions under which [`MaterializedView::refresh`] would change
+    /// nothing, so the set is what re-instantiating the object over `db`
+    /// builds. `None` otherwise.
+    pub fn current(&self, db: &Database) -> Option<&Arc<ViewInstances>> {
+        let caught_up = |cursor| {
+            db.journal_lag(cursor).is_ok_and(|lag| lag == 0)
+                && db.journal_lapsed(cursor).is_ok_and(|lapsed| lapsed == 0)
+        };
+        (!self.needs_full && self.epoch == db.structure_epoch() && caught_up(self.cursor))
+            .then_some(&self.instances)
     }
 
     /// Number of materialized instances.
@@ -441,7 +485,7 @@ impl MaterializedView {
         let key = after.key(rschema);
         let mut rewritten = Vec::new();
         for pivot in reached {
-            if let Some(inst) = self.instances.get_mut(&pivot) {
+            if let Some(inst) = written(&mut self.instances).get_mut(&pivot) {
                 if patch_tuple(inst, &self.object, rschema, rel, &key, after) {
                     rewritten.push(pivot);
                 }
@@ -464,6 +508,7 @@ impl MaterializedView {
             return Ok(0);
         }
         let table = db.table(self.object.pivot())?;
+        let instances = written(&mut self.instances);
         let (mut keys, mut rows) = (Vec::new(), Vec::new());
         for key in dirty {
             match table.get(key) {
@@ -472,7 +517,7 @@ impl MaterializedView {
                     rows.push(row);
                 }
                 None => {
-                    if self.instances.remove(key).is_some() {
+                    if instances.remove(key).is_some() {
                         events.insert(key.clone(), ChangeKind::Removed);
                     }
                 }
@@ -480,11 +525,11 @@ impl MaterializedView {
         }
         let insts = instantiate_many_planned(&self.object, db, plan, &rows)?;
         for (&key, inst) in keys.iter().zip(insts) {
-            match self.instances.insert(key.clone(), inst) {
+            match instances.insert(key.clone(), inst) {
                 None => {
                     events.insert(key.clone(), ChangeKind::Inserted);
                 }
-                Some(ref old) if *old != self.instances[key] => {
+                Some(ref old) if *old != instances[key] => {
                     events.insert(key.clone(), ChangeKind::Updated);
                 }
                 Some(_) => {}
@@ -508,11 +553,12 @@ impl MaterializedView {
         let (keys, rows): (Vec<&Key>, Vec<&Tuple>) =
             db.table(self.object.pivot())?.scan_entries().unzip();
         let insts = instantiate_many_planned(&self.object, db, plan, &rows)?;
-        let fresh = keys.into_iter().cloned().zip(insts).collect();
+        let fresh = Arc::new(keys.into_iter().cloned().zip(insts).collect());
+        // a reader holding the old set keeps it: nothing is copied
         let old = std::mem::replace(&mut self.instances, fresh);
         self.needs_full = false;
         let mut changes = Vec::new();
-        for (key, inst) in &self.instances {
+        for (key, inst) in self.instances.iter() {
             match old.get(key) {
                 None => changes.push(InstanceChange {
                     pivot: key.clone(),

@@ -9,9 +9,14 @@
 //! the head changes it, copy-on-write, when a definition changes or the
 //! database's structure moves underneath the plans. A run-time request
 //! does no reasoning; it reads what is registered here.
+//!
+//! A whole-instance read of a materialized object whose view is current
+//! ([`MaterializedView::current`]) clones what the view holds instead of
+//! running the engine. The engine stays the specification: debug builds
+//! run it beside every such read and compare.
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use vo_core::prelude::*;
 use vo_obs::metrics::{self, Counter};
 
@@ -28,8 +33,28 @@ fn plans_served() -> Counter {
     *C.get_or_init(|| metrics::counter("penguin.plan_cache.hits"))
 }
 
+/// Whole-instance reads answered from a current materialized view.
+fn reads_served() -> Counter {
+    static C: OnceLock<Counter> = OnceLock::new();
+    *C.get_or_init(|| metrics::counter("maintain.reads_served"))
+}
+
+/// Whole-instance reads of a materialized object whose view trailed the
+/// database, answered by the engine.
+fn reads_stale() -> Counter {
+    static C: OnceLock<Counter> = OnceLock::new();
+    *C.get_or_init(|| metrics::counter("maintain.reads_stale"))
+}
+
 fn no_such_object(name: &str) -> Error {
     Error::NoSuchRelation(format!("view object {name}"))
+}
+
+fn no_such_pivot(reg: &RegisteredObject, pivot_key: &Key) -> Error {
+    Error::NoSuchTuple {
+        relation: reg.object.pivot().to_owned(),
+        key: pivot_key.to_string(),
+    }
 }
 
 /// A registered view object: definition, island analysis, access plan,
@@ -47,6 +72,41 @@ pub struct RegisteredObject {
     /// The access plan every planned read of this object runs, prepared
     /// at registration and again whenever the database's structure moves.
     pub plan: ObjectPlan,
+}
+
+/// What a read knows of its object's materialization: none, a view that
+/// trailed the database, or the instances of one that reflected it.
+pub(crate) enum Materialized<'a> {
+    No,
+    Stale,
+    Current(&'a ViewInstances),
+}
+
+impl<'a> Materialized<'a> {
+    /// `view` is `None` for an object nobody materialized, else the
+    /// view's [`MaterializedView::current`] answer.
+    pub(crate) fn of(view: Option<Option<&'a Arc<ViewInstances>>>) -> Self {
+        match view {
+            None => Materialized::No,
+            Some(None) => Materialized::Stale,
+            Some(Some(held)) => Materialized::Current(held),
+        }
+    }
+
+    /// The instances to read from, counting the read as served or stale.
+    fn held(self) -> Option<&'a ViewInstances> {
+        match self {
+            Materialized::No => None,
+            Materialized::Stale => {
+                reads_stale().inc();
+                None
+            }
+            Materialized::Current(held) => {
+                reads_served().inc();
+                Some(held)
+            }
+        }
+    }
 }
 
 /// The structural schema plus every registered object.
@@ -184,11 +244,32 @@ impl Registry {
         Ok(reg)
     }
 
-    /// All instances of an object, via its registered plan (batched, one
-    /// join pass per edge step). Readers on several threads share the plan
-    /// immutably, so the hot path takes no lock.
-    pub(crate) fn instantiate_all(&self, db: &Database, name: &str) -> Result<Vec<VoInstance>> {
-        let reg = self.served(name, db)?;
+    /// All instances of an object: cloned from `view` when it is current,
+    /// else via the registered plan (batched, one join pass per edge
+    /// step). Readers on several threads share the plan immutably, so the
+    /// hot path takes no lock.
+    pub(crate) fn instantiate_all(
+        &self,
+        db: &Database,
+        name: &str,
+        view: Materialized<'_>,
+    ) -> Result<Vec<VoInstance>> {
+        let Some(held) = view.held() else {
+            return Self::all(self.served(name, db)?, db);
+        };
+        let read: Vec<VoInstance> = held.values().cloned().collect();
+        if cfg!(debug_assertions) {
+            let engine = Self::all(self.planned(name, db)?, db)?;
+            assert!(
+                read == engine,
+                "the view of {name} is not the engine's read"
+            );
+        }
+        Ok(read)
+    }
+
+    /// Every instance of `reg`, by the engine.
+    fn all(reg: &RegisteredObject, db: &Database) -> Result<Vec<VoInstance>> {
         let pivots: Vec<&Tuple> = db.table(reg.object.pivot())?.scan().collect();
         instantiate_many_planned(&reg.object, db, &reg.plan, &pivots)
     }
@@ -213,23 +294,36 @@ impl Registry {
         query.execute_planned(&self.schema, &reg.object, db, &reg.plan)
     }
 
-    /// The instance anchored on `pivot_key`, if present.
+    /// The instance anchored on `pivot_key`, if present: cloned from
+    /// `view` when it is current, else built by the registered plan.
     pub(crate) fn instance_by_key(
         &self,
         db: &Database,
         name: &str,
         pivot_key: &Key,
+        view: Materialized<'_>,
     ) -> Result<VoInstance> {
-        let reg = self.object(name)?;
-        let tuple = db
-            .table(reg.object.pivot())?
-            .get(pivot_key)
-            .cloned()
-            .ok_or_else(|| Error::NoSuchTuple {
-                relation: reg.object.pivot().to_owned(),
-                key: pivot_key.to_string(),
-            })?;
-        assemble(&self.schema, &reg.object, db, tuple)
+        let Some(held) = view.held() else {
+            return Self::by_key(self.served(name, db)?, db, pivot_key);
+        };
+        let reg = self.planned(name, db)?;
+        let read = (held.get(pivot_key).cloned()).ok_or_else(|| no_such_pivot(reg, pivot_key));
+        if cfg!(debug_assertions) {
+            let engine = Self::by_key(reg, db, pivot_key);
+            assert!(
+                read == engine,
+                "the view of {name} is not the engine's read"
+            );
+        }
+        read
+    }
+
+    /// The instance of `reg` anchored on `pivot_key`, by the engine.
+    fn by_key(reg: &RegisteredObject, db: &Database, pivot_key: &Key) -> Result<VoInstance> {
+        let tuple = (db.table(reg.object.pivot())?.get(pivot_key))
+            .ok_or_else(|| no_such_pivot(reg, pivot_key))?;
+        let mut built = instantiate_many_planned(&reg.object, db, &reg.plan, &[tuple])?;
+        Ok(built.pop().expect("one instance per pivot"))
     }
 
     /// Audit the whole database against the structural model: a full scan

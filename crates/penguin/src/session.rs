@@ -4,8 +4,9 @@
 //! [`crate::system::Penguin::session`] pins the database at its current
 //! committed version and hands back a [`Session`] — an immutable,
 //! `Send + Sync` view of the definition-time registry (schema, objects,
-//! translators, access plans — shared with the head, not copied) and the
-//! data.
+//! translators, access plans — shared with the head, not copied), the
+//! data, and the instance set of every materialized view that reflected
+//! that version exactly.
 //! Readers on a session never block the writer and never see its later
 //! commits: the snapshot shares every table with the head
 //! copy-on-write, so pinning is O(relations) and a commit copies only
@@ -36,8 +37,9 @@
 //! });
 //! ```
 
-use crate::registry::{RegisteredObject, Registry};
+use crate::registry::{Materialized, RegisteredObject, Registry};
 use crate::voql::{self, VoqlOutcome, VoqlStatement};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use vo_core::prelude::*;
 
@@ -45,14 +47,19 @@ use vo_core::prelude::*;
 /// pinned at one committed database version.
 ///
 /// Cheap to pin and to clone — the definition-time registry (schema,
-/// objects, translators, access plans) and the snapshot are each shared
-/// behind an `Arc`, never copied — and safe to read from any number of
-/// threads concurrently: all methods take `&self` and there is no
-/// interior state.
+/// objects, translators, access plans), the snapshot and each view's
+/// instance set are shared behind an `Arc`, never copied — and safe to
+/// read from any number of threads concurrently: all methods take `&self`
+/// and there is no interior state.
 #[derive(Debug, Clone)]
 pub struct Session {
     registry: Arc<Registry>,
     snapshot: DbSnapshot,
+    /// Every object materialized at the head when the session was pinned:
+    /// its view's instances when they reflected the pinned version
+    /// exactly ([`MaterializedView::current`]), `None` when the view
+    /// trailed it. Whole-instance reads clone from a held set.
+    views: BTreeMap<String, Option<Arc<ViewInstances>>>,
 }
 
 // a Session's whole point is crossing threads; fail the build if a field
@@ -63,8 +70,21 @@ const _: () = {
 };
 
 impl Session {
-    pub(crate) fn pin(registry: Arc<Registry>, snapshot: DbSnapshot) -> Self {
-        Session { registry, snapshot }
+    pub(crate) fn pin(
+        registry: Arc<Registry>,
+        snapshot: DbSnapshot,
+        views: BTreeMap<String, Option<Arc<ViewInstances>>>,
+    ) -> Self {
+        Session {
+            registry,
+            snapshot,
+            views,
+        }
+    }
+
+    /// What the session pinned of `name`'s materialization.
+    fn materialization(&self, name: &str) -> Materialized<'_> {
+        Materialized::of(self.views.get(name).map(Option::as_ref))
     }
 
     /// The committed database version this session is pinned at.
@@ -99,9 +119,10 @@ impl Session {
 
     /// All instances of an object at the pinned version — the session
     /// counterpart of [`crate::system::Penguin::instantiate_all`], without
-    /// any lock held during instantiation.
+    /// any lock held during instantiation. Cloned from the object's
+    /// materialized view when the session pinned it current.
     pub fn instantiate_all(&self, name: &str) -> Result<Vec<VoInstance>> {
-        self.registry.instantiate_all(self.database(), name)
+        (self.registry).instantiate_all(self.database(), name, self.materialization(name))
     }
 
     /// Execute a query on an object at the pinned version.
@@ -109,10 +130,12 @@ impl Session {
         self.registry.query(self.database(), name, query)
     }
 
-    /// The instance anchored on `pivot_key` at the pinned version.
+    /// The instance anchored on `pivot_key` at the pinned version, cloned
+    /// from the object's materialized view when the session pinned it
+    /// current.
     pub fn instance_by_key(&self, name: &str, pivot_key: &Key) -> Result<VoInstance> {
-        self.registry
-            .instance_by_key(self.database(), name, pivot_key)
+        let view = self.materialization(name);
+        (self.registry).instance_by_key(self.database(), name, pivot_key, view)
     }
 
     /// Audit the pinned database against the structural model — a full

@@ -10,7 +10,7 @@ mod persist;
 pub use maintenance::WatchId;
 pub use persist::SYSTEM_FILE;
 
-use crate::registry::{RegisteredObject, Registry};
+use crate::registry::{Materialized, RegisteredObject, Registry};
 use crate::session::Session;
 use maintenance::Watch;
 use std::cell::Cell;
@@ -253,10 +253,16 @@ impl Penguin {
         self.registry.query(&self.db, name, query)
     }
 
-    /// All instances of an object, via its registered plan (batched, one
-    /// join pass per edge step).
+    /// All instances of an object: cloned from its materialized view when
+    /// that is current ([`MaterializedView::current`]), else via its
+    /// registered plan (batched, one join pass per edge step).
     pub fn instantiate_all(&self, name: &str) -> Result<Vec<VoInstance>> {
-        self.registry.instantiate_all(&self.db, name)
+        (self.registry).instantiate_all(&self.db, name, self.materialization(name))
+    }
+
+    /// What a read at the head knows of `name`'s materialization.
+    fn materialization(&self, name: &str) -> Materialized<'_> {
+        Materialized::of(self.views.get(name).map(|view| view.current(&self.db)))
     }
 
     /// Instantiate all of an object's instances and return the structured
@@ -269,9 +275,12 @@ impl Penguin {
         self.registry.profile(&self.db, name)
     }
 
-    /// The instance anchored on `pivot_key`, if present.
+    /// The instance anchored on `pivot_key`, if present: cloned from the
+    /// object's materialized view when that is current, else built by its
+    /// registered plan.
     pub fn instance_by_key(&self, name: &str, pivot_key: &Key) -> Result<VoInstance> {
-        self.registry.instance_by_key(&self.db, name, pivot_key)
+        let view = self.materialization(name);
+        (self.registry).instance_by_key(&self.db, name, pivot_key, view)
     }
 
     /// Insert an instance through an object.
@@ -348,14 +357,19 @@ impl Penguin {
     }
 
     /// Pin the current committed state as a snapshot-isolated
-    /// [`Session`]: an immutable, `Send + Sync` view of the registry and
-    /// the data, readable from any thread with no lock held and never
-    /// blocking this writer. The registry is shared, not copied, and
+    /// [`Session`]: an immutable, `Send + Sync` view of the registry, the
+    /// data and every materialized view that is current, readable from
+    /// any thread with no lock held and never blocking this writer. The
+    /// registry and each view's instances are shared, not copied, and
     /// tables are shared copy-on-write with the head, so a pin costs two
-    /// `Arc` clones plus O(relations).
+    /// `Arc` clones plus O(relations + materialized views). A view a
+    /// session holds is copied by the next refresh that writes it.
     pub fn session(&self) -> Session {
         sessions_opened().inc();
-        Session::pin(Arc::clone(&self.registry), self.db.snapshot())
+        let views = (self.views.iter())
+            .map(|(name, view)| (name.clone(), view.current(&self.db).cloned()))
+            .collect();
+        Session::pin(Arc::clone(&self.registry), self.db.snapshot(), views)
     }
 
     /// Commit a batch prepared against a pinned snapshot, validating it

@@ -152,6 +152,14 @@ mod tests {
         p
     }
 
+    /// Every instance of `name` by the engine — what a read of a current
+    /// view must equal, and what `Penguin::instantiate_all` now serves
+    /// from the view itself.
+    fn engine(p: &Penguin, name: &str) -> Vec<VoInstance> {
+        let object = &p.object(name).unwrap().object;
+        instantiate_all(p.schema(), object, p.database()).unwrap()
+    }
+
     #[test]
     fn materialize_refresh_and_watch() {
         let mut p = system();
@@ -182,7 +190,7 @@ mod tests {
         // the maintained view is byte-identical to re-instantiation
         assert_eq!(
             p.materialized("omega").unwrap().snapshot(),
-            p.instantiate_all("omega").unwrap()
+            engine(&p, "omega")
         );
         assert!(p.unwatch(w));
         assert!(!p.unwatch(w));
@@ -215,7 +223,7 @@ mod tests {
         assert_eq!(p.materialized("omega").unwrap().len(), 2);
         assert_eq!(
             p.materialized("omega").unwrap().snapshot(),
-            p.instantiate_all("omega").unwrap()
+            engine(&p, "omega")
         );
         assert!(p
             .poll_watch(w)
@@ -256,7 +264,7 @@ mod tests {
         for name in ["omega", "depts"] {
             assert_eq!(
                 p.materialized(name).unwrap().snapshot(),
-                p.instantiate_all(name).unwrap(),
+                engine(&p, name),
                 "{name}"
             );
         }

@@ -292,9 +292,10 @@ mod tests {
             assert_eq!(p.persistence_lag(), Some(0));
             let out = p.refresh("omega").unwrap();
             assert_eq!(out.rebuilt, 1);
+            let omega = &p.object("omega").unwrap().object;
             assert_eq!(
                 p.materialized("omega").unwrap().snapshot(),
-                p.instantiate_all("omega").unwrap()
+                instantiate_all(p.schema(), omega, p.database()).unwrap()
             );
         }
         let p2 = Penguin::open(&dir).unwrap();

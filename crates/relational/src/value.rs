@@ -145,12 +145,25 @@ impl Value {
     fn numeric_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
-            (Value::Int(a), Value::Float(b)) => Some((*a as f64).total_cmp(b)),
-            (Value::Float(a), Value::Int(b)) => Some(a.total_cmp(&(*b as f64))),
+            (Value::Int(a), Value::Float(b)) => Some(int_float_cmp(*a, *b)),
+            (Value::Float(a), Value::Int(b)) => Some(int_float_cmp(*b, *a).reverse()),
             (Value::Float(a), Value::Float(b)) => Some(a.total_cmp(b)),
             _ => None,
         }
     }
+}
+
+/// `a` against `b` exactly. Past 2^53 an `i64` need not be a float, and
+/// comparing its nearest float alone made two integers equal one float,
+/// and so each other. The nearest float still orders `a` wherever it
+/// differs from `b` — rounding never crosses another float — so it places
+/// an integer among `-0.0`, the infinities and the NaNs as
+/// [`f64::total_cmp`] does. Where it equals `b`, `b` is an integer of at
+/// most 2^63 in magnitude, and the two compare as integers.
+fn int_float_cmp(a: i64, b: f64) -> Ordering {
+    (a as f64)
+        .total_cmp(&b)
+        .then_with(|| i128::from(a).cmp(&(b as i128)))
 }
 
 impl PartialEq for Value {

@@ -7,9 +7,12 @@
 //! edges, with three views consuming the same journal at different
 //! cadences, and on a persistent system where the write-ahead persister is
 //! another consumer of that journal. Materializing costs what one
-//! instantiation costs, counted in index probes.
+//! instantiation costs, counted in index probes. A whole-instance read of
+//! a materialized object, which a current view answers, is the engine's
+//! read in every state a view can be in.
 
 use penguin_vo::obs::json::encode;
+use penguin_vo::obs::metrics;
 use penguin_vo::prelude::*;
 use penguin_vo::relational::stats;
 use std::path::PathBuf;
@@ -335,6 +338,13 @@ fn assert_equiv(view: &MaterializedView, schema: &StructuralSchema, db: &Databas
     assert_eq!(view.snapshot(), full, "view diverged ({ctx})");
 }
 
+/// Every instance of a registered object by the engine, over the system's
+/// database.
+fn engine(p: &Penguin, name: &str) -> Vec<VoInstance> {
+    let object = &p.object(name).unwrap().object;
+    instantiate_all(p.schema(), object, p.database()).unwrap()
+}
+
 /// The PEOPLE object: pivot PEOPLE with its STUDENT and FACULTY subset
 /// children.
 fn people_object(schema: &StructuralSchema) -> ViewObject {
@@ -424,7 +434,8 @@ fn seeded_random_workloads_stay_equivalent() {
 
 /// A view keeps nothing beside its instances, so building one is one
 /// instantiation: `Penguin::materialize` issues exactly the index probes
-/// one `instantiate_all` of the object issues.
+/// one instantiation of the object by the engine issues. (The engine is
+/// called directly: `Penguin::instantiate_all` now reads a current view.)
 #[test]
 fn materializing_costs_one_instantiation() {
     let mut p = Penguin::new(university_schema());
@@ -444,8 +455,9 @@ fn materializing_costs_one_instantiation() {
     // until one is seen
     let mut seen = Vec::new();
     for _ in 0..50 {
+        let object = &p.object("omega").unwrap().object;
         let before = stats::snapshot();
-        p.instantiate_all("omega").unwrap();
+        instantiate_all(p.schema(), object, p.database()).unwrap();
         let read = before.delta(&stats::snapshot()).index_probes;
         let before = stats::snapshot();
         p.materialize("omega").unwrap();
@@ -456,7 +468,7 @@ fn materializing_costs_one_instantiation() {
         seen.push((read, built));
         std::thread::yield_now();
     }
-    panic!("materialize never cost one instantiate_all: (instantiate_all, materialize) = {seen:?}");
+    panic!("materialize never cost one instantiation: (instantiate_all, materialize) = {seen:?}");
 }
 
 /// A journal cap tight enough to lapse a slow consumer: the view must
@@ -542,7 +554,7 @@ fn persistent_system_shares_journal_between_wal_and_views() {
                 p.refresh("omega").unwrap();
                 assert_eq!(
                     p.materialized("omega").unwrap().snapshot(),
-                    p.instantiate_all("omega").unwrap(),
+                    engine(&p, "omega"),
                     "round {round}"
                 );
             }
@@ -550,7 +562,7 @@ fn persistent_system_shares_journal_between_wal_and_views() {
         p.refresh("omega").unwrap();
         assert_eq!(
             p.materialized("omega").unwrap().snapshot(),
-            p.instantiate_all("omega").unwrap()
+            engine(&p, "omega")
         );
         p.persist_pending().unwrap();
         live = encode(&DatabaseSnapshot::capture_full(p.database()));
@@ -566,7 +578,223 @@ fn persistent_system_shares_journal_between_wal_and_views() {
     p2.materialize("omega").unwrap();
     assert_eq!(
         p2.materialized("omega").unwrap().snapshot(),
-        p2.instantiate_all("omega").unwrap()
+        engine(&p2, "omega")
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Which path a whole-instance read took, read off the counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Path {
+    /// Cloned from a current view (`maintain.reads_served`).
+    Served,
+    /// The object is materialized but its view trailed the read's
+    /// version: the engine answered (`maintain.reads_stale`).
+    Stale,
+    /// Nothing is materialized: the engine answered, counting neither.
+    Engine,
+}
+
+fn count(name: &str) -> u64 {
+    *metrics::snapshot_all().counters.get(name).unwrap_or(&0)
+}
+
+/// Every whole-instance read of ω through `read_all` / `read_one` equals
+/// the tuple-at-a-time oracle over `db`, and each took `path`. Only this
+/// test in this file reads a materialized object through the facade, so
+/// the two read counters move by exactly its reads.
+fn assert_reads(
+    db: &Database,
+    schema: &StructuralSchema,
+    object: &ViewObject,
+    read_all: &dyn Fn() -> Result<Vec<VoInstance>>,
+    read_one: &dyn Fn(&Key) -> Result<VoInstance>,
+    path: Path,
+    ctx: &str,
+) {
+    let (served, stale) = (
+        count("maintain.reads_served"),
+        count("maintain.reads_stale"),
+    );
+    let oracle = instantiate_all_legacy(schema, object, db).unwrap();
+    assert_eq!(read_all().unwrap(), oracle, "instantiate_all ({ctx})");
+    let courses = db.table("COURSES").unwrap().schema();
+    for inst in &oracle {
+        let key = inst.root.tuple.key(courses);
+        assert_eq!(
+            &read_one(&key).unwrap(),
+            inst,
+            "instance_by_key {key} ({ctx})"
+        );
+    }
+    let missing = read_one(&Key::single("XX000")).unwrap_err();
+    assert!(
+        matches!(&missing, Error::NoSuchTuple { relation, .. } if relation == "COURSES"),
+        "{missing} ({ctx})"
+    );
+    let reads = oracle.len() as u64 + 2;
+    let moved = (
+        count("maintain.reads_served") - served,
+        count("maintain.reads_stale") - stale,
+    );
+    let expected = match path {
+        Path::Served => (reads, 0),
+        Path::Stale => (0, reads),
+        Path::Engine => (0, 0),
+    };
+    assert_eq!(moved, expected, "(served, stale) reads ({ctx})");
+}
+
+fn session_reads(session: &Session, path: Path, ctx: &str) {
+    let object = &session.object("omega").unwrap().object;
+    assert_reads(
+        session.database(),
+        session.schema(),
+        object,
+        &|| session.instantiate_all("omega"),
+        &|key| session.instance_by_key("omega", key),
+        path,
+        ctx,
+    );
+}
+
+fn head_reads(p: &Penguin, path: Path, ctx: &str) {
+    let object = &p.object("omega").unwrap().object;
+    assert_reads(
+        p.database(),
+        p.schema(),
+        object,
+        &|| p.instantiate_all("omega"),
+        &|key| p.instance_by_key("omega", key),
+        path,
+        ctx,
+    );
+}
+
+/// A materialized read is the engine's read. `Session::instantiate_all` /
+/// `instance_by_key` (and their head twins) clone from the view only while
+/// it reflects the read's version exactly, and run the engine otherwise:
+/// just materialized; after commits nobody refreshed; after a refresh; on
+/// a session held across a refresh, which keeps its version and makes the
+/// refresh copy the set; after DDL moved the structure epoch; after a
+/// capped journal lapsed past the view's cursor; after `dematerialize`.
+/// A refresh that failed poisons the view until a full rebuild, even once
+/// its cursor has caught up.
+#[test]
+fn a_materialized_read_is_the_engines_read() {
+    let mut p = Penguin::new(university_schema());
+    p.with_database_mut(seed_figure4).unwrap().unwrap();
+    p.define_object(
+        "omega",
+        "COURSES",
+        &["DEPARTMENT", "CURRICULUM", "GRADES", "STUDENT"],
+    )
+    .unwrap();
+    p.materialize("omega").unwrap();
+    let copies = || count("maintain.view_copies");
+
+    // just materialized
+    let fresh = p.session();
+    session_reads(&fresh, Path::Served, "just materialized");
+    head_reads(&p, Path::Served, "head, just materialized");
+
+    // committed, not refreshed: the view trails, the engine answers
+    p.sql("INSERT INTO GRADES VALUES ('CS101', 9, 'C')")
+        .unwrap();
+    let behind = p.session();
+    session_reads(&behind, Path::Stale, "not refreshed");
+    head_reads(&p, Path::Stale, "head, not refreshed");
+    session_reads(&fresh, Path::Served, "pinned before the commit");
+
+    // refreshed while `fresh` holds the set: the refresh copies it
+    let before = copies();
+    assert!(!p.refresh("omega").unwrap().full_rebuild);
+    assert_eq!(copies() - before, 1, "a held set is copied, once");
+    let held = p.session();
+    session_reads(&held, Path::Served, "after a refresh");
+    head_reads(&p, Path::Served, "head, after a refresh");
+    session_reads(&fresh, Path::Served, "held across a refresh");
+    session_reads(&behind, Path::Stale, "pinned stale, still stale");
+
+    // a session held across the next refresh keeps its version
+    p.sql("UPDATE GRADES SET grade = 'A' WHERE course_id = 'CS101' AND ssn = 9")
+        .unwrap();
+    let before = copies();
+    assert_eq!(p.refresh("omega").unwrap().patched, 1);
+    assert_eq!(copies() - before, 1);
+    session_reads(&held, Path::Served, "held across a second refresh");
+    assert_ne!(
+        held.instantiate_all("omega").unwrap(),
+        p.instantiate_all("omega").unwrap()
+    );
+    head_reads(&p, Path::Served, "head, after the second refresh");
+    drop((fresh, behind, held));
+    // nobody holds the set: a refresh writes it in place
+    p.sql("UPDATE GRADES SET grade = 'B' WHERE course_id = 'CS101' AND ssn = 9")
+        .unwrap();
+    let before = copies();
+    p.refresh("omega").unwrap();
+    assert_eq!(copies(), before, "an unheld set is written in place");
+    session_reads(&p.session(), Path::Served, "refreshed in place");
+
+    // DDL moved the structure epoch: stale until the refresh rebuilds
+    p.with_database_mut(|db| db.ensure_index("STUDENT", &["degree_program".to_owned()]))
+        .unwrap()
+        .unwrap();
+    session_reads(&p.session(), Path::Stale, "structure epoch moved");
+    head_reads(&p, Path::Stale, "head, structure epoch moved");
+    assert!(p.refresh("omega").unwrap().full_rebuild);
+    session_reads(&p.session(), Path::Served, "rebuilt at the new epoch");
+
+    // a capped journal lapsed past the view's cursor
+    p.set_journal_cap(Some(JournalCap::drop_oldest(1)));
+    for ssn in 10..13 {
+        p.sql(&format!("INSERT INTO GRADES VALUES ('EE282', {ssn}, 'B')"))
+            .unwrap();
+    }
+    let view = p.materialized("omega").unwrap();
+    assert!(view.staleness(p.database()).unwrap().lapsed > 0);
+    session_reads(&p.session(), Path::Stale, "journal lapsed");
+    assert!(p.refresh("omega").unwrap().full_rebuild);
+    session_reads(&p.session(), Path::Served, "rebuilt after the lapse");
+    p.set_journal_cap(None);
+
+    // dematerialized: the engine answers and nothing counts
+    assert!(p.dematerialize("omega"));
+    session_reads(&p.session(), Path::Engine, "dematerialized");
+    head_reads(&p, Path::Engine, "head, dematerialized");
+}
+
+/// A refresh that failed midway leaves the view poisoned: it hands out no
+/// instances even once its cursor has read every transaction at the
+/// database's structure epoch, until a refresh rebuilds it in full.
+#[test]
+fn a_poisoned_view_is_not_current() {
+    let (schema, mut db) = university_database();
+    let omega = generate_omega(&schema).unwrap();
+    let cursor = db.journal_subscribe(JournalStart::Head);
+    let plan = plan_object(&schema, &omega, &db).unwrap();
+    let mut view = MaterializedView::build(omega.clone(), &plan, &db, cursor).unwrap();
+    assert!(view.current(&db).is_some());
+
+    db.insert("GRADES", vec!["CS101".into(), 9.into(), "C".into()])
+        .unwrap();
+    assert!(view.current(&db).is_none(), "one transaction behind");
+    // a plan of another object at the same epoch lacks ω's edges: the
+    // incremental pass fails partway
+    let tree = generate_tree(&schema, "COURSES", &MetricWeights::default()).unwrap();
+    let other = prune_by_relations(&schema, &tree, "other", &["GRADES"]).unwrap();
+    let wrong = plan_object(&schema, &other, &db).unwrap();
+    let read = db.journal_peek(cursor).unwrap();
+    assert!(view.refresh(&wrong, &db, &read).is_err());
+    assert!(view.needs_full());
+    db.journal_advance(cursor, read.transactions.len()).unwrap();
+    assert_eq!(db.journal_lag(cursor).unwrap(), 0);
+    assert!(view.current(&db).is_none(), "poisoned");
+
+    let out = refresh_view(&mut view, &schema, &mut db);
+    assert!(out.full_rebuild);
+    let held = view.current(&db).expect("rebuilt in full");
+    let oracle = instantiate_all_legacy(&schema, &omega, &db).unwrap();
+    assert_eq!(held.values().cloned().collect::<Vec<_>>(), oracle);
 }

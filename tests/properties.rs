@@ -40,36 +40,105 @@ fn arb_value(rng: &mut SmallRng) -> Value {
     }
 }
 
+/// The numeric values where an `i64` and an `f64` stop agreeing: around
+/// 2^53, where integers stop being floats; at the ends of `i64`; the two
+/// zeros, the infinities and both NaNs.
+fn numeric_edges() -> Vec<Value> {
+    const P53: i64 = 1 << 53;
+    let mut out = Vec::new();
+    for p in [P53, -P53] {
+        out.extend([p - 1, p, p + 1, p + 2].map(Value::Int));
+        out.extend([p - 1, p, p + 2].map(|i| Value::Float(i as f64)));
+    }
+    out.extend([i64::MIN, i64::MIN + 1, i64::MAX, i64::MAX - 1, -1, 0, 1].map(Value::Int));
+    out.extend(
+        [
+            i64::MIN as f64,
+            -(i64::MIN as f64),
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ]
+        .map(Value::Float),
+    );
+    out
+}
+
+/// `Value`'s order is a total order and agrees with its hash on every
+/// triple drawn from the numeric edges plus generated values: INT and
+/// FLOAT compare exactly, so two integers past 2^53 never both equal one
+/// float.
 #[test]
 fn value_order_is_total_and_consistent() {
     use std::cmp::Ordering;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+    let hash = |v: &Value| {
+        let mut h = DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    };
     let mut rng = SmallRng::seed_from_u64(0xA11CE);
-    for _ in 0..256 {
-        let a = arb_value(&mut rng);
-        let b = arb_value(&mut rng);
-        let c = arb_value(&mut rng);
-        // antisymmetry
-        if a.cmp(&b) == Ordering::Equal {
-            assert_eq!(b.cmp(&a), Ordering::Equal);
-            assert_eq!(&a, &b);
-        } else {
-            assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
-        }
-        // transitivity
-        if a <= b && b <= c {
-            assert!(a <= c, "{a:?} <= {b:?} <= {c:?} but {a:?} > {c:?}");
-        }
-        // equality implies equal hashes
-        if a == b {
-            use std::collections::hash_map::DefaultHasher;
-            use std::hash::{Hash, Hasher};
-            let mut h1 = DefaultHasher::new();
-            let mut h2 = DefaultHasher::new();
-            a.hash(&mut h1);
-            b.hash(&mut h2);
-            assert_eq!(h1.finish(), h2.finish());
+    let mut values = numeric_edges();
+    values.extend((0..48).map(|_| arb_value(&mut rng)));
+    for a in &values {
+        for b in &values {
+            // antisymmetry
+            assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{a:?} against {b:?}");
+            // equality implies equal hashes
+            if a == b {
+                assert_eq!(hash(a), hash(b), "{a:?} == {b:?} but their hashes differ");
+            }
+            // transitivity
+            if a <= b {
+                for c in values.iter().filter(|c| b <= *c) {
+                    assert!(a <= c, "{a:?} <= {b:?} <= {c:?} but {a:?} > {c:?}");
+                }
+            }
         }
     }
+    // the order the engine has always kept
+    assert_eq!(Value::Int(2), Value::Float(2.0));
+    assert_eq!(Value::Int(2).cmp(&Value::Float(2.5)), Ordering::Less);
+    assert!(Value::Float(-0.0) < Value::Int(0));
+    assert!(Value::Int(-1) < Value::Float(-0.0));
+    assert!(Value::Float(-f64::NAN) < Value::Int(i64::MIN));
+    assert!(Value::Int(i64::MAX) < Value::Float(f64::NAN));
+}
+
+/// Regression: R(a INT) = {2^53, 2^53 + 1} and S(b FLOAT) = {2^53}. Union
+/// and difference sort and compare rows, so an order that rounded 2^53 + 1
+/// onto 2^53 dropped it from one union order and emptied R − S.
+#[test]
+fn union_and_difference_keep_integers_past_2_pow_53() {
+    const P53: i64 = 1 << 53;
+    let mut db = Database::new();
+    for (name, attr, ty) in [("R", "a", DataType::Int), ("S", "b", DataType::Float)] {
+        let schema = RelationSchema::new(name, vec![AttributeDef::required(attr, ty)], &[attr]);
+        db.create_relation(schema.unwrap()).unwrap();
+    }
+    db.insert("R", vec![Value::Int(P53)]).unwrap();
+    db.insert("R", vec![Value::Int(P53 + 1)]).unwrap();
+    db.insert("S", vec![Value::Float(P53 as f64)]).unwrap();
+    let rows = |plan: Plan| db.execute(&plan).unwrap().rows;
+    let both = |l: &str, r: &str| Plan::Union {
+        left: Box::new(Plan::scan(l)),
+        right: Box::new(Plan::scan(r)),
+    };
+    let expected = vec![vec![Value::Int(P53)], vec![Value::Int(P53 + 1)]];
+    assert_eq!(rows(both("R", "S")), expected);
+    assert_eq!(rows(both("S", "R")).len(), 2);
+    let minus = |l: &str, r: &str| Plan::Difference {
+        left: Box::new(Plan::scan(l)),
+        right: Box::new(Plan::scan(r)),
+    };
+    assert_eq!(rows(minus("R", "S")), vec![vec![Value::Int(P53 + 1)]]);
+    assert!(rows(minus("S", "R")).is_empty());
 }
 
 /// `Value::Text` holds a short string in place and a long one as a shared
