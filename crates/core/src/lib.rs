@@ -86,7 +86,7 @@ pub mod prelude {
     pub use crate::island::{analyze, IslandAnalysis, KeySplit};
     pub use crate::maintain::{
         reverse_indexes_for, ChangeKind, InstanceChange, MaterializedView, RefreshOutcome,
-        ViewInstances, ViewStaleness,
+        ViewInstances,
     };
     pub use crate::metric::{extract_subgraph, MetricWeights, Subgraph};
     pub use crate::object::{NodeId, Step, ViewObject, ViewObjectBuilder, VoEdge, VoNode};

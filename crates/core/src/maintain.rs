@@ -36,9 +36,9 @@
 //! Refresh cost is therefore proportional to the delta (images × the
 //! probes of their walks), not to the number of instances. A refresh falls
 //! back to a full rebuild only when the structure epoch drifted (DDL, or a
-//! table borrowed mutably behind the journal's back), the journal cursor
-//! lapsed past evicted entries, or a prior incremental attempt failed
-//! midway.
+//! table borrowed mutably behind the journal's back) or a prior
+//! incremental attempt failed midway. The cursor never misses an entry:
+//! the journal keeps every transaction until each cursor has passed it.
 //!
 //! A view plans nothing: the object's [`ObjectPlan`] is definition-time
 //! state of whoever registered the object, handed to [`MaterializedView::build`]
@@ -122,7 +122,7 @@ pub struct RefreshOutcome {
     /// Total ops across those transactions.
     pub ops: u64,
     /// True when the refresh fell back to re-instantiating every pivot
-    /// (epoch drift, lapsed cursor, or a failed prior incremental pass).
+    /// (epoch drift or a failed prior incremental pass).
     pub full_rebuild: bool,
     /// Instances updated by in-place tuple patches (no recomputation).
     pub patched: u64,
@@ -130,20 +130,6 @@ pub struct RefreshOutcome {
     pub rebuilt: u64,
     /// Per-instance changes, in pivot-key order.
     pub changes: Vec<InstanceChange>,
-}
-
-/// How far a [`MaterializedView`] trails its database, as a cheap
-/// point-in-time probe (no entries are cloned, nothing is refreshed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ViewStaleness {
-    /// Committed transactions the view has not applied yet.
-    pub pending: u64,
-    /// Journal entries evicted past the view's cursor — a hole in its
-    /// delta stream; the next refresh will rebuild in full.
-    pub lapsed: u64,
-    /// True when a full rebuild is already forced (failed incremental
-    /// pass or structural drift detected earlier).
-    pub needs_full: bool,
 }
 
 /// Every instance of one materialized object by pivot key, in key order
@@ -189,11 +175,10 @@ pub struct MaterializedView {
 impl MaterializedView {
     /// Materialize `object` against the current database state through
     /// `plan`, its access plan prepared at `db`'s structure epoch. `cursor`
-    /// must be a journal cursor positioned at (or before) the present —
-    /// typically subscribed at [`JournalStart::Head`] just before this
-    /// call; entries already reflected in the database are harmless to
-    /// replay, but entries committed *after* build must all reach the
-    /// cursor.
+    /// must be a journal cursor subscribed no later than `db`'s state —
+    /// typically just before this call; entries already reflected in the
+    /// database are harmless to replay, but entries committed *after*
+    /// build must all reach the cursor.
     pub fn build(
         object: ViewObject,
         plan: &ObjectPlan,
@@ -246,31 +231,16 @@ impl MaterializedView {
         self.needs_full
     }
 
-    /// How far the view trails `db`, without touching either: committed
-    /// transactions its cursor has not applied, entries evicted past the
-    /// cursor, and whether a full rebuild is already forced. The health
-    /// monitor polls this per refresh-able view.
-    pub fn staleness(&self, db: &Database) -> Result<ViewStaleness> {
-        Ok(ViewStaleness {
-            pending: db.journal_lag(self.cursor)?,
-            lapsed: db.journal_lapsed(self.cursor)?,
-            needs_full: self.needs_full,
-        })
-    }
-
     /// Every instance, when the view reflects `db` exactly: no refresh
     /// failed since the last full rebuild, the view was built or refreshed
     /// at `db`'s structure epoch, and its journal cursor has read every
-    /// committed transaction with none evicted past it. These are the
+    /// committed transaction. These are the
     /// conditions under which [`MaterializedView::refresh`] would change
     /// nothing, so the set is what re-instantiating the object over `db`
     /// builds. `None` otherwise.
     pub fn current(&self, db: &Database) -> Option<&Arc<ViewInstances>> {
-        let caught_up = |cursor| {
-            db.journal_lag(cursor).is_ok_and(|lag| lag == 0)
-                && db.journal_lapsed(cursor).is_ok_and(|lapsed| lapsed == 0)
-        };
-        (!self.needs_full && self.epoch == db.structure_epoch() && caught_up(self.cursor))
+        let caught_up = db.journal_lag(self.cursor).is_ok_and(|lag| lag == 0);
+        (!self.needs_full && self.epoch == db.structure_epoch() && caught_up)
             .then_some(&self.instances)
     }
 
@@ -310,17 +280,17 @@ impl MaterializedView {
         &mut self,
         plan: &ObjectPlan,
         db: &Database,
-        read: &JournalRead,
+        read: &[Arc<JournalEntry>],
     ) -> Result<RefreshOutcome> {
         let mut sp = trace::span("maintain.refresh");
         refreshes().inc();
-        journal_lag().record(read.transactions.len() as u64);
+        journal_lag().record(read.len() as u64);
         let mut outcome = RefreshOutcome {
-            transactions: read.transactions.len() as u64,
-            ops: read.op_count() as u64,
+            transactions: read.len() as u64,
+            ops: read.iter().map(|t| t.ops.len() as u64).sum(),
             ..RefreshOutcome::default()
         };
-        if read.lapsed > 0 || self.needs_full || self.epoch != plan.epoch() {
+        if self.needs_full || self.epoch != plan.epoch() {
             outcome.full_rebuild = true;
             full_rebuilds().inc();
             outcome.changes = self.rebuild_full(plan, db)?;
@@ -351,13 +321,13 @@ impl MaterializedView {
         &mut self,
         plan: &ObjectPlan,
         db: &Database,
-        read: &JournalRead,
+        read: &[Arc<JournalEntry>],
         outcome: &mut RefreshOutcome,
     ) -> Result<()> {
         let mut dirty: BTreeSet<Key> = BTreeSet::new();
         let mut events: BTreeMap<Key, ChangeKind> = BTreeMap::new();
         let mut patched: BTreeSet<Key> = BTreeSet::new();
-        for entry in &read.transactions {
+        for entry in read {
             for (rel, images) in &entry.images {
                 if !self.connecting.contains_key(rel) && rel != self.object.pivot() {
                     continue; // semi-naive: the object never traverses it
@@ -687,7 +657,7 @@ mod tests {
         let (schema, _) = university_database();
         let object = generate(&schema).unwrap();
         let plan = plan_object(&schema, &object, db).unwrap();
-        let cursor = db.journal_subscribe(JournalStart::Head);
+        let cursor = db.journal_subscribe();
         let view = MaterializedView::build(object, &plan, db, cursor).unwrap();
         (schema, view)
     }
@@ -702,7 +672,7 @@ mod tests {
         db: &mut Database,
     ) -> RefreshOutcome {
         let read = db.journal_peek(view.cursor()).unwrap();
-        let n = read.transactions.len();
+        let n = read.len();
         let plan = plan_object(schema, view.object(), db).unwrap();
         let outcome = view.refresh(&plan, db, &read).unwrap();
         db.journal_advance(view.cursor(), n).unwrap();
@@ -974,28 +944,6 @@ mod tests {
         let out = refresh(&mut view, &schema, &mut db);
         assert_eq!(out.transactions, 1);
         assert_eq!(out.ops, 4);
-        assert!(!out.full_rebuild);
-        assert_equiv(&view, &schema, &db);
-    }
-
-    #[test]
-    fn lapsed_cursor_falls_back_to_full_rebuild() {
-        let (_, mut db) = university_database();
-        let (schema, mut view) = omega_view(&mut db);
-        db.set_journal_cap(Some(JournalCap::drop_oldest(2)));
-        for ssn in 4..=8i64 {
-            db.insert("GRADES", vec!["CS345".into(), ssn.into(), "B".into()])
-                .unwrap();
-        }
-        let read = db.journal_peek(view.cursor()).unwrap();
-        assert!(read.lapsed > 0);
-        let out = refresh(&mut view, &schema, &mut db);
-        assert!(out.full_rebuild);
-        assert_equiv(&view, &schema, &db);
-        // subsequent refreshes are incremental again
-        db.insert("GRADES", vec!["CS101".into(), 9.into(), "A".into()])
-            .unwrap();
-        let out = refresh(&mut view, &schema, &mut db);
         assert!(!out.full_rebuild);
         assert_equiv(&view, &schema, &db);
     }

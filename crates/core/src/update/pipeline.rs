@@ -1047,7 +1047,7 @@ mod tests {
         // ops, and committing no ops checks nothing — not one probe, not
         // one scan — and moves neither the version nor the journal
         let (schema, mut db) = university_database();
-        db.enable_commit_journal();
+        let cursor = db.journal_subscribe();
         let omega = generate_omega(&schema).unwrap();
         let updater =
             ViewObjectUpdater::new(&schema, omega.clone(), Translator::permissive(&omega)).unwrap();
@@ -1086,6 +1086,7 @@ mod tests {
         assert!(quiet, "committing an empty op list issued lookups");
         assert_eq!(db.version(), version);
         assert_eq!(db.journal_retained(), journaled);
+        assert_eq!(db.journal_lag(cursor).unwrap(), 0);
     }
 
     #[test]

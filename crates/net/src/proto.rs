@@ -742,7 +742,7 @@ impl From<&Error> for WireError {
             | Error::NoSuchTuple { .. } => WireError::new(ErrorCode::NotFound, e.to_string()),
             // A rolled-back transaction reports its cause's category.
             Error::Rolledback(inner) => WireError::from(inner.as_ref()),
-            Error::Storage(_) | Error::Serialization(_) | Error::JournalOverflow { .. } => {
+            Error::Storage(_) | Error::Serialization(_) => {
                 WireError::new(ErrorCode::Internal, e.to_string())
             }
             _ => WireError::new(ErrorCode::BadRequest, e.to_string()),

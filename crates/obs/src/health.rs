@@ -96,30 +96,17 @@ impl HealthReport {
     }
 }
 
-/// Staleness of one materialized view, as the facade reports it.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StalenessInput {
-    /// The view's name.
-    pub name: String,
-    /// Committed journal entries the view has not applied yet.
-    pub pending: u64,
-    /// Journal entries evicted past the view's cursor (a hole in its
-    /// delta stream: the next refresh must fully rebuild).
-    pub lapsed: u64,
-}
-
 /// A snapshot of every signal a [`HealthPolicy`] evaluates. All fields
 /// are optional-by-shape: an in-memory system simply leaves the storage
 /// signals `None`/empty.
 #[derive(Debug, Clone, Default)]
 pub struct HealthInputs {
     /// Journal lag per consumer as `(name, pending entries)` — the WAL
-    /// persister, each materialized view, and any external cursors.
+    /// persister (`wal`: committed, unpersisted transactions) and each
+    /// materialized view (`view/<name>`: transactions it has not applied).
     pub consumer_lags: Vec<(String, u64)>,
-    /// Committed-but-unpersisted transactions (`None` when in-memory).
-    pub persistence_lag: Option<u64>,
-    /// Per-view staleness (pending entries + lapsed cursors).
-    pub view_staleness: Vec<StalenessInput>,
+    /// Materialized views whose next refresh must rebuild in full.
+    pub views_rebuilding: Vec<String>,
     /// Total bytes across *live* write-ahead-log segments — segments
     /// holding at least one record newer than the last checkpoint, plus
     /// the active segment (`None` when in-memory). With a segmented WAL
@@ -155,13 +142,6 @@ pub struct HealthPolicy {
     pub journal_lag_degraded: u64,
     /// Per-consumer journal lag that makes the system unhealthy.
     pub journal_lag_unhealthy: u64,
-    /// Persistence lag (committed, unpersisted transactions) that
-    /// degrades the verdict.
-    pub persistence_lag_degraded: u64,
-    /// Persistence lag that makes the system unhealthy.
-    pub persistence_lag_unhealthy: u64,
-    /// Per-view pending journal entries that degrade the verdict.
-    pub staleness_degraded: u64,
     /// Live WAL segment bytes that degrade the verdict.
     pub wal_bytes_degraded: u64,
     /// Live WAL segment bytes that make the system unhealthy.
@@ -188,9 +168,6 @@ impl Default for HealthPolicy {
         HealthPolicy {
             journal_lag_degraded: 256,
             journal_lag_unhealthy: 4096,
-            persistence_lag_degraded: 256,
-            persistence_lag_unhealthy: 4096,
-            staleness_degraded: 256,
             wal_bytes_degraded: 64 << 20,
             wal_bytes_unhealthy: 512 << 20,
             wal_segments_degraded: 64,
@@ -233,47 +210,16 @@ impl HealthPolicy {
             }
         }
 
-        if let Some(lag) = inputs.persistence_lag {
-            if let Some((status, threshold)) = Self::grade(
-                lag,
-                self.persistence_lag_degraded,
-                self.persistence_lag_unhealthy,
-            ) {
-                reasons.push(HealthReason {
-                    code: "persistence_lag".to_owned(),
-                    status,
-                    value: lag as f64,
-                    threshold: threshold as f64,
-                    detail: format!("{lag} committed transactions await the write-ahead log"),
-                });
-            }
-        }
-
-        for view in &inputs.view_staleness {
-            if view.lapsed > 0 {
-                reasons.push(HealthReason {
-                    code: format!("journal_lapsed:{}", view.name),
-                    status: HealthStatus::Degraded,
-                    value: view.lapsed as f64,
-                    threshold: 1.0,
-                    detail: format!(
-                        "materialized view `{}` lost {} journal entries; next refresh rebuilds in full",
-                        view.name, view.lapsed
-                    ),
-                });
-            }
-            if view.pending >= self.staleness_degraded {
-                reasons.push(HealthReason {
-                    code: format!("view_staleness:{}", view.name),
-                    status: HealthStatus::Degraded,
-                    value: view.pending as f64,
-                    threshold: self.staleness_degraded as f64,
-                    detail: format!(
-                        "materialized view `{}` is {} transactions stale",
-                        view.name, view.pending
-                    ),
-                });
-            }
+        for name in &inputs.views_rebuilding {
+            reasons.push(HealthReason {
+                code: format!("view_full_rebuild:{name}"),
+                status: HealthStatus::Degraded,
+                value: 1.0,
+                threshold: 1.0,
+                detail: format!(
+                    "materialized view `{name}` must rebuild in full at its next refresh"
+                ),
+            });
         }
 
         if let Some(bytes) = inputs.wal_live_bytes {
@@ -401,33 +347,27 @@ mod tests {
     }
 
     #[test]
-    fn lapsed_views_and_torn_tails_degrade() {
+    fn views_due_a_full_rebuild_and_torn_tails_degrade() {
         let report = HealthPolicy::default().evaluate(&HealthInputs {
-            view_staleness: vec![StalenessInput {
-                name: "omega".into(),
-                pending: 3,
-                lapsed: 7,
-            }],
+            views_rebuilding: vec!["omega".into()],
             recovery_torn_tail: Some(true),
             ..HealthInputs::default()
         });
         assert_eq!(report.status, HealthStatus::Degraded);
         let codes: Vec<&str> = report.reasons.iter().map(|r| r.code.as_str()).collect();
-        assert_eq!(codes, vec!["journal_lapsed:omega", "recovery_torn_tail"]);
+        assert_eq!(codes, vec!["view_full_rebuild:omega", "recovery_torn_tail"]);
     }
 
     #[test]
-    fn wal_and_persistence_thresholds_grade() {
+    fn wal_thresholds_grade() {
         let policy = HealthPolicy::default();
         let report = policy.evaluate(&HealthInputs {
-            persistence_lag: Some(policy.persistence_lag_unhealthy + 5),
             wal_live_bytes: Some(policy.wal_bytes_degraded),
             wal_segments: Some(7),
             ..HealthInputs::default()
         });
-        assert_eq!(report.status, HealthStatus::Unhealthy);
+        assert_eq!(report.status, HealthStatus::Degraded);
         let by_code = |c: &str| report.reasons.iter().find(|r| r.code == c).unwrap();
-        assert_eq!(by_code("persistence_lag").status, HealthStatus::Unhealthy);
         assert_eq!(by_code("wal_bytes").status, HealthStatus::Degraded);
         // the byte reason names the segment count it spans
         assert!(by_code("wal_bytes").detail.contains("across 7 segments"));

@@ -20,9 +20,9 @@
 //! - [`slowlog`] — a bounded ring of spans that crossed a per-name
 //!   duration threshold, kept with full fields however the trace ring
 //!   evicts.
-//! - [`health`] — a threshold [`health::HealthPolicy`] turning journal
-//!   lag, persistence lag, view staleness, WAL growth, recovery outcome
-//!   and cache hit ratios into an Ok/Degraded/Unhealthy
+//! - [`health`] — a threshold [`health::HealthPolicy`] turning each
+//!   journal consumer's lag, views due a full rebuild, WAL growth,
+//!   recovery outcome and connection saturation into an Ok/Degraded/Unhealthy
 //!   [`health::HealthReport`] with machine-readable reasons.
 //!
 //! This crate sits below `vo-relational` and therefore depends on nothing
@@ -37,9 +37,7 @@ pub mod trace;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::health::{
-        HealthInputs, HealthPolicy, HealthReason, HealthReport, HealthStatus, StalenessInput,
-    };
+    pub use crate::health::{HealthInputs, HealthPolicy, HealthReason, HealthReport, HealthStatus};
     pub use crate::json::{Json, JsonCodec, JsonError};
     pub use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot};
     pub use crate::profile::ProfileNode;

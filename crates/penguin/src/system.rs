@@ -37,14 +37,15 @@ pub struct Penguin {
     registry: Arc<Registry>,
     db: Database,
     /// Durable backing store ([`Penguin::persistent`] / [`Penguin::open`]);
-    /// `None` for in-memory systems. When present, the database's commit
-    /// journal is enabled and every successful mutating facade call reads
-    /// the journal through `wal_cursor` into the store's write-ahead log.
+    /// `None` for in-memory systems. When present, every successful
+    /// mutating facade call reads the database's commit journal through
+    /// `wal_cursor` into the store's write-ahead log.
     store: Option<Store>,
-    /// The write-ahead persister's own journal cursor, subscribed at
-    /// journal start when the store is attached. Persistence and
-    /// materialized views each consume the journal at their own pace;
-    /// entries retire only once every consumer has passed them.
+    /// The write-ahead persister's own journal cursor, subscribed when the
+    /// store is attached, before any commit the store has not captured.
+    /// Persistence and materialized views each consume the journal at
+    /// their own pace; entries retire only once every consumer has passed
+    /// them.
     wal_cursor: Option<JournalCursor>,
     /// What recovery found when this system was [`Penguin::open`]ed.
     recovery: Option<RecoveryReport>,
@@ -72,17 +73,15 @@ const _: () = {
 impl Clone for Penguin {
     /// Clone the in-memory system. The durable store handle is *not*
     /// cloned — two writers interleaving records on one log would corrupt
-    /// it — so the clone is a detached in-memory copy (its commit journal
-    /// is disabled); the original keeps persisting. Materialized views
-    /// and watches are not cloned either: their journal cursors belong to
-    /// the original's journal ([`Penguin::materialize`] again on the
-    /// clone). The health policy is copied.
+    /// it — so the clone is a detached in-memory copy (a cloned database
+    /// carries no journal); the original keeps persisting. Materialized
+    /// views and watches are not cloned either: their journal cursors
+    /// belong to the original's journal ([`Penguin::materialize`] again on
+    /// the clone). The health policy is copied.
     fn clone(&self) -> Self {
-        let mut db = self.db.clone();
-        db.disable_commit_journal();
         Penguin {
             registry: Arc::clone(&self.registry),
-            db,
+            db: self.db.clone(),
             store: None,
             wal_cursor: None,
             recovery: self.recovery,
@@ -406,23 +405,6 @@ impl Penguin {
         let outcome = result?;
         self.flush_store_checked()?;
         Ok(outcome)
-    }
-
-    /// Bound the commit journal's retained transactions (see
-    /// [`JournalCap`]). With [`JournalCap::error`], a commit that would
-    /// overflow is refused before it applies; with
-    /// [`JournalCap::drop_oldest`], the oldest entries are evicted and a
-    /// lapsed consumer falls back gracefully — a materialized view
-    /// rebuilds in full, the write-ahead persister checkpoints instead of
-    /// appending.
-    pub fn set_journal_cap(&mut self, cap: Option<JournalCap>) -> &mut Self {
-        self.db.set_journal_cap(cap);
-        self
-    }
-
-    /// The current journal cap, if any.
-    pub fn journal_cap(&self) -> Option<JournalCap> {
-        self.db.journal_cap()
     }
 
     /// Audit the whole database against the structural model — a full

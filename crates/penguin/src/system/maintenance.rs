@@ -17,7 +17,8 @@ pub(super) struct Watch {
 impl Penguin {
     /// Materialize every instance of a registered object and keep it
     /// incrementally maintained: the view subscribes its own cursor on the
-    /// database's commit journal (enabling the journal if needed) and
+    /// database's commit journal (creating the journal if it is the first)
+    /// and
     /// [`Penguin::refresh`] turns the rows each commit displaced and left
     /// into instance patches/recomputations instead of re-instantiating
     /// the world. Provisions the secondary indexes the reverse walks want
@@ -36,7 +37,7 @@ impl Penguin {
         // subscribe at the head — the build below reads the same database
         // state the cursor points at, and `&mut self` keeps anything from
         // committing in between
-        let cursor = self.db.journal_subscribe(JournalStart::Head);
+        let cursor = self.db.journal_subscribe();
         let plan = &self.registry.planned(name, &self.db)?.plan;
         let view = MaterializedView::build(object, plan, &self.db, cursor)?;
         self.views.insert(name.to_owned(), view);
@@ -54,10 +55,10 @@ impl Penguin {
     }
 
     /// Drop an object's materialized view, releasing its journal cursor
-    /// (and any watches on it). Returns false when nothing was
-    /// materialized under `name`. The commit journal stays enabled; on an
-    /// otherwise journal-free in-memory system, disable it through
-    /// [`Penguin::with_database_mut`] if unwanted.
+    /// (and any watches on it): the entries only it had not read are
+    /// released, and on an in-memory system without another view the
+    /// journal goes with the last cursor. Returns false when nothing was
+    /// materialized under `name`.
     pub fn dematerialize(&mut self, name: &str) -> bool {
         let Some(view) = self.views.remove(name) else {
             return false;
@@ -81,8 +82,7 @@ impl Penguin {
         let read = self.db.journal_peek(view.cursor())?;
         let plan = &self.registry.planned(name, &self.db)?.plan;
         let outcome = view.refresh(plan, &self.db, &read)?;
-        self.db
-            .journal_advance(view.cursor(), read.transactions.len())?;
+        self.db.journal_advance(view.cursor(), read.len())?;
         if !outcome.changes.is_empty() {
             for w in self.watches.values_mut() {
                 if w.object == name {

@@ -3,7 +3,7 @@
 use super::Penguin;
 use std::sync::OnceLock;
 use vo_core::prelude::*;
-use vo_obs::health::{HealthInputs, HealthPolicy, HealthReport, StalenessInput};
+use vo_obs::health::{HealthInputs, HealthPolicy, HealthReport};
 use vo_obs::metrics::{self, Counter};
 use vo_obs::slowlog::{self, SlowOp};
 use vo_obs::trace;
@@ -35,34 +35,28 @@ impl Penguin {
     }
 
     /// Gather every health signal this system can observe about itself —
-    /// journal lag per consumer, persistence lag, per-view staleness,
+    /// the journal lag of each consumer (the write-ahead persister and
+    /// every view), the views whose next refresh must rebuild in full,
     /// live WAL bytes and segment-file count (checkpoint/compaction
     /// debt), and the last recovery's outcome — without mutating
     /// anything.
     pub fn health_inputs(&self) -> HealthInputs {
         let mut consumer_lags = Vec::new();
-        if let Some(cursor) = self.wal_cursor {
-            if let Ok(lag) = self.db.journal_lag(cursor) {
-                consumer_lags.push(("wal".to_owned(), lag));
-            }
+        if let Some(lag) = self.persistence_lag() {
+            consumer_lags.push(("wal".to_owned(), lag));
         }
-        let mut view_staleness = Vec::new();
         for (name, view) in &self.views {
-            if let Ok(s) = view.staleness(&self.db) {
-                consumer_lags.push((format!("view/{name}"), s.pending));
-                view_staleness.push(StalenessInput {
-                    name: name.clone(),
-                    pending: s.pending,
-                    // a forced full rebuild is the same hole in the delta
-                    // stream a lapse is; surface it through the same signal
-                    lapsed: s.lapsed.max(u64::from(s.needs_full)),
-                });
+            if let Ok(lag) = self.db.journal_lag(view.cursor()) {
+                consumer_lags.push((format!("view/{name}"), lag));
             }
         }
+        let views_rebuilding = (self.views.iter())
+            .filter(|(_, view)| view.needs_full())
+            .map(|(name, _)| name.clone())
+            .collect();
         HealthInputs {
             consumer_lags,
-            persistence_lag: self.persistence_lag(),
-            view_staleness,
+            views_rebuilding,
             wal_live_bytes: self.store.as_ref().map(Store::wal_len),
             wal_segments: self.store.as_ref().map(Store::segment_count),
             recovery_torn_tail: self.recovery.map(|r| r.torn_tail_truncated),

@@ -1,6 +1,12 @@
 //! Durability of a [`Penguin`]: the store and its write-ahead cursor,
 //! the persistent constructors, and the flush every mutating facade call
 //! ends with.
+//!
+//! Both constructors subscribe the write-ahead cursor on a database that
+//! has no journal yet, right where the store's state ends, and the journal
+//! keeps every entry until that cursor has read it. The log therefore
+//! receives every committed transaction, and a flush always appends (or
+//! checkpoints when the structure moved); there is no hole to patch over.
 
 use super::Penguin;
 use crate::catalog::SavedSystem;
@@ -64,7 +70,7 @@ impl Penguin {
     ) -> Result<Penguin> {
         let dir = dir.into();
         let mut db = Database::from_schema(schema.catalog());
-        let wal_cursor = db.journal_subscribe(JournalStart::Oldest);
+        let wal_cursor = db.journal_subscribe();
         let store = Store::create(&dir, &db, options)?;
         let mut p = Penguin::with_database(schema, db);
         p.store = Some(store);
@@ -88,7 +94,7 @@ impl Penguin {
         let dir = dir.into();
         let saved = SavedSystem::load(dir.join(SYSTEM_FILE))?;
         let (store, mut db, report) = Store::open(&dir, options)?;
-        let wal_cursor = db.journal_subscribe(JournalStart::Oldest);
+        let wal_cursor = db.journal_subscribe();
         let mut p = saved.restore_with_database(db)?;
         p.store = Some(store);
         p.wal_cursor = Some(wal_cursor);
@@ -155,7 +161,10 @@ impl Penguin {
 
     /// Read the commit journal through the write-ahead cursor into the
     /// durable store (no-op when in-memory); the store checkpoints instead
-    /// of appending when the structure epoch moved. Cursor-transactional:
+    /// of appending when the structure epoch moved. The cursor was
+    /// subscribed before the first commit the store did not capture, and
+    /// the journal keeps every entry until it has passed, so the log has
+    /// no hole. Cursor-transactional:
     /// peek the journal, write the transactions to the store, and only
     /// then advance the cursor — a failed write leaves the cursor in
     /// place, so the same transactions are retried by the next flush.
@@ -166,17 +175,10 @@ impl Penguin {
             return Ok(());
         };
         let read = self.db.journal_peek(cursor)?;
-        persist_lag().record(read.transactions.len() as u64);
-        if read.lapsed > 0 {
-            // a drop-oldest journal cap evicted entries the log never saw;
-            // appending the rest would leave a hole, so capture the whole
-            // database (which already reflects the lost transactions)
-            store.checkpoint(&self.db)?;
-        } else {
-            let refs: Vec<&[DbOp]> = read.transactions.iter().map(|t| t.ops.as_slice()).collect();
-            store.commit(&self.db, &refs)?;
-        }
-        self.db.journal_advance(cursor, read.transactions.len())?;
+        persist_lag().record(read.len() as u64);
+        let refs: Vec<&[DbOp]> = read.iter().map(|t| t.ops.as_slice()).collect();
+        store.commit(&self.db, &refs)?;
+        self.db.journal_advance(cursor, read.len())?;
         Ok(())
     }
 

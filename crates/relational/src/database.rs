@@ -8,12 +8,20 @@
 //! admitted or the batch refused, and the overlay's net delta is then
 //! *installed* ([`Database::install`]) — the only way rows reach a table,
 //! so there is nothing to roll back and no undo log.
+//!
+//! An install is journaled while the database has a journal cursor: the
+//! journal exists exactly while one is subscribed
+//! ([`Database::journal_subscribe`], always at the head), keeps each
+//! [`JournalEntry`] until every cursor has read it through
+//! [`Database::journal_peek`] and [`Database::journal_advance`], and is
+//! dropped with the last [`Database::journal_unsubscribe`]. A cursor never
+//! misses an entry. A copy of a database carries no journal.
 
 use crate::error::{Error, Result};
 use crate::json::Json;
 use crate::overlay::{DeltaDb, Staged};
 use crate::schema::{DatabaseSchema, RelationSchema};
-use crate::stats::{count_commit, count_conflict, count_journal_dropped, count_snapshot_pinned};
+use crate::stats::{count_commit, count_conflict, count_snapshot_pinned};
 use crate::table::Table;
 use crate::tuple::{Key, Tuple};
 use std::collections::{BTreeMap, VecDeque};
@@ -80,69 +88,11 @@ impl fmt::Display for DbOp {
     }
 }
 
-/// Where a new journal subscription starts reading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalStart {
-    /// From the oldest transaction still retained in the journal. The WAL
-    /// persister uses this: anything another consumer has not yet retired
-    /// is visible.
-    Oldest,
-    /// From the next transaction committed after subscribing. Materialized
-    /// views use this: they are built from the current database state, so
-    /// older retained entries are already reflected in them.
-    Head,
-}
-
-/// What happens when a committed transaction would push the journal past
-/// its cap (see [`Database::set_journal_cap`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalOverflow {
-    /// Reject the transaction with [`Error::JournalOverflow`] *before*
-    /// anything is installed, so the database and the journal stay in
-    /// lockstep. Appropriate when losing a journal entry is worse than
-    /// failing the write (e.g. ahead of a WAL persister).
-    Error,
-    /// Drop the oldest retained transaction to make room. Consumers whose
-    /// cursor pointed at a dropped entry are marked *lapsed* — their next
-    /// read reports how many transactions they missed so they can fall
-    /// back to a full rebuild. Each drop bumps the
-    /// `relational.journal.dropped` counter.
-    DropOldest,
-}
-
-/// A bound on how many committed transactions the journal retains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JournalCap {
-    /// Maximum retained (not yet universally consumed) transactions.
-    pub max_transactions: usize,
-    /// Policy when a commit would exceed `max_transactions`.
-    pub overflow: JournalOverflow,
-}
-
-impl JournalCap {
-    /// A cap that rejects commits once `max_transactions` are retained.
-    pub fn error(max_transactions: usize) -> Self {
-        JournalCap {
-            max_transactions,
-            overflow: JournalOverflow::Error,
-        }
-    }
-
-    /// A cap that evicts the oldest retained transaction on overflow.
-    pub fn drop_oldest(max_transactions: usize) -> Self {
-        JournalCap {
-            max_transactions,
-            overflow: JournalOverflow::DropOldest,
-        }
-    }
-}
-
 /// Handle identifying one journal consumer. Obtained from
-/// [`Database::journal_subscribe`]; pass it to `journal_read` /
-/// `journal_peek` / `journal_advance` / `journal_lag` /
-/// `journal_unsubscribe`. Cursors are plain ids: cloning a `Database`
-/// clones its consumers, so a cursor works on the clone too (each side
-/// then advances independently).
+/// [`Database::journal_subscribe`]; pass it to `journal_peek` /
+/// `journal_advance` / `journal_lag` / `journal_unsubscribe`. Cursors are
+/// plain ids that a database never reuses; a clone of a `Database` carries
+/// no cursors, so the original's are unknown to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct JournalCursor(u64);
 
@@ -178,49 +128,19 @@ pub struct JournalEntry {
     pub images: Vec<(String, Vec<RowImage>)>,
 }
 
-/// One consumer's view of the journal: the transactions committed since
-/// its cursor, plus how many it irrecoverably missed.
-#[derive(Debug, Clone, Default)]
-pub struct JournalRead {
-    /// Committed transactions in commit order, one `Arc` per transaction.
-    /// Entries are shared, not copied: every consumer reads the same
-    /// allocation.
-    pub transactions: Vec<Arc<JournalEntry>>,
-    /// Transactions evicted past this cursor by a
-    /// [`JournalOverflow::DropOldest`] cap since the last read. Non-zero
-    /// means the delta stream has a hole: an incremental consumer must
-    /// resynchronize from the database itself (full rebuild).
-    pub lapsed: u64,
-}
-
-impl JournalRead {
-    /// Total ops across all returned transactions.
-    pub fn op_count(&self) -> usize {
-        self.transactions.iter().map(|t| t.ops.len()).sum()
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Consumer {
-    /// Sequence number of the next entry this consumer will read.
-    next_seq: u64,
-    /// Entries evicted before this consumer read them (reported and
-    /// cleared on the next read/advance).
-    lapsed: u64,
-}
-
 /// Multi-consumer committed-transaction journal. Entries are reference-
-/// counted and retire only once every consumer's cursor has passed them,
-/// so the WAL persister and any number of materialized views can share
-/// one delta stream without stealing from each other.
-#[derive(Debug, Clone, Default)]
+/// counted and retire once every consumer's cursor has passed them, so
+/// the WAL persister and any number of materialized views share one
+/// delta stream without stealing from each other. It exists only while
+/// it has a consumer: a journal with none is dropped.
+#[derive(Debug, Default)]
 struct CommitJournal {
     entries: VecDeque<Arc<JournalEntry>>,
     /// Sequence number of `entries[0]`. Sequence numbers are assigned at
     /// commit and never reused, so a consumer's position is a plain `u64`.
     base_seq: u64,
-    consumers: BTreeMap<u64, Consumer>,
-    next_consumer: u64,
+    /// Cursor id → sequence number of the next entry that consumer reads.
+    consumers: BTreeMap<u64, u64>,
 }
 
 impl CommitJournal {
@@ -228,108 +148,38 @@ impl CommitJournal {
         self.base_seq + self.entries.len() as u64
     }
 
-    fn subscribe(&mut self, start: JournalStart) -> JournalCursor {
-        let id = self.next_consumer;
-        self.next_consumer += 1;
-        let next_seq = match start {
-            JournalStart::Oldest => self.base_seq,
-            JournalStart::Head => self.head_seq(),
-        };
-        self.consumers.insert(
-            id,
-            Consumer {
-                next_seq,
-                lapsed: 0,
-            },
-        );
-        JournalCursor(id)
+    fn next_seq(&self, cursor: JournalCursor) -> Result<u64> {
+        (self.consumers.get(&cursor.0).copied()).ok_or_else(|| unknown_cursor(cursor))
     }
 
-    fn consumer(&self, cursor: JournalCursor) -> Result<&Consumer> {
-        self.consumers
-            .get(&cursor.0)
-            .ok_or_else(|| unknown_cursor(cursor))
+    fn peek(&self, cursor: JournalCursor) -> Result<Vec<Arc<JournalEntry>>> {
+        let skip = (self.next_seq(cursor)? - self.base_seq) as usize;
+        Ok(self.entries.iter().skip(skip).cloned().collect())
     }
 
-    fn peek(&self, cursor: JournalCursor) -> Result<JournalRead> {
-        let c = self.consumer(cursor)?;
-        let skip = (c.next_seq - self.base_seq) as usize;
-        Ok(JournalRead {
-            transactions: self.entries.iter().skip(skip).cloned().collect(),
-            lapsed: c.lapsed,
-        })
-    }
-
-    /// Move `cursor` forward over up to `n` entries and clear its lapse
-    /// counter, then retire entries every consumer has passed.
+    /// Move `cursor` forward over up to `n` entries, then retire entries
+    /// every consumer has passed.
     fn advance(&mut self, cursor: JournalCursor, n: usize) -> Result<()> {
         let head = self.head_seq();
-        let c = self
-            .consumers
-            .get_mut(&cursor.0)
-            .ok_or_else(|| unknown_cursor(cursor))?;
-        c.next_seq = (c.next_seq + n as u64).min(head);
-        c.lapsed = 0;
+        let next = (self.consumers.get_mut(&cursor.0)).ok_or_else(|| unknown_cursor(cursor))?;
+        *next = (*next + n as u64).min(head);
         self.retire();
         Ok(())
     }
 
-    fn unsubscribe(&mut self, cursor: JournalCursor) {
-        self.consumers.remove(&cursor.0);
-        self.retire();
-    }
-
-    /// Drop entries that every consumer has read. With no consumers at
-    /// all, everything is retained for the first
-    /// [`JournalStart::Oldest`] subscriber.
+    /// Drop entries that every consumer has read.
     fn retire(&mut self) {
-        let Some(min_next) = self.consumers.values().map(|c| c.next_seq).min() else {
-            return;
-        };
-        while self.base_seq < min_next && !self.entries.is_empty() {
+        let min_next = self.consumers.values().copied().min();
+        while min_next.is_some_and(|next| self.base_seq < next) {
             self.entries.pop_front();
             self.base_seq += 1;
         }
-    }
-
-    /// Append one committed transaction, enforcing a drop-oldest cap.
-    /// Returns the number of entries evicted.
-    fn push(&mut self, entry: JournalEntry, cap: Option<JournalCap>) -> u64 {
-        self.entries.push_back(Arc::new(entry));
-        match cap {
-            Some(JournalCap {
-                max_transactions,
-                overflow: JournalOverflow::DropOldest,
-            }) => self.evict_to(max_transactions),
-            _ => 0,
-        }
-    }
-
-    /// Evict oldest entries until at most `max` remain (floor 1), lapsing
-    /// any consumer whose cursor pointed into the evicted range. Returns
-    /// the number of entries dropped.
-    fn evict_to(&mut self, max: usize) -> u64 {
-        let mut dropped = 0u64;
-        while self.entries.len() > max.max(1) {
-            self.entries.pop_front();
-            self.base_seq += 1;
-            dropped += 1;
-        }
-        if dropped > 0 {
-            for c in self.consumers.values_mut() {
-                if c.next_seq < self.base_seq {
-                    c.lapsed += self.base_seq - c.next_seq;
-                    c.next_seq = self.base_seq;
-                }
-            }
-        }
-        dropped
     }
 }
 
 fn unknown_cursor(cursor: JournalCursor) -> Error {
     Error::Storage(format!(
-        "unknown journal cursor #{}: the journal was disabled or the cursor unsubscribed",
+        "unknown journal cursor #{}: unsubscribed, or from another database",
         cursor.0
     ))
 }
@@ -345,7 +195,7 @@ fn unknown_cursor(cursor: JournalCursor) -> Error {
 /// included). Each committed transaction bumps [`Database::version`] and
 /// stamps the relations it touched, which is what first-committer-wins
 /// conflict detection ([`Database::check_unchanged`]) validates against.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Database {
     tables: BTreeMap<String, Arc<Table>>,
     /// Bumped on every structural change (relation created or dropped,
@@ -364,19 +214,33 @@ pub struct Database {
     /// a conflict check against a vanished table still fires.
     table_stamps: BTreeMap<String, u64>,
     /// Committed-transaction journal (the durability and maintenance
-    /// hook): when enabled, every *successful* transaction through the
-    /// data path — every [`Database::install`], whichever of
-    /// [`Database::apply`] / [`Database::insert`] / [`Database::apply_all`]
-    /// or the update pipeline staged it — is recorded as one
-    /// [`JournalEntry`]: its op list and the pre-/post-images of every key
-    /// it wrote. Refused batches record nothing.
-    /// The journal is multi-consumer: `vo-store` reads it through one
-    /// cursor to frame WAL commit records while materialized views read
-    /// the same entries through their own cursors.
+    /// hook), present exactly while a [`JournalCursor`] is subscribed:
+    /// every *successful* transaction through the data path — every
+    /// [`Database::install`], whichever of [`Database::apply`] /
+    /// [`Database::insert`] / [`Database::apply_all`] or the update
+    /// pipeline staged it — is recorded as one [`JournalEntry`]: its op
+    /// list and the pre-/post-images of every key it wrote. Refused
+    /// batches record nothing. `vo-store` reads it through one cursor to
+    /// frame WAL commit records while materialized views read the same
+    /// entries through their own cursors.
     journal: Option<CommitJournal>,
-    /// Retention bound applied while journaling (survives
-    /// enable/disable cycles).
-    journal_cap: Option<JournalCap>,
+    /// Id of the next cursor subscribed; ids are never reused.
+    next_cursor: u64,
+}
+
+impl Clone for Database {
+    /// A copy of the data, versions and stamps. The copy carries no
+    /// journal and no cursors: commits on it are retained for nobody.
+    fn clone(&self) -> Self {
+        Database {
+            tables: self.tables.clone(),
+            structure_epoch: self.structure_epoch,
+            version: self.version,
+            table_stamps: self.table_stamps.clone(),
+            journal: None,
+            next_cursor: self.next_cursor,
+        }
+    }
 }
 
 // The net server shares `&Database` across its worker threads; a future
@@ -452,12 +316,8 @@ impl Database {
     /// they touch, leaving the snapshot untouched.
     pub fn snapshot(&self) -> DbSnapshot {
         count_snapshot_pinned();
-        let mut pinned = self.clone();
-        // a snapshot is a reader: it must not retain (or replay) journal
-        // entries, and dropping the journal keeps the clone cheap
-        pinned.journal = None;
         DbSnapshot {
-            inner: Arc::new(pinned),
+            inner: Arc::new(self.clone()),
         }
     }
 
@@ -592,148 +452,64 @@ impl Database {
         self.tables.values().map(|t| t.len()).sum()
     }
 
-    /// Start recording committed transactions (see the `journal` field).
-    /// Idempotent: enabling an already-journaling database keeps its
-    /// retained entries and consumers.
-    pub fn enable_commit_journal(&mut self) {
-        if self.journal.is_none() {
-            self.journal = Some(CommitJournal::default());
-        }
-    }
-
-    /// Stop recording committed transactions, discarding retained entries
-    /// and invalidating every subscribed cursor.
-    pub fn disable_commit_journal(&mut self) {
-        self.journal = None;
-    }
-
-    /// True while committed transactions are being journaled.
-    pub fn commit_journal_enabled(&self) -> bool {
-        self.journal.is_some()
-    }
-
-    /// Register a new journal consumer (enabling the journal if it was
-    /// off) and return its cursor. Each consumer reads every committed
-    /// transaction exactly once through [`Database::journal_read`];
-    /// entries retire only when all consumers have passed them.
-    pub fn journal_subscribe(&mut self, start: JournalStart) -> JournalCursor {
-        self.enable_commit_journal();
-        self.journal
-            .as_mut()
-            .expect("just enabled")
-            .subscribe(start)
+    /// Register a new journal consumer and return its cursor, creating the
+    /// journal if this is the first. The cursor starts at the head: it
+    /// reads every transaction committed after this call, through
+    /// [`Database::journal_peek`] and then [`Database::journal_advance`].
+    /// Entries retire once every consumer has passed them.
+    pub fn journal_subscribe(&mut self) -> JournalCursor {
+        let id = self.next_cursor;
+        self.next_cursor += 1;
+        let journal = self.journal.get_or_insert_with(CommitJournal::default);
+        journal.consumers.insert(id, journal.head_seq());
+        JournalCursor(id)
     }
 
     /// Remove a consumer. Entries it alone was holding back retire
-    /// immediately. Unknown cursors are ignored.
+    /// immediately, and the last consumer's departure drops the journal.
+    /// Unknown cursors are ignored.
     pub fn journal_unsubscribe(&mut self, cursor: JournalCursor) {
         if let Some(j) = &mut self.journal {
-            j.unsubscribe(cursor);
+            j.consumers.remove(&cursor.0);
+            j.retire();
+            if j.consumers.is_empty() {
+                self.journal = None;
+            }
         }
     }
 
-    /// Read and consume everything committed since `cursor` last read.
-    /// Equivalent to [`Database::journal_peek`] followed by
-    /// [`Database::journal_advance`] over the returned transactions.
-    pub fn journal_read(&mut self, cursor: JournalCursor) -> Result<JournalRead> {
-        let read = self.journal_peek(cursor)?;
-        self.journal_advance(cursor, read.transactions.len())?;
-        Ok(read)
+    /// Everything committed since `cursor` last advanced, in commit order,
+    /// one shared `Arc` per transaction: every consumer reads the same
+    /// allocation. The cursor does not move; call
+    /// [`Database::journal_advance`] once the entries have been applied,
+    /// so a consumer whose apply failed (the WAL persister) reads them
+    /// again.
+    pub fn journal_peek(&self, cursor: JournalCursor) -> Result<Vec<Arc<JournalEntry>>> {
+        self.journal_of(cursor)?.peek(cursor)
     }
 
-    /// Read everything committed since `cursor` without consuming it: the
-    /// cursor does not move and the lapse counter is not cleared. Pair
-    /// with [`Database::journal_advance`] once the entries have been
-    /// safely applied — a consumer with side effects (the WAL persister)
-    /// uses this so a failed apply can be retried.
-    pub fn journal_peek(&self, cursor: JournalCursor) -> Result<JournalRead> {
-        self.journal
-            .as_ref()
-            .ok_or_else(|| unknown_cursor(cursor))?
-            .peek(cursor)
-    }
-
-    /// Move `cursor` past `n` entries (saturating at the journal head) and
-    /// clear its lapse counter. Entries every consumer has passed retire.
+    /// Move `cursor` past `n` entries (saturating at the journal head).
+    /// Entries every consumer has passed retire.
     pub fn journal_advance(&mut self, cursor: JournalCursor, n: usize) -> Result<()> {
-        self.journal
-            .as_mut()
+        (self.journal.as_mut())
             .ok_or_else(|| unknown_cursor(cursor))?
             .advance(cursor, n)
     }
 
     /// Number of committed transactions `cursor` has not yet read.
     pub fn journal_lag(&self, cursor: JournalCursor) -> Result<u64> {
-        let j = self
-            .journal
-            .as_ref()
-            .ok_or_else(|| unknown_cursor(cursor))?;
-        Ok(j.head_seq() - j.consumer(cursor)?.next_seq)
+        let j = self.journal_of(cursor)?;
+        Ok(j.head_seq() - j.next_seq(cursor)?)
     }
 
-    /// Number of committed transactions evicted past `cursor` since its
-    /// last read/advance — non-zero means the consumer's delta stream has
-    /// a hole. Unlike [`Database::journal_peek`] this does not clone the
-    /// pending entries, so health probes can poll it cheaply.
-    pub fn journal_lapsed(&self, cursor: JournalCursor) -> Result<u64> {
-        let j = self
-            .journal
-            .as_ref()
-            .ok_or_else(|| unknown_cursor(cursor))?;
-        Ok(j.consumer(cursor)?.lapsed)
-    }
-
-    /// Every live consumer's `(cursor, lag)` pair, in cursor order —
-    /// the journal fan-out as one snapshot for health monitoring. Empty
-    /// when journaling is off.
-    pub fn journal_lags(&self) -> Vec<(JournalCursor, u64)> {
-        let Some(j) = &self.journal else {
-            return Vec::new();
-        };
-        let head = j.head_seq();
-        j.consumers
-            .iter()
-            .map(|(&id, c)| (JournalCursor(id), head - c.next_seq))
-            .collect()
-    }
-
-    /// Number of committed transactions currently retained (bounded by the
-    /// slowest consumer, or by the cap).
+    /// Number of committed transactions currently retained: those the
+    /// slowest consumer has not read, 0 with no consumer.
     pub fn journal_retained(&self) -> usize {
         self.journal.as_ref().map_or(0, |j| j.entries.len())
     }
 
-    /// Bound journal retention (or lift the bound with `None`). The cap
-    /// survives enable/disable cycles. Shrinking under a
-    /// [`JournalOverflow::DropOldest`] policy evicts immediately.
-    pub fn set_journal_cap(&mut self, cap: Option<JournalCap>) {
-        self.journal_cap = cap;
-        if let (Some(j), Some(cap)) = (&mut self.journal, cap) {
-            if cap.overflow == JournalOverflow::DropOldest {
-                count_journal_dropped(j.evict_to(cap.max_transactions));
-            }
-        }
-    }
-
-    /// The current journal retention cap, if any.
-    pub fn journal_cap(&self) -> Option<JournalCap> {
-        self.journal_cap
-    }
-
-    /// Reject a would-be transaction while the journal is full under the
-    /// [`JournalOverflow::Error`] policy. Checked *before* anything is
-    /// installed so a rejected transaction leaves no trace.
-    fn journal_admit(&self) -> Result<()> {
-        let (Some(j), Some(cap)) = (&self.journal, self.journal_cap) else {
-            return Ok(());
-        };
-        if cap.overflow == JournalOverflow::Error && j.entries.len() >= cap.max_transactions.max(1)
-        {
-            return Err(Error::JournalOverflow {
-                capacity: cap.max_transactions,
-            });
-        }
-        Ok(())
+    fn journal_of(&self, cursor: JournalCursor) -> Result<&CommitJournal> {
+        self.journal.as_ref().ok_or_else(|| unknown_cursor(cursor))
     }
 
     /// Convenience: insert a tuple built from raw values.
@@ -763,7 +539,6 @@ impl Database {
         if ops.is_empty() {
             return Ok(());
         }
-        self.journal_admit()?;
         let mut overlay = DeltaDb::new(self);
         (ops.iter().try_for_each(|op| overlay.fold(op)))
             .map_err(|e| Error::Rolledback(Box::new(e)))?;
@@ -779,8 +554,8 @@ impl Database {
     /// pipeline commit, a raw [`Database::apply_all`] and a WAL replay alike.
     /// Every refusal comes before anything is borrowed mutably: the change
     /// must have been staged over this database at its current version
-    /// ([`Error::Conflict`] otherwise), the journal must admit one more
-    /// transaction, every row is validated once more. Then each key is put
+    /// ([`Error::Conflict`] otherwise), and every row is validated once
+    /// more. Then each key is put
     /// or removed through `Table::put` (copy-on-write per written relation),
     /// the version moves by one and stamps each written relation once — a
     /// relation of insert-then-delete no-ops too: it was written — and the
@@ -804,7 +579,6 @@ impl Database {
                 head_version: self.version,
             });
         }
-        self.journal_admit()?;
         for (relation, rows) in delta.relations() {
             let schema = self.table(relation)?.schema();
             (rows.values().flatten()).try_for_each(|row| row.validate(schema))?;
@@ -834,8 +608,7 @@ impl Database {
             }
         }
         if let Some(journal) = &mut self.journal {
-            let entry = JournalEntry { ops, images };
-            count_journal_dropped(journal.push(entry, self.journal_cap));
+            (journal.entries).push_back(Arc::new(JournalEntry { ops, images }));
         }
         Ok(())
     }
@@ -1030,7 +803,7 @@ mod tests {
             .unwrap();
         d.insert("COURSES", vec!["CS345".into(), "CS".into()])
             .unwrap();
-        let cursor = d.journal_subscribe(JournalStart::Head);
+        let cursor = d.journal_subscribe();
         let courses = d.table("COURSES").unwrap().schema().clone();
         let course = |id: &str, dept: &str| Tuple::new(&courses, vec![id.into(), dept.into()]);
         let ops = vec![
@@ -1071,12 +844,12 @@ mod tests {
         };
         assert_eq!(by_dept("ME"), vec![Key::single("CS345")]);
         assert!(by_dept("CS").is_empty() && by_dept("EE").is_empty());
-        let read = d.journal_read(cursor).unwrap();
-        assert_eq!(read.transactions.len(), 1);
-        assert!(std::ptr::eq(read.transactions[0].ops.as_ptr(), handed));
+        let read = read(&mut d, cursor);
+        assert_eq!(read.len(), 1);
+        assert!(std::ptr::eq(read[0].ops.as_ptr(), handed));
         // EE282 came and went: only CS345 has an image, and its rows are
         // the ones the table held and holds
-        let [(relation, images)] = &read.transactions[0].images[..] else {
+        let [(relation, images)] = &read[0].images[..] else {
             panic!("one written relation");
         };
         let [image] = &images[..] else {
@@ -1112,14 +885,21 @@ mod tests {
         assert_eq!(d.total_tuples(), 3);
     }
 
+    /// Peek everything `cursor` has not read, then advance past it.
+    fn read(d: &mut Database, cursor: JournalCursor) -> Vec<Arc<JournalEntry>> {
+        let read = d.journal_peek(cursor).unwrap();
+        d.journal_advance(cursor, read.len()).unwrap();
+        read
+    }
+
     #[test]
     fn commit_journal_records_only_committed_transactions() {
         let mut d = db();
-        // nothing is recorded while the journal is off
+        // nothing is recorded before a cursor exists
         d.insert("DEPARTMENT", vec!["CS".into()]).unwrap();
-        let c = d.journal_subscribe(JournalStart::Oldest);
-        assert!(d.commit_journal_enabled());
-        assert!(d.journal_read(c).unwrap().transactions.is_empty());
+        assert_eq!(d.journal_retained(), 0);
+        let c = d.journal_subscribe();
+        assert!(read(&mut d, c).is_empty());
 
         // a single-op transaction
         d.insert("DEPARTMENT", vec!["EE".into()]).unwrap();
@@ -1152,18 +932,120 @@ mod tests {
         // a batch folded whole and then vetoed records nothing either
         fold_and_veto(&d, &bad[..1]);
 
-        let txs = d.journal_read(c).unwrap().transactions;
+        let txs = read(&mut d, c);
         assert_eq!(txs.len(), 2);
         assert_eq!(txs[0].ops.len(), 1);
         assert_eq!(txs[1].ops, batch);
-        // read: the journal is empty again but still enabled
-        assert!(d.journal_read(c).unwrap().transactions.is_empty());
-        assert!(d.commit_journal_enabled());
-        // disabling discards the journal and invalidates the cursor
-        d.disable_commit_journal();
-        d.insert("DEPARTMENT", vec!["BIO".into()]).unwrap();
-        assert!(d.journal_read(c).is_err());
+        // read: nothing is left for the cursor
+        assert!(read(&mut d, c).is_empty());
+    }
+
+    #[test]
+    fn journal_fans_out_to_independent_cursors() {
+        let mut d = db();
+        let a = d.journal_subscribe();
+        d.insert("DEPARTMENT", vec!["CS".into()]).unwrap();
+        // a consumer subscribes at the head: it sees only later commits
+        let b = d.journal_subscribe();
+        d.insert("DEPARTMENT", vec!["EE".into()]).unwrap();
+
+        // both entries retained until every consumer passes them
+        assert_eq!(d.journal_retained(), 2);
+        let ra = read(&mut d, a);
+        assert_eq!(ra.len(), 2);
+        assert_eq!(ra.iter().map(|t| t.ops.len()).sum::<usize>(), 2);
+        // b still holds the second entry back
+        assert_eq!(d.journal_retained(), 1);
+        assert_eq!(d.journal_lag(b).unwrap(), 1);
+        assert_eq!(read(&mut d, b).len(), 1);
         assert_eq!(d.journal_retained(), 0);
+        assert_eq!(d.journal_lag(a).unwrap(), 0);
+    }
+
+    #[test]
+    fn journal_peek_does_not_consume() {
+        let mut d = db();
+        let c = d.journal_subscribe();
+        d.insert("DEPARTMENT", vec!["CS".into()]).unwrap();
+        assert_eq!(d.journal_peek(c).unwrap().len(), 1);
+        assert_eq!(d.journal_peek(c).unwrap().len(), 1);
+        d.journal_advance(c, 1).unwrap();
+        assert!(d.journal_peek(c).unwrap().is_empty());
+        assert_eq!(d.journal_retained(), 0);
+    }
+
+    #[test]
+    fn reading_through_one_cursor_does_not_steal_from_another() {
+        let mut d = db();
+        let wal = d.journal_subscribe();
+        let other = d.journal_subscribe();
+        d.insert("DEPARTMENT", vec!["CS".into()]).unwrap();
+        let taken = read(&mut d, other);
+        assert_eq!(taken.len(), 1);
+        // the WAL cursor still sees the transaction — the same shared entry
+        let r = read(&mut d, wal);
+        assert_eq!(r.len(), 1);
+        assert!(Arc::ptr_eq(&r[0], &taken[0]));
+        // and the first reader keeps working incrementally
+        d.insert("DEPARTMENT", vec!["EE".into()]).unwrap();
+        assert_eq!(read(&mut d, other).len(), 1);
+    }
+
+    #[test]
+    fn unsubscribe_releases_retained_entries() {
+        let mut d = db();
+        let slow = d.journal_subscribe();
+        let fast = d.journal_subscribe();
+        d.insert("DEPARTMENT", vec!["CS".into()]).unwrap();
+        read(&mut d, fast);
+        assert_eq!(d.journal_retained(), 1);
+        d.journal_unsubscribe(slow);
+        assert_eq!(d.journal_retained(), 0);
+        assert!(d.journal_peek(slow).is_err());
+    }
+
+    #[test]
+    fn unsubscribing_the_last_cursor_drops_what_was_retained() {
+        let mut d = db();
+        let c = d.journal_subscribe();
+        for name in ["A", "B", "C"] {
+            d.insert("DEPARTMENT", vec![name.into()]).unwrap();
+        }
+        assert_eq!(d.journal_retained(), 3);
+        d.journal_unsubscribe(c);
+        assert_eq!(d.journal_retained(), 0);
+        // with no cursor there is no journal: later commits retain nothing
+        d.insert("DEPARTMENT", vec!["D".into()]).unwrap();
+        assert_eq!(d.journal_retained(), 0);
+        assert!(d.journal_lag(c).is_err());
+        // a new cursor starts at the head and is not the old one
+        let fresh = d.journal_subscribe();
+        assert_ne!(fresh, c);
+        assert!(d.journal_peek(fresh).unwrap().is_empty());
+        assert!(d.journal_peek(c).is_err());
+        d.insert("DEPARTMENT", vec!["E".into()]).unwrap();
+        assert_eq!(read(&mut d, fresh).len(), 1);
+    }
+
+    #[test]
+    fn a_clone_carries_no_journal() {
+        let mut d = db();
+        let c = d.journal_subscribe();
+        d.insert("DEPARTMENT", vec!["CS".into()]).unwrap();
+        let mut copy = d.clone();
+        assert_eq!(copy.journal_retained(), 0);
+        assert!(copy.journal_peek(c).is_err());
+        for name in ["EE", "ME"] {
+            copy.insert("DEPARTMENT", vec![name.into()]).unwrap();
+        }
+        assert_eq!(copy.journal_retained(), 0);
+        // the original's cursor still reads its own entry, and only it
+        d.insert("DEPARTMENT", vec!["BIO".into()]).unwrap();
+        let own = read(&mut d, c);
+        assert_eq!(own.len(), 2);
+        assert_eq!(own[1].ops, vec![dept_insert(&d, "BIO")]);
+        // a snapshot is a copy too
+        assert_eq!(d.snapshot().journal_retained(), 0);
     }
 
     fn dept_insert(d: &Database, name: &str) -> DbOp {
@@ -1172,126 +1054,6 @@ mod tests {
             relation: "DEPARTMENT".into(),
             tuple: Tuple::new(&schema, vec![name.into()]).unwrap(),
         }
-    }
-
-    #[test]
-    fn journal_fans_out_to_independent_cursors() {
-        let mut d = db();
-        let a = d.journal_subscribe(JournalStart::Oldest);
-        d.insert("DEPARTMENT", vec!["CS".into()]).unwrap();
-        // a consumer subscribed at the head sees only later commits
-        let b = d.journal_subscribe(JournalStart::Head);
-        d.insert("DEPARTMENT", vec!["EE".into()]).unwrap();
-
-        // both entries retained until every consumer passes them
-        assert_eq!(d.journal_retained(), 2);
-        let ra = d.journal_read(a).unwrap();
-        assert_eq!(ra.transactions.len(), 2);
-        assert_eq!(ra.lapsed, 0);
-        assert_eq!(ra.op_count(), 2);
-        // b still holds the second entry back
-        assert_eq!(d.journal_retained(), 1);
-        assert_eq!(d.journal_lag(b).unwrap(), 1);
-        let rb = d.journal_read(b).unwrap();
-        assert_eq!(rb.transactions.len(), 1);
-        assert_eq!(d.journal_retained(), 0);
-        assert_eq!(d.journal_lag(a).unwrap(), 0);
-    }
-
-    #[test]
-    fn journal_peek_does_not_consume() {
-        let mut d = db();
-        let c = d.journal_subscribe(JournalStart::Oldest);
-        d.insert("DEPARTMENT", vec!["CS".into()]).unwrap();
-        assert_eq!(d.journal_peek(c).unwrap().transactions.len(), 1);
-        assert_eq!(d.journal_peek(c).unwrap().transactions.len(), 1);
-        d.journal_advance(c, 1).unwrap();
-        assert!(d.journal_peek(c).unwrap().transactions.is_empty());
-        assert_eq!(d.journal_retained(), 0);
-    }
-
-    #[test]
-    fn reading_through_one_cursor_does_not_steal_from_another() {
-        let mut d = db();
-        let wal = d.journal_subscribe(JournalStart::Oldest);
-        let other = d.journal_subscribe(JournalStart::Oldest);
-        d.insert("DEPARTMENT", vec!["CS".into()]).unwrap();
-        let taken = d.journal_read(other).unwrap();
-        assert_eq!(taken.transactions.len(), 1);
-        // the WAL cursor still sees the transaction — the same shared entry
-        let r = d.journal_read(wal).unwrap();
-        assert_eq!(r.transactions.len(), 1);
-        assert!(Arc::ptr_eq(&r.transactions[0], &taken.transactions[0]));
-        // and the first reader keeps working incrementally
-        d.insert("DEPARTMENT", vec!["EE".into()]).unwrap();
-        assert_eq!(d.journal_read(other).unwrap().transactions.len(), 1);
-    }
-
-    #[test]
-    fn unsubscribe_releases_retained_entries() {
-        let mut d = db();
-        let slow = d.journal_subscribe(JournalStart::Oldest);
-        let fast = d.journal_subscribe(JournalStart::Oldest);
-        d.insert("DEPARTMENT", vec!["CS".into()]).unwrap();
-        d.journal_read(fast).unwrap();
-        assert_eq!(d.journal_retained(), 1);
-        d.journal_unsubscribe(slow);
-        assert_eq!(d.journal_retained(), 0);
-        assert!(d.journal_read(slow).is_err());
-    }
-
-    #[test]
-    fn drop_oldest_cap_lapses_slow_consumers() {
-        let mut d = db();
-        d.set_journal_cap(Some(JournalCap::drop_oldest(2)));
-        let c = d.journal_subscribe(JournalStart::Oldest);
-        for name in ["A", "B", "C", "D"] {
-            d.insert("DEPARTMENT", vec![name.into()]).unwrap();
-        }
-        assert_eq!(d.journal_retained(), 2);
-        let r = d.journal_read(c).unwrap();
-        assert_eq!(r.lapsed, 2, "two entries evicted past the cursor");
-        assert_eq!(r.transactions.len(), 2);
-        // after a read the consumer is caught up: no further lapse
-        d.insert("DEPARTMENT", vec!["E".into()]).unwrap();
-        let r = d.journal_read(c).unwrap();
-        assert_eq!(r.lapsed, 0);
-        assert_eq!(r.transactions.len(), 1);
-    }
-
-    #[test]
-    fn error_cap_rejects_before_applying() {
-        let mut d = db();
-        let c = d.journal_subscribe(JournalStart::Oldest);
-        d.set_journal_cap(Some(JournalCap::error(1)));
-        d.insert("DEPARTMENT", vec!["CS".into()]).unwrap();
-        // journal holds 1 entry: the next transaction must be rejected
-        // without touching the table
-        let err = d.apply_all(&[dept_insert(&d, "EE")]).unwrap_err();
-        assert!(matches!(err, Error::JournalOverflow { capacity: 1 }));
-        assert_eq!(d.table("DEPARTMENT").unwrap().len(), 1);
-        assert_eq!(d.journal_retained(), 1);
-        // reading frees capacity
-        d.journal_read(c).unwrap();
-        d.insert("DEPARTMENT", vec!["EE".into()]).unwrap();
-        assert_eq!(d.table("DEPARTMENT").unwrap().len(), 2);
-        // lifting the cap also frees it
-        d.set_journal_cap(None);
-        d.insert("DEPARTMENT", vec!["ME".into()]).unwrap();
-        d.insert("DEPARTMENT", vec!["BIO".into()]).unwrap();
-    }
-
-    #[test]
-    fn shrinking_drop_oldest_cap_evicts_immediately() {
-        let mut d = db();
-        d.enable_commit_journal();
-        for name in ["A", "B", "C"] {
-            d.insert("DEPARTMENT", vec![name.into()]).unwrap();
-        }
-        assert_eq!(d.journal_retained(), 3);
-        d.set_journal_cap(Some(JournalCap::drop_oldest(1)));
-        assert_eq!(d.journal_retained(), 1);
-        assert_eq!(d.journal_cap(), Some(JournalCap::drop_oldest(1)));
     }
 
     #[test]

@@ -56,10 +56,6 @@ pub enum Error {
     /// Carries the rendered storage error (I/O errors are neither `Clone`
     /// nor `PartialEq`, so only the message crosses this boundary).
     Storage(String),
-    /// The commit journal is full and its cap uses the
-    /// [`JournalOverflow::Error`](crate::database::JournalOverflow) policy,
-    /// so the transaction was rejected before any op was applied.
-    JournalOverflow { capacity: usize },
     /// First-committer-wins validation failed: a relation read or written
     /// by a transaction prepared against version `base_version` was
     /// concurrently modified (its stamp advanced to `head_version`).
@@ -127,11 +123,6 @@ impl fmt::Display for Error {
             Error::ConstraintViolation(m) => write!(f, "constraint violation: {m}"),
             Error::Serialization(m) => write!(f, "serialization error: {m}"),
             Error::Storage(m) => write!(f, "storage error: {m}"),
-            Error::JournalOverflow { capacity } => write!(
-                f,
-                "commit journal is full ({capacity} retained transactions): \
-                 drain a consumer, raise the cap, or switch to drop-oldest"
-            ),
             Error::Conflict {
                 relation,
                 base_version,

@@ -63,10 +63,7 @@ pub mod value;
 pub mod prelude {
     pub use crate::aggregate::{aggregate_rows, AggFunc, AggSpec};
     pub use crate::algebra::{Plan, ResultSet};
-    pub use crate::database::{
-        Database, DbOp, DbSnapshot, JournalCap, JournalCursor, JournalEntry, JournalOverflow,
-        JournalRead, JournalStart, RowImage,
-    };
+    pub use crate::database::{Database, DbOp, DbSnapshot, JournalCursor, JournalEntry, RowImage};
     pub use crate::error::{Error, Result};
     pub use crate::json::{json_enum, json_struct, Json, JsonCodec};
     pub use crate::overlay::{DbRead, Delta, DeltaDb, DeltaWrite, Staged, TableView};

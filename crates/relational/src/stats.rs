@@ -75,11 +75,6 @@ fn snapshot_avoided() -> Counter {
     *C.get_or_init(|| metrics::counter("translate.snapshot_avoided"))
 }
 
-fn journal_dropped() -> Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
-    *C.get_or_init(|| metrics::counter("relational.journal.dropped"))
-}
-
 fn commits() -> Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     *C.get_or_init(|| metrics::counter("relational.commits"))
@@ -142,16 +137,6 @@ pub fn count_overlay_read() {
 /// cloning the base database (one avoided full snapshot).
 pub fn count_snapshot_avoided() {
     snapshot_avoided().inc();
-}
-
-/// Record `n` commit-journal entries evicted by a drop-oldest cap before
-/// every consumer read them. Not part of [`InstrumentationSnapshot`]
-/// (which tracks the query/translation engine); read it from the obs
-/// registry as `relational.journal.dropped`.
-pub fn count_journal_dropped(n: u64) {
-    if n > 0 {
-        journal_dropped().add(n);
-    }
 }
 
 /// Record one committed transaction (a version bump). Registry name

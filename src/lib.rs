@@ -59,7 +59,7 @@ pub mod prelude {
         VoqlResult,
     };
     pub use vo_obs::health::{
-        HealthInputs, HealthPolicy, HealthReason, HealthReport, HealthStatus, StalenessInput,
+        HealthInputs, HealthPolicy, HealthReason, HealthReport, HealthStatus,
     };
     pub use vo_obs::slowlog::SlowOp;
     pub use vo_penguin::{

@@ -46,8 +46,8 @@ fn department_inserts(db: &Database, n: usize) -> Vec<DbOp> {
 }
 
 /// A batch with a poisoned op at an arbitrary position — last included —
-/// is refused wholly, and so is a sound batch the journal cannot admit:
-/// neither touches anything, beside a pinned reader.
+/// is refused wholly, and so is a sound change staged over a version that
+/// has since moved: neither touches anything, beside a pinned reader.
 #[test]
 fn poisoned_batches_roll_back() {
     let mut rng = SmallRng::seed_from_u64(0xBAD);
@@ -55,7 +55,7 @@ fn poisoned_batches_roll_back() {
         let pos = rng.gen_range(0..6);
         let seed = rng.next_u64() % 100;
         let (_, mut db) = university_scaled(1, seed);
-        db.journal_subscribe(JournalStart::Head);
+        db.journal_subscribe();
         let mut ops = department_inserts(&db, 5);
         // poison: delete a tuple that does not exist
         ops.insert(
@@ -70,13 +70,19 @@ fn poisoned_batches_roll_back() {
         assert!(matches!(err, Error::Rolledback(_)));
         assert_untouched(&db, &pinned, 0);
 
-        // a full journal under the refusing policy turns a sound batch away
-        db.set_journal_cap(Some(JournalCap::error(1)));
+        // a sound change staged before another commit is stale: install
+        // turns it away
         let sound = department_inserts(&db, 7);
+        let mut overlay = DeltaDb::new(&db);
+        overlay.apply_all(sound[5..].to_vec()).unwrap();
+        let stale = overlay.finish();
         db.apply_all(&sound[..5]).unwrap();
         let pinned = db.snapshot();
-        let err = db.apply_all(&sound[5..]).unwrap_err();
-        assert!(matches!(err, Error::JournalOverflow { capacity: 1 }));
+        let err = db.install(stale).unwrap_err();
+        assert!(
+            matches!(&err, Error::Conflict { relation, .. } if relation == "DEPARTMENT"),
+            "{err}"
+        );
         assert_untouched(&db, &pinned, 1);
     }
 }
@@ -92,7 +98,7 @@ fn vetoed_batches_roll_back() {
         let n = rng.gen_range(1..6);
         let seed = rng.next_u64() % 100;
         let (_, mut db) = university_scaled(1, seed);
-        db.journal_subscribe(JournalStart::Head);
+        db.journal_subscribe();
         let ops = department_inserts(&db, n);
         let pinned = db.snapshot();
         for k in 0..n {

@@ -326,7 +326,7 @@ fn refresh_view(
     db: &mut Database,
 ) -> RefreshOutcome {
     let read = db.journal_peek(view.cursor()).unwrap();
-    let n = read.transactions.len();
+    let n = read.len();
     let plan = plan_object(schema, view.object(), db).unwrap();
     let out = view.refresh(&plan, db, &read).unwrap();
     db.journal_advance(view.cursor(), n).unwrap();
@@ -361,7 +361,7 @@ fn people_object(schema: &StructuralSchema) -> ViewObject {
 #[test]
 fn seeded_random_workloads_stay_equivalent() {
     let view = |schema: &StructuralSchema, db: &mut Database, object: ViewObject| {
-        let cursor = db.journal_subscribe(JournalStart::Head);
+        let cursor = db.journal_subscribe();
         let plan = plan_object(schema, &object, db).unwrap();
         MaterializedView::build(object, &plan, db, cursor).unwrap()
     };
@@ -469,45 +469,6 @@ fn materializing_costs_one_instantiation() {
         std::thread::yield_now();
     }
     panic!("materialize never cost one instantiation: (instantiate_all, materialize) = {seen:?}");
-}
-
-/// A journal cap tight enough to lapse a slow consumer: the view must
-/// notice, rebuild in full, and land byte-identical — then go back to
-/// incremental refreshes.
-#[test]
-fn capped_journal_lapse_recovers_by_full_rebuild() {
-    let (schema, mut db) = university_database();
-    let omega = generate_omega(&schema).unwrap();
-    let cursor = db.journal_subscribe(JournalStart::Head);
-    let plan = plan_object(&schema, &omega, &db).unwrap();
-    let mut view = MaterializedView::build(omega, &plan, &db, cursor).unwrap();
-    db.set_journal_cap(Some(JournalCap::drop_oldest(3)));
-
-    let mut rng = SmallRng::seed_from_u64(1337);
-    let mut st = State::figure4();
-    let mut full_rebuilds = 0;
-    for _ in 0..40 {
-        let ops = random_tx(&mut rng, &mut st, &db);
-        if ops.is_empty() {
-            continue;
-        }
-        db.apply_all(&ops).unwrap();
-    }
-    let read = db.journal_peek(view.cursor()).unwrap();
-    assert!(read.lapsed > 0, "the cap must have evicted past the cursor");
-    let out = refresh_view(&mut view, &schema, &mut db);
-    full_rebuilds += out.full_rebuild as u32;
-    assert_equiv(&view, &schema, &db, "after lapse");
-    // within the cap again → incremental
-    let ops = random_tx(&mut rng, &mut st, &db);
-    if !ops.is_empty() {
-        db.apply_all(&ops).unwrap();
-    }
-    let out = refresh_view(&mut view, &schema, &mut db);
-    assert!(!out.full_rebuild);
-    full_rebuilds += out.full_rebuild as u32;
-    assert_equiv(&view, &schema, &db, "after recovery");
-    assert_eq!(full_rebuilds, 1);
 }
 
 /// A persistent system whose write-ahead persister and materialized view
@@ -676,8 +637,8 @@ fn head_reads(p: &Penguin, path: Path, ctx: &str) {
 /// it reflects the read's version exactly, and run the engine otherwise:
 /// just materialized; after commits nobody refreshed; after a refresh; on
 /// a session held across a refresh, which keeps its version and makes the
-/// refresh copy the set; after DDL moved the structure epoch; after a
-/// capped journal lapsed past the view's cursor; after `dematerialize`.
+/// refresh copy the set; after DDL moved the structure epoch; after
+/// `dematerialize`.
 /// A refresh that failed poisons the view until a full rebuild, even once
 /// its cursor has caught up.
 #[test]
@@ -746,19 +707,6 @@ fn a_materialized_read_is_the_engines_read() {
     assert!(p.refresh("omega").unwrap().full_rebuild);
     session_reads(&p.session(), Path::Served, "rebuilt at the new epoch");
 
-    // a capped journal lapsed past the view's cursor
-    p.set_journal_cap(Some(JournalCap::drop_oldest(1)));
-    for ssn in 10..13 {
-        p.sql(&format!("INSERT INTO GRADES VALUES ('EE282', {ssn}, 'B')"))
-            .unwrap();
-    }
-    let view = p.materialized("omega").unwrap();
-    assert!(view.staleness(p.database()).unwrap().lapsed > 0);
-    session_reads(&p.session(), Path::Stale, "journal lapsed");
-    assert!(p.refresh("omega").unwrap().full_rebuild);
-    session_reads(&p.session(), Path::Served, "rebuilt after the lapse");
-    p.set_journal_cap(None);
-
     // dematerialized: the engine answers and nothing counts
     assert!(p.dematerialize("omega"));
     session_reads(&p.session(), Path::Engine, "dematerialized");
@@ -772,7 +720,7 @@ fn a_materialized_read_is_the_engines_read() {
 fn a_poisoned_view_is_not_current() {
     let (schema, mut db) = university_database();
     let omega = generate_omega(&schema).unwrap();
-    let cursor = db.journal_subscribe(JournalStart::Head);
+    let cursor = db.journal_subscribe();
     let plan = plan_object(&schema, &omega, &db).unwrap();
     let mut view = MaterializedView::build(omega.clone(), &plan, &db, cursor).unwrap();
     assert!(view.current(&db).is_some());
@@ -788,7 +736,7 @@ fn a_poisoned_view_is_not_current() {
     let read = db.journal_peek(cursor).unwrap();
     assert!(view.refresh(&wrong, &db, &read).is_err());
     assert!(view.needs_full());
-    db.journal_advance(cursor, read.transactions.len()).unwrap();
+    db.journal_advance(cursor, read.len()).unwrap();
     assert_eq!(db.journal_lag(cursor).unwrap(), 0);
     assert!(view.current(&db).is_none(), "poisoned");
 
@@ -797,4 +745,28 @@ fn a_poisoned_view_is_not_current() {
     let held = view.current(&db).expect("rebuilt in full");
     let oracle = instantiate_all_legacy(&schema, &omega, &db).unwrap();
     assert_eq!(held.values().cloned().collect::<Vec<_>>(), oracle);
+}
+
+/// The journal exists only while a cursor reads it: once the last view is
+/// dematerialized, an in-memory system retains none of the commits that
+/// follow.
+#[test]
+fn a_journal_without_cursors_retains_nothing() {
+    let mut p = Penguin::new(university_schema());
+    p.with_database_mut(seed_figure4).unwrap().unwrap();
+    p.define_object(
+        "omega",
+        "COURSES",
+        &["DEPARTMENT", "CURRICULUM", "GRADES", "STUDENT"],
+    )
+    .unwrap();
+    p.materialize("omega").unwrap();
+    assert!(p.dematerialize("omega"));
+    for i in 0..50 {
+        p.sql(&format!(
+            "UPDATE GRADES SET grade = 'G{i}' WHERE course_id = 'CS101' AND ssn = 1"
+        ))
+        .unwrap();
+    }
+    assert_eq!(p.database().journal_retained(), 0);
 }

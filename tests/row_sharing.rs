@@ -175,27 +175,29 @@ fn a_non_key_replacement_rebuilds_nothing_but_the_pivot() {
     assert_binds_stored_rows(&omega, p.database(), &new);
 }
 
+/// Advance `cursor` past everything committed so far.
+fn drain(p: &mut Penguin, cursor: JournalCursor) {
+    p.with_database_mut(|db| {
+        let n = db.journal_lag(cursor).unwrap() as usize;
+        db.journal_advance(cursor, n).unwrap();
+    })
+    .unwrap();
+}
+
 #[test]
 fn an_inserted_row_is_one_allocation_from_request_to_journal() {
     let mut p = omega_system(2);
-    let cursor = p
-        .with_database_mut(|db| {
-            db.enable_commit_journal();
-            db.journal_subscribe(JournalStart::Head)
-        })
-        .unwrap();
+    let cursor = p.with_database_mut(Database::journal_subscribe).unwrap();
     let instance = p.instance_by_key("omega", &Key::single("C0-1")).unwrap();
     p.delete_instance("omega", instance.clone()).unwrap();
-    p.with_database_mut(|db| db.journal_read(cursor).map(|_| ()))
-        .unwrap()
-        .unwrap();
+    drain(&mut p, cursor);
 
     // the request's tuples were rows of a table version that is gone now;
     // inserting them back must store *them*, not copies
     let outcome = p.insert_instance("omega", instance.clone()).unwrap();
     let read = p.database().journal_peek(cursor).unwrap();
-    assert_eq!(read.transactions.len(), 1);
-    let journaled = &read.transactions[0];
+    assert_eq!(read.len(), 1);
+    let journaled = &read[0];
     assert_eq!(journaled.ops.len(), outcome.ops.len());
     let mut inserted = 0;
     for (op, logged) in outcome.ops.iter().zip(&journaled.ops) {
@@ -246,9 +248,7 @@ fn an_inserted_row_is_one_allocation_from_request_to_journal() {
     // prepared on a session, committed at the head: the op list itself —
     // not just its rows — is what the journal's consumers read
     p.delete_instance("omega", instance.clone()).unwrap();
-    p.with_database_mut(|db| db.journal_read(cursor).map(|_| ()))
-        .unwrap()
-        .unwrap();
+    drain(&mut p, cursor);
     let prepared = p
         .session()
         .prepare_batch("omega", UpdateBatch::new().insert(instance.clone()))
@@ -257,12 +257,12 @@ fn an_inserted_row_is_one_allocation_from_request_to_journal() {
     assert_eq!(prepared.ops.len(), outcome.ops.len());
     p.commit_prepared("omega", prepared).unwrap();
     let read = p.database().journal_peek(cursor).unwrap();
-    assert_eq!(read.transactions.len(), 1);
+    assert_eq!(read.len(), 1);
     assert!(
-        std::ptr::eq(read.transactions[0].ops.as_ptr(), handed),
+        std::ptr::eq(read[0].ops.as_ptr(), handed),
         "the journal copied the op list commit_prepared was handed"
     );
-    let DbOp::Insert { tuple: logged, .. } = &read.transactions[0].ops[0] else {
+    let DbOp::Insert { tuple: logged, .. } = &read[0].ops[0] else {
         panic!("VO-CI starts with the pivot's insert");
     };
     assert!(instance.root.tuple.ptr_eq(logged));
