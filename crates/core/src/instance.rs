@@ -20,7 +20,6 @@
 use crate::object::{NodeId, ViewObject};
 use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
 use vo_obs::trace;
 use vo_relational::prelude::*;
 use vo_structural::prelude::*;
@@ -368,7 +367,7 @@ fn assemble_node(
 /// tuples of `child`'s relation, deduplicating terminal tuples by key.
 ///
 /// This is the tuple-at-a-time path, retained as the semantic reference
-/// for the batched engine ([`follow_edge_batch`]). Step resolution and
+/// for the batched engine ([`instantiate_many_planned`]). Step resolution and
 /// attribute-position lookups are hoisted out of the per-tuple loop.
 pub fn follow_edge(
     schema: &StructuralSchema,
@@ -538,12 +537,13 @@ pub fn plan_edge(
 /// tuple; where there is none, ONE hash table is built over the target
 /// and probed for every input — never a per-input scan. NULL never
 /// connects (Definition 2.1). Returns the matches and the access path's
-/// profile label.
+/// label; the step's `core.probe_step` span records both.
 fn probe_step(
     step: &StepPlan,
     db: &Database,
     inputs: &[(usize, &Tuple)],
 ) -> Result<(Vec<(usize, Tuple)>, &'static str)> {
+    let mut sp = trace::span("core.probe_step");
     let target = db.table(&step.target)?;
     let mut out = Vec::new();
     let access = if let Some(mut index) = target.index_at(&step.target_indices) {
@@ -578,68 +578,51 @@ fn probe_step(
     if !out.is_empty() {
         vo_relational::stats::count_join_rows(out.len() as u64);
     }
-    trace::event_with("core.probe_step", || {
-        vec![
-            ("source", Json::str(step.source.clone())),
-            ("target", Json::str(step.target.clone())),
-            ("access", Json::str(access)),
-            ("rows_in", Json::Int(inputs.len() as i64)),
-            ("rows_out", Json::Int(out.len() as i64)),
-        ]
-    });
+    if sp.is_recording() {
+        sp.field(
+            "label",
+            Json::str(format!("Step[{} -> {}]", step.source, step.target)),
+        );
+        sp.field("source", Json::str(step.source.clone()));
+        sp.field("target", Json::str(step.target.clone()));
+        sp.field("access", Json::str(access));
+        sp.field("rows_in", Json::Int(inputs.len() as i64));
+        sp.field("rows_out", Json::Int(out.len() as i64));
+    }
     Ok((out, access))
 }
 
-/// Follow a prepared edge for every parent tuple at once. Returns one
-/// terminal list per parent, each deduplicated by key in first-seen
-/// order — exactly what [`follow_edge`] returns per parent, computed with
-/// one join pass per step over the whole frontier.
-pub fn follow_edge_batch(
-    plan: &EdgePlan,
-    db: &Database,
-    parents: &[&Tuple],
-) -> Result<Vec<Vec<Tuple>>> {
-    let mut out: Vec<Vec<Tuple>> = vec![Vec::new(); parents.len()];
-    for (origin, t) in follow_edge_flat(plan, db, parents, None)? {
-        out[origin].push(t);
-    }
-    Ok(out)
-}
-
-/// [`follow_edge_batch`] as the engine consumes it: `(parent position,
-/// terminal)` pairs in parent-major order, without a list per parent.
-/// When `profile` is `Some`, one [`ProfileNode`] per step (access path,
-/// rows in/out, elapsed time) is appended to it.
+/// Follow a prepared edge for every parent tuple at once, one join pass
+/// per step over the whole frontier: `(parent position, terminal)` pairs
+/// in parent-major order, each parent's terminals deduplicated by key in
+/// first-seen order — exactly what [`follow_edge`] returns per parent.
+/// The edge's `core.follow_edge` span labels it `Edge[<parent> -> <child>]`
+/// with its rows and the access path its steps took (`mixed` when they
+/// differ); each step's `core.probe_step` span nests under it.
 fn follow_edge_flat(
     plan: &EdgePlan,
     db: &Database,
     parents: &[&Tuple],
-    mut profile: Option<&mut Vec<ProfileNode>>,
 ) -> Result<Vec<(usize, Tuple)>> {
     if plan.steps.is_empty() {
         return Err(Error::InvalidPlan("edge plan without steps".into()));
     }
+    let mut sp = trace::span("core.follow_edge");
     let mut frontier: Vec<(usize, Tuple)> = Vec::new();
+    let mut access = "";
     for (i, step) in plan.steps.iter().enumerate() {
         let inputs: Vec<(usize, &Tuple)> = if i == 0 {
             parents.iter().copied().enumerate().collect()
         } else {
             frontier.iter().map(|(o, t)| (*o, t)).collect()
         };
-        let rows_in = inputs.len();
-        let start = profile.as_ref().map(|_| Instant::now());
-        let access;
-        (frontier, access) = probe_step(step, db, &inputs)?;
-        if let Some(sink) = profile.as_deref_mut() {
-            let mut node = ProfileNode::new(format!("Step[{} -> {}]", step.source, step.target));
-            node.access_path = access.to_owned();
-            node.rows_in = rows_in as u64;
-            node.rows_out = frontier.len() as u64;
-            if let Some(s) = start {
-                node.set_elapsed(s.elapsed());
-            }
-            sink.push(node);
-        }
+        let step_access;
+        (frontier, step_access) = probe_step(step, db, &inputs)?;
+        access = if i == 0 || access == step_access {
+            step_access
+        } else {
+            "mixed"
+        };
     }
     // One probe of one index, or one hash group, per parent: a one-step
     // edge cannot reach a row twice. A contracted edge can reach one
@@ -648,6 +631,16 @@ fn follow_edge_flat(
         let term_schema = db.table(&plan.terminal)?.schema();
         let mut seen = std::collections::BTreeSet::new();
         frontier.retain(|(origin, t)| seen.insert((*origin, t.key(term_schema))));
+    }
+    if sp.is_recording() {
+        let parent = &plan.steps[0].source;
+        sp.field(
+            "label",
+            Json::str(format!("Edge[{parent} -> {}]", plan.terminal)),
+        );
+        sp.field("access", Json::str(access));
+        sp.field("rows_in", Json::Int(parents.len() as i64));
+        sp.field("rows_out", Json::Int(frontier.len() as i64));
     }
     Ok(frontier)
 }
@@ -723,41 +716,17 @@ pub fn plan_object(
 /// (set-at-a-time), instead of re-resolving and re-probing per tuple.
 /// Instances come back in pivot order and are node-for-node identical to
 /// per-tuple [`assemble`].
+///
+/// The call's `core.instantiate` span (`Instantiate(<object>)`, pivots in,
+/// instances out) holds one `core.follow_edge` span per object edge in
+/// instantiation order, each holding one `core.probe_step` span per step;
+/// [`vo_obs::profile::ProfileNode::from_spans`] renders a capture of them
+/// as the instantiation's profile (`Penguin::profile`).
 pub fn instantiate_many_planned(
     object: &ViewObject,
     db: &Database,
     plan: &ObjectPlan,
     pivots: &[&Tuple],
-) -> Result<Vec<VoInstance>> {
-    instantiate_planned_inner(object, db, plan, pivots, None)
-}
-
-/// [`instantiate_many_planned`], additionally returning a structured
-/// profile of the instantiation: the root node covers the whole call, one
-/// child per object edge (in instantiation order), and one grandchild per
-/// edge step carrying the access path actually taken (`index probe`,
-/// `key range` or `hash build (scan)`), rows in/out and elapsed time.
-pub fn instantiate_many_profiled(
-    object: &ViewObject,
-    db: &Database,
-    plan: &ObjectPlan,
-    pivots: &[&Tuple],
-) -> Result<(Vec<VoInstance>, ProfileNode)> {
-    let start = Instant::now();
-    let mut root = ProfileNode::new(format!("Instantiate({})", object.name()));
-    let instances = instantiate_planned_inner(object, db, plan, pivots, Some(&mut root))?;
-    root.rows_in = pivots.len() as u64;
-    root.rows_out = instances.len() as u64;
-    root.set_elapsed(start.elapsed());
-    Ok((instances, root))
-}
-
-fn instantiate_planned_inner(
-    object: &ViewObject,
-    db: &Database,
-    plan: &ObjectPlan,
-    pivots: &[&Tuple],
-    mut profile: Option<&mut ProfileNode>,
 ) -> Result<Vec<VoInstance>> {
     if plan.object != object.name() {
         return Err(Error::InvalidPlan(format!(
@@ -780,25 +749,7 @@ fn instantiate_planned_inner(
         let eplan = plan.edge(id)?;
         parent_of[id] = eplan.parent;
         let parent_refs: Vec<&Tuple> = rows[eplan.parent].iter().collect();
-        let terminals = if let Some(prof) = profile.as_deref_mut() {
-            let start = Instant::now();
-            let mut steps = Vec::new();
-            let terminals = follow_edge_flat(eplan, db, &parent_refs, Some(&mut steps))?;
-            let mut node = ProfileNode::new(format!(
-                "Edge[{} -> {}]",
-                object.node(eplan.parent).relation,
-                eplan.terminal
-            ));
-            node.access_path = edge_access_label(&steps);
-            node.rows_in = parent_refs.len() as u64;
-            node.rows_out = terminals.len() as u64;
-            node.set_elapsed(start.elapsed());
-            node.children = steps;
-            prof.children.push(node);
-            terminals
-        } else {
-            follow_edge_flat(eplan, db, &parent_refs, None)?
-        };
+        let terminals = follow_edge_flat(eplan, db, &parent_refs)?;
         (parent_row[id], rows[id]) = terminals.into_iter().unzip();
     }
     // Cut every node's rows into per-pivot runs: parent-major order keeps
@@ -844,22 +795,15 @@ fn instantiate_planned_inner(
     }
     vo_relational::stats::count_instances_built(instances.len() as u64);
     if sp.is_recording() {
+        sp.field(
+            "label",
+            Json::str(format!("Instantiate({})", object.name())),
+        );
         sp.field("object", Json::str(object.name()));
-        sp.field("pivots", Json::Int(pivots.len() as i64));
-        sp.field("instances", Json::Int(instances.len() as i64));
+        sp.field("rows_in", Json::Int(pivots.len() as i64));
+        sp.field("rows_out", Json::Int(instances.len() as i64));
     }
     Ok(instances)
-}
-
-/// Summarize an edge's access path from its step profiles: the single
-/// shared label when every step agrees, `mixed` otherwise.
-fn edge_access_label(steps: &[ProfileNode]) -> String {
-    let mut labels: Vec<&str> = steps.iter().map(|s| s.access_path.as_str()).collect();
-    labels.dedup();
-    match labels.as_slice() {
-        [only] => (*only).to_owned(),
-        _ => "mixed".to_owned(),
-    }
 }
 
 // The net server shares plans and the instances they build across its
@@ -915,6 +859,7 @@ mod tests {
     use super::*;
     use crate::treegen::{generate_omega, generate_omega_prime};
     use crate::university::university_database;
+    use vo_obs::profile::ProfileNode;
 
     #[test]
     fn assembles_cs345_instance() {
@@ -1159,15 +1104,28 @@ mod tests {
         assert_eq!(keyed, ["DEPARTMENT", "GRADES", "STUDENT"].into());
     }
 
+    /// The instances and the profile their spans render (what
+    /// `Penguin::profile` shows).
+    fn profiled(
+        omega: &ViewObject,
+        db: &Database,
+        plan: &ObjectPlan,
+        pivots: &[&Tuple],
+    ) -> (Vec<VoInstance>, ProfileNode) {
+        let (instances, spans) =
+            trace::capture(|| instantiate_many_planned(omega, db, plan, pivots));
+        (instances.unwrap(), ProfileNode::from_spans(&spans).unwrap())
+    }
+
     #[test]
-    fn profiled_instantiation_matches_planned_and_labels_access() {
+    fn profile_of_a_capture_matches_planned_and_labels_access() {
         let (schema, mut db) = university_database();
         let omega = generate_omega(&schema).unwrap();
         let plan = plan_object(&schema, &omega, &db).unwrap();
         {
             let pivots: Vec<&Tuple> = db.table("COURSES").unwrap().scan().collect();
             let plain = instantiate_many_planned(&omega, &db, &plan, &pivots).unwrap();
-            let (profiled, prof) = instantiate_many_profiled(&omega, &db, &plan, &pivots).unwrap();
+            let (profiled, prof) = profiled(&omega, &db, &plan, &pivots);
             assert_eq!(plain, profiled);
             assert!(prof.label.contains("Instantiate(omega)"), "{}", prof.label);
             assert_eq!(prof.rows_in, 3);
@@ -1193,7 +1151,7 @@ mod tests {
         }
         let plan = plan_object(&schema, &omega, &db).unwrap();
         let pivots: Vec<&Tuple> = db.table("COURSES").unwrap().scan().collect();
-        let (_, prof) = instantiate_many_profiled(&omega, &db, &plan, &pivots).unwrap();
+        let (_, prof) = profiled(&omega, &db, &plan, &pivots);
         assert!(
             !prof.any(&|n| n.access_path.contains("scan")),
             "{}",
@@ -1208,24 +1166,50 @@ mod tests {
     }
 
     #[test]
-    fn instantiation_emits_spans_and_probe_events() {
+    fn a_contracted_edge_profiles_each_of_its_steps() {
+        let (schema, db) = university_database();
+        let omega = generate_omega_prime(&schema).unwrap();
+        let plan = plan_object(&schema, &omega, &db).unwrap();
+        let pivots: Vec<&Tuple> = db.table(omega.pivot()).unwrap().scan().collect();
+        let (_, prof) = profiled(&omega, &db, &plan, &pivots);
+        let contracted = prof
+            .children
+            .iter()
+            .find(|e| e.children.len() > 1)
+            .expect("omega' has a two-step edge");
+        let steps: Vec<&str> = contracted
+            .children
+            .iter()
+            .map(|s| s.access_path.as_str())
+            .collect();
+        let mut distinct = steps.clone();
+        distinct.dedup();
+        let want = if distinct.len() == 1 {
+            distinct[0]
+        } else {
+            "mixed"
+        };
+        assert_eq!(contracted.access_path, want, "{}", prof.render());
+        assert_eq!(contracted.rows_in, contracted.children[0].rows_in);
+    }
+
+    #[test]
+    fn instantiation_records_spans_for_the_call_its_edges_and_steps() {
         let (schema, db) = university_database();
         let omega = generate_omega(&schema).unwrap();
-        let scope = vo_obs::trace::start_trace();
-        instantiate_all(&schema, &omega, &db).unwrap();
-        let me = vo_obs::trace::current_thread_id();
-        let mine: Vec<_> = vo_obs::trace::events()
-            .into_iter()
-            .filter(|e| e.thread == me)
-            .collect();
-        drop(scope);
-        let inst = mine
+        let (_, spans) = trace::capture(|| instantiate_all(&schema, &omega, &db).unwrap());
+        let inst = spans
             .iter()
             .find(|e| e.name == "core.instantiate")
             .expect("instantiate span recorded");
         assert_eq!(inst.field("object").unwrap(), &Json::str("omega"));
-        assert_eq!(inst.field("instances").unwrap(), &Json::Int(3));
-        let probes: Vec<_> = mine
+        assert_eq!(inst.field("rows_out").unwrap(), &Json::Int(3));
+        let edges: Vec<_> = (spans.iter())
+            .filter(|e| e.name == "core.follow_edge")
+            .collect();
+        assert_eq!(edges.len(), omega.nodes().len() - 1);
+        assert!(edges.iter().all(|e| e.parent == Some(inst.id)));
+        let probes: Vec<_> = spans
             .iter()
             .filter(|e| e.name == "core.probe_step")
             .collect();

@@ -79,9 +79,9 @@ pub mod prelude {
         DialogTranscript, FnResponder, Question, QuestionTopic, Responder, ScriptedResponder,
     };
     pub use crate::instance::{
-        assemble, follow_edge, follow_edge_batch, instantiate_all, instantiate_all_legacy,
-        instantiate_many, instantiate_many_planned, instantiate_many_profiled, plan_edge,
-        plan_object, EdgePlan, InstanceBuilder, ObjectPlan, StepPlan, VoInstance, VoInstanceNode,
+        assemble, follow_edge, instantiate_all, instantiate_all_legacy, instantiate_many,
+        instantiate_many_planned, plan_edge, plan_object, EdgePlan, InstanceBuilder, ObjectPlan,
+        StepPlan, VoInstance, VoInstanceNode,
     };
     pub use crate::island::{analyze, IslandAnalysis, KeySplit};
     pub use crate::maintain::{
@@ -107,9 +107,7 @@ pub mod prelude {
         BatchOutcome, PreparedBatch, UpdateBatch, UpdateOutcome, UpdateStats, ViewObjectUpdater,
     };
     pub use crate::update::propagate::propagate_links;
-    pub use crate::update::replace::{
-        translate_replacement, translate_replacement_traced, TraceEvent,
-    };
+    pub use crate::update::replace::translate_replacement;
     pub use crate::update::validate::{validate_instance, LocalValidation};
     pub use crate::update::UpdateRequest;
     pub use vo_relational::prelude::*;

@@ -5,7 +5,7 @@
 //! updates obey exactly the same translator and global-integrity rules as
 //! complete updates.
 
-use crate::instance::{assemble, VoInstance};
+use crate::instance::{instantiate_many, VoInstance};
 use crate::object::NodeId;
 use crate::update::error::{UpdateError, UpdateResult, UpdateStep};
 use crate::update::pipeline::{UpdateOutcome, ViewObjectUpdater};
@@ -122,7 +122,9 @@ impl ViewObjectUpdater {
                 relation: self.object().pivot().to_owned(),
                 key: pivot_key.to_string(),
             })?;
-        let old = assemble(schema, self.object(), db, pivot_tuple)?;
+        let old = instantiate_many(schema, self.object(), db, &[&pivot_tuple])?
+            .pop()
+            .expect("one instance per pivot");
         let mut new = old.clone();
         match op {
             PartialOp::InsertChild { node, tuple, .. } => {

@@ -404,8 +404,7 @@ impl ViewObjectUpdater {
                 &old,
                 &new,
                 &validated,
-            )
-            .map(|_trace| ()),
+            ),
         };
         if sp.is_recording() {
             sp.field("ops", Json::Int(rec.ops_since(before).len() as i64));

@@ -21,52 +21,32 @@ use crate::object::{NodeId, ViewObject};
 use crate::translator::Translator;
 use crate::update::insert::complete_dependencies;
 use crate::update::validate::{validate_instance, Links, LocalValidation};
+use vo_obs::json::Json;
+use vo_obs::trace;
 use vo_relational::prelude::*;
 use vo_structural::prelude::*;
 
-/// One step of the VO-R state machine, recorded for explanation: which
-/// paper case fired at which node for which tuple.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// Case R-1: projections match exactly; nothing to do.
-    R1 { node: NodeId },
-    /// Case R-2: projections differ, keys match; a replacement.
-    R2 { node: NodeId },
-    /// Case R-3: keys differ inside the island; a key replacement (with
-    /// out-of-island propagation) or delete-and-adopt.
-    R3 { node: NodeId, adopted: bool },
-    /// An ancestor's propagation already effected this tuple.
-    AlreadyPropagated { node: NodeId },
-    /// Case I-1: keys match outside the island; in-place treatment.
-    I1 { node: NodeId },
-    /// Case I-2: new tuple absent from the database; insertion.
-    I2 { node: NodeId },
-    /// Case I-3: new tuple already present and identical; nothing.
-    I3 { node: NodeId },
-    /// Case I-4: key present with conflicting values; replacement.
-    I4 { node: NodeId },
-    /// An island tuple disappeared from the instance; structural deletion.
-    IslandRemoval { node: NodeId },
+/// Record which case of the paper's table fired at `node`: one instant
+/// `core.vo_r_case` event with `node` (the object node id), `case` (`R-1`..
+/// `R-3`, `I-1`..`I-4`, `propagated` when an ancestor's key propagation
+/// already effected the tuple, `island-removal` when an island tuple left
+/// the instance) and `adopted` (true only for an R-3 that deleted the old
+/// tuple and adopted an existing one). A capture of a replacement is its
+/// case trace.
+fn fired(node: NodeId, case: &'static str, adopted: bool) {
+    trace::event_with("core.vo_r_case", || {
+        vec![
+            ("node", Json::Int(node as i64)),
+            ("case", Json::str(case)),
+            ("adopted", Json::Bool(adopted)),
+        ]
+    });
 }
 
-impl TraceEvent {
-    /// The paper's case label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TraceEvent::R1 { .. } => "R-1",
-            TraceEvent::R2 { .. } => "R-2",
-            TraceEvent::R3 { .. } => "R-3",
-            TraceEvent::AlreadyPropagated { .. } => "propagated",
-            TraceEvent::I1 { .. } => "I-1",
-            TraceEvent::I2 { .. } => "I-2",
-            TraceEvent::I3 { .. } => "I-3",
-            TraceEvent::I4 { .. } => "I-4",
-            TraceEvent::IslandRemoval { .. } => "island-removal",
-        }
-    }
-}
-
-/// Translate a replacement request into database operations.
+/// Translate a replacement request into database operations. Runs steps
+/// 1–2 itself (validate `old`; check `new`'s shape, propagate within it,
+/// check its connections) before step 3; the pipeline, which has run them
+/// already, goes to step 3 directly.
 pub fn translate_replacement(
     schema: &StructuralSchema,
     object: &ViewObject,
@@ -76,32 +56,14 @@ pub fn translate_replacement(
     old: &VoInstance,
     new: VoInstance,
 ) -> Result<Vec<DbOp>> {
-    translate_replacement_traced(schema, object, analysis, translator, db, old, new)
-        .map(|(ops, _)| ops)
-}
-
-/// Like [`translate_replacement`], additionally returning the state-machine
-/// trace (the sequence of paper cases that fired). Runs steps 1–2 itself
-/// (validate `old`; check `new`'s shape, propagate within it, check its
-/// connections) before step 3; the pipeline, which has run them already,
-/// goes to step 3 directly.
-pub fn translate_replacement_traced(
-    schema: &StructuralSchema,
-    object: &ViewObject,
-    analysis: &IslandAnalysis,
-    translator: &Translator,
-    db: &Database,
-    old: &VoInstance,
-    new: VoInstance,
-) -> Result<(Vec<DbOp>, Vec<TraceEvent>)> {
     translator.permitted(object, "replacement")?;
     validate_instance(schema, object, old)?;
     let (new, validated) = Links::new(schema, object)?.replacing(schema, object, new)?;
     let mut rec = DeltaDb::new(db);
-    let trace = translate_replacement_checked(
+    translate_replacement_checked(
         schema, object, analysis, translator, &mut rec, old, &new, &validated,
     )?;
-    Ok((rec.into_ops(), trace))
+    Ok(rec.into_ops())
 }
 
 /// Step 3 of a replacement alone: `old` has passed local validation, `new`
@@ -116,7 +78,7 @@ pub(crate) fn translate_replacement_checked(
     old: &VoInstance,
     new: &VoInstance,
     validated: &LocalValidation,
-) -> Result<Vec<TraceEvent>> {
+) -> Result<()> {
     vo_relational::stats::count_snapshot_avoided();
     translator.permitted(object, "replacement")?;
 
@@ -149,17 +111,10 @@ pub(crate) fn translate_replacement_checked(
         old,
         new,
         written: Vec::new(),
-        trace: Vec::new(),
     };
     ctx.walk_pair(0, Some(0), Some(0), None)?;
-    let Ctx {
-        rec,
-        written,
-        trace,
-        ..
-    } = ctx;
-    complete_dependencies(schema, object, translator, rec, &written)?;
-    Ok(trace)
+    let Ctx { rec, written, .. } = ctx;
+    complete_dependencies(schema, object, translator, rec, &written)
 }
 
 struct Ctx<'a, 'r, 'base> {
@@ -171,7 +126,6 @@ struct Ctx<'a, 'r, 'base> {
     old: &'a VoInstance,
     new: &'a VoInstance,
     written: Vec<(String, Tuple)>,
-    trace: Vec<TraceEvent>,
 }
 
 impl Ctx<'_, '_, '_> {
@@ -217,7 +171,7 @@ impl Ctx<'_, '_, '_> {
             (Some(o), None) => {
                 let o = &olds.tuples_of(node_id)[o];
                 if in_island {
-                    self.trace.push(TraceEvent::IslandRemoval { node: node_id });
+                    fired(node_id, "island-removal", false);
                     // removal of part of the entity: delete with full
                     // structural propagation (covers its island subtree).
                     // An ancestor key replacement may already have re-keyed
@@ -308,11 +262,8 @@ impl Ctx<'_, '_, '_> {
             if at_new.as_ref() == Some(new) {
                 // already effected (e.g. by an ancestor's key propagation,
                 // when the non-inherited attributes did not change), or R-1
-                self.trace.push(if old == new {
-                    TraceEvent::R1 { node: node_id }
-                } else {
-                    TraceEvent::AlreadyPropagated { node: node_id }
-                });
+                let case = if old == new { "R-1" } else { "propagated" };
+                fired(node_id, case, false);
                 return Ok(());
             }
             let old_present = self.rec.view(relation)?.contains_key(&old_key);
@@ -324,7 +275,7 @@ impl Ctx<'_, '_, '_> {
                         key: old_key.to_string(),
                     });
                 }
-                self.trace.push(TraceEvent::R2 { node: node_id });
+                fired(node_id, "R-2", false);
                 self.record_replace(relation, old_key, new.clone())?;
                 return Ok(());
             }
@@ -336,7 +287,7 @@ impl Ctx<'_, '_, '_> {
                     Some(_) => {
                         // the key part was propagated by an ancestor; fix
                         // the non-inherited attributes in place
-                        self.trace.push(TraceEvent::R2 { node: node_id });
+                        fired(node_id, "R-2", false);
                         self.record_replace(relation, new_key, new.clone())?;
                         return Ok(());
                     }
@@ -354,10 +305,7 @@ impl Ctx<'_, '_, '_> {
                     "translator forbids modifying keys of {relation} tuples"
                 )));
             }
-            self.trace.push(TraceEvent::R3 {
-                node: node_id,
-                adopted: at_new.is_some(),
-            });
+            fired(node_id, "R-3", at_new.is_some());
             match at_new {
                 Some(_) => {
                     // a tuple with the new key already exists: delete the
@@ -398,14 +346,13 @@ impl Ctx<'_, '_, '_> {
                     self.written.push((relation.to_owned(), new.clone()));
                 }
             }
-            let _ = node_id;
             Ok(())
         } else {
             // ---- state I ----
             if old_key == new_key {
                 // CASE I-1: keys match — "go to state R, staying with this
                 // tuple": an in-place modification
-                self.trace.push(TraceEvent::I1 { node: node_id });
+                fired(node_id, "I-1", false);
                 if old == new {
                     return Ok(());
                 }
@@ -453,7 +400,7 @@ impl Ctx<'_, '_, '_> {
         match existing {
             None => {
                 // CASE I-2
-                self.trace.push(TraceEvent::I2 { node: node_id });
+                fired(node_id, "I-2", false);
                 if !in_island && !policy.allow_insert {
                     return Err(Error::ConstraintViolation(format!(
                         "translator forbids inserting into {relation}"
@@ -463,12 +410,12 @@ impl Ctx<'_, '_, '_> {
             }
             Some(ref e) if e == new => {
                 // CASE I-3
-                self.trace.push(TraceEvent::I3 { node: node_id });
+                fired(node_id, "I-3", false);
                 Ok(())
             }
             Some(_) => {
                 // CASE I-4
-                self.trace.push(TraceEvent::I4 { node: node_id });
+                fired(node_id, "I-4", false);
                 if !policy.allow_modify {
                     return Err(Error::ConstraintViolation(format!(
                         "translator forbids modifying existing tuples of {relation}"
@@ -882,48 +829,64 @@ mod tests {
         assert!(matches!(err, Error::ConstraintViolation(_)));
     }
 
+    /// The ops of a replacement and the `(node, case, adopted)` triples of
+    /// the `core.vo_r_case` events it recorded, in order.
+    fn cases(
+        (schema, db, omega, analysis, translator): (
+            &StructuralSchema,
+            &Database,
+            &ViewObject,
+            &IslandAnalysis,
+            &Translator,
+        ),
+        old: &VoInstance,
+        new: VoInstance,
+    ) -> (Vec<DbOp>, Vec<(NodeId, String, bool)>) {
+        let (ops, events) = trace::capture(|| {
+            translate_replacement(schema, omega, analysis, translator, db, old, new)
+        });
+        let cases = events
+            .iter()
+            .filter(|e| e.name == "core.vo_r_case")
+            .map(|e| {
+                let node = e.field("node").unwrap().as_i64().unwrap() as NodeId;
+                let case = e.field("case").unwrap().as_str().unwrap().to_owned();
+                (node, case, e.field("adopted") == Some(&Json::Bool(true)))
+            })
+            .collect();
+        (ops.unwrap(), cases)
+    }
+
     #[test]
     fn trace_records_paper_cases() {
         let (schema, db, omega, analysis, translator) = setup();
+        let setup = (&schema, &db, &omega, &analysis, &translator);
         // the §6 worked example: R-3 at the pivot, propagated GRADES,
         // I-2 for the new department, I-3 for the repaired curriculum
         let (old, new) = paper_replacement(&schema, &db, &omega);
-        let (_, trace) =
-            translate_replacement_traced(&schema, &omega, &analysis, &translator, &db, &old, new)
-                .unwrap();
-        let labels: Vec<&str> = trace.iter().map(|e| e.label()).collect();
+        let (_, trace) = cases(setup, &old, new);
+        let labels: Vec<&str> = trace.iter().map(|(_, case, _)| case.as_str()).collect();
         assert_eq!(labels[0], "R-3");
         assert!(labels.contains(&"I-2"), "DEPARTMENT insert: {labels:?}");
         // grades were propagated by the pivot's key replacement
         let gid = node_id(&omega, "GRADES");
         assert!(trace
             .iter()
-            .any(|e| matches!(e, TraceEvent::AlreadyPropagated { node } if *node == gid)));
+            .any(|(node, case, _)| *node == gid && case == "propagated"));
         // no delete-adopt happened
-        assert!(trace
-            .iter()
-            .all(|e| !matches!(e, TraceEvent::R3 { adopted: true, .. })));
+        assert!(trace.iter().all(|(_, _, adopted)| !adopted));
     }
 
     #[test]
     fn trace_identity_is_all_r1_i1_i3() {
         let (schema, db, omega, analysis, translator) = setup();
         let old = cs345(&schema, &db, &omega);
-        let (ops, trace) = translate_replacement_traced(
-            &schema,
-            &omega,
-            &analysis,
-            &translator,
-            &db,
-            &old,
-            old.clone(),
-        )
-        .unwrap();
+        let setup = (&schema, &db, &omega, &analysis, &translator);
+        let (ops, trace) = cases(setup, &old, old.clone());
         assert!(ops.is_empty());
-        assert!(trace.iter().all(|e| matches!(
-            e,
-            TraceEvent::R1 { .. } | TraceEvent::I1 { .. } | TraceEvent::I3 { .. }
-        )));
+        assert!(trace
+            .iter()
+            .all(|(_, case, _)| ["R-1", "I-1", "I-3"].contains(&case.as_str())));
         // every bound tuple produced exactly one event
         assert_eq!(trace.len(), old.size());
     }
@@ -931,17 +894,16 @@ mod tests {
     #[test]
     fn trace_island_removal_and_adoption() {
         let (schema, db, omega, analysis, translator) = setup();
+        let setup = (&schema, &db, &omega, &analysis, &translator);
         let old = cs345(&schema, &db, &omega);
         // drop a grade
         let mut new = old.clone();
         let gid = node_id(&omega, "GRADES");
         new.remove(gid, 0);
-        let (_, trace) =
-            translate_replacement_traced(&schema, &omega, &analysis, &translator, &db, &old, new)
-                .unwrap();
+        let (_, trace) = cases(setup, &old, new);
         assert!(trace
             .iter()
-            .any(|e| matches!(e, TraceEvent::IslandRemoval { node } if *node == gid)));
+            .any(|(node, case, _)| *node == gid && case == "island-removal"));
 
         // rename to an existing course with delete-adopt allowed
         let courses = db.table("COURSES").unwrap().schema().clone();
@@ -951,12 +913,10 @@ mod tests {
             .tuple
             .with_named(&courses, "course_id", "CS101".into())
             .unwrap();
-        let (_, trace) =
-            translate_replacement_traced(&schema, &omega, &analysis, &translator, &db, &old, new)
-                .unwrap();
+        let (_, trace) = cases(setup, &old, new);
         assert!(trace
             .iter()
-            .any(|e| matches!(e, TraceEvent::R3 { adopted: true, .. })));
+            .any(|(_, case, adopted)| case == "R-3" && *adopted));
     }
 
     #[test]

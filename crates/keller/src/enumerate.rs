@@ -532,18 +532,11 @@ mod tests {
             Value::text("Database Systems"),
             Value::text("Computer Science"),
         ];
-        let scope = trace::start_trace();
-        enumerate_deletions(&view, &db, &row).unwrap();
-        let me = trace::current_thread_id();
-        let ev = trace::events()
+        let (_, events) = trace::capture(|| enumerate_deletions(&view, &db, &row).unwrap());
+        let ev = events
             .into_iter()
-            .rfind(|e| {
-                e.thread == me
-                    && e.name == "keller.enumerate"
-                    && e.field("op") == Some(&Json::str("delete"))
-            })
+            .rfind(|e| e.name == "keller.enumerate" && e.field("op") == Some(&Json::str("delete")))
             .expect("enumerate event");
-        drop(scope);
         // 2 candidates generated; DEPARTMENT pruned by the side-effect
         // criterion (deleting it would also remove CS101's view row)
         assert_eq!(ev.field("generated").unwrap(), &Json::Int(2));

@@ -2,12 +2,15 @@
 //! `Penguin::profile()`.
 //!
 //! A [`ProfileNode`] mirrors one node of an executed operator tree (a
-//! relational algebra operator, an instantiation edge step, a translate
-//! phase) and carries the measurements the paper's cost arguments are
-//! about: rows in/out, wall time, and the access path taken.
+//! relational algebra operator, an instantiation edge or edge step) and
+//! carries the measurements the paper's cost arguments are about: rows
+//! in/out, wall time, and the access path taken. A profile is not
+//! recorded on its own: it is the rendering of the spans a call recorded
+//! ([`ProfileNode::from_spans`] over a [`crate::trace::capture`]).
 
 use crate::json::Json;
-use std::time::Duration;
+use crate::trace::SpanEvent;
+use std::collections::BTreeMap;
 
 /// One node of an executed operator tree.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -36,9 +39,50 @@ impl ProfileNode {
         }
     }
 
-    /// Set the inclusive elapsed time from a [`Duration`].
-    pub fn set_elapsed(&mut self, d: Duration) {
-        self.elapsed_us = d.as_micros() as u64;
+    /// The operator tree a capture recorded. Every span carrying a `label`
+    /// field is a node, the child of its nearest labelled ancestor, its
+    /// children in the order they opened; the node reads `access`,
+    /// `rows_in` and `rows_out` off its span's fields (empty or 0 when
+    /// absent) and its time off the span's `dur_us`. Unlabelled spans and
+    /// events are passed through. Returns the last top-level node to close
+    /// — the whole call, when the capture wrapped one — or `None` when no
+    /// span carries a label.
+    pub fn from_spans(spans: &[SpanEvent]) -> Option<ProfileNode> {
+        let by_id: BTreeMap<u64, &SpanEvent> = spans.iter().map(|s| (s.id, s)).collect();
+        let labelled = |s: &SpanEvent| s.field("label").is_some();
+        let anchor = |s: &SpanEvent| {
+            let mut parent = s.parent;
+            while let Some(span) = parent.and_then(|id| by_id.get(&id)) {
+                if labelled(span) {
+                    return Some(span.id);
+                }
+                parent = span.parent;
+            }
+            None
+        };
+        let mut children: BTreeMap<Option<u64>, Vec<&SpanEvent>> = BTreeMap::new();
+        for span in spans.iter().filter(|s| labelled(s)) {
+            children.entry(anchor(span)).or_default().push(span);
+        }
+        fn node(
+            span: &SpanEvent,
+            children: &BTreeMap<Option<u64>, Vec<&SpanEvent>>,
+        ) -> ProfileNode {
+            let text = |k: &str| span.field(k).and_then(|j| j.as_str().ok()).unwrap_or("");
+            let count = |k: &str| span.field(k).and_then(|j| j.as_i64().ok()).unwrap_or(0) as u64;
+            let mut below = children.get(&Some(span.id)).cloned().unwrap_or_default();
+            below.sort_by_key(|s| s.id);
+            ProfileNode {
+                label: text("label").to_owned(),
+                access_path: text("access").to_owned(),
+                rows_in: count("rows_in"),
+                rows_out: count("rows_out"),
+                elapsed_us: span.dur_us,
+                children: below.into_iter().map(|c| node(c, children)).collect(),
+            }
+        }
+        let root = children.get(&None)?.last()?;
+        Some(node(root, &children))
     }
 
     /// Total node count of the subtree (including `self`).
@@ -144,6 +188,39 @@ mod tests {
         assert!(!p.any(&|n| n.access_path == "index probe"));
         assert_eq!(p.find("Scan").unwrap().rows_out, 3);
         assert!(p.find("Join").is_none());
+    }
+
+    #[test]
+    fn from_spans_builds_the_labelled_tree() {
+        use crate::trace::{capture, span};
+        let labelled = |name, label: &str, rows_out| {
+            let mut s = span(name);
+            s.field("label", Json::str(label));
+            s.field("rows_out", Json::Int(rows_out));
+            s
+        };
+        let ((), spans) = capture(|| {
+            let mut select = labelled("test.profile.op", "Select[dept = 'CS']", 2);
+            select.field("rows_in", Json::Int(3));
+            {
+                // an unlabelled span between two labelled ones is passed
+                // through: the scan is the select's child
+                let _between = span("test.profile.unlabelled");
+                let mut scan = labelled("test.profile.op", "Scan(COURSES)", 3);
+                scan.field("access", Json::str("table scan"));
+            }
+            let _second = labelled("test.profile.op", "Scan(DEPARTMENT)", 1);
+        });
+        let p = ProfileNode::from_spans(&spans).unwrap();
+        assert_eq!(p.label, "Select[dept = 'CS']");
+        assert_eq!((p.rows_in, p.rows_out), (3, 2));
+        assert_eq!(p.access_path, "");
+        // children in the order they opened, not the order they closed
+        let labels: Vec<&str> = p.children.iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(labels, ["Scan(COURSES)", "Scan(DEPARTMENT)"]);
+        assert_eq!(p.children[0].access_path, "table scan");
+        assert_eq!(p.children[0].rows_out, 3);
+        assert!(ProfileNode::from_spans(&[]).is_none());
     }
 
     #[test]

@@ -1,18 +1,25 @@
-//! Span-based tracing: thread-local span stacks, monotonic timings, and a
-//! bounded global event collector with JSONL export.
+//! Span-based tracing: thread-local span stacks, monotonic timings, a
+//! bounded global event collector with JSONL export, and per-call
+//! captures.
 //!
 //! Tracing is **off by default** and costs exactly one relaxed atomic load
 //! per instrumentation point while off: every entry point ([`span`],
 //! [`event_with`]) checks [`enabled`] first and returns an inert value
 //! without touching the clock, the thread-local stack, or the collector.
 //!
-//! Activation is scoped and re-entrant: [`start_trace`] returns a guard
-//! that keeps tracing on until dropped, and concurrent guards (e.g. two
-//! tests in the same process) stack — tracing stays on until the last
-//! guard drops. Because the collector is process-global, consumers that
-//! run concurrently with other traced work should filter the drained
-//! events by [`SpanEvent::thread`] (see [`current_thread_id`]) and/or by
-//! span name.
+//! Two things turn recording on, and both are scoped:
+//!
+//! - [`start_trace`] returns a guard that keeps tracing on, for every
+//!   thread, until dropped. Concurrent guards (e.g. two tests in the same
+//!   process) stack — tracing stays on until the last guard drops. What
+//!   is recorded outside a capture goes to the process-global collector
+//!   ([`take`], [`events`]) and past the slow-op log.
+//! - [`capture`] runs a closure and returns, beside its result, every span
+//!   and event the *calling thread* recorded while it ran. What a capture
+//!   takes goes nowhere else — not to the collector, not to the slow-op
+//!   log — and other threads record nothing on its account. This is how a
+//!   call renders what it did (`EXPLAIN ANALYZE`, `Penguin::profile`) and
+//!   how a test reads its own spans without filtering a shared ring.
 //!
 //! Span events are recorded at *close* time (children before parents);
 //! [`SpanEvent::parent`]/[`SpanEvent::depth`] let consumers rebuild the
@@ -27,8 +34,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Number of guards currently holding tracing on (0 = disabled).
+/// Number of [`start_trace`] guards and open [`capture`]s, on any thread
+/// (0 = nothing records anywhere).
 static ACTIVE: AtomicU64 = AtomicU64::new(0);
+
+/// Number of [`start_trace`] guards alone: outside a capture, a thread
+/// records only while this is non-zero.
+static GLOBAL: AtomicU64 = AtomicU64::new(0);
 
 /// Monotonic id source for spans and events (process-wide).
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
@@ -42,13 +54,23 @@ thread_local! {
     static STACK: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
     /// This thread's interned id.
     static THREAD_ID: u64 = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
+    /// This thread's open captures, innermost last: what each has taken.
+    static CAPTURES: RefCell<Vec<Vec<SpanEvent>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// True while at least one [`TraceScope`] guard is alive. This is the
-/// single branch every instrumentation point pays when tracing is off.
+/// True while a [`TraceScope`] guard is alive or a [`capture`] is open on
+/// any thread. This is the single branch every instrumentation point pays
+/// when tracing is off.
 #[inline]
 pub fn enabled() -> bool {
     ACTIVE.load(Ordering::Relaxed) != 0
+}
+
+/// True when what this thread records now goes somewhere: a guard is
+/// alive, or this thread has a capture open. Asked only once [`enabled`]
+/// said yes, so the off path never reaches it.
+fn recording_here() -> bool {
+    GLOBAL.load(Ordering::Relaxed) != 0 || CAPTURES.with(|c| !c.borrow().is_empty())
 }
 
 /// The interned id of the calling thread, as recorded in
@@ -81,14 +103,65 @@ pub struct TraceScope(());
 
 impl Drop for TraceScope {
     fn drop(&mut self) {
+        GLOBAL.fetch_sub(1, Ordering::Relaxed);
         ACTIVE.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 /// Turn tracing on for the lifetime of the returned guard.
 pub fn start_trace() -> TraceScope {
+    GLOBAL.fetch_add(1, Ordering::Relaxed);
     ACTIVE.fetch_add(1, Ordering::Relaxed);
     TraceScope(())
+}
+
+/// Run `f` and return, beside its result, every span and event the calling
+/// thread recorded while it ran, in the order they closed.
+///
+/// - Only the calling thread is captured: spans other threads record in
+///   the meantime are not taken, and a capture makes no other thread
+///   record (without a [`start_trace`] guard they stay on the off path).
+/// - What a capture takes goes nowhere else: not to the global collector
+///   ([`take`] / [`events`]) and not to the slow-op log — even while a
+///   guard is alive.
+/// - Captures nest. An inner capture returns what was recorded while it
+///   ran; the enclosing capture receives the same events too, so every
+///   capture returns everything its thread recorded while it was open.
+/// - A span opened inside `f` keeps its parent outside it, if one was
+///   open: the captured tree may hang from a span the capture does not
+///   hold.
+///
+/// While no capture is open and no guard is alive anywhere, the
+/// instrumentation points cost their one relaxed load, as before.
+pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Vec<SpanEvent>) {
+    /// Closes the capture if `f` unwinds, so the thread does not keep
+    /// recording into a buffer nobody reads.
+    struct Open;
+    impl Drop for Open {
+        fn drop(&mut self) {
+            close_capture();
+        }
+    }
+    CAPTURES.with(|c| c.borrow_mut().push(Vec::new()));
+    ACTIVE.fetch_add(1, Ordering::Relaxed);
+    let open = Open;
+    let out = f();
+    std::mem::forget(open);
+    (out, close_capture())
+}
+
+/// Pop this thread's innermost capture, hand a copy of what it took to the
+/// enclosing one, and return it.
+fn close_capture() -> Vec<SpanEvent> {
+    ACTIVE.fetch_sub(1, Ordering::Relaxed);
+    CAPTURES.with(|c| {
+        let mut open = c.borrow_mut();
+        let taken = open.pop().expect("a capture closes what it opened");
+        if let Some(outer) = open.last_mut() {
+            outer.extend(taken.iter().cloned());
+        }
+        taken
+    })
 }
 
 /// One finished span or instant event.
@@ -192,7 +265,18 @@ fn epoch() -> Instant {
     *E.get_or_init(Instant::now)
 }
 
+/// Hand a finished event to this thread's innermost capture, else to the
+/// slow-op log and the global collector.
 fn record(event: SpanEvent) {
+    let Some(event) = CAPTURES.with(|c| match c.borrow_mut().last_mut() {
+        Some(taken) => {
+            taken.push(event);
+            None
+        }
+        None => Some(event),
+    }) else {
+        return;
+    };
     // The slow-op log keeps its own copy of threshold-crossing spans, so
     // they survive ring eviction.
     crate::slowlog::observe(&event);
@@ -297,9 +381,10 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Open a span; inert when tracing is disabled.
+/// Open a span; inert when nothing would receive it (no guard alive, no
+/// capture open on this thread).
 pub fn span(name: &'static str) -> SpanGuard {
-    if !enabled() {
+    if !enabled() || !recording_here() {
         return SpanGuard { inner: None };
     }
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
@@ -325,10 +410,10 @@ pub fn span(name: &'static str) -> SpanGuard {
     }
 }
 
-/// Record an instant event; the field closure only runs when tracing is
-/// enabled, so the disabled cost is the single [`enabled`] branch.
+/// Record an instant event; the field closure only runs when the event
+/// goes somewhere, so the disabled cost is the single [`enabled`] branch.
 pub fn event_with(name: &'static str, fields: impl FnOnce() -> Vec<(&'static str, Json)>) {
-    if !enabled() {
+    if !enabled() || !recording_here() {
         return;
     }
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
@@ -554,6 +639,144 @@ mod tests {
         let outer = my_events("test.shrink_outer");
         assert_eq!(outer.len(), 1);
         assert_eq!(outer[0].parent, None);
+    }
+
+    /// Names of the events in `evs` that start with `prefix`, in order.
+    fn names(evs: &[SpanEvent], prefix: &str) -> Vec<&'static str> {
+        evs.iter()
+            .map(|e| e.name)
+            .filter(|n| n.starts_with(prefix))
+            .collect()
+    }
+
+    /// Open a span and an event named `test.capture.other.*` on a new
+    /// thread while the caller's capture is open; returns what that thread
+    /// saw of its own recording.
+    fn record_on_another_thread() -> bool {
+        std::thread::spawn(|| {
+            let recording = span("test.capture.other.span").is_recording();
+            event_with("test.capture.other.event", Vec::new);
+            recording
+        })
+        .join()
+        .unwrap()
+    }
+
+    #[test]
+    fn a_capture_takes_only_its_own_thread() {
+        let _serial = serial();
+        // no guard: the other thread stays on the off path, and its event
+        // closure never runs on account of this capture
+        let (other_recorded, taken) = capture(|| {
+            let _mine = span("test.capture.mine");
+            std::thread::spawn(|| {
+                event_with("test.capture.other.event", || {
+                    panic!("a capture on another thread must not make this one record")
+                })
+            })
+            .join()
+            .unwrap();
+            record_on_another_thread()
+        });
+        assert!(!other_recorded);
+        assert_eq!(names(&taken, "test.capture."), ["test.capture.mine"]);
+        // a concurrent guard: the other thread records into the global
+        // ring, the capture still holds only its own thread's span
+        let _scope = start_trace();
+        let (other_recorded, taken) = capture(|| {
+            let _mine = span("test.capture.mine");
+            record_on_another_thread()
+        });
+        assert!(other_recorded);
+        assert_eq!(names(&taken, "test.capture."), ["test.capture.mine"]);
+        let global = events();
+        assert_eq!(
+            names(&global, "test.capture."),
+            ["test.capture.other.span", "test.capture.other.event"]
+        );
+        clear();
+    }
+
+    #[test]
+    fn what_a_capture_takes_goes_nowhere_else() {
+        let _serial = serial();
+        let _scope = start_trace();
+        clear();
+        crate::slowlog::clear();
+        crate::slowlog::threshold("test.capture.slow", std::time::Duration::from_micros(1));
+        let ((), taken) = capture(|| {
+            let mut slow = span("test.capture.slow");
+            slow.field("rows", Json::Int(3));
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            event_with("test.capture.instant", || vec![("n", Json::Int(1))]);
+        });
+        // the capture has both, the event parented to the open span ...
+        assert_eq!(
+            names(&taken, "test.capture."),
+            ["test.capture.instant", "test.capture.slow"]
+        );
+        assert_eq!(taken[0].parent, Some(taken[1].id));
+        assert!(taken[1].dur_us >= 1);
+        assert_eq!(taken[1].field("rows"), Some(&Json::Int(3)));
+        // ... and neither the ring nor the slow-op log saw them, though a
+        // guard is alive and the span crossed its threshold
+        assert!(names(&events(), "test.capture.").is_empty());
+        let slow = crate::slowlog::entries();
+        assert!(slow.iter().all(|o| o.event.name != "test.capture.slow"));
+        // outside the capture the same span reaches both
+        {
+            let _slow = span("test.capture.slow");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        assert_eq!(names(&events(), "test.capture."), ["test.capture.slow"]);
+        let slow = crate::slowlog::entries();
+        assert!(slow.iter().any(|o| o.event.name == "test.capture.slow"));
+        crate::slowlog::clear_threshold("test.capture.slow");
+        crate::slowlog::clear();
+        clear();
+    }
+
+    #[test]
+    fn nested_captures_each_return_what_ran_inside_them() {
+        let _serial = serial();
+        let ((inner, after), outer) = capture(|| {
+            let _before = span("test.capture.outer_before");
+            let ((), inner) = capture(|| {
+                let _inner = span("test.capture.inner");
+            });
+            let after = span("test.capture.outer_after");
+            (inner, after.is_recording())
+        });
+        assert!(after, "closing the inner capture leaves the outer open");
+        assert_eq!(names(&inner, "test.capture."), ["test.capture.inner"]);
+        // the outer capture holds the inner one's span too, in close order
+        assert_eq!(
+            names(&outer, "test.capture."),
+            [
+                "test.capture.inner",
+                "test.capture.outer_after",
+                "test.capture.outer_before"
+            ]
+        );
+        assert_eq!(outer[0], inner[0]);
+        // both closed: nothing records any more
+        assert!(!span("test.capture.closed").is_recording());
+    }
+
+    #[test]
+    fn a_capture_closes_when_its_closure_unwinds() {
+        let _serial = serial();
+        let unwound = std::panic::catch_unwind(|| {
+            capture(|| {
+                let _s = span("test.capture.unwinding");
+                panic!("unwind through the capture");
+            })
+        });
+        assert!(unwound.is_err());
+        assert!(!span("test.capture.after_unwind").is_recording());
+        event_with("test.capture.after_unwind", || {
+            panic!("nothing is open after the capture unwound")
+        });
     }
 
     #[test]

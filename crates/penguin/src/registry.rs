@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use vo_core::prelude::*;
 use vo_obs::metrics::{self, Counter};
+use vo_obs::trace;
 
 /// Access plans built: one per registration, one per object each time
 /// the database's structure moves.
@@ -274,13 +275,13 @@ impl Registry {
         instantiate_many_planned(&reg.object, db, &reg.plan, &pivots)
     }
 
-    /// Instantiate all of an object's instances and return the operator
-    /// tree of the run.
+    /// Instantiate all of an object's instances by the engine and return
+    /// the operator tree its spans render.
     pub(crate) fn profile(&self, db: &Database, name: &str) -> Result<ProfileNode> {
         let reg = self.served(name, db)?;
-        let pivots: Vec<&Tuple> = db.table(reg.object.pivot())?.scan().collect();
-        let (_, prof) = instantiate_many_profiled(&reg.object, db, &reg.plan, &pivots)?;
-        Ok(prof)
+        let (run, spans) = trace::capture(|| Self::all(reg, db));
+        run?;
+        Ok(ProfileNode::from_spans(&spans).expect("an instantiation records its span"))
     }
 
     /// Execute a query on an object.

@@ -264,11 +264,12 @@ impl Penguin {
         Materialized::of(self.views.get(name).map(|view| view.current(&self.db)))
     }
 
-    /// Instantiate all of an object's instances and return the structured
-    /// operator-tree profile of the run: `Instantiate(<object>)` at the
-    /// root, one child per object edge, one grandchild per edge step, each
-    /// carrying rows in/out, elapsed time, and the access path taken
-    /// (`index probe` vs `hash build (scan)`). Pairs with SQL
+    /// Instantiate all of an object's instances by the engine and return
+    /// the operator tree the run's spans render (a
+    /// [`vo_obs::trace::capture`] of the call): `Instantiate(<object>)` at
+    /// the root, one child per object edge, one grandchild per edge step,
+    /// each carrying rows in/out, elapsed time, and the access path taken
+    /// (`index probe`, `key range` or `hash build (scan)`). Pairs with SQL
     /// `EXPLAIN ANALYZE` as the observability surface of the system.
     pub fn profile(&self, name: &str) -> Result<ProfileNode> {
         self.registry.profile(&self.db, name)

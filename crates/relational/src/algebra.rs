@@ -13,8 +13,7 @@ use crate::predicate::{resolve_column, Expr};
 use crate::value::Value;
 use std::collections::HashMap;
 use std::fmt;
-use std::time::Instant;
-use vo_obs::profile::ProfileNode;
+use vo_obs::json::Json;
 use vo_obs::trace;
 
 /// A logical query plan.
@@ -305,49 +304,27 @@ impl ResultSet {
 impl Database {
     /// Evaluate a logical plan to a materialized result.
     ///
-    /// When tracing is enabled every operator contributes a
-    /// `relational.execute` span (nested to mirror the plan tree); when it
-    /// is off the only cost over the raw evaluator is one relaxed atomic
-    /// load per operator node.
+    /// Every operator records a `relational.execute` span (nested to
+    /// mirror the plan tree) carrying its `label`, `access` path, `rows_in`
+    /// and `rows_out` — what `EXPLAIN ANALYZE` renders of a capture of this
+    /// call. While nothing records, the only cost over the raw evaluator is
+    /// one relaxed atomic load per operator node.
     pub fn execute(&self, plan: &Plan) -> Result<ResultSet> {
-        self.walk(plan, None)
-    }
-
-    /// Evaluate a plan and return both its result and an operator-tree
-    /// profile: per node, rows in/out, inclusive wall time, and the access
-    /// path taken. This is the engine behind `EXPLAIN ANALYZE`.
-    pub fn execute_profiled(&self, plan: &Plan) -> Result<(ResultSet, ProfileNode)> {
-        let mut root = Vec::with_capacity(1);
-        let rs = self.walk(plan, Some(&mut root))?;
-        Ok((rs, root.pop().expect("a profiled walk pushes its node")))
-    }
-
-    /// The one evaluation walk. With `profile` set, this node's profile is
-    /// pushed onto it (the parent's list of children); without, no clock
-    /// is read and nothing is allocated for it.
-    fn walk(&self, plan: &Plan, profile: Option<&mut Vec<ProfileNode>>) -> Result<ResultSet> {
         let mut sp = trace::span("relational.execute");
-        let start = profile.is_some().then(Instant::now);
         let mut inputs = Vec::with_capacity(2);
-        let mut child_profiles = Vec::new();
         for child in plan.children() {
-            let children = start.is_some().then_some(&mut child_profiles);
-            inputs.push(self.walk(child, children)?);
+            inputs.push(self.execute(child)?);
         }
-        let rows_in: u64 = inputs.iter().map(|r| r.len() as u64).sum();
+        let rows_in: usize = inputs.iter().map(ResultSet::len).sum();
         let rs = self.apply_operator(plan, inputs)?;
         if sp.is_recording() {
-            sp.field("op", vo_obs::json::Json::str(plan.node_label()));
-            sp.field("rows_out", vo_obs::json::Json::Int(rs.len() as i64));
-        }
-        if let (Some(siblings), Some(start)) = (profile, start) {
-            let mut node = ProfileNode::new(plan.node_label());
-            node.access_path = plan.access_label().to_owned();
-            node.rows_in = rows_in;
-            node.rows_out = rs.len() as u64;
-            node.set_elapsed(start.elapsed());
-            node.children = child_profiles;
-            siblings.push(node);
+            sp.field("label", Json::str(plan.node_label()));
+            let access = plan.access_label();
+            if !access.is_empty() {
+                sp.field("access", Json::str(access));
+            }
+            sp.field("rows_in", Json::Int(rows_in as i64));
+            sp.field("rows_out", Json::Int(rs.len() as i64));
         }
         Ok(rs)
     }
@@ -554,6 +531,7 @@ mod tests {
     use super::*;
     use crate::schema::{AttributeDef, RelationSchema};
     use crate::value::DataType;
+    use vo_obs::profile::ProfileNode;
 
     fn db() -> Database {
         let mut d = Database::new();
@@ -732,14 +710,21 @@ mod tests {
         assert!(matches!(d.execute(&u), Err(Error::InvalidPlan(_))));
     }
 
+    /// `plan`'s result and the profile its spans render (what `EXPLAIN
+    /// ANALYZE` shows).
+    fn profiled(d: &Database, plan: &Plan) -> (ResultSet, ProfileNode) {
+        let (rs, spans) = trace::capture(|| d.execute(plan));
+        (rs.unwrap(), ProfileNode::from_spans(&spans).unwrap())
+    }
+
     #[test]
-    fn profiled_execution_matches_plain_and_measures() {
+    fn profile_of_a_capture_matches_plain_and_measures() {
         let d = db();
         let plan = Plan::scan("COURSES")
             .select(Expr::attr("dept_name").eq(Expr::lit("CS")))
             .project(vec!["course_id".into()]);
         let plain = d.execute(&plan).unwrap();
-        let (rs, prof) = d.execute_profiled(&plan).unwrap();
+        let (rs, prof) = profiled(&d, &plan);
         assert_eq!(rs, plain);
         // tree shape mirrors the plan: Project -> Select -> Scan
         assert!(prof.label.starts_with("Project"));
@@ -758,7 +743,7 @@ mod tests {
             Plan::scan("DEPARTMENT"),
             vec![("COURSES.dept_name".into(), "DEPARTMENT.dept_name".into())],
         );
-        let (_, jp) = d.execute_profiled(&join).unwrap();
+        let (_, jp) = profiled(&d, &join);
         assert_eq!(jp.access_path, "hash join (build right)");
         assert_eq!(jp.rows_in, 6);
         assert_eq!(jp.rows_out, 3);
@@ -768,20 +753,16 @@ mod tests {
     }
 
     #[test]
-    fn execute_emits_spans_when_traced() {
+    fn execute_records_one_span_per_operator() {
         let d = db();
-        let _scope = vo_obs::trace::start_trace();
-        d.execute(&Plan::scan("DEPARTMENT").distinct()).unwrap();
-        let me = vo_obs::trace::current_thread_id();
-        let mine: Vec<_> = vo_obs::trace::events()
-            .into_iter()
-            .filter(|e| e.thread == me && e.name == "relational.execute")
+        let (_, spans) = trace::capture(|| d.execute(&Plan::scan("DEPARTMENT").distinct()));
+        let labels: Vec<_> = spans
+            .iter()
+            .filter(|e| e.name == "relational.execute")
+            .map(|e| e.field("label").unwrap().as_str().unwrap())
             .collect();
-        assert!(mine.len() >= 2, "one span per operator node");
-        assert!(mine.iter().any(|e| e
-            .field("op")
-            .and_then(|j| j.as_str().ok().map(String::from))
-            == Some("Scan(DEPARTMENT)".into())));
+        // children close before their parents
+        assert_eq!(labels, ["Scan(DEPARTMENT)", "Distinct"]);
     }
 
     #[test]

@@ -139,14 +139,6 @@ impl Delta {
         }
         Ok(())
     }
-
-    /// Lay `later` over this delta: where both write a key, `later` wins.
-    /// `a.merge(b)` is the delta of a's ops followed by b's.
-    pub fn merge(&mut self, later: Delta) {
-        for (relation, rows) in later.relations {
-            self.relations.entry(relation).or_default().extend(rows);
-        }
-    }
 }
 
 /// One key an overlay writes, with the tuple on either side of the write
@@ -739,44 +731,6 @@ mod tests {
         let mut overlay = DeltaDb::new(&db);
         overlay.apply_all(list).unwrap();
         assert!(std::ptr::eq(overlay.into_ops().as_ptr(), handed));
-    }
-
-    #[test]
-    fn merge_is_the_fold_of_the_ops_in_order() {
-        let db = base();
-        let schema = db.table("PEOPLE").unwrap().schema();
-        let first = [
-            DbOp::Insert {
-                relation: "PEOPLE".into(),
-                tuple: tuple(&db, 3, "cam", "ME"),
-            },
-            DbOp::Delete {
-                relation: "PEOPLE".into(),
-                key: Key::single(1),
-            },
-        ];
-        let second = [
-            DbOp::Delete {
-                relation: "PEOPLE".into(),
-                key: Key::single(3),
-            },
-            DbOp::Replace {
-                relation: "PEOPLE".into(),
-                old_key: Key::single(2),
-                tuple: tuple(&db, 1, "bob", "EE"),
-            },
-        ];
-        let fold = |ops: &[DbOp]| {
-            let mut d = Delta::default();
-            ops.iter().for_each(|op| d.record(schema, op));
-            d
-        };
-        let mut merged = fold(&first);
-        merged.merge(fold(&second));
-        assert_eq!(merged, fold(&[first, second].concat()));
-        let rows: Vec<_> = merged.relations().flat_map(|(_, rows)| rows).collect();
-        assert_eq!(rows.len(), 3);
-        assert!(rows[0].1.is_some() && rows[1].1.is_none() && rows[2].1.is_none());
     }
 
     #[test]

@@ -40,8 +40,9 @@ pub enum SqlOutcome {
     Count(usize),
     /// An EXPLAIN's plan rendering (the optimized logical plan).
     Plan(String),
-    /// An EXPLAIN ANALYZE's executed operator-tree profile: per node, rows
-    /// in/out, inclusive wall time, and the access path taken.
+    /// An EXPLAIN ANALYZE's executed operator tree, rendered from the spans
+    /// the run recorded: per node, rows in/out, inclusive wall time, and
+    /// the access path taken.
     Profile(ProfileNode),
 }
 
@@ -311,7 +312,12 @@ impl Database {
                     SelectMode::Run => SqlOutcome::Rows(self.execute(&plan)?),
                     SelectMode::Explain => SqlOutcome::Plan(plan.to_string()),
                     SelectMode::ExplainAnalyze => {
-                        SqlOutcome::Profile(self.execute_profiled(&plan)?.1)
+                        let (rs, spans) = vo_obs::trace::capture(|| self.execute(&plan));
+                        rs?;
+                        SqlOutcome::Profile(
+                            ProfileNode::from_spans(&spans)
+                                .expect("every operator records a labelled span"),
+                        )
                     }
                 })
             }

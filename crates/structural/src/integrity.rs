@@ -982,14 +982,11 @@ mod tests {
         overlay
             .apply(delete("DEPARTMENT", Key::single("CS")))
             .unwrap();
-        let scope = trace::start_trace();
-        let v = check_delta(&s, &overlay).unwrap();
-        let me = trace::current_thread_id();
-        let spans: Vec<_> = trace::events()
+        let (v, spans) = trace::capture(|| check_delta(&s, &overlay).unwrap());
+        let spans: Vec<_> = spans
             .into_iter()
-            .filter(|e| e.thread == me && e.name == "integrity.check_delta")
+            .filter(|e| e.name == "integrity.check_delta")
             .collect();
-        drop(scope);
         assert_eq!(v.len(), 2); // both courses referenced the department
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].field("writes").unwrap(), &Json::Int(1));
@@ -1152,15 +1149,13 @@ mod tests {
         let (s, db) = setup();
         let policy =
             IntegrityPolicy::uniform(RefDeleteAction::Restrict, RefModifyAction::Propagate);
-        let scope = trace::start_trace();
-        let r = plan_delete(&s, &db, "COURSES", &Key::single("CS345"), &policy);
+        let (r, events) =
+            trace::capture(|| plan_delete(&s, &db, "COURSES", &Key::single("CS345"), &policy));
         assert!(r.is_err());
-        let me = trace::current_thread_id();
-        let aborts: Vec<_> = trace::events()
+        let aborts: Vec<_> = events
             .into_iter()
-            .filter(|e| e.thread == me && e.name == "integrity.abort")
+            .filter(|e| e.name == "integrity.abort")
             .collect();
-        drop(scope);
         assert_eq!(aborts.len(), 1);
         let a = &aborts[0];
         assert_eq!(
@@ -1175,21 +1170,16 @@ mod tests {
     #[test]
     fn cascade_trace_counts_tuples_per_rule() {
         let (s, db) = setup();
-        let scope = trace::start_trace();
-        plan_delete(
-            &s,
-            &db,
-            "STUDENT",
-            &Key::single(1),
-            &IntegrityPolicy::default(),
-        )
-        .unwrap();
-        let me = trace::current_thread_id();
-        let mine: Vec<_> = trace::events()
-            .into_iter()
-            .filter(|e| e.thread == me)
-            .collect();
-        drop(scope);
+        let (_, mine) = trace::capture(|| {
+            plan_delete(
+                &s,
+                &db,
+                "STUDENT",
+                &Key::single(1),
+                &IntegrityPolicy::default(),
+            )
+            .unwrap()
+        });
         // student_grades owns both of ssn=1's grade rows
         let cascade = mine
             .iter()

@@ -280,14 +280,9 @@ fn injected_cascade_failure_traces_rule_and_tuple() {
         .with_delete_action("curriculum_courses", RefDeleteAction::Restrict);
 
     let before = snapshot(&db);
-    let scope = trace::start_trace();
-    let err = plan_delete(&schema, &db, "COURSES", &Key::single("CS345"), &policy).unwrap_err();
-    let me = trace::current_thread_id();
-    let mine: Vec<_> = trace::events()
-        .into_iter()
-        .filter(|e| e.thread == me)
-        .collect();
-    drop(scope);
+    let (err, mine) = trace::capture(|| {
+        plan_delete(&schema, &db, "COURSES", &Key::single("CS345"), &policy).unwrap_err()
+    });
 
     assert!(matches!(err, Error::ConstraintViolation(_)));
     assert_eq!(snapshot(&db), before);

@@ -13,8 +13,8 @@
 
 use penguin_vo::obs::json::encode;
 use penguin_vo::obs::metrics;
+use penguin_vo::obs::trace::{self, SpanEvent};
 use penguin_vo::prelude::*;
-use penguin_vo::relational::stats;
 use std::path::PathBuf;
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -433,9 +433,11 @@ fn seeded_random_workloads_stay_equivalent() {
 }
 
 /// A view keeps nothing beside its instances, so building one is one
-/// instantiation: `Penguin::materialize` issues exactly the index probes
-/// one instantiation of the object by the engine issues. (The engine is
-/// called directly: `Penguin::instantiate_all` now reads a current view.)
+/// instantiation: `Penguin::materialize` records exactly the walk one
+/// instantiation of the object by the engine records — the same edges and
+/// steps, each step with the same access path, rows in and rows out, so
+/// the same index probes. (The engine is called directly:
+/// `Penguin::instantiate_all` now reads a current view.)
 #[test]
 fn materializing_costs_one_instantiation() {
     let mut p = Penguin::new(university_schema());
@@ -450,25 +452,26 @@ fn materializing_costs_one_instantiation() {
     // both sides below plan over the same structure
     p.materialize("omega").unwrap();
 
-    // the counters are process-global and only ever grow, so an exact
-    // count holds only in a window without other tests' lookups — retry
-    // until one is seen
-    let mut seen = Vec::new();
-    for _ in 0..50 {
-        let object = &p.object("omega").unwrap().object;
-        let before = stats::snapshot();
-        instantiate_all(p.schema(), object, p.database()).unwrap();
-        let read = before.delta(&stats::snapshot()).index_probes;
-        let before = stats::snapshot();
-        p.materialize("omega").unwrap();
-        let built = before.delta(&stats::snapshot()).index_probes;
-        if read > 0 && built == read {
-            return;
-        }
-        seen.push((read, built));
-        std::thread::yield_now();
-    }
-    panic!("materialize never cost one instantiation: (instantiate_all, materialize) = {seen:?}");
+    // the engine's spans of a call, without ids and times
+    let walk = |spans: Vec<SpanEvent>| -> Vec<(&'static str, Vec<(&'static str, Json)>)> {
+        let engine = ["core.instantiate", "core.follow_edge", "core.probe_step"];
+        (spans.into_iter())
+            .filter(|e| engine.contains(&e.name))
+            .map(|e| (e.name, e.fields))
+            .collect()
+    };
+    let object = p.object("omega").unwrap().object.clone();
+    let (read, by_engine) = trace::capture(|| instantiate_all(p.schema(), &object, p.database()));
+    read.unwrap();
+    let (built, by_view) = trace::capture(|| p.materialize("omega").map(|_| ()));
+    built.unwrap();
+    let (read, built) = (walk(by_engine), walk(by_view));
+    assert!(
+        read.iter().any(|(name, fields)| *name == "core.probe_step"
+            && fields.contains(&("access", Json::str("index probe")))),
+        "{read:?}"
+    );
+    assert_eq!(built, read);
 }
 
 /// A persistent system whose write-ahead persister and materialized view

@@ -10,6 +10,7 @@
 //! it, run this test once (a missing file is written from the current
 //! output and the test fails, naming it), review the diff, commit it.
 
+use penguin_vo::obs::trace;
 use penguin_vo::penguin::{seed_ownership_chain, synthetic_schema, SchemaShape};
 use penguin_vo::prelude::*;
 use std::collections::BTreeSet;
@@ -385,7 +386,8 @@ fn section_6_dialog_and_worked_example() {
 
 /// A3b — the paper specifies VO-R as a case table (R-1..R-3 in state R,
 /// I-1..I-4 in state I); this is the sequence of cases that fires for six
-/// canonical replacement requests against ω.
+/// canonical replacement requests against ω, read off the
+/// `core.vo_r_case` events a capture of each translation holds.
 #[test]
 fn vo_r_case_traces() {
     let mut out = String::new();
@@ -434,24 +436,16 @@ fn vo_r_case_traces() {
 
     let mut rows = Vec::new();
     for (label, new) in cases {
-        let (ops, trace) =
-            translate_replacement_traced(&schema, &omega, &analysis, &translator, &db, &old, new)
-                .unwrap();
+        let (ops, events) = trace::capture(|| {
+            translate_replacement(&schema, &omega, &analysis, &translator, &db, &old, new)
+        });
+        let ops = ops.unwrap();
         // run-length encode the case sequence: `label xN`
         let mut runs: Vec<(String, usize)> = Vec::new();
-        for e in &trace {
-            let node = match e {
-                TraceEvent::R1 { node }
-                | TraceEvent::R2 { node }
-                | TraceEvent::R3 { node, .. }
-                | TraceEvent::AlreadyPropagated { node }
-                | TraceEvent::I1 { node }
-                | TraceEvent::I2 { node }
-                | TraceEvent::I3 { node }
-                | TraceEvent::I4 { node }
-                | TraceEvent::IslandRemoval { node } => *node,
-            };
-            let l = format!("{}@{}", e.label(), omega.node(node).relation);
+        for e in events.iter().filter(|e| e.name == "core.vo_r_case") {
+            let node = e.field("node").unwrap().as_i64().unwrap() as NodeId;
+            let case = e.field("case").unwrap().as_str().unwrap();
+            let l = format!("{case}@{}", omega.node(node).relation);
             match runs.last_mut() {
                 Some((last, n)) if *last == l => *n += 1,
                 _ => runs.push((l, 1)),

@@ -390,7 +390,9 @@ fn scan_span_names(dir: &Path, out: &mut BTreeSet<String>) {
 fn golden_span_inventory_is_still_instrumented() {
     const GOLDEN: &[&str] = &[
         // spans
+        "core.follow_edge",
         "core.instantiate",
+        "core.probe_step",
         "integrity.check_delta",
         "integrity.plan_delete",
         "integrity.plan_replacement",
@@ -404,7 +406,7 @@ fn golden_span_inventory_is_still_instrumented() {
         "wal.append",
         "wal.fsync",
         // instant events
-        "core.probe_step",
+        "core.vo_r_case",
         "integrity.abort",
         "integrity.cascade",
         "integrity.nullify",
