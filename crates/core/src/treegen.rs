@@ -72,18 +72,6 @@ impl TemplateTree {
             .collect()
     }
 
-    /// The path of steps from the root to `node` (empty for the root).
-    pub fn path_steps(&self, node: usize) -> Vec<Step> {
-        let mut rev = Vec::new();
-        let mut at = node;
-        while let Some(p) = self.nodes[at].parent {
-            rev.push(self.nodes[at].step.clone().expect("non-root has step"));
-            at = p;
-        }
-        rev.reverse();
-        rev
-    }
-
     /// Render the tree (textual Figure 2b).
     pub fn to_tree_string(&self) -> String {
         let mut out = String::new();
@@ -546,25 +534,6 @@ mod tests {
         let tree = generate_tree(&schema, "COURSES", &w).unwrap();
         assert_eq!(tree.len(), 2); // COURSES + GRADES
         assert!(!tree.is_empty());
-    }
-
-    #[test]
-    fn path_steps_roundtrip() {
-        let schema = university_schema();
-        let tree = generate_tree(&schema, "COURSES", &MetricWeights::default()).unwrap();
-        let people = tree.nodes_on("PEOPLE");
-        for id in people {
-            let steps = tree.path_steps(id);
-            assert_eq!(steps.len(), tree.nodes[id].depth);
-            // walk the steps and confirm they end on PEOPLE
-            let mut at = "COURSES".to_owned();
-            for s in &steps {
-                let t = s.resolve(&schema).unwrap();
-                assert_eq!(t.source(), at);
-                at = t.target().to_owned();
-            }
-            assert_eq!(at, "PEOPLE");
-        }
     }
 
     #[test]

@@ -157,12 +157,6 @@ impl KellerTranslator {
         Ok(ops)
     }
 
-    /// How many base tuples a deletion of `view_row` would remove — used
-    /// by experiments to compare against the object translator.
-    pub fn deletion_width(&self, db: &Database, view_row: &[Value]) -> Result<usize> {
-        Ok(self.translate_delete(db, view_row)?.len())
-    }
-
     /// The attribute assignment a row implies (re-exported convenience).
     pub fn assignment(
         &self,

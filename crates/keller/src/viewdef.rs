@@ -192,14 +192,6 @@ impl SpjView {
                 attribute: alias.to_owned(),
             })
     }
-
-    /// The view columns that come from `relation`.
-    pub fn columns_of(&self, relation: &str) -> Vec<&ViewColumn> {
-        self.columns
-            .iter()
-            .filter(|c| c.relation == relation)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -271,6 +263,5 @@ mod tests {
         let v = course_view();
         assert_eq!(v.column_index("department").unwrap(), 2);
         assert!(v.column_index("nope").is_err());
-        assert_eq!(v.columns_of("GRADES").len(), 2);
     }
 }

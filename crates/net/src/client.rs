@@ -102,12 +102,6 @@ impl VoClient {
         self.hello.as_ref()
     }
 
-    /// True when the transport is currently connected. A dead transport
-    /// with [`ClientOptions::reconnect`] heals on the next request.
-    pub fn is_connected(&self) -> bool {
-        self.stream.is_some()
-    }
-
     fn dial(&mut self) -> NetResult<()> {
         self.stream = None;
         self.hello = None;

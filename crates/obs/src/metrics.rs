@@ -12,7 +12,6 @@ use crate::json::Json;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Duration;
 
 /// Histogram bucket count: bucket 0 holds value 0, bucket `b ≥ 1` holds
 /// values with exactly `b` significant bits, i.e. `[2^(b-1), 2^b - 1]`.
@@ -38,11 +37,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    /// Reset to zero.
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -148,12 +142,6 @@ impl Histogram {
         cells.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Record a duration in whole microseconds.
-    #[inline]
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_micros() as u64);
-    }
-
     /// Point-in-time copy of the histogram.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let cells = self.0;
@@ -177,18 +165,6 @@ impl Histogram {
                 })
                 .collect(),
         }
-    }
-
-    /// Zero every cell.
-    pub fn reset(&self) {
-        let cells = self.0;
-        for b in &cells.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        cells.count.store(0, Ordering::Relaxed);
-        cells.sum.store(0, Ordering::Relaxed);
-        cells.min.store(u64::MAX, Ordering::Relaxed);
-        cells.max.store(0, Ordering::Relaxed);
     }
 }
 
@@ -454,20 +430,6 @@ pub fn snapshot_all() -> MetricsSnapshot {
     }
 }
 
-/// Reset every registered metric to zero.
-pub fn reset_all() {
-    let r = registry().lock().unwrap();
-    for c in r.counters.values() {
-        c.store(0, Ordering::Relaxed);
-    }
-    for g in r.gauges.values() {
-        g.store(0, Ordering::Relaxed);
-    }
-    for h in r.histograms.values() {
-        Histogram(h).reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,7 +463,6 @@ mod tests {
     #[test]
     fn histogram_records_and_snapshots() {
         let h = histogram("test.metrics.latency");
-        h.reset();
         for v in [0, 1, 3, 100, 100] {
             h.record(v);
         }
@@ -524,7 +485,6 @@ mod tests {
 
         // a single repeated value: every quantile is that value
         let h = histogram("test.metrics.q_single");
-        h.reset();
         for _ in 0..10 {
             h.record(37);
         }
@@ -536,7 +496,6 @@ mod tests {
         // uniform 1..=100: estimates land within the covering bucket and
         // the endpoints are exact
         let h = histogram("test.metrics.q_uniform");
-        h.reset();
         for v in 1..=100 {
             h.record(v);
         }
@@ -595,7 +554,6 @@ mod tests {
     fn exposition_covers_registry_and_stays_sorted() {
         counter("test.metrics.expose_counter").add(7);
         let h = histogram("test.metrics.expose_hist");
-        h.reset();
         for v in [10, 20, 30] {
             h.record(v);
         }

@@ -80,12 +80,6 @@ pub fn current_thread_id() -> u64 {
     THREAD_ID.with(|id| *id)
 }
 
-/// The id of the innermost open span on this thread, or `None` outside
-/// any span.
-pub fn current_span_id() -> Option<u64> {
-    STACK.with(|s| s.borrow().last().map(|&(id, _)| id))
-}
-
 /// The effective `(parent, root)` at open time for a new span or event
 /// with the given fresh id: the innermost open span of this thread (whose
 /// root is inherited), else the new span is its own root.
@@ -608,11 +602,10 @@ mod tests {
     fn set_capacity_mid_stream_keeps_active_span_linkage() {
         let _serial = serial();
         let _scope = start_trace();
-        let (outer_id, inner_events);
+        let inner_events;
         {
             let outer = span("test.shrink_outer");
             assert!(outer.is_recording());
-            outer_id = current_span_id().unwrap();
             // fill the ring, then shrink it out from under the open span
             for _ in 0..32 {
                 event_with("test.shrink_noise", Vec::new);
@@ -629,16 +622,17 @@ mod tests {
             }
             inner_events = my_events("test.shrink_inner");
         }
+        // the outer span itself closes intact after both resizes
+        let outer = my_events("test.shrink_outer");
+        assert_eq!(outer.len(), 1);
+        assert_eq!(outer[0].parent, None);
+        let outer_id = outer[0].id;
         assert_eq!(inner_events.len(), 2);
         for e in &inner_events {
             assert_eq!(e.parent, Some(outer_id));
             assert_eq!(e.root, outer_id);
             assert_eq!(e.depth, 1);
         }
-        // the outer span itself closes intact after both resizes
-        let outer = my_events("test.shrink_outer");
-        assert_eq!(outer.len(), 1);
-        assert_eq!(outer[0].parent, None);
     }
 
     /// Names of the events in `evs` that start with `prefix`, in order.

@@ -170,11 +170,6 @@ impl Penguin {
         Ok(out)
     }
 
-    /// Generate the template tree for a pivot.
-    pub fn template_tree(&self, pivot: &str, weights: &MetricWeights) -> Result<TemplateTree> {
-        generate_tree(self.schema(), pivot, weights)
-    }
-
     /// Define and register a view object by pruning a pivot's template
     /// tree down to the named relations (shallowest copies win).
     pub fn define_object(

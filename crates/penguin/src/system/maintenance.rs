@@ -49,11 +49,6 @@ impl Penguin {
         self.views.get(name)
     }
 
-    /// Names of all materialized objects.
-    pub fn materialized_names(&self) -> Vec<&str> {
-        self.views.keys().map(|s| s.as_str()).collect()
-    }
-
     /// Drop an object's materialized view, releasing its journal cursor
     /// (and any watches on it): the entries only it had not read are
     /// released, and on an in-memory system without another view the

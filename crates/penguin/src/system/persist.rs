@@ -152,6 +152,8 @@ impl Penguin {
     }
 
     /// Force an fsync of the write-ahead log regardless of sync policy.
+    /// Under `SyncPolicy::EveryN` / `Never` this is the only way to make
+    /// the commits so far durable before the policy would.
     pub fn sync_store(&mut self) -> Result<()> {
         if let Some(store) = &mut self.store {
             store.sync()?;

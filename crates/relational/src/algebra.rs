@@ -39,12 +39,6 @@ pub enum Plan {
         input: Box<Plan>,
         mapping: Vec<(String, String)>,
     },
-    /// Set union (schemas must have equal arity; columns taken from left).
-    Union { left: Box<Plan>, right: Box<Plan> },
-    /// Set difference (left minus right, positional).
-    Difference { left: Box<Plan>, right: Box<Plan> },
-    /// Cartesian product.
-    Product { left: Box<Plan>, right: Box<Plan> },
     /// Sort by the named columns ascending.
     Sort { input: Box<Plan>, by: Vec<String> },
     /// Keep the first `n` rows.
@@ -164,10 +158,7 @@ impl Plan {
             | Plan::Limit { input, .. }
             | Plan::Distinct { input }
             | Plan::Aggregate { input, .. } => vec![input],
-            Plan::Join { left, right, .. }
-            | Plan::Union { left, right }
-            | Plan::Difference { left, right }
-            | Plan::Product { left, right } => vec![left, right],
+            Plan::Join { left, right, .. } => vec![left, right],
         }
     }
 
@@ -186,9 +177,6 @@ impl Plan {
                 let ms: Vec<String> = mapping.iter().map(|(o, n)| format!("{o}->{n}")).collect();
                 format!("Rename[{}]", ms.join(","))
             }
-            Plan::Union { .. } => "Union".to_owned(),
-            Plan::Difference { .. } => "Diff".to_owned(),
-            Plan::Product { .. } => "Product".to_owned(),
             Plan::Sort { by, .. } => format!("Sort[{}]", by.join(",")),
             Plan::Limit { n, .. } => format!("Limit[{n}]"),
             Plan::Distinct { .. } => "Distinct".to_owned(),
@@ -388,7 +376,7 @@ impl Database {
                 let l = inputs.pop().unwrap();
                 if on.is_empty() {
                     return Err(Error::InvalidPlan(
-                        "join requires at least one column pair (use Product otherwise)".into(),
+                        "join requires at least one column pair".into(),
                     ));
                 }
                 let l_idx: Vec<usize> = on
@@ -434,62 +422,6 @@ impl Database {
                     rs.columns[idx] = new.clone();
                 }
                 Ok(rs)
-            }
-            Plan::Union { .. } => {
-                let r = inputs.pop().unwrap();
-                let l = inputs.pop().unwrap();
-                if l.columns.len() != r.columns.len() {
-                    return Err(Error::InvalidPlan(format!(
-                        "union arity mismatch: {} vs {}",
-                        l.columns.len(),
-                        r.columns.len()
-                    )));
-                }
-                let mut rows = l.rows;
-                rows.extend(r.rows);
-                rows.sort();
-                rows.dedup();
-                Ok(ResultSet {
-                    columns: l.columns,
-                    rows,
-                })
-            }
-            Plan::Difference { .. } => {
-                let r = inputs.pop().unwrap();
-                let l = inputs.pop().unwrap();
-                if l.columns.len() != r.columns.len() {
-                    return Err(Error::InvalidPlan(format!(
-                        "difference arity mismatch: {} vs {}",
-                        l.columns.len(),
-                        r.columns.len()
-                    )));
-                }
-                let rset: std::collections::BTreeSet<&Vec<Value>> = r.rows.iter().collect();
-                let rows = l
-                    .rows
-                    .iter()
-                    .filter(|row| !rset.contains(row))
-                    .cloned()
-                    .collect();
-                Ok(ResultSet {
-                    columns: l.columns,
-                    rows,
-                })
-            }
-            Plan::Product { .. } => {
-                let r = inputs.pop().unwrap();
-                let l = inputs.pop().unwrap();
-                let mut columns = l.columns.clone();
-                columns.extend(r.columns.iter().cloned());
-                let mut rows = Vec::with_capacity(l.rows.len() * r.rows.len());
-                for lrow in &l.rows {
-                    for rrow in &r.rows {
-                        let mut row = lrow.clone();
-                        row.extend(rrow.iter().cloned());
-                        rows.push(row);
-                    }
-                }
-                Ok(ResultSet { columns, rows })
             }
             Plan::Sort { by, .. } => {
                 let mut rs = inputs.pop().unwrap();
@@ -644,28 +576,13 @@ mod tests {
     }
 
     #[test]
-    fn union_difference_distinct() {
+    fn distinct_dedups() {
         let d = db();
-        let cs = Plan::scan("COURSES")
-            .select(Expr::attr("dept_name").eq(Expr::lit("CS")))
-            .project(vec!["dept_name".into()]);
-        let ee = Plan::scan("COURSES")
-            .select(Expr::attr("dept_name").eq(Expr::lit("EE")))
-            .project(vec!["dept_name".into()]);
-        let u = Plan::Union {
-            left: Box::new(cs.clone()),
-            right: Box::new(ee),
-        };
-        let rs = d.execute(&u).unwrap();
-        assert_eq!(rs.len(), 2); // CS, EE deduped
-
-        let all = Plan::scan("DEPARTMENT").project(vec!["dept_name".into()]);
-        let diff = Plan::Difference {
-            left: Box::new(all),
-            right: Box::new(cs.distinct()),
-        };
-        let rs = d.execute(&diff).unwrap();
-        assert_eq!(rs.len(), 2); // EE, Math
+        let depts = Plan::scan("COURSES")
+            .project(vec!["dept_name".into()])
+            .distinct();
+        let rs = d.execute(&depts).unwrap();
+        assert_eq!(rs.len(), 2); // CS twice, EE once
     }
 
     #[test]
@@ -687,27 +604,6 @@ mod tests {
             Plan::scan("DEPARTMENT").rename(vec![("DEPARTMENT.dept_name".into(), "d".into())]);
         let rs = d.execute(&plan).unwrap();
         assert_eq!(rs.columns, vec!["d"]);
-    }
-
-    #[test]
-    fn product_counts() {
-        let d = db();
-        let plan = Plan::Product {
-            left: Box::new(Plan::scan("DEPARTMENT")),
-            right: Box::new(Plan::scan("COURSES")),
-        };
-        let rs = d.execute(&plan).unwrap();
-        assert_eq!(rs.len(), 9);
-    }
-
-    #[test]
-    fn union_arity_mismatch_rejected() {
-        let d = db();
-        let u = Plan::Union {
-            left: Box::new(Plan::scan("DEPARTMENT")),
-            right: Box::new(Plan::scan("COURSES")),
-        };
-        assert!(matches!(d.execute(&u), Err(Error::InvalidPlan(_))));
     }
 
     /// `plan`'s result and the profile its spans render (what `EXPLAIN

@@ -55,7 +55,7 @@ fn rewrite(plan: Plan) -> Plan {
     }
 }
 
-/// Try to push a selection below joins / products when the predicate only
+/// Try to push a selection below a join when the predicate only
 /// references one side's columns. Every other node keeps the selection
 /// above it — for an `Aggregate` that is what makes it a `HAVING`.
 fn push_select(plan: Plan, pred: Expr) -> Plan {
@@ -78,26 +78,6 @@ fn push_select(plan: Plan, pred: Expr) -> Plan {
             } else {
                 Plan::Select {
                     input: Box::new(Plan::Join { left, right, on }),
-                    pred,
-                }
-            }
-        }
-        Plan::Product { left, right } => {
-            let cols = pred.referenced_columns();
-            if let Some(side) = side_of(&cols, &left, &right) {
-                match side {
-                    Side::Left => Plan::Product {
-                        left: Box::new(push_select(*left, pred)),
-                        right,
-                    },
-                    Side::Right => Plan::Product {
-                        left,
-                        right: Box::new(push_select(*right, pred)),
-                    },
-                }
-            } else {
-                Plan::Select {
-                    input: Box::new(Plan::Product { left, right }),
                     pred,
                 }
             }
@@ -156,12 +136,11 @@ fn static_columns(plan: &Plan) -> Option<Vec<String>> {
         | Plan::Sort { input, .. }
         | Plan::Limit { input, .. }
         | Plan::Distinct { input } => static_columns(input),
-        Plan::Join { left, right, .. } | Plan::Product { left, right } => {
+        Plan::Join { left, right, .. } => {
             let mut l = static_columns(left)?;
             l.extend(static_columns(right)?);
             Some(l)
         }
-        Plan::Union { left, .. } | Plan::Difference { left, .. } => static_columns(left),
         // grouping columns come out under their resolved input names
         Plan::Aggregate { .. } => None,
     }
@@ -186,18 +165,6 @@ fn map_children(plan: Plan, f: impl Fn(Plan) -> Plan + Copy) -> Plan {
         Plan::Rename { input, mapping } => Plan::Rename {
             input: Box::new(f(*input)),
             mapping,
-        },
-        Plan::Union { left, right } => Plan::Union {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-        },
-        Plan::Difference { left, right } => Plan::Difference {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-        },
-        Plan::Product { left, right } => Plan::Product {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
         },
         Plan::Sort { input, by } => Plan::Sort {
             input: Box::new(f(*input)),

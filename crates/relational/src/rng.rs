@@ -63,11 +63,6 @@ impl SmallRng {
         ((self.next_u64() >> 11) as f64 / (1u64 << 53) as f64) < p
     }
 
-    /// Uniform float in `[0, 1)`.
-    pub fn gen_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     /// Pick a uniformly random element of a non-empty slice.
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.gen_range(0..items.len())]
@@ -111,8 +106,6 @@ mod tests {
             assert!((3..17).contains(&v));
             let w = r.gen_range_i64(-5..5);
             assert!((-5..5).contains(&w));
-            let f = r.gen_f64();
-            assert!((0.0..1.0).contains(&f));
         }
     }
 

@@ -169,16 +169,6 @@ impl RelationSchema {
             .collect()
     }
 
-    /// Names of the non-key attributes — the paper's `NK(R)`.
-    pub fn nonkey_names(&self) -> Vec<&str> {
-        self.attributes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.key.contains(i))
-            .map(|(_, a)| a.name.as_str())
-            .collect()
-    }
-
     /// True when `attr` participates in the primary key.
     pub fn is_key_attribute(&self, attr: &str) -> bool {
         self.index_of(attr)
@@ -297,7 +287,6 @@ mod tests {
     fn key_and_nonkey_partition() {
         let s = courses();
         assert_eq!(s.key_names(), vec!["course_id"]);
-        assert_eq!(s.nonkey_names(), vec!["title", "units", "dept_name"]);
         assert!(s.is_key_attribute("course_id"));
         assert!(!s.is_key_attribute("title"));
     }

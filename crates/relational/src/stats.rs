@@ -1,36 +1,34 @@
 //! Lightweight global instrumentation counters for the access paths.
 //!
-//! The instantiation engine and the experiment binaries need to know *how*
-//! tables were accessed — index probe vs. full-scan fallback, hash builds,
-//! join rows produced — to prove that batched instantiation never silently
-//! degrades to scans. The counters live in the [`vo_obs::metrics`]
-//! registry (names `relational.*`), so they show up in registry snapshots
-//! and JSON exports alongside every other metric; the handles interned
-//! here keep the increment cost identical to a hand-rolled relaxed atomic.
-//! Call [`reset`] before a measured region and [`snapshot`] after.
+//! The instantiation engine and its tests need to know *how* tables were
+//! accessed — index probe vs. full-scan fallback, hash builds, join rows
+//! produced — to prove that batched instantiation never silently degrades
+//! to scans. The counters live in the [`vo_obs::metrics`] registry (names
+//! `relational.*`), so they show up in registry snapshots and JSON exports
+//! alongside every other metric; the handles interned here keep the
+//! increment cost identical to a hand-rolled relaxed atomic.
 //!
-//! ## Concurrency contract (relaxed ordering)
+//! ## Contract: counters only grow
 //!
 //! Every counter is an `AtomicU64` bumped with `Ordering::Relaxed` —
 //! concurrent readers (the net server's worker threads, each instantiating
 //! on its own pinned session) increment them with no synchronization
-//! beyond the atomic itself. What that buys, and what it
-//! doesn't:
+//! beyond the atomic itself, and nothing ever lowers one. What that buys,
+//! and what it doesn't:
 //!
-//! - **Per-counter monotonicity.** Increments are atomic read-modify-write
-//!   ops, so no increment is ever lost and a single counter read through
-//!   [`snapshot`] never goes backwards while only increments are running.
+//! - **Monotonic counts.** Increments are atomic read-modify-write ops, so
+//!   no increment is ever lost and a counter read through [`snapshot`]
+//!   never goes backwards.
+//! - **A count belongs to a region only as a delta.** Take a [`snapshot`]
+//!   before the region and one after; [`InstrumentationSnapshot::delta`]
+//!   is what the region (and anything running beside it) added. Absolute
+//!   values mean nothing on their own.
 //! - **No cross-counter consistency.** [`snapshot`] reads each counter
 //!   independently; a snapshot taken while workers run is not a consistent
 //!   cut (it may see a join's `join_rows` but not yet its
 //!   `instances_built`). Fences would not fix this — it is inherent to
 //!   sampling live counters — so consumers must treat a live snapshot as
 //!   approximate and take authoritative ones only at join points.
-//! - **Resets race by design.** [`reset`] stores zeros; a concurrent
-//!   worker may interleave increments between the individual stores.
-//!   [`InstrumentationSnapshot::delta`] therefore saturates instead of
-//!   underflowing, and measured regions should quiesce workers (join
-//!   them) before resetting or delta-ing.
 
 use std::sync::OnceLock;
 use vo_obs::metrics::{self, Counter};
@@ -181,9 +179,10 @@ pub struct InstrumentationSnapshot {
 }
 
 impl InstrumentationSnapshot {
-    /// Counter deltas between `self` (earlier) and `later`. Saturating: a
-    /// concurrent [`reset`] between the two snapshots yields zeros rather
-    /// than an underflow panic.
+    /// Counter deltas between `self` (earlier) and `later`: what the
+    /// region between the two snapshots added. Counters only grow, so a
+    /// field can drop only when the snapshots are passed out of order; it
+    /// then reads zero rather than underflowing.
     pub fn delta(&self, later: &InstrumentationSnapshot) -> InstrumentationSnapshot {
         InstrumentationSnapshot {
             index_probes: later.index_probes.saturating_sub(self.index_probes),
@@ -228,19 +227,6 @@ pub fn snapshot() -> InstrumentationSnapshot {
         overlay_reads: overlay_reads().get(),
         snapshot_avoided: snapshot_avoided().get(),
     }
-}
-
-/// Zero all counters. Tests that assert on absolute counter values should
-/// prefer snapshot-delta arithmetic, since tests run concurrently.
-pub fn reset() {
-    index_probes().reset();
-    fallback_scans().reset();
-    hash_builds().reset();
-    join_rows().reset();
-    instances_built().reset();
-    overlay_created().reset();
-    overlay_reads().reset();
-    snapshot_avoided().reset();
 }
 
 #[cfg(test)]
@@ -321,9 +307,9 @@ mod tests {
     }
 
     #[test]
-    fn delta_saturates_across_concurrent_reset() {
-        // A reset between the two snapshots makes `later` smaller than
-        // `before`; the delta must clamp to zero, not underflow.
+    fn delta_of_snapshots_out_of_order_is_zero() {
+        // `later` taken before `before` is smaller; the delta must clamp
+        // to zero, not underflow.
         let before = InstrumentationSnapshot {
             index_probes: 100,
             fallback_scans: 50,

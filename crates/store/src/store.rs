@@ -216,16 +216,6 @@ impl Default for StoreOptions {
     }
 }
 
-impl StoreOptions {
-    /// Default options with the given sync policy.
-    pub fn with_sync(sync: SyncPolicy) -> Self {
-        StoreOptions {
-            sync,
-            ..StoreOptions::default()
-        }
-    }
-}
-
 /// What recovery found and did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
@@ -521,11 +511,6 @@ impl Store {
         &self.dir
     }
 
-    /// The active segment's file path.
-    pub fn wal_path(&self) -> PathBuf {
-        self.wal.active_path().to_path_buf()
-    }
-
     /// The options in force.
     pub fn options(&self) -> StoreOptions {
         self.options
@@ -536,12 +521,6 @@ impl Store {
     /// monitor's recovery-debt signal.
     pub fn wal_len(&self) -> u64 {
         self.wal.live_bytes(self.covered_lsn)
-    }
-
-    /// Total bytes across every segment file, retired segments included
-    /// (reclaimed at the next compaction).
-    pub fn total_wal_bytes(&self) -> u64 {
-        self.wal.total_bytes()
     }
 
     /// Number of segment files on disk (live and retired).
@@ -557,12 +536,6 @@ impl Store {
     /// Id of the newest base checkpoint (0 = none yet).
     pub fn base_id(&self) -> u64 {
         self.base_id
-    }
-
-    /// LSN covered by the newest checkpoint artifact (every record at or
-    /// below it is subsumed by the base + delta chain).
-    pub fn last_checkpoint_lsn(&self) -> u64 {
-        self.covered_lsn
     }
 
     /// Commit records in the live log.

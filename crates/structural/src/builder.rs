@@ -44,24 +44,6 @@ impl StructuralSchemaBuilder {
         self
     }
 
-    /// Declare a relation where *all* attributes are non-nullable.
-    pub fn relation_required(
-        mut self,
-        name: &str,
-        attrs: &[(&str, DataType)],
-        key: &[&str],
-    ) -> Self {
-        let defs: Vec<AttributeDef> = attrs
-            .iter()
-            .map(|(n, t)| AttributeDef::required(*n, *t))
-            .collect();
-        match RelationSchema::new(name, defs, key) {
-            Ok(r) => self.relations.push(r),
-            Err(e) => self.errors.push(e),
-        }
-        self
-    }
-
     /// Declare an ownership connection `from —* to` (single-attribute pairs
     /// may use the short form `owns`).
     pub fn owns(
@@ -161,16 +143,6 @@ mod tests {
         let r = s.catalog().relation("X").unwrap();
         assert!(!r.attribute("k").unwrap().nullable);
         assert!(r.attribute("v").unwrap().nullable);
-    }
-
-    #[test]
-    fn relation_required_marks_all_required() {
-        let s = StructuralSchemaBuilder::new()
-            .relation_required("X", &[("k", DataType::Int), ("v", DataType::Text)], &["k"])
-            .build()
-            .unwrap();
-        let r = s.catalog().relation("X").unwrap();
-        assert!(!r.attribute("v").unwrap().nullable);
     }
 
     #[test]

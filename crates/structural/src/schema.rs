@@ -235,63 +235,6 @@ impl StructuralSchema {
         false
     }
 
-    /// Relations reachable from `start` through any connections (either
-    /// direction), including `start` itself.
-    pub fn reachable_from<'a>(&'a self, start: &'a str) -> Vec<&'a str> {
-        let mut visited: std::collections::BTreeSet<&str> = Default::default();
-        let mut stack = vec![start];
-        while let Some(rel) = stack.pop() {
-            if !visited.insert(rel) {
-                continue;
-            }
-            for t in self.traversals_from(rel) {
-                stack.push(t.target());
-            }
-        }
-        visited.into_iter().collect()
-    }
-
-    /// Render the schema as a Graphviz DOT digraph: relations become boxed
-    /// nodes labelled with their attributes (keys starred), connections
-    /// become edges styled by kind (ownership solid with a dot head,
-    /// reference dashed, subset solid with an empty head).
-    pub fn to_dot(&self, name: &str) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("digraph \"{name}\" {{\n"));
-        out.push_str("  node [shape=box, fontname=\"monospace\"];\n");
-        for r in self.catalog.relation_names() {
-            let schema = self.catalog.relation(r).expect("listed");
-            let attrs: Vec<String> = schema
-                .attributes()
-                .iter()
-                .map(|a| {
-                    if schema.is_key_attribute(&a.name) {
-                        format!("{}*", a.name)
-                    } else {
-                        a.name.clone()
-                    }
-                })
-                .collect();
-            out.push_str(&format!(
-                "  \"{r}\" [label=\"{r}\\n({})\"];\n",
-                attrs.join(", ")
-            ));
-        }
-        for c in &self.connections {
-            let style = match c.kind {
-                ConnectionKind::Ownership => "arrowhead=dot",
-                ConnectionKind::Reference => "style=dashed, arrowhead=vee",
-                ConnectionKind::Subset => "arrowhead=empty",
-            };
-            out.push_str(&format!(
-                "  \"{}\" -> \"{}\" [label=\"{}\", {style}];\n",
-                c.from, c.to, c.name
-            ));
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Render the schema as a sorted list of `R1 sym R2` lines — the
     /// textual equivalent of the paper's Figure 1.
     pub fn to_graph_string(&self) -> String {
@@ -467,12 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn reachability() {
-        let s = schema();
-        assert_eq!(s.reachable_from("C"), vec!["A", "B", "C", "D"]);
-    }
-
-    #[test]
     fn graph_string_mentions_all() {
         let s = schema();
         let g = s.to_graph_string();
@@ -480,18 +417,6 @@ mod tests {
         assert!(g.contains("B —> C"));
         assert!(g.contains("A —⊃ D"));
         assert!(g.contains("B(a*, b*, c)"));
-    }
-
-    #[test]
-    fn dot_export_has_nodes_and_styled_edges() {
-        let s = schema();
-        let dot = s.to_dot("test");
-        assert!(dot.starts_with("digraph \"test\" {"));
-        assert!(dot.contains("\"A\" [label=\"A\\n(a*)\"]"));
-        assert!(dot.contains("\"A\" -> \"B\" [label=\"a_owns_b\", arrowhead=dot]"));
-        assert!(dot.contains("style=dashed")); // reference edge
-        assert!(dot.contains("arrowhead=empty")); // subset edge
-        assert!(dot.trim_end().ends_with('}'));
     }
 
     #[test]

@@ -111,11 +111,12 @@ fn value_order_is_total_and_consistent() {
     assert!(Value::Int(i64::MAX) < Value::Float(f64::NAN));
 }
 
-/// Regression: R(a INT) = {2^53, 2^53 + 1} and S(b FLOAT) = {2^53}. Union
-/// and difference sort and compare rows, so an order that rounded 2^53 + 1
-/// onto 2^53 dropped it from one union order and emptied R − S.
+/// Regression: R(a INT) = {2^53, 2^53 + 1} and S(b FLOAT) = {2^53}.
+/// `Distinct` sorts and compares rows, and a hash join hashes and compares
+/// its keys, so an order that rounded 2^53 + 1 onto 2^53 joined both
+/// integers to the one float, whichever side the hash was built on.
 #[test]
-fn union_and_difference_keep_integers_past_2_pow_53() {
+fn distinct_and_hash_join_keep_integers_past_2_pow_53() {
     const P53: i64 = 1 << 53;
     let mut db = Database::new();
     for (name, attr, ty) in [("R", "a", DataType::Int), ("S", "b", DataType::Float)] {
@@ -126,19 +127,16 @@ fn union_and_difference_keep_integers_past_2_pow_53() {
     db.insert("R", vec![Value::Int(P53 + 1)]).unwrap();
     db.insert("S", vec![Value::Float(P53 as f64)]).unwrap();
     let rows = |plan: Plan| db.execute(&plan).unwrap().rows;
-    let both = |l: &str, r: &str| Plan::Union {
-        left: Box::new(Plan::scan(l)),
-        right: Box::new(Plan::scan(r)),
-    };
-    let expected = vec![vec![Value::Int(P53)], vec![Value::Int(P53 + 1)]];
-    assert_eq!(rows(both("R", "S")), expected);
-    assert_eq!(rows(both("S", "R")).len(), 2);
-    let minus = |l: &str, r: &str| Plan::Difference {
-        left: Box::new(Plan::scan(l)),
-        right: Box::new(Plan::scan(r)),
-    };
-    assert_eq!(rows(minus("R", "S")), vec![vec![Value::Int(P53 + 1)]]);
-    assert!(rows(minus("S", "R")).is_empty());
+    let (int, float) = (Value::Int(P53), Value::Float(P53 as f64));
+    assert_eq!(
+        rows(Plan::scan("R").distinct()),
+        vec![vec![int.clone()], vec![Value::Int(P53 + 1)]]
+    );
+    // R.a = S.b matches 2^53 alone, whichever side the hash is built on
+    let r_join_s = Plan::scan("R").join(Plan::scan("S"), vec![("R.a".into(), "S.b".into())]);
+    assert_eq!(rows(r_join_s), vec![vec![int.clone(), float.clone()]]);
+    let s_join_r = Plan::scan("S").join(Plan::scan("R"), vec![("S.b".into(), "R.a".into())]);
+    assert_eq!(rows(s_join_r), vec![vec![float, int]]);
 }
 
 /// `Value::Text` holds a short string in place and a long one as a shared

@@ -390,3 +390,52 @@ fn large_float_commit_survives_kill_and_does_not_truncate_its_successors() {
     assert_eq!(fingerprint(&recovered), fingerprint(&db));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Under group commit the WAL holds appends in its own buffer until the
+/// n-th commit, so a persistent system's only way to force a durability
+/// point sooner is [`Penguin::sync_store`]. Three commits under
+/// `EveryN(8)`: (a) a kill before any sync loses all three — the trade
+/// the policy makes; (b) a kill right after `sync_store` loses none, and
+/// that call was one fsync covering the three.
+#[test]
+fn sync_store_is_the_durability_point_under_group_commit() {
+    use penguin_vo::obs::trace;
+    let options = StoreOptions {
+        sync: SyncPolicy::EveryN(8),
+        ..StoreOptions::default()
+    };
+    let three_commits = |dir: &PathBuf| {
+        let mut p = Penguin::persistent_with(dir, university_schema(), options).unwrap();
+        for dept in ["Art", "Law", "Music"] {
+            p.with_database_mut(|db| db.insert("DEPARTMENT", vec![dept.into()]))
+                .unwrap()
+                .unwrap();
+        }
+        assert_eq!(p.persistence_lag(), Some(0));
+        p
+    };
+    let departments = |dir: &PathBuf| {
+        let p = Penguin::open_with(dir, options).unwrap();
+        p.database().table("DEPARTMENT").unwrap().len()
+    };
+
+    // (a) killed with the three commits still in the log's buffer
+    let dir = tmp_dir("every_n_unsynced");
+    let p = three_commits(&dir);
+    assert_eq!(p.database().table("DEPARTMENT").unwrap().len(), 3);
+    std::mem::forget(p); // crash
+    assert_eq!(departments(&dir), 0);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // (b) killed right after the forced durability point
+    let dir = tmp_dir("every_n_synced");
+    let mut p = three_commits(&dir);
+    let (synced, spans) = trace::capture(|| p.sync_store());
+    synced.unwrap();
+    let fsyncs: Vec<_> = spans.iter().filter(|e| e.name == "wal.fsync").collect();
+    assert_eq!(fsyncs.len(), 1, "{spans:?}");
+    assert_eq!(fsyncs[0].field("commits"), Some(&Json::Int(3)));
+    std::mem::forget(p); // crash
+    assert_eq!(departments(&dir), 3);
+    std::fs::remove_dir_all(&dir).ok();
+}
