@@ -1112,9 +1112,12 @@ mod tests {
         plan: &ObjectPlan,
         pivots: &[&Tuple],
     ) -> (Vec<VoInstance>, ProfileNode) {
-        let (instances, spans) =
+        let (instances, taken) =
             trace::capture(|| instantiate_many_planned(omega, db, plan, pivots));
-        (instances.unwrap(), ProfileNode::from_spans(&spans).unwrap())
+        (
+            instances.unwrap(),
+            ProfileNode::from_spans(&taken.spans).unwrap(),
+        )
     }
 
     #[test]
@@ -1197,7 +1200,9 @@ mod tests {
     fn instantiation_records_spans_for_the_call_its_edges_and_steps() {
         let (schema, db) = university_database();
         let omega = generate_omega(&schema).unwrap();
-        let (_, spans) = trace::capture(|| instantiate_all(&schema, &omega, &db).unwrap());
+        let spans = trace::capture(|| instantiate_all(&schema, &omega, &db).unwrap())
+            .1
+            .spans;
         let inst = spans
             .iter()
             .find(|e| e.name == "core.instantiate")

@@ -1063,26 +1063,18 @@ mod tests {
         assert!(prepared.ops.is_empty());
         let (version, journaled) = (db.version(), db.journal_retained());
 
-        // the counters are process-global and only ever grow, so a zero
-        // delta holds whatever other tests run beside this one — retry
-        // until a window without their lookups is seen
-        let mut quiet = false;
-        for _ in 0..50 {
-            let before = vo_relational::stats::snapshot();
-            let outcome = updater
-                .commit_prepared(&schema, &mut db, prepared.clone())
-                .unwrap();
-            let d = before.delta(&vo_relational::stats::snapshot());
-            assert_eq!(outcome.total_ops, 0);
-            assert_eq!(outcome.outcomes.len(), 1);
-            assert_eq!(outcome.outcomes[0].steps.last(), Some(&UpdateStep::Commit));
-            if (d.index_probes, d.fallback_scans) == (0, 0) {
-                quiet = true;
-                break;
-            }
-            std::thread::yield_now();
-        }
-        assert!(quiet, "committing an empty op list issued lookups");
+        let (outcome, taken) =
+            vo_obs::trace::capture(|| updater.commit_prepared(&schema, &mut db, prepared).unwrap());
+        assert_eq!(outcome.total_ops, 0);
+        assert_eq!(outcome.outcomes.len(), 1);
+        assert_eq!(outcome.outcomes[0].steps.last(), Some(&UpdateStep::Commit));
+        let lookups =
+            ["relational.index_probes", "relational.fallback_scans"].map(|n| taken.count(n));
+        assert_eq!(
+            lookups,
+            [0, 0],
+            "committing an empty op list issued lookups"
+        );
         assert_eq!(db.version(), version);
         assert_eq!(db.journal_retained(), journaled);
         assert_eq!(db.journal_lag(cursor).unwrap(), 0);

@@ -845,8 +845,7 @@ mod tests {
         let (ops, events) = trace::capture(|| {
             translate_replacement(schema, omega, analysis, translator, db, old, new)
         });
-        let cases = events
-            .iter()
+        let cases = (events.spans.iter())
             .filter(|e| e.name == "core.vo_r_case")
             .map(|e| {
                 let node = e.field("node").unwrap().as_i64().unwrap() as NodeId;

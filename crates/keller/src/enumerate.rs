@@ -532,9 +532,8 @@ mod tests {
             Value::text("Database Systems"),
             Value::text("Computer Science"),
         ];
-        let (_, events) = trace::capture(|| enumerate_deletions(&view, &db, &row).unwrap());
-        let ev = events
-            .into_iter()
+        let events = trace::capture(|| enumerate_deletions(&view, &db, &row).unwrap()).1;
+        let ev = (events.spans.into_iter())
             .rfind(|e| e.name == "keller.enumerate" && e.field("op") == Some(&Json::str("delete")))
             .expect("enumerate event");
         // 2 candidates generated; DEPARTMENT pruned by the side-effect

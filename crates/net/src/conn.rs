@@ -56,6 +56,9 @@ pub(crate) fn serve(shared: &Arc<Shared>, mut stream: TcpStream) {
     let Some(mut state) = handshake(shared, &mut stream) else {
         return;
     };
+    // the handshake is the accept's whole work: each request that follows
+    // is the root of its own trace
+    drop(sp);
     serve_loop(shared, &mut stream, &mut state);
     if !state.watches.is_empty() {
         let mut penguin = shared.penguin();

@@ -4,22 +4,24 @@
 //! of the view-object reproduction:
 //!
 //! - [`trace`] — a span-based tracer: thread-local span stacks, monotonic
-//!   timings, a bounded global event collector, and JSONL export
-//!   ([`trace::export_jsonl`] over [`trace::take`] is the one way spans
-//!   leave the process). Off by default; each instrumentation point costs
-//!   one relaxed atomic load while disabled.
+//!   timings, and per-call captures ([`trace::capture`] is the one way a
+//!   thread's spans, events and counter increments leave it;
+//!   [`trace::export_jsonl`] writes a capture's spans). Off by default;
+//!   each instrumentation point costs one relaxed atomic load while
+//!   disabled.
 //! - [`metrics`] — a registry of named counters and log₂-bucket latency
 //!   histograms with interned `&'static` atomic handles, so hot-path
-//!   increments cost the same as hand-rolled statics.
+//!   increments cost the same as hand-rolled statics; an open capture
+//!   also receives its thread's counter increments.
 //! - [`profile`] — the operator-tree profile returned by
 //!   `EXPLAIN ANALYZE` and `Penguin::profile()`: rows in/out, wall time,
 //!   and the access path per node.
 //! - [`json`] — the in-tree JSON document model (moved here from
 //!   `vo-relational` so every layer, including this one, can share it
 //!   without a dependency cycle).
-//! - [`slowlog`] — a bounded ring of spans that crossed a per-name
-//!   duration threshold, kept with full fields however the trace ring
-//!   evicts.
+//! - [`slowlog`] — a bounded ring of request trees in which a span
+//!   crossed its per-name duration threshold: a registered threshold makes
+//!   every root span record into a capture, kept whole when it crossed.
 //! - [`health`] — a threshold [`health::HealthPolicy`] turning each
 //!   journal consumer's lag, views due a full rebuild, WAL growth,
 //!   recovery outcome and connection saturation into an Ok/Degraded/Unhealthy
@@ -42,5 +44,5 @@ pub mod prelude {
     pub use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot};
     pub use crate::profile::ProfileNode;
     pub use crate::slowlog::SlowOp;
-    pub use crate::trace::{SpanEvent, SpanGuard, TraceScope};
+    pub use crate::trace::{Capture, SpanEvent, SpanGuard};
 }

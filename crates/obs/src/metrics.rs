@@ -7,6 +7,12 @@
 //! registration and snapshot time. Names are dotted by layer:
 //! `relational.index_probes`, `penguin.plan_cache.hits`,
 //! `store.wal.fsyncs`.
+//!
+//! Registry values are process-wide totals. What one call counted is a
+//! [`crate::trace::capture`] of it: each counter increment a thread makes
+//! while a capture is open there also lands in that capture
+//! ([`crate::trace::Capture::counts`]), at the cost of one relaxed load
+//! per increment while none is open anywhere.
 
 use crate::json::Json;
 use std::collections::BTreeMap;
@@ -19,24 +25,32 @@ pub const BUCKETS: usize = 65;
 
 /// A registered counter handle; cheap to copy, relaxed-atomic to bump.
 #[derive(Clone, Copy)]
-pub struct Counter(&'static AtomicU64);
+pub struct Counter(&'static CounterCell);
+
+struct CounterCell {
+    name: &'static str,
+    value: AtomicU64,
+}
 
 impl Counter {
-    /// Add `n`.
+    /// Add `n`, here and in this thread's open capture.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.value.fetch_add(n, Ordering::Relaxed);
+        if crate::trace::enabled() {
+            crate::trace::count(self.0.name, n);
+        }
     }
 
     /// Add one.
     #[inline]
     pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.value.load(Ordering::Relaxed)
     }
 }
 
@@ -249,7 +263,7 @@ impl HistogramSnapshot {
 }
 
 struct RegistryInner {
-    counters: BTreeMap<String, &'static AtomicU64>,
+    counters: BTreeMap<&'static str, &'static CounterCell>,
     gauges: BTreeMap<String, &'static AtomicU64>,
     histograms: BTreeMap<String, &'static HistogramCells>,
 }
@@ -271,9 +285,18 @@ pub fn counter(name: &str) -> Counter {
     if let Some(c) = r.counters.get(name) {
         return Counter(c);
     }
-    let cell: &'static AtomicU64 = Box::leak(Box::new(AtomicU64::new(0)));
-    r.counters.insert(name.to_owned(), cell);
+    let name: &'static str = Box::leak(name.into());
+    let cell: &'static CounterCell = Box::leak(Box::new(CounterCell {
+        name,
+        value: AtomicU64::new(0),
+    }));
+    r.counters.insert(name, cell);
     Counter(cell)
+}
+
+/// True when a counter named `name` has been registered.
+pub(crate) fn is_counter(name: &str) -> bool {
+    registry().lock().unwrap().counters.contains_key(name)
 }
 
 /// Register (or fetch) the gauge named `name`.
@@ -415,7 +438,7 @@ pub fn snapshot_all() -> MetricsSnapshot {
         counters: r
             .counters
             .iter()
-            .map(|(k, c)| (k.clone(), c.load(Ordering::Relaxed)))
+            .map(|(&k, c)| (k.to_owned(), c.value.load(Ordering::Relaxed)))
             .collect(),
         gauges: r
             .gauges
@@ -443,6 +466,34 @@ mod tests {
         b.add(2);
         assert_eq!(a.get(), before + 3);
         assert!(snapshot_all().counters.contains_key("test.metrics.alpha"));
+    }
+
+    #[test]
+    fn counters_are_race_safe_under_concurrent_workers() {
+        // Workers hammer one counter while the main thread samples: every
+        // sampled value is non-decreasing (relaxed increments are atomic
+        // RMW ops, none may be lost), and after the join the total is
+        // exact — no other test touches this name.
+        const WORKERS: u64 = 4;
+        const PER_WORKER: u64 = 10_000;
+        let c = counter("test.metrics.race");
+        std::thread::scope(|scope| {
+            for _ in 0..WORKERS {
+                scope.spawn(|| {
+                    for _ in 0..PER_WORKER {
+                        c.inc();
+                        c.add(2);
+                    }
+                });
+            }
+            let mut last = 0;
+            for _ in 0..100 {
+                let now = c.get();
+                assert!(now >= last, "went backwards: {last} -> {now}");
+                last = now;
+            }
+        });
+        assert_eq!(c.get(), WORKERS * PER_WORKER * 3);
     }
 
     #[test]

@@ -199,7 +199,7 @@ mod tests {
             s.field("rows_out", Json::Int(rows_out));
             s
         };
-        let ((), spans) = capture(|| {
+        let ((), taken) = capture(|| {
             let mut select = labelled("test.profile.op", "Select[dept = 'CS']", 2);
             select.field("rows_in", Json::Int(3));
             {
@@ -211,7 +211,7 @@ mod tests {
             }
             let _second = labelled("test.profile.op", "Scan(DEPARTMENT)", 1);
         });
-        let p = ProfileNode::from_spans(&spans).unwrap();
+        let p = ProfileNode::from_spans(&taken.spans).unwrap();
         assert_eq!(p.label, "Select[dept = 'CS']");
         assert_eq!((p.rows_in, p.rows_out), (3, 2));
         assert_eq!(p.access_path, "");

@@ -1,45 +1,48 @@
-//! The slow-operation log: a bounded ring of spans whose duration crossed
-//! a per-name threshold.
+//! The slow-operation log: a bounded ring of whole request trees in which
+//! a span crossed its name's duration threshold.
 //!
-//! The trace ring evicts old spans — but an operator diagnosing tail
-//! latency wants the outliers *kept*, with their fields intact. The slow
-//! log hooks the tracer's record path: every closing span is checked
-//! against the threshold registered for its name ([`threshold`]), and
-//! crossers are copied into a separate bounded ring ([`take`] /
-//! [`entries`]) that trace-ring eviction does not touch.
+//! An operator diagnosing tail latency wants the outlier *and what it
+//! did*. While at least one threshold is registered ([`threshold`]), every
+//! root span on every thread records into a private [`Capture`], as if its
+//! caller had wrapped it in [`crate::trace::capture`]; no switch or guard
+//! is needed. When the root closes, each span of its tree that crossed
+//! its name's threshold becomes a [`SlowOp`] carrying the root's whole
+//! capture — spans, events and counter increments — in a bounded ring
+//! ([`take`] / [`entries`]). A tree with no crossing is dropped. What an
+//! explicit top-level capture takes never reaches the log.
 //!
-//! Cost when unused: one relaxed atomic load per recorded span (and
-//! recording itself only happens while tracing is enabled, so the
-//! tracing-off hot path is unchanged). Thresholds are process-global,
-//! like the tracer and the metrics registry.
+//! Cost when unused: none beyond the tracer's one relaxed load per
+//! instrumentation point. Thresholds are process-global, like the metrics
+//! registry.
 
-use crate::trace::SpanEvent;
+use crate::trace::{Capture, SpanEvent};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-/// Default ring capacity: enough to hold a burst of outliers without
-/// growing unbounded on a pathological workload.
+/// Ring capacity: enough to hold a burst of outliers without growing
+/// unbounded on a pathological workload.
 pub const DEFAULT_CAPACITY: usize = 256;
 
-/// Number of registered thresholds — the fast-path guard that keeps
-/// [`observe`] at one relaxed load when the slow log is unused.
+/// Number of registered thresholds: while non-zero, root spans record.
 static THRESHOLD_COUNT: AtomicU64 = AtomicU64::new(0);
 
-/// One threshold-crossing span, with its full fields retained.
+/// One threshold-crossing span, with the tree it ran in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlowOp {
     /// The span exactly as the tracer recorded it.
     pub event: SpanEvent,
     /// The threshold (µs) it crossed, for context in exports.
     pub threshold_us: u64,
+    /// Everything its root's tree recorded and counted, shared by every
+    /// crossing of one tree.
+    pub trace: Arc<Capture>,
 }
 
 struct SlowLog {
     thresholds: BTreeMap<&'static str, u64>,
     ring: VecDeque<SlowOp>,
-    capacity: usize,
     dropped: u64,
 }
 
@@ -49,16 +52,15 @@ fn log() -> &'static Mutex<SlowLog> {
         Mutex::new(SlowLog {
             thresholds: BTreeMap::new(),
             ring: VecDeque::new(),
-            capacity: DEFAULT_CAPACITY,
             dropped: 0,
         })
     })
 }
 
 /// Register (or tighten/loosen) the slow threshold for spans named
-/// `name`: any such span closing with a duration of at least `min` is
-/// copied into the slow log. Names are the tracer's `&'static` span
-/// names (`"penguin.apply_batch"`, `"maintain.refresh"`, ...).
+/// `name`: a tree in which such a span closes with a duration of at least
+/// `min` is kept in the slow log. Names are the tracer's `&'static` span
+/// names (`"penguin.apply_batch"`, `"net.request"`, ...).
 pub fn threshold(name: &'static str, min: Duration) {
     let mut l = log().lock().unwrap();
     if l.thresholds
@@ -66,6 +68,7 @@ pub fn threshold(name: &'static str, min: Duration) {
         .is_none()
     {
         THRESHOLD_COUNT.fetch_add(1, Ordering::Relaxed);
+        crate::trace::hold();
     }
 }
 
@@ -75,33 +78,43 @@ pub fn clear_threshold(name: &str) -> bool {
     let removed = l.thresholds.remove(name).is_some();
     if removed {
         THRESHOLD_COUNT.fetch_sub(1, Ordering::Relaxed);
+        crate::trace::release();
     }
     removed
 }
 
-/// Tracer hook: copy `event` into the ring when it crossed its name's
-/// threshold. One relaxed load when no thresholds are registered.
-pub(crate) fn observe(event: &SpanEvent) {
-    if THRESHOLD_COUNT.load(Ordering::Relaxed) == 0 {
-        return;
-    }
+/// True while a threshold is registered: root spans then record.
+pub(crate) fn armed() -> bool {
+    THRESHOLD_COUNT.load(Ordering::Relaxed) != 0
+}
+
+/// Tracer hook for a closed root's private capture: keep one entry per
+/// span that crossed its name's threshold, each sharing the whole tree.
+pub(crate) fn keep(trace: Capture) {
     let mut l = log().lock().unwrap();
-    let Some(&us) = l.thresholds.get(event.name) else {
-        return;
-    };
-    if event.dur_us < us {
+    let crossed: Vec<(usize, u64)> = (trace.spans.iter().enumerate())
+        .filter_map(|(i, e)| {
+            let us = *l.thresholds.get(e.name)?;
+            (e.dur_us >= us).then_some((i, us))
+        })
+        .collect();
+    if crossed.is_empty() {
         return;
     }
-    if l.ring.len() >= l.capacity {
-        l.ring.pop_front();
-        l.dropped += 1;
+    let trace = Arc::new(trace);
+    for &(i, threshold_us) in &crossed {
+        if l.ring.len() >= DEFAULT_CAPACITY {
+            l.ring.pop_front();
+            l.dropped += 1;
+        }
+        l.ring.push_back(SlowOp {
+            event: trace.spans[i].clone(),
+            threshold_us,
+            trace: Arc::clone(&trace),
+        });
     }
-    let op = SlowOp {
-        event: event.clone(),
-        threshold_us: us,
-    };
-    l.ring.push_back(op);
-    crate::metrics::counter("obs.slowlog.recorded").inc();
+    drop(l);
+    crate::metrics::counter("obs.slowlog.recorded").add(crossed.len() as u64);
 }
 
 /// Drain and return every logged slow op (oldest first).
@@ -126,83 +139,72 @@ pub fn dropped() -> u64 {
     log().lock().unwrap().dropped
 }
 
-/// Resize the ring (evicting oldest entries if shrinking).
-pub fn set_capacity(capacity: usize) {
-    let mut l = log().lock().unwrap();
-    l.capacity = capacity.max(1);
-    while l.ring.len() > l.capacity {
-        l.ring.pop_front();
-        l.dropped += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::Json;
-    use crate::trace;
+    use crate::{metrics, trace};
 
-    #[test]
-    fn slow_spans_are_captured_with_fields() {
-        let _serial = trace::test_serial();
-        let _scope = trace::start_trace();
-        clear();
-        threshold("test.slowlog.op", Duration::from_micros(1));
-        {
-            let mut s = trace::span("test.slowlog.op");
-            s.field("rows", Json::Int(42));
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        {
-            // under threshold: a name with a huge threshold is not logged
-            threshold("test.slowlog.fast", Duration::from_secs(3600));
-            let _s = trace::span("test.slowlog.fast");
-        }
-        let ops: Vec<SlowOp> = take()
-            .into_iter()
+    /// This module's entries, oldest first.
+    fn mine() -> Vec<SlowOp> {
+        (entries().into_iter())
             .filter(|o| o.event.name.starts_with("test.slowlog."))
-            .collect();
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].event.name, "test.slowlog.op");
-        assert_eq!(ops[0].event.field("rows"), Some(&Json::Int(42)));
-        assert_eq!(ops[0].threshold_us, 1);
-        assert!(clear_threshold("test.slowlog.op"));
-        assert!(clear_threshold("test.slowlog.fast"));
-        assert!(!clear_threshold("test.slowlog.op"));
+            .collect()
     }
 
     #[test]
-    fn unthresholded_names_cost_nothing_and_log_nothing() {
+    fn a_crossing_keeps_its_whole_tree_with_counts() {
         let _serial = trace::test_serial();
-        let _scope = trace::start_trace();
         clear();
+        threshold("test.slowlog.op", Duration::from_micros(1));
+        // under threshold: a name with a huge threshold is not logged
+        threshold("test.slowlog.fast", Duration::from_secs(3600));
         {
-            let _s = trace::span("test.slowlog.unregistered");
+            let _root = trace::span("test.slowlog.root");
+            let mut s = trace::span("test.slowlog.op");
+            s.field("rows", Json::Int(42));
+            metrics::counter("test.slowlog.rows").add(42);
+            let _fast = trace::span("test.slowlog.fast");
+            std::thread::sleep(Duration::from_millis(2));
         }
-        assert!(entries()
-            .iter()
-            .all(|o| o.event.name != "test.slowlog.unregistered"));
+        let ops = mine();
+        assert_eq!(ops.len(), 1);
+        let op = &ops[0];
+        assert_eq!(op.event.name, "test.slowlog.op");
+        assert_eq!(op.event.field("rows"), Some(&Json::Int(42)));
+        assert_eq!(op.threshold_us, 1);
+        let names: Vec<&str> = op.trace.spans.iter().map(|e| e.name).collect();
+        assert_eq!(
+            names,
+            ["test.slowlog.fast", "test.slowlog.op", "test.slowlog.root"]
+        );
+        assert!(op.trace.spans.iter().all(|e| e.root == op.event.root));
+        assert_eq!(op.trace.count("test.slowlog.rows"), 42);
+        // a tree with no crossing is dropped
+        {
+            let _s = trace::span("test.slowlog.fast");
+        }
+        assert_eq!(mine().len(), 1);
+        assert!(clear_threshold("test.slowlog.op"));
+        assert!(clear_threshold("test.slowlog.fast"));
+        assert!(!clear_threshold("test.slowlog.op"));
+        // no threshold left: a root span is inert again
+        assert!(!trace::span("test.slowlog.op").is_recording());
+        clear();
     }
 
     #[test]
     fn ring_is_bounded_and_counts_drops() {
         let _serial = trace::test_serial();
-        let _scope = trace::start_trace();
         clear();
-        set_capacity(4);
         threshold("test.slowlog.burst", Duration::from_micros(1));
-        for _ in 0..10 {
+        for _ in 0..DEFAULT_CAPACITY + 6 {
             let _s = trace::span("test.slowlog.burst");
-            std::thread::sleep(Duration::from_micros(100));
+            std::thread::sleep(Duration::from_micros(2));
         }
-        let burst: Vec<SlowOp> = entries()
-            .into_iter()
-            .filter(|o| o.event.name == "test.slowlog.burst")
-            .collect();
-        assert_eq!(burst.len(), 4);
+        assert_eq!(mine().len(), DEFAULT_CAPACITY);
         assert_eq!(dropped(), 6);
         clear_threshold("test.slowlog.burst");
         clear();
-        set_capacity(DEFAULT_CAPACITY);
     }
 }

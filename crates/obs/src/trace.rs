@@ -1,25 +1,27 @@
-//! Span-based tracing: thread-local span stacks, monotonic timings, a
-//! bounded global event collector with JSONL export, and per-call
-//! captures.
+//! Span-based tracing: thread-local span stacks, monotonic timings, JSONL
+//! export, and per-call captures — the one way spans, events and counter
+//! increments leave a thread.
 //!
 //! Tracing is **off by default** and costs exactly one relaxed atomic load
 //! per instrumentation point while off: every entry point ([`span`],
-//! [`event_with`]) checks [`enabled`] first and returns an inert value
-//! without touching the clock, the thread-local stack, or the collector.
+//! [`event_with`], each [`crate::metrics::Counter`] increment) checks
+//! [`enabled`] first and returns without touching the clock, the
+//! thread-local stack, or a capture.
 //!
-//! Two things turn recording on, and both are scoped:
+//! Two things make a thread record, and both are scoped:
 //!
-//! - [`start_trace`] returns a guard that keeps tracing on, for every
-//!   thread, until dropped. Concurrent guards (e.g. two tests in the same
-//!   process) stack — tracing stays on until the last guard drops. What
-//!   is recorded outside a capture goes to the process-global collector
-//!   ([`take`], [`events`]) and past the slow-op log.
-//! - [`capture`] runs a closure and returns, beside its result, every span
-//!   and event the *calling thread* recorded while it ran. What a capture
-//!   takes goes nowhere else — not to the collector, not to the slow-op
-//!   log — and other threads record nothing on its account. This is how a
-//!   call renders what it did (`EXPLAIN ANALYZE`, `Penguin::profile`) and
-//!   how a test reads its own spans without filtering a shared ring.
+//! - [`capture`] runs a closure and returns, beside its result, a
+//!   [`Capture`] of what the *calling thread* did while it ran: every span
+//!   and event it recorded, and every registry counter increment it made.
+//!   Other threads record nothing on its account. This is how a call
+//!   renders what it did (`EXPLAIN ANALYZE`, `Penguin::profile`) and how a
+//!   test counts its own work exactly while other tests run beside it.
+//! - While a [`crate::slowlog::threshold`] is registered, a root span — one
+//!   opened on a thread with no capture open — records into a private
+//!   capture of its own, as if its caller had wrapped it. When the root
+//!   closes, the slow-op log keeps that capture whole if a span in it
+//!   crossed its name's threshold, and drops it otherwise. What an explicit
+//!   top-level capture takes never reaches the slow-op log.
 //!
 //! Span events are recorded at *close* time (children before parents);
 //! [`SpanEvent::parent`]/[`SpanEvent::depth`] let consumers rebuild the
@@ -29,18 +31,14 @@
 
 use crate::json::Json;
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Number of [`start_trace`] guards and open [`capture`]s, on any thread
+/// Open captures on any thread plus registered slow-op thresholds
 /// (0 = nothing records anywhere).
 static ACTIVE: AtomicU64 = AtomicU64::new(0);
-
-/// Number of [`start_trace`] guards alone: outside a capture, a thread
-/// records only while this is non-zero.
-static GLOBAL: AtomicU64 = AtomicU64::new(0);
 
 /// Monotonic id source for spans and events (process-wide).
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
@@ -54,29 +52,39 @@ thread_local! {
     static STACK: RefCell<Vec<(u64, u64)>> = const { RefCell::new(Vec::new()) };
     /// This thread's interned id.
     static THREAD_ID: u64 = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
-    /// This thread's open captures, innermost last: what each has taken.
-    static CAPTURES: RefCell<Vec<Vec<SpanEvent>>> = const { RefCell::new(Vec::new()) };
+    /// This thread's open captures, innermost last: what each has taken,
+    /// and for a root span's private capture, that span's id.
+    static CAPTURES: RefCell<Vec<(Capture, Option<u64>)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// True while a [`TraceScope`] guard is alive or a [`capture`] is open on
-/// any thread. This is the single branch every instrumentation point pays
-/// when tracing is off.
+/// True while a [`capture`] is open on any thread or a slow-op threshold
+/// is registered. This is the single branch every instrumentation point
+/// pays when tracing is off.
 #[inline]
 pub fn enabled() -> bool {
     ACTIVE.load(Ordering::Relaxed) != 0
 }
 
-/// True when what this thread records now goes somewhere: a guard is
-/// alive, or this thread has a capture open. Asked only once [`enabled`]
+/// Keep [`enabled`] true until the matching [`release`] (a registered
+/// slow-op threshold).
+pub(crate) fn hold() {
+    ACTIVE.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Undo one [`hold`].
+pub(crate) fn release() {
+    ACTIVE.fetch_sub(1, Ordering::Relaxed);
+}
+
+/// True when this thread has a capture open. Asked only once [`enabled`]
 /// said yes, so the off path never reaches it.
-fn recording_here() -> bool {
-    GLOBAL.load(Ordering::Relaxed) != 0 || CAPTURES.with(|c| !c.borrow().is_empty())
+fn capturing() -> bool {
+    CAPTURES.with(|c| !c.borrow().is_empty())
 }
 
 /// The interned id of the calling thread, as recorded in
-/// [`SpanEvent::thread`]. Use it to filter the global collector down to
-/// events produced by the current thread.
-pub fn current_thread_id() -> u64 {
+/// [`SpanEvent::thread`].
+fn current_thread_id() -> u64 {
     THREAD_ID.with(|id| *id)
 }
 
@@ -90,44 +98,57 @@ fn effective_parent(stack: &[(u64, u64)], id: u64) -> (Option<u64>, u64) {
     }
 }
 
-/// Keeps tracing enabled until dropped; guards stack across threads.
-#[must_use = "tracing turns back off when the scope is dropped"]
-#[derive(Debug)]
-pub struct TraceScope(());
+/// What one thread did while a capture was open.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Capture {
+    /// Every span and event recorded, in the order they closed.
+    pub spans: Vec<SpanEvent>,
+    /// Registry counter increments, summed by counter name. Gauges and
+    /// histograms are not captured.
+    pub counts: BTreeMap<&'static str, u64>,
+}
 
-impl Drop for TraceScope {
-    fn drop(&mut self) {
-        GLOBAL.fetch_sub(1, Ordering::Relaxed);
-        ACTIVE.fetch_sub(1, Ordering::Relaxed);
+impl Capture {
+    /// What the capture counted under `name` (0 when nothing was).
+    ///
+    /// Panics when the registry holds no counter of that name, so a
+    /// misspelt name cannot pass for a zero count.
+    pub fn count(&self, name: &str) -> u64 {
+        assert!(
+            crate::metrics::is_counter(name),
+            "no counter named `{name}` is registered"
+        );
+        self.counts.get(name).copied().unwrap_or(0)
+    }
+
+    /// Add what `inner` took to this capture.
+    fn absorb(&mut self, inner: &Capture) {
+        self.spans.extend(inner.spans.iter().cloned());
+        for (&name, &n) in &inner.counts {
+            *self.counts.entry(name).or_default() += n;
+        }
     }
 }
 
-/// Turn tracing on for the lifetime of the returned guard.
-pub fn start_trace() -> TraceScope {
-    GLOBAL.fetch_add(1, Ordering::Relaxed);
-    ACTIVE.fetch_add(1, Ordering::Relaxed);
-    TraceScope(())
-}
-
-/// Run `f` and return, beside its result, every span and event the calling
-/// thread recorded while it ran, in the order they closed.
+/// Run `f` and return, beside its result, what the calling thread did
+/// while it ran: its spans and events in the order they closed, and its
+/// registry counter increments.
 ///
-/// - Only the calling thread is captured: spans other threads record in
-///   the meantime are not taken, and a capture makes no other thread
-///   record (without a [`start_trace`] guard they stay on the off path).
-/// - What a capture takes goes nowhere else: not to the global collector
-///   ([`take`] / [`events`]) and not to the slow-op log — even while a
-///   guard is alive.
+/// - Only the calling thread is captured: what other threads record or
+///   count in the meantime is not taken, and a capture makes no other
+///   thread record.
+/// - What a top-level capture takes goes nowhere else: not to the slow-op
+///   log, even while a threshold is registered.
 /// - Captures nest. An inner capture returns what was recorded while it
-///   ran; the enclosing capture receives the same events too, so every
-///   capture returns everything its thread recorded while it was open.
+///   ran; the enclosing capture receives the same spans and counts too,
+///   so every capture returns everything its thread did while it was open.
 /// - A span opened inside `f` keeps its parent outside it, if one was
 ///   open: the captured tree may hang from a span the capture does not
 ///   hold.
 ///
-/// While no capture is open and no guard is alive anywhere, the
+/// While no capture is open and no threshold is registered anywhere, the
 /// instrumentation points cost their one relaxed load, as before.
-pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Vec<SpanEvent>) {
+pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Capture) {
     /// Closes the capture if `f` unwinds, so the thread does not keep
     /// recording into a buffer nobody reads.
     struct Open;
@@ -136,26 +157,42 @@ pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Vec<SpanEvent>) {
             close_capture();
         }
     }
-    CAPTURES.with(|c| c.borrow_mut().push(Vec::new()));
-    ACTIVE.fetch_add(1, Ordering::Relaxed);
+    open_capture(None);
     let open = Open;
     let out = f();
     std::mem::forget(open);
     (out, close_capture())
 }
 
+/// Push a capture on this thread; `root` names the span whose close ends
+/// it (a root span's private capture).
+fn open_capture(root: Option<u64>) {
+    CAPTURES.with(|c| c.borrow_mut().push((Capture::default(), root)));
+    hold();
+}
+
 /// Pop this thread's innermost capture, hand a copy of what it took to the
 /// enclosing one, and return it.
-fn close_capture() -> Vec<SpanEvent> {
-    ACTIVE.fetch_sub(1, Ordering::Relaxed);
+fn close_capture() -> Capture {
+    release();
     CAPTURES.with(|c| {
         let mut open = c.borrow_mut();
-        let taken = open.pop().expect("a capture closes what it opened");
-        if let Some(outer) = open.last_mut() {
-            outer.extend(taken.iter().cloned());
+        let (taken, _) = open.pop().expect("a capture closes what it opened");
+        if let Some((outer, _)) = open.last_mut() {
+            outer.absorb(&taken);
         }
         taken
     })
+}
+
+/// Add `n` under `name` to this thread's innermost capture, if one is
+/// open ([`crate::metrics::Counter`]'s hook once [`enabled`] said yes).
+pub(crate) fn count(name: &'static str, n: u64) {
+    let _ = CAPTURES.try_with(|c| {
+        if let Some((taken, _)) = c.borrow_mut().last_mut() {
+            *taken.counts.entry(name).or_default() += n;
+        }
+    });
 }
 
 /// One finished span or instant event.
@@ -235,83 +272,25 @@ pub fn export_jsonl(events: &[SpanEvent]) -> String {
     out
 }
 
-const DEFAULT_CAPACITY: usize = 65_536;
-
-struct Collector {
-    buf: VecDeque<SpanEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
-fn collector() -> &'static Mutex<Collector> {
-    static C: OnceLock<Mutex<Collector>> = OnceLock::new();
-    C.get_or_init(|| {
-        Mutex::new(Collector {
-            buf: VecDeque::new(),
-            capacity: DEFAULT_CAPACITY,
-            dropped: 0,
-        })
-    })
-}
-
 fn epoch() -> Instant {
     static E: OnceLock<Instant> = OnceLock::new();
     *E.get_or_init(Instant::now)
 }
 
-/// Hand a finished event to this thread's innermost capture, else to the
-/// slow-op log and the global collector.
+/// Hand a finished event to this thread's innermost capture. A root span
+/// closing ends its private capture, which goes to the slow-op log.
 fn record(event: SpanEvent) {
-    let Some(event) = CAPTURES.with(|c| match c.borrow_mut().last_mut() {
-        Some(taken) => {
-            taken.push(event);
-            None
-        }
-        None => Some(event),
-    }) else {
-        return;
-    };
-    // The slow-op log keeps its own copy of threshold-crossing spans, so
-    // they survive ring eviction.
-    crate::slowlog::observe(&event);
-    let mut c = collector().lock().unwrap();
-    if c.buf.len() >= c.capacity {
-        c.buf.pop_front();
-        c.dropped += 1;
-    }
-    c.buf.push_back(event);
-}
-
-/// Drain and return every collected event (oldest first).
-pub fn take() -> Vec<SpanEvent> {
-    let mut c = collector().lock().unwrap();
-    c.buf.drain(..).collect()
-}
-
-/// Copy the collected events without draining them.
-pub fn events() -> Vec<SpanEvent> {
-    collector().lock().unwrap().buf.iter().cloned().collect()
-}
-
-/// Discard all collected events.
-pub fn clear() {
-    let mut c = collector().lock().unwrap();
-    c.buf.clear();
-    c.dropped = 0;
-}
-
-/// Number of events evicted because the ring buffer was full.
-pub fn dropped() -> u64 {
-    collector().lock().unwrap().dropped
-}
-
-/// Resize the ring buffer (evicting oldest events if shrinking).
-pub fn set_capacity(capacity: usize) {
-    let mut c = collector().lock().unwrap();
-    c.capacity = capacity.max(1);
-    while c.buf.len() > c.capacity {
-        c.buf.pop_front();
-        c.dropped += 1;
+    let id = event.id;
+    let ends_root = CAPTURES.with(|c| {
+        let mut open = c.borrow_mut();
+        let Some((taken, root)) = open.last_mut() else {
+            return false;
+        };
+        taken.spans.push(event);
+        *root == Some(id)
+    });
+    if ends_root {
+        crate::slowlog::keep(close_capture());
     }
 }
 
@@ -375,13 +354,21 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Open a span; inert when nothing would receive it (no guard alive, no
-/// capture open on this thread).
+/// Open a span; inert when nothing would receive it. With no capture open
+/// on this thread, a span opens a private capture of its own while a
+/// slow-op threshold is registered, and is inert otherwise.
 pub fn span(name: &'static str) -> SpanGuard {
-    if !enabled() || !recording_here() {
+    if !enabled() {
+        return SpanGuard { inner: None };
+    }
+    let root_capture = !capturing();
+    if root_capture && !crate::slowlog::armed() {
         return SpanGuard { inner: None };
     }
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+    if root_capture {
+        open_capture(Some(id));
+    }
     let (parent, root, depth) = STACK.with(|s| {
         let mut stack = s.borrow_mut();
         let (parent, root) = effective_parent(&stack, id);
@@ -407,7 +394,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// Record an instant event; the field closure only runs when the event
 /// goes somewhere, so the disabled cost is the single [`enabled`] branch.
 pub fn event_with(name: &'static str, fields: impl FnOnce() -> Vec<(&'static str, Json)>) {
-    if !enabled() || !recording_here() {
+    if !enabled() || !capturing() {
         return;
     }
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
@@ -430,38 +417,35 @@ pub fn event_with(name: &'static str, fields: impl FnOnce() -> Vec<(&'static str
     });
 }
 
-/// Crate-wide serialization for tests that toggle the process-global
-/// trace flag or drain the global collector: every test module in this
-/// crate that enables tracing must hold this lock, or concurrent test
-/// threads would observe each other's events.
+/// Crate-wide serialization for tests that register slow-op thresholds,
+/// and for those that assert nothing records while no capture is open: a
+/// registered threshold makes every root span on every thread record.
 #[cfg(test)]
 pub(crate) fn test_serial() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics;
+    use std::time::Duration;
 
-    /// These tests toggle the process-global enabled flag, so they must
-    /// not overlap each other.
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         test_serial()
     }
 
-    fn my_events(named: &str) -> Vec<SpanEvent> {
-        let me = current_thread_id();
-        events()
-            .into_iter()
-            .filter(|e| e.thread == me && e.name == named)
-            .collect()
+    /// The events in `evs` named `named`.
+    fn named<'a>(evs: &'a [SpanEvent], named: &str) -> Vec<&'a SpanEvent> {
+        evs.iter().filter(|e| e.name == named).collect()
     }
 
     #[test]
     fn disabled_tracer_records_nothing() {
         let _serial = serial();
-        // No scope held: a span opened now must be inert.
+        // no capture open, no threshold registered: a span opened now is
+        // inert and an event's field closure never runs
         let mut g = span("test.disabled_span");
         assert!(!g.is_recording());
         g.field("k", Json::Int(1));
@@ -469,41 +453,35 @@ mod tests {
         event_with("test.disabled_event", || {
             panic!("field closure must not run while tracing is off")
         });
-        assert!(my_events("test.disabled_span").is_empty());
-        assert!(my_events("test.disabled_event").is_empty());
     }
 
     #[test]
     fn spans_nest_and_events_attach() {
-        let _serial = serial();
-        let _scope = start_trace();
-        {
+        let ((), taken) = capture(|| {
             let mut outer = span("test.outer");
             outer.field("tag", Json::str("o"));
-            {
-                let _inner = span("test.inner");
-                event_with("test.instant", || vec![("n", Json::Int(7))]);
-            }
-        }
-        let outer = my_events("test.outer");
-        let inner = my_events("test.inner");
-        let instant = my_events("test.instant");
-        assert_eq!(outer.len(), 1);
-        assert_eq!(inner.len(), 1);
-        assert_eq!(instant.len(), 1);
+            let _inner = span("test.inner");
+            event_with("test.instant", || vec![("n", Json::Int(7))]);
+        });
+        let outer = named(&taken.spans, "test.outer");
+        let inner = named(&taken.spans, "test.inner");
+        let instant = named(&taken.spans, "test.instant");
+        assert_eq!((outer.len(), inner.len(), instant.len()), (1, 1, 1));
         assert_eq!(inner[0].parent, Some(outer[0].id));
         assert_eq!(inner[0].depth, 1);
         assert_eq!(instant[0].parent, Some(inner[0].id));
         assert_eq!(instant[0].dur_us, 0);
         assert_eq!(instant[0].field("n"), Some(&Json::Int(7)));
         assert_eq!(outer[0].field("tag").unwrap().as_str().unwrap(), "o");
+        // a top-level span is its own root; children and instant events
+        // inherit it
+        assert_eq!(outer[0].root, outer[0].id);
+        assert!(taken.spans.iter().all(|e| e.root == outer[0].id));
     }
 
     #[test]
     fn jsonl_export_parses_back() {
-        let _serial = serial();
-        let _scope = start_trace();
-        {
+        let ((), taken) = capture(|| {
             let mut outer = span("test.jsonl");
             outer.field("rows", Json::Int(3));
             outer.field("s", Json::str("a \"quoted\" value\n"));
@@ -511,8 +489,8 @@ mod tests {
             outer.field("f", Json::Float(1.5));
             outer.field("n", Json::Null);
             let _inner = span("test.jsonl");
-        }
-        let evs = my_events("test.jsonl");
+        });
+        let evs = taken.spans;
         assert_eq!(evs.len(), 2);
         let jsonl = export_jsonl(&evs);
         assert_eq!(jsonl.lines().count(), evs.len());
@@ -543,98 +521,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn roots_propagate_through_nesting() {
-        let _serial = serial();
-        let _scope = start_trace();
-        {
-            let _outer = span("test.root_outer");
-            let _mid = span("test.root_mid");
-            event_with("test.root_event", Vec::new);
-        }
-        let evs = events();
-        let me = current_thread_id();
-        let outer = evs
-            .iter()
-            .find(|e| e.thread == me && e.name == "test.root_outer")
-            .unwrap();
-        // a top-level span is its own root
-        assert_eq!(outer.root, outer.id);
-        // children and instant events inherit it
-        for name in ["test.root_mid", "test.root_event"] {
-            let e = evs
-                .iter()
-                .find(|e| e.thread == me && e.name == name)
-                .unwrap();
-            assert_eq!(e.root, outer.id, "{name}");
-        }
-    }
-
-    #[test]
-    fn concurrent_writers_overflow_counts_dropped_exactly() {
-        let _serial = serial();
-        let _scope = start_trace();
-        clear();
-        set_capacity(64);
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                std::thread::spawn(move || {
-                    for i in 0..100 {
-                        let mut s = span("test.concurrent_writer");
-                        s.field("t", Json::Int(t));
-                        s.field("i", Json::Int(i));
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        // 400 spans into a 64-slot ring: exactly 336 evictions, no more,
-        // no less, even under contention
-        assert_eq!(events().len(), 64);
-        assert_eq!(dropped(), 336);
-        clear();
-        set_capacity(DEFAULT_CAPACITY);
-    }
-
-    #[test]
-    fn set_capacity_mid_stream_keeps_active_span_linkage() {
-        let _serial = serial();
-        let _scope = start_trace();
-        let inner_events;
-        {
-            let outer = span("test.shrink_outer");
-            assert!(outer.is_recording());
-            // fill the ring, then shrink it out from under the open span
-            for _ in 0..32 {
-                event_with("test.shrink_noise", Vec::new);
-            }
-            set_capacity(1);
-            // the ring evicted everything, but the *stack* is untouched:
-            // a child opened now still parents into the live span
-            {
-                let _inner = span("test.shrink_inner");
-            }
-            set_capacity(DEFAULT_CAPACITY);
-            {
-                let _inner = span("test.shrink_inner");
-            }
-            inner_events = my_events("test.shrink_inner");
-        }
-        // the outer span itself closes intact after both resizes
-        let outer = my_events("test.shrink_outer");
-        assert_eq!(outer.len(), 1);
-        assert_eq!(outer[0].parent, None);
-        let outer_id = outer[0].id;
-        assert_eq!(inner_events.len(), 2);
-        for e in &inner_events {
-            assert_eq!(e.parent, Some(outer_id));
-            assert_eq!(e.root, outer_id);
-            assert_eq!(e.depth, 1);
-        }
-    }
-
     /// Names of the events in `evs` that start with `prefix`, in order.
     fn names(evs: &[SpanEvent], prefix: &str) -> Vec<&'static str> {
         evs.iter()
@@ -643,91 +529,106 @@ mod tests {
             .collect()
     }
 
-    /// Open a span and an event named `test.capture.other.*` on a new
-    /// thread while the caller's capture is open; returns what that thread
-    /// saw of its own recording.
-    fn record_on_another_thread() -> bool {
-        std::thread::spawn(|| {
-            let recording = span("test.capture.other.span").is_recording();
-            event_with("test.capture.other.event", Vec::new);
-            recording
-        })
-        .join()
-        .unwrap()
-    }
-
     #[test]
     fn a_capture_takes_only_its_own_thread() {
         let _serial = serial();
-        // no guard: the other thread stays on the off path, and its event
-        // closure never runs on account of this capture
-        let (other_recorded, taken) = capture(|| {
+        let hits = metrics::counter("test.capture.hits");
+        let ((other_recorded, other), taken) = capture(|| {
             let _mine = span("test.capture.mine");
-            std::thread::spawn(|| {
+            hits.inc();
+            std::thread::spawn(move || {
+                // no capture here: this thread stays on the off path, its
+                // event closure never runs and its count is taken by no one
+                let recording = span("test.capture.other.span").is_recording();
                 event_with("test.capture.other.event", || {
                     panic!("a capture on another thread must not make this one record")
-                })
+                });
+                hits.add(10);
+                // a capture of its own takes only its own
+                let ((), other) = capture(|| {
+                    let _s = span("test.capture.other.span");
+                    hits.add(100);
+                });
+                (recording, other)
             })
             .join()
-            .unwrap();
-            record_on_another_thread()
+            .unwrap()
         });
         assert!(!other_recorded);
-        assert_eq!(names(&taken, "test.capture."), ["test.capture.mine"]);
-        // a concurrent guard: the other thread records into the global
-        // ring, the capture still holds only its own thread's span
-        let _scope = start_trace();
-        let (other_recorded, taken) = capture(|| {
-            let _mine = span("test.capture.mine");
-            record_on_another_thread()
-        });
-        assert!(other_recorded);
-        assert_eq!(names(&taken, "test.capture."), ["test.capture.mine"]);
-        let global = events();
+        assert_eq!(names(&taken.spans, "test.capture."), ["test.capture.mine"]);
+        assert_eq!(taken.count("test.capture.hits"), 1);
         assert_eq!(
-            names(&global, "test.capture."),
-            ["test.capture.other.span", "test.capture.other.event"]
+            names(&other.spans, "test.capture."),
+            ["test.capture.other.span"]
         );
-        clear();
+        assert_eq!(other.count("test.capture.hits"), 100);
     }
 
     #[test]
-    fn what_a_capture_takes_goes_nowhere_else() {
+    fn counts_reach_enclosing_captures_and_only_counters_count() {
+        let probes = metrics::counter("test.capture.probes");
+        let before = probes.get();
+        let ((inner, after), outer) = capture(|| {
+            probes.add(2);
+            metrics::gauge("test.capture.level").set(5);
+            metrics::histogram("test.capture.us").record(9);
+            let ((), inner) = capture(|| probes.add(3));
+            probes.inc();
+            (inner, probes.get())
+        });
+        assert_eq!(inner.count("test.capture.probes"), 3);
+        assert_eq!(outer.count("test.capture.probes"), 6);
+        assert_eq!(
+            outer.counts.keys().copied().collect::<Vec<_>>(),
+            ["test.capture.probes"]
+        );
+        // the registry counts them as before
+        assert_eq!(after, before + 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "no counter named `test.capture.never_registered`")]
+    fn a_count_under_an_unregistered_name_panics() {
+        let ((), taken) = capture(|| metrics::counter("test.capture.registered").inc());
+        taken.count("test.capture.never_registered");
+    }
+
+    #[test]
+    fn an_explicit_capture_shields_its_spans_from_the_slow_log() {
         let _serial = serial();
-        let _scope = start_trace();
-        clear();
         crate::slowlog::clear();
-        crate::slowlog::threshold("test.capture.slow", std::time::Duration::from_micros(1));
-        let ((), taken) = capture(|| {
+        crate::slowlog::threshold("test.capture.slow", Duration::from_micros(1));
+        let slow_span = || {
             let mut slow = span("test.capture.slow");
             slow.field("rows", Json::Int(3));
-            std::thread::sleep(std::time::Duration::from_millis(2));
+            std::thread::sleep(Duration::from_millis(2));
             event_with("test.capture.instant", || vec![("n", Json::Int(1))]);
-        });
+        };
+        let ((), taken) = capture(slow_span);
         // the capture has both, the event parented to the open span ...
+        let spans = taken.spans;
         assert_eq!(
-            names(&taken, "test.capture."),
+            names(&spans, "test.capture."),
             ["test.capture.instant", "test.capture.slow"]
         );
-        assert_eq!(taken[0].parent, Some(taken[1].id));
-        assert!(taken[1].dur_us >= 1);
-        assert_eq!(taken[1].field("rows"), Some(&Json::Int(3)));
-        // ... and neither the ring nor the slow-op log saw them, though a
-        // guard is alive and the span crossed its threshold
-        assert!(names(&events(), "test.capture.").is_empty());
-        let slow = crate::slowlog::entries();
-        assert!(slow.iter().all(|o| o.event.name != "test.capture.slow"));
-        // outside the capture the same span reaches both
-        {
-            let _slow = span("test.capture.slow");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        assert_eq!(names(&events(), "test.capture."), ["test.capture.slow"]);
-        let slow = crate::slowlog::entries();
-        assert!(slow.iter().any(|o| o.event.name == "test.capture.slow"));
+        assert_eq!(spans[0].parent, Some(spans[1].id));
+        assert!(spans[1].dur_us >= 1);
+        assert_eq!(spans[1].field("rows"), Some(&Json::Int(3)));
+        // ... and the slow-op log did not see them, though the span
+        // crossed its threshold
+        let kept =
+            |name| (crate::slowlog::entries().into_iter()).filter(move |o| o.event.name == name);
+        assert_eq!(kept("test.capture.slow").count(), 0);
+        // outside a capture the same span is kept, with its tree
+        slow_span();
+        let ops: Vec<_> = kept("test.capture.slow").collect();
+        assert_eq!(ops.len(), 1);
+        assert_eq!(
+            names(&ops[0].trace.spans, "test.capture."),
+            ["test.capture.instant", "test.capture.slow"]
+        );
         crate::slowlog::clear_threshold("test.capture.slow");
         crate::slowlog::clear();
-        clear();
     }
 
     #[test]
@@ -739,20 +640,20 @@ mod tests {
                 let _inner = span("test.capture.inner");
             });
             let after = span("test.capture.outer_after");
-            (inner, after.is_recording())
+            (inner.spans, after.is_recording())
         });
         assert!(after, "closing the inner capture leaves the outer open");
         assert_eq!(names(&inner, "test.capture."), ["test.capture.inner"]);
         // the outer capture holds the inner one's span too, in close order
         assert_eq!(
-            names(&outer, "test.capture."),
+            names(&outer.spans, "test.capture."),
             [
                 "test.capture.inner",
                 "test.capture.outer_after",
                 "test.capture.outer_before"
             ]
         );
-        assert_eq!(outer[0], inner[0]);
+        assert_eq!(outer.spans[0], inner[0]);
         // both closed: nothing records any more
         assert!(!span("test.capture.closed").is_recording());
     }
@@ -771,19 +672,5 @@ mod tests {
         event_with("test.capture.after_unwind", || {
             panic!("nothing is open after the capture unwound")
         });
-    }
-
-    #[test]
-    fn nested_scopes_keep_tracing_on() {
-        let _serial = serial();
-        let a = start_trace();
-        let b = start_trace();
-        drop(a);
-        assert!(enabled());
-        {
-            let _s = span("test.nested_scope");
-        }
-        assert_eq!(my_events("test.nested_scope").len(), 1);
-        drop(b);
     }
 }

@@ -279,9 +279,9 @@ impl Registry {
     /// the operator tree its spans render.
     pub(crate) fn profile(&self, db: &Database, name: &str) -> Result<ProfileNode> {
         let reg = self.served(name, db)?;
-        let (run, spans) = trace::capture(|| Self::all(reg, db));
+        let (run, taken) = trace::capture(|| Self::all(reg, db));
         run?;
-        Ok(ProfileNode::from_spans(&spans).expect("an instantiation records its span"))
+        Ok(ProfileNode::from_spans(&taken.spans).expect("an instantiation records its span"))
     }
 
     /// Execute a query on an object.

@@ -337,16 +337,7 @@ mod tests {
     #[test]
     fn session_counter_bumps() {
         let p = system();
-        let before = *vo_obs::metrics::snapshot_all()
-            .counters
-            .get("penguin.sessions.opened")
-            .unwrap_or(&0);
-        let _s1 = p.session();
-        let _s2 = p.session();
-        let after = *vo_obs::metrics::snapshot_all()
-            .counters
-            .get("penguin.sessions.opened")
-            .unwrap();
-        assert!(after >= before + 2);
+        let (_pinned, taken) = vo_obs::trace::capture(|| (p.session(), p.session()));
+        assert_eq!(taken.count("penguin.sessions.opened"), 2);
     }
 }

@@ -534,14 +534,14 @@ mod tests {
             &["DEPARTMENT", "CURRICULUM", "GRADES", "STUDENT"],
         )
         .unwrap();
-        let before = vo_relational::stats::snapshot();
-        let all = p.instantiate_all("omega").unwrap();
-        let d = before.delta(&vo_relational::stats::snapshot());
+        let (all, taken) = vo_obs::trace::capture(|| p.instantiate_all("omega").unwrap());
         assert_eq!(all.len(), 3);
-        assert_eq!(d.fallback_scans, 0, "indexed edges must not scan: {d}");
-        assert_eq!(d.hash_builds, 0);
-        assert!(d.index_probes > 0);
-        assert_eq!(d.instances_built, 3);
+        let count = |name| taken.count(name);
+        let scans = count("relational.fallback_scans");
+        assert_eq!(scans, 0, "indexed edges must not scan");
+        assert_eq!(count("relational.hash_builds"), 0);
+        assert_eq!(count("relational.index_probes"), 26);
+        assert_eq!(count("relational.instances_built"), 3);
     }
 
     #[test]

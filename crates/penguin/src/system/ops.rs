@@ -17,8 +17,9 @@ fn health_transitions() -> Counter {
 
 impl Penguin {
     /// The slow-operation log: spans that crossed their per-name
-    /// [`vo_obs::slowlog::threshold`], full fields retained, however the
-    /// trace ring evicts. Oldest first; the log is process-global.
+    /// [`vo_obs::slowlog::threshold`], full fields retained, each with the
+    /// whole tree it ran in (its root's spans and counts). A registered
+    /// threshold is all it takes. Oldest first; the log is process-global.
     pub fn slow_ops(&self) -> Vec<SlowOp> {
         slowlog::entries()
     }

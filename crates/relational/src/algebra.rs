@@ -609,8 +609,8 @@ mod tests {
     /// `plan`'s result and the profile its spans render (what `EXPLAIN
     /// ANALYZE` shows).
     fn profiled(d: &Database, plan: &Plan) -> (ResultSet, ProfileNode) {
-        let (rs, spans) = trace::capture(|| d.execute(plan));
-        (rs.unwrap(), ProfileNode::from_spans(&spans).unwrap())
+        let (rs, taken) = trace::capture(|| d.execute(plan));
+        (rs.unwrap(), ProfileNode::from_spans(&taken.spans).unwrap())
     }
 
     #[test]
@@ -651,7 +651,9 @@ mod tests {
     #[test]
     fn execute_records_one_span_per_operator() {
         let d = db();
-        let (_, spans) = trace::capture(|| d.execute(&Plan::scan("DEPARTMENT").distinct()));
+        let spans = trace::capture(|| d.execute(&Plan::scan("DEPARTMENT").distinct()))
+            .1
+            .spans;
         let labels: Vec<_> = spans
             .iter()
             .filter(|e| e.name == "relational.execute")

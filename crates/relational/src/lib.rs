@@ -71,7 +71,6 @@ pub mod prelude {
     pub use crate::rng::SmallRng;
     pub use crate::schema::{AttributeDef, DatabaseSchema, RelationSchema};
     pub use crate::sql::SqlOutcome;
-    pub use crate::stats::InstrumentationSnapshot;
     pub use crate::storage::{DatabaseSnapshot, RelationDelta, RelationSnapshot, SnapshotDelta};
     pub use crate::table::Table;
     pub use crate::tuple::{Key, Tuple};

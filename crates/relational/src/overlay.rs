@@ -789,12 +789,11 @@ mod tests {
     #[test]
     fn overlay_counters_tick() {
         let db = base();
-        let before = crate::stats::snapshot();
-        let overlay = DeltaDb::new(&db);
-        let _ = overlay.view("PEOPLE").unwrap();
-        let after = crate::stats::snapshot();
-        let d = before.delta(&after);
-        assert!(d.overlay_created >= 1);
-        assert!(d.overlay_reads >= 1);
+        let ((), taken) = vo_obs::trace::capture(|| {
+            let overlay = DeltaDb::new(&db);
+            let _ = overlay.view("PEOPLE").unwrap();
+        });
+        assert_eq!(taken.count("translate.overlay_created"), 1);
+        assert_eq!(taken.count("translate.overlay_reads"), 1);
     }
 }

@@ -312,10 +312,10 @@ impl Database {
                     SelectMode::Run => SqlOutcome::Rows(self.execute(&plan)?),
                     SelectMode::Explain => SqlOutcome::Plan(plan.to_string()),
                     SelectMode::ExplainAnalyze => {
-                        let (rs, spans) = vo_obs::trace::capture(|| self.execute(&plan));
+                        let (rs, taken) = vo_obs::trace::capture(|| self.execute(&plan));
                         rs?;
                         SqlOutcome::Profile(
-                            ProfileNode::from_spans(&spans)
+                            ProfileNode::from_spans(&taken.spans)
                                 .expect("every operator records a labelled span"),
                         )
                     }

@@ -252,17 +252,16 @@ mod tests {
         let restored = back.restore().unwrap();
         assert!(restored.table("T").unwrap().has_index(&["v".to_string()]));
         // and queries on the restored database take the index path: zero
-        // fallback scans, at least one probe
-        let before = crate::stats::snapshot();
-        let hits = restored
-            .table("T")
-            .unwrap()
-            .find_by_attrs(&["v".to_string()], &[Value::text("a")])
-            .unwrap();
-        let d = before.delta(&crate::stats::snapshot());
+        // fallback scans, one probe
+        let (hits, taken) = vo_obs::trace::capture(|| {
+            (restored.table("T").unwrap())
+                .find_by_attrs(&["v".to_string()], &[Value::text("a")])
+                .unwrap()
+        });
         assert_eq!(hits.len(), 1);
-        assert_eq!(d.fallback_scans, 0, "restored index must be probed: {d}");
-        assert!(d.index_probes >= 1);
+        let count = |name| taken.count(name);
+        assert_eq!(count("relational.fallback_scans"), 0, "{taken:?}");
+        assert_eq!(count("relational.index_probes"), 1);
     }
 
     #[test]

@@ -792,17 +792,19 @@ mod tests {
         assert!(t.index_at(&[2, 2]).is_none());
         assert!(t.index_at(&[2, 1]).is_none());
         assert!(t.index_at(&[]).is_none());
-        let before = crate::stats::snapshot();
-        assert_eq!(
-            t.find_by_attrs(&names(&["ssn"]), &[1.into()])
-                .unwrap()
-                .len(),
-            2
-        );
-        // values cut short probe the positions they cover
-        assert_eq!(t.find_by_indices(&[2, 0], &[1.into()]).len(), 2);
-        let d = before.delta(&crate::stats::snapshot());
-        assert!(d.index_probes >= 2, "a key range is an index probe");
+        let ((), taken) = vo_obs::trace::capture(|| {
+            assert_eq!(
+                t.find_by_attrs(&names(&["ssn"]), &[1.into()])
+                    .unwrap()
+                    .len(),
+                2
+            );
+            // values cut short probe the positions they cover
+            assert_eq!(t.find_by_indices(&[2, 0], &[1.into()]).len(), 2);
+        });
+        // a key range is an index probe
+        assert_eq!(taken.count("relational.index_probes"), 2);
+        assert_eq!(taken.count("relational.fallback_scans"), 0);
     }
 
     #[test]

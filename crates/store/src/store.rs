@@ -912,23 +912,19 @@ mod tests {
             ..StoreOptions::default()
         };
         let mut store = Store::create(&dir, &db, options).unwrap();
-        let snap = metrics::snapshot_all().counters;
-        let ckpts_before = snap.get("store.checkpoints").copied().unwrap_or(0);
-        let delta_before = snap.get("store.checkpoints.delta").copied().unwrap_or(0);
-        for k in 0..8 {
-            let op = insert_op(&db, k);
-            db.apply(&op).unwrap();
-            store.commit(&db, &[vec![op]]).unwrap();
-        }
+        let ((), taken) = trace::capture(|| {
+            for k in 0..8 {
+                let op = insert_op(&db, k);
+                db.apply(&op).unwrap();
+                store.commit(&db, &[vec![op]]).unwrap();
+            }
+        });
         // 8 commits with a 3-record cap: checkpoints fired, the live log
         // stayed short, and they were cheap deltas, not full bases
         assert!(store.wal_records() <= 3);
         assert!(store.delta_chain_len() >= 2);
-        let snap = metrics::snapshot_all().counters;
-        let ckpts_after = snap.get("store.checkpoints").copied().unwrap_or(0);
-        let delta_after = snap.get("store.checkpoints.delta").copied().unwrap_or(0);
-        assert!(ckpts_after >= ckpts_before + 2);
-        assert!(delta_after >= delta_before + 2);
+        assert_eq!(taken.count("store.checkpoints"), 2);
+        assert_eq!(taken.count("store.checkpoints.delta"), 2);
         drop(store);
         let (_s, recovered, report) = Store::open(&dir, options).unwrap();
         assert!(report.deltas_applied >= 2);

@@ -982,9 +982,8 @@ mod tests {
         overlay
             .apply(delete("DEPARTMENT", Key::single("CS")))
             .unwrap();
-        let (v, spans) = trace::capture(|| check_delta(&s, &overlay).unwrap());
-        let spans: Vec<_> = spans
-            .into_iter()
+        let (v, taken) = trace::capture(|| check_delta(&s, &overlay).unwrap());
+        let spans: Vec<_> = (taken.spans.into_iter())
             .filter(|e| e.name == "integrity.check_delta")
             .collect();
         assert_eq!(v.len(), 2); // both courses referenced the department
@@ -1149,11 +1148,10 @@ mod tests {
         let (s, db) = setup();
         let policy =
             IntegrityPolicy::uniform(RefDeleteAction::Restrict, RefModifyAction::Propagate);
-        let (r, events) =
+        let (r, taken) =
             trace::capture(|| plan_delete(&s, &db, "COURSES", &Key::single("CS345"), &policy));
         assert!(r.is_err());
-        let aborts: Vec<_> = events
-            .into_iter()
+        let aborts: Vec<_> = (taken.spans.into_iter())
             .filter(|e| e.name == "integrity.abort")
             .collect();
         assert_eq!(aborts.len(), 1);
@@ -1170,7 +1168,7 @@ mod tests {
     #[test]
     fn cascade_trace_counts_tuples_per_rule() {
         let (s, db) = setup();
-        let (_, mine) = trace::capture(|| {
+        let mine = trace::capture(|| {
             plan_delete(
                 &s,
                 &db,
@@ -1179,7 +1177,9 @@ mod tests {
                 &IntegrityPolicy::default(),
             )
             .unwrap()
-        });
+        })
+        .1
+        .spans;
         // student_grades owns both of ssn=1's grade rows
         let cascade = mine
             .iter()

@@ -12,21 +12,11 @@
 //! tuple, violations repaired later in the same batch. Fixtures: the
 //! scaled university, the hospital, and one populated database per
 //! synthetic `SchemaShape`.
-//!
-//! The access-path counters are process-global, so every test here
-//! serializes on one mutex.
 
+use penguin_vo::obs::trace;
 use penguin_vo::penguin::{seed_ownership_chain, synthetic_schema, SchemaShape};
 use penguin_vo::prelude::*;
-use penguin_vo::relational::stats;
 use std::collections::BTreeSet;
-use std::sync::Mutex;
-
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 const BATCHES_PER_FIXTURE: usize = 240;
 
@@ -383,7 +373,6 @@ fn for_each_batch(mut visit: impl FnMut(&StructuralSchema, &Database, Vec<DbOp>,
 
 #[test]
 fn check_delta_equals_check_database_on_random_raw_batches() {
-    let _g = lock();
     let (mut batches, mut violating, mut clean) = (0usize, 0usize, 0usize);
     for_each_batch(|schema, db, batch, label| {
         let context = format!("{label}: {batch:#?}");
@@ -490,7 +479,6 @@ fn checkpoint(db: &mut Database, delta: Delta, version: u64) {
 /// the install side has touched nothing.
 #[test]
 fn install_equals_replay_on_random_raw_batches() {
-    let _g = lock();
     let mut rng = SmallRng::seed_from_u64(0x1A57);
     let (mut installed, mut refused) = (0usize, 0usize);
     for_each_batch(|schema, db, mut batch, label| {
@@ -612,7 +600,6 @@ fn install_equals_replay_on_random_raw_batches() {
 /// batch, and an empty batch, journal no image.
 #[test]
 fn install_journals_the_rows_it_displaced_and_left() {
-    let _g = lock();
     let same = |image: Option<&Tuple>, held: Option<&Tuple>| match (image, held) {
         (Some(image), Some(held)) => image.ptr_eq(held),
         (image, held) => image.is_none() && held.is_none(),
@@ -710,7 +697,6 @@ fn install_journals_the_rows_it_displaced_and_left() {
 fn safe_steps_alone_never_violate() {
     // the half of the suite that must read "clean" does so because the
     // steps are sound, not because the check is blind
-    let _g = lock();
     for (name, schema, db) in fixtures(42) {
         let mut gen = Gen::new(&schema, 0x5AFE);
         let mut overlay = DeltaDb::new(&db);
@@ -738,7 +724,6 @@ fn safe_steps_alone_never_violate() {
 
 #[test]
 fn permuted_multi_attribute_key_takes_the_primary_key_path() {
-    let _g = lock();
     let (_, db) = university_scaled(2, 42);
     let grades = db.table("GRADES").unwrap();
     assert!(
@@ -749,16 +734,20 @@ fn permuted_multi_attribute_key_takes_the_primary_key_path() {
     let (course_id, ssn) = (row.get(0).clone(), row.get(1).clone());
 
     // K(GRADES) = (course_id, ssn), asked for as (ssn, course_id)
-    let before = stats::snapshot();
-    let hits = grades
-        .find_by_attrs(
+    // (index probes, fallback scans) of one call
+    let lookups = |taken: trace::Capture| {
+        let count = |name| taken.count(name);
+        let probes = count("relational.index_probes");
+        (probes, count("relational.fallback_scans"))
+    };
+    let (hits, taken) = trace::capture(|| {
+        grades.find_by_attrs(
             &["ssn".to_string(), "course_id".to_string()],
             &[ssn.clone(), course_id.clone()],
         )
-        .unwrap();
-    let d = before.delta(&stats::snapshot());
-    assert_eq!(hits, vec![row]);
-    assert_eq!((d.index_probes, d.fallback_scans), (1, 0), "{d}");
+    });
+    assert_eq!(hits.unwrap(), vec![row]);
+    assert_eq!(lookups(taken), (1, 0));
 
     // the same through an overlay that shadows another row of the table
     let mut overlay = DeltaDb::new(&db);
@@ -768,23 +757,17 @@ fn permuted_multi_attribute_key_takes_the_primary_key_path() {
             key: grades.scan().next().unwrap().key(grades.schema()),
         })
         .unwrap();
-    let before = stats::snapshot();
-    let keys = overlay
-        .view("GRADES")
-        .unwrap()
-        .keys_by_attrs(
+    let (keys, taken) = trace::capture(|| {
+        (overlay.view("GRADES").unwrap()).keys_by_attrs(
             &["ssn".to_string(), "course_id".to_string()],
             &[ssn.clone(), course_id],
         )
-        .unwrap();
-    let d = before.delta(&stats::snapshot());
-    assert_eq!(keys, vec![row.key(grades.schema())]);
-    assert_eq!((d.index_probes, d.fallback_scans), (1, 0), "{d}");
+    });
+    assert_eq!(keys.unwrap(), vec![row.key(grades.schema())]);
+    assert_eq!(lookups(taken), (1, 0));
 
     // a proper part of the key is not the key: that one scans
-    let before = stats::snapshot();
-    let by_ssn = grades.find_by_attrs(&["ssn".to_string()], &[ssn]).unwrap();
-    let d = before.delta(&stats::snapshot());
-    assert!(by_ssn.contains(&row));
-    assert_eq!((d.index_probes, d.fallback_scans), (0, 1), "{d}");
+    let (by_ssn, taken) = trace::capture(|| grades.find_by_attrs(&["ssn".to_string()], &[ssn]));
+    assert!(by_ssn.unwrap().contains(&row));
+    assert_eq!(lookups(taken), (0, 1));
 }

@@ -280,7 +280,7 @@ fn injected_cascade_failure_traces_rule_and_tuple() {
         .with_delete_action("curriculum_courses", RefDeleteAction::Restrict);
 
     let before = snapshot(&db);
-    let (err, mine) = trace::capture(|| {
+    let (err, taken) = trace::capture(|| {
         plan_delete(&schema, &db, "COURSES", &Key::single("CS345"), &policy).unwrap_err()
     });
 
@@ -289,8 +289,7 @@ fn injected_cascade_failure_traces_rule_and_tuple() {
 
     // The cascade got underway before the abort: the courses_grades rule
     // fired and collected CS345's three GRADES rows.
-    let cascade = mine
-        .iter()
+    let cascade = (taken.spans.iter())
         .find(|e| {
             e.name == "integrity.cascade"
                 && e.field("connection") == Some(&Json::str("courses_grades"))
@@ -305,8 +304,7 @@ fn injected_cascade_failure_traces_rule_and_tuple() {
         .contains("CS345"));
 
     // The abort names the exact rule and the exact blocking tuple.
-    let aborts: Vec<_> = mine
-        .iter()
+    let aborts: Vec<_> = (taken.spans.iter())
         .filter(|e| e.name == "integrity.abort")
         .collect();
     assert_eq!(aborts.len(), 1);

@@ -465,7 +465,7 @@ fn materializing_costs_one_instantiation() {
     read.unwrap();
     let (built, by_view) = trace::capture(|| p.materialize("omega").map(|_| ()));
     built.unwrap();
-    let (read, built) = (walk(by_engine), walk(by_view));
+    let (read, built) = (walk(by_engine.spans), walk(by_view.spans));
     assert!(
         read.iter().any(|(name, fields)| *name == "core.probe_step"
             && fields.contains(&("access", Json::str("index probe")))),

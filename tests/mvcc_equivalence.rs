@@ -401,7 +401,6 @@ fn disjoint_relations_commit_without_conflict() {
 #[test]
 fn stale_prepare_against_object_pipeline_commits_conflicts_too() {
     let mut p = conflict_system();
-    let conflicts_before = vo_obs::metrics::counter("relational.conflicts").get();
     let session = p.session();
     let prepared = session
         .prepare_batch(
@@ -418,7 +417,7 @@ fn stale_prepare_against_object_pipeline_commits_conflicts_too() {
     p.sql("INSERT INTO GRADES VALUES ('CS101', 9, 'C')")
         .unwrap();
 
-    let err = p.commit_prepared("omega", prepared).unwrap_err();
+    let (err, taken) = vo_obs::trace::capture(|| p.commit_prepared("omega", prepared).unwrap_err());
     assert_eq!(err.step, UpdateStep::Commit);
     assert!(matches!(*err.source, Error::Conflict { .. }));
     // nothing applied: EE282 still present
@@ -429,7 +428,6 @@ fn stale_prepare_against_object_pipeline_commits_conflicts_too() {
         .get(&Key::single("EE282"))
         .is_some());
 
-    // the conflict counter saw it
-    let conflicts_after = vo_obs::metrics::counter("relational.conflicts").get();
-    assert!(conflicts_after > conflicts_before);
+    // the conflict counter saw it, once
+    assert_eq!(taken.count("relational.conflicts"), 1);
 }

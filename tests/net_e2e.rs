@@ -4,7 +4,9 @@
 //! stability under a concurrent writer.
 
 use penguin_vo::net::frame::{write_frame, DEFAULT_MAX_FRAME_BYTES, HEADER_BYTES};
-use penguin_vo::obs::json::encode;
+use penguin_vo::obs::json::{encode, Json};
+use penguin_vo::obs::slowlog;
+use penguin_vo::obs::trace::{self, SpanEvent};
 use penguin_vo::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -265,6 +267,8 @@ fn voql_write_statements_are_atomic_over_the_wire() {
         render(&instances)
     };
     let version = |server: &VoServer| server.with_penguin(|p| p.database().version());
+    // the WAL is written on the server's threads, which no capture here
+    // sees: cross-thread counts stay registry reads
     let counter = |name: &str| penguin_vo::obs::metrics::counter(name).get();
 
     // -- the failing statement: CS101 and CS345 both re-keyed to ZZ999 --
@@ -509,13 +513,12 @@ fn voql_parse_errors_carry_byte_offsets_across_the_wire() {
 
 /// A wire `GET` runs the same read the head and a session run, over the
 /// plan the object was registered with: the three answers are byte-equal
-/// and each read is counted as served by a built plan. (The counter is
-/// process-wide and other tests read too, so the delta is a lower bound
-/// here; `tests/registry.rs` asserts it exactly.)
+/// and each read is counted as served by a built plan.
 #[test]
 fn wire_get_head_and_session_share_one_reader_over_the_registered_plan() {
     const N: u64 = 20;
-    let served = penguin_vo::obs::metrics::counter("penguin.plan_cache.hits");
+    let hits = "penguin.plan_cache.hits";
+    let served = penguin_vo::obs::metrics::counter(hits);
     let head = fixture();
     let session = head.session();
     let (_server, addr) = start(ServerOptions::default());
@@ -533,21 +536,70 @@ fn wire_get_head_and_session_share_one_reader_over_the_registered_plan() {
     };
 
     let before = served.get();
-    for _ in 0..N {
-        let VoqlResult::Instances(wire) = c.voql(get).unwrap() else {
-            panic!("GET returned a non-instances outcome")
-        };
-        assert_eq!(render(&wire), render(&expected));
-        assert_eq!(
-            render(&head.query(&object, &query).unwrap()),
-            render(&expected)
-        );
-        assert_eq!(
-            render(&session.query(&object, &query).unwrap()),
-            render(&expected)
-        );
-    }
+    let ((), here) = trace::capture(|| {
+        for _ in 0..N {
+            let VoqlResult::Instances(wire) = c.voql(get).unwrap() else {
+                panic!("GET returned a non-instances outcome")
+            };
+            assert_eq!(render(&wire), render(&expected));
+            assert_eq!(
+                render(&head.query(&object, &query).unwrap()),
+                render(&expected)
+            );
+            assert_eq!(
+                render(&session.query(&object, &query).unwrap()),
+                render(&expected)
+            );
+        }
+    });
+    // the head's and the session's reads ran on this thread: exactly 2N
+    assert_eq!(here.count(hits), 2 * N);
+    // the wire's ran on the server's connection thread, which no capture
+    // here sees: a registry read, a lower bound while other tests read too
     assert!(served.get() >= before + 3 * N);
+}
+
+/// With a threshold on `net.request`, a slow wire `GET` is kept with its
+/// own dispatch tree and nothing else: the request is the root (the
+/// connection's `net.accept` closed at the handshake), the instantiation
+/// hangs under it, and its counts are that one request's.
+#[test]
+fn a_slow_wire_request_is_kept_as_its_own_tree() {
+    let mut p = fixture();
+    // an object no other test reads, to find this request's tree among
+    // what concurrent tests' requests leave in the process-global log
+    p.define_object("kept", "DEPARTMENT", &[]).unwrap();
+    let server = VoServer::start(p, ServerOptions::default()).unwrap();
+    // registered before the connection opens, so its accept records too
+    slowlog::threshold("net.request", Duration::from_micros(1));
+    let mut c = client(&server.addr().to_string());
+    let VoqlResult::Instances(instances) = c.voql("GET kept").unwrap() else {
+        panic!("GET returned a non-instances outcome")
+    };
+    assert_eq!(instances.len(), 2);
+
+    // the request's span closes after its reply is written: wait for it
+    let reads_kept = |e: &SpanEvent| {
+        e.name == "core.instantiate" && e.field("object") == Some(&Json::str("kept"))
+    };
+    let kept = || -> Vec<SlowOp> {
+        (slowlog::entries().into_iter())
+            .filter(|o| o.event.name == "net.request" && o.trace.spans.iter().any(reads_kept))
+            .collect()
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while kept().is_empty() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    slowlog::clear_threshold("net.request");
+    let ops = kept();
+    assert_eq!(ops.len(), 1, "{ops:#?}");
+    let (op, spans) = (&ops[0], &ops[0].trace.spans);
+    assert_eq!(op.event.field("op"), Some(&Json::str("VOQL")));
+    assert_eq!((op.event.parent, op.event.root), (None, op.event.id));
+    assert!(spans.iter().all(|e| e.root == op.event.id));
+    assert!(spans.iter().all(|e| e.name != "net.accept"));
+    assert_eq!(op.trace.count("penguin.plan_cache.hits"), 1);
 }
 
 // ------------------------------------------------- pinned-session reuse --

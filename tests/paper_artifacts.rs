@@ -300,6 +300,64 @@ fn figure_4_instantiation() {
     check("paper/fig4_instantiation.txt", &out);
 }
 
+/// C4 — Figure 4's reads, counted: for each of four reads of omega over
+/// the seeded database, the non-zero registry counts a `trace::capture`
+/// of the read holds, sorted by name. A change of access path shows here
+/// as a diff.
+///
+/// None of these reads touches a materialized view, so none runs a
+/// debug-only re-check, and the file is the same under `cargo test` and
+/// `cargo test --release`. Writes and materialized reads stay out: debug
+/// builds re-check those against an oracle (the update pipeline's plan
+/// against the full check, a materialized read against re-instantiation),
+/// so their counts differ by build.
+#[test]
+fn figure_4_costs() {
+    let mut out = String::new();
+    banner(&mut out, "C4", "Figure 4 — the work of each read, counted");
+    let (schema, db) = university_database();
+    let omega = generate_omega(&schema).unwrap();
+    let q = VoQuery::new()
+        .with_predicate(0, Expr::attr("level").eq(Expr::lit("graduate")))
+        .with_count(node_on(&omega, "STUDENT"), CmpOp::Lt, 5);
+    let voql = "GET omega WHERE level = 'graduate' AND COUNT(STUDENT) < 5";
+    let mut penguin = Penguin::with_database(schema.clone(), db.clone());
+    let kept = ["DEPARTMENT", "CURRICULUM", "GRADES", "STUDENT"];
+    penguin.define_object("omega", "COURSES", &kept).unwrap();
+    let cs345 = Key::single("CS345");
+
+    let reads = [
+        (
+            "F4's request: VoQuery::execute".to_owned(),
+            trace::capture(|| q.execute(&schema, &omega, &db).unwrap().len()),
+        ),
+        (
+            format!("the same request in VOQL: {voql}"),
+            trace::capture(|| match run_voql(&mut penguin, voql).unwrap() {
+                VoqlOutcome::Instances(is) => is.len(),
+                other => panic!("unexpected outcome: {other:?}"),
+            }),
+        ),
+        (
+            "Penguin::instantiate_all(\"omega\")".to_owned(),
+            trace::capture(|| penguin.instantiate_all("omega").unwrap().len()),
+        ),
+        (
+            "Penguin::instance_by_key(\"omega\", 'CS345')".to_owned(),
+            trace::capture(|| usize::from(penguin.instance_by_key("omega", &cs345).is_ok())),
+        ),
+    ];
+    for (what, (instances, taken)) in reads {
+        say!(out, "\n{what}\ninstances: {instances}");
+        let rows: Vec<Vec<String>> = (taken.counts.iter())
+            .filter(|(_, n)| **n > 0)
+            .map(|(name, n)| row![name, n])
+            .collect();
+        out += &table(&["counter", "count"], &rows);
+    }
+    check("paper/fig4_costs.txt", &out);
+}
+
 /// D1 — the §6 translator-choice dialog (replacement portion verbatim,
 /// footnote 5's skipped questions included); D2 — the worked example:
 /// CS345 → EES345 inserts ⟨Engineering Economic Systems⟩ into DEPARTMENT
@@ -442,7 +500,7 @@ fn vo_r_case_traces() {
         let ops = ops.unwrap();
         // run-length encode the case sequence: `label xN`
         let mut runs: Vec<(String, usize)> = Vec::new();
-        for e in events.iter().filter(|e| e.name == "core.vo_r_case") {
+        for e in events.spans.iter().filter(|e| e.name == "core.vo_r_case") {
             let node = e.field("node").unwrap().as_i64().unwrap() as NodeId;
             let case = e.field("case").unwrap().as_str().unwrap();
             let l = format!("{case}@{}", omega.node(node).relation);

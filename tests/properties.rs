@@ -19,7 +19,12 @@
 //! - instances: the flat form is the tree it binds — engine, builder,
 //!   codec and in-place edits against a tree assembled tuple by tuple.
 
+use penguin_vo::obs::trace;
 use penguin_vo::prelude::*;
+
+/// The two ways a table lookup is counted: an index answered it, or it
+/// fell back to a scan.
+const LOOKUPS: [&str; 2] = ["relational.index_probes", "relational.fallback_scans"];
 
 // ---------------------------------------------------------------- values --
 
@@ -1604,10 +1609,9 @@ fn bulk_built_index_equals_the_incremental_one() {
                 probes.push(vec![Value::Null; at.len()]);
                 probes.push(vec![Value::text("absent"); at.len()]);
                 for probe in &probes {
-                    let before = penguin_vo::relational::stats::snapshot();
-                    let found = bulk.find_by_indices(&at, probe);
-                    let d = before.delta(&penguin_vo::relational::stats::snapshot());
-                    assert!(d.index_probes >= 1, "{rel} {attrs:?}: probed, not scanned");
+                    let (found, taken) = trace::capture(|| bulk.find_by_indices(&at, probe));
+                    let lookups = LOOKUPS.map(|name| taken.count(name));
+                    assert_eq!(lookups, [1, 0], "{rel} {attrs:?}: probed, not scanned");
                     assert_eq!(
                         found,
                         incremental.find_by_indices(&at, probe),
@@ -1799,13 +1803,11 @@ fn every_access_path_is_a_scan() {
 
                         // on the table
                         let want: Vec<&Tuple> = table.scan().filter(equal).collect();
-                        let before = penguin_vo::relational::stats::snapshot();
-                        assert_eq!(table.find_by_indices(list, probe), want, "{what}");
-                        let d = before.delta(&penguin_vo::relational::stats::snapshot());
-                        match label {
-                            Some(_) => assert!(d.index_probes >= 1, "{what}: probed"),
-                            None => assert!(d.fallback_scans >= 1, "{what}: scanned"),
-                        }
+                        let (found, taken) = trace::capture(|| table.find_by_indices(list, probe));
+                        assert_eq!(found, want, "{what}");
+                        let lookups = LOOKUPS.map(|name| taken.count(name));
+                        let path = if label.is_some() { [1, 0] } else { [0, 1] };
+                        assert_eq!(lookups, path, "{what}: probed or scanned");
                         let mut got = Vec::new();
                         let asked =
                             table.for_each_connected(list, &source, &positions, |t| got.push(t));

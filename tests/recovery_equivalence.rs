@@ -430,10 +430,14 @@ fn sync_store_is_the_durability_point_under_group_commit() {
     // (b) killed right after the forced durability point
     let dir = tmp_dir("every_n_synced");
     let mut p = three_commits(&dir);
-    let (synced, spans) = trace::capture(|| p.sync_store());
+    let (synced, taken) = trace::capture(|| p.sync_store());
     synced.unwrap();
-    let fsyncs: Vec<_> = spans.iter().filter(|e| e.name == "wal.fsync").collect();
-    assert_eq!(fsyncs.len(), 1, "{spans:?}");
+    let fsyncs: Vec<_> = taken
+        .spans
+        .iter()
+        .filter(|e| e.name == "wal.fsync")
+        .collect();
+    assert_eq!(fsyncs.len(), 1, "{taken:?}");
     assert_eq!(fsyncs[0].field("commits"), Some(&Json::Int(3)));
     std::mem::forget(p); // crash
     assert_eq!(departments(&dir), 3);

@@ -3,26 +3,20 @@
 //! planned read — head or session — is served by the registered plan, and
 //! sessions share the registry copy-on-write.
 //!
-//! The `penguin.plan_cache.{hits, misses}` counters are process-wide, so
-//! the tests of this file take one lock and assert exact deltas.
+//! The `penguin.plan_cache.{hits, misses}` counts are read from a
+//! `trace::capture` of the calls, so they are exact while other tests run
+//! beside these.
 
-use penguin_vo::obs::metrics;
+use penguin_vo::obs::trace::{self, Capture};
 use penguin_vo::prelude::*;
-use std::sync::{Mutex, MutexGuard};
 
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Reads served by a registered plan.
-fn hits() -> u64 {
-    metrics::counter("penguin.plan_cache.hits").get()
-}
-
-/// Plans built.
-fn misses() -> u64 {
-    metrics::counter("penguin.plan_cache.misses").get()
+/// Reads served by a registered plan, and plans built, in `taken`.
+fn cache(taken: &Capture) -> (u64, u64) {
+    let count = |name| taken.count(name);
+    (
+        count("penguin.plan_cache.hits"),
+        count("penguin.plan_cache.misses"),
+    )
 }
 
 fn system() -> Penguin {
@@ -39,45 +33,48 @@ fn system() -> Penguin {
 
 #[test]
 fn reads_after_registration_are_hits_and_build_nothing() {
-    let _serial = serial();
     const N: u64 = 7;
     let mut p = system();
     let session = p.session();
-    let built = misses();
 
-    let served = hits();
-    let head: Vec<_> = (0..N)
-        .map(|_| p.instantiate_all("omega").unwrap())
-        .collect();
-    assert_eq!(hits(), served + N);
-    let pinned: Vec<_> = (0..N)
-        .map(|_| session.instantiate_all("omega").unwrap())
-        .collect();
-    assert_eq!(hits(), served + 2 * N);
+    let (head, taken) = trace::capture(|| {
+        (0..N)
+            .map(|_| p.instantiate_all("omega").unwrap())
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(cache(&taken), (N, 0));
+    let (pinned, taken) = trace::capture(|| {
+        (0..N)
+            .map(|_| session.instantiate_all("omega").unwrap())
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(cache(&taken), (N, 0));
     assert_eq!(head, pinned);
 
     // a GET is a planned read too, on either facade
     let q = VoQuery::new().with_predicate(0, Expr::attr("level").eq(Expr::lit("graduate")));
-    assert_eq!(
-        p.query("omega", &q).unwrap(),
-        session.query("omega", &q).unwrap()
-    );
-    assert_eq!(hits(), served + 2 * N + 2);
-    assert!(matches!(
-        session.voql("GET omega").unwrap(),
-        VoqlOutcome::Instances(is) if is == head[0]
-    ));
-    assert_eq!(hits(), served + 2 * N + 3);
+    let ((), taken) = trace::capture(|| {
+        assert_eq!(
+            p.query("omega", &q).unwrap(),
+            session.query("omega", &q).unwrap()
+        )
+    });
+    assert_eq!(cache(&taken), (2, 0));
+    let (get, taken) = trace::capture(|| session.voql("GET omega").unwrap());
+    assert!(matches!(get, VoqlOutcome::Instances(is) if is == head[0]));
+    assert_eq!(cache(&taken), (1, 0));
 
     // borrowing the database without moving its structure builds nothing
-    p.with_database_mut(|_| ()).unwrap();
-    p.with_database_mut(|db| db.insert("DEPARTMENT", vec!["Mathematics".into()]))
-        .unwrap()
-        .unwrap();
-    p.sql("INSERT INTO GRADES VALUES ('CS101', 9, 'C')")
-        .unwrap();
-    assert_eq!(p.instantiate_all("omega").unwrap().len(), 3);
-    assert_eq!(misses(), built, "no read and no data change plans");
+    let ((), taken) = trace::capture(|| {
+        p.with_database_mut(|_| ()).unwrap();
+        p.with_database_mut(|db| db.insert("DEPARTMENT", vec!["Mathematics".into()]))
+            .unwrap()
+            .unwrap();
+        p.sql("INSERT INTO GRADES VALUES ('CS101', 9, 'C')")
+            .unwrap();
+        assert_eq!(p.instantiate_all("omega").unwrap().len(), 3);
+    });
+    assert_eq!(cache(&taken), (1, 0), "no read and no data change plans");
 }
 
 /// Each `&mut` entry point that can move the structure epoch leaves the
@@ -85,17 +82,14 @@ fn reads_after_registration_are_hits_and_build_nothing() {
 /// move still answers at its own version over its own snapshot.
 #[test]
 fn structure_moves_replan_the_head_and_leave_pinned_sessions_alone() {
-    let _serial = serial();
     type Move = fn(&mut Penguin);
     let moves: [(&str, Move); 3] = [
         ("with_database_mut + ensure_index", |p| {
-            let built = misses();
-            let created = p
-                .with_database_mut(|db| db.ensure_index("GRADES", &["ssn".to_string()]))
-                .unwrap()
-                .unwrap();
-            assert!(created);
-            assert_eq!(misses(), built + 1, "the one object is re-planned once");
+            let (created, taken) = trace::capture(|| {
+                p.with_database_mut(|db| db.ensure_index("GRADES", &["ssn".to_string()]))
+            });
+            assert!(created.unwrap().unwrap());
+            assert_eq!(cache(&taken).1, 1, "the one object is re-planned once");
         }),
         ("materialize provisioning reverse indexes", |p| {
             assert_eq!(p.materialize("omega").unwrap().len(), 3);
@@ -150,7 +144,6 @@ fn structure_moves_replan_the_head_and_leave_pinned_sessions_alone() {
 /// running a stale plan, and every other object keeps working.
 #[test]
 fn an_object_that_cannot_be_replanned_is_refused_not_run_stale() {
-    let _serial = serial();
     let mut p = system();
     p.define_object("students", "STUDENT", &[]).unwrap();
     let before = p.session();
@@ -169,7 +162,6 @@ fn an_object_that_cannot_be_replanned_is_refused_not_run_stale() {
 
 #[test]
 fn sessions_share_the_registry_copy_on_write() {
-    let _serial = serial();
     let mut p = system();
     let before = p.session();
     p.define_object("students", "STUDENT", &[]).unwrap();

@@ -2,23 +2,31 @@
 //! exposition, and the system health monitor — the observability
 //! surface a production PENGUIN deployment operates on.
 //!
-//! The trace ring, slow log, and metrics registry are process-global, so
-//! every test that enables tracing or registers thresholds holds the
-//! `serial()` lock and filters down to its own span names.
+//! A test reads its own spans and counts from a `trace::capture` of the
+//! calls it makes. Slow-op thresholds and the slow-op log are
+//! process-global by design, so the tests that register thresholds hold
+//! the `serial()` lock and keep only the slow ops of their own thread.
 
 use penguin_vo::obs::{json, metrics, slowlog, trace};
 use penguin_vo::prelude::*;
 use std::collections::BTreeSet;
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    match LOCK.get_or_init(|| Mutex::new(())).lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The slow ops named `name` that the calling thread recorded.
+fn my_slow_ops(p: &Penguin, name: &str) -> Vec<SlowOp> {
+    // the tracer's id for this thread, read off a span it records
+    let ((), probe) = trace::capture(|| drop(trace::span("test.telemetry.thread")));
+    let me = probe.spans[0].thread;
+    (p.slow_ops().into_iter())
+        .filter(|o| o.event.thread == me && o.event.name == name)
+        .collect()
 }
 
 /// A facade with the paper's university system, omega registered with a
@@ -58,21 +66,17 @@ fn fresh_course(p: &Penguin, id: &str) -> VoInstance {
 }
 
 /// Spans of a real workload leave the process as JSONL
-/// (`export_jsonl(&take())`) that the in-tree parser reads back, field
-/// for field.
+/// (`export_jsonl` of a capture's spans) that the in-tree parser reads
+/// back, field for field.
 #[test]
 fn facade_telemetry_roundtrips_jsonl_through_parser() {
-    let _serial = serial();
     let mut p = system();
-    let _scope = trace::start_trace();
-    trace::take(); // isolate from other tests' leftovers
-
     let reqs: Vec<UpdateRequest> = (0..3)
         .map(|i| UpdateRequest::CompleteInsertion(fresh_course(&p, &format!("TL-{i}"))))
         .collect();
-    p.apply_batch("omega", reqs).unwrap();
+    let (_, taken) = trace::capture(|| p.apply_batch("omega", reqs).unwrap());
 
-    let jsonl = trace::export_jsonl(&trace::take());
+    let jsonl = trace::export_jsonl(&taken.spans);
     let lines: Vec<&str> = jsonl.lines().collect();
     let batch: Vec<&str> = lines
         .iter()
@@ -112,44 +116,66 @@ fn facade_telemetry_roundtrips_jsonl_through_parser() {
 }
 
 /// A span crossing its registered threshold lands in the slow-op log with
-/// every field intact, and in the trace export beside it.
+/// every field intact, and in the export of the tree it ran in.
 #[test]
 fn slow_op_log_keeps_forced_slow_span_with_fields() {
     let _serial = serial();
     let mut p = system();
-    slowlog::clear();
     slowlog::threshold("penguin.apply_batch", Duration::from_micros(1));
-    let _scope = trace::start_trace();
-    trace::take();
 
     let reqs: Vec<UpdateRequest> = (0..2)
         .map(|i| UpdateRequest::CompleteInsertion(fresh_course(&p, &format!("SL-{i}"))))
         .collect();
     p.apply_batch("omega", reqs).unwrap();
+    slowlog::clear_threshold("penguin.apply_batch");
 
-    let ops: Vec<SlowOp> = p
-        .slow_ops()
-        .into_iter()
-        .filter(|o| o.event.name == "penguin.apply_batch")
-        .collect();
+    let ops = my_slow_ops(&p, "penguin.apply_batch");
     assert_eq!(ops.len(), 1);
     let op = &ops[0];
     assert_eq!(op.threshold_us, 1);
     assert!(op.event.dur_us >= 1);
     assert_eq!(op.event.field("object"), Some(&Json::str("omega")));
     assert_eq!(op.event.field("requests"), Some(&Json::Int(2)));
-    // the slow op is the span the trace export carries
-    let exported = trace::export_jsonl(&trace::take());
+    // the slow op is the span its tree's export carries
+    let exported = trace::export_jsonl(&op.trace.spans);
     let line = exported
         .lines()
         .find(|l| l.contains("penguin.apply_batch"))
-        .expect("the slow span is exported too");
+        .expect("the slow span is exported with its tree");
     assert_eq!(
         line,
         trace::export_jsonl(std::slice::from_ref(&op.event)).trim_end()
     );
-    slowlog::clear_threshold("penguin.apply_batch");
-    slowlog::clear();
+}
+
+/// A threshold alone keeps a slow tree whole: no switch, no capture. Each
+/// of a batch's two translations crosses its threshold, and each is kept
+/// with the batch it ran in — rooted at `penguin.apply_batch`, holding the
+/// batch's one delta check, counting its one overlay.
+#[test]
+fn a_threshold_alone_keeps_the_slow_tree_whole() {
+    let _serial = serial();
+    let mut p = system();
+    slowlog::threshold("penguin.translate", Duration::from_micros(1));
+    let reqs: Vec<UpdateRequest> = (0..2)
+        .map(|i| UpdateRequest::CompleteInsertion(fresh_course(&p, &format!("ST-{i}"))))
+        .collect();
+    p.apply_batch("omega", reqs).unwrap();
+    slowlog::clear_threshold("penguin.translate");
+
+    let ops = my_slow_ops(&p, "penguin.translate");
+    assert_eq!(ops.len(), 2, "{ops:#?}");
+    for op in &ops {
+        let spans = &op.trace.spans;
+        let roots: Vec<_> = spans.iter().filter(|e| e.parent.is_none()).collect();
+        assert_eq!(roots.len(), 1);
+        assert_eq!(roots[0].name, "penguin.apply_batch");
+        assert_eq!(op.event.root, roots[0].id);
+        assert!(spans.iter().any(|e| e.name == "integrity.check_delta"));
+        assert_eq!(op.trace.count("translate.overlay_created"), 1);
+    }
+    // both crossings share one tree
+    assert_eq!(ops[0].trace, ops[1].trace);
 }
 
 /// A view falling behind the journal degrades the health verdict, under
@@ -157,9 +183,6 @@ fn slow_op_log_keeps_forced_slow_span_with_fields() {
 /// observable as trace events.
 #[test]
 fn health_transitions_ok_degraded_ok_on_journal_saturation() {
-    let _serial = serial();
-    let _scope = trace::start_trace();
-    trace::take();
     let mut p = system();
     p.materialize("omega").unwrap();
     let mut policy = HealthPolicy::default();
@@ -167,36 +190,37 @@ fn health_transitions_ok_degraded_ok_on_journal_saturation() {
     policy.journal_lag_unhealthy = 1_000_000;
     p.set_health_policy(policy);
 
-    let healthy = p.health();
-    assert!(healthy.is_ok(), "fresh system must be ok: {healthy:?}");
+    let ((), taken) = trace::capture(|| {
+        let healthy = p.health();
+        assert!(healthy.is_ok(), "fresh system must be ok: {healthy:?}");
 
-    // six committed transactions nobody consumed: the view is now 6 behind
-    for i in 0..6 {
-        p.sql(&format!("INSERT INTO DEPARTMENT VALUES ('TD-{i}')"))
-            .unwrap();
-    }
-    let degraded = p.health();
-    assert_eq!(degraded.status, HealthStatus::Degraded);
-    let codes: Vec<&str> = degraded.reasons.iter().map(|r| r.code.as_str()).collect();
-    assert_eq!(
-        codes,
-        vec!["journal_lag:view/omega"],
-        "the view's lag degrades, graded once: {degraded:?}"
-    );
+        // six committed transactions nobody consumed: the view is now 6 behind
+        for i in 0..6 {
+            p.sql(&format!("INSERT INTO DEPARTMENT VALUES ('TD-{i}')"))
+                .unwrap();
+        }
+        let degraded = p.health();
+        assert_eq!(degraded.status, HealthStatus::Degraded);
+        let codes: Vec<&str> = degraded.reasons.iter().map(|r| r.code.as_str()).collect();
+        assert_eq!(
+            codes,
+            vec!["journal_lag:view/omega"],
+            "the view's lag degrades, graded once: {degraded:?}"
+        );
 
-    // drain the consumer: refresh catches the view up incrementally and
-    // clears the signal
-    let out = p.refresh("omega").unwrap();
-    assert!(!out.full_rebuild, "the view missed nothing");
-    let recovered = p.health();
-    assert!(
-        recovered.is_ok(),
-        "drained system must be ok: {recovered:?}"
-    );
+        // drain the consumer: refresh catches the view up incrementally and
+        // clears the signal
+        let out = p.refresh("omega").unwrap();
+        assert!(!out.full_rebuild, "the view missed nothing");
+        let recovered = p.health();
+        assert!(
+            recovered.is_ok(),
+            "drained system must be ok: {recovered:?}"
+        );
+    });
 
     // both transitions (ok→degraded, degraded→ok) left trace events
-    let transitions: Vec<(String, String)> = trace::take()
-        .into_iter()
+    let transitions: Vec<(String, String)> = (taken.spans.into_iter())
         .filter(|e| e.name == "penguin.health")
         .map(|e| {
             (
@@ -288,7 +312,6 @@ fn check_exposition(text: &str) -> std::result::Result<(), String> {
 /// checker and carries the expected metric families.
 #[test]
 fn exposition_text_passes_line_checker() {
-    let _serial = serial();
     let mut p = system();
     // drive traffic through the facade so the penguin.* counters move
     let reqs: Vec<UpdateRequest> = (0..2)
@@ -325,7 +348,6 @@ fn exposition_text_passes_line_checker() {
 /// the span.
 #[test]
 fn store_recover_span_splits_base_deltas_and_log() {
-    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("vo_telemetry_recover_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     {
@@ -334,11 +356,10 @@ fn store_recover_span_splits_base_deltas_and_log() {
         p.checkpoint().unwrap(); // a delta
         p.sql("INSERT INTO DEPARTMENT VALUES ('RC-E')").unwrap(); // the log tail
     }
-    let _scope = trace::start_trace();
-    trace::take();
-    let (_store, _db, report) = Store::open(&dir, StoreOptions::default()).unwrap();
+    let (opened, taken) = trace::capture(|| Store::open(&dir, StoreOptions::default()));
+    let (_store, _db, report) = opened.unwrap();
     assert!(report.deltas_applied == 1 && report.records_replayed >= 1);
-    let spans: Vec<_> = (trace::take().into_iter())
+    let spans: Vec<_> = (taken.spans.into_iter())
         .filter(|e| e.name == "store.recover")
         .collect();
     assert_eq!(spans.len(), 1);
@@ -432,7 +453,6 @@ fn golden_span_inventory_is_still_instrumented() {
 /// snapshots of the same state render byte-identically.
 #[test]
 fn metrics_snapshot_json_is_stable() {
-    let _serial = serial();
     metrics::counter("test.stable.zz").inc();
     metrics::counter("test.stable.aa").inc();
     let a = metrics::snapshot_all().to_json().compact();
