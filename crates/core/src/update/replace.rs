@@ -266,7 +266,17 @@ impl Ctx<'_, '_, '_> {
                 fired(node_id, case, false);
                 return Ok(());
             }
-            let old_present = self.rec.view(relation)?.contains_key(&old_key);
+            // the old tuple is where it was, or an ancestor's key
+            // propagation moved it; anything else at its key was written
+            // since the instance was read, and writing `new` would undo it
+            let held = self.rec.view(relation)?.get(&old_key);
+            if held.is_some_and(|held| held != old) {
+                return Err(Error::StaleTuple {
+                    relation: relation.to_owned(),
+                    key: old_key.to_string(),
+                });
+            }
+            let old_present = held.is_some();
             if old_key == new_key {
                 // CASE R-2: projections differ, keys match
                 if !old_present {
@@ -461,32 +471,27 @@ fn pair_children(
 ) -> Result<Vec<(Option<usize>, Option<usize>)>> {
     let relation = &object.node(node_id).relation;
     let rel_schema = schema.catalog().relation(relation)?;
-    let ident_attrs: Vec<String> = match analysis.key_split.get(node_id).and_then(|s| s.as_ref()) {
-        Some(split) if !split.complement.is_empty() => split.complement.clone(),
-        _ => rel_schema
-            .key_names()
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect(),
+    // the identifying positions, resolved once; pairs compare in place
+    let complement;
+    let ident: &[usize] = match analysis.key_split.get(node_id).and_then(|s| s.as_ref()) {
+        Some(split) if !split.complement.is_empty() => {
+            complement = rel_schema.indices_of(&split.complement)?;
+            &complement
+        }
+        _ => rel_schema.key_indices(),
     };
-    let ident = |t: &Tuple| -> Result<Vec<Value>> {
-        ident_attrs
-            .iter()
-            .map(|a| t.get_named(rel_schema, a).cloned())
-            .collect()
-    };
+    let same = |o: &Tuple, n: &Tuple| ident.iter().all(|&at| o.get(at) == n.get(at));
 
     let mut out: Vec<(Option<usize>, Option<usize>)> = Vec::new();
     let mut used_new = vec![false; news.len()];
     let mut unmatched_old: Vec<usize> = Vec::new();
     for (i, o) in olds.iter().enumerate() {
-        let oid = ident(o)?;
         let mut matched = false;
         for (j, n) in news.iter().enumerate() {
             if used_new[j] {
                 continue;
             }
-            if ident(n)? == oid {
+            if same(o, n) {
                 used_new[j] = true;
                 out.push((Some(i), Some(j)));
                 matched = true;

@@ -357,8 +357,11 @@ impl Penguin {
     /// any thread with no lock held and never blocking this writer. The
     /// registry and each view's instances are shared, not copied, and
     /// tables are shared copy-on-write with the head, so a pin costs two
-    /// `Arc` clones plus O(relations + materialized views). A view a
-    /// session holds is copied by the next refresh that writes it.
+    /// `Arc` clones plus O(relations + materialized views). While the
+    /// session lives, a commit at the head copies the chunks of rows and
+    /// index entries its writes land in (`relational.cow_rows`), not the
+    /// tables. A view a session holds is copied by the next refresh that
+    /// writes it.
     pub fn session(&self) -> Session {
         sessions_opened().inc();
         let views = (self.views.iter())

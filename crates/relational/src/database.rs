@@ -19,7 +19,7 @@
 
 use crate::error::{Error, Result};
 use crate::json::Json;
-use crate::overlay::{DeltaDb, Staged};
+use crate::overlay::{Delta, DeltaDb, Staged};
 use crate::schema::{DatabaseSchema, RelationSchema};
 use crate::stats::{count_commit, count_conflict, count_snapshot_pinned};
 use crate::table::Table;
@@ -191,8 +191,10 @@ fn unknown_cursor(cursor: JournalCursor) -> Error {
 /// therefore pinning a [`DbSnapshot`] — is O(relations), not O(tuples):
 /// the clone shares every table with the original. Mutation goes through
 /// [`Arc::make_mut`], which copies a table only when a snapshot still
-/// shares it (copy-on-write at table granularity, secondary indexes
-/// included). Each committed transaction bumps [`Database::version`] and
+/// shares it — and a table is sorted runs of shared chunks, so that copy
+/// is a pointer per chunk, and a write then copies only the chunk of rows
+/// or index entries it lands in (counted as `relational.cow_rows`). Each
+/// committed transaction bumps [`Database::version`] and
 /// stamps the relations it touched, which is what first-committer-wins
 /// conflict detection ([`Database::check_unchanged`]) validates against.
 #[derive(Debug, Default)]
@@ -555,8 +557,9 @@ impl Database {
     /// Every refusal comes before anything is borrowed mutably: the change
     /// must have been staged over this database at its current version
     /// ([`Error::Conflict`] otherwise), and every row is validated once
-    /// more. Then each key is put
-    /// or removed through `Table::put` (copy-on-write per written relation),
+    /// more. Then each key is put or removed through `Table::put`
+    /// (copy-on-write per written chunk; the `relational.install` span's
+    /// `cow_rows` field counts the entries copied beside a pinned reader),
     /// the version moves by one and stamps each written relation once — a
     /// relation of insert-then-delete no-ops too: it was written — and the
     /// op log moves into the journal beside the rows each key held before
@@ -585,6 +588,24 @@ impl Database {
         }
         self.version += 1;
         count_commit();
+        let images = if sp.is_recording() {
+            let (images, taken) = trace::capture(|| self.put_rows(delta));
+            let copied = taken.count("relational.cow_rows");
+            sp.field("cow_rows", Json::Int(copied as i64));
+            images
+        } else {
+            self.put_rows(delta)
+        };
+        if let Some(journal) = &mut self.journal {
+            (journal.entries).push_back(Arc::new(JournalEntry { ops, images }));
+        }
+        Ok(())
+    }
+
+    /// The write half of [`Database::install`]: put every key of an
+    /// admitted `delta` and stamp each written relation, returning the
+    /// images a journal keeps (none when no journal is kept).
+    fn put_rows(&mut self, delta: Delta) -> Vec<(String, Vec<RowImage>)> {
         let journaling = self.journal.is_some();
         let mut images = Vec::new();
         for (relation, rows) in delta.into_relations() {
@@ -607,10 +628,7 @@ impl Database {
                 images.push((relation, written));
             }
         }
-        if let Some(journal) = &mut self.journal {
-            (journal.entries).push_back(Arc::new(JournalEntry { ops, images }));
-        }
-        Ok(())
+        images
     }
 }
 

@@ -22,6 +22,9 @@ pub enum Error {
     KeyConflict { relation: String, key: String },
     /// No tuple with the given key exists.
     NoSuchTuple { relation: String, key: String },
+    /// An update was handed a tuple the database no longer holds: at its
+    /// key stands another version of it, written since the tuple was read.
+    StaleTuple { relation: String, key: String },
     /// A value did not conform to the declared attribute type.
     TypeMismatch {
         relation: String,
@@ -90,6 +93,10 @@ impl fmt::Display for Error {
             Error::NoSuchTuple { relation, key } => {
                 write!(f, "no tuple with key {key} in relation {relation}")
             }
+            Error::StaleTuple { relation, key } => write!(
+                f,
+                "stale tuple: {relation} holds another version at key {key} than the one given"
+            ),
             Error::TypeMismatch {
                 relation,
                 attribute,

@@ -51,6 +51,7 @@ pub mod optimizer;
 pub mod overlay;
 pub mod predicate;
 pub mod rng;
+mod runs;
 pub mod schema;
 pub mod sql;
 pub mod stats;

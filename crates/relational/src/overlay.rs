@@ -464,7 +464,7 @@ impl<'a> TableView<'a> {
 /// Key-ordered merge iterator over a [`TableView`]: base rows not shadowed
 /// by the delta, interleaved with the delta's upserts.
 pub type TableViewScan<'a> =
-    Merged<btree_map::Iter<'a, Key, Tuple>, btree_map::Iter<'a, Key, Option<Tuple>>>;
+    Merged<crate::runs::Iter<'a, Key, Tuple>, btree_map::Iter<'a, Key, Option<Tuple>>>;
 
 #[cfg(test)]
 mod tests {

@@ -37,6 +37,7 @@ struct Counters {
     commits: Counter,
     conflicts: Counter,
     snapshots_pinned: Counter,
+    cow_rows: Counter,
 }
 
 fn counters() -> &'static Counters {
@@ -53,6 +54,7 @@ fn counters() -> &'static Counters {
         commits: metrics::counter("relational.commits"),
         conflicts: metrics::counter("relational.conflicts"),
         snapshots_pinned: metrics::counter("relational.snapshots_pinned"),
+        cow_rows: metrics::counter("relational.cow_rows"),
     })
 }
 
@@ -119,6 +121,13 @@ pub fn count_conflict() {
 /// Record one snapshot pinned ([`crate::database::Database::snapshot`]).
 pub fn count_snapshot_pinned() {
     counters().snapshots_pinned.inc();
+}
+
+/// Record `n` entries — rows or secondary-index entries — copied out of a
+/// table chunk that a pinned version still shared, so that a write could
+/// land (copy-on-write, [`crate::table::Table`]).
+pub fn count_cow_rows(n: u64) {
+    counters().cow_rows.add(n);
 }
 
 #[cfg(test)]

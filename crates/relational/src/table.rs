@@ -2,11 +2,12 @@
 
 use crate::error::{Error, Result};
 use crate::predicate::Expr;
+use crate::runs::Runs;
 use crate::schema::RelationSchema;
 use crate::tuple::{Key, Tuple};
 use crate::value::Value;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, HashMap};
 use std::iter::Peekable;
 use std::ops::Bound;
 
@@ -14,14 +15,17 @@ use std::ops::Bound;
 /// secondary indexes.
 ///
 /// All public mutations re-validate tuples against the schema and keep
-/// secondary indexes consistent. The primary index is a `BTreeMap` so scans
-/// are deterministic, keeping query results and experiment output stable.
+/// secondary indexes consistent. Rows and index entries are kept in key
+/// order, so scans are deterministic, keeping query results and experiment
+/// output stable — as sorted runs in shared chunks of bounded size
+/// (the `runs` module): cloning a table copies a pointer per chunk, and a
+/// write beside a clone copies the one chunk it lands in.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: RelationSchema,
     /// Crate-visible so [`crate::overlay`] can build merged scan iterators
     /// without copying rows.
-    pub(crate) rows: BTreeMap<Key, Tuple>,
+    pub(crate) rows: Runs<Key, Tuple>,
     /// Secondary indexes, keyed by the indexed attribute positions.
     indexes: HashMap<Vec<usize>, SecondaryIndex>,
 }
@@ -33,9 +37,18 @@ const _: () = {
     send_sync::<Table>();
 };
 
-/// One secondary index: indexed values to the keys of the tuples holding
-/// them.
-type SecondaryIndex = BTreeMap<Vec<Value>, BTreeSet<Key>>;
+/// One secondary index: an entry per row, its indexed values followed by
+/// its key — one allocation — ordered by the values, then by the key. The
+/// rows sharing indexed values are one run, in primary-key order.
+type SecondaryIndex = Runs<Box<[Value]>, ()>;
+
+/// `row`'s entry in the index over `indices`.
+fn index_entry(indices: &[usize], row: &Tuple, key: &Key) -> Box<[Value]> {
+    (indices.iter().map(|&i| row.get(i)))
+        .chain(key.values())
+        .cloned()
+        .collect()
+}
 
 /// Net changes to one relation, keyed like its rows: `Some` shadows (or
 /// adds) a tuple at that key, `None` deletes it. Key-ordered, so a lookup
@@ -46,14 +59,19 @@ pub type KeyedRows = BTreeMap<Key, Option<Tuple>>;
 /// What shadows a bare table: nothing.
 pub(crate) static NO_ROWS: KeyedRows = BTreeMap::new();
 
-/// The rows of a key-ordered map whose keys start with `prefix`: one
-/// contiguous run, found by one descent.
-fn key_run<'m, 'p, V>(
-    rows: &'m BTreeMap<Key, V>,
+/// The entries whose keys start with `prefix` of a key-ordered iterator
+/// that starts at the first key not below it — one contiguous run, found
+/// by the one descent that positioned `from`.
+fn key_run<'m, 'p, K, V, I>(
+    from: I,
     prefix: &'p [Value],
-) -> impl Iterator<Item = (&'m Key, &'m V)> + use<'m, 'p, V> {
-    rows.range::<[Value], _>((Bound::Included(prefix), Bound::Unbounded))
-        .take_while(move |(key, _)| key.0.starts_with(prefix))
+) -> impl Iterator<Item = (&'m K, &'m V)> + use<'m, 'p, K, V, I>
+where
+    K: Borrow<[Value]> + 'm,
+    V: 'm,
+    I: Iterator<Item = (&'m K, &'m V)>,
+{
+    from.take_while(move |(key, _)| Borrow::<[Value]>::borrow(*key).starts_with(prefix))
 }
 
 /// Key-ordered merge of a table's rows with the net changes shadowing
@@ -195,11 +213,14 @@ impl<'t> IndexProbe<'t, '_> {
                 None => table.rows.get(probe).into_iter().for_each(visit),
             },
             AccessPath::KeyRange => {
-                merged(key_run(&table.rows, probe), key_run(delta, probe)).for_each(visit);
+                let written = delta.range::<[Value], _>((Bound::Included(probe), Bound::Unbounded));
+                let rows = key_run(table.rows.range_from(probe), probe);
+                merged(rows, key_run(written, probe)).for_each(visit);
             }
             AccessPath::Secondary(index) => {
-                let hits = (index.get(probe).into_iter().flatten())
-                    .filter_map(|key| table.rows.get_key_value(key));
+                // each entry of the run ends in its row's key
+                let hits = key_run(index.range_from(probe), probe)
+                    .filter_map(|(entry, ())| table.rows.get_key_value(&entry[probe.len()..]));
                 if delta.is_empty() {
                     hits.for_each(|(_, t)| visit(t));
                 } else {
@@ -280,7 +301,7 @@ impl Table {
     pub fn new(schema: RelationSchema) -> Self {
         Table {
             schema,
-            rows: BTreeMap::new(),
+            rows: Runs::default(),
             indexes: HashMap::new(),
         }
     }
@@ -316,16 +337,14 @@ impl Table {
 
     /// Delete by key, returning the removed tuple.
     pub fn delete(&mut self, key: &Key) -> Result<Tuple> {
-        match self.rows.remove(key) {
-            Some(t) => {
-                Self::index_remove(&mut self.indexes, key, &t);
-                Ok(t)
-            }
-            None => Err(Error::NoSuchTuple {
+        let Some((_, held)) = self.rows.remove(key) else {
+            return Err(Error::NoSuchTuple {
                 relation: self.schema.name().to_owned(),
                 key: key.to_string(),
-            }),
-        }
+            });
+        };
+        Self::reindex(&mut self.indexes, key, Some(&held), None);
+        Ok(held)
     }
 
     /// Replace the tuple at `old_key` with `new` (whose key may differ).
@@ -346,8 +365,10 @@ impl Table {
                 key: new_key.to_string(),
             });
         }
-        let old = self.rows.remove(old_key).expect("checked above");
-        Self::index_remove(&mut self.indexes, old_key, &old);
+        if new_key == *old_key {
+            return Ok(self.put(new_key, Some(new)).expect("checked above"));
+        }
+        let old = self.delete(old_key).expect("checked above");
         self.put(new_key, Some(new));
         Ok(old)
     }
@@ -361,24 +382,12 @@ impl Table {
     /// the table held at `key` — the pre-image the commit journal keeps.
     pub(crate) fn put(&mut self, key: Key, row: Option<Tuple>) -> Option<Tuple> {
         debug_assert!(row.as_ref().is_none_or(|t| t.key(&self.schema) == key));
-        match (self.rows.entry(key), row) {
-            (Entry::Occupied(mut held), Some(row)) => {
-                let old = std::mem::replace(held.get_mut(), row);
-                Self::index_remove(&mut self.indexes, held.key(), &old);
-                Self::index_add(&mut self.indexes, held.key(), held.get());
-                Some(old)
-            }
-            (Entry::Occupied(held), None) => {
-                let (key, old) = held.remove_entry();
-                Self::index_remove(&mut self.indexes, &key, &old);
-                Some(old)
-            }
-            (Entry::Vacant(free), Some(row)) => {
-                Self::index_add(&mut self.indexes, free.key(), &row);
-                free.insert(row);
-                None
-            }
-            (Entry::Vacant(_), None) => None,
+        if !self.indexes.is_empty() {
+            Self::reindex(&mut self.indexes, &key, self.rows.get(&key), row.as_ref());
+        }
+        match row {
+            Some(row) => self.rows.insert(key, row),
+            None => self.rows.remove(&key).map(|(_, old)| old),
         }
     }
 
@@ -407,10 +416,9 @@ impl Table {
     /// keyed and ordered as it read them. No secondary indexes; create them
     /// afterwards.
     pub(crate) fn from_sorted_rows(schema: RelationSchema, entries: Vec<(Key, Tuple)>) -> Table {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         Table {
             schema,
-            rows: entries.into_iter().collect(),
+            rows: Runs::from_sorted(entries),
             indexes: HashMap::new(),
         }
     }
@@ -538,30 +546,19 @@ impl Table {
         Ok(out)
     }
 
-    /// Create (or refresh) a secondary index over `attrs`: one sort of the
-    /// rows by their indexed values groups them, each group's values are
-    /// copied out once, and the key sets and the map are each built from
-    /// sorted input — what `index_add` row by row would leave, without a
-    /// tree descent per row.
+    /// Create (or refresh) a secondary index over `attrs`: each row's
+    /// entry is built once, one stable sort by the indexed values orders
+    /// the entries (each group keeps the scan's key order), and the runs
+    /// are cut from the sorted entries — what `reindex` row by row would
+    /// leave, without a search per row.
     pub fn create_index(&mut self, attrs: &[String]) -> Result<()> {
         let indices = self.schema.indices_of(attrs)?;
-        fn values_at<'t>(indices: &'t [usize], t: &'t Tuple) -> impl Iterator<Item = &'t Value> {
-            indices.iter().map(|&i| t.get(i))
-        }
-        let indexed = |t| values_at(&indices, t);
-        let mut rows: Vec<(&Key, &Tuple)> = self.rows.iter().collect();
-        // stable, so each group's keys stay in the scan's key order
-        rows.sort_by(|a, b| indexed(a.1).cmp(indexed(b.1)));
-        let mut groups: Vec<(Vec<Value>, BTreeSet<Key>)> = Vec::new();
-        let mut rows = rows.into_iter().peekable();
-        while let Some((key, tuple)) = rows.next() {
-            let mut keys = vec![key.clone()];
-            while let Some((key, _)) = rows.next_if(|(_, next)| indexed(next).eq(indexed(tuple))) {
-                keys.push(key.clone());
-            }
-            groups.push((tuple.project(&indices), keys.into_iter().collect()));
-        }
-        self.indexes.insert(indices, groups.into_iter().collect());
+        let mut entries: Vec<(Box<[Value]>, ())> = (self.rows.iter())
+            .map(|(key, row)| (index_entry(&indices, row, key), ()))
+            .collect();
+        let width = indices.len();
+        entries.sort_by(|a, b| a.0[..width].cmp(&b.0[..width]));
+        self.indexes.insert(indices, Runs::from_sorted(entries));
         Ok(())
     }
 
@@ -591,23 +588,26 @@ impl Table {
             .unwrap_or(false)
     }
 
-    fn index_add(indexes: &mut HashMap<Vec<usize>, SecondaryIndex>, key: &Key, tuple: &Tuple) {
+    /// Move `key`'s entry in every secondary index from the row it held
+    /// (`was`) to the row it holds (`is`). An index whose values the write
+    /// did not change is not touched, so its chunks stay shared.
+    fn reindex(
+        indexes: &mut HashMap<Vec<usize>, SecondaryIndex>,
+        key: &Key,
+        was: Option<&Tuple>,
+        is: Option<&Tuple>,
+    ) {
         for (indices, index) in indexes.iter_mut() {
-            index
-                .entry(tuple.project(indices))
-                .or_default()
-                .insert(key.clone());
-        }
-    }
-
-    fn index_remove(indexes: &mut HashMap<Vec<usize>, SecondaryIndex>, key: &Key, tuple: &Tuple) {
-        for (indices, index) in indexes.iter_mut() {
-            let proj = tuple.project(indices);
-            if let Some(set) = index.get_mut(&proj) {
-                set.remove(key);
-                if set.is_empty() {
-                    index.remove(&proj);
+            if let (Some(was), Some(is)) = (was, is) {
+                if indices.iter().all(|&i| was.get(i) == is.get(i)) {
+                    continue;
                 }
+            }
+            if let Some(was) = was {
+                index.remove(&*index_entry(indices, was, key));
+            }
+            if let Some(is) = is {
+                index.insert(index_entry(indices, is, key), ());
             }
         }
     }

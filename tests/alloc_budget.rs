@@ -179,3 +179,48 @@ fn a_short_text_and_its_clone_allocate_nothing() {
     let (_, allocations) = counted(|| black_box(long.clone()));
     assert_eq!(allocations, 0);
 }
+
+/// What preparing one title-only VO-R of a scaled ω instance allocates,
+/// once child pairing resolves the identifying positions once per call
+/// and compares values in place: 79 (121 when it built a value list per
+/// old × new pair). Debug builds also cross-check the delta check against
+/// a scan of the database.
+const TITLE_ONLY_REPLACEMENT: u64 = if cfg!(debug_assertions) { 116 } else { 79 };
+
+/// One title-only replacement, prepared on a session: validation,
+/// propagation, the VO-R walk over every child run and the check stay
+/// within [`TITLE_ONLY_REPLACEMENT`] allocations.
+#[test]
+fn a_title_only_replacement_allocates_within_its_budget() {
+    let (schema, db) = university_scaled(8, 42);
+    let mut system = Penguin::with_database(schema, db);
+    system
+        .define_object(
+            "omega",
+            "COURSES",
+            &["DEPARTMENT", "CURRICULUM", "GRADES", "STUDENT"],
+        )
+        .unwrap();
+    let omega = system.object("omega").unwrap().object.clone();
+    system
+        .install_translator("omega", Translator::permissive(&omega))
+        .unwrap();
+    let courses = system.database().table("COURSES").unwrap().schema().clone();
+    let old = system
+        .instance_by_key("omega", &Key::single("C1-2"))
+        .unwrap();
+    assert!(old.size() > 8, "the instance has child runs to pair");
+    let mut new = old.clone();
+    new.root.tuple = (old.root.tuple)
+        .with_named(&courses, "title", "retitled".into())
+        .unwrap();
+    let session = system.session();
+    let request = UpdateBatch::new().replace(old, new);
+    let (prepared, allocations) = counted(|| session.prepare_batch("omega", request).unwrap());
+    assert_eq!(prepared.ops.len(), 1, "a title-only VO-R is one replace");
+    println!("{allocations} allocations for one title-only replacement");
+    assert!(
+        allocations <= TITLE_ONLY_REPLACEMENT,
+        "{allocations} allocations"
+    );
+}

@@ -237,6 +237,52 @@ fn stale_instances_never_corrupt() {
     assert_eq!(snapshot(&db), before);
 }
 
+/// A replacement whose old instance holds a child tuple someone else has
+/// changed since is refused, naming the relation and the key, rather than
+/// writing the stale tuple back over the change (case R-2 must not fire on
+/// a pair the request left alone).
+#[test]
+fn a_stale_island_tuple_is_refused_not_written_back() {
+    let (schema, db) = university_database();
+    let mut p = Penguin::with_database(schema, db);
+    p.define_object(
+        "omega",
+        "COURSES",
+        &["DEPARTMENT", "CURRICULUM", "GRADES", "STUDENT"],
+    )
+    .unwrap();
+    let omega = p.object("omega").unwrap().object.clone();
+    p.install_translator("omega", Translator::permissive(&omega))
+        .unwrap();
+    let old = p.instance_by_key("omega", &Key::single("CS345")).unwrap();
+    p.sql("UPDATE GRADES SET grade = 'F' WHERE course_id = 'CS345'")
+        .unwrap();
+    let grades = |p: &Penguin| {
+        let table = p.database().table("GRADES").unwrap();
+        (table.scan())
+            .filter(|t| t.get_named(table.schema(), "course_id").unwrap() == &Value::text("CS345"))
+            .map(|t| t.get_named(table.schema(), "grade").unwrap().clone())
+            .collect::<Vec<_>>()
+    };
+    let failed = grades(&p);
+    assert!(failed.len() > 1 && failed.iter().all(|g| g == &Value::text("F")));
+    let before = snapshot(p.database());
+
+    let courses = p.database().table("COURSES").unwrap().schema().clone();
+    let mut new = old.clone();
+    new.root.tuple = (old.root.tuple)
+        .with_named(&courses, "title", "Retitled".into())
+        .unwrap();
+    let err = p.replace_instance("omega", old, new).unwrap_err();
+    let Error::StaleTuple { relation, key } = err.source.as_ref() else {
+        panic!("refused for another reason: {err}");
+    };
+    assert_eq!(relation, "GRADES");
+    assert!(key.contains("CS345"), "{key}");
+    assert_eq!(grades(&p), failed);
+    assert_eq!(snapshot(p.database()), before);
+}
+
 /// Saved systems with tampered data fail restoration, never half-load.
 #[test]
 fn tampered_saved_system_fails_closed() {

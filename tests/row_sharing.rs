@@ -6,6 +6,7 @@
 //! through [`Tuple::ptr_eq`]: which rows are the *same allocation* after
 //! each of those hops — and, for copy-on-write, exactly which are not.
 
+use penguin_vo::obs::trace;
 use penguin_vo::prelude::*;
 
 const OMEGA_RELATIONS: [&str; 4] = ["DEPARTMENT", "CURRICULUM", "GRADES", "STUDENT"];
@@ -140,6 +141,46 @@ fn commit_beside_a_pinned_session_copies_pointers_except_the_written_row() {
         head.table("COURSES").unwrap().get(&target).unwrap().get(1),
         &Value::text("retitled")
     );
+}
+
+/// Most entries a table chunk holds: twice the 64 a bulk build cuts.
+const LARGEST_CHUNK: u64 = 128;
+
+/// A one-row VO-R committed beside a pinned session copies the chunk of
+/// `COURSES` the row lands in — counted entry by entry, and the same count
+/// whether the relation holds 64 courses or 512.
+#[test]
+fn commit_beside_a_pinned_session_copies_one_chunk_whatever_the_scale() {
+    let copied = |scale| {
+        let mut p = omega_system(scale);
+        let courses = p.database().table("COURSES").unwrap().schema().clone();
+        let pinned = p.session();
+        let old = pinned
+            .instance_by_key("omega", &Key::single("C1-2"))
+            .unwrap();
+        let mut new = old.clone();
+        new.root.tuple = (old.root.tuple)
+            .with_named(&courses, "title", "retitled".into())
+            .unwrap();
+        let prepared = pinned
+            .prepare_batch("omega", UpdateBatch::new().replace(old, new))
+            .unwrap();
+        assert_eq!(prepared.ops.len(), 1, "a non-key VO-R is one replace");
+        let (_, taken) = trace::capture(|| p.commit_prepared("omega", prepared).unwrap());
+        let copied = taken.count("relational.cow_rows");
+        // the install span says the same
+        let install = (taken.spans.iter())
+            .find(|span| span.name == "relational.install")
+            .expect("the commit installs");
+        assert_eq!(install.field("cow_rows"), Some(&Json::Int(copied as i64)));
+        copied
+    };
+    let (small, large) = (copied(8), copied(64));
+    assert!(
+        (1..=LARGEST_CHUNK).contains(&small),
+        "{small} entries copied"
+    );
+    assert_eq!(small, large, "the copy grew with the relation");
 }
 
 #[test]

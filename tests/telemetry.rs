@@ -3,9 +3,11 @@
 //! surface a production PENGUIN deployment operates on.
 //!
 //! A test reads its own spans and counts from a `trace::capture` of the
-//! calls it makes. Slow-op thresholds and the slow-op log are
-//! process-global by design, so the tests that register thresholds hold
-//! the `serial()` lock and keep only the slow ops of their own thread.
+//! calls it makes. Slow-op thresholds, the slow-op log and the metrics
+//! registry are process-global by design, so the tests that register
+//! thresholds or move registry counters hold the `serial()` lock — the
+//! registry's snapshots are compared while nothing else counts — and keep
+//! only the slow ops of their own thread.
 
 use penguin_vo::obs::{json, metrics, slowlog, trace};
 use penguin_vo::prelude::*;
@@ -70,6 +72,7 @@ fn fresh_course(p: &Penguin, id: &str) -> VoInstance {
 /// back, field for field.
 #[test]
 fn facade_telemetry_roundtrips_jsonl_through_parser() {
+    let _serial = serial();
     let mut p = system();
     let reqs: Vec<UpdateRequest> = (0..3)
         .map(|i| UpdateRequest::CompleteInsertion(fresh_course(&p, &format!("TL-{i}"))))
@@ -183,6 +186,7 @@ fn a_threshold_alone_keeps_the_slow_tree_whole() {
 /// observable as trace events.
 #[test]
 fn health_transitions_ok_degraded_ok_on_journal_saturation() {
+    let _serial = serial();
     let mut p = system();
     p.materialize("omega").unwrap();
     let mut policy = HealthPolicy::default();
@@ -312,6 +316,7 @@ fn check_exposition(text: &str) -> std::result::Result<(), String> {
 /// checker and carries the expected metric families.
 #[test]
 fn exposition_text_passes_line_checker() {
+    let _serial = serial();
     let mut p = system();
     // drive traffic through the facade so the penguin.* counters move
     let reqs: Vec<UpdateRequest> = (0..2)
@@ -348,6 +353,7 @@ fn exposition_text_passes_line_checker() {
 /// the span.
 #[test]
 fn store_recover_span_splits_base_deltas_and_log() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("vo_telemetry_recover_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     {
@@ -453,6 +459,7 @@ fn golden_span_inventory_is_still_instrumented() {
 /// snapshots of the same state render byte-identically.
 #[test]
 fn metrics_snapshot_json_is_stable() {
+    let _serial = serial();
     metrics::counter("test.stable.zz").inc();
     metrics::counter("test.stable.aa").inc();
     let a = metrics::snapshot_all().to_json().compact();
