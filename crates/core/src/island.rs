@@ -11,8 +11,11 @@
 //! the island — its tuples cite the entity, so deletions and key changes
 //! must repair their foreign keys.
 
+use crate::instance::VoInstance;
 use crate::object::{NodeId, ViewObject};
 use std::collections::BTreeSet;
+use std::sync::Arc;
+use vo_relational::overlay::{ReadNode, ReadSet};
 use vo_relational::prelude::*;
 use vo_structural::prelude::*;
 
@@ -30,6 +33,10 @@ pub struct IslandAnalysis {
     /// parent (`K(R_i)` mapped through the connection) and the complement
     /// `A_j = K(R_j) − inherited` that is locally accessible (paper §5.3).
     pub key_split: Vec<Option<KeySplit>>,
+    /// Per node, its relation and — for an island node — where its key
+    /// carries the pivot's: what a [`ReadSet`] of an instance needs besides
+    /// the instance's tuples.
+    pub(crate) read_nodes: Arc<[ReadNode]>,
 }
 
 /// The key partition of one island node (paper §5.3's `A_j`).
@@ -131,11 +138,53 @@ pub fn analyze(schema: &StructuralSchema, object: &ViewObject) -> Result<IslandA
         });
     }
 
+    // every island relation's key carries the pivot's through its
+    // ownership and subset steps: follow the pivot's key attributes down
+    // each edge, naming them in each relation they reach
+    let catalog = schema.catalog();
+    let pivot = catalog.relation(object.pivot())?;
+    let mut carried: Vec<Vec<(String, usize)>> = vec![Vec::new(); object.nodes().len()];
+    carried[0] = (pivot.key_names().into_iter().map(str::to_owned))
+        .zip(pivot.key_indices().iter().copied())
+        .collect();
+    for id in object.preorder() {
+        let node = object.node(id);
+        let (Some(parent), Some(edge)) = (node.parent, &node.edge) else {
+            continue;
+        };
+        if !island.contains(&id) {
+            continue;
+        }
+        let mut attrs = carried[parent].clone();
+        for step in &edge.steps {
+            let t = step.resolve(schema)?;
+            let across = |a: &String| t.source_attrs().iter().position(|s| s == a);
+            attrs = (attrs.iter())
+                .filter_map(|(a, p)| Some((t.target_attrs()[across(a)?].clone(), *p)))
+                .collect();
+        }
+        carried[id] = attrs;
+    }
+    let read_nodes = (object.nodes().iter())
+        .map(|node| {
+            let key = catalog.relation(&node.relation)?.key_names();
+            let at = |(a, p): &(String, usize)| Some((key.iter().position(|k| k == a)?, *p));
+            let pivot_key = (island.contains(&node.id))
+                .then(|| carried[node.id].iter().filter_map(at).collect::<Vec<_>>())
+                .filter(|pairs| pairs.len() == carried[0].len());
+            Ok(ReadNode {
+                relation: node.relation.clone(),
+                pivot_key,
+            })
+        })
+        .collect::<Result<_>>()?;
+
     Ok(IslandAnalysis {
         island,
         island_relations,
         peninsulas,
         key_split,
+        read_nodes,
     })
 }
 
@@ -153,6 +202,15 @@ impl IslandAnalysis {
     /// True when `relation` belongs to the island's relation set.
     pub fn island_has_relation(&self, relation: &str) -> bool {
         self.island_relations.contains(relation)
+    }
+
+    /// `instance` as the read set of a request that writes it back (VO-R)
+    /// or deletes it (VO-CD): every tuple it shows, at its node (an
+    /// instance keeps its tuples grouped by ascending node).
+    pub(crate) fn read_set(&self, instance: &VoInstance) -> ReadSet {
+        let tuples = std::iter::once(&instance.root).chain(instance.bound());
+        let shown = tuples.map(|t| (t.node, t.tuple.clone())).collect();
+        ReadSet::new(self.read_nodes.clone(), shown)
     }
 }
 
@@ -186,6 +244,20 @@ mod tests {
         );
         assert_eq!(a.peninsulas.len(), 1);
         assert!(a.is_peninsula(node_id(&omega, "CURRICULUM")));
+    }
+
+    #[test]
+    fn an_island_key_carries_the_pivots() {
+        let schema = university_schema();
+        let omega = generate_omega(&schema).unwrap();
+        let a = analyze(&schema, &omega).unwrap();
+        for node in a.read_nodes.iter() {
+            // COURSES(course_id) owns GRADES(course_id, ssn)
+            let carried = ["COURSES", "GRADES"].contains(&node.relation.as_str());
+            let expected = carried.then(|| vec![(0, 0)]);
+            assert_eq!(node.pivot_key, expected, "{}", node.relation);
+        }
+        assert_eq!(a.read_nodes.len(), omega.nodes().len());
     }
 
     #[test]

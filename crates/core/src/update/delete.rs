@@ -75,27 +75,9 @@ pub(crate) fn translate_complete_deletion_checked(
     let pivot_key = instance.root.tuple.key(pivot_schema);
     let policy = translator.deletion_policy(schema, object, analysis);
     let ops = plan_delete(schema, &*rec, object.pivot(), &pivot_key, &policy)?;
-
-    // sanity: every island tuple of the instance is among the deletions
-    for &node_id in &analysis.island {
-        let node = object.node(node_id);
-        let table = rec.view(&node.relation)?;
-        for tuple in instance.tuples_of(node_id).iter().map(|t| &t.tuple) {
-            let key = tuple.key(table.schema());
-            let covered = ops.iter().any(|op| match op {
-                DbOp::Delete { relation, key: k } => relation == &node.relation && k == &key,
-                _ => false,
-            });
-            if !covered {
-                return Err(Error::ConstraintViolation(format!(
-                    "instance tuple {tuple} of {} is not reachable from the pivot \
-                     by dependency cascades — the instance is stale",
-                    node.relation
-                )));
-            }
-        }
-    }
-    rec.apply_all(ops)
+    // the cascade deletes what lies under the pivot; the overlay refuses
+    // a deletion of a tuple that changed since the instance showed it
+    rec.reading(analysis.read_set(instance), |rec| rec.apply_all(ops))
 }
 
 #[cfg(test)]

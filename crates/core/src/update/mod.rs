@@ -16,7 +16,10 @@
 //! decision reads the base as the ops planned so far leave it — whose op
 //! log is the [`DbOp`] list that implements the request; the pipeline
 //! checks the overlay and installs it, so a failed global check leaves
-//! the database untouched.
+//! the database untouched. VO-R and VO-CD plan with their old instance in
+//! force as the overlay's read set ([`DeltaDb::reading`]): whether the
+//! instance is still what the database holds is the overlay's decision,
+//! made op by op, and no translator checks it itself.
 //!
 //! **The no-clone contract.** A [`DeltaDb`] never copies a base table:
 //! it is an O(1)-construction read view layering the planned ops over a
@@ -27,6 +30,7 @@
 //! verify the contract at run time.
 //!
 //! [`DeltaDb`]: vo_relational::overlay::DeltaDb
+//! [`DeltaDb::reading`]: vo_relational::overlay::DeltaDb::reading
 //! [`DbOp`]: vo_relational::database::DbOp
 
 pub mod delete;

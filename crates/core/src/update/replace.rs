@@ -93,28 +93,23 @@ pub(crate) fn translate_replacement_checked(
         }
     }
 
-    let pivot_schema = schema.catalog().relation(object.pivot())?;
-    let old_root_key = old.root.tuple.key(pivot_schema);
-    if rec.view(object.pivot())?.get(&old_root_key) != Some(&old.root.tuple) {
-        return Err(Error::ConstraintViolation(format!(
-            "the old instance's pivot tuple {} is not current in the database",
-            old.root.tuple
-        )));
-    }
-
-    let mut ctx = Ctx {
-        schema,
-        object,
-        analysis,
-        translator,
-        rec,
-        old,
-        new,
-        written: Vec::new(),
-    };
-    ctx.walk_pair(0, Some(0), Some(0), None)?;
-    let Ctx { rec, written, .. } = ctx;
-    complete_dependencies(schema, object, translator, rec, &written)
+    // the old instance is what the request read: the overlay refuses any
+    // op that would overwrite what it did not show
+    rec.reading(analysis.read_set(old), |rec| {
+        let mut ctx = Ctx {
+            schema,
+            object,
+            analysis,
+            translator,
+            rec,
+            old,
+            new,
+            written: Vec::new(),
+        };
+        ctx.walk_pair(0, Some(0), Some(0), None)?;
+        let Ctx { rec, written, .. } = ctx;
+        complete_dependencies(schema, object, translator, rec, &written)
+    })
 }
 
 struct Ctx<'a, 'r, 'base> {
@@ -266,48 +261,20 @@ impl Ctx<'_, '_, '_> {
                 fired(node_id, case, false);
                 return Ok(());
             }
-            // the old tuple is where it was, or an ancestor's key
-            // propagation moved it; anything else at its key was written
-            // since the instance was read, and writing `new` would undo it
-            let held = self.rec.view(relation)?.get(&old_key);
-            if held.is_some_and(|held| held != old) {
-                return Err(Error::StaleTuple {
-                    relation: relation.to_owned(),
-                    key: old_key.to_string(),
-                });
-            }
-            let old_present = held.is_some();
-            if old_key == new_key {
-                // CASE R-2: projections differ, keys match
-                if !old_present {
-                    return Err(Error::NoSuchTuple {
-                        relation: relation.to_owned(),
-                        key: old_key.to_string(),
-                    });
-                }
+            let old_present = self.rec.view(relation)?.contains_key(&old_key);
+            if old_key == new_key || !old_present {
+                // CASE R-2: projections differ, keys match — or an
+                // ancestor's key propagation already moved the old tuple to
+                // new_key, and what remains is fixing the non-inherited
+                // attributes there. Where neither key holds it, replacing
+                // the old key is the overlay's to refuse.
                 fired(node_id, "R-2", false);
-                self.record_replace(relation, old_key, new.clone())?;
-                return Ok(());
-            }
-            // keys differ
-            if !old_present {
-                // The ancestor propagation moved the old tuple to new_key
-                // already; what remains is a non-key fix-up.
-                match at_new {
-                    Some(_) => {
-                        // the key part was propagated by an ancestor; fix
-                        // the non-inherited attributes in place
-                        fired(node_id, "R-2", false);
-                        self.record_replace(relation, new_key, new.clone())?;
-                        return Ok(());
-                    }
-                    None => {
-                        return Err(Error::ConstraintViolation(format!(
-                            "old island tuple {old} of {relation} is not current in \
-                             the database"
-                        )));
-                    }
-                }
+                let at = if old_present || at_new.is_none() {
+                    old_key
+                } else {
+                    new_key
+                };
+                return self.record_replace(relation, at, new.clone());
             }
             // CASE R-3: a literal key replacement inside the island
             if !policy.allow_key_replacement {
@@ -831,7 +798,7 @@ mod tests {
         let new = old.clone();
         let err = translate_replacement(&schema, &omega, &analysis, &translator, &db, &old, new)
             .unwrap_err();
-        assert!(matches!(err, Error::ConstraintViolation(_)));
+        assert!(matches!(err, Error::StaleTuple { relation, .. } if relation == "COURSES"));
     }
 
     /// The ops of a replacement and the `(node, case, adopted)` triples of

@@ -265,7 +265,10 @@ impl VoClient {
         }
     }
 
-    /// Translate and commit a batch directly at the head.
+    /// Translate and commit a batch directly at the head. A write-back of
+    /// an instance that changed since it was read surfaces as
+    /// [`NetError::Remote`] with [`crate::ErrorCode::Conflict`], like a
+    /// lost commit.
     pub fn apply(&mut self, object: &str, requests: Vec<UpdateRequest>) -> NetResult<(u64, u64)> {
         match self.request(RequestBody::Apply {
             object: object.into(),

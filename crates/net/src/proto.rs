@@ -611,8 +611,11 @@ pub enum ErrorCode {
     BadRequest,
     /// VOQL failed to parse; `data.position` carries the byte offset.
     Parse,
-    /// First-committer-wins rejected a commit; `data` carries `relation`,
-    /// `base_version`, `head_version`.
+    /// The write lost to a change made since its input was read, and may
+    /// be retried on a fresh read: first-committer-wins rejected a commit
+    /// (`data` carries `relation`, `base_version`, `head_version`), or a
+    /// write-back's instance no longer shows what the database holds
+    /// (`Error::StaleTuple`; `data` carries `relation`, `key`).
     Conflict,
     /// Named object, relation, tuple, or handle does not exist.
     NotFound,
@@ -737,6 +740,12 @@ impl From<&Error> for WireError {
                 ("base_version", Json::Int(*base_version as i64)),
                 ("head_version", Json::Int(*head_version as i64)),
             ])),
+            Error::StaleTuple { relation, key } => {
+                WireError::new(ErrorCode::Conflict, e.to_string()).with_data(Json::obj(vec![
+                    ("relation", Json::str(relation.as_str())),
+                    ("key", Json::str(key.as_str())),
+                ]))
+            }
             Error::NoSuchRelation(_)
             | Error::NoSuchAttribute { .. }
             | Error::NoSuchTuple { .. } => WireError::new(ErrorCode::NotFound, e.to_string()),

@@ -22,8 +22,9 @@ pub enum Error {
     KeyConflict { relation: String, key: String },
     /// No tuple with the given key exists.
     NoSuchTuple { relation: String, key: String },
-    /// An update was handed a tuple the database no longer holds: at its
-    /// key stands another version of it, written since the tuple was read.
+    /// A write-back would overwrite what its instance did not show: at
+    /// this key stands another version than the instance showed, or a row
+    /// where it showed none — written since the instance was read.
     StaleTuple { relation: String, key: String },
     /// A value did not conform to the declared attribute type.
     TypeMismatch {
@@ -95,7 +96,7 @@ impl fmt::Display for Error {
             }
             Error::StaleTuple { relation, key } => write!(
                 f,
-                "stale tuple: {relation} holds another version at key {key} than the one given"
+                "stale tuple: {relation} at key {key} changed since the instance was read"
             ),
             Error::TypeMismatch {
                 relation,

@@ -27,6 +27,18 @@
 //!   commits — the only way rows reach a table, so there is no undo log:
 //!   a batch whose *k*-th op is refused never touched one.
 //!
+//! Whether a write-back is current is decided here too, once. §5's VO-R
+//! and VO-CD take their old instance to be what the database holds; while
+//! such a request is translated its instance is the overlay's [`ReadSet`]
+//! ([`DeltaDb::reading`]), and the fold refuses, as
+//! [`Error::StaleTuple`], an op that would overwrite what the instance did
+//! not show: a replace or delete of a key the instance showed must find
+//! the shown version there, and an insert or replace at an island key
+//! under the instance's pivot that it did not show must find that key
+//! empty. Both are judged against the overlay as it stood when the
+//! request began; a key the request's own earlier ops wrote carries no
+//! expectation.
+//!
 //! The [`DbRead`] trait abstracts "something the planners can read": both
 //! [`Database`] and [`DeltaDb`] implement it, so integrity planners and
 //! translators run unchanged over a committed database or an overlay.
@@ -44,7 +56,7 @@ use crate::tuple::{Key, Tuple};
 use crate::value::Value;
 use std::collections::btree_map;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Uniform read access for integrity planners and update translators: a
 /// committed [`Database`] and a [`DeltaDb`] overlay answer the same
@@ -155,6 +167,69 @@ pub struct DeltaWrite<'a> {
     pub after: Option<&'a Tuple>,
 }
 
+/// One node of the object a [`ReadSet`] reads: its relation and, for a
+/// node of the dependency island, the `(key position, pivot tuple
+/// position)` pairs through which its key carries the pivot's — so
+/// whether a key lies under the read's pivot is read off the key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReadNode {
+    /// The node's relation.
+    pub relation: String,
+    /// Where the node's key holds the pivot's key; `None` outside the
+    /// island.
+    pub pivot_key: Option<Vec<(usize, usize)>>,
+}
+
+/// What one request read before it planned its writes — §5's old
+/// instance, relationally: every tuple it showed, each with the index of
+/// its node in the object's [`ReadNode`]s, grouped by ascending node (so
+/// the pivot's comes first). While it is in force ([`DeltaDb::reading`])
+/// the fold holds every op to it (the module doc states the rule).
+#[derive(Debug, Clone)]
+pub struct ReadSet {
+    nodes: Arc<[ReadNode]>,
+    shown: Vec<(usize, Tuple)>,
+    /// The op log's length when the read came into force: the ops from
+    /// here on are the request's own.
+    since: usize,
+}
+
+impl ReadSet {
+    /// A read of `shown` — `(node index, tuple)` pairs grouped by
+    /// ascending node, the pivot's first — over an object whose nodes are
+    /// `nodes`.
+    pub fn new(nodes: Arc<[ReadNode]>, shown: Vec<(usize, Tuple)>) -> Self {
+        debug_assert!(shown.first().is_some_and(|(node, _)| *node == 0));
+        debug_assert!(shown.is_sorted_by_key(|(node, _)| *node));
+        ReadSet {
+            nodes,
+            shown,
+            since: 0,
+        }
+    }
+
+    /// What the read found at `key` of `relation` (whose schema is
+    /// `schema`): `Some(Some(t))` where it showed `t`, `Some(None)` at an
+    /// island key under its pivot that it did not show, `None` where it
+    /// says nothing.
+    fn at(&self, relation: &str, schema: &RelationSchema, key: &Key) -> Option<Option<&Tuple>> {
+        let nodes = || (self.nodes.iter().enumerate()).filter(|(_, n)| n.relation == relation);
+        for (i, _) in nodes() {
+            let group = &self.shown[self.shown.partition_point(|(node, _)| *node < i)..];
+            let mut shown = group.iter().take_while(|(node, _)| *node == i);
+            if let Some((_, t)) = shown.find(|(_, t)| keyed(schema, t, key)) {
+                return Some(Some(t));
+            }
+        }
+        let pivot = &self.shown[0].1;
+        let under_pivot = |pairs: &Vec<(usize, usize)>| {
+            (pairs.iter()).all(|&(k, p)| key.values().get(k) == Some(pivot.get(p)))
+        };
+        let island = nodes().any(|(_, n)| n.pivot_key.as_ref().is_some_and(under_pivot));
+        island.then_some(None)
+    }
+}
+
 /// A change ready to commit — delta, op log, base version. Built only by
 /// [`DeltaDb::finish`], consumed by [`Database::install`].
 #[derive(Debug)]
@@ -170,11 +245,11 @@ pub struct Staged {
 /// decision sees the effects of the ops already planned, and the final log
 /// is the translation.
 ///
-/// The overlay also records which relations were *read* through it (the
-/// read set). Together with the delta's relations (the write set) that is
-/// exactly what first-committer-wins conflict validation
+/// The overlay also records which relations were *read* through it.
+/// Together with the delta's relations (the write set) that is exactly
+/// what first-committer-wins conflict validation
 /// ([`Database::check_unchanged`]) needs: a transaction planned over this
-/// overlay depends on no relation outside `read_set ∪ write_set`.
+/// overlay depends on no relation outside `relations read ∪ write_set`.
 #[derive(Debug)]
 pub struct DeltaDb<'base> {
     base: &'base Database,
@@ -184,6 +259,9 @@ pub struct DeltaDb<'base> {
     /// reads take `&self`; a `Mutex` (not `RefCell`) keeps the overlay
     /// `Sync`.
     reads: Mutex<BTreeSet<String>>,
+    /// The request read whose currency every fold judges, while one is in
+    /// force ([`DeltaDb::reading`]).
+    read: Option<ReadSet>,
 }
 
 impl Clone for DeltaDb<'_> {
@@ -193,6 +271,7 @@ impl Clone for DeltaDb<'_> {
             delta: self.delta.clone(),
             ops: self.ops.clone(),
             reads: Mutex::new(self.reads.lock().expect("read-set lock").clone()),
+            read: self.read.clone(),
         }
     }
 }
@@ -215,6 +294,7 @@ impl<'base> DeltaDb<'base> {
             delta: Delta::default(),
             ops: Vec::new(),
             reads: Mutex::new(BTreeSet::new()),
+            read: None,
         }
     }
 
@@ -273,51 +353,19 @@ impl<'base> DeltaDb<'base> {
         })
     }
 
-    /// [`DeltaDb::apply`] for a borrowed op, leaving the log alone. Its one
-    /// read is of the relation it goes on to write, which the write set
-    /// covers: counted, but not added to the read set.
+    /// [`DeltaDb::apply`] for a borrowed op, leaving the log alone.
     pub(crate) fn fold(&mut self, op: &DbOp) -> Result<()> {
-        let relation = op.relation();
-        let table = self.base.table(relation)?;
-        if let DbOp::Insert { tuple, .. } | DbOp::Replace { tuple, .. } = op {
-            tuple.validate(table.schema())?;
-        }
-        let key = Delta::written_key(table.schema(), op);
-        crate::stats::count_overlay_read();
-        let view = TableView {
-            base: table,
-            delta: self.delta.relations.get(relation).unwrap_or(&NO_ROWS),
-        };
-        let conflict = |key: &Key| Error::KeyConflict {
-            relation: relation.to_owned(),
-            key: key.to_string(),
-        };
-        let missing = |key: &Key| Error::NoSuchTuple {
-            relation: relation.to_owned(),
-            key: key.to_string(),
-        };
-        let refusal = match op {
-            DbOp::Insert { .. } if view.contains_key(&key) => Some(conflict(&key)),
-            DbOp::Delete { .. } if !view.contains_key(&key) => Some(missing(&key)),
-            DbOp::Replace { old_key, .. } if !view.contains_key(old_key) => Some(missing(old_key)),
-            DbOp::Replace { old_key, .. } if key != *old_key && view.contains_key(&key) => {
-                Some(conflict(&key))
-            }
-            _ => None,
-        };
-        if let Some(refusal) = refusal {
-            return Err(refusal);
-        }
-        self.delta.record_at(key, op);
-        Ok(())
+        let own = (self.read.as_ref()).map(|read| (read, &self.ops[read.since..]));
+        admit(self.base, &mut self.delta, own, op)
     }
 
     /// Plan one op: apply it to the overlay and append it to the log.
     /// Error semantics mirror [`Table`] exactly, judged against the merged
     /// view: duplicate inserts and colliding replacements are
     /// `KeyConflict`, missing delete/replace targets are `NoSuchTuple`,
-    /// and tuples are re-validated against the relation schema. A refused
-    /// op leaves overlay and log as they were.
+    /// and tuples are re-validated against the relation schema — once a
+    /// read in force has found the op current (`StaleTuple` if not). A
+    /// refused op leaves overlay and log as they were.
     pub fn apply(&mut self, op: DbOp) -> Result<()> {
         self.fold(&op)?;
         self.ops.push(op);
@@ -328,15 +376,32 @@ impl<'base> DeltaDb<'base> {
     /// ops before it stay applied and logged). An empty log adopts `ops` —
     /// the allocation: how a prepared batch's op list reaches the journal.
     pub fn apply_all(&mut self, mut ops: Vec<DbOp>) -> Result<()> {
-        let mut applied = 0;
-        let outcome = (ops.iter()).try_for_each(|op| self.fold(op).map(|()| applied += 1));
-        ops.truncate(applied);
-        if self.ops.is_empty() {
+        let start = self.ops.len();
+        if start == 0 {
             self.ops = ops;
         } else {
             self.ops.append(&mut ops);
         }
-        outcome
+        for at in start..self.ops.len() {
+            let own = (self.read.as_ref()).map(|read| (read, &self.ops[read.since..at]));
+            if let Err(refusal) = admit(self.base, &mut self.delta, own, &self.ops[at]) {
+                self.ops.truncate(at);
+                return Err(refusal);
+            }
+        }
+        Ok(())
+    }
+
+    /// Run `plan` with `read` in force: every op it applies is held to
+    /// what the read showed, as the overlay stands now — how VO-R and
+    /// VO-CD translate an old instance.
+    pub fn reading<T>(&mut self, mut read: ReadSet, plan: impl FnOnce(&mut Self) -> T) -> T {
+        debug_assert!(self.read.is_none(), "one request reads at a time");
+        read.since = self.ops.len();
+        self.read = Some(read);
+        let planned = plan(self);
+        self.read = None;
+        planned
     }
 
     /// Position marker into the op log; pair with [`DeltaDb::ops_since`]
@@ -364,6 +429,98 @@ impl<'base> DeltaDb<'base> {
             ops: self.ops,
         }
     }
+}
+
+/// Admit `op` into `delta` over `base` — the one place an op is judged:
+/// against a read in force and the ops the request applied before `op`
+/// (`own`), then by [`Table`]'s rules. Its one read is of the relation it
+/// goes on to write, which the write set covers: counted, but not added to
+/// the relations read. A refused op leaves the delta as it was.
+fn admit(
+    base: &Database,
+    delta: &mut Delta,
+    own: Option<(&ReadSet, &[DbOp])>,
+    op: &DbOp,
+) -> Result<()> {
+    let relation = op.relation();
+    let table = base.table(relation)?;
+    if let DbOp::Insert { tuple, .. } | DbOp::Replace { tuple, .. } = op {
+        tuple.validate(table.schema())?;
+    }
+    let key = Delta::written_key(table.schema(), op);
+    crate::stats::count_overlay_read();
+    let view = TableView {
+        base: table,
+        delta: delta.relations.get(relation).unwrap_or(&NO_ROWS),
+    };
+    if let Some((read, own)) = own {
+        current(read, own, &view, op, &key)?;
+    }
+    let conflict = |key: &Key| Error::KeyConflict {
+        relation: relation.to_owned(),
+        key: key.to_string(),
+    };
+    let missing = |key: &Key| Error::NoSuchTuple {
+        relation: relation.to_owned(),
+        key: key.to_string(),
+    };
+    let refusal = match op {
+        DbOp::Insert { .. } if view.contains_key(&key) => Some(conflict(&key)),
+        DbOp::Delete { .. } if !view.contains_key(&key) => Some(missing(&key)),
+        DbOp::Replace { old_key, .. } if !view.contains_key(old_key) => Some(missing(old_key)),
+        DbOp::Replace { old_key, .. } if key != *old_key && view.contains_key(&key) => {
+            Some(conflict(&key))
+        }
+        _ => None,
+    };
+    if let Some(refusal) = refusal {
+        return Err(refusal);
+    }
+    delta.record_at(key, op);
+    Ok(())
+}
+
+/// The currency rule (module doc) for `op`, whose written key is `key`,
+/// against `read`. `view` is the overlay before `op`, and `own` the ops
+/// the request applied before it.
+fn current(read: &ReadSet, own: &[DbOp], view: &TableView<'_>, op: &DbOp, key: &Key) -> Result<()> {
+    let (relation, schema) = (op.relation(), view.schema());
+    let held = |at: &Key, expected: Option<&Tuple>| {
+        let wrote = |op: &DbOp| {
+            op.relation() == relation
+                && match op {
+                    DbOp::Insert { tuple, .. } => keyed(schema, tuple, at),
+                    DbOp::Delete { key, .. } => key == at,
+                    DbOp::Replace { old_key, tuple, .. } => {
+                        old_key == at || keyed(schema, tuple, at)
+                    }
+                }
+        };
+        if view.get(at) == expected || own.iter().any(wrote) {
+            return Ok(());
+        }
+        Err(Error::StaleTuple {
+            relation: relation.to_owned(),
+            key: at.to_string(),
+        })
+    };
+    // what the op replaces or deletes, where the read showed it
+    if let DbOp::Delete { key: at, .. } | DbOp::Replace { old_key: at, .. } = op {
+        if let Some(Some(shown)) = read.at(relation, schema, at) {
+            held(at, Some(shown))?;
+        }
+    }
+    // where an insert or a replace writes under the pivot, unshown
+    if !matches!(op, DbOp::Delete { .. }) && read.at(relation, schema, key) == Some(None) {
+        held(key, None)?;
+    }
+    Ok(())
+}
+
+/// True when `tuple`, of a relation whose schema is `schema`, has `key`.
+fn keyed(schema: &RelationSchema, tuple: &Tuple, key: &Key) -> bool {
+    let positions = schema.key_indices().iter();
+    positions.zip(key.values()).all(|(&i, v)| tuple.get(i) == v)
 }
 
 impl DbRead for DeltaDb<'_> {
@@ -784,6 +941,90 @@ mod tests {
             .unwrap();
         assert_eq!(count(&overlay), 2);
         assert_eq!(count(&db), 3);
+    }
+
+    /// DEPT('CS'), DEPT('EE') and the EMP rows each owns, keyed by
+    /// `(dept, id)`; and ω-like read nodes over them with DEPT the pivot,
+    /// so EMP's key carries the pivot's at its first position.
+    fn departments() -> (Database, Arc<[ReadNode]>) {
+        let mut db = Database::new();
+        let text = |name| AttributeDef::required(name, DataType::Text);
+        (db.create_relation(RelationSchema::new("DEPT", vec![text("name")], &["name"]).unwrap()))
+            .unwrap();
+        let emp = vec![
+            text("dept"),
+            AttributeDef::required("id", DataType::Int),
+            text("v"),
+        ];
+        (db.create_relation(RelationSchema::new("EMP", emp, &["dept", "id"]).unwrap())).unwrap();
+        for dept in ["CS", "EE"] {
+            db.insert("DEPT", vec![dept.into()]).unwrap();
+            for id in 1..=2 {
+                db.insert("EMP", vec![dept.into(), id.into(), "a".into()])
+                    .unwrap();
+            }
+        }
+        let node = |relation: &str| ReadNode {
+            relation: relation.into(),
+            pivot_key: Some(vec![(0, 0)]),
+        };
+        (db, vec![node("DEPT"), node("EMP")].into())
+    }
+
+    #[test]
+    fn a_read_in_force_holds_each_op_to_what_it_showed() {
+        let (db, nodes) = departments();
+        let emp = db.table("EMP").unwrap().schema().clone();
+        let row = |dept: &str, id: i64, v: &str| {
+            Tuple::new(&emp, vec![dept.into(), id.into(), v.into()]).unwrap()
+        };
+        let replace = |t: Tuple| DbOp::Replace {
+            relation: "EMP".into(),
+            old_key: t.key(&emp),
+            tuple: t,
+        };
+        let insert = |t: Tuple| DbOp::Insert {
+            relation: "EMP".into(),
+            tuple: t,
+        };
+        let delete = |dept: &str, id: i64| DbOp::Delete {
+            relation: "EMP".into(),
+            key: Key(vec![dept.into(), id.into()]),
+        };
+        let dept_cs = db.table("DEPT").unwrap().get(&Key::single("CS")).unwrap();
+        // CS with its first row only, as an instance read before 'a'
+        let read = |v: &str| {
+            let shown = vec![(0, dept_cs.clone()), (1, row("CS", 1, v))];
+            ReadSet::new(nodes.clone(), shown)
+        };
+        // where a refusal says the read went stale
+        let stale = |refused: Result<()>| match refused.unwrap_err() {
+            Error::StaleTuple { relation, key } => format!("{relation} {key}"),
+            other => panic!("refused for another reason: {other}"),
+        };
+        let mut overlay = DeltaDb::new(&db);
+        overlay.reading(read("a"), |o| {
+            // the row it showed, current: written, and written again
+            o.apply(replace(row("CS", 1, "b"))).unwrap();
+            o.apply(replace(row("CS", 1, "c"))).unwrap();
+            // a row under its pivot it did not show is not overwritten —
+            // nor taken by an insert — but may be deleted with the entity
+            assert_eq!(stale(o.apply(replace(row("CS", 2, "b")))), "EMP ('CS', 2)");
+            o.apply(insert(row("CS", 3, "b"))).unwrap();
+            o.apply(delete("CS", 2)).unwrap();
+            // under another pivot the read says nothing
+            o.apply(replace(row("EE", 1, "b"))).unwrap();
+        });
+        // a read of an older version is held to it, against the requests
+        // before it as much as against the base
+        let refused = overlay.reading(read("z"), |o| o.apply(replace(row("CS", 1, "d"))));
+        assert_eq!(stale(refused), "EMP ('CS', 1)");
+        overlay.apply(replace(row("CS", 1, "e"))).unwrap();
+        let refused = overlay.reading(read("c"), |o| o.apply_all(vec![replace(row("CS", 1, "f"))]));
+        assert_eq!(stale(refused), "EMP ('CS', 1)");
+        // once no read is in force, nothing is
+        overlay.apply(insert(row("CS", 2, "g"))).unwrap();
+        assert_eq!(overlay.mark(), 7);
     }
 
     #[test]

@@ -222,7 +222,10 @@ fn stale_instances_never_corrupt() {
         .tuple
         .with_named(courses, "course_id", "EES345".into())
         .unwrap();
-    assert!(updater.replace(&schema, &mut db, old.clone(), new).is_err());
+    let err = updater
+        .replace(&schema, &mut db, old.clone(), new)
+        .unwrap_err();
+    assert_stale(&err, "COURSES", "('CS345')");
     assert_eq!(snapshot(&db), before);
 
     // deletions of instances deleted by someone else are also rejected
@@ -233,7 +236,11 @@ fn stale_instances_never_corrupt() {
     db.run_sql("DELETE FROM COURSES WHERE course_id = 'CS345'")
         .unwrap();
     let before = snapshot(&db);
-    assert!(updater.delete(&schema, &mut db, old).is_err());
+    let err = updater.delete(&schema, &mut db, old).unwrap_err();
+    assert!(
+        matches!(&err, Error::NoSuchTuple { relation, .. } if relation == "COURSES"),
+        "{err}"
+    );
     assert_eq!(snapshot(&db), before);
 }
 
@@ -281,6 +288,167 @@ fn a_stale_island_tuple_is_refused_not_written_back() {
     assert!(key.contains("CS345"), "{key}");
     assert_eq!(grades(&p), failed);
     assert_eq!(snapshot(p.database()), before);
+}
+
+/// `err` refuses a write-back whose instance did not show what
+/// `relation` holds at `key`.
+#[track_caller]
+fn assert_stale(err: &Error, relation: &str, key: &str) {
+    let Error::StaleTuple {
+        relation: r,
+        key: k,
+    } = err
+    else {
+        panic!("refused for another reason: {err}");
+    };
+    assert_eq!((r.as_str(), k.as_str()), (relation, key), "{err}");
+}
+
+/// Figure 4's university with ω under the permissive translator, and the
+/// instance of CS345 read from it.
+fn omega_and_cs345() -> (Penguin, VoInstance) {
+    let (schema, db) = university_database();
+    let mut p = Penguin::with_database(schema, db);
+    p.define_object(
+        "omega",
+        "COURSES",
+        &["DEPARTMENT", "CURRICULUM", "GRADES", "STUDENT"],
+    )
+    .unwrap();
+    let omega = p.object("omega").unwrap().object.clone();
+    p.install_translator("omega", Translator::permissive(&omega))
+        .unwrap();
+    let cs345 = p.instance_by_key("omega", &Key::single("CS345")).unwrap();
+    (p, cs345)
+}
+
+/// The id of ω's node on `relation`.
+fn node_of(p: &Penguin, relation: &str) -> NodeId {
+    let omega = &p.object("omega").unwrap().object;
+    omega
+        .nodes()
+        .iter()
+        .find(|n| n.relation == relation)
+        .unwrap()
+        .id
+}
+
+/// `instance` with STUDENT 1's degree program set to `program`.
+fn student_1_in(p: &Penguin, instance: &VoInstance, program: &str) -> VoInstance {
+    let student = p.database().table("STUDENT").unwrap().schema().clone();
+    let node = node_of(p, "STUDENT");
+    let mut new = instance.clone();
+    let pos = (new.tuples_of(node).iter())
+        .position(|s| s.get(0) == &Value::Int(1))
+        .unwrap();
+    let moved = new.tuples_of(node)[pos].with_named(&student, "degree_program", program.into());
+    new.rewrite(node, pos, moved.unwrap());
+    new
+}
+
+/// Inside the island an instance is the whole of its rows under the
+/// pivot, so a row at an island key it did not show was written after the
+/// read: a VO-R adding that key (case I-4) must not overwrite it.
+#[test]
+fn an_island_row_the_instance_never_showed_is_not_overwritten() {
+    let (mut p, old) = omega_and_cs345();
+    p.sql("INSERT INTO GRADES VALUES ('CS345', 4, 'C')")
+        .unwrap();
+    let grades = p.database().table("GRADES").unwrap().schema().clone();
+    let mut new = old.clone();
+    let added = Tuple::new(&grades, vec!["CS345".into(), 4.into(), "A".into()]).unwrap();
+    new.attach(0, 0, node_of(&p, "GRADES"), added);
+
+    let pinned = p.database().snapshot();
+    let err = p.replace_instance("omega", old, new).unwrap_err();
+    assert_stale(&err.source, "GRADES", "('CS345', 4)");
+    assert_untouched(p.database(), &pinned, 0);
+}
+
+/// A tuple outside the island that the instance showed, changed by SQL
+/// since the read, is not overwritten by an in-place modification (case
+/// I-1).
+#[test]
+fn a_referenced_tuple_changed_since_the_read_is_not_overwritten() {
+    let (mut p, old) = omega_and_cs345();
+    p.sql("UPDATE STUDENT SET degree_program = 'XX' WHERE ssn = 1")
+        .unwrap();
+    let new = student_1_in(&p, &old, "YY");
+
+    let pinned = p.database().snapshot();
+    let err = p.replace_instance("omega", old, new).unwrap_err();
+    assert_stale(&err.source, "STUDENT", "(1)");
+    assert_untouched(p.database(), &pinned, 0);
+}
+
+/// VO-CD of an instance whose grades changed since the read deletes
+/// nothing: a tuple the instance showed must still be the version it
+/// showed.
+#[test]
+fn a_deletion_of_grades_changed_since_the_read_is_refused() {
+    let (mut p, old) = omega_and_cs345();
+    p.sql("UPDATE GRADES SET grade = 'F' WHERE course_id = 'CS345'")
+        .unwrap();
+
+    let pinned = p.database().snapshot();
+    let err = p.delete_instance("omega", old).unwrap_err();
+    assert_stale(&err.source, "GRADES", "('CS345', 1)");
+    assert_untouched(p.database(), &pinned, 0);
+}
+
+/// A pivot key change propagates the grades the overlay holds before the
+/// walk reaches them, so at their old keys nothing is left to compare: the
+/// propagation itself must find the versions the instance showed, or the
+/// walk writes the stale 'A's back under the new key.
+#[test]
+fn a_key_change_does_not_carry_grades_changed_since_the_read() {
+    let (mut p, old) = omega_and_cs345();
+    p.sql("UPDATE GRADES SET grade = 'F' WHERE course_id = 'CS345'")
+        .unwrap();
+    let courses = p.database().table("COURSES").unwrap().schema().clone();
+    let mut new = old.clone();
+    new.root.tuple = (old.root.tuple)
+        .with_named(&courses, "course_id", "CS999".into())
+        .unwrap();
+
+    let pinned = p.database().snapshot();
+    let err = p.replace_instance("omega", old, new).unwrap_err();
+    assert_stale(&err.source, "GRADES", "('CS345', 3)");
+    assert_untouched(p.database(), &pinned, 0);
+}
+
+/// In a batch each request is judged against the overlay as it stood when
+/// that request began: request 1's instance of CS101, read before request
+/// 0 rewrote STUDENT 1 through CS345, is as stale inside the batch as it
+/// is after request 0 commits on its own.
+#[test]
+fn a_batch_judges_each_request_against_the_requests_before_it() {
+    let (mut p, cs345) = omega_and_cs345();
+    let cs101 = p.instance_by_key("omega", &Key::single("CS101")).unwrap();
+    let rewrite = |p: &Penguin, old: VoInstance, program| UpdateRequest::Replacement {
+        new: student_1_in(p, &old, program),
+        old,
+    };
+    let requests = vec![rewrite(&p, cs345, "XX"), rewrite(&p, cs101, "YY")];
+
+    let pinned = p.database().snapshot();
+    let err = p.apply_batch("omega", requests.clone()).unwrap_err();
+    assert_eq!(err.request_index, Some(1), "{err}");
+    assert_stale(&err.source, "STUDENT", "(1)");
+    assert_untouched(p.database(), &pinned, 0);
+
+    let [first, second] = <[UpdateRequest; 2]>::try_from(requests).unwrap();
+    let UpdateRequest::Replacement { old, new } = first else {
+        unreachable!()
+    };
+    p.replace_instance("omega", old, new).unwrap();
+    let pinned = p.database().snapshot();
+    let UpdateRequest::Replacement { old, new } = second else {
+        unreachable!()
+    };
+    let err = p.replace_instance("omega", old, new).unwrap_err();
+    assert_stale(&err.source, "STUDENT", "(1)");
+    assert_untouched(p.database(), &pinned, 0);
 }
 
 /// Saved systems with tampered data fail restoration, never half-load.

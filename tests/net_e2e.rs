@@ -10,6 +10,7 @@ use penguin_vo::obs::trace::{self, SpanEvent};
 use penguin_vo::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 fn fixture() -> Penguin {
@@ -238,9 +239,10 @@ fn concurrent_commit_conflicts_surface_as_typed_wire_errors() {
 /// Commits are counted by the server's own database version (it moves
 /// with `relational.commits`, which is process-wide and shared with the
 /// other tests of this binary); the `store.wal.*` counters are exact
-/// because this is the binary's only persistent system.
+/// because a test of a persistent system holds [`one_store`].
 #[test]
 fn voql_write_statements_are_atomic_over_the_wire() {
+    let _one_store = one_store();
     let dir = std::env::temp_dir().join(format!("vo_net_e2e_atomic_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let mut p = Penguin::persistent(&dir, university_schema()).unwrap();
@@ -293,6 +295,73 @@ fn voql_write_statements_are_atomic_over_the_wire() {
     assert_eq!(version(&server), v0 + 1);
     assert_eq!(counter("store.wal.records_appended"), records0 + 1);
     assert_eq!(read_omega(&mut c).len(), before.len() - 2);
+
+    drop(c);
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The process-wide `store.wal.*` counters are exact only while one
+/// persistent system writes: each test that starts one holds this.
+fn one_store() -> MutexGuard<'static, ()> {
+    static PERSISTENT: Mutex<()> = Mutex::new(());
+    PERSISTENT
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// An `APPLY` of an instance read before an SQL change loses the way a
+/// first-committer-wins commit does: a retryable `Conflict` naming the
+/// tuple that moved, and nothing committed or logged.
+#[test]
+fn a_stale_write_back_is_a_typed_conflict_and_writes_nothing() {
+    let _one_store = one_store();
+    let dir = std::env::temp_dir().join(format!("vo_net_e2e_stale_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut p = Penguin::persistent(&dir, university_schema()).unwrap();
+    p.with_database_mut(seed_figure4).unwrap().unwrap();
+    p.define_object(
+        "omega",
+        "COURSES",
+        &["DEPARTMENT", "CURRICULUM", "GRADES", "STUDENT"],
+    )
+    .unwrap();
+    let omega = p.object("omega").unwrap().object.clone();
+    p.install_translator("omega", Translator::permissive(&omega))
+        .unwrap();
+    p.persist_pending().unwrap();
+    let courses = p.database().table("COURSES").unwrap().schema().clone();
+    let server = VoServer::start(p, ServerOptions::default()).unwrap();
+    let mut c = client(&server.addr().to_string());
+
+    let VoqlResult::Instances(mut read) = c.voql("GET omega WHERE course_id = 'CS345'").unwrap()
+    else {
+        panic!("GET returned a non-instances outcome")
+    };
+    let old = read.remove(0);
+    server
+        .with_penguin(|p| p.sql("UPDATE GRADES SET grade = 'F' WHERE course_id = 'CS345'"))
+        .unwrap();
+    let version = |server: &VoServer| server.with_penguin(|p| p.database().version());
+    let counter = |name: &str| penguin_vo::obs::metrics::counter(name).get();
+    let (v0, bytes0) = (version(&server), counter("store.wal.bytes_appended"));
+
+    let mut new = old.clone();
+    new.root.tuple = (old.root.tuple)
+        .with_named(&courses, "title", "Retitled".into())
+        .unwrap();
+    let err = c
+        .apply("omega", vec![UpdateRequest::Replacement { old, new }])
+        .unwrap_err();
+    assert!(err.is_code(ErrorCode::Conflict), "got {err:?}");
+    let NetError::Remote(wire) = err else {
+        unreachable!()
+    };
+    let data = wire.data.expect("a stale refusal carries structured data");
+    assert_eq!(data.field("relation").unwrap().as_str().unwrap(), "GRADES");
+    assert_eq!(data.field("key").unwrap().as_str().unwrap(), "('CS345', 1)");
+    assert_eq!(version(&server), v0);
+    assert_eq!(counter("store.wal.bytes_appended"), bytes0);
 
     drop(c);
     drop(server);

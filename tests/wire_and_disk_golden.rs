@@ -236,6 +236,28 @@ fn wire_frame_bytes() {
         &frame(&conflict.to_json().compact()),
     );
 
+    // an APPLY of CS345, retitled, read before SQL failed its grades
+    let mut stale = figure4_system();
+    stale
+        .sql("UPDATE GRADES SET grade = 'F' WHERE course_id = 'CS345'")
+        .unwrap();
+    let courses = stale.database().table("COURSES").unwrap().schema().clone();
+    let mut retitled = cs345.clone();
+    retitled.root.tuple = (cs345.root.tuple)
+        .with_named(&courses, "title", "Retitled".into())
+        .unwrap();
+    let refused = stale
+        .replace_instance("omega", cs345.clone(), retitled)
+        .unwrap_err();
+    let stale = Response {
+        id: 5,
+        result: Err(WireError::from(&refused)),
+    };
+    check(
+        "response_stale_tuple.frame",
+        &frame(&stale.to_json().compact()),
+    );
+
     let instances = Response {
         id: 4,
         result: Ok(ResponseBody::Instances(vec![cs345, ee282])),
