@@ -520,10 +520,11 @@ impl MaterializedView {
             )));
         }
         self.epoch = plan.epoch();
-        let (keys, rows): (Vec<&Key>, Vec<&Tuple>) =
-            db.table(self.object.pivot())?.scan_entries().unzip();
+        let table = db.table(self.object.pivot())?;
+        let rows: Vec<&Tuple> = table.scan().collect();
         let insts = instantiate_many_planned(&self.object, db, plan, &rows)?;
-        let fresh = Arc::new(keys.into_iter().cloned().zip(insts).collect());
+        let keys = rows.iter().map(|row| row.key(table.schema()));
+        let fresh = Arc::new(keys.zip(insts).collect());
         // a reader holding the old set keeps it: nothing is copied
         let old = std::mem::replace(&mut self.instances, fresh);
         self.needs_full = false;

@@ -56,28 +56,17 @@ pub(crate) fn translate_complete_deletion_checked(
     vo_relational::stats::count_snapshot_avoided();
     translator.permitted(object, "complete-deletion")?;
 
-    // the instance must denote a stored entity: every island tuple exists
-    for &node_id in &analysis.island {
-        let node = object.node(node_id);
-        let table = rec.view(&node.relation)?;
-        for tuple in instance.tuples_of(node_id) {
-            let key = tuple.key(table.schema());
-            if !table.contains_key(&key) {
-                return Err(Error::NoSuchTuple {
-                    relation: node.relation.clone(),
-                    key: key.to_string(),
-                });
-            }
-        }
-    }
-
     let pivot_schema = schema.catalog().relation(object.pivot())?;
     let pivot_key = instance.root.tuple.key(pivot_schema);
     let policy = translator.deletion_policy(schema, object, analysis);
-    let ops = plan_delete(schema, &*rec, object.pivot(), &pivot_key, &policy)?;
-    // the cascade deletes what lies under the pivot; the overlay refuses
-    // a deletion of a tuple that changed since the instance showed it
-    rec.reading(analysis.read_set(instance), |rec| rec.apply_all(ops))
+    rec.reading(analysis.read_set(instance), |rec| {
+        // the instance must denote a stored entity as it showed it: its
+        // pivot and every island tuple are there, unchanged
+        rec.shown_held(analysis.island.iter().copied())?;
+        // the cascade deletes what lies under the pivot
+        let ops = plan_delete(schema, &*rec, object.pivot(), &pivot_key, &policy)?;
+        rec.apply_all(ops)
+    })
 }
 
 #[cfg(test)]
@@ -181,14 +170,14 @@ mod tests {
     fn stale_instance_rejected() {
         let (schema, mut db, omega, analysis, translator) = setup();
         let inst = cs345(&schema, &db, &omega);
-        // someone else deletes a grade first
+        // someone else deletes a grade first: the instance is stale
         db.table_mut("GRADES")
             .unwrap()
             .delete(&Key(vec!["CS345".into(), 1.into()]))
             .unwrap();
         let err = translate_complete_deletion(&schema, &omega, &analysis, &translator, &db, &inst)
             .unwrap_err();
-        assert!(matches!(err, Error::NoSuchTuple { .. }));
+        assert!(matches!(err, Error::StaleTuple { relation, .. } if relation == "GRADES"));
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::json::{
 };
 use crate::schema::{AttributeDef, RelationSchema};
 use crate::storage::{DatabaseSnapshot, RelationDelta, RelationSnapshot, SnapshotDelta};
+use crate::table::KeyOrder;
 use crate::tuple::{Key, Tuple};
 use crate::value::{DataType, Value};
 use std::borrow::Cow;
@@ -297,27 +298,28 @@ impl JsonCodec for RelationSnapshot {
     }
 }
 
-/// A relation's rows under `schema`, each validated and keyed as it is
-/// read, in strict key order. The writer writes key order; rows in any
-/// other are sorted, and a key held twice is refused as
+/// A relation's rows under `schema`, each validated as it is read, in
+/// strict key order, compared at the key positions. The writer writes key
+/// order; rows in any other are sorted, and a key held twice is refused as
 /// [`crate::table::Table::insert`] refuses it.
-fn keyed_rows(r: &mut Reader<'_>, schema: &RelationSchema) -> Result<Vec<(Key, Tuple)>> {
-    let mut rows: Vec<(Key, Tuple)> = Vec::new();
-    let mut sorted = true;
+fn keyed_rows(r: &mut Reader<'_>, schema: &RelationSchema) -> Result<Vec<Tuple>> {
+    let order = KeyOrder::of(schema);
+    let mut rows: Vec<Tuple> = Vec::new();
     r.begin_array()?;
     while r.next_element()? {
         let tuple = Tuple::read_json(r)?;
         tuple.validate(schema)?;
-        let key = tuple.key(schema);
-        sorted &= rows.last().is_none_or(|(last, _)| *last < key);
-        rows.push((key, tuple));
+        rows.push(tuple);
     }
-    if !sorted {
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        if let Some(pair) = rows.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+    if !rows.is_sorted_by(|a, b| order.rows(a, b).is_lt()) {
+        rows.sort_by(|a, b| order.rows(a, b));
+        if let Some(pair) = rows
+            .windows(2)
+            .find(|pair| order.rows(&pair[0], &pair[1]).is_eq())
+        {
             return Err(Error::KeyConflict {
                 relation: schema.name().to_owned(),
-                key: pair[0].0.to_string(),
+                key: pair[0].key(schema).to_string(),
             });
         }
     }

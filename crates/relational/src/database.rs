@@ -612,12 +612,11 @@ impl Database {
             let table = self.data_table_mut(&relation).expect("admitted above");
             let mut written = Vec::with_capacity(if journaling { rows.len() } else { 0 });
             for (key, after) in rows {
-                if !journaling {
-                    table.put(key, after);
-                    continue;
-                }
-                let before = table.put(key, after.clone());
-                if before.is_some() || after.is_some() {
+                let before = match &after {
+                    Some(row) => table.put(row.clone()),
+                    None => table.take(key.values()),
+                };
+                if journaling && (before.is_some() || after.is_some()) {
                     written.push(RowImage { before, after });
                 }
             }

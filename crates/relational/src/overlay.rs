@@ -51,7 +51,7 @@ use crate::database::{Database, DbOp};
 use crate::error::{Error, Result};
 use crate::schema::RelationSchema;
 pub use crate::table::KeyedRows;
-use crate::table::{self, Merged, Table, NO_ROWS};
+use crate::table::{self, KeyOrder, Merged, Table, NO_ROWS};
 use crate::tuple::{Key, Tuple};
 use crate::value::Value;
 use std::collections::btree_map;
@@ -214,10 +214,12 @@ impl ReadSet {
     /// says nothing.
     fn at(&self, relation: &str, schema: &RelationSchema, key: &Key) -> Option<Option<&Tuple>> {
         let nodes = || (self.nodes.iter().enumerate()).filter(|(_, n)| n.relation == relation);
+        let order = KeyOrder::of(schema);
         for (i, _) in nodes() {
-            let group = &self.shown[self.shown.partition_point(|(node, _)| *node < i)..];
-            let mut shown = group.iter().take_while(|(node, _)| *node == i);
-            if let Some((_, t)) = shown.find(|(_, t)| keyed(schema, t, key)) {
+            if let Some(t) = self
+                .shown_at(i)
+                .find(|t| order.cmp(t, key.values()).is_eq())
+            {
                 return Some(Some(t));
             }
         }
@@ -227,6 +229,15 @@ impl ReadSet {
         };
         let island = nodes().any(|(_, n)| n.pivot_key.as_ref().is_some_and(under_pivot));
         island.then_some(None)
+    }
+
+    /// The tuples the read showed at node `node`.
+    fn shown_at(&self, node: usize) -> impl Iterator<Item = &Tuple> {
+        let group = &self.shown[self.shown.partition_point(|(n, _)| *n < node)..];
+        group
+            .iter()
+            .take_while(move |(n, _)| *n == node)
+            .map(|(_, t)| t)
     }
 }
 
@@ -404,6 +415,33 @@ impl<'base> DeltaDb<'base> {
         planned
     }
 
+    /// Refuse the read in force unless every tuple it showed at one of
+    /// `nodes` is there as shown — how VO-CD finds its instance current
+    /// before it plans. The pivot gone is `NoSuchTuple`: the instance
+    /// denotes nothing. Any other shown tuple gone or changed is
+    /// [`Error::StaleTuple`]. Each node is one counted read of its
+    /// relation.
+    pub fn shown_held(&self, nodes: impl IntoIterator<Item = usize>) -> Result<()> {
+        let read = self.read.as_ref().expect("a read in force");
+        for node in nodes {
+            let relation = read.nodes[node].relation.clone();
+            let view = self.view(&relation)?;
+            let order = KeyOrder::of(view.schema());
+            for shown in read.shown_at(node) {
+                let held = view.get_at(order.key(shown, &mut Vec::new()));
+                if held == Some(shown) {
+                    continue;
+                }
+                let key = shown.key(view.schema()).to_string();
+                return Err(match held {
+                    None if node == 0 => Error::NoSuchTuple { relation, key },
+                    _ => Error::StaleTuple { relation, key },
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Position marker into the op log; pair with [`DeltaDb::ops_since`]
     /// to attribute a batch's ops to individual requests.
     pub fn mark(&self) -> usize {
@@ -485,15 +523,15 @@ fn admit(
 /// the request applied before it.
 fn current(read: &ReadSet, own: &[DbOp], view: &TableView<'_>, op: &DbOp, key: &Key) -> Result<()> {
     let (relation, schema) = (op.relation(), view.schema());
+    let order = KeyOrder::of(schema);
     let held = |at: &Key, expected: Option<&Tuple>| {
+        let keyed = |tuple: &Tuple| order.cmp(tuple, at.values()).is_eq();
         let wrote = |op: &DbOp| {
             op.relation() == relation
                 && match op {
-                    DbOp::Insert { tuple, .. } => keyed(schema, tuple, at),
+                    DbOp::Insert { tuple, .. } => keyed(tuple),
                     DbOp::Delete { key, .. } => key == at,
-                    DbOp::Replace { old_key, tuple, .. } => {
-                        old_key == at || keyed(schema, tuple, at)
-                    }
+                    DbOp::Replace { old_key, tuple, .. } => old_key == at || keyed(tuple),
                 }
         };
         if view.get(at) == expected || own.iter().any(wrote) {
@@ -515,12 +553,6 @@ fn current(read: &ReadSet, own: &[DbOp], view: &TableView<'_>, op: &DbOp, key: &
         held(key, None)?;
     }
     Ok(())
-}
-
-/// True when `tuple`, of a relation whose schema is `schema`, has `key`.
-fn keyed(schema: &RelationSchema, tuple: &Tuple, key: &Key) -> bool {
-    let positions = schema.key_indices().iter();
-    positions.zip(key.values()).all(|(&i, v)| tuple.get(i) == v)
 }
 
 impl DbRead for DeltaDb<'_> {
@@ -547,10 +579,14 @@ impl<'a> TableView<'a> {
 
     /// Fetch by key through the delta.
     pub fn get(&self, key: &Key) -> Option<&'a Tuple> {
+        self.get_at(key.values())
+    }
+
+    /// The tuple at `key` through the delta.
+    fn get_at(&self, key: &[Value]) -> Option<&'a Tuple> {
         match self.delta.get(key) {
-            Some(Some(t)) => Some(t),
-            Some(None) => None,
-            None => self.base.get(key),
+            Some(written) => written.as_ref(),
+            None => self.base.get_at(key),
         }
     }
 
@@ -579,7 +615,8 @@ impl<'a> TableView<'a> {
 
     /// Iterate all tuples of the merged view in primary-key order.
     pub fn scan(&self) -> TableViewScan<'a> {
-        table::merged(self.base.rows.iter(), self.delta.iter())
+        let order = KeyOrder::of(self.base.schema());
+        table::merged(order, self.base.rows.iter(), self.delta.iter())
     }
 
     /// Tuples whose named attributes equal `values`, in primary-key order,
@@ -621,7 +658,7 @@ impl<'a> TableView<'a> {
 /// Key-ordered merge iterator over a [`TableView`]: base rows not shadowed
 /// by the delta, interleaved with the delta's upserts.
 pub type TableViewScan<'a> =
-    Merged<crate::runs::Iter<'a, Key, Tuple>, btree_map::Iter<'a, Key, Option<Tuple>>>;
+    Merged<'a, crate::runs::Iter<'a, Tuple>, btree_map::Iter<'a, Key, Option<Tuple>>>;
 
 #[cfg(test)]
 mod tests {

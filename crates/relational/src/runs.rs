@@ -1,26 +1,33 @@
-//! Ordered runs: a sorted map kept as a vector of `Arc`-shared chunks of
+//! Ordered runs: a sorted set kept as a vector of `Arc`-shared chunks of
 //! bounded size — how a [`crate::table::Table`] holds its rows and each of
 //! its secondary indexes.
 //!
-//! Cloning the map copies one pointer per chunk, so a table version a
+//! The set orders its entries by a key its owner reads out of each one, so
+//! an entry is its own key and nothing is stored beside it: every search
+//! takes the owner's comparison of an entry with what is sought, and an
+//! insertion puts its entry at the slot one such search found. A table's
+//! entries are its rows, compared at their key positions; a secondary
+//! index's are boxed values, compared whole.
+//!
+//! Cloning the set copies one pointer per chunk, so a table version a
 //! snapshot pins shares every chunk with the head. A write copies only the
 //! chunk it lands in, and only while something else still holds that
 //! chunk; every entry so copied counts as `relational.cow_rows`. Dropping
 //! the last holder of an old version frees the chunks that were copied
 //! away from it and nothing else.
 //!
-//! Each chunk is a key-ordered `Vec` holding between `CHUNK / 2` and
+//! Each chunk is an ordered `Vec` holding between `CHUNK / 2` and
 //! `2 * CHUNK` entries (a lone chunk may hold fewer). A chunk is cut,
 //! copied, split and merged at exact capacity; one written in place grows
 //! `SPARE` entries at a time and is trimmed once more than `SPARE` are
 //! free, so no chunk keeps more room than that. A chunk grown past
 //! `2 * CHUNK` splits into two exact halves, and one shrunk below
-//! `CHUNK / 2` merges with a neighbour. Chunks follow each other in key
-//! order without overlapping, each beside its fence — a key that separates
-//! it from the chunk before — so a lookup searches the fences, kept in
-//! line with the chunk pointers, and then the one chunk.
+//! `CHUNK / 2` merges with a neighbour. Chunks follow each other in order
+//! without overlapping, each beside its fence — an entry that separates it
+//! from the chunk before — so a lookup searches the fences, kept in line
+//! with the chunk pointers, and then the one chunk.
 
-use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Entries per chunk of a bulk build, and the unit of the bounds.
@@ -34,32 +41,48 @@ const SPARE: usize = 8;
 
 /// One chunk and its fence.
 #[derive(Debug, Clone)]
-struct Fenced<K, V> {
+struct Fenced<T> {
     /// No entry of this chunk is below it, and every entry of the chunks
-    /// before it is: the chunk's first key when it was cut. The first
-    /// chunk's is never read.
-    fence: K,
-    entries: Arc<Vec<(K, V)>>,
+    /// before it is: a clone of the chunk's first entry when it was cut.
+    /// The first chunk's is never read.
+    fence: T,
+    entries: Arc<Vec<T>>,
 }
 
-impl<K: Clone, V> Fenced<K, V> {
-    /// A chunk of `entries`, which are not empty, fenced by its first key.
-    fn new(entries: Vec<(K, V)>) -> Self {
+impl<T: Clone> Fenced<T> {
+    /// A chunk of `entries`, which are not empty, fenced by its first.
+    fn new(entries: Vec<T>) -> Self {
         Fenced {
-            fence: entries[0].0.clone(),
+            fence: entries[0].clone(),
             entries: Arc::new(entries),
         }
     }
 }
 
-/// A sorted map of `K` to `V` in shared chunks (see the module docs).
+/// Where an entry is, or would go, in a [`Runs`] left as it was when
+/// [`Runs::slot`] found it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot {
+    chunk: usize,
+    /// The entry's position in its chunk; `Err` where it would go.
+    at: Result<usize, usize>,
+}
+
+impl Slot {
+    /// True when an entry is there.
+    pub(crate) fn held(self) -> bool {
+        self.at.is_ok()
+    }
+}
+
+/// A sorted set of `T` in shared chunks (see the module docs).
 #[derive(Debug, Clone)]
-pub(crate) struct Runs<K, V> {
-    chunks: Vec<Fenced<K, V>>,
+pub(crate) struct Runs<T> {
+    chunks: Vec<Fenced<T>>,
     len: usize,
 }
 
-impl<K, V> Default for Runs<K, V> {
+impl<T> Default for Runs<T> {
     fn default() -> Self {
         Runs {
             chunks: Vec::new(),
@@ -68,36 +91,71 @@ impl<K, V> Default for Runs<K, V> {
     }
 }
 
-impl<K, V> Runs<K, V> {
+impl<T> Runs<T> {
     /// Number of entries.
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// True when the map holds no entries.
+    /// True when the set holds no entries.
     pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Every entry in key order.
-    pub(crate) fn iter(&self) -> Iter<'_, K, V> {
+    /// Every entry in order.
+    pub(crate) fn iter(&self) -> Iter<'_, T> {
         Iter {
             chunks: self.chunks.iter(),
             run: [].iter(),
         }
     }
 
-    /// Every value in key order.
-    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
-        self.iter().map(|(_, v)| v)
+    /// The position of the one chunk that holds the entry `at` finds equal
+    /// if any does, and that such an entry belongs in: the last whose
+    /// fence is not above it, else the first. `at` compares an entry with
+    /// the one sought.
+    fn chunk_of(&self, at: impl Fn(&T) -> Ordering) -> usize {
+        // the first chunk takes every entry below the second's fence
+        let rest = self.chunks.get(1..).unwrap_or_default();
+        partition(rest, |c| at(&c.fence).is_le())
+    }
+
+    /// Where the entry `at` finds equal is, or would go: one descent.
+    pub(crate) fn slot(&self, at: impl Fn(&T) -> Ordering) -> Slot {
+        let chunk = self.chunk_of(&at);
+        let at = (self.chunks.get(chunk)).map_or(Err(0), |c| search(&c.entries, at));
+        Slot { chunk, at }
+    }
+
+    /// The entry `at` finds equal.
+    pub(crate) fn get(&self, at: impl Fn(&T) -> Ordering) -> Option<&T> {
+        let Slot { chunk, at: Ok(at) } = self.slot(at) else {
+            return None;
+        };
+        Some(&self.chunks[chunk].entries[at])
+    }
+
+    /// Every entry `from` does not find below what it seeks, in order.
+    pub(crate) fn range_from(&self, from: impl Fn(&T) -> Ordering) -> Iter<'_, T> {
+        let first = self.chunk_of(&from);
+        let Some(Fenced { entries: chunk, .. }) = self.chunks.get(first) else {
+            return Iter {
+                chunks: [].iter(),
+                run: [].iter(),
+            };
+        };
+        let at = partition(chunk, |e| from(e).is_lt());
+        Iter {
+            chunks: self.chunks[first + 1..].iter(),
+            run: chunk[at..].iter(),
+        }
     }
 }
 
-impl<K: Ord + Clone, V: Clone> Runs<K, V> {
-    /// The map of `entries`, which ascend strictly by key: cut into chunks
-    /// of `CHUNK`, the last taking a remainder too short to stand alone.
-    pub(crate) fn from_sorted(entries: Vec<(K, V)>) -> Self {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+impl<T: Clone> Runs<T> {
+    /// The set of `entries`, which ascend strictly: cut into chunks of
+    /// `CHUNK`, the last taking a remainder too short to stand alone.
+    pub(crate) fn from_sorted(entries: Vec<T>) -> Self {
         let len = entries.len();
         let mut chunks = Vec::with_capacity(len / CHUNK + 1);
         let mut entries = entries.into_iter();
@@ -112,102 +170,42 @@ impl<K: Ord + Clone, V: Clone> Runs<K, V> {
         Runs { chunks, len }
     }
 
-    /// The position of the one chunk that holds `key` if any does, and
-    /// that an entry at `key` belongs in: the last whose fence is not above
-    /// it, else the first.
-    fn chunk_of<Q: Ord + ?Sized>(&self, key: &Q) -> usize
-    where
-        K: Borrow<Q>,
-    {
-        // the first chunk takes every key below the second's fence
-        let rest = self.chunks.get(1..).unwrap_or_default();
-        partition(rest, |c| c.fence.borrow().cmp(key).is_le())
-    }
-
-    /// The entry at `key`.
-    pub(crate) fn get_key_value<Q: Ord + ?Sized>(&self, key: &Q) -> Option<(&K, &V)>
-    where
-        K: Borrow<Q>,
-    {
-        let chunk = &self.chunks.get(self.chunk_of(key))?.entries;
-        let (k, v) = &chunk[search(chunk, key).ok()?];
-        Some((k, v))
-    }
-
-    /// The value at `key`.
-    pub(crate) fn get<Q: Ord + ?Sized>(&self, key: &Q) -> Option<&V>
-    where
-        K: Borrow<Q>,
-    {
-        self.get_key_value(key).map(|(_, v)| v)
-    }
-
-    /// True when an entry has this key.
-    pub(crate) fn contains_key<Q: Ord + ?Sized>(&self, key: &Q) -> bool
-    where
-        K: Borrow<Q>,
-    {
-        self.get_key_value(key).is_some()
-    }
-
-    /// Every entry whose key is not below `from`, in key order.
-    pub(crate) fn range_from<Q: Ord + ?Sized>(&self, from: &Q) -> Iter<'_, K, V>
-    where
-        K: Borrow<Q>,
-    {
-        let first = self.chunk_of(from);
-        let Some(Fenced { entries: chunk, .. }) = self.chunks.get(first) else {
-            return Iter {
-                chunks: [].iter(),
-                run: [].iter(),
-            };
-        };
-        let at = partition(chunk, |(k, _)| k.borrow() < from);
-        Iter {
-            chunks: self.chunks[first + 1..].iter(),
-            run: chunk[at..].iter(),
-        }
-    }
-
-    /// Set `value` at `key`, returning the value it displaced (the key
-    /// already held stays).
-    pub(crate) fn insert(&mut self, key: K, value: V) -> Option<V> {
+    /// Put `entry` at `slot`, which [`Runs::slot`] found for it, returning
+    /// the entry it displaced. A chunk grown past the largest splits.
+    pub(crate) fn put(&mut self, Slot { chunk: i, at }: Slot, entry: T) -> Option<T> {
         if self.chunks.is_empty() {
-            self.chunks.push(Fenced::new(vec![(key, value)]));
+            self.chunks.push(Fenced::new(vec![entry]));
             self.len = 1;
             return None;
         }
-        let i = self.chunk_of(&key);
         let len = self.chunks[i].entries.len();
-        match search(&self.chunks[i].entries, &key) {
-            Ok(at) => {
-                let chunk = self.unshared(i, len);
-                Some(std::mem::replace(&mut chunk[at].1, value))
-            }
-            Err(at) => {
-                let chunk = self.unshared(i, len + 1);
-                if chunk.len() == chunk.capacity() {
-                    chunk.reserve_exact(SPARE);
-                }
-                chunk.insert(at, (key, value));
-                if chunk.len() > MAX {
-                    let right = split(chunk);
-                    self.chunks.insert(i + 1, Fenced::new(right));
-                }
-                self.len += 1;
-                None
-            }
+        let at = match at {
+            Ok(at) => return Some(std::mem::replace(&mut self.unshared(i, len)[at], entry)),
+            Err(at) => at,
+        };
+        let chunk = self.unshared(i, len + 1);
+        if chunk.len() == chunk.capacity() {
+            chunk.reserve_exact(SPARE);
         }
+        chunk.insert(at, entry);
+        if chunk.len() > MAX {
+            let right = split(chunk);
+            self.chunks.insert(i + 1, Fenced::new(right));
+        }
+        self.len += 1;
+        None
     }
 
-    /// Remove the entry at `key` and return it.
-    pub(crate) fn remove<Q: Ord + ?Sized>(&mut self, key: &Q) -> Option<(K, V)>
-    where
-        K: Borrow<Q>,
-    {
-        let i = self.chunk_of(key);
-        let slot = &mut self.chunks.get_mut(i)?.entries;
-        let at = search(slot, key).ok()?;
+    /// Remove the entry `at` finds equal and return it.
+    pub(crate) fn remove(&mut self, at: impl Fn(&T) -> Ordering) -> Option<T> {
+        let Slot {
+            chunk: i,
+            at: Ok(at),
+        } = self.slot(at)
+        else {
+            return None;
+        };
+        let slot = &mut self.chunks[i].entries;
         let removed = match Arc::get_mut(slot) {
             Some(chunk) => {
                 let removed = chunk.remove(at);
@@ -234,7 +232,7 @@ impl<K: Ord + Clone, V: Clone> Runs<K, V> {
 
     /// Chunk `i`, copied first if anything else holds it — into a `Vec` of
     /// `capacity`, so the write that follows keeps it exact.
-    fn unshared(&mut self, i: usize, capacity: usize) -> &mut Vec<(K, V)> {
+    fn unshared(&mut self, i: usize, capacity: usize) -> &mut Vec<T> {
         let slot = &mut self.chunks[i].entries;
         if Arc::get_mut(slot).is_none() {
             crate::stats::count_cow_rows(slot.len() as u64);
@@ -304,26 +302,26 @@ fn partition<T>(items: &[T], below: impl Fn(&T) -> bool) -> usize {
     at
 }
 
-/// [`partition`] by a three-way comparison that stops at `key`: its
-/// position in `chunk`, else where it would go.
-fn search<K: Borrow<Q>, Q: Ord + ?Sized, V>(chunk: &[(K, V)], key: &Q) -> Result<usize, usize> {
+/// [`partition`] by a three-way comparison that stops at the entry `at`
+/// finds equal: its position in `chunk`, else where it would go.
+fn search<T>(chunk: &[T], at: impl Fn(&T) -> Ordering) -> Result<usize, usize> {
     use std::cmp::Ordering::{Equal, Greater, Less};
-    let mut at = 0;
-    while at + STRIDE < chunk.len() {
-        match chunk[at + STRIDE].0.borrow().cmp(key) {
-            Less => at += STRIDE,
-            Equal => return Ok(at + STRIDE),
+    let mut pos = 0;
+    while pos + STRIDE < chunk.len() {
+        match at(&chunk[pos + STRIDE]) {
+            Less => pos += STRIDE,
+            Equal => return Ok(pos + STRIDE),
             Greater => break,
         }
     }
-    for (k, _) in &chunk[at..] {
-        match k.borrow().cmp(key) {
-            Less => at += 1,
-            Equal => return Ok(at),
+    for e in &chunk[pos..] {
+        match at(e) {
+            Less => pos += 1,
+            Equal => return Ok(pos),
             Greater => break,
         }
     }
-    Err(at)
+    Err(pos)
 }
 
 /// Cut `chunk` in two halves at exact capacity: `chunk` keeps the first,
@@ -336,20 +334,20 @@ fn split<T>(chunk: &mut Vec<T>) -> Vec<T> {
     right
 }
 
-/// The entries of a `Runs` in key order, chunk after chunk.
+/// The entries of a `Runs` in order, chunk after chunk.
 #[derive(Debug)]
-pub struct Iter<'a, K, V> {
-    chunks: std::slice::Iter<'a, Fenced<K, V>>,
-    run: std::slice::Iter<'a, (K, V)>,
+pub struct Iter<'a, T> {
+    chunks: std::slice::Iter<'a, Fenced<T>>,
+    run: std::slice::Iter<'a, T>,
 }
 
-impl<'a, K, V> Iterator for Iter<'a, K, V> {
-    type Item = (&'a K, &'a V);
+impl<'a, T> Iterator for Iter<'a, T> {
+    type Item = &'a T;
 
-    fn next(&mut self) -> Option<(&'a K, &'a V)> {
+    fn next(&mut self) -> Option<&'a T> {
         loop {
-            if let Some((k, v)) = self.run.next() {
-                return Some((k, v));
+            if let Some(e) = self.run.next() {
+                return Some(e);
             }
             self.run = self.chunks.next()?.entries.iter();
         }
@@ -363,10 +361,26 @@ mod tests {
     use std::collections::BTreeMap;
     use vo_obs::trace;
 
+    /// An entry of the tests' set: a key and a value, ordered by the key.
+    type Pair = (u64, u64);
+
+    fn by_key(a: &Pair, b: &Pair) -> Ordering {
+        a.0.cmp(&b.0)
+    }
+
+    fn at(key: u64) -> impl Fn(&Pair) -> Ordering {
+        move |e| e.0.cmp(&key)
+    }
+
+    /// Put `entry` at its key, returning the entry it displaced.
+    fn upsert(runs: &mut Runs<Pair>, entry: Pair) -> Option<Pair> {
+        runs.put(runs.slot(at(entry.0)), entry)
+    }
+
     /// The bounds the module promises: no empty chunk, every chunk within
-    /// `MIN..=MAX` unless alone, exact capacity, keys ascending across
+    /// `MIN..=MAX` unless alone, exact capacity, entries ascending across
     /// chunks, and the counted length.
-    fn assert_shape<K: Ord + std::fmt::Debug, V>(runs: &Runs<K, V>) {
+    fn assert_shape<T: Ord + std::fmt::Debug>(runs: &Runs<T>, order: impl Fn(&T, &T) -> Ordering) {
         let lone = runs.chunks.len() == 1;
         for (
             i,
@@ -377,10 +391,13 @@ mod tests {
         ) in runs.chunks.iter().enumerate()
         {
             assert!(!chunk.is_empty(), "an empty chunk");
-            assert!(i == 0 || fence <= &chunk[0].0, "a fence above its chunk");
+            assert!(
+                i == 0 || order(fence, &chunk[0]).is_le(),
+                "a fence above its chunk"
+            );
             if let Some(next) = runs.chunks.get(i + 1) {
                 assert!(
-                    chunk[chunk.len() - 1].0 < next.fence,
+                    order(&chunk[chunk.len() - 1], &next.fence).is_lt(),
                     "a fence below the chunk before"
                 );
             }
@@ -388,20 +405,26 @@ mod tests {
             assert!(lone || chunk.len() >= MIN, "a chunk of {}", chunk.len());
             assert!(chunk.capacity() - chunk.len() <= SPARE, "slack in a chunk");
         }
-        let keys: Vec<&K> = runs.iter().map(|(k, _)| k).collect();
-        assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys out of order");
-        assert_eq!(keys.len(), runs.len());
+        let entries: Vec<&T> = runs.iter().collect();
+        assert!(
+            entries.windows(2).all(|w| order(w[0], w[1]).is_lt()),
+            "entries out of order"
+        );
+        assert_eq!(entries.len(), runs.len());
     }
 
-    fn assert_same(runs: &Runs<u64, u64>, oracle: &BTreeMap<u64, u64>) {
-        assert_shape(runs);
-        assert!(runs.iter().eq(oracle.iter()));
+    fn assert_same(runs: &Runs<Pair>, oracle: &BTreeMap<u64, u64>) {
+        assert_shape(runs, by_key);
+        assert!(runs
+            .iter()
+            .map(|&(k, v)| (k, v))
+            .eq(oracle.iter().map(|(&k, &v)| (k, v))));
         assert_eq!(runs.len(), oracle.len());
         assert_eq!(runs.is_empty(), oracle.is_empty());
     }
 
     /// Seeded random puts and removes, some beside a clone taken earlier:
-    /// the map reads as the `BTreeMap` given the same writes, point and
+    /// the set reads as the `BTreeMap` given the same writes, point and
     /// range lookups alike, and every clone still reads what it held when
     /// it was taken.
     #[test]
@@ -411,13 +434,15 @@ mod tests {
             let span = [40, 400, 4000][seed as usize % 3];
             let mut runs = Runs::default();
             let mut oracle = BTreeMap::new();
-            let mut pinned: Vec<(Runs<u64, u64>, BTreeMap<u64, u64>)> = Vec::new();
+            let mut pinned: Vec<(Runs<Pair>, BTreeMap<u64, u64>)> = Vec::new();
             for step in 0..3000u64 {
                 let key = rng.next_below(span);
                 if rng.gen_bool(0.6) {
-                    assert_eq!(runs.insert(key, step), oracle.insert(key, step));
+                    assert_eq!(runs.slot(at(key)).held(), oracle.contains_key(&key));
+                    let displaced = upsert(&mut runs, (key, step)).map(|(_, v)| v);
+                    assert_eq!(displaced, oracle.insert(key, step));
                 } else {
-                    assert_eq!(runs.remove(&key), oracle.remove_entry(&key));
+                    assert_eq!(runs.remove(at(key)), oracle.remove_entry(&key));
                 }
                 if step % 500 == 0 {
                     pinned.push((runs.clone(), oracle.clone()));
@@ -425,9 +450,10 @@ mod tests {
                 if step % 97 == 0 {
                     assert_same(&runs, &oracle);
                     let probe = rng.next_below(span + 2);
-                    assert_eq!(runs.get(&probe), oracle.get(&probe));
-                    assert_eq!(runs.contains_key(&probe), oracle.contains_key(&probe));
-                    assert!(runs.range_from(&probe).eq(oracle.range(probe..)));
+                    let got = runs.get(at(probe)).map(|(_, v)| v);
+                    assert_eq!(got, oracle.get(&probe));
+                    let from = runs.range_from(at(probe)).map(|&(k, v)| (k, v));
+                    assert!(from.eq(oracle.range(probe..).map(|(&k, &v)| (k, v))));
                 }
             }
             assert_same(&runs, &oracle);
@@ -435,8 +461,8 @@ mod tests {
                 assert_same(runs, oracle);
             }
             // removing everything leaves no chunk
-            for key in oracle.keys() {
-                runs.remove(key).unwrap();
+            for &key in oracle.keys() {
+                runs.remove(at(key)).unwrap();
             }
             assert!(runs.is_empty() && runs.chunks.is_empty());
         }
@@ -446,7 +472,7 @@ mod tests {
     fn a_bulk_build_cuts_full_chunks_and_keeps_no_short_one() {
         for len in [0, 1, 31, 64, 65, 95, 96, 97, 128, 200, 1000] {
             let runs = Runs::from_sorted((0..len as u64).map(|k| (k, k)).collect());
-            assert_shape(&runs);
+            assert_shape(&runs, by_key);
             let sizes: Vec<usize> = runs.chunks.iter().map(|c| c.entries.len()).collect();
             let (last, full) = sizes.split_last().unwrap_or((&0, &[]));
             assert!(full.iter().all(|&n| n == CHUNK), "{len}: {sizes:?}");
@@ -455,7 +481,7 @@ mod tests {
         }
     }
 
-    /// Prefix ranges over composite keys — how a table finds a key's
+    /// Prefix ranges over composite entries — how a table finds a key's
     /// leading run and a secondary index its group — agree with the
     /// oracle's.
     #[test]
@@ -465,14 +491,13 @@ mod tests {
         let mut oracle = BTreeMap::new();
         for _ in 0..2000 {
             let key = vec![rng.next_below(30), rng.next_below(30)];
-            runs.insert(key.clone(), ());
+            runs.put(runs.slot(|e: &Vec<u64>| e.cmp(&key)), key.clone());
             oracle.insert(key, ());
         }
-        assert_shape(&runs);
+        assert_shape(&runs, Ord::cmp);
         for lead in 0..31u64 {
             let prefix = [lead];
-            let run: Vec<&Vec<u64>> = (runs.range_from(&prefix[..]))
-                .map(|(k, _)| k)
+            let run: Vec<&Vec<u64>> = (runs.range_from(|e| e[..].cmp(&prefix[..])))
                 .take_while(|k| k.starts_with(&prefix))
                 .collect();
             let want: Vec<&Vec<u64>> = (oracle.keys()).filter(|k| k.starts_with(&prefix)).collect();
@@ -488,26 +513,26 @@ mod tests {
         let mut runs = Runs::from_sorted((0..1000u64).map(|k| (k, k)).collect());
         let pinned = runs.clone();
         let ((), taken) = trace::capture(|| {
-            assert_eq!(runs.insert(500, 0), Some(500));
+            assert_eq!(upsert(&mut runs, (500, 0)), Some((500, 500)));
         });
         assert_eq!(taken.count("relational.cow_rows"), CHUNK as u64);
-        assert_eq!(pinned.get(&500), Some(&500));
-        assert_eq!(runs.get(&500), Some(&0));
+        assert_eq!(pinned.get(at(500)), Some(&(500, 500)));
+        assert_eq!(runs.get(at(500)), Some(&(500, 0)));
         let shared = (runs.chunks.iter().zip(&pinned.chunks))
             .filter(|(a, b)| Arc::ptr_eq(&a.entries, &b.entries))
             .count();
         assert_eq!(shared, runs.chunks.len() - 1);
         // once unshared, the chunk is written in place
         let ((), taken) = trace::capture(|| {
-            runs.insert(501, 0);
-            runs.remove(&502);
+            upsert(&mut runs, (501, 0));
+            runs.remove(at(502));
         });
         assert_eq!(taken.count("relational.cow_rows"), 0);
         drop(pinned);
         let ((), taken) = trace::capture(|| {
-            runs.insert(1500, 0);
+            upsert(&mut runs, (1500, 0));
         });
         assert_eq!(taken.count("relational.cow_rows"), 0);
-        assert_shape(&runs);
+        assert_shape(&runs, by_key);
     }
 }

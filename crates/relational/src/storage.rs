@@ -19,16 +19,16 @@ use crate::tuple::{Key, Tuple};
 /// One relation's image: schema, rows in key order, and the attribute
 /// lists of its secondary indexes.
 ///
-/// Its rows are valid under its schema by construction, each beside its
-/// key: they come from a table ([`DatabaseSnapshot::capture`]) or from the
-/// decoder, which validates and keys each row as it reads it. No field
-/// lets another row in, so [`DatabaseSnapshot::restore`] installs them as
-/// they are.
+/// Its rows are valid under its schema and in key order by construction:
+/// they come from a table ([`DatabaseSnapshot::capture`]) or from the
+/// decoder, which validates each row as it reads it and checks the order
+/// at the key positions. No field lets another row in, so
+/// [`DatabaseSnapshot::restore`] installs them as they are.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RelationSnapshot {
     pub(crate) schema: RelationSchema,
-    /// All tuples with their keys, in strict key order.
-    pub(crate) rows: Vec<(Key, Tuple)>,
+    /// All tuples, in strict key order.
+    pub(crate) rows: Vec<Tuple>,
     /// Secondary indexes to rebuild, as attribute-name lists.
     pub indexes: Vec<Vec<String>>,
 }
@@ -41,7 +41,7 @@ impl RelationSnapshot {
 
     /// The tuples, in key order.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = &Tuple> {
-        self.rows.iter().map(|(_, t)| t)
+        self.rows.iter()
     }
 }
 
@@ -81,9 +81,7 @@ impl DatabaseSnapshot {
                 let table = db.table(name).expect("listed");
                 RelationSnapshot {
                     schema: table.schema().clone(),
-                    rows: (table.scan_entries())
-                        .map(|(key, tuple)| (key.clone(), tuple.clone()))
-                        .collect(),
+                    rows: table.scan().cloned().collect(),
                     indexes: table.index_attrs(),
                 }
             })
@@ -95,7 +93,7 @@ impl DatabaseSnapshot {
     }
 
     /// Rebuild the database the snapshot holds: its rows are installed as
-    /// they were captured or decoded — valid, keyed and in key order, so
+    /// they were captured or decoded — valid and in key order, so
     /// each table is built from them in bulk — and the declared indexes are
     /// rebuilt.
     pub fn restore(self) -> Result<Database> {
@@ -178,10 +176,10 @@ impl SnapshotDelta {
             let table = db.table_mut(&rel.relation)?;
             (rel.upserts.iter()).try_for_each(|t| t.validate(table.schema()))?;
             for key in &rel.deletes {
-                table.put(key.clone(), None);
+                table.take(key.values());
             }
             for t in &rel.upserts {
-                table.put(t.key(table.schema()), Some(t.clone()));
+                table.put(t.clone());
             }
         }
         db.restore_version(self.version);

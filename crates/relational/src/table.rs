@@ -6,12 +6,12 @@ use crate::runs::Runs;
 use crate::schema::RelationSchema;
 use crate::tuple::{Key, Tuple};
 use crate::value::Value;
-use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::iter::Peekable;
 use std::ops::Bound;
 
-/// One stored relation: a primary-key ordered map of tuples plus optional
+/// One stored relation: a primary-key ordered set of tuples plus optional
 /// secondary indexes.
 ///
 /// All public mutations re-validate tuples against the schema and keep
@@ -19,13 +19,15 @@ use std::ops::Bound;
 /// order, so scans are deterministic, keeping query results and experiment
 /// output stable — as sorted runs in shared chunks of bounded size
 /// (the `runs` module): cloning a table copies a pointer per chunk, and a
-/// write beside a clone copies the one chunk it lands in.
+/// write beside a clone copies the one chunk it lands in. A row is its own
+/// key: the rows are ordered by their values at the key positions
+/// (`KeyOrder`), and nothing is stored beside them.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: RelationSchema,
     /// Crate-visible so [`crate::overlay`] can build merged scan iterators
     /// without copying rows.
-    pub(crate) rows: Runs<Key, Tuple>,
+    pub(crate) rows: Runs<Tuple>,
     /// Secondary indexes, keyed by the indexed attribute positions.
     indexes: HashMap<Vec<usize>, SecondaryIndex>,
 }
@@ -38,16 +40,81 @@ const _: () = {
 };
 
 /// One secondary index: an entry per row, its indexed values followed by
-/// its key — one allocation — ordered by the values, then by the key. The
-/// rows sharing indexed values are one run, in primary-key order.
-type SecondaryIndex = Runs<Box<[Value]>, ()>;
+/// its key values — one allocation — ordered whole: by the values, then by
+/// the key. The rows sharing indexed values are one run, in primary-key
+/// order.
+type SecondaryIndex = Runs<Box<[Value]>>;
 
 /// `row`'s entry in the index over `indices`.
-fn index_entry(indices: &[usize], row: &Tuple, key: &Key) -> Box<[Value]> {
-    (indices.iter().map(|&i| row.get(i)))
-        .chain(key.values())
-        .cloned()
+fn index_entry(indices: &[usize], row: &Tuple, order: KeyOrder<'_>) -> Box<[Value]> {
+    (indices.iter().chain(order.positions))
+        .map(|&i| row.get(i).clone())
         .collect()
+}
+
+/// How a table orders its rows: by their values at the schema's key
+/// positions, read in place. A lookup by a key, or by a leading part of
+/// one, compares each row it meets with it directly, in `Key`'s own order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KeyOrder<'s> {
+    positions: &'s [usize],
+    /// The key is the leading columns: a row's key is a prefix of its
+    /// values, compared as one slice.
+    leading: bool,
+}
+
+impl<'s> KeyOrder<'s> {
+    /// The order of `schema`'s rows.
+    pub(crate) fn of(schema: &'s RelationSchema) -> Self {
+        let positions = schema.key_indices();
+        let leading = positions.iter().enumerate().all(|(at, &i)| at == i);
+        KeyOrder { positions, leading }
+    }
+
+    /// `row`'s key against `probe` — a key, or a leading part of one, which
+    /// sorts before every key it leads.
+    pub(crate) fn cmp(self, row: &Tuple, probe: &[Value]) -> Ordering {
+        if self.leading {
+            row.values()[..self.positions.len()].cmp(probe)
+        } else {
+            self.values(row).cmp(probe)
+        }
+    }
+
+    /// Two rows by their keys.
+    pub(crate) fn rows(self, a: &Tuple, b: &Tuple) -> Ordering {
+        if self.leading {
+            let n = self.positions.len();
+            a.values()[..n].cmp(&b.values()[..n])
+        } else {
+            self.values(a).cmp(self.values(b))
+        }
+    }
+
+    /// True when `row`'s key starts with `prefix`.
+    fn leads(self, row: &Tuple, prefix: &[Value]) -> bool {
+        if self.leading {
+            row.values().starts_with(prefix)
+        } else {
+            self.values(row).take(prefix.len()).eq(prefix)
+        }
+    }
+
+    /// `row`'s key as a slice: borrowed from the row when the key leads
+    /// it, else gathered into `buf`.
+    pub(crate) fn key<'r>(self, row: &'r Tuple, buf: &'r mut Vec<Value>) -> &'r [Value] {
+        if self.leading {
+            return &row.values()[..self.positions.len()];
+        }
+        buf.clear();
+        buf.extend(self.values(row).cloned());
+        buf
+    }
+
+    /// `row`'s values at the key positions, in key order.
+    fn values<'r>(self, row: &'r Tuple) -> impl Iterator<Item = &'r Value> + use<'r, 's> {
+        self.positions.iter().map(|&i| row.get(i))
+    }
 }
 
 /// Net changes to one relation, keyed like its rows: `Some` shadows (or
@@ -59,43 +126,31 @@ pub type KeyedRows = BTreeMap<Key, Option<Tuple>>;
 /// What shadows a bare table: nothing.
 pub(crate) static NO_ROWS: KeyedRows = BTreeMap::new();
 
-/// The entries whose keys start with `prefix` of a key-ordered iterator
-/// that starts at the first key not below it — one contiguous run, found
-/// by the one descent that positioned `from`.
-fn key_run<'m, 'p, K, V, I>(
-    from: I,
-    prefix: &'p [Value],
-) -> impl Iterator<Item = (&'m K, &'m V)> + use<'m, 'p, K, V, I>
-where
-    K: Borrow<[Value]> + 'm,
-    V: 'm,
-    I: Iterator<Item = (&'m K, &'m V)>,
-{
-    from.take_while(move |(key, _)| Borrow::<[Value]>::borrow(*key).starts_with(prefix))
-}
-
 /// Key-ordered merge of a table's rows with the net changes shadowing
 /// them: base rows the delta does not write, interleaved with the delta's
-/// upserts. Both inputs ascend by key.
-pub struct Merged<B: Iterator, D: Iterator> {
+/// upserts. Both inputs ascend by key; each base row's key is compared
+/// with the delta's in place.
+pub struct Merged<'a, B: Iterator, D: Iterator> {
+    order: KeyOrder<'a>,
     base: Peekable<B>,
     delta: Peekable<D>,
 }
 
-pub(crate) fn merged<'a, B, D>(base: B, delta: D) -> Merged<B, D>
+pub(crate) fn merged<'a, B, D>(order: KeyOrder<'a>, base: B, delta: D) -> Merged<'a, B, D>
 where
-    B: Iterator<Item = (&'a Key, &'a Tuple)>,
+    B: Iterator<Item = &'a Tuple>,
     D: Iterator<Item = (&'a Key, &'a Option<Tuple>)>,
 {
     Merged {
+        order,
         base: base.peekable(),
         delta: delta.peekable(),
     }
 }
 
-impl<'a, B, D> Iterator for Merged<B, D>
+impl<'a, B, D> Iterator for Merged<'a, B, D>
 where
-    B: Iterator<Item = (&'a Key, &'a Tuple)>,
+    B: Iterator<Item = &'a Tuple>,
     D: Iterator<Item = (&'a Key, &'a Option<Tuple>)>,
 {
     type Item = &'a Tuple;
@@ -103,14 +158,16 @@ where
     fn next(&mut self) -> Option<&'a Tuple> {
         loop {
             let shadowed = match (self.base.peek(), self.delta.peek()) {
-                (Some((bk, _)), Some((dk, _))) if bk < dk => None,
-                (Some((bk, _)), Some((dk, _))) => Some(bk == dk),
+                (Some(row), Some((dk, _))) => match self.order.cmp(row, dk.values()) {
+                    Ordering::Less => None,
+                    at => Some(at.is_eq()),
+                },
                 (Some(_), None) => None,
                 (None, Some(_)) => Some(false),
                 (None, None) => return None,
             };
             let Some(shadowed) = shadowed else {
-                return self.base.next().map(|(_, t)| t);
+                return self.base.next();
             };
             if shadowed {
                 self.base.next();
@@ -184,7 +241,7 @@ impl<'t> IndexProbe<'t, '_> {
 
     /// Every tuple whose probed attributes equal `value(0..)`, in
     /// primary-key order; plain equality, NULL included.
-    fn each<'v>(&mut self, value: impl Fn(usize) -> &'v Value, mut visit: impl FnMut(&'t Tuple)) {
+    fn each<'v>(&mut self, value: impl Fn(usize) -> &'v Value, visit: impl FnMut(&'t Tuple)) {
         let (table, delta, indices) = (self.table, self.delta, self.indices);
         // the probe in the order the path reads it: the key's, or the
         // secondary index's own
@@ -207,26 +264,33 @@ impl<'t> IndexProbe<'t, '_> {
             }
             &self.buf
         };
+        let order = KeyOrder::of(&table.schema);
         match self.path {
             AccessPath::Key => match delta.get(probe) {
                 Some(written) => written.iter().for_each(visit),
-                None => table.rows.get(probe).into_iter().for_each(visit),
+                None => table.get_at(probe).into_iter().for_each(visit),
             },
             AccessPath::KeyRange => {
-                let written = delta.range::<[Value], _>((Bound::Included(probe), Bound::Unbounded));
-                let rows = key_run(table.rows.range_from(probe), probe);
-                merged(rows, key_run(written, probe)).for_each(visit);
+                // the rows and writes whose keys start with the probe are
+                // one run each, found by one descent
+                let rows = (table.rows.range_from(|r| order.cmp(r, probe)))
+                    .take_while(|r| order.leads(r, probe));
+                let written = (delta
+                    .range::<[Value], _>((Bound::Included(probe), Bound::Unbounded)))
+                .take_while(|(k, _)| k.values().starts_with(probe));
+                merged(order, rows, written).for_each(visit);
             }
             AccessPath::Secondary(index) => {
                 // each entry of the run ends in its row's key
-                let hits = key_run(index.range_from(probe), probe)
-                    .filter_map(|(entry, ())| table.rows.get_key_value(&entry[probe.len()..]));
+                let hits = (index.range_from(|e| (**e).cmp(probe)))
+                    .take_while(|e| e.starts_with(probe))
+                    .filter_map(|e| table.get_at(&e[probe.len()..]));
                 if delta.is_empty() {
-                    hits.for_each(|(_, t)| visit(t));
+                    hits.for_each(visit);
                 } else {
                     // a written row shadows the indexed one at its key
                     // whether or not it still matches
-                    merged(hits, delta.iter())
+                    merged(order, hits, delta.iter())
                         .filter(|t| indices.iter().zip(probe).all(|(&i, v)| t.get(i) == v))
                         .for_each(visit);
                 }
@@ -253,7 +317,7 @@ pub(crate) fn lookup<'t, 'v>(
         return;
     }
     crate::stats::count_fallback_scan();
-    merged(table.rows.iter(), delta.iter())
+    merged(KeyOrder::of(&table.schema), table.rows.iter(), delta.iter())
         .filter(|t| {
             indices
                 .iter()
@@ -321,30 +385,29 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Insert a tuple; rejects key conflicts.
+    /// Insert a tuple; rejects key conflicts. One descent finds the key
+    /// free and places the row.
     pub fn insert(&mut self, tuple: Tuple) -> Result<()> {
         tuple.validate(&self.schema)?;
-        let key = tuple.key(&self.schema);
-        if self.rows.contains_key(&key) {
+        let order = KeyOrder::of(&self.schema);
+        let slot = self.rows.slot(|r| order.rows(r, &tuple));
+        if slot.held() {
             return Err(Error::KeyConflict {
                 relation: self.schema.name().to_owned(),
-                key: key.to_string(),
+                key: tuple.key(&self.schema).to_string(),
             });
         }
-        self.put(key, Some(tuple));
+        Self::reindex(&mut self.indexes, order, None, Some(&tuple));
+        self.rows.put(slot, tuple);
         Ok(())
     }
 
     /// Delete by key, returning the removed tuple.
     pub fn delete(&mut self, key: &Key) -> Result<Tuple> {
-        let Some((_, held)) = self.rows.remove(key) else {
-            return Err(Error::NoSuchTuple {
-                relation: self.schema.name().to_owned(),
-                key: key.to_string(),
-            });
-        };
-        Self::reindex(&mut self.indexes, key, Some(&held), None);
-        Ok(held)
+        self.take(key.values()).ok_or_else(|| Error::NoSuchTuple {
+            relation: self.schema.name().to_owned(),
+            key: key.to_string(),
+        })
     }
 
     /// Replace the tuple at `old_key` with `new` (whose key may differ).
@@ -352,73 +415,80 @@ impl Table {
     /// the displaced tuple.
     pub fn replace(&mut self, old_key: &Key, new: Tuple) -> Result<Tuple> {
         new.validate(&self.schema)?;
-        let new_key = new.key(&self.schema);
-        if !self.rows.contains_key(old_key) {
+        if !self.contains_key(old_key) {
             return Err(Error::NoSuchTuple {
                 relation: self.schema.name().to_owned(),
                 key: old_key.to_string(),
             });
         }
-        if new_key != *old_key && self.rows.contains_key(&new_key) {
+        let order = KeyOrder::of(&self.schema);
+        if order.cmp(&new, old_key.values()).is_eq() {
+            return Ok(self.put(new).expect("checked above"));
+        }
+        if self.rows.slot(|r| order.rows(r, &new)).held() {
             return Err(Error::KeyConflict {
                 relation: self.schema.name().to_owned(),
-                key: new_key.to_string(),
+                key: new.key(&self.schema).to_string(),
             });
         }
-        if new_key == *old_key {
-            return Ok(self.put(new_key, Some(new)).expect("checked above"));
-        }
-        let old = self.delete(old_key).expect("checked above");
-        self.put(new_key, Some(new));
+        let old = self.take(old_key.values()).expect("checked above");
+        self.put(new);
         Ok(old)
     }
 
-    /// Set the row at `key` — upsert `Some(row)`, remove on `None` (an
-    /// absent key is tolerated) — keeping secondary indexes: the one way a
-    /// net delta reaches a table, from [`crate::database::Database::install`]
-    /// and [`crate::storage::SnapshotDelta::apply_to`]. Both validate every
-    /// row *before* their first `put`, so a refusal never leaves a table
-    /// half-written; `row` must be valid and keyed `key`. Returns the row
-    /// the table held at `key` — the pre-image the commit journal keeps.
-    pub(crate) fn put(&mut self, key: Key, row: Option<Tuple>) -> Option<Tuple> {
-        debug_assert!(row.as_ref().is_none_or(|t| t.key(&self.schema) == key));
-        if !self.indexes.is_empty() {
-            Self::reindex(&mut self.indexes, &key, self.rows.get(&key), row.as_ref());
-        }
-        match row {
-            Some(row) => self.rows.insert(key, row),
-            None => self.rows.remove(&key).map(|(_, old)| old),
-        }
+    /// Set `row` at its key, keeping secondary indexes — with
+    /// [`Table::take`], the one way a net delta reaches a table, from
+    /// [`crate::database::Database::install`] and
+    /// [`crate::storage::SnapshotDelta::apply_to`]. Both validate every
+    /// row *before* their first write, so a refusal never leaves a table
+    /// half-written; `row` must be valid. Returns the row the table held at
+    /// that key — the pre-image the commit journal keeps.
+    pub(crate) fn put(&mut self, row: Tuple) -> Option<Tuple> {
+        let order = KeyOrder::of(&self.schema);
+        let slot = self.rows.slot(|r| order.rows(r, &row));
+        let was = self.rows.put(slot, row.clone());
+        Self::reindex(&mut self.indexes, order, was.as_ref(), Some(&row));
+        was
+    }
+
+    /// Remove the row at `key`, keeping secondary indexes, and return it;
+    /// an absent key is tolerated.
+    pub(crate) fn take(&mut self, key: &[Value]) -> Option<Tuple> {
+        let order = KeyOrder::of(&self.schema);
+        let was = self.rows.remove(|r| order.cmp(r, key))?;
+        Self::reindex(&mut self.indexes, order, Some(&was), None);
+        Some(was)
     }
 
     /// Fetch by key.
     pub fn get(&self, key: &Key) -> Option<&Tuple> {
-        self.rows.get(key)
+        self.get_at(key.values())
+    }
+
+    /// The row at `key`, compared with each row in place.
+    pub(crate) fn get_at(&self, key: &[Value]) -> Option<&Tuple> {
+        let order = KeyOrder::of(&self.schema);
+        self.rows.get(|r| order.cmp(r, key))
     }
 
     /// True when a tuple with this key exists.
     pub fn contains_key(&self, key: &Key) -> bool {
-        self.rows.contains_key(key)
+        self.get(key).is_some()
     }
 
     /// Iterate all tuples in key order.
     pub fn scan(&self) -> impl Iterator<Item = &Tuple> {
-        self.rows.values()
-    }
-
-    /// Iterate `(key, tuple)` pairs in key order.
-    pub fn scan_entries(&self) -> impl Iterator<Item = (&Key, &Tuple)> {
         self.rows.iter()
     }
 
-    /// Bulk-build a table from already-validated, keyed rows in strictly
-    /// ascending key order — a snapshot's rows, which its decoder validated,
-    /// keyed and ordered as it read them. No secondary indexes; create them
+    /// Bulk-build a table from already-validated rows in strictly
+    /// ascending key order — a snapshot's rows, which its decoder validated
+    /// and ordered as it read them. No secondary indexes; create them
     /// afterwards.
-    pub(crate) fn from_sorted_rows(schema: RelationSchema, entries: Vec<(Key, Tuple)>) -> Table {
+    pub(crate) fn from_sorted_rows(schema: RelationSchema, rows: Vec<Tuple>) -> Table {
         Table {
             schema,
-            rows: Runs::from_sorted(entries),
+            rows: Runs::from_sorted(rows),
             indexes: HashMap::new(),
         }
     }
@@ -510,7 +580,7 @@ impl Table {
     pub fn group_by_indices(&self, indices: &[usize]) -> HashMap<Vec<Value>, Vec<&Tuple>> {
         crate::stats::count_hash_build();
         let mut groups: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::new();
-        for t in self.rows.values() {
+        for t in self.rows.iter() {
             let vals = t.project(indices);
             if vals.iter().any(Value::is_null) {
                 continue;
@@ -538,7 +608,7 @@ impl Table {
             .map(|a| a.name.clone())
             .collect();
         let mut out = Vec::new();
-        for t in self.rows.values() {
+        for t in self.rows.iter() {
             if pred.eval_truth(&columns, t.values())?.is_true() {
                 out.push(t);
             }
@@ -553,11 +623,12 @@ impl Table {
     /// leave, without a search per row.
     pub fn create_index(&mut self, attrs: &[String]) -> Result<()> {
         let indices = self.schema.indices_of(attrs)?;
-        let mut entries: Vec<(Box<[Value]>, ())> = (self.rows.iter())
-            .map(|(key, row)| (index_entry(&indices, row, key), ()))
+        let order = KeyOrder::of(&self.schema);
+        let mut entries: Vec<Box<[Value]>> = (self.rows.iter())
+            .map(|row| index_entry(&indices, row, order))
             .collect();
         let width = indices.len();
-        entries.sort_by(|a, b| a.0[..width].cmp(&b.0[..width]));
+        entries.sort_by(|a, b| a[..width].cmp(&b[..width]));
         self.indexes.insert(indices, Runs::from_sorted(entries));
         Ok(())
     }
@@ -588,12 +659,12 @@ impl Table {
             .unwrap_or(false)
     }
 
-    /// Move `key`'s entry in every secondary index from the row it held
+    /// Move one key's entry in every secondary index from the row it held
     /// (`was`) to the row it holds (`is`). An index whose values the write
     /// did not change is not touched, so its chunks stay shared.
     fn reindex(
         indexes: &mut HashMap<Vec<usize>, SecondaryIndex>,
-        key: &Key,
+        order: KeyOrder<'_>,
         was: Option<&Tuple>,
         is: Option<&Tuple>,
     ) {
@@ -604,10 +675,12 @@ impl Table {
                 }
             }
             if let Some(was) = was {
-                index.remove(&*index_entry(indices, was, key));
+                let gone = index_entry(indices, was, order);
+                index.remove(|e| e.cmp(&gone));
             }
             if let Some(is) = is {
-                index.insert(index_entry(indices, is, key), ());
+                let entry = index_entry(indices, is, order);
+                index.put(index.slot(|e| e.cmp(&entry)), entry);
             }
         }
     }
@@ -616,6 +689,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SmallRng;
     use crate::schema::AttributeDef;
     use crate::value::DataType;
 
@@ -848,5 +922,127 @@ mod tests {
         assert_eq!(keys.len(), 2);
         assert!(keys.contains(&Key::single(1)));
         assert!(keys.contains(&Key::single(2)));
+    }
+
+    /// What a table holding `oracle` (a `BTreeMap` keyed as the table is)
+    /// answers, checked against `table` shadowed by `delta`: scan order,
+    /// point lookups, runs of the key's first attribute and secondary
+    /// probes — each lookup by the path `index_at` chooses, through the
+    /// delta.
+    fn assert_reads_as(table: &Table, delta: &KeyedRows, oracle: &BTreeMap<Key, Tuple>) {
+        let schema = table.schema();
+        let order = KeyOrder::of(schema);
+        let merged: Vec<&Tuple> = merged(order, table.rows.iter(), delta.iter()).collect();
+        assert!(merged.iter().copied().eq(oracle.values()), "scan order");
+        for (key, row) in oracle {
+            assert_eq!(
+                find(table, delta, schema.key_indices(), key.values()),
+                [row]
+            );
+        }
+        let lead = schema.key_indices()[0];
+        for at in [lead, 1] {
+            let mut seen: Vec<&Value> = oracle.values().map(|t| t.get(at)).collect();
+            seen.extend([&Value::Null, &Value::Int(99)]);
+            for v in seen {
+                let want: Vec<&Tuple> = oracle.values().filter(|t| t.get(at) == v).collect();
+                let ((), taken) = vo_obs::trace::capture(|| {
+                    assert_eq!(
+                        find(table, delta, &[at], std::slice::from_ref(v)),
+                        want,
+                        "{at} = {v}"
+                    );
+                });
+                assert_eq!(taken.count("relational.fallback_scans"), 0);
+            }
+        }
+    }
+
+    /// Tables whose key is not their leading columns — the last attribute
+    /// alone, and two attributes in reverse column order — read as a
+    /// `BTreeMap<Key, Tuple>` given the same seeded inserts, replaces and
+    /// deletes: on the table, on clones pinned along the way (which still
+    /// read their old rows), and through a delta shadowing it.
+    #[test]
+    fn a_key_read_from_the_row_orders_it_as_the_key_would() {
+        for (key, seed) in [(&["c"][..], 1), (&["c", "a"][..], 2)] {
+            let schema = RelationSchema::new(
+                "R",
+                vec![
+                    AttributeDef::required("a", DataType::Int),
+                    AttributeDef::nullable("b", DataType::Text),
+                    AttributeDef::required("c", DataType::Int),
+                ],
+                key,
+            )
+            .unwrap();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let draw = |rng: &mut SmallRng| {
+                let b = match rng.next_below(4) {
+                    0 => Value::Null,
+                    n => Value::text(format!("b{n}")),
+                };
+                let a = rng.next_below(6) as i64;
+                Tuple::new(
+                    &schema,
+                    vec![a.into(), b, (rng.next_below(40) as i64).into()],
+                )
+                .unwrap()
+            };
+            let mut table = Table::new(schema.clone());
+            table.create_index(&["b".to_string()]).unwrap();
+            let mut oracle: BTreeMap<Key, Tuple> = BTreeMap::new();
+            let mut pinned = Vec::new();
+            for step in 0..1500 {
+                let new = draw(&mut rng);
+                let key = new.key(&schema);
+                let at = draw(&mut rng).key(&schema);
+                match rng.next_below(3) {
+                    0 => {
+                        let held = oracle.contains_key(&key);
+                        assert_eq!(table.insert(new.clone()).is_err(), held);
+                        oracle.entry(key).or_insert(new);
+                    }
+                    1 => match table.replace(&at, new.clone()) {
+                        Ok(old) => {
+                            assert_eq!(oracle.remove(&at), Some(old));
+                            assert!(oracle.insert(key, new).is_none());
+                        }
+                        Err(Error::NoSuchTuple { .. }) => assert!(!oracle.contains_key(&at)),
+                        Err(Error::KeyConflict { .. }) => {
+                            assert!(
+                                oracle.contains_key(&at) && key != at && oracle.contains_key(&key)
+                            );
+                        }
+                        Err(e) => panic!("{e}"),
+                    },
+                    _ => assert_eq!(table.delete(&at).ok(), oracle.remove(&at)),
+                }
+                if step % 300 == 0 {
+                    pinned.push((table.clone(), oracle.clone()));
+                }
+                if step % 100 == 0 {
+                    assert_reads_as(&table, &NO_ROWS, &oracle);
+                }
+            }
+            for (table, oracle) in &pinned {
+                assert_reads_as(table, &NO_ROWS, oracle);
+            }
+            // a delta writing inside and outside the table's keys
+            let mut delta = KeyedRows::new();
+            let mut shadowed = oracle.clone();
+            for _ in 0..60 {
+                let new = draw(&mut rng);
+                let key = new.key(&schema);
+                if rng.gen_bool(0.3) {
+                    shadowed.remove(&key);
+                    delta.insert(key, None);
+                } else {
+                    shadowed.insert(key.clone(), new.clone());
+                    delta.insert(key, Some(new));
+                }
+            }
+            assert_reads_as(&table, &delta, &shadowed);
+        }
     }
 }

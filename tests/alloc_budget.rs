@@ -132,10 +132,16 @@ fn killed_store(dir: &Path) {
 /// a second pass.
 const TWO_PASS_PER_ROW: f64 = 6.58;
 
+/// Most allocations reopening this store may make per recovered row: 1.63
+/// are made, in debug and release builds alike. A row is its own key, so
+/// a decoded row is its tuple alone, and its short texts live inside it;
+/// the rest is the row's share of its chunk and of the longer texts.
+const RECOVERED_ROW: f64 = 1.75;
+
 /// Reopening the store — decoding the base, applying three deltas,
 /// replaying the tail — allocates at most half as often per recovered row
-/// as [`TWO_PASS_PER_ROW`]: a decoded row is its tuple and its key, and
-/// its short texts live inside it.
+/// as [`TWO_PASS_PER_ROW`], and no more than [`RECOVERED_ROW`]: a decoded
+/// row is its tuple, and its short texts live inside it.
 #[test]
 fn reopening_a_store_allocates_at_most_half_as_often_per_row() {
     let dir = std::env::temp_dir().join(format!("vo_alloc_budget_{}", std::process::id()));
@@ -153,7 +159,7 @@ fn reopening_a_store_allocates_at_most_half_as_often_per_row() {
         db.total_tuples()
     );
     assert!(
-        per_row <= TWO_PASS_PER_ROW / 2.0,
+        per_row <= RECOVERED_ROW && RECOVERED_ROW <= TWO_PASS_PER_ROW / 2.0,
         "{per_row:.2} allocations per recovered row"
     );
 }

@@ -396,6 +396,22 @@ fn a_deletion_of_grades_changed_since_the_read_is_refused() {
     assert_untouched(p.database(), &pinned, 0);
 }
 
+/// VO-CD of an instance one of whose grades was deleted since the read is
+/// as stale as one whose grades changed: refused as `StaleTuple` naming the
+/// missing grade — the retryable refusal — not as a missing instance, which
+/// only a vanished pivot is.
+#[test]
+fn a_deletion_of_an_instance_missing_a_grade_since_the_read_is_stale() {
+    let (mut p, old) = omega_and_cs345();
+    p.sql("DELETE FROM GRADES WHERE course_id = 'CS345' AND ssn = 1")
+        .unwrap();
+
+    let pinned = p.database().snapshot();
+    let err = p.delete_instance("omega", old).unwrap_err();
+    assert_stale(&err.source, "GRADES", "('CS345', 1)");
+    assert_untouched(p.database(), &pinned, 0);
+}
+
 /// A pivot key change propagates the grades the overlay holds before the
 /// walk reaches them, so at their old keys nothing is left to compare: the
 /// propagation itself must find the versions the instance showed, or the
@@ -471,8 +487,9 @@ fn tampered_saved_system_fails_closed() {
             // restored: the data must still be internally key-consistent
             for rel in p.database().relation_names() {
                 let t = p.database().table(rel).unwrap();
-                for (k, tuple) in t.scan_entries() {
-                    assert_eq!(k, &tuple.key(t.schema()));
+                for tuple in t.scan() {
+                    let key = tuple.key(t.schema());
+                    assert!(t.get(&key).is_some_and(|held| held.ptr_eq(tuple)));
                 }
             }
         }

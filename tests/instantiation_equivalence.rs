@@ -235,8 +235,8 @@ fn university_edge_cases() -> Vec<(StructuralSchema, Database, usize)> {
     let (_, mut single) = university_database();
     let courses = single.table_mut("COURSES").unwrap();
     let keep = Key::single("CS345");
-    let drop: Vec<Key> = (courses.scan_entries())
-        .map(|(key, _)| key.clone())
+    let drop: Vec<Key> = (courses.scan())
+        .map(|row| row.key(courses.schema()))
         .filter(|key| *key != keep)
         .collect();
     for key in drop {

@@ -1533,9 +1533,10 @@ fn table_ops_keep_indexes_consistent() {
                     let _ = t.replace(&Key::single(a), tuple);
                 }
             }
-            // invariant: key map is coherent
-            for (key, tuple) in t.scan_entries() {
-                assert_eq!(key, &tuple.key(t.schema()));
+            // invariant: key map is coherent — each row is found at its key
+            for tuple in t.scan() {
+                let key = tuple.key(t.schema());
+                assert!(t.get(&key).is_some_and(|held| held.ptr_eq(tuple)));
             }
             // invariant: index lookups match scans
             let schema = t.schema().clone();
@@ -1731,9 +1732,8 @@ fn every_access_path_is_a_scan() {
                 lists.extend((0..last).find(|i| !key.contains(i)).map(|i| vec![i, last]));
 
                 // an overlay that writes inside and outside every range
-                let keys: Vec<Key> = (db.table(rel).unwrap().scan_entries())
-                    .map(|(k, _)| k.clone())
-                    .collect();
+                let table = db.table(rel).unwrap();
+                let keys: Vec<Key> = table.scan().map(|t| t.key(table.schema())).collect();
                 let mut overlay = DeltaDb::new(&db);
                 for _ in 0..30 {
                     let relation = rel.to_owned();

@@ -128,9 +128,10 @@ fn commit_beside_a_pinned_session_copies_pointers_except_the_written_row() {
         let before = snapshot.table(rel).unwrap();
         let after = head.table(rel).unwrap();
         assert_eq!(before.len(), after.len());
-        for (key, row) in after.scan_entries() {
-            if !row.ptr_eq(before.get(key).expect("no key moved")) {
-                copied.push((rel, key.clone()));
+        for row in after.scan() {
+            let key = row.key(after.schema());
+            if !row.ptr_eq(before.get(&key).expect("no key moved")) {
+                copied.push((rel, key));
             }
         }
     }
