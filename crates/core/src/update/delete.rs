@@ -59,10 +59,11 @@ pub(crate) fn translate_complete_deletion_checked(
     let pivot_schema = schema.catalog().relation(object.pivot())?;
     let pivot_key = instance.root.tuple.key(pivot_schema);
     let policy = translator.deletion_policy(schema, object, analysis);
-    rec.reading(analysis.read_set(instance), |rec| {
-        // the instance must denote a stored entity as it showed it: its
-        // pivot and every island tuple are there, unchanged
-        rec.shown_held(analysis.island.iter().copied())?;
+    let read = analysis.read_set(instance);
+    // the instance must denote a stored entity as it showed it: its pivot
+    // and every island tuple are there, unchanged
+    read.held(&*rec)?;
+    rec.reading(read, |rec| {
         // the cascade deletes what lies under the pivot
         let ops = plan_delete(schema, &*rec, object.pivot(), &pivot_key, &policy)?;
         rec.apply_all(ops)

@@ -22,7 +22,7 @@ use crate::json::Json;
 use crate::overlay::{Delta, DeltaDb, Staged};
 use crate::schema::{DatabaseSchema, RelationSchema};
 use crate::stats::{count_commit, count_conflict, count_snapshot_pinned};
-use crate::table::Table;
+use crate::table::{KeyOrder, Table};
 use crate::tuple::{Key, Tuple};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -613,7 +613,11 @@ impl Database {
             let mut written = Vec::with_capacity(if journaling { rows.len() } else { 0 });
             for (key, after) in rows {
                 let before = match &after {
-                    Some(row) => table.put(row.clone()),
+                    Some(row) => {
+                        let order = KeyOrder::of(table.schema());
+                        debug_assert!(order.cmp(row, key.values()).is_eq(), "a row off its key");
+                        table.put(row.clone())
+                    }
                     None => table.take(key.values()),
                 };
                 if journaling && (before.is_some() || after.is_some()) {

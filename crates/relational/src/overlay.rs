@@ -231,6 +231,37 @@ impl ReadSet {
         island.then_some(None)
     }
 
+    /// Refuse the read unless every tuple it showed at a node whose key
+    /// carries the pivot's — the dependency island — is in `db` as shown:
+    /// how VO-CD finds its instance current before it plans. The pivot
+    /// gone is `NoSuchTuple`: the instance denotes nothing. Any other
+    /// island tuple gone or changed is [`Error::StaleTuple`]. Each island
+    /// node is one read of its relation.
+    pub fn held(&self, db: &impl DbRead) -> Result<()> {
+        let mut key = Vec::new();
+        for (node, n) in self.nodes.iter().enumerate() {
+            if n.pivot_key.is_none() {
+                continue;
+            }
+            let view = db.view(&n.relation)?;
+            let positions = view.schema().key_indices();
+            for shown in self.shown_at(node) {
+                key.clear();
+                key.extend(positions.iter().map(|&i| shown.get(i).clone()));
+                let held = view.get_at(&key);
+                if held == Some(shown) {
+                    continue;
+                }
+                let (relation, key) = (n.relation.clone(), shown.key(view.schema()).to_string());
+                return Err(match held {
+                    None if node == 0 => Error::NoSuchTuple { relation, key },
+                    _ => Error::StaleTuple { relation, key },
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// The tuples the read showed at node `node`.
     fn shown_at(&self, node: usize) -> impl Iterator<Item = &Tuple> {
         let group = &self.shown[self.shown.partition_point(|(n, _)| *n < node)..];
@@ -413,33 +444,6 @@ impl<'base> DeltaDb<'base> {
         let planned = plan(self);
         self.read = None;
         planned
-    }
-
-    /// Refuse the read in force unless every tuple it showed at one of
-    /// `nodes` is there as shown — how VO-CD finds its instance current
-    /// before it plans. The pivot gone is `NoSuchTuple`: the instance
-    /// denotes nothing. Any other shown tuple gone or changed is
-    /// [`Error::StaleTuple`]. Each node is one counted read of its
-    /// relation.
-    pub fn shown_held(&self, nodes: impl IntoIterator<Item = usize>) -> Result<()> {
-        let read = self.read.as_ref().expect("a read in force");
-        for node in nodes {
-            let relation = read.nodes[node].relation.clone();
-            let view = self.view(&relation)?;
-            let order = KeyOrder::of(view.schema());
-            for shown in read.shown_at(node) {
-                let held = view.get_at(order.key(shown, &mut Vec::new()));
-                if held == Some(shown) {
-                    continue;
-                }
-                let key = shown.key(view.schema()).to_string();
-                return Err(match held {
-                    None if node == 0 => Error::NoSuchTuple { relation, key },
-                    _ => Error::StaleTuple { relation, key },
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Position marker into the op log; pair with [`DeltaDb::ops_since`]

@@ -43,8 +43,9 @@ const SPARE: usize = 8;
 #[derive(Debug, Clone)]
 struct Fenced<T> {
     /// No entry of this chunk is below it, and every entry of the chunks
-    /// before it is: a clone of the chunk's first entry when it was cut.
-    /// The first chunk's is never read.
+    /// before it is: a clone of the chunk's first entry, renewed by every
+    /// write there, so it keeps no entry the chunk let go. The first
+    /// chunk's is never read.
     fence: T,
     entries: Arc<Vec<T>>,
 }
@@ -153,9 +154,14 @@ impl<T> Runs<T> {
 }
 
 impl<T: Clone> Runs<T> {
-    /// The set of `entries`, which ascend strictly: cut into chunks of
-    /// `CHUNK`, the last taking a remainder too short to stand alone.
-    pub(crate) fn from_sorted(entries: Vec<T>) -> Self {
+    /// The set of `entries`, which ascend strictly by `order`: cut into
+    /// chunks of `CHUNK`, the last taking a remainder too short to stand
+    /// alone.
+    pub(crate) fn from_sorted(entries: Vec<T>, order: impl Fn(&T, &T) -> Ordering) -> Self {
+        debug_assert!(
+            entries.is_sorted_by(|a, b| order(a, b).is_lt()),
+            "entries ascend strictly"
+        );
         let len = entries.len();
         let mut chunks = Vec::with_capacity(len / CHUNK + 1);
         let mut entries = entries.into_iter();
@@ -179,21 +185,26 @@ impl<T: Clone> Runs<T> {
             return None;
         }
         let len = self.chunks[i].entries.len();
-        let at = match at {
-            Ok(at) => return Some(std::mem::replace(&mut self.unshared(i, len)[at], entry)),
-            Err(at) => at,
+        let displaced = match at {
+            Ok(at) => Some(std::mem::replace(&mut self.unshared(i, len)[at], entry)),
+            Err(at) => {
+                let chunk = self.unshared(i, len + 1);
+                if chunk.len() == chunk.capacity() {
+                    chunk.reserve_exact(SPARE);
+                }
+                chunk.insert(at, entry);
+                if chunk.len() > MAX {
+                    let right = split(chunk);
+                    self.chunks.insert(i + 1, Fenced::new(right));
+                }
+                self.len += 1;
+                None
+            }
         };
-        let chunk = self.unshared(i, len + 1);
-        if chunk.len() == chunk.capacity() {
-            chunk.reserve_exact(SPARE);
+        if matches!(at, Ok(0) | Err(0)) {
+            self.refence(i);
         }
-        chunk.insert(at, entry);
-        if chunk.len() > MAX {
-            let right = split(chunk);
-            self.chunks.insert(i + 1, Fenced::new(right));
-        }
-        self.len += 1;
-        None
+        displaced
     }
 
     /// Remove the entry `at` finds equal and return it.
@@ -205,33 +216,31 @@ impl<T: Clone> Runs<T> {
         else {
             return None;
         };
-        let slot = &mut self.chunks[i].entries;
-        let removed = match Arc::get_mut(slot) {
-            Some(chunk) => {
-                let removed = chunk.remove(at);
-                if chunk.capacity() - chunk.len() > SPARE {
-                    chunk.shrink_to_fit();
-                }
-                removed
-            }
-            None => {
-                // the rest is copied out at the size it keeps
-                crate::stats::count_cow_rows(slot.len() as u64);
-                let mut rest = Vec::with_capacity(slot.len() - 1);
-                rest.extend(slot[..at].iter().cloned());
-                rest.extend(slot[at + 1..].iter().cloned());
-                let removed = slot[at].clone();
-                *slot = Arc::new(rest);
-                removed
-            }
-        };
+        let len = self.chunks[i].entries.len();
+        let chunk = self.unshared(i, len);
+        let removed = chunk.remove(at);
+        if chunk.capacity() - chunk.len() > SPARE {
+            chunk.shrink_to_fit();
+        }
         self.len -= 1;
+        if at == 0 {
+            self.refence(i);
+        }
         self.settle(i);
         Some(removed)
     }
 
+    /// Fence chunk `i`, unless empty, by its first entry again.
+    fn refence(&mut self, i: usize) {
+        let Fenced { fence, entries } = &mut self.chunks[i];
+        if let Some(first) = entries.first() {
+            *fence = first.clone();
+        }
+    }
+
     /// Chunk `i`, copied first if anything else holds it — into a `Vec` of
-    /// `capacity`, so the write that follows keeps it exact.
+    /// `capacity`, the size the write that follows leaves it (a removal's
+    /// copy keeps one spare).
     fn unshared(&mut self, i: usize, capacity: usize) -> &mut Vec<T> {
         let slot = &mut self.chunks[i].entries;
         if Arc::get_mut(slot).is_none() {
@@ -260,10 +269,7 @@ impl<T: Clone> Runs<T> {
         }
         let at = i.min(self.chunks.len() - 2);
         let right = self.chunks.remove(at + 1).entries;
-        let Fenced {
-            fence,
-            entries: left,
-        } = self.chunks.remove(at);
+        let left = self.chunks.remove(at).entries;
         let mut merged = Vec::with_capacity(left.len() + right.len());
         for chunk in [left, right] {
             match Arc::try_unwrap(chunk) {
@@ -278,9 +284,8 @@ impl<T: Clone> Runs<T> {
             let right = split(&mut merged);
             self.chunks.insert(at, Fenced::new(right));
         }
-        // the pair's first fence still separates it from what comes before
-        let entries = Arc::new(merged);
-        self.chunks.insert(at, Fenced { fence, entries });
+        // the pair's first entry separates it from what comes before
+        self.chunks.insert(at, Fenced::new(merged));
     }
 }
 
@@ -378,7 +383,8 @@ mod tests {
     }
 
     /// The bounds the module promises: no empty chunk, every chunk within
-    /// `MIN..=MAX` unless alone, exact capacity, entries ascending across
+    /// `MIN..=MAX` unless alone and fenced by its first entry (so no fence
+    /// keeps a displaced one), exact capacity, entries ascending across
     /// chunks, and the counted length.
     fn assert_shape<T: Ord + std::fmt::Debug>(runs: &Runs<T>, order: impl Fn(&T, &T) -> Ordering) {
         let lone = runs.chunks.len() == 1;
@@ -391,10 +397,7 @@ mod tests {
         ) in runs.chunks.iter().enumerate()
         {
             assert!(!chunk.is_empty(), "an empty chunk");
-            assert!(
-                i == 0 || order(fence, &chunk[0]).is_le(),
-                "a fence above its chunk"
-            );
+            assert_eq!(fence, &chunk[0], "a fence not its chunk's first entry");
             if let Some(next) = runs.chunks.get(i + 1) {
                 assert!(
                     order(&chunk[chunk.len() - 1], &next.fence).is_lt(),
@@ -471,7 +474,7 @@ mod tests {
     #[test]
     fn a_bulk_build_cuts_full_chunks_and_keeps_no_short_one() {
         for len in [0, 1, 31, 64, 65, 95, 96, 97, 128, 200, 1000] {
-            let runs = Runs::from_sorted((0..len as u64).map(|k| (k, k)).collect());
+            let runs = Runs::from_sorted((0..len as u64).map(|k| (k, k)).collect(), by_key);
             assert_shape(&runs, by_key);
             let sizes: Vec<usize> = runs.chunks.iter().map(|c| c.entries.len()).collect();
             let (last, full) = sizes.split_last().unwrap_or((&0, &[]));
@@ -510,7 +513,7 @@ mod tests {
     /// write did not reach stay shared.
     #[test]
     fn a_write_beside_a_clone_copies_one_chunk() {
-        let mut runs = Runs::from_sorted((0..1000u64).map(|k| (k, k)).collect());
+        let mut runs = Runs::from_sorted((0..1000u64).map(|k| (k, k)).collect(), by_key);
         let pinned = runs.clone();
         let ((), taken) = trace::capture(|| {
             assert_eq!(upsert(&mut runs, (500, 0)), Some((500, 500)));

@@ -58,57 +58,30 @@ fn index_entry(indices: &[usize], row: &Tuple, order: KeyOrder<'_>) -> Box<[Valu
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct KeyOrder<'s> {
     positions: &'s [usize],
-    /// The key is the leading columns: a row's key is a prefix of its
-    /// values, compared as one slice.
-    leading: bool,
 }
 
 impl<'s> KeyOrder<'s> {
     /// The order of `schema`'s rows.
     pub(crate) fn of(schema: &'s RelationSchema) -> Self {
-        let positions = schema.key_indices();
-        let leading = positions.iter().enumerate().all(|(at, &i)| at == i);
-        KeyOrder { positions, leading }
+        KeyOrder {
+            positions: schema.key_indices(),
+        }
     }
 
     /// `row`'s key against `probe` — a key, or a leading part of one, which
     /// sorts before every key it leads.
     pub(crate) fn cmp(self, row: &Tuple, probe: &[Value]) -> Ordering {
-        if self.leading {
-            row.values()[..self.positions.len()].cmp(probe)
-        } else {
-            self.values(row).cmp(probe)
-        }
+        self.values(row).cmp(probe)
     }
 
     /// Two rows by their keys.
     pub(crate) fn rows(self, a: &Tuple, b: &Tuple) -> Ordering {
-        if self.leading {
-            let n = self.positions.len();
-            a.values()[..n].cmp(&b.values()[..n])
-        } else {
-            self.values(a).cmp(self.values(b))
-        }
+        self.values(a).cmp(self.values(b))
     }
 
     /// True when `row`'s key starts with `prefix`.
     fn leads(self, row: &Tuple, prefix: &[Value]) -> bool {
-        if self.leading {
-            row.values().starts_with(prefix)
-        } else {
-            self.values(row).take(prefix.len()).eq(prefix)
-        }
-    }
-
-    /// `row`'s key as a slice: borrowed from the row when the key leads
-    /// it, else gathered into `buf`.
-    pub(crate) fn key<'r>(self, row: &'r Tuple, buf: &'r mut Vec<Value>) -> &'r [Value] {
-        if self.leading {
-            return &row.values()[..self.positions.len()];
-        }
-        buf.clear();
-        buf.extend(self.values(row).cloned());
-        buf
+        self.values(row).take(prefix.len()).eq(prefix)
     }
 
     /// `row`'s values at the key positions, in key order.
@@ -486,9 +459,10 @@ impl Table {
     /// and ordered as it read them. No secondary indexes; create them
     /// afterwards.
     pub(crate) fn from_sorted_rows(schema: RelationSchema, rows: Vec<Tuple>) -> Table {
+        let rows = Runs::from_sorted(rows, |a, b| KeyOrder::of(&schema).rows(a, b));
         Table {
             schema,
-            rows: Runs::from_sorted(rows),
+            rows,
             indexes: HashMap::new(),
         }
     }
@@ -629,7 +603,8 @@ impl Table {
             .collect();
         let width = indices.len();
         entries.sort_by(|a, b| a[..width].cmp(&b[..width]));
-        self.indexes.insert(indices, Runs::from_sorted(entries));
+        self.indexes
+            .insert(indices, Runs::from_sorted(entries, Ord::cmp));
         Ok(())
     }
 
