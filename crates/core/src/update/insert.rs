@@ -64,7 +64,7 @@ pub(crate) fn translate_complete_insertion_checked(
         )));
     }
 
-    let mut written: Vec<(String, Tuple)> = Vec::new();
+    let mut written: Vec<(&str, Tuple)> = Vec::new();
 
     for node_id in object.preorder() {
         let node = object.node(node_id);
@@ -97,7 +97,7 @@ pub(crate) fn translate_complete_insertion_checked(
                         relation: node.relation.clone(),
                         tuple: tuple.clone(),
                     })?;
-                    written.push((node.relation.clone(), tuple.clone()));
+                    written.push((&node.relation, tuple.clone()));
                 }
                 Some(_) => {
                     // CASE 3
@@ -119,7 +119,7 @@ pub(crate) fn translate_complete_insertion_checked(
                         old_key: key,
                         tuple: tuple.clone(),
                     })?;
-                    written.push((node.relation.clone(), tuple.clone()));
+                    written.push((&node.relation, tuple.clone()));
                 }
             }
         }
@@ -137,10 +137,11 @@ pub fn complete_dependencies(
     object: &ViewObject,
     translator: &Translator,
     rec: &mut DeltaDb<'_>,
-    written: &[(String, Tuple)],
+    written: &[(impl AsRef<str>, Tuple)],
 ) -> Result<()> {
     let object_relations: Vec<&str> = object.relations();
     for (relation, tuple) in written {
+        let relation = relation.as_ref();
         // the tuple may have been superseded by a later op; skip if gone
         let table = rec.view(relation)?;
         let key = tuple.key(table.schema());

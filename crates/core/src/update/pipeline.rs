@@ -341,9 +341,11 @@ impl ViewObjectUpdater {
             UpdateRequest::CompleteDeletion(inst) => inst,
             UpdateRequest::Replacement { old, .. } => old,
         };
+        let sp = step_span("core.update.validate", "Validate", instance.size());
         let validated = check_shape(schema, &self.object, instance)
             .and_then(|v| self.links.check_connected(instance).map(|()| v))
             .map_err(|e| UpdateError::new(UpdateStep::Validate, e).with_kind(kind))?;
+        drop(sp);
         steps.push(UpdateStep::Validate);
 
         // step 2 — propagation within the view object (replacements only:
@@ -353,8 +355,10 @@ impl ViewObjectUpdater {
         // propagated replacing instance
         let (request, validated) = match request {
             UpdateRequest::Replacement { old, new } => {
+                let sp = step_span("core.update.propagate", "Propagate", new.size());
                 let (new, validated) = (self.links.replacing(schema, &self.object, new))
                     .map_err(|e| UpdateError::new(UpdateStep::Propagate, e).with_kind(kind))?;
+                drop(sp);
                 steps.push(UpdateStep::Propagate);
                 (UpdateRequest::Replacement { old, new }, validated)
             }
@@ -364,6 +368,10 @@ impl ViewObjectUpdater {
         // step 3 — translation into database operations
         let mut sp = vo_obs::trace::span("penguin.translate");
         if sp.is_recording() {
+            sp.field(
+                "label",
+                Json::str(format!("Translate[{}]", algorithm(kind))),
+            );
             sp.field("object", Json::str(self.object.name()));
             sp.field("kind", Json::str(kind));
             sp.field(
@@ -407,7 +415,9 @@ impl ViewObjectUpdater {
             ),
         };
         if sp.is_recording() {
-            sp.field("ops", Json::Int(rec.ops_since(before).len() as i64));
+            let ops = rec.ops_since(before).len() as i64;
+            sp.field("ops", Json::Int(ops));
+            sp.field("rows_out", Json::Int(ops));
         }
         translated.map_err(|e| UpdateError::new(UpdateStep::Translate, e).with_kind(kind))?;
         steps.push(UpdateStep::Translate);
@@ -455,19 +465,31 @@ impl ViewObjectUpdater {
         let mut outcomes = Vec::with_capacity(batch.len());
         for (i, request) in batch.into_iter().enumerate() {
             let kind = request.kind();
+            let mut sp = vo_obs::trace::span("core.update.request");
+            if sp.is_recording() {
+                sp.field(
+                    "label",
+                    Json::str(format!("Request {i} [{}]", algorithm(kind))),
+                );
+            }
             let mark = rec.mark();
             let steps = self
                 .translate_request_into(schema, &mut rec, request)
                 .map_err(|e| e.at_request(i))?;
-            outcomes.push(UpdateOutcome::new(
-                kind,
-                rec.ops_since(mark).to_vec(),
-                steps,
-            ));
+            let ops = rec.ops_since(mark).to_vec();
+            if sp.is_recording() {
+                sp.field("rows_out", Json::Int(ops.len() as i64));
+            }
+            outcomes.push(UpdateOutcome::new(kind, ops, steps));
         }
         let touched = rec.touched_relations();
+        let mut sp = step_span("core.update.check", "GlobalCheck", rec.delta().len());
         let violations =
             check_delta(schema, &rec).map_err(|e| UpdateError::new(UpdateStep::GlobalCheck, e))?;
+        if sp.is_recording() {
+            sp.field("rows_out", Json::Int(violations.len() as i64));
+        }
+        drop(sp);
         // the scan stays the specification: on a consistent base the two
         // must agree, which makes every update a debug build plans an
         // equivalence case
@@ -531,20 +553,37 @@ impl ViewObjectUpdater {
         db: &mut Database,
         batch: impl Into<UpdateBatch>,
     ) -> UpdateResult<BatchOutcome> {
+        let batch = batch.into();
+        let mut sp = self.batch_span(batch.len());
         let Planned {
             outcomes,
             stats,
             overlay,
             ..
-        } = self.plan(schema, db, batch.into())?;
+        } = self.plan(schema, db, batch)?;
         let total_ops = overlay.mark();
         db.install(overlay.finish())
             .map_err(|e| UpdateError::new(UpdateStep::GlobalCheck, e))?;
+        if sp.is_recording() {
+            sp.field("rows_out", Json::Int(total_ops as i64));
+        }
         Ok(BatchOutcome {
             total_ops,
             outcomes,
             stats,
         })
+    }
+
+    /// The span of one batch: the root of its `EXPLAIN ANALYZE`, above a
+    /// node per request (its validation, propagation and translation), the
+    /// global check and the install.
+    fn batch_span(&self, requests: usize) -> vo_obs::trace::SpanGuard {
+        let mut sp = vo_obs::trace::span("core.update.batch");
+        if sp.is_recording() {
+            sp.field("label", Json::str(format!("Batch({})", self.object.name())));
+            sp.field("rows_in", Json::Int(requests as i64));
+        }
+        sp
     }
 
     /// Steps 1–4 of [`ViewObjectUpdater::apply_batch`] against a *pinned*
@@ -560,12 +599,17 @@ impl ViewObjectUpdater {
         base: &Database,
         batch: impl Into<UpdateBatch>,
     ) -> UpdateResult<PreparedBatch> {
+        let batch = batch.into();
+        let mut sp = self.batch_span(batch.len());
         let Planned {
             outcomes,
             stats,
             touched,
             overlay,
-        } = self.plan(schema, base, batch.into())?;
+        } = self.plan(schema, base, batch)?;
+        if sp.is_recording() {
+            sp.field("rows_out", Json::Int(overlay.mark() as i64));
+        }
         Ok(PreparedBatch {
             outcomes,
             ops: overlay.into_ops(),
@@ -733,12 +777,97 @@ fn attribute_violation(
     hit
 }
 
+/// The paper's name for the algorithm that translates a request of
+/// `kind` ([`UpdateRequest::kind`]).
+fn algorithm(kind: &str) -> &'static str {
+    match kind {
+        "complete-insertion" => "VO-CI",
+        "complete-deletion" => "VO-CD",
+        _ => "VO-R",
+    }
+}
+
+/// A labelled span of one step of §5, over `rows_in` tuples.
+fn step_span(name: &'static str, label: &str, rows_in: usize) -> vo_obs::trace::SpanGuard {
+    let mut sp = vo_obs::trace::span(name);
+    if sp.is_recording() {
+        sp.field("label", Json::str(label));
+        sp.field("rows_in", Json::Int(rows_in as i64));
+    }
+    sp
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instance::assemble;
     use crate::treegen::generate_omega;
     use crate::university::university_database;
+
+    /// A capture of one batch renders as `EXPLAIN ANALYZE` of it: the
+    /// batch above a node per request — its validation, propagation and
+    /// translation, by the paper's name for the algorithm — then the global
+    /// check and the install, each counting what it was handed and made.
+    #[test]
+    fn a_captured_batch_explains_itself_step_by_step() {
+        let (schema, mut db) = university_database();
+        let omega = generate_omega(&schema).unwrap();
+        let updater =
+            ViewObjectUpdater::new(&schema, omega.clone(), Translator::permissive(&omega)).unwrap();
+        let courses = db.table("COURSES").unwrap().schema().clone();
+        let instance = |db: &Database, id: &str| {
+            let pivot = db.table("COURSES").unwrap().get(&Key::single(id)).unwrap();
+            assemble(&schema, &omega, db, pivot.clone()).unwrap()
+        };
+        let old = instance(&db, "CS101");
+        let mut new = old.clone();
+        new.root.tuple = (new.root.tuple)
+            .with_named(&courses, "title", "Programming".into())
+            .unwrap();
+        let gone = instance(&db, "EE282");
+        let sizes = [old.size(), gone.size(), gone.size()];
+        let batch = vec![
+            UpdateRequest::Replacement { old, new },
+            UpdateRequest::CompleteDeletion(gone.clone()),
+            UpdateRequest::CompleteInsertion(gone),
+        ];
+        let (outcome, taken) =
+            vo_obs::trace::capture(|| updater.apply_batch(&schema, &mut db, batch).unwrap());
+        let explained = ProfileNode::from_spans(&taken.spans).unwrap();
+        let labels = |node: &ProfileNode| -> Vec<String> {
+            node.children.iter().map(|c| c.label.clone()).collect()
+        };
+        assert_eq!(explained.label, format!("Batch({})", omega.name()));
+        assert_eq!(
+            (explained.rows_in, explained.rows_out),
+            (3, outcome.total_ops as u64)
+        );
+        assert_eq!(
+            labels(&explained),
+            [
+                "Request 0 [VO-R]",
+                "Request 1 [VO-CD]",
+                "Request 2 [VO-CI]",
+                "GlobalCheck",
+                "Install"
+            ]
+        );
+        let steps: [&[&str]; 3] = [
+            &["Validate", "Propagate", "Translate[VO-R]"],
+            &["Validate", "Translate[VO-CD]"],
+            &["Validate", "Translate[VO-CI]"],
+        ];
+        for (i, request) in explained.children[..3].iter().enumerate() {
+            let ops = outcome.outcomes[i].ops.len() as u64;
+            assert_eq!(labels(request), steps[i], "{}", explained.render());
+            assert_eq!(request.rows_out, ops);
+            assert_eq!(request.children[0].rows_in, sizes[i] as u64);
+            assert_eq!(request.children.last().unwrap().rows_out, ops);
+        }
+        let (check, install) = (&explained.children[3], &explained.children[4]);
+        assert_eq!(check.rows_out, 0, "no violation");
+        assert!(check.rows_in > 0 && install.rows_in == check.rows_in);
+    }
 
     #[test]
     fn roundtrip_delete_then_reinsert_restores_database() {

@@ -571,6 +571,8 @@ impl Database {
         };
         let mut sp = trace::span("relational.install");
         if sp.is_recording() {
+            sp.field("label", Json::str("Install"));
+            sp.field("rows_in", Json::Int(delta.len() as i64));
             sp.field("relations", Json::Int(delta.relations().count() as i64));
             sp.field("keys", Json::Int(delta.len() as i64));
             sp.field("ops", Json::Int(ops.len() as i64));

@@ -161,10 +161,19 @@ pub struct DeltaWrite<'a> {
     pub relation: &'a str,
     /// The written key.
     pub key: &'a Key,
-    /// The tuple the base holds at `key`; `None` when the key is new.
-    pub before: Option<&'a Tuple>,
     /// The tuple the overlay holds at `key`; `None` when it is deleted.
     pub after: Option<&'a Tuple>,
+    /// The written relation's base table.
+    base: &'a Table,
+}
+
+impl<'a> DeltaWrite<'a> {
+    /// The tuple the base holds at `key`; `None` when the key is new. Read
+    /// when asked, so a caller that needs the pre-image of some writes only
+    /// looks those up.
+    pub fn before(&self) -> Option<&'a Tuple> {
+        self.base.get(self.key)
+    }
 }
 
 /// One node of the object a [`ReadSet`] reads: its relation and, for a
@@ -389,8 +398,8 @@ impl<'base> DeltaDb<'base> {
             rows.iter().map(move |(key, after)| DeltaWrite {
                 relation,
                 key,
-                before: base.get(key),
                 after: after.as_ref(),
+                base,
             })
         })
     }
@@ -477,7 +486,9 @@ impl<'base> DeltaDb<'base> {
 /// against a read in force and the ops the request applied before `op`
 /// (`own`), then by [`Table`]'s rules. Its one read is of the relation it
 /// goes on to write, which the write set covers: counted, but not added to
-/// the relations read. A refused op leaves the delta as it was.
+/// the relations read. Each key the op names is looked up once, and that
+/// one answer serves both the currency rule and the refusals. A refused op
+/// leaves the delta as it was.
 fn admit(
     base: &Database,
     delta: &mut Delta,
@@ -495,8 +506,15 @@ fn admit(
         base: table,
         delta: delta.relations.get(relation).unwrap_or(&NO_ROWS),
     };
+    // what the overlay holds at the key written, and at a replaced key
+    // other than it
+    let at_key = view.get(&key);
+    let at_old = match op {
+        DbOp::Replace { old_key, .. } if *old_key != key => view.get(old_key),
+        _ => at_key,
+    };
     if let Some((read, own)) = own {
-        current(read, own, &view, op, &key)?;
+        current(read, own, view.schema(), op, &key, at_key, at_old)?;
     }
     let conflict = |key: &Key| Error::KeyConflict {
         relation: relation.to_owned(),
@@ -507,10 +525,10 @@ fn admit(
         key: key.to_string(),
     };
     let refusal = match op {
-        DbOp::Insert { .. } if view.contains_key(&key) => Some(conflict(&key)),
-        DbOp::Delete { .. } if !view.contains_key(&key) => Some(missing(&key)),
-        DbOp::Replace { old_key, .. } if !view.contains_key(old_key) => Some(missing(old_key)),
-        DbOp::Replace { old_key, .. } if key != *old_key && view.contains_key(&key) => {
+        DbOp::Insert { .. } if at_key.is_some() => Some(conflict(&key)),
+        DbOp::Delete { .. } if at_key.is_none() => Some(missing(&key)),
+        DbOp::Replace { old_key, .. } if at_old.is_none() => Some(missing(old_key)),
+        DbOp::Replace { old_key, .. } if key != *old_key && at_key.is_some() => {
             Some(conflict(&key))
         }
         _ => None,
@@ -522,13 +540,22 @@ fn admit(
     Ok(())
 }
 
-/// The currency rule (module doc) for `op`, whose written key is `key`,
-/// against `read`. `view` is the overlay before `op`, and `own` the ops
-/// the request applied before it.
-fn current(read: &ReadSet, own: &[DbOp], view: &TableView<'_>, op: &DbOp, key: &Key) -> Result<()> {
-    let (relation, schema) = (op.relation(), view.schema());
+/// The currency rule (module doc) for `op` against `read`: `key` is the
+/// key `op` writes, and `at_key` and `at_old` what the overlay held before
+/// `op` there and at the key a replace or delete names. `own` are the ops
+/// the request applied before `op`.
+fn current(
+    read: &ReadSet,
+    own: &[DbOp],
+    schema: &RelationSchema,
+    op: &DbOp,
+    key: &Key,
+    at_key: Option<&Tuple>,
+    at_old: Option<&Tuple>,
+) -> Result<()> {
+    let relation = op.relation();
     let order = KeyOrder::of(schema);
-    let held = |at: &Key, expected: Option<&Tuple>| {
+    let held = |at: &Key, holds: Option<&Tuple>, expected: Option<&Tuple>| {
         let keyed = |tuple: &Tuple| order.cmp(tuple, at.values()).is_eq();
         let wrote = |op: &DbOp| {
             op.relation() == relation
@@ -538,7 +565,7 @@ fn current(read: &ReadSet, own: &[DbOp], view: &TableView<'_>, op: &DbOp, key: &
                     DbOp::Replace { old_key, tuple, .. } => old_key == at || keyed(tuple),
                 }
         };
-        if view.get(at) == expected || own.iter().any(wrote) {
+        if holds == expected || own.iter().any(wrote) {
             return Ok(());
         }
         Err(Error::StaleTuple {
@@ -549,12 +576,12 @@ fn current(read: &ReadSet, own: &[DbOp], view: &TableView<'_>, op: &DbOp, key: &
     // what the op replaces or deletes, where the read showed it
     if let DbOp::Delete { key: at, .. } | DbOp::Replace { old_key: at, .. } = op {
         if let Some(Some(shown)) = read.at(relation, schema, at) {
-            held(at, Some(shown))?;
+            held(at, at_old, Some(shown))?;
         }
     }
     // where an insert or a replace writes under the pivot, unshown
     if !matches!(op, DbOp::Delete { .. }) && read.at(relation, schema, key) == Some(None) {
-        held(key, None)?;
+        held(key, at_key, None)?;
     }
     Ok(())
 }
@@ -620,7 +647,7 @@ impl<'a> TableView<'a> {
     /// Iterate all tuples of the merged view in primary-key order.
     pub fn scan(&self) -> TableViewScan<'a> {
         let order = KeyOrder::of(self.base.schema());
-        table::merged(order, self.base.rows.iter(), self.delta.iter())
+        table::merged(order, self.base.scan(), self.delta.iter())
     }
 
     /// Tuples whose named attributes equal `values`, in primary-key order,
@@ -661,8 +688,7 @@ impl<'a> TableView<'a> {
 
 /// Key-ordered merge iterator over a [`TableView`]: base rows not shadowed
 /// by the delta, interleaved with the delta's upserts.
-pub type TableViewScan<'a> =
-    Merged<'a, crate::runs::Iter<'a, Tuple>, btree_map::Iter<'a, Key, Option<Tuple>>>;
+pub type TableViewScan<'a> = Merged<'a, table::Tuples<'a>, btree_map::Iter<'a, Key, Option<Tuple>>>;
 
 #[cfg(test)]
 mod tests {
@@ -802,7 +828,7 @@ mod tests {
         let dept = |t: Option<&Tuple>| t.map(|t| t.get(2).to_string());
         let seen: Vec<_> = overlay
             .writes()
-            .map(|w| (w.relation, w.key.clone(), dept(w.before), dept(w.after)))
+            .map(|w| (w.relation, w.key.clone(), dept(w.before()), dept(w.after)))
             .collect();
         assert_eq!(
             seen,

@@ -156,20 +156,27 @@ impl<T> Runs<T> {
 impl<T: Clone> Runs<T> {
     /// The set of `entries`, which ascend strictly by `order`: cut into
     /// chunks of `CHUNK`, the last taking a remainder too short to stand
-    /// alone.
-    pub(crate) fn from_sorted(entries: Vec<T>, order: impl Fn(&T, &T) -> Ordering) -> Self {
-        debug_assert!(
-            entries.is_sorted_by(|a, b| order(a, b).is_lt()),
-            "entries ascend strictly"
-        );
-        let len = entries.len();
-        let mut chunks = Vec::with_capacity(len / CHUNK + 1);
+    /// alone. Each entry is drawn as its chunk is cut, so an owner that
+    /// builds its entries from something else builds them in place.
+    pub(crate) fn from_sorted<I>(entries: I, order: impl Fn(&T, &T) -> Ordering) -> Self
+    where
+        I: IntoIterator<Item = T>,
+        I::IntoIter: ExactSizeIterator,
+    {
         let mut entries = entries.into_iter();
+        let len = entries.len();
+        let mut chunks: Vec<Fenced<T>> = Vec::with_capacity(len / CHUNK + 1);
         let mut left = len;
         while left > 0 {
             let cut = if left < CHUNK + MIN { left } else { CHUNK };
             let mut chunk = Vec::with_capacity(cut);
             chunk.extend(entries.by_ref().take(cut));
+            debug_assert!(
+                (chunks.last().and_then(|c| c.entries.last()).into_iter())
+                    .chain(&chunk)
+                    .is_sorted_by(|a, b| order(a, b).is_lt()),
+                "entries ascend strictly"
+            );
             chunks.push(Fenced::new(chunk));
             left -= cut;
         }
@@ -474,7 +481,7 @@ mod tests {
     #[test]
     fn a_bulk_build_cuts_full_chunks_and_keeps_no_short_one() {
         for len in [0, 1, 31, 64, 65, 95, 96, 97, 128, 200, 1000] {
-            let runs = Runs::from_sorted((0..len as u64).map(|k| (k, k)).collect(), by_key);
+            let runs = Runs::from_sorted((0..len).map(|k| (k as u64, k as u64)), by_key);
             assert_shape(&runs, by_key);
             let sizes: Vec<usize> = runs.chunks.iter().map(|c| c.entries.len()).collect();
             let (last, full) = sizes.split_last().unwrap_or((&0, &[]));
@@ -513,7 +520,7 @@ mod tests {
     /// write did not reach stay shared.
     #[test]
     fn a_write_beside_a_clone_copies_one_chunk() {
-        let mut runs = Runs::from_sorted((0..1000u64).map(|k| (k, k)).collect(), by_key);
+        let mut runs = Runs::from_sorted((0..1000).map(|k| (k as u64, k as u64)), by_key);
         let pinned = runs.clone();
         let ((), taken) = trace::capture(|| {
             assert_eq!(upsert(&mut runs, (500, 0)), Some((500, 500)));

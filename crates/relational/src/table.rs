@@ -5,7 +5,7 @@ use crate::predicate::Expr;
 use crate::runs::Runs;
 use crate::schema::RelationSchema;
 use crate::tuple::{Key, Tuple};
-use crate::value::Value;
+use crate::value::{DataType, Value};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::iter::Peekable;
@@ -21,13 +21,14 @@ use std::ops::Bound;
 /// (the `runs` module): cloning a table copies a pointer per chunk, and a
 /// write beside a clone copies the one chunk it lands in. A row is its own
 /// key: the rows are ordered by their values at the key positions
-/// (`KeyOrder`), and nothing is stored beside them.
+/// (`KeyOrder`), and nothing is stored beside them but an 8-byte prefix of
+/// the key's first value ([`Row`]), which settles most comparisons.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: RelationSchema,
     /// Crate-visible so [`crate::overlay`] can build merged scan iterators
     /// without copying rows.
-    pub(crate) rows: Runs<Tuple>,
+    pub(crate) rows: Runs<Row>,
     /// Secondary indexes, keyed by the indexed attribute positions.
     indexes: HashMap<Vec<usize>, SecondaryIndex>,
 }
@@ -52,20 +53,88 @@ fn index_entry(indices: &[usize], row: &Tuple, order: KeyOrder<'_>) -> Box<[Valu
         .collect()
 }
 
+/// One stored row: the tuple, and the abbreviation of its key's first
+/// value under the column's declared type ([`Value::abbrev`]; 0 for a type
+/// that has none). Fences are clones of rows, so they carry it too.
+#[derive(Debug, Clone)]
+pub(crate) struct Row {
+    abbrev: u64,
+    pub(crate) tuple: Tuple,
+}
+
+/// What a search seeks: a key, or a leading part of one, with its first
+/// value's abbreviation when that value is of the column's declared type.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Probe<'v> {
+    abbrev: Option<u64>,
+    values: &'v [Value],
+}
+
+/// The tuples of a table's rows, in key order.
+#[derive(Debug)]
+pub struct Tuples<'a>(crate::runs::Iter<'a, Row>);
+
+impl<'a> Iterator for Tuples<'a> {
+    type Item = &'a Tuple;
+
+    fn next(&mut self) -> Option<&'a Tuple> {
+        self.0.next().map(|r| &r.tuple)
+    }
+}
+
 /// How a table orders its rows: by their values at the schema's key
 /// positions, read in place. A lookup by a key, or by a leading part of
-/// one, compares each row it meets with it directly, in `Key`'s own order.
+/// one, compares each row it meets with it directly, in `Key`'s own order
+/// — on the rows' prefixes first, and on the values only where the
+/// prefixes tie or the probe has none.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct KeyOrder<'s> {
     positions: &'s [usize],
+    /// The declared type of the key's first attribute.
+    lead: DataType,
 }
 
 impl<'s> KeyOrder<'s> {
     /// The order of `schema`'s rows.
     pub(crate) fn of(schema: &'s RelationSchema) -> Self {
+        let positions = schema.key_indices();
         KeyOrder {
-            positions: schema.key_indices(),
+            positions,
+            lead: schema.attributes()[positions[0]].ty,
         }
+    }
+
+    /// `tuple`, a valid row of the table, as the table stores it.
+    pub(crate) fn row(self, tuple: Tuple) -> Row {
+        let abbrev = tuple.get(self.positions[0]).abbrev(self.lead);
+        Row {
+            abbrev: abbrev.unwrap_or(0),
+            tuple,
+        }
+    }
+
+    /// `key` — a key, or a leading part of one — as a search seeks it.
+    pub(crate) fn probe(self, key: &[Value]) -> Probe<'_> {
+        Probe {
+            abbrev: key.first().and_then(|v| v.abbrev(self.lead)),
+            values: key,
+        }
+    }
+
+    /// `row` against `probe`: by the prefixes where the probe has one and
+    /// they differ, else by the values.
+    pub(crate) fn seek(self, row: &Row, probe: Probe<'_>) -> Ordering {
+        match probe.abbrev.map(|a| row.abbrev.cmp(&a)) {
+            Some(settled) if settled.is_ne() => settled,
+            _ => self.cmp(&row.tuple, probe.values),
+        }
+    }
+
+    /// Two stored rows, by their prefixes, then by their keys.
+    fn entries(self, a: &Row, b: &Row) -> Ordering {
+        a.abbrev
+            .cmp(&b.abbrev)
+            .then_with(|| self.rows(&a.tuple, &b.tuple))
     }
 
     /// `row`'s key against `probe` — a key, or a leading part of one, which
@@ -246,7 +315,9 @@ impl<'t> IndexProbe<'t, '_> {
             AccessPath::KeyRange => {
                 // the rows and writes whose keys start with the probe are
                 // one run each, found by one descent
-                let rows = (table.rows.range_from(|r| order.cmp(r, probe)))
+                let sought = order.probe(probe);
+                let rows = (table.rows.range_from(|r| order.seek(r, sought)))
+                    .map(|r| &r.tuple)
                     .take_while(|r| order.leads(r, probe));
                 let written = (delta
                     .range::<[Value], _>((Bound::Included(probe), Bound::Unbounded)))
@@ -290,7 +361,7 @@ pub(crate) fn lookup<'t, 'v>(
         return;
     }
     crate::stats::count_fallback_scan();
-    merged(KeyOrder::of(&table.schema), table.rows.iter(), delta.iter())
+    merged(KeyOrder::of(&table.schema), table.scan(), delta.iter())
         .filter(|t| {
             indices
                 .iter()
@@ -363,15 +434,16 @@ impl Table {
     pub fn insert(&mut self, tuple: Tuple) -> Result<()> {
         tuple.validate(&self.schema)?;
         let order = KeyOrder::of(&self.schema);
-        let slot = self.rows.slot(|r| order.rows(r, &tuple));
+        let row = order.row(tuple);
+        let slot = self.rows.slot(|r| order.entries(r, &row));
         if slot.held() {
             return Err(Error::KeyConflict {
                 relation: self.schema.name().to_owned(),
-                key: tuple.key(&self.schema).to_string(),
+                key: row.tuple.key(&self.schema).to_string(),
             });
         }
-        Self::reindex(&mut self.indexes, order, None, Some(&tuple));
-        self.rows.put(slot, tuple);
+        Self::reindex(&mut self.indexes, order, None, Some(&row.tuple));
+        self.rows.put(slot, row);
         Ok(())
     }
 
@@ -398,14 +470,15 @@ impl Table {
         if order.cmp(&new, old_key.values()).is_eq() {
             return Ok(self.put(new).expect("checked above"));
         }
-        if self.rows.slot(|r| order.rows(r, &new)).held() {
+        let new = order.row(new);
+        if self.rows.slot(|r| order.entries(r, &new)).held() {
             return Err(Error::KeyConflict {
                 relation: self.schema.name().to_owned(),
-                key: new.key(&self.schema).to_string(),
+                key: new.tuple.key(&self.schema).to_string(),
             });
         }
         let old = self.take(old_key.values()).expect("checked above");
-        self.put(new);
+        self.put(new.tuple);
         Ok(old)
     }
 
@@ -418,9 +491,11 @@ impl Table {
     /// that key — the pre-image the commit journal keeps.
     pub(crate) fn put(&mut self, row: Tuple) -> Option<Tuple> {
         let order = KeyOrder::of(&self.schema);
-        let slot = self.rows.slot(|r| order.rows(r, &row));
-        let was = self.rows.put(slot, row.clone());
-        Self::reindex(&mut self.indexes, order, was.as_ref(), Some(&row));
+        let row = order.row(row);
+        let slot = self.rows.slot(|r| order.entries(r, &row));
+        let is = row.tuple.clone();
+        let was = self.rows.put(slot, row).map(|r| r.tuple);
+        Self::reindex(&mut self.indexes, order, was.as_ref(), Some(&is));
         was
     }
 
@@ -428,7 +503,8 @@ impl Table {
     /// an absent key is tolerated.
     pub(crate) fn take(&mut self, key: &[Value]) -> Option<Tuple> {
         let order = KeyOrder::of(&self.schema);
-        let was = self.rows.remove(|r| order.cmp(r, key))?;
+        let sought = order.probe(key);
+        let was = self.rows.remove(|r| order.seek(r, sought))?.tuple;
         Self::reindex(&mut self.indexes, order, Some(&was), None);
         Some(was)
     }
@@ -441,7 +517,8 @@ impl Table {
     /// The row at `key`, compared with each row in place.
     pub(crate) fn get_at(&self, key: &[Value]) -> Option<&Tuple> {
         let order = KeyOrder::of(&self.schema);
-        self.rows.get(|r| order.cmp(r, key))
+        let sought = order.probe(key);
+        Some(&self.rows.get(|r| order.seek(r, sought))?.tuple)
     }
 
     /// True when a tuple with this key exists.
@@ -450,16 +527,20 @@ impl Table {
     }
 
     /// Iterate all tuples in key order.
-    pub fn scan(&self) -> impl Iterator<Item = &Tuple> {
-        self.rows.iter()
+    pub fn scan(&self) -> Tuples<'_> {
+        Tuples(self.rows.iter())
     }
 
     /// Bulk-build a table from already-validated rows in strictly
     /// ascending key order — a snapshot's rows, which its decoder validated
-    /// and ordered as it read them. No secondary indexes; create them
-    /// afterwards.
+    /// and ordered as it read them. Each [`Row`] is built as the chunks are
+    /// cut, so no second vector of rows stands beside `rows`. No secondary
+    /// indexes; create them afterwards.
     pub(crate) fn from_sorted_rows(schema: RelationSchema, rows: Vec<Tuple>) -> Table {
-        let rows = Runs::from_sorted(rows, |a, b| KeyOrder::of(&schema).rows(a, b));
+        let order = KeyOrder::of(&schema);
+        let rows = Runs::from_sorted(rows.into_iter().map(|t| order.row(t)), |a, b| {
+            order.entries(a, b)
+        });
         Table {
             schema,
             rows,
@@ -554,7 +635,7 @@ impl Table {
     pub fn group_by_indices(&self, indices: &[usize]) -> HashMap<Vec<Value>, Vec<&Tuple>> {
         crate::stats::count_hash_build();
         let mut groups: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::new();
-        for t in self.rows.iter() {
+        for t in self.scan() {
             let vals = t.project(indices);
             if vals.iter().any(Value::is_null) {
                 continue;
@@ -582,7 +663,7 @@ impl Table {
             .map(|a| a.name.clone())
             .collect();
         let mut out = Vec::new();
-        for t in self.rows.iter() {
+        for t in self.scan() {
             if pred.eval_truth(&columns, t.values())?.is_true() {
                 out.push(t);
             }
@@ -598,7 +679,7 @@ impl Table {
     pub fn create_index(&mut self, attrs: &[String]) -> Result<()> {
         let indices = self.schema.indices_of(attrs)?;
         let order = KeyOrder::of(&self.schema);
-        let mut entries: Vec<Box<[Value]>> = (self.rows.iter())
+        let mut entries: Vec<Box<[Value]>> = (self.scan())
             .map(|row| index_entry(&indices, row, order))
             .collect();
         let width = indices.len();
@@ -899,27 +980,45 @@ mod tests {
         assert!(keys.contains(&Key::single(2)));
     }
 
+    /// `values` with every integer as the float equal to it: a probe not of
+    /// an `INT` column's type, which finds what the integer finds.
+    fn floated(values: &[Value]) -> Key {
+        Key::new(
+            (values.iter())
+                .map(|v| {
+                    v.as_int()
+                        .map_or_else(|| v.clone(), |i| Value::Float(i as f64))
+                })
+                .collect(),
+        )
+    }
+
     /// What a table holding `oracle` (a `BTreeMap` keyed as the table is)
     /// answers, checked against `table` shadowed by `delta`: scan order,
     /// point lookups, runs of the key's first attribute and secondary
     /// probes — each lookup by the path `index_at` chooses, through the
-    /// delta.
+    /// delta, and each by integer values also made floats.
     fn assert_reads_as(table: &Table, delta: &KeyedRows, oracle: &BTreeMap<Key, Tuple>) {
         let schema = table.schema();
         let order = KeyOrder::of(schema);
-        let merged: Vec<&Tuple> = merged(order, table.rows.iter(), delta.iter()).collect();
+        let merged: Vec<&Tuple> = merged(order, table.scan(), delta.iter()).collect();
         assert!(merged.iter().copied().eq(oracle.values()), "scan order");
         for (key, row) in oracle {
-            assert_eq!(
-                find(table, delta, schema.key_indices(), key.values()),
-                [row]
-            );
+            for probe in [key.clone(), floated(key.values())] {
+                let found = find(table, delta, schema.key_indices(), probe.values());
+                assert_eq!(found, [row], "{probe}");
+                if delta.is_empty() {
+                    assert_eq!(table.get(&probe), Some(row), "{probe}");
+                }
+            }
         }
         let lead = schema.key_indices()[0];
         for at in [lead, 1] {
-            let mut seen: Vec<&Value> = oracle.values().map(|t| t.get(at)).collect();
-            seen.extend([&Value::Null, &Value::Int(99)]);
-            for v in seen {
+            let mut seen: Vec<Value> = oracle.values().map(|t| t.get(at).clone()).collect();
+            let floats: Vec<Value> = floated(&seen).0;
+            seen.extend(floats);
+            seen.extend([Value::Null, Value::Int(99), Value::Float(99.5), "zz".into()]);
+            for v in &seen {
                 let want: Vec<&Tuple> = oracle.values().filter(|t| t.get(at) == v).collect();
                 let ((), taken) = vo_obs::trace::capture(|| {
                     assert_eq!(
@@ -934,19 +1033,35 @@ mod tests {
     }
 
     /// Tables whose key is not their leading columns — the last attribute
-    /// alone, and two attributes in reverse column order — read as a
-    /// `BTreeMap<Key, Tuple>` given the same seeded inserts, replaces and
-    /// deletes: on the table, on clones pinned along the way (which still
-    /// read their old rows), and through a delta shadowing it.
+    /// alone, and two attributes in reverse column order — and tables
+    /// keyed by texts that share their first 8 bytes, whose rows the
+    /// prefixes cannot tell apart, read as a `BTreeMap<Key, Tuple>` given
+    /// the same seeded inserts, replaces and deletes: on the table, on
+    /// clones pinned along the way (which still read their old rows), and
+    /// through a delta shadowing it. Half the replaces and deletes name
+    /// their key with floats where it holds integers.
     #[test]
     fn a_key_read_from_the_row_orders_it_as_the_key_would() {
-        for (key, seed) in [(&["c"][..], 1), (&["c", "a"][..], 2)] {
+        let shared = "abcdefgh";
+        let texts = [
+            "abcdefg".to_string(),
+            shared.into(),
+            format!("{shared}\0"),
+            format!("{shared}A"),
+            format!("{shared}B"),
+            format!("{shared}{}", "x".repeat(14)),
+            format!("{shared}{}", "x".repeat(15)),
+            format!("{shared}{}", "y".repeat(20)),
+        ];
+        let keys = [&["c"][..], &["c", "a"], &["d"], &["d", "c"]];
+        for (seed, key) in (1..).zip(keys) {
             let schema = RelationSchema::new(
                 "R",
                 vec![
                     AttributeDef::required("a", DataType::Int),
                     AttributeDef::nullable("b", DataType::Text),
                     AttributeDef::required("c", DataType::Int),
+                    AttributeDef::required("d", DataType::Text),
                 ],
                 key,
             )
@@ -958,11 +1073,16 @@ mod tests {
                     n => Value::text(format!("b{n}")),
                 };
                 let a = rng.next_below(6) as i64;
-                Tuple::new(
-                    &schema,
-                    vec![a.into(), b, (rng.next_below(40) as i64).into()],
-                )
-                .unwrap()
+                let c = rng.next_below(40) as i64 - 20;
+                let d = Value::text(texts[rng.next_below(texts.len() as u64) as usize].as_str());
+                Tuple::new(&schema, vec![a.into(), b, c.into(), d]).unwrap()
+            };
+            let named = |rng: &mut SmallRng, key: Key| {
+                if rng.gen_bool(0.5) {
+                    floated(key.values())
+                } else {
+                    key
+                }
             };
             let mut table = Table::new(schema.clone());
             table.create_index(&["b".to_string()]).unwrap();
@@ -971,7 +1091,8 @@ mod tests {
             for step in 0..1500 {
                 let new = draw(&mut rng);
                 let key = new.key(&schema);
-                let at = draw(&mut rng).key(&schema);
+                let drawn = draw(&mut rng).key(&schema);
+                let at = named(&mut rng, drawn);
                 match rng.next_below(3) {
                     0 => {
                         let held = oracle.contains_key(&key);
@@ -1000,6 +1121,7 @@ mod tests {
                     assert_reads_as(&table, &NO_ROWS, &oracle);
                 }
             }
+            assert!(oracle.len() >= 4, "{key:?} holds {} rows", oracle.len());
             for (table, oracle) in &pinned {
                 assert_reads_as(table, &NO_ROWS, oracle);
             }

@@ -130,6 +130,21 @@ impl Value {
         }
     }
 
+    /// An 8-byte prefix of this value ordered as the values are, when it
+    /// is of the type `ty` a column declares: an `INT` with its sign bit
+    /// flipped, a `TEXT`'s first 8 bytes ([`Text::prefix`]). Two such
+    /// values whose prefixes differ order as the prefixes do, and equal
+    /// values have equal prefixes; equal prefixes say nothing. `None` for
+    /// any other type, or a value not of `ty` — `Float(2.0)` equals
+    /// `Int(2)` and has no prefix among integers.
+    pub fn abbrev(&self, ty: DataType) -> Option<u64> {
+        match (ty, self) {
+            (DataType::Int, Value::Int(i)) => Some((*i as u64) ^ 1 << 63),
+            (DataType::Text, Value::Text(t)) => Some(t.prefix()),
+            _ => None,
+        }
+    }
+
     /// Rank used to order values of different variants; NULL sorts first.
     fn variant_rank(&self) -> u8 {
         match self {
@@ -341,6 +356,19 @@ impl Text {
         matches!(self.0, Repr::Inline(..))
     }
 
+    /// The first 8 bytes, big-endian and zero-padded: ordered as the
+    /// strings are wherever two prefixes differ, by the argument behind
+    /// [`Repr::Inline`]'s order — a string ending inside the 8 bytes is
+    /// padded with zeros, which no byte sorts below. A shared text is
+    /// longer than [`Text::INLINE`], so it has 8 bytes to give.
+    pub fn prefix(&self) -> u64 {
+        let head = match &self.0 {
+            Repr::Inline(_, bytes) => &bytes[..8],
+            Repr::Heap(s) => &s.as_bytes()[..8],
+        };
+        u64::from_be_bytes(head.try_into().expect("8 bytes"))
+    }
+
     /// An inline text as two big-endian words ordered as the string is:
     /// its first 16 bytes, then its last 6 with the length after them.
     fn words(len: Len, bytes: &[u8; Text::INLINE]) -> (u128, u64) {
@@ -447,6 +475,81 @@ mod tests {
         assert!(Value::Null.conforms_to(DataType::Text));
         assert_eq!(Value::text("x").data_type(), Some(DataType::Text));
         assert_eq!(Value::Null.data_type(), None);
+    }
+
+    /// The prefix law over the edge set: for two values of a column's
+    /// declared type, prefixes that differ order the values as they
+    /// order, and equal values have equal prefixes. A value of another
+    /// type has none.
+    #[test]
+    fn a_prefix_orders_its_values_or_ties() {
+        let two53 = 1i64 << 53;
+        let ints = [
+            i64::MIN,
+            i64::MIN + 1,
+            -two53 - 1,
+            -two53,
+            -two53 + 1,
+            -1,
+            0,
+            1,
+            two53 - 1,
+            two53,
+            two53 + 1,
+            i64::MAX - 1,
+            i64::MAX,
+        ]
+        .map(Value::Int);
+        let shared = "abcdefgh";
+        let texts = [
+            String::new(),
+            "a".into(),
+            "a\0".into(),
+            "a\0b".into(),
+            "b".into(),
+            "abcdefg".into(),
+            shared.into(),
+            format!("{shared}\0"),
+            format!("{shared}A"),
+            format!("{shared}{}", "x".repeat(14)),
+            format!("{shared}{}", "x".repeat(15)),
+            format!("{shared}{}", "y".repeat(15)),
+            "\u{7f}".into(),
+            "é".into(),
+            "éa".into(),
+            "日本語テキスト".into(),
+            "\u{10FFFF}".into(),
+        ]
+        .map(Value::text);
+        assert!(texts
+            .iter()
+            .any(|t| !matches!(t, Value::Text(s) if s.is_inline())));
+        for (ty, values) in [(DataType::Int, &ints[..]), (DataType::Text, &texts[..])] {
+            for a in values {
+                let pa = a.abbrev(ty).expect("a value of the declared type");
+                for b in values {
+                    let pb = b.abbrev(ty).expect("a value of the declared type");
+                    if pa < pb {
+                        assert!(a < b, "{a} < {b} by prefix");
+                    }
+                    if a == b {
+                        assert_eq!(pa, pb, "{a} == {b}");
+                    }
+                }
+            }
+        }
+        // a probe not of the declared type has no prefix: it is compared
+        // in full, where Float(2.0) equals Int(2)
+        for (ty, v) in [
+            (DataType::Int, Value::Float(2.0)),
+            (DataType::Int, Value::text("2")),
+            (DataType::Int, Value::Null),
+            (DataType::Text, Value::Int(2)),
+            (DataType::Float, Value::Float(2.0)),
+            (DataType::Bool, Value::Bool(true)),
+        ] {
+            assert_eq!(v.abbrev(ty), None, "{v} under {ty}");
+        }
     }
 
     #[test]

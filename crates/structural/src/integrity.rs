@@ -277,6 +277,8 @@ pub fn check_delta(schema: &StructuralSchema, db: &DeltaDb<'_>) -> Result<Vec<Vi
     for w in db.writes() {
         writes += 1;
         let rel_schema = db.base().table(w.relation)?.schema();
+        // only a vacated key reads its pre-image
+        let vacated = w.after.is_none().then(|| w.before()).flatten();
         for (i, conn) in schema.connections().iter().enumerate() {
             let (parent, parent_attrs) = conn.parent_end();
             let (dependent, dependent_attrs) = conn.dependent_end();
@@ -292,7 +294,7 @@ pub fn check_delta(schema: &StructuralSchema, db: &DeltaDb<'_>) -> Result<Vec<Vi
                 }
             }
             if parent == w.relation {
-                if let (Some(tuple), None) = (w.before, w.after) {
+                if let Some(tuple) = vacated {
                     let from = rel_schema.indices_of(parent_attrs)?;
                     probes += 1;
                     let dependents = db.view(dependent)?;
@@ -328,78 +330,86 @@ pub fn plan_delete(
     policy: &IntegrityPolicy,
 ) -> Result<Vec<DbOp>> {
     let mut sp = trace::span("integrity.plan_delete");
-    // Phase 1: transitive closure of deletions.
-    let mut to_delete: BTreeSet<(String, Key)> = BTreeSet::new();
-    let mut work: Vec<(String, Key)> = vec![(relation.to_owned(), key.clone())];
-    while let Some((rel, k)) = work.pop() {
-        if !to_delete.insert((rel.clone(), k.clone())) {
+    // Phase 1: transitive closure of deletions. Each row is read once, where
+    // it is found — the root by its key, every other as a dependent — and
+    // kept with its relation's schema for phase 2.
+    let root = db.view(relation)?;
+    let found = root.get(key).ok_or_else(|| Error::NoSuchTuple {
+        relation: relation.to_owned(),
+        key: key.to_string(),
+    })?;
+    let mut to_delete: BTreeMap<(&str, Key), (&RelationSchema, &Tuple)> = BTreeMap::new();
+    let mut work = vec![(relation, key.clone(), root.schema(), found)];
+    while let Some((rel, k, rel_schema, tuple)) = work.pop() {
+        let std::collections::btree_map::Entry::Vacant(slot) = to_delete.entry((rel, k)) else {
             continue;
-        }
-        let table = db.view(&rel)?;
-        let tuple = table.get(&k).ok_or_else(|| Error::NoSuchTuple {
-            relation: rel.clone(),
-            key: k.to_string(),
-        })?;
+        };
+        slot.insert((rel_schema, tuple));
         // cascade over ownership and subset
-        for conn in schema.dependents_of(&rel) {
-            let from = table.schema().indices_of(&conn.from_attrs)?;
+        for conn in schema.dependents_of(rel) {
+            let from = rel_schema.indices_of(&conn.from_attrs)?;
             let child = db.view(&conn.to)?;
-            let keys = keys_at(&child, &conn.to_attrs, tuple, &from)?;
-            if !keys.is_empty() {
+            let rows = rows_at(&child, &conn.to_attrs, tuple, &from)?;
+            if !rows.is_empty() {
                 trace::event_with("integrity.cascade", || {
                     vec![
                         ("connection", Json::str(conn.name.clone())),
                         ("kind", Json::str(conn.kind.to_string())),
-                        ("from", Json::str(format!("{rel}{k}"))),
-                        ("cascaded", Json::Int(keys.len() as i64)),
+                        ("from", Json::str(format!("{rel}{}", tuple.key(rel_schema)))),
+                        ("cascaded", Json::Int(rows.len() as i64)),
                     ]
                 });
             }
-            for k2 in keys {
-                work.push((conn.to.clone(), k2));
+            for t in rows {
+                work.push((&conn.to, t.key(child.schema()), child.schema(), t));
             }
         }
         // reference cascade when the policy says so
-        for conn in schema.referencers_of(&rel) {
+        for conn in schema.referencers_of(rel) {
             if policy.delete_action(&conn.name) == RefDeleteAction::Cascade {
-                let from = table.schema().indices_of(&conn.to_attrs)?;
+                let from = rel_schema.indices_of(&conn.to_attrs)?;
                 let referencing = db.view(&conn.from)?;
-                let keys = keys_at(&referencing, &conn.from_attrs, tuple, &from)?;
-                if !keys.is_empty() {
+                let rows = rows_at(&referencing, &conn.from_attrs, tuple, &from)?;
+                if !rows.is_empty() {
                     trace::event_with("integrity.cascade", || {
                         vec![
                             ("connection", Json::str(conn.name.clone())),
                             ("kind", Json::str("reference")),
-                            ("from", Json::str(format!("{rel}{k}"))),
-                            ("cascaded", Json::Int(keys.len() as i64)),
+                            ("from", Json::str(format!("{rel}{}", tuple.key(rel_schema)))),
+                            ("cascaded", Json::Int(rows.len() as i64)),
                         ]
                     });
                 }
-                for k1 in keys {
-                    work.push((conn.from.clone(), k1));
+                for t in rows {
+                    work.push((
+                        &conn.from,
+                        t.key(referencing.schema()),
+                        referencing.schema(),
+                        t,
+                    ));
                 }
             }
         }
     }
-
     // Phase 2: repair remaining referencing tuples (nullify or restrict).
     // Accumulate all nullifications per referencing tuple so that a tuple
     // referencing two deleted targets gets a single Replace.
-    let mut pending: BTreeMap<(String, Key), Tuple> = BTreeMap::new();
-    for (rel, k) in &to_delete {
-        let table = db.view(rel)?;
-        let tuple = table.get(k).expect("collected above");
+    let mut pending: BTreeMap<(&str, Key), Tuple> = BTreeMap::new();
+    for (&(rel, ref k), &(rel_schema, tuple)) in &to_delete {
         for conn in schema.referencers_of(rel) {
             match policy.delete_action(&conn.name) {
                 RefDeleteAction::Cascade => {} // handled in phase 1
                 action => {
-                    let from = table.schema().indices_of(&conn.to_attrs)?;
+                    let from = rel_schema.indices_of(&conn.to_attrs)?;
                     let referencing = db.view(&conn.from)?;
                     let ref_schema = referencing.schema();
-                    for k1 in keys_at(&referencing, &conn.from_attrs, tuple, &from)? {
-                        if to_delete.contains(&(conn.from.clone(), k1.clone())) {
+                    for row in rows_at(&referencing, &conn.from_attrs, tuple, &from)? {
+                        let k1 = row.key(ref_schema);
+                        let at = (conn.from.as_str(), k1);
+                        if to_delete.contains_key(&at) {
                             continue;
                         }
+                        let k1 = &at.1;
                         if action == RefDeleteAction::Restrict {
                             trace::event_with("integrity.abort", || {
                                 vec![
@@ -416,10 +426,7 @@ pub fn plan_delete(
                             )));
                         }
                         // Nullify
-                        let entry = pending
-                            .entry((conn.from.clone(), k1.clone()))
-                            .or_insert_with(|| referencing.get(&k1).expect("listed").clone());
-                        let mut t = entry.clone();
+                        let mut t = pending.get(&at).unwrap_or(row).clone();
                         for attr in &conn.from_attrs {
                             t = t.with_named(ref_schema, attr, Value::Null).map_err(|e| {
                                 trace::event_with("integrity.abort", || {
@@ -444,7 +451,7 @@ pub fn plan_delete(
                                 ("key", Json::str(k1.to_string())),
                             ]
                         });
-                        *entry = t;
+                        pending.insert(at, t);
                     }
                 }
             }
@@ -460,14 +467,14 @@ pub fn plan_delete(
     let mut ops: Vec<DbOp> = Vec::with_capacity(pending.len() + to_delete.len());
     for ((rel, k), tuple) in pending {
         ops.push(DbOp::Replace {
-            relation: rel,
+            relation: rel.to_owned(),
             old_key: k,
             tuple,
         });
     }
-    for (rel, k) in to_delete {
+    for (rel, k) in to_delete.into_keys() {
         ops.push(DbOp::Delete {
-            relation: rel,
+            relation: rel.to_owned(),
             key: k,
         });
     }
@@ -670,6 +677,19 @@ fn any_at(
     let mut any = false;
     for_each_at(target, attrs, source, from, |_| any = true)?;
     Ok(any)
+}
+
+/// The tuples [`for_each_at`] visits, for planners that go on to write
+/// what they found.
+fn rows_at<'a>(
+    target: &TableView<'a>,
+    attrs: &[String],
+    source: &Tuple,
+    from: &[usize],
+) -> Result<Vec<&'a Tuple>> {
+    let mut rows = Vec::new();
+    for_each_at(target, attrs, source, from, |t| rows.push(t))?;
+    Ok(rows)
 }
 
 /// The keys [`for_each_at`] visits, for planners that go on to write what

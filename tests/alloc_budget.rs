@@ -230,3 +230,46 @@ fn a_title_only_replacement_allocates_within_its_budget() {
         "{allocations} allocations"
     );
 }
+
+/// What preparing one VO-CD complete deletion of a scaled ω instance
+/// allocates, now that the deletion plan keeps each row where it found it
+/// and borrows relation names from the schema: 91 in release, 128 in debug
+/// (105 and 142 when it cloned a name and a key into every work item and
+/// re-read each row it had found). Debug builds also cross-check the delta
+/// check against a scan of the database.
+const COMPLETE_DELETION: u64 = if cfg!(debug_assertions) { 128 } else { 91 };
+
+/// One complete deletion, prepared on a session: validation, the read
+/// set's currency, the cascade plan, the fold of its ops and the check
+/// stay within [`COMPLETE_DELETION`] allocations.
+#[test]
+fn a_complete_deletion_allocates_within_its_budget() {
+    let (schema, db) = university_scaled(8, 42);
+    let mut system = Penguin::with_database(schema, db);
+    system
+        .define_object(
+            "omega",
+            "COURSES",
+            &["DEPARTMENT", "CURRICULUM", "GRADES", "STUDENT"],
+        )
+        .unwrap();
+    let omega = system.object("omega").unwrap().object.clone();
+    system
+        .install_translator("omega", Translator::permissive(&omega))
+        .unwrap();
+    let old = system
+        .instance_by_key("omega", &Key::single("C1-2"))
+        .unwrap();
+    let session = system.session();
+    let request = UpdateBatch::new().delete(old);
+    let (prepared, allocations) = counted(|| session.prepare_batch("omega", request).unwrap());
+    println!(
+        "{allocations} allocations for one complete deletion of {} ops",
+        prepared.ops.len()
+    );
+    assert!(prepared.ops.len() > 1, "the deletion cascades");
+    assert!(
+        allocations <= COMPLETE_DELETION,
+        "{allocations} allocations"
+    );
+}
