@@ -391,6 +391,7 @@ pub fn plan_delete(
             }
         }
     }
+
     // Phase 2: repair remaining referencing tuples (nullify or restrict).
     // Accumulate all nullifications per referencing tuple so that a tuple
     // referencing two deleted targets gets a single Replace.
