@@ -22,7 +22,8 @@ use std::ops::Bound;
 /// write beside a clone copies the one chunk it lands in. A row is its own
 /// key: the rows are ordered by their values at the key positions
 /// (`KeyOrder`), and nothing is stored beside them but an 8-byte prefix of
-/// the key's first value ([`Row`]), which settles most comparisons.
+/// the key's first value ([`Row`]), which settles every comparison of two
+/// first values that differ within their first 8 bytes.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: RelationSchema,

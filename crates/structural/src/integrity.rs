@@ -536,13 +536,12 @@ pub fn plan_key_replacement(
             }
             let child = db.view(&conn.to)?;
             let child_schema = child.schema();
-            for k2 in keys_at(&child, &conn.to_attrs, &old, &from)? {
-                let ct = child.get(&k2).expect("listed").clone();
-                let mut nt = ct;
+            for ct in rows_at(&child, &conn.to_attrs, &old, &from)? {
+                let mut nt = ct.clone();
                 for (attr, &p) in conn.to_attrs.iter().zip(&from) {
                     nt = nt.with_named(child_schema, attr, newt.get(p).clone())?;
                 }
-                work.push((conn.to.clone(), k2, nt));
+                work.push((conn.to.clone(), ct.key(child_schema), nt));
             }
         }
 
@@ -554,19 +553,18 @@ pub fn plan_key_replacement(
             }
             let referencing = db.view(&conn.from)?;
             let ref_schema = referencing.schema();
-            for k1 in keys_at(&referencing, &conn.from_attrs, &old, &from)? {
+            for rt in rows_at(&referencing, &conn.from_attrs, &old, &from)? {
+                let k1 = rt.key(ref_schema);
                 match policy.modify_action(&conn.name) {
                     RefModifyAction::Propagate => {
-                        let rt = referencing.get(&k1).expect("listed").clone();
-                        let mut nt = rt;
+                        let mut nt = rt.clone();
                         for (attr, &p) in conn.from_attrs.iter().zip(&from) {
                             nt = nt.with_named(ref_schema, attr, newt.get(p).clone())?;
                         }
                         work.push((conn.from.clone(), k1, nt));
                     }
                     RefModifyAction::Nullify => {
-                        let rt = referencing.get(&k1).expect("listed").clone();
-                        let mut nt = rt;
+                        let mut nt = rt.clone();
                         for attr in &conn.from_attrs {
                             nt = nt.with_named(ref_schema, attr, Value::Null).map_err(|e| {
                                 Error::ConstraintViolation(format!(
@@ -691,21 +689,6 @@ fn rows_at<'a>(
     let mut rows = Vec::new();
     for_each_at(target, attrs, source, from, |t| rows.push(t))?;
     Ok(rows)
-}
-
-/// The keys [`for_each_at`] visits, for planners that go on to write what
-/// they found.
-fn keys_at(
-    target: &TableView<'_>,
-    attrs: &[String],
-    source: &Tuple,
-    from: &[usize],
-) -> Result<Vec<Key>> {
-    let mut keys = Vec::new();
-    for_each_at(target, attrs, source, from, |t| {
-        keys.push(t.key(target.schema()))
-    })?;
-    Ok(keys)
 }
 
 /// Build a stub tuple for `relation` carrying `values` in `attrs`; other
